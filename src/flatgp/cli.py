@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .dataio import Dataset, format_float, parse_dataset, write_csv, write_json
+from .dataio import Dataset, format_float, parse_dataset, parse_points, write_csv, write_json
 from .doftools import isofreedom_curve, matched_approximation
 from .errors import FlatGpError, IllConditioned
 from .flatlimit import (
@@ -95,8 +95,7 @@ def _parse_query(spec, dataset):
         rng = np.random.default_rng(0)
         return rng.uniform(lo, hi, size=(50, dataset.d))
     if os.path.exists(spec):
-        qs = parse_dataset(spec)
-        return np.hstack([qs.X.points, qs.y[:, None]])[:, : dataset.d]
+        return parse_points(spec, dataset.d)
     if ":" in spec:
         if dataset.d != 1:
             raise FlatGpError("query grids a:b:k are for d=1; pass a CSV for d>1")
@@ -412,7 +411,7 @@ def _add_common(sp, query=False, grids=()):
     sp.add_argument("--out", required=True, help="output path prefix")
     sp.add_argument("--format", default="csv", choices=["csv", "json"], help="primary output format")
     if query:
-        sp.add_argument("--query", help="a:b:k grid (d=1), comma list, or CSV path")
+        sp.add_argument("--query", help="a:b:k grid (d=1), comma list, or CSV path (header, d feature columns)")
     for g in grids:
         sp.add_argument(g, required=True)
 

@@ -36,10 +36,10 @@ class Dataset:
         return self.X.d
 
 
-def parse_dataset(path, feature_cols=None, target_col=None) -> Dataset:
-    """Read a CSV with a header: d feature columns then one target column.
+def _read_columns(path, select):
+    """Float rows of a headed CSV, over the columns that ``select(header)`` names.
 
-    Column names are configurable; errors carry the offending row/column.
+    Errors carry the offending row/column.
     """
     if not os.path.exists(path):
         raise DatasetError(f"no such file: {path}")
@@ -50,17 +50,7 @@ def parse_dataset(path, feature_cols=None, target_col=None) -> Dataset:
         except StopIteration:
             raise EmptyDataset(f"{path} is empty") from None
         header = [h.strip() for h in header]
-        if len(header) < 2:
-            raise DatasetError(f"{path}: need at least one feature and one target column")
-        if target_col is None:
-            target_col = header[-1]
-        if target_col not in header:
-            raise DatasetError(f"{path}: no target column named {target_col!r}")
-        if feature_cols is None:
-            feature_cols = [h for h in header if h != target_col]
-        missing = [c for c in feature_cols if c not in header]
-        if missing:
-            raise DatasetError(f"{path}: missing feature columns {missing}")
+        names = select(header)
         col_pos = {name: header.index(name) for name in header}
 
         rows = []
@@ -73,7 +63,7 @@ def parse_dataset(path, feature_cols=None, target_col=None) -> Dataset:
                     row=rownum,
                 )
             vals = []
-            for name in list(feature_cols) + [target_col]:
+            for name in names:
                 cell = row[col_pos[name]].strip()
                 try:
                     v = float(cell)
@@ -93,13 +83,47 @@ def parse_dataset(path, feature_cols=None, target_col=None) -> Dataset:
             rows.append(vals)
     if not rows:
         raise EmptyDataset(f"{path} has a header but no data rows")
-    arr = np.asarray(rows, dtype=float)
+    return names, np.asarray(rows, dtype=float)
+
+
+def parse_dataset(path, feature_cols=None, target_col=None) -> Dataset:
+    """Read a CSV with a header: d feature columns then one target column.
+
+    Column names are configurable; errors carry the offending row/column.
+    """
+
+    def select(header):
+        if len(header) < 2:
+            raise DatasetError(f"{path}: need at least one feature and one target column")
+        target = header[-1] if target_col is None else target_col
+        if target not in header:
+            raise DatasetError(f"{path}: no target column named {target!r}")
+        features = [h for h in header if h != target] if feature_cols is None else feature_cols
+        missing = [c for c in features if c not in header]
+        if missing:
+            raise DatasetError(f"{path}: missing feature columns {missing}")
+        return list(features) + [target]
+
+    names, arr = _read_columns(path, select)
     return Dataset(
         X=Design(arr[:, :-1]),
         y=arr[:, -1],
-        feature_names=tuple(feature_cols),
-        target_name=target_col,
+        feature_names=tuple(names[:-1]),
+        target_name=names[-1],
     )
+
+
+def parse_points(path, d: int) -> np.ndarray:
+    """Read a CSV with a header and exactly d feature columns (no target)."""
+
+    def select(header):
+        if len(header) != d:
+            raise DatasetError(
+                f"{path}: query points need {d} feature column(s), found {len(header)}"
+            )
+        return header
+
+    return _read_columns(path, select)[1]
 
 
 def write_dataset(path, dataset: Dataset):

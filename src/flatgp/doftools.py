@@ -9,6 +9,7 @@ of freedom as the source GP.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .flatlimit import LimitCaseKind
 from .gp import GpSpectrum
 from .kernels import Kernel, dataclass_replace, regularity, wronskian, wronskian_schur
 from .polybasis import as_design, count_poly_dim, enumerate_monomials
-from .spm import SemiParametricModel, fit_spm, polyharmonic_spm
+from .spm import SemiParametricModel, factorize_model, fit_factored, polyharmonic_spm
 
 _RESIDUAL_TOL = 1e-10
 _BRACKET_LIMIT = 1e30
@@ -134,11 +135,19 @@ class MatchedApproximation:
     achieved_dof: float
     source_dof: float
 
+    @cached_property
+    def factorization(self):
+        """The target's saddle-point factorization, shared by all predictions."""
+        return factorize_model(self.target, self.design)
+
+    def _fit(self, y):
+        return fit_factored(self.target, self.design, self.factorization, y, self.penalty)
+
     def predict(self, y, query_points):
-        return fit_spm(self.target, self.design, y, self.penalty).predict(query_points)
+        return self._fit(y).predict(query_points)
 
     def predict_var(self, y, query_points):
-        return fit_spm(self.target, self.design, y, self.penalty).predict_var(query_points)
+        return self._fit(y).predict_var(query_points)
 
 
 def _monomial_block_model(kernel, p, d):

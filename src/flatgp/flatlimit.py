@@ -19,7 +19,7 @@ from .errors import (
     NotProportional,
     NotUnisolvent,
 )
-from .gp import GpSpectrum, gp_posterior
+from .gp import GpSpectrum, gp_posteriors
 from .kernels import (
     Family,
     Kernel,
@@ -35,6 +35,8 @@ from .polybasis import as_design, count_poly_dim, enumerate_monomials, vandermon
 from .smoothers import SmootherMatrix
 from .spm import (
     SemiParametricModel,
+    factorize_model,
+    fit_factored,
     fit_spm,
     polyharmonic_spm,
     project_out_basis,
@@ -304,9 +306,17 @@ def check_pred_equiv(
 
     Also compares smoother matrices on X and on X augmented with each query
     point.  Returns (equivalent, EquivalenceCheck).
+
+    Each model is factored once on X, and every trial's fits, variances and
+    smoothers on X are solves against that factorization, since none of it
+    depends on the drawn (y, sigma2).  Both models are still factored on each
+    trial's augmented design.  The two models never share a factorization:
+    that would compare a model with itself.
     """
     require_comparable(model_a, model_b)
     design = as_design(X)
+    fac_a = factorize_model(model_a, design)
+    fac_b = factorize_model(model_b, design)
     rng = np.random.default_rng(seed)
     lo = design.points.min(axis=0)
     hi = design.points.max(axis=0)
@@ -315,12 +325,12 @@ def check_pred_equiv(
         y = rng.normal(size=design.n)
         sigma2 = float(10.0 ** rng.uniform(-2, 0.5))
         x_new = rng.uniform(lo, hi)[None, :]
-        fa = fit_spm(model_a, design, y, sigma2)
-        fb = fit_spm(model_b, design, y, sigma2)
+        fa = fit_factored(model_a, design, fac_a, y, sigma2)
+        fb = fit_factored(model_b, design, fac_b, y, sigma2)
         dev_mean = max(dev_mean, float(np.abs(fa.predict(x_new) - fb.predict(x_new)).max()))
         dev_var = max(dev_var, float(np.abs(fa.predict_var(x_new) - fb.predict_var(x_new)).max()))
-        Ma = spm_smoother(model_a, design, sigma2).matrix
-        Mb = spm_smoother(model_b, design, sigma2).matrix
+        Ma = fac_a.smoother(sigma2).matrix
+        Mb = fac_b.smoother(sigma2).matrix
         dev_smoother = max(dev_smoother, float(np.abs(Ma - Mb).max()))
         X_aug = np.vstack([design.points, x_new])
         Ma = spm_smoother(model_a, X_aug, sigma2).matrix
@@ -458,6 +468,9 @@ def convergence_study(
     points.  Pass requires a fitted log-log slope >= 0.8 and a final deviation
     below ``tol``.  Ill-conditioned epsilons are dropped (recorded); fewer
     than three usable ones raise InsufficientGrid.
+
+    The limit model is factored once, and each epsilon's kernel matrix is
+    eigendecomposed once; every trial vector is solved against those.
     """
     eps_grid = [float(e) for e in eps_grid]
     if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
@@ -472,27 +485,25 @@ def convergence_study(
 
     rng = np.random.default_rng(seed)
     ys = rng.normal(size=(num_trials, design.n))
-    limit_means = [
-        fit_spm(limit_model, design, y, limit_sigma2).predict(query_points) for y in ys
-    ]
+    limit_fac = factorize_model(limit_model, design)
+    limit_fits = [fit_factored(limit_model, design, limit_fac, y, limit_sigma2) for y in ys]
+    limit_means = [f.predict(query_points) for f in limit_fits]
     if not interpolation:
-        limit_var = fit_spm(limit_model, design, ys[0], limit_sigma2).predict_var(query_points)
+        limit_var = limit_fits[0].predict_var(query_points)
 
     used, dropped, mean_devs, var_devs = [], [], [], []
     for eps in eps_grid:
-        kern = family.kernel_at(eps)
         try:
-            dev_m = 0.0
-            for y, lm in zip(ys, limit_means):
-                mean, var = gp_posterior(kern, design, y, sigma2, query_points)
-                dev_m = max(dev_m, float(np.abs(mean - lm).max()))
-            if not interpolation:
-                var_devs.append(float(np.abs(var - limit_var).max()))
+            means, var = gp_posteriors(family.kernel_at(eps), design, ys, sigma2, query_points)
         except IllConditioned:
             dropped.append(eps)
             continue
         used.append(eps)
-        mean_devs.append(dev_m)
+        mean_devs.append(
+            max((float(np.abs(m - lm).max()) for m, lm in zip(means, limit_means)), default=0.0)
+        )
+        if not interpolation:
+            var_devs.append(float(np.abs(var - limit_var).max()))
     if len(used) < 3:
         raise InsufficientGrid(f"only {len(used)} usable epsilon values")
 

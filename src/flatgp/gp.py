@@ -112,15 +112,24 @@ class GpSpectrum:
 
 def gp_posterior(kernel: Kernel, X, y, sigma2: float, query_points, nugget: float = 0.0):
     """Posterior mean and variance at query points under Gaussian noise."""
+    means, var = gp_posteriors(kernel, X, [y], sigma2, query_points, nugget=nugget)
+    return means[0], var
+
+
+def gp_posteriors(kernel: Kernel, X, ys, sigma2: float, query_points, nugget: float = 0.0):
+    """Posterior means of each data vector in ``ys``, and the shared variance.
+
+    One eigendecomposition serves every vector; each is solved on its own,
+    so its mean is exactly what ``gp_posterior`` gives for it.
+    """
     design = as_design(X)
-    y = np.asarray(y, dtype=float)
     spec = GpSpectrum.from_kernel(kernel, design, nugget=nugget)
     kq = kernel_cross(kernel, query_points, design)
-    mean = kq @ spec.solve(kernel.gamma, sigma2, y)
+    means = [kq @ spec.solve(kernel.gamma, sigma2, np.asarray(y, dtype=float)) for y in ys]
     prior = kernel_diag(kernel, query_points)
     quad = np.einsum("ij,ji->i", kq, spec.solve(kernel.gamma, sigma2, kq.T))
     var = prior - quad
-    return mean, np.maximum(var, 0.0)
+    return means, np.maximum(var, 0.0)
 
 
 def gp_smoother(kernel: Kernel, X, sigma2: float, nugget: float = 0.0) -> SmootherMatrix:

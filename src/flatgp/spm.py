@@ -5,6 +5,13 @@ Every solve is block elimination on the bordered (saddle-point) system: the
 basis matrix is orthonormalized, the kernel is restricted to the orthogonal
 complement of its span, and a symmetric eigendecomposition of that restriction
 is reused for means, variances, smoothers, and the Laurent coefficient B0.
+
+A factorization depends on the model and the design only, never on the data
+``y`` or the noise level ``sigma2``.  ``factorize_model`` builds it once per
+(model, design); fits at any ``(y, sigma2)``, smoothers at any ``sigma2`` and
+the predictive variances of a whole query batch are then solves against it.
+The complement basis comes from one complete QR of the n x m orthonormal
+basis, and an identically zero kernel skips the eigensolver.
 """
 
 from dataclasses import dataclass
@@ -101,19 +108,20 @@ def _orthonormal_basis(V, n):
 
 
 def _complement_basis(Q, n):
+    """Orthonormal basis of the complement of span(Q), by complete QR of Q."""
     m = Q.shape[1]
     if m == 0:
         return np.eye(n)
-    P = np.eye(n) - Q @ Q.T
-    U, _, _ = np.linalg.svd(P)
-    return U[:, : n - m]
+    return np.linalg.qr(Q, mode="complete")[0][:, m:]
 
 
 @dataclass(frozen=True)
 class SaddleFactorization:
-    """Shared pieces of the bordered solve: Q/R of V and the eigensystem of
-    the kernel restricted to the complement of span(V)."""
+    """Shared pieces of the bordered solve: the kernel matrix L, Q/R of the
+    basis matrix V, and the eigensystem of L restricted to the complement of
+    span(V).  Independent of the data and the noise level."""
 
+    L: np.ndarray
     Q: np.ndarray
     R: np.ndarray
     C: np.ndarray
@@ -129,38 +137,70 @@ class SaddleFactorization:
         """Complement eigenvectors lifted back to R^n (n x (n-m))."""
         return self.C @ self.evecs
 
-    def solve(self, L, sigma2, g, h):
-        """Solve [[L + sigma2 I, V], [V^T, 0]] (a; b) = (g; h) by elimination."""
-        n = L.shape[0]
+    def _pinv_kept(self) -> np.ndarray:
+        """Modes kept by the noiseless (sigma2 = 0) pseudo-inverse."""
+        cut = _PINV_TOL * max(1.0, float(np.abs(self.evals).max(initial=0.0)))
+        return np.abs(self.evals) > cut
+
+    def solve(self, sigma2, g, h):
+        """Solve [[L + sigma2 I, V], [V^T, 0]] (a; b) = (g; h) by elimination.
+
+        ``g`` (n,) and ``h`` (m,) may also be (n, k) and (m, k): k right-hand
+        sides solved at once.
+        """
+        g = np.asarray(g, dtype=float)
         if self.m:
-            c = np.linalg.solve(self.R.T, h)
-            a_basis = self.Q @ c
+            a_basis = self.Q @ np.linalg.solve(self.R.T, h)
         else:
-            a_basis = np.zeros(n)
-        rhs = self.modes.T @ (g - L @ a_basis)
+            a_basis = np.zeros_like(g)
+        rhs = self.modes.T @ (g - self.L @ a_basis)
+        col = (slice(None),) + (None,) * (rhs.ndim - 1)  # per-mode factors over columns
         if sigma2 > 0:
-            w = rhs / (self.evals + sigma2)
+            w = rhs / (self.evals + sigma2)[col]
         else:
-            cut = _PINV_TOL * max(1.0, float(np.abs(self.evals).max(initial=0.0)))
-            keep = np.abs(self.evals) > cut
+            keep = self._pinv_kept()
             safe = np.where(keep, self.evals, 1.0)
-            w = np.where(keep, rhs / safe, 0.0)
+            w = np.where(keep[col], rhs / safe[col], 0.0)
         a = a_basis + self.modes @ w
         if self.m:
-            b = np.linalg.solve(self.R, self.Q.T @ (g - L @ a - sigma2 * a))
+            b = np.linalg.solve(self.R, self.Q.T @ (g - self.L @ a - sigma2 * a))
         else:
-            b = np.zeros(0)
+            b = np.zeros((0,) + g.shape[1:])
         return a, b
+
+    def fit(self, y, sigma2):
+        """Coefficients (alpha, beta) of the fit to data y at noise sigma2."""
+        return self.solve(sigma2, y, np.zeros(self.m))
+
+    def smoother(self, sigma2) -> SmootherMatrix:
+        """M = QQ^T + Ltilde (Ltilde + sigma2 I)^{-1} on the complement of span(V)."""
+        lam = self.evals
+        filt = lam / (lam + sigma2) if sigma2 > 0 else self._pinv_kept().astype(float)
+        modes = self.modes
+        M = modes @ (filt[:, None] * modes.T)
+        if self.m:
+            M = M + self.Q @ self.Q.T
+        return SmootherMatrix(0.5 * (M + M.T))
 
 
 def factorize(L: np.ndarray, V: np.ndarray) -> SaddleFactorization:
     n = L.shape[0]
     Q, R = _orthonormal_basis(V, n)
     C = _complement_basis(Q, n)
-    A = C.T @ L @ C
-    A = 0.5 * (A + A.T)
-    evals, evecs = np.linalg.eigh(A)
-    return SaddleFactorization(Q=Q, R=R, C=C, evals=evals, evecs=evecs)
+    if L.any():
+        A = C.T @ L @ C
+        evals, evecs = np.linalg.eigh(0.5 * (A + A.T))
+    else:
+        # a zero kernel restricts to zero: eigenvalues 0, eigenvectors the identity
+        k = C.shape[1]
+        evals, evecs = np.zeros(k), np.eye(k)
+    return SaddleFactorization(L=L, Q=Q, R=R, C=C, evals=evals, evecs=evecs)
+
+
+def factorize_model(model: SemiParametricModel, X) -> SaddleFactorization:
+    """The saddle-point factorization of ``model`` on the design ``X``."""
+    design = as_design(X)
+    return factorize(kernel_matrix(model.kernel, design), model.basis_matrix(design))
 
 
 def project_out_basis(L: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -173,10 +213,7 @@ def project_out_basis(L: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def cpd_check(model: SemiParametricModel, X, tol: float = 1e-10) -> bool:
     """Is the kernel positive semi-definite on the complement of the basis span?"""
-    design = as_design(X)
-    V = model.basis_matrix(design)
-    fac = factorize(kernel_matrix(model.kernel, design), V)
-    w = fac.evals
+    w = factorize_model(model, X).evals
     if w.size == 0:
         return True
     scale = float(np.abs(w).max())
@@ -208,17 +245,18 @@ class SpmFit:
         return out
 
     def predict_var(self, query_points) -> np.ndarray:
+        """Predictive variances prior - Lq a - Vq b at the query points.
+
+        The bordered systems of all queries are solved at once, as columns of
+        one right-hand side, against the stored factorization: nothing is
+        refactored and the kernel matrix of the design is not rebuilt.
+        """
         Xq = as_design(query_points)
-        L = kernel_matrix(self.model.kernel, self.design)
         Lq = kernel_cross(self.model.kernel, Xq, self.design)
         Vq = self.model.basis_matrix(Xq)
         prior = kernel_diag(self.model.kernel, Xq)
-        out = np.empty(Xq.n)
-        for i in range(Xq.n):
-            h = Vq[i] if self.factorization.m else np.zeros(0)
-            a, b = self.factorization.solve(L, self.sigma2, Lq[i], h)
-            quad = Lq[i] @ a + (Vq[i] @ b if self.factorization.m else 0.0)
-            out[i] = prior[i] - quad
+        a, b = self.factorization.solve(self.sigma2, Lq.T, Vq.T)
+        out = prior - np.einsum("ij,ji->i", Lq, a) - np.einsum("ij,ji->i", Vq, b)
         scale = max(1.0, float(np.abs(prior).max(initial=0.0)))
         if np.any(out < -_VARIANCE_ERROR_TOL * scale):
             raise NegativeVariance(
@@ -228,18 +266,17 @@ class SpmFit:
         return np.maximum(out, 0.0)
 
 
-def fit_spm(model: SemiParametricModel, X, y, sigma2: float) -> SpmFit:
-    """Solve the bordered system [[L + sigma2 I, V], [V^T, 0]] (alpha; beta) = (y; 0)."""
+def fit_factored(
+    model: SemiParametricModel, design, factorization: SaddleFactorization, y, sigma2: float
+) -> SpmFit:
+    """Fit ``model`` to ``y`` by solving against its factorization on ``design``."""
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
-    design = as_design(X)
+    design = as_design(design)
     y = np.asarray(y, dtype=float)
     if y.shape != (design.n,):
         raise ValueError("y must have one entry per design point")
-    L = kernel_matrix(model.kernel, design)
-    V = model.basis_matrix(design)
-    fac = factorize(L, V)
-    alpha, beta = fac.solve(L, sigma2, y, np.zeros(fac.m))
+    alpha, beta = factorization.fit(y, sigma2)
     return SpmFit(
         model=model,
         design=design,
@@ -247,8 +284,14 @@ def fit_spm(model: SemiParametricModel, X, y, sigma2: float) -> SpmFit:
         sigma2=float(sigma2),
         alpha=alpha,
         beta=beta,
-        factorization=fac,
+        factorization=factorization,
     )
+
+
+def fit_spm(model: SemiParametricModel, X, y, sigma2: float) -> SpmFit:
+    """Solve the bordered system [[L + sigma2 I, V], [V^T, 0]] (alpha; beta) = (y; 0)."""
+    design = as_design(X)
+    return fit_factored(model, design, factorize_model(model, design), y, sigma2)
 
 
 def spm_posterior_mean(model, X, y, sigma2, query_points) -> np.ndarray:
@@ -263,21 +306,7 @@ def spm_posterior_var(model, X, sigma2, query_points) -> np.ndarray:
 
 def spm_smoother(model: SemiParametricModel, X, sigma2: float) -> SmootherMatrix:
     """M = QQ^T + Ltilde (Ltilde + sigma2 I)^{-1} on the complement of span(V)."""
-    design = as_design(X)
-    L = kernel_matrix(model.kernel, design)
-    V = model.basis_matrix(design)
-    fac = factorize(L, V)
-    lam = fac.evals
-    if sigma2 > 0:
-        filt = lam / (lam + sigma2)
-    else:
-        cut = _PINV_TOL * max(1.0, float(np.abs(lam).max(initial=0.0)))
-        filt = np.where(np.abs(lam) > cut, 1.0, 0.0)
-    modes = fac.modes
-    M = modes @ (filt[:, None] * modes.T)
-    if fac.m:
-        M = M + fac.Q @ fac.Q.T
-    return SmootherMatrix(0.5 * (M + M.T))
+    return factorize_model(model, X).smoother(sigma2)
 
 
 def laurent_b0(L: np.ndarray, V: np.ndarray, sigma2: float) -> np.ndarray:
@@ -335,11 +364,7 @@ def spm_filter_eigenvalues(model: SemiParametricModel, X):
     noise sigma2 is ``m + sum g lam / (g lam + sigma2)``; evaluating that
     curve is stable at any gain, unlike re-projecting a rescaled kernel.
     """
-    design = as_design(X)
-    unit = model.scaled(1.0 / model.kernel.gamma)
-    L = kernel_matrix(unit.kernel, design)
-    V = model.basis_matrix(design)
-    fac = factorize(L, V)
+    fac = factorize_model(model.scaled(1.0 / model.kernel.gamma), X)
     lam = np.maximum(fac.evals, 0.0)
     return fac.m, lam
 
@@ -347,10 +372,7 @@ def spm_filter_eigenvalues(model: SemiParametricModel, X):
 def spline_dof(X, r: int, eta: float, d: int = 1) -> float:
     """Degrees of freedom p + sum lam_i / (lam_i + eta) of a spline smoother."""
     design = as_design(X)
-    model = polyharmonic_spm(r, design.d)
-    L = kernel_matrix(model.kernel, design)
-    V = model.basis_matrix(design)
-    fac = factorize(L, V)
+    fac = factorize_model(polyharmonic_spm(r, design.d), design)
     lam = np.maximum(fac.evals, 0.0)
     if eta == 0:
         return float(fac.m + np.sum(lam > 0))

@@ -235,3 +235,37 @@ class TestCommands:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestQueryCsv:
+    def write_query(self, tmp_path, lines):
+        path = tmp_path / "q.csv"
+        write_lines(path, lines)
+        return str(path)
+
+    def test_one_column_query_for_d1(self, data_csv, tmp_path):
+        query = self.write_query(tmp_path, ["x", "0.1", "0.5", "0.9"])
+        out = tmp_path / "pred"
+        assert main(["predict", "--data", str(data_csv), "--query", query, "--out", str(out)]) == 0
+        header, rows = read_csv(f"{out}.csv")
+        assert header == ["x1", "mean", "variance"]
+        assert [float(r[0]) for r in rows] == [0.1, 0.5, 0.9]
+
+    def test_two_column_query_for_d2(self, tmp_path):
+        rng = np.random.default_rng(4)
+        X = rng.uniform(0, 1, size=(10, 2))
+        y = rng.normal(size=10)
+        data = tmp_path / "d2.csv"
+        write_lines(data, ["a,b,y"] + [",".join(format_float(v) for v in (*x, t)) for x, t in zip(X, y)])
+        query = self.write_query(tmp_path, ["a,b", "0.1,0.2", "0.7,0.4"])
+        out = tmp_path / "pred"
+        assert main(["predict", "--data", str(data), "--query", query, "--out", str(out)]) == 0
+        header, rows = read_csv(f"{out}.csv")
+        assert header == ["x1", "x2", "mean", "variance"]
+        assert [[float(v) for v in r[:2]] for r in rows] == [[0.1, 0.2], [0.7, 0.4]]
+
+    def test_column_count_must_match_d(self, data_csv, tmp_path, capsys):
+        query = self.write_query(tmp_path, ["x,z", "0.1,0.2"])
+        code = main(["predict", "--data", str(data_csv), "--query", query, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "need 1 feature column(s), found 2" in capsys.readouterr().err

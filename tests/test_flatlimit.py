@@ -297,6 +297,53 @@ class TestConvergenceStudy:
             convergence_study(family, X, X[:, None], [0.2, 0.1], 0.01)
 
 
+def count_linalg(monkeypatch, name):
+    """Record the argument shape of every numpy.linalg.<name> call."""
+    shapes = []
+    orig = getattr(np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return shapes
+
+
+class TestWorkCounts:
+    """Call counts, not timings: reuse of factorizations must not regress."""
+
+    @pytest.mark.parametrize("num_trials", [1, 5])
+    def test_check_pred_equiv_factors_each_model_once(self, monkeypatch, rng, num_trials):
+        X = np.sort(rng.uniform(0, 1, 20))
+        model = polyharmonic_spm(2, 1)
+        eigh = count_linalg(monkeypatch, "eigh")
+        svd = count_linalg(monkeypatch, "svd")
+        ok, _ = check_pred_equiv(
+            model, recombined_basis_model(model, seed=1), X, num_trials=num_trials
+        )
+        assert ok
+        # each model on X once, plus both on every trial's augmented design
+        assert len(eigh) == 2 + 2 * num_trials
+        # the only SVDs are rank checks of the n x m basis matrices
+        assert svd and all(shape[1] == model.basis_size() for shape in svd)
+
+    def test_convergence_study_one_eigh_per_eps(self, monkeypatch, rng):
+        X = np.sort(rng.uniform(0, 1, 12))
+        xq = np.linspace(0, 1, 7)[:, None]
+        family = ScaledKernelFamily(Kernel.exponential(), p=1)
+        eigh = count_linalg(monkeypatch, "eigh")
+
+        def count(eps_grid, num_trials):
+            eigh.clear()
+            convergence_study(family, X, xq, eps_grid, 0.01, num_trials=num_trials)
+            return len(eigh)
+
+        base = count([0.2, 0.1, 0.05], 1)
+        assert count([0.2, 0.1, 0.05, 0.025, 0.0125], 1) == base + 2
+        assert count([0.2, 0.1, 0.05], 6) == base
+
+
 class TestPredictionCurve:
     def test_endpoints_and_anchors(self, rng):
         X = np.sort(rng.uniform(0, 1, 8))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flatgp import (
     Family,
@@ -7,6 +9,8 @@ from flatgp import (
     SemiParametricModel,
     cpd_check,
     fit_spm,
+    kernel_cross,
+    kernel_diag,
     kernel_matrix,
     laurent_b0,
     polyharmonic_spm,
@@ -17,7 +21,8 @@ from flatgp import (
     spm_posterior_var,
     spm_smoother,
 )
-from flatgp.errors import DegenerateDesign, NotUnisolvent
+from flatgp.errors import DegenerateDesign, NegativeVariance, NotUnisolvent
+from flatgp.spm import factorize_model
 
 
 def dense_saddle_solve(L, V, sigma2, y):
@@ -154,8 +159,6 @@ class TestPosteriorVar:
         bump = Kernel.monomial_block([(0,)], [[1.0 / eps]])
         kern = Kernel.sum_of(Kernel.polyharmonic(1), bump)
         K = kernel_matrix(kern, X)
-        from flatgp import kernel_cross, kernel_diag
-
         kq = kernel_cross(kern, xq, X)
         sol = np.linalg.solve(K + sigma2 * np.eye(8), y)
         np.testing.assert_allclose(kq @ sol, mean, atol=1e-4)
@@ -279,3 +282,97 @@ class TestPolyharmonicConstructor:
         K = kernel_matrix(model.kernel, np.array([0.0, 2.0]))
         assert K[0, 1] == pytest.approx(8.0)  # (-1)^2 |x-y|^3
         assert model.basis_degree == 1
+
+
+def random_model(degree, d, zero_kernel):
+    """Zero kernel, or one positive-definite on the complement of the basis."""
+    if zero_kernel:
+        kernel = Kernel.zero()
+    elif degree >= 0:
+        kernel = Kernel.polyharmonic(degree + 1)
+    else:
+        kernel = Kernel.gaussian(epsilon=3.0)
+    return SemiParametricModel(kernel, d=d, basis_degree=degree)
+
+
+design_cases = given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2]),
+    degree=st.integers(-1, 2),
+    zero_kernel=st.booleans(),
+    extra=st.integers(1, 12),
+)
+
+
+def random_factorization(seed, d, degree, zero_kernel, extra):
+    model = random_model(degree, d, zero_kernel)
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 1, size=(model.basis_size() + extra, d))
+    try:
+        return model, X, factorize_model(model, X)
+    except NotUnisolvent:
+        assume(False)
+
+
+class TestFactorization:
+    @design_cases
+    @settings(max_examples=60, deadline=None)
+    def test_complement_orthonormal_and_orthogonal_to_basis(self, seed, d, degree, zero_kernel, extra):
+        model, X, fac = random_factorization(seed, d, degree, zero_kernel, extra)
+        V = model.basis_matrix(X)
+        n, m = V.shape
+        assert fac.C.shape == (n, n - m)
+        np.testing.assert_allclose(fac.C.T @ fac.C, np.eye(n - m), rtol=0, atol=1e-12)
+        assert np.abs(V.T @ fac.C).max(initial=0.0) <= 1e-12
+
+    @design_cases
+    @settings(max_examples=60, deadline=None)
+    def test_reused_fits_match_dense_saddle_solve(self, seed, d, degree, zero_kernel, extra):
+        model, X, fac = random_factorization(seed, d, degree, zero_kernel, extra)
+        L = kernel_matrix(model.kernel, X)
+        V = model.basis_matrix(X)
+        y = np.random.default_rng(seed + 1).normal(size=len(X))
+        for sigma2 in (1e-2, 0.3, 3.0):
+            got = np.concatenate(fac.fit(y, sigma2))
+            want = np.concatenate(dense_saddle_solve(L, V, sigma2, y))
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_zero_kernel_skips_eigensolver(self, rng, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("eigh called for a zero kernel")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        model = SemiParametricModel(Kernel.zero(), d=1, basis_degree=1)
+        fac = factorize_model(model, rng.uniform(0, 1, 9))
+        np.testing.assert_array_equal(fac.evals, np.zeros(7))
+        np.testing.assert_array_equal(fac.evecs, np.eye(7))
+
+
+class TestBatchedVariance:
+    @pytest.mark.parametrize(
+        "model",
+        [polyharmonic_spm(2, 1), SemiParametricModel(Kernel.zero(), d=1, basis_degree=2)],
+        ids=["cpd-polyharmonic", "zero-kernel"],
+    )
+    def test_matches_per_query_formula(self, model, rng):
+        X = rng.uniform(0, 1, size=(15, 1))
+        sigma2 = 0.2
+        fit = fit_spm(model, X, rng.normal(size=15), sigma2)
+        xq = np.linspace(-0.2, 1.2, 23)[:, None]
+        Lq = kernel_cross(model.kernel, xq, X)
+        Vq = model.basis_matrix(xq)
+        prior = kernel_diag(model.kernel, xq)
+        expect = np.empty(len(xq))
+        for i in range(len(xq)):
+            a, b = fit.factorization.solve(sigma2, Lq[i], Vq[i])
+            expect[i] = prior[i] - Lq[i] @ a - Vq[i] @ b
+        assert expect.min() >= 0
+        np.testing.assert_allclose(fit.predict_var(xq), expect, rtol=0, atol=1e-12)
+
+    def test_negative_variance_raises(self):
+        # +|x-y|^3 without its linear basis is indefinite: the quadratic form
+        # exceeds the zero prior at the midpoint
+        model = SemiParametricModel(Kernel.polyharmonic(2), d=1, basis_degree=-1)
+        fit = fit_spm(model, np.array([0.0, 1.0]), np.zeros(2), 0.5)
+        with pytest.raises(NegativeVariance):
+            fit.predict_var(np.array([[0.5]]))
