@@ -5,6 +5,10 @@ gain gamma_m(eps) achieving it.  In log-log axes the curve straightens to an
 integer slope as eps -> 0; following it all the way down lands on the matched
 flat-limit model: a (penalized) polynomial or a spline with the same degrees
 of freedom as the source GP.
+
+Every gain and penalty here solves one equation, smoother trace
+``m0 + sum g lam / (g lam + sigma2)`` = target dof, and ``spm.solve_trace`` is
+the single solver of it.
 """
 
 import math
@@ -13,15 +17,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import UnreachableDof
-from .flatlimit import LimitCaseKind
+from .errors import InsufficientGrid, UnreachableDof
+from .flatlimit import LimitCaseKind, _monomial_block_kernel
 from .gp import GpSpectrum
-from .kernels import Kernel, dataclass_replace, regularity, wronskian, wronskian_schur
-from .polybasis import as_design, count_poly_dim, enumerate_monomials
-from .spm import SemiParametricModel, factorize_model, fit_factored, polyharmonic_spm
-
-_RESIDUAL_TOL = 1e-10
-_BRACKET_LIMIT = 1e30
+from .kernels import Kernel, regularity
+from .polybasis import as_design, count_poly_dim
+from .spm import (
+    SemiParametricModel,
+    factorize_model,
+    fit_factored,
+    polyharmonic_spm,
+    solve_trace,
+    spm_filter_eigenvalues,
+)
 
 
 @dataclass(frozen=True)
@@ -39,64 +47,31 @@ class IsofreedomCurve:
     target: float
 
 
-def _solve_dof_gamma(evals, sigma2, m):
-    """Unique gamma with sum gamma*lam/(gamma*lam + sigma2) = m, by bisection."""
-    lam = np.maximum(np.asarray(evals, dtype=float), 0.0)
-    n = lam.size
-
-    def dof_at(g):
-        return float(np.sum(g * lam / (g * lam + sigma2)))
-
-    lo, hi = 1e-12, 1e12
-    while dof_at(hi) < m:
-        hi *= 10.0
-        if hi > _BRACKET_LIMIT:
-            raise UnreachableDof(
-                f"target dof {m} exceeds the effective rank at this epsilon"
-            )
-    while dof_at(lo) > m:
-        lo /= 10.0
-        if lo < 1.0 / _BRACKET_LIMIT:
-            raise UnreachableDof(f"target dof {m} below the reachable range")
-    for _ in range(400):
-        mid = math.sqrt(lo * hi)
-        if dof_at(mid) < m:
-            lo = mid
-        else:
-            hi = mid
-        if abs(dof_at(mid) - m) <= _RESIDUAL_TOL * n:
-            return mid
-    g = math.sqrt(lo * hi)
-    if abs(dof_at(g) - m) > _RESIDUAL_TOL * n:
-        raise UnreachableDof(f"bisection could not reach dof {m} to tolerance")
-    return g
-
-
 def isofreedom_gamma(kernel: Kernel, X, sigma2: float, eps: float, m: float) -> float:
     """The gain putting the smoother's trace at exactly ``m`` for this epsilon."""
-    design = as_design(X)
-    if not 0 < m < design.n:
-        raise UnreachableDof(f"target dof must lie strictly inside (0, {design.n})")
-    if sigma2 <= 0:
-        raise ValueError("isofreedom solves need sigma2 > 0")
-    spec = GpSpectrum.from_kernel(kernel.with_params(epsilon=eps, gamma=1.0), design)
-    return _solve_dof_gamma(spec.evals, sigma2, m)
+    spec = GpSpectrum.from_kernel(kernel.with_params(epsilon=eps, gamma=1.0), X)
+    return solve_trace(spec.evals, 0.0, m, sigma2)[0]
 
 
 def isofreedom_curve(kernel: Kernel, X, sigma2: float, m: float, eps_grid) -> IsofreedomCurve:
     """Per-epsilon gains at fixed dof plus the asymptotic log-log slope.
 
     The slope is fitted on the smaller half of the (decreasing) epsilon grid
-    only, where the Puiseux behaviour has set in.
+    only, where the Puiseux behaviour has set in; that half needs at least two
+    points, so grids of fewer than three raise InsufficientGrid.
     """
     eps_grid = [float(e) for e in eps_grid]
     if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps_grid must be strictly decreasing")
+    if len(eps_grid) < 3:
+        raise InsufficientGrid(
+            f"an isofreedom slope needs at least 3 epsilon values, got {len(eps_grid)}"
+        )
     design = as_design(X)
     points = []
     for eps in eps_grid:
         spec = GpSpectrum.from_kernel(kernel.with_params(epsilon=eps, gamma=1.0), design)
-        g = _solve_dof_gamma(spec.evals, sigma2, m)
+        g = solve_trace(spec.evals, 0.0, m, sigma2)[0]
         achieved = spec.dof(gamma=g, sigma2=sigma2)
         points.append(
             IsofreedomPoint(
@@ -150,74 +125,6 @@ class MatchedApproximation:
         return self._fit(y).predict_var(query_points)
 
 
-def _monomial_block_model(kernel, p, d):
-    unit = dataclass_replace(kernel, epsilon=1.0, gamma=1.0)
-    Wbar = wronskian_schur(wronskian(unit, p, d), p)
-    block = [mi for mi in enumerate_monomials(p, d) if mi.degree == p]
-    return SemiParametricModel(
-        Kernel.monomial_block(block, Wbar), d=d, basis_degree=p - 1
-    )
-
-
-def _tune_gain(model, X, sigma2, m):
-    """Absolute gain making the model smoother's trace equal m, plus that trace."""
-    from .spm import spm_filter_eigenvalues
-
-    mb, lam = spm_filter_eigenvalues(model, X)
-
-    def trace_at(g):
-        return mb + float(np.sum(g * lam / (g * lam + sigma2)))
-
-    lo, hi = 1e-12, 1e12
-    while trace_at(hi) < m:
-        hi *= 10.0
-        if hi > _BRACKET_LIMIT:
-            raise UnreachableDof(f"gain tuning cannot reach dof {m}")
-    while trace_at(lo) > m:
-        lo /= 10.0
-        if lo < 1.0 / _BRACKET_LIMIT:
-            raise UnreachableDof(f"gain tuning cannot go down to dof {m}")
-    for _ in range(400):
-        mid = math.sqrt(lo * hi)
-        if trace_at(mid) < m:
-            lo = mid
-        else:
-            hi = mid
-    g = math.sqrt(lo * hi)
-    return g, trace_at(g)
-
-
-def _tune_spline_eta(r, X, m):
-    """Penalty eta with spline dof p + sum lam/(lam + eta) = m, plus that dof."""
-    from .spm import spm_filter_eigenvalues
-
-    design = as_design(X)
-    model = polyharmonic_spm(r, design.d)
-    mb, lam = spm_filter_eigenvalues(model, design)
-
-    def trace_at(eta):
-        return mb + float(np.sum(lam / (lam + eta)))
-
-    lo, hi = 1e-14, 1e14
-    # trace decreases in eta: bracket so trace(hi) <= m <= trace(lo)
-    while trace_at(lo) < m:
-        lo /= 10.0
-        if lo < 1.0 / _BRACKET_LIMIT:
-            raise UnreachableDof(f"spline tuning cannot reach dof {m}")
-    while trace_at(hi) > m:
-        hi *= 10.0
-        if hi > _BRACKET_LIMIT:
-            raise UnreachableDof(f"spline tuning cannot go down to dof {m}")
-    for _ in range(400):
-        mid = math.sqrt(lo * hi)
-        if trace_at(mid) > m:
-            lo = mid
-        else:
-            hi = mid
-    eta = math.sqrt(lo * hi)
-    return eta, trace_at(eta)
-
-
 def matched_approximation(kernel: Kernel, eps: float, gamma: float, sigma2: float, X) -> MatchedApproximation:
     """Follow the isofreedom curve from (eps, gamma) down to its flat limit.
 
@@ -239,15 +146,17 @@ def matched_approximation(kernel: Kernel, eps: float, gamma: float, sigma2: floa
     spline_floor = count_poly_dim(int(r) - 1, d) if math.isfinite(r) else None
 
     if math.isfinite(r) and m >= spline_floor:
-        eta, achieved = _tune_spline_eta(int(r), design, m)
         target = polyharmonic_spm(int(r), d)
+        base, lam = spm_filter_eigenvalues(target, design)
+        # the penalty eta = 1 / g: lam / (lam + eta) = g lam / (g lam + 1)
+        g, achieved = solve_trace(lam, base, m, 1.0)
         return MatchedApproximation(
             source_kernel=src,
             sigma2=sigma2,
             design=design,
             case=LimitCaseKind.SPLINE_REGRESSION,
             target=target,
-            penalty=eta,
+            penalty=1.0 / g,
             achieved_dof=achieved,
             source_dof=m,
         )
@@ -270,9 +179,12 @@ def matched_approximation(kernel: Kernel, eps: float, gamma: float, sigma2: floa
             achieved_dof=achieved,
             source_dof=m,
         )
-    base_model = _monomial_block_model(kernel, p, d)
-    g, achieved = _tune_gain(base_model, design, sigma2, m)
-    target = base_model.scaled(g / base_model.kernel.gamma)
+    unit_target = SemiParametricModel(
+        _monomial_block_kernel(kernel, p, d), d=d, basis_degree=p - 1
+    )
+    base, lam = spm_filter_eigenvalues(unit_target, design)
+    g, achieved = solve_trace(lam, base, m, sigma2)
+    target = unit_target.scaled(g)
     return MatchedApproximation(
         source_kernel=src,
         sigma2=sigma2,

@@ -18,12 +18,12 @@ from .errors import (
     InsufficientGrid,
     NotProportional,
     NotUnisolvent,
+    UnreachableDof,
 )
 from .gp import GpSpectrum, gp_posteriors
 from .kernels import (
     Family,
     Kernel,
-    dataclass_replace,
     distance_power_matrix,
     kernel_cross,
     leading_odd_coefficient,
@@ -41,6 +41,8 @@ from .spm import (
     polyharmonic_spm,
     project_out_basis,
     require_comparable,
+    solve_trace,
+    spm_filter_eigenvalues,
     spm_smoother,
 )
 
@@ -62,8 +64,8 @@ class ScaledKernelFamily:
             raise ValueError("gamma0 must be positive")
 
     def kernel_at(self, eps: float) -> Kernel:
-        return dataclass_replace(
-            self.base, epsilon=float(eps), gamma=self.gamma0 * float(eps) ** (-self.p)
+        return self.base.with_params(
+            epsilon=float(eps), gamma=self.gamma0 * float(eps) ** (-self.p)
         )
 
     @property
@@ -91,10 +93,13 @@ class LimitCase:
 
 
 def _monomial_block_kernel(kernel: Kernel, m: int, d: int) -> Kernel:
-    """Finite-rank kernel sum_{|a|=|b|=m} Wbar_m(a, b) x^a y^b at unit scale."""
-    unit = dataclass_replace(kernel, epsilon=1.0, gamma=1.0)
-    W = wronskian(unit, m, d)
-    Wbar = wronskian_schur(W, m)
+    """Finite-rank kernel sum_{|a|=|b|=m} Wbar_m(a, b) x^a y^b at unit scale.
+
+    Wbar_m is the Schur complement of the degree-m block of the unit-scale
+    Wronskian; the kernel's ``coef`` holds it, rows in monomial order.
+    """
+    unit = kernel.with_params(epsilon=1.0, gamma=1.0)
+    Wbar = wronskian_schur(wronskian(unit, m, d), m)
     block = [mi for mi in enumerate_monomials(m, d) if mi.degree == m]
     return Kernel.monomial_block(block, Wbar)
 
@@ -154,7 +159,7 @@ def classify_limit(r, p: int, d: int, n: int = None, kernel: Kernel = None) -> L
     m = l
     if kernel is not None and kernel.family is not Family.GAUSSIAN:
         block_kernel = _monomial_block_kernel(kernel, m, d)
-        block_kernel = dataclass_replace(block_kernel, gamma=gamma0)
+        block_kernel = block_kernel.with_params(gamma=gamma0)
         model = SemiParametricModel(block_kernel, d=d, basis_degree=m - 1)
         scale_free = False
     else:
@@ -224,8 +229,7 @@ def limiting_smoother(family: ScaledKernelFamily, X, sigma2: float) -> SmootherM
         _require_prefix_rank(vb, l - 1, d)
     A = vb.q_prefix(l - 1)
     Ql = vb.q_block(l)
-    unit = dataclass_replace(family.base, epsilon=1.0, gamma=1.0)
-    Wbar = wronskian_schur(wronskian(unit, l, d), l)
+    Wbar = np.asarray(_monomial_block_kernel(family.base, l, d).coef)
     Vl = vb.blocks[l]
     Pl = Ql @ Ql.T @ Vl @ Wbar @ Vl.T @ Ql @ Ql.T
     lam, U = np.linalg.eigh(0.5 * (Pl + Pl.T))
@@ -349,36 +353,22 @@ def check_pred_equiv(
     return ok, report
 
 
-def _match_gain_to_trace(target_trace, model_b, X, sigma2, lo=1e-12, hi=1e12):
-    """Gain g with trace(smoother of model_b scaled to g) = target, by bisection.
+def _match_smoother(target: SmootherMatrix, model, X, sigma2, tol=1e-6):
+    """``model`` rescaled so its smoother's trace equals ``target``'s, and its gain.
 
-    Works on the unit-gain filter eigenvalues so the curve stays exact at
-    extreme gains.
+    The gain solves the trace equation on the unit-gain filter eigenvalues,
+    so the curve stays exact at extreme gains; the rescaled model's whole
+    smoother must then agree with ``target`` to ``tol``, or NotProportional.
     """
-    from .spm import spm_filter_eigenvalues
-
-    m, lam = spm_filter_eigenvalues(model_b, X)
-
-    def trace_at(g):
-        return m + float(np.sum(g * lam / (g * lam + sigma2)))
-
-    for _ in range(200):
-        if trace_at(hi) >= target_trace or hi > 1e30:
-            break
-        hi *= 10.0
-    for _ in range(200):
-        if trace_at(lo) <= target_trace or lo < 1e-30:
-            break
-        lo /= 10.0
-    if trace_at(hi) < target_trace or trace_at(lo) > target_trace:
-        raise NotProportional("trace matching failed: target outside reachable range")
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if trace_at(mid) < target_trace:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+    base, lam = spm_filter_eigenvalues(model, X)
+    try:
+        g, _ = solve_trace(lam, base, target.trace, sigma2)
+    except UnreachableDof as exc:
+        raise NotProportional(f"trace matching failed: {exc}") from exc
+    scaled = model.scaled(g / model.kernel.gamma)
+    if float(np.abs(target.matrix - spm_smoother(scaled, X, sigma2).matrix).max()) > tol:
+        raise NotProportional("traces match but smoothers differ; models are not proportional")
+    return scaled, g
 
 
 def match_scale(
@@ -395,13 +385,7 @@ def match_scale(
     """
     require_comparable(model_a, model_b)
     design = as_design(X)
-    Ma = spm_smoother(model_a, design, sigma2)
-    g = _match_gain_to_trace(Ma.trace, model_b, design, sigma2)
-    Mb = spm_smoother(model_b.scaled(g / model_b.kernel.gamma), design, sigma2)
-    if float(np.abs(Ma.matrix - Mb.matrix).max()) > tol:
-        raise NotProportional(
-            "traces match but smoothers differ; models are not proportional"
-        )
+    _, g = _match_smoother(spm_smoother(model_a, design, sigma2), model_b, design, sigma2, tol)
     # alpha multiplies model_b's kernel as given: <l_a, V> ~ <alpha l_b, V'>
     return g / model_b.kernel.gamma
 
@@ -435,7 +419,7 @@ def _loglog_slope(eps, devs):
 
 
 def _limit_model_for_study(family, case, X, sigma2):
-    """The comparison SPM with its gain set (bisected when scale-free)."""
+    """The comparison SPM with its gain set (trace-matched when scale-free)."""
     model = case.equivalent_model
     if case.kind is LimitCaseKind.INTERPOLATION:
         return model, 1.0
@@ -443,12 +427,7 @@ def _limit_model_for_study(family, case, X, sigma2):
         return model, 1.0
     if not case.scale_free:
         return model, 1.0
-    M0 = limiting_smoother(family, X, sigma2)
-    g = _match_gain_to_trace(M0.trace, model, X, sigma2)
-    Mb = spm_smoother(model.scaled(g / model.kernel.gamma), X, sigma2)
-    if float(np.abs(M0.matrix - Mb.matrix).max()) > 1e-6:
-        raise NotProportional("canonical limit model is not proportional to the limit")
-    return model.scaled(g / model.kernel.gamma), g
+    return _match_smoother(limiting_smoother(family, X, sigma2), model, X, sigma2)
 
 
 def convergence_study(

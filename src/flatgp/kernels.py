@@ -10,7 +10,7 @@ complements define the penalized part of flat limits.
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -151,7 +151,7 @@ class Kernel:
             changes["epsilon"] = float(epsilon)
         if gamma is not None:
             changes["gamma"] = float(gamma)
-        return dataclass_replace(self, **changes)
+        return replace(self, **changes)
 
     @cached_property
     def _coef_array(self):
@@ -162,12 +162,6 @@ class Kernel:
         if self.exponents is None:
             return None
         return [MultiIndex(e) for e in self.exponents]
-
-
-def dataclass_replace(obj, **changes):
-    import dataclasses
-
-    return dataclasses.replace(obj, **changes)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ The complement basis comes from one complete QR of the n x m orthonormal
 basis, and an identically zero kernel skips the eigensolver.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,11 +25,11 @@ from .errors import (
     IncomparableModels,
     NegativeVariance,
     NotUnisolvent,
+    UnreachableDof,
 )
 from .kernels import (
     Family,
     Kernel,
-    dataclass_replace,
     kernel_cross,
     kernel_diag,
     kernel_matrix,
@@ -44,6 +45,12 @@ from .smoothers import SmootherMatrix
 _RANK_TOL = 1e-10
 _PINV_TOL = 1e-12
 _VARIANCE_ERROR_TOL = 1e-8
+# trace solves: gain search range, Newton step size (in log g) that ends the
+# iteration, iteration cap, and the residual (per design point) still accepted
+_GAIN_MIN, _GAIN_MAX = 1e-30, 1e30
+_TRACE_STEP_TOL = 1e-13
+_TRACE_MAX_ITER = 100
+_TRACE_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,7 @@ class SemiParametricModel:
 
     def scaled(self, factor: float) -> "SemiParametricModel":
         k = self.kernel
-        newk = k if k.family is Family.ZERO else dataclass_replace(k, gamma=k.gamma * factor)
+        newk = k if k.family is Family.ZERO else k.with_params(gamma=k.gamma * factor)
         return SemiParametricModel(newk, self.d, self.basis_degree, self.basis_functions)
 
 
@@ -363,17 +370,83 @@ def spm_filter_eigenvalues(model: SemiParametricModel, X):
     The trace of the smoother of ``model`` rescaled to absolute gain g at
     noise sigma2 is ``m + sum g lam / (g lam + sigma2)``; evaluating that
     curve is stable at any gain, unlike re-projecting a rescaled kernel.
+    ``solve_trace(lam, m, target, sigma2)`` is the one solver of that curve.
     """
     fac = factorize_model(model.scaled(1.0 / model.kernel.gamma), X)
     lam = np.maximum(fac.evals, 0.0)
     return fac.m, lam
 
 
-def spline_dof(X, r: int, eta: float, d: int = 1) -> float:
+def solve_trace(lam, base: float, target: float, sigma2: float):
+    """Gain g with ``base + sum g lam / (g lam + sigma2) = target``, and that trace.
+
+    The trace rises monotonically from ``base`` (g -> 0) to
+    ``base + #{lam > 0}`` (g -> inf); negative ``lam`` count as zero.  Gains
+    are searched in [1e-30, 1e30]: a target that is not strictly between
+    those limits, or not between the traces at the ends of the range, raises
+    UnreachableDof.
+
+    The iteration is Newton's method in t = log g on ``log(S / U)``, with
+    ``S = sum r``, ``U = sum (1 - r)`` and ``r = g lam / (g lam + sigma2)``;
+    its slope is ``sum r (1 - r) * (1/S + 1/U)`` in closed form.  At both ends
+    of the curve ``log(S / U)`` is close to linear in t, where Newton on the
+    trace itself would creep by one e-fold per step.  Every step shrinks a
+    bracket around the root, and a step that would leave it is replaced by
+    bisection.
+    """
+    if not sigma2 > 0:
+        raise ValueError(f"trace solves need sigma2 > 0, got sigma2={sigma2}")
+    lam = np.asarray(lam, dtype=float)
+    lam = lam[lam > 0]
+    n = lam.size
+
+    def filter_sums(t):
+        gl = math.exp(t) * lam
+        r = gl / (gl + sigma2)
+        q = sigma2 / (gl + sigma2)  # 1 - r, without cancellation near r = 1
+        return float(np.sum(r)), float(np.sum(q)), float(np.sum(r * q))
+
+    lo, hi = math.log(_GAIN_MIN), math.log(_GAIN_MAX)
+    if not (
+        base < target < base + n
+        and base + filter_sums(lo)[0] <= target <= base + filter_sums(hi)[0]
+    ):
+        raise UnreachableDof(
+            f"trace {target:.6g} is not reachable: the gains in "
+            f"[{_GAIN_MIN:g}, {_GAIN_MAX:g}] span ({base:.6g}, {base + n:.6g}) at most"
+        )
+    goal = math.log((target - base) / (base + n - target))
+    # start where the mode ranked ceil(target - base) from the top is half filtered
+    k = n - math.ceil(target - base)
+    t = min(max(math.log(sigma2 / np.partition(lam, k)[k]), lo), hi)
+    for _ in range(_TRACE_MAX_ITER):
+        s, u, p = filter_sums(t)
+        # p = 0 only where round-off turned every mode fully off (s = 0) or on (u = 0)
+        miss = math.log(s / u) - goal if p > 0 else s - u
+        if miss == 0:
+            break
+        if miss < 0:
+            lo = t
+        else:
+            hi = t
+        step = -miss / (p * (1.0 / s + 1.0 / u)) if p > 0 else math.inf
+        # a step at round-off size ends the iteration even if rounding put it
+        # just outside the bracket
+        if not (lo < t + step < hi or abs(step) <= _TRACE_STEP_TOL):
+            step = 0.5 * (lo + hi) - t
+        t += step
+        if abs(step) <= _TRACE_STEP_TOL:
+            break
+    trace = base + filter_sums(t)[0]
+    if abs(trace - target) > _TRACE_RESIDUAL_TOL * max(1, n):
+        raise UnreachableDof(f"trace solve stopped {trace - target:.3e} away from {target:.6g}")
+    return math.exp(t), trace
+
+
+def spline_dof(X, r: int, eta: float) -> float:
     """Degrees of freedom p + sum lam_i / (lam_i + eta) of a spline smoother."""
     design = as_design(X)
-    fac = factorize_model(polyharmonic_spm(r, design.d), design)
-    lam = np.maximum(fac.evals, 0.0)
+    m, lam = spm_filter_eigenvalues(polyharmonic_spm(r, design.d), design)
     if eta == 0:
-        return float(fac.m + np.sum(lam > 0))
-    return float(fac.m + np.sum(lam / (lam + eta)))
+        return float(m + np.sum(lam > 0))
+    return float(m + np.sum(lam / (lam + eta)))

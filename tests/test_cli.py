@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,16 @@ class TestCommands:
         summary = read_json(f"{out}.json")
         slope = summary["metrics"]["slope"]
         assert abs(slope - round(slope)) <= 0.15
+
+    def test_isofreedom_rejects_zero_sigma2_cleanly(self, data_csv, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "isofreedom", "--data", str(data_csv), "--dof", "2.5",
+                "--eps-grid", "0.3:0.03:5", "--sigma2", "0", "--out", str(tmp_path / "iso"),
+            ])
+        assert code == 1
+        assert "sigma2" in capsys.readouterr().err
 
     def test_matched_summary(self, data_csv, tmp_path):
         out = tmp_path / "matched"

@@ -14,7 +14,15 @@ from flatgp import (
     matched_approximation,
     sure,
 )
-from flatgp.errors import UnreachableDof
+from flatgp.errors import InsufficientGrid, UnreachableDof
+
+
+def gamma_at_first_eps(kernel, X, sigma2, m, eps_grid):
+    return isofreedom_gamma(kernel, X, sigma2, eps_grid[0], m)
+
+
+# both isofreedom entry points, called as isofreedom_curve is
+ISOFREEDOM_ENTRY_POINTS = [gamma_at_first_eps, isofreedom_curve]
 
 
 class TestIsofreedomGamma:
@@ -88,6 +96,26 @@ class TestIsofreedomCurve:
             vals["sure"].append(sure(M, y, sigma2).value)
         for name, (a, b) in vals.items():
             assert abs(b - a) <= 0.05 * max(abs(a), abs(b), 1e-3), (name, a, b)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_slope_needs_three_epsilons(self, size, rng):
+        X = np.sort(rng.uniform(0, 1, 8))
+        with pytest.raises(InsufficientGrid):
+            isofreedom_curve(Kernel.gaussian(), X, 0.01, 2.5, np.geomspace(0.3, 0.1, size))
+
+
+@pytest.mark.parametrize("solve", ISOFREEDOM_ENTRY_POINTS, ids=["gamma", "curve"])
+class TestIsofreedomInputChecks:
+    def test_nonpositive_sigma2_rejected(self, solve, rng):
+        X = np.sort(rng.uniform(0, 1, 6))
+        with pytest.raises(ValueError, match="sigma2"):
+            solve(Kernel.gaussian(), X, 0.0, 2.5, np.geomspace(0.3, 0.03, 5))
+
+    @pytest.mark.parametrize("m", [0.0, -1.0, 6.0, 7.5])
+    def test_dof_outside_range_unreachable(self, solve, m, rng):
+        X = np.sort(rng.uniform(0, 1, 6))
+        with pytest.raises(UnreachableDof):
+            solve(Kernel.gaussian(), X, 0.1, m, np.geomspace(1.0, 0.5, 5))
 
 
 class TestMatchedApproximation:

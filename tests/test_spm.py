@@ -21,8 +21,8 @@ from flatgp import (
     spm_posterior_var,
     spm_smoother,
 )
-from flatgp.errors import DegenerateDesign, NegativeVariance, NotUnisolvent
-from flatgp.spm import factorize_model
+from flatgp.errors import DegenerateDesign, NegativeVariance, NotUnisolvent, UnreachableDof
+from flatgp.spm import factorize_model, solve_trace, spm_filter_eigenvalues
 
 
 def dense_saddle_solve(L, V, sigma2, y):
@@ -376,3 +376,69 @@ class TestBatchedVariance:
         fit = fit_spm(model, np.array([0.0, 1.0]), np.zeros(2), 0.5)
         with pytest.raises(NegativeVariance):
             fit.predict_var(np.array([[0.5]]))
+
+
+# filter eigenvalues: exact zeros and positive values spanning 1e-16 to 1e4
+eigenvalue_lists = st.lists(
+    st.one_of(st.just(0.0), st.floats(-16, 4).map(lambda u: 10.0**u)), min_size=1, max_size=40
+)
+
+
+def trace_at(lam, base, g, sigma2):
+    lam = np.asarray(lam)
+    return base + float(np.sum(g * lam / (g * lam + sigma2)))
+
+
+class TestSolveTrace:
+    @given(
+        lam=eigenvalue_lists,
+        base=st.integers(0, 6),
+        log_sigma2=st.floats(-4, 2),
+        fraction=st.floats(1e-9, 1 - 1e-9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_reachable_targets_are_hit(self, lam, base, log_sigma2, fraction):
+        sigma2 = 10.0**log_sigma2
+        count = sum(v > 0 for v in lam)
+        assume(count > 0)
+        target = base + fraction * count
+        g, trace = solve_trace(np.array(lam), base, target, sigma2)
+        tol = 1e-10 * max(1, len(lam))
+        assert 1e-30 <= g <= 1e30
+        assert abs(trace_at(lam, base, g, sigma2) - target) <= tol
+        assert abs(trace - target) <= tol
+
+    @given(
+        lam=eigenvalue_lists,
+        base=st.integers(0, 6),
+        log_sigma2=st.floats(-4, 2),
+        beyond=st.floats(0, 10),
+        above=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_targets_at_or_beyond_the_limits_raise(self, lam, base, log_sigma2, beyond, above):
+        count = sum(v > 0 for v in lam)
+        target = base + count + beyond if above else base - beyond
+        with pytest.raises(UnreachableDof):
+            solve_trace(np.array(lam), base, target, 10.0**log_sigma2)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 20),
+        r=st.sampled_from([1, 2]),
+        log_eta=st.floats(-6, 2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_spline_penalty_route_reproduces_spline_dof(self, seed, n, r, log_eta):
+        X = np.random.default_rng(seed).uniform(0, 1, n)
+        target = spline_dof(X, r, 10.0**log_eta)
+        base, lam = spm_filter_eigenvalues(polyharmonic_spm(r, 1), X)
+        g, trace = solve_trace(lam, base, target, 1.0)
+        # lam / (lam + eta) = g lam / (g lam + 1) with eta = 1 / g
+        assert spline_dof(X, r, 1.0 / g) == pytest.approx(target, abs=1e-10 * n)
+        assert trace == pytest.approx(target, abs=1e-10 * n)
+
+    @pytest.mark.parametrize("sigma2", [0.0, -0.5, float("nan")])
+    def test_nonpositive_sigma2_rejected(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2"):
+            solve_trace(np.array([1.0, 0.5]), 0.0, 1.0, sigma2)
