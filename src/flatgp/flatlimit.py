@@ -26,15 +26,23 @@ from .kernels import (
     Kernel,
     distance_power_matrix,
     kernel_cross,
+    kernel_diag,
     leading_odd_coefficient,
     regularity,
     wronskian,
     wronskian_schur,
 )
-from .polybasis import as_design, count_poly_dim, enumerate_monomials, vandermonde
+from .polybasis import (
+    as_design,
+    count_poly_dim,
+    enumerate_monomials,
+    monomial_matrix,
+    vandermonde,
+)
 from .smoothers import SmootherMatrix
 from .spm import (
     SemiParametricModel,
+    augmented_smoother,
     factorize_model,
     fit_factored,
     fit_spm,
@@ -259,8 +267,6 @@ def recombined_basis_model(model: SemiParametricModel, seed: int = 0) -> SemiPar
 
     def make(j):
         def func(pts, j=j):
-            from .polybasis import monomial_matrix
-
             return monomial_matrix(np.asarray(pts), indices) @ A[:, j]
 
         return func
@@ -298,6 +304,18 @@ class EquivalenceCheck:
     seed: int
 
 
+def _augmented_smoother(model, fac, smoother, design, x_new, sigma2):
+    """Smoother of ``model`` on ``design`` plus the one point ``x_new`` (1, d)."""
+    return augmented_smoother(
+        fac,
+        smoother,
+        kernel_cross(model.kernel, x_new, design)[0],
+        kernel_diag(model.kernel, x_new)[0],
+        model.basis_matrix(x_new)[0],
+        sigma2,
+    )
+
+
 def check_pred_equiv(
     model_a: SemiParametricModel,
     model_b: SemiParametricModel,
@@ -312,10 +330,17 @@ def check_pred_equiv(
     point.  Returns (equivalent, EquivalenceCheck).
 
     Each model is factored once on X, and every trial's fits, variances and
-    smoothers on X are solves against that factorization, since none of it
-    depends on the drawn (y, sigma2).  Both models are still factored on each
-    trial's augmented design.  The two models never share a factorization:
-    that would compare a model with itself.
+    smoothers are solves against that factorization, since none of it depends
+    on the drawn (y, sigma2).  The smoother M+ on X augmented with the query
+    x* is a bordered update of the smoother M on X (``augmented_smoother``):
+    with (w, b) the saddle solve for x*'s kernel column k and basis row v,
+
+        s  = k(x*, x*) - k^T w - v^T b + sigma2
+        M+ = [[M - sigma2 w w^T / s,  sigma2 w / s],
+              [sigma2 w^T / s,        1 - sigma2 / s]]
+
+    so no augmented design is factored.  The two models never share a
+    factorization: that would compare a model with itself.
     """
     require_comparable(model_a, model_b)
     design = as_design(X)
@@ -333,13 +358,12 @@ def check_pred_equiv(
         fb = fit_factored(model_b, design, fac_b, y, sigma2)
         dev_mean = max(dev_mean, float(np.abs(fa.predict(x_new) - fb.predict(x_new)).max()))
         dev_var = max(dev_var, float(np.abs(fa.predict_var(x_new) - fb.predict_var(x_new)).max()))
-        Ma = fac_a.smoother(sigma2).matrix
-        Mb = fac_b.smoother(sigma2).matrix
-        dev_smoother = max(dev_smoother, float(np.abs(Ma - Mb).max()))
-        X_aug = np.vstack([design.points, x_new])
-        Ma = spm_smoother(model_a, X_aug, sigma2).matrix
-        Mb = spm_smoother(model_b, X_aug, sigma2).matrix
-        dev_smoother = max(dev_smoother, float(np.abs(Ma - Mb).max()))
+        Ma = fac_a.smoother(sigma2)
+        Mb = fac_b.smoother(sigma2)
+        dev_smoother = max(dev_smoother, float(np.abs(Ma.matrix - Mb.matrix).max()))
+        Ma = _augmented_smoother(model_a, fac_a, Ma, design, x_new, sigma2)
+        Mb = _augmented_smoother(model_b, fac_b, Mb, design, x_new, sigma2)
+        dev_smoother = max(dev_smoother, float(np.abs(Ma.matrix - Mb.matrix).max()))
     ok = dev_mean <= tol and dev_var <= tol and dev_smoother <= tol
     report = EquivalenceCheck(
         equivalent=ok,

@@ -11,7 +11,10 @@ A factorization depends on the model and the design only, never on the data
 (model, design); fits at any ``(y, sigma2)``, smoothers at any ``sigma2`` and
 the predictive variances of a whole query batch are then solves against it.
 The complement basis comes from one complete QR of the n x m orthonormal
-basis, and an identically zero kernel skips the eigensolver.
+basis, and an identically zero kernel skips the eigensolver.  The smoother on
+the design plus one point follows from the factorization and the smoother on
+the design by a bordered update (``augmented_smoother``), in O(n^2) and with
+no new factorization.
 """
 
 import math
@@ -188,6 +191,39 @@ class SaddleFactorization:
         if self.m:
             M = M + self.Q @ self.Q.T
         return SmootherMatrix(0.5 * (M + M.T))
+
+
+def augmented_smoother(
+    fac: SaddleFactorization, smoother: SmootherMatrix, k, kappa: float, v, sigma2: float
+) -> SmootherMatrix:
+    """Smoother on the design plus one point x*, by a bordered update in O(n^2).
+
+    ``fac`` and ``smoother`` are the factorization on the design and its
+    smoother at ``sigma2``; ``k`` (n,), ``kappa`` and ``v`` (m,) are x*'s
+    kernel column k(X, x*), prior variance k(x*, x*) and basis row v(x*).
+    Since M = I - sigma2 H, with H the top-left block of the inverse saddle
+    matrix, the Schur complement of x* in the bordered system gives
+
+        (w, b) = fac.solve(sigma2, k, v)
+        s      = kappa - k^T w - v^T b + sigma2   (predictive variance + sigma2)
+        M+     = [[M - sigma2 w w^T / s,  sigma2 w / s],
+                  [sigma2 w^T / s,        1 - sigma2 / s]]
+
+    which equals ``spm_smoother(model, vstack(X, x*), sigma2)`` without
+    factoring the augmented design.
+    """
+    if not sigma2 > 0:
+        raise ValueError(f"augmented smoothers need sigma2 > 0, got sigma2={sigma2}")
+    k = np.asarray(k, dtype=float)
+    v = np.asarray(v, dtype=float)
+    w, b = fac.solve(sigma2, k, v)
+    c = sigma2 / (float(kappa) - k @ w - v @ b + sigma2)
+    n = smoother.n
+    M = np.empty((n + 1, n + 1))
+    M[:n, :n] = smoother.matrix - c * np.outer(w, w)
+    M[:n, n] = M[n, :n] = c * w
+    M[n, n] = 1.0 - c
+    return SmootherMatrix(M)
 
 
 def factorize(L: np.ndarray, V: np.ndarray) -> SaddleFactorization:

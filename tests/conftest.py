@@ -15,6 +15,24 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def count_linalg(monkeypatch):
+    """``count_linalg(name)`` records the argument shape of every numpy.linalg.<name> call."""
+
+    def count(name):
+        shapes = []
+        orig = getattr(np.linalg, name)
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+        return shapes
+
+    return count
+
+
 def pytest_terminal_summary(terminalreporter):
     # surface the per-criterion lines even when stdout capture is on
     import sys

@@ -222,6 +222,36 @@ class TestCommands:
         summary = read_json(f"{out}.json")
         assert summary["metrics"]["all_equivalent"] is True
 
+    def test_equiv_check_marks_empty_basis_as_skipped(self, tmp_path):
+        out = tmp_path / "eq"
+        code = main([
+            "equiv-check", "--n", "30", "--kernel", "gaussian", "--p", "0", "--out", str(out),
+        ])
+        assert code == 0
+        metrics = read_json(f"{out}.json")["metrics"]
+        assert metrics["basis_size"] == 0
+        assert metrics["checks"] == {}
+        assert metrics["all_equivalent"] is True
+        assert metrics["skipped"].startswith("basis_size 0:")
+
+    def test_equiv_check_factors_on_the_design_only(self, tmp_path, count_linalg):
+        shapes = count_linalg("eigh")
+        out = tmp_path / "eq"
+        n = 20
+        code = main([
+            "equiv-check", "--n", str(n), "--kernel", "matern", "--nu", "1.5",
+            "--p", "3", "--out", str(out),
+        ])
+        assert code == 0
+        metrics = read_json(f"{out}.json")["metrics"]
+        assert metrics["case"] == "spline-regression"
+        m = metrics["basis_size"]
+        assert m > 0 and sorted(metrics["checks"]) == ["basis_change", "kernel_absorption"]
+        # two models per check, each factored once on the n design points; an
+        # augmented design (n + 1 points) would restrict to n + 1 - m rows
+        assert len(shapes) == 4
+        assert all(shape == (n - m, n - m) for shape in shapes)
+
     def test_nugget_compare_contrast(self, data_csv, tmp_path):
         out = tmp_path / "nug"
         code = main([

@@ -22,7 +22,12 @@ from flatgp import (
     spm_smoother,
 )
 from flatgp.errors import DegenerateDesign, NegativeVariance, NotUnisolvent, UnreachableDof
-from flatgp.spm import factorize_model, solve_trace, spm_filter_eigenvalues
+from flatgp.spm import (
+    augmented_smoother,
+    factorize_model,
+    solve_trace,
+    spm_filter_eigenvalues,
+)
 
 
 def dense_saddle_solve(L, V, sigma2, y):
@@ -376,6 +381,74 @@ class TestBatchedVariance:
         fit = fit_spm(model, np.array([0.0, 1.0]), np.zeros(2), 0.5)
         with pytest.raises(NegativeVariance):
             fit.predict_var(np.array([[0.5]]))
+
+
+def augmented_cases():
+    """Models for the bordered update, each with the dimension it lives in."""
+    gauss = Kernel.gaussian(epsilon=3.0)
+    return {
+        "gaussian-pd": lambda d: SemiParametricModel(gauss, d=d),
+        "gaussian-linear-d2": lambda d: SemiParametricModel(gauss, d=2, basis_degree=1),
+        "polyharmonic-r1": lambda d: polyharmonic_spm(1, d),
+        "polyharmonic-r2": lambda d: polyharmonic_spm(2, d),
+        "zero-kernel": lambda d: SemiParametricModel(Kernel.zero(), d=d, basis_degree=1),
+    }
+
+
+class TestAugmentedSmoother:
+    @given(
+        case=st.sampled_from(sorted(augmented_cases())),
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2]),
+        extra=st.integers(1, 12),
+        log_sigma2=st.floats(-3, 1),
+        near_point=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_smoother_on_augmented_design(
+        self, case, seed, d, extra, log_sigma2, near_point
+    ):
+        model = augmented_cases()[case](d)
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0, 1, size=(model.basis_size() + extra, model.d))
+        if near_point:
+            direction = rng.normal(size=model.d)
+            x_new = X[rng.integers(len(X))] + 1e-9 * direction / np.linalg.norm(direction)
+        else:
+            x_new = rng.uniform(0, 1, size=model.d)
+        X_aug = np.vstack([X, x_new])
+        sigma2 = 10.0**log_sigma2
+        try:
+            fac = factorize_model(model, X)
+        except NotUnisolvent:
+            assume(False)
+        got = augmented_smoother(
+            fac,
+            fac.smoother(sigma2),
+            kernel_cross(model.kernel, x_new[None, :], X)[0],
+            kernel_diag(model.kernel, x_new[None, :])[0],
+            model.basis_matrix(x_new[None, :])[0],
+            sigma2,
+        ).matrix
+        want = spm_smoother(model, X_aug, sigma2).matrix
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, float("nan")])
+    def test_nonpositive_sigma2_rejected(self, sigma2, rng):
+        model = polyharmonic_spm(2, 1)
+        X = rng.uniform(0, 1, size=(6, 1))
+        fac = factorize_model(model, X)
+        x_new = np.array([[0.5]])
+        with pytest.raises(ValueError, match="sigma2"):
+            augmented_smoother(
+                fac,
+                fac.smoother(0.1),
+                kernel_cross(model.kernel, x_new, X)[0],
+                kernel_diag(model.kernel, x_new)[0],
+                model.basis_matrix(x_new)[0],
+                sigma2,
+            )
 
 
 # filter eigenvalues: exact zeros and positive values spanning 1e-16 to 1e4
