@@ -1,122 +1,17 @@
-"""Hot pairwise-assembly kernels, numba-compiled with a pure-numpy fallback.
+"""Pairwise assembly: squared distances and distance powers between points.
 
 Kernel and distance matrices are rebuilt for every point of an (epsilon, gamma)
-grid, which makes pairwise assembly the only loop-dominated cost in the
-package (the factorizations underneath are LAPACK-bound either way).  The
-numba path is selected by default when numba imports; set ``FLATGP_NUMBA=0``
-to force the numpy fallback.  ``benchmarks/bench_accel.py`` compares the two.
+grid.  Assembly is a numpy broadcast: it costs about a tenth of the
+eigendecomposition of the same matrix at n = 400 and less at larger n, so a
+compiled path would not pay for itself.
 """
-
-import os
 
 import numpy as np
 
 
-def _flag_enabled() -> bool:
-    val = os.environ.get("FLATGP_NUMBA", "1").strip().lower()
-    return val not in ("0", "false", "off", "no")
-
-
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-
-def _np_pairwise_sq_dists(X):
-    diff = X[:, None, :] - X[None, :, :]
-    out = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
-def _np_cross_sq_dists(A, B):
-    diff = A[:, None, :] - B[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
-def _np_pairwise_dist_power(X, q):
-    out = _np_pairwise_sq_dists(X) ** (q / 2.0)
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
-def _np_cross_dist_power(A, B, q):
-    return _np_cross_sq_dists(A, B) ** (q / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-
-_HAVE_NUMBA = False
-if _flag_enabled():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - environment without numba
-        _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_pairwise_sq_dists(X):
-        n, d = X.shape
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc = 0.0
-                for k in range(d):
-                    t = X[i, k] - X[j, k]
-                    acc += t * t
-                out[i, j] = acc
-                out[j, i] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_cross_sq_dists(A, B):
-        na, d = A.shape
-        nb = B.shape[0]
-        out = np.empty((na, nb))
-        for i in range(na):
-            for j in range(nb):
-                acc = 0.0
-                for k in range(d):
-                    t = A[i, k] - B[j, k]
-                    acc += t * t
-                out[i, j] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_pairwise_dist_power(X, q):
-        n, d = X.shape
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc = 0.0
-                for k in range(d):
-                    t = X[i, k] - X[j, k]
-                    acc += t * t
-                v = acc ** (q / 2.0)
-                out[i, j] = v
-                out[j, i] = v
-        return out
-
-    @njit(cache=True)
-    def _nb_cross_dist_power(A, B, q):
-        na, d = A.shape
-        nb = B.shape[0]
-        out = np.empty((na, nb))
-        for i in range(na):
-            for j in range(nb):
-                acc = 0.0
-                for k in range(d):
-                    t = A[i, k] - B[j, k]
-                    acc += t * t
-                out[i, j] = acc ** (q / 2.0)
-        return out
-
-
 def using_numba() -> bool:
-    """True when the compiled path is active."""
-    return _HAVE_NUMBA
+    """Whether a compiled assembly path is active: never, assembly is numpy."""
+    return False
 
 
 def _as2d(X):
@@ -126,41 +21,32 @@ def _as2d(X):
     return X
 
 
+def _sq_dists(A, B):
+    diff = A[:, None, :] - B[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
 def pairwise_sq_dists(X):
     """Matrix of squared Euclidean distances between rows of ``X`` (n, d)."""
     X = _as2d(X)
-    if _HAVE_NUMBA:
-        return _nb_pairwise_sq_dists(X)
-    return _np_pairwise_sq_dists(X)
+    out = _sq_dists(X, X)
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def cross_sq_dists(A, B):
     """Squared distances between rows of ``A`` (na, d) and ``B`` (nb, d)."""
-    A, B = _as2d(A), _as2d(B)
-    if _HAVE_NUMBA:
-        return _nb_cross_sq_dists(A, B)
-    return _np_cross_sq_dists(A, B)
+    return _sq_dists(_as2d(A), _as2d(B))
 
 
 def pairwise_dist_power(X, q):
     """Matrix with entries ``||x_i - x_j||**q``; exact zero diagonal."""
     X = _as2d(X)
-    if _HAVE_NUMBA:
-        return _nb_pairwise_dist_power(X, float(q))
-    return _np_pairwise_dist_power(X, float(q))
+    out = _sq_dists(X, X) ** (float(q) / 2.0)
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def cross_dist_power(A, B, q):
-    A, B = _as2d(A), _as2d(B)
-    if _HAVE_NUMBA:
-        return _nb_cross_dist_power(A, B, float(q))
-    return _np_cross_dist_power(A, B, float(q))
-
-
-def warmup():
-    """Trigger JIT compilation on tiny inputs so timings exclude it."""
-    z = np.zeros((2, 1))
-    pairwise_sq_dists(z)
-    cross_sq_dists(z, z)
-    pairwise_dist_power(z, 3.0)
-    cross_dist_power(z, z, 3.0)
+    """Matrix with entries ``||a_i - b_j||**q``."""
+    return _sq_dists(_as2d(A), _as2d(B)) ** (float(q) / 2.0)

@@ -140,8 +140,7 @@ def _emit(args, command, metrics, csv_header=None, csv_rows=None, errors=()):
 def cmd_fit(args):
     ds = _load_data(args)
     kern = _make_kernel(args)
-    spec = GpSpectrum.from_kernel(kern, ds.X, nugget=args.nugget)
-    M = spec.smoother(kern.gamma, args.sigma2)
+    M = GpSpectrum.from_kernel(kern, ds.X, nugget=args.nugget).smoother(args.sigma2)
     fitted = M.fitted(ds.y)
     metrics = {"dof": M.trace, "n": ds.n, "d": ds.d}
     evaluations = {
@@ -153,7 +152,7 @@ def cmd_fit(args):
     for name, fn in evaluations.items():
         try:
             metrics[name] = fn()
-        except FlatGpError as exc:
+        except (FlatGpError, ValueError) as exc:
             metrics[name] = f"error: {exc}"
     rows = [
         [str(i)]
@@ -209,7 +208,7 @@ def cmd_dof_grid(args):
         out = []
         for g in gamma_grid:
             try:
-                out.append((format_float(spec.dof(gamma=g, sigma2=args.sigma2)), "ok"))
+                out.append((format_float(spec.scaled(g).dof(args.sigma2)), "ok"))
             except IllConditioned as exc:
                 out.append(("nan", f"ill-conditioned:{exc.smallest_eigenvalue:.3e}"))
         return out
@@ -233,7 +232,7 @@ def cmd_criteria_grid(args):
         out = []
         for g in gamma_grid:
             try:
-                M = spec.smoother(gamma=g, sigma2=args.sigma2)
+                M = spec.scaled(g).smoother(args.sigma2)
                 cell = {
                     "loo_mse": loo_mse(M, ds.y).value,
                     "loo_nll": loo_nll(M, ds.y, args.sigma2).value,
@@ -384,7 +383,7 @@ def cmd_nugget_compare(args):
         spec = GpSpectrum.from_kernel(kern.with_params(epsilon=args.eps), ds.X, nugget=nug)
         for g in gamma_grid:
             try:
-                val, status = format_float(spec.dof(gamma=g, sigma2=args.sigma2)), "ok"
+                val, status = format_float(spec.scaled(g).dof(args.sigma2)), "ok"
             except IllConditioned as exc:
                 val, status = "nan", f"ill-conditioned:{exc.smallest_eigenvalue:.3e}"
                 errors.append(f"{variant} gamma={g:g}: {status}")

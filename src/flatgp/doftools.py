@@ -13,7 +13,6 @@ the single solver of it.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -23,12 +22,12 @@ from .gp import GpSpectrum
 from .kernels import Kernel, regularity
 from .polybasis import as_design, count_poly_dim
 from .spm import (
+    SaddleFactorization,
     SemiParametricModel,
     factorize_model,
     fit_factored,
     polyharmonic_spm,
     solve_trace,
-    spm_filter_eigenvalues,
 )
 
 
@@ -72,7 +71,7 @@ def isofreedom_curve(kernel: Kernel, X, sigma2: float, m: float, eps_grid) -> Is
     for eps in eps_grid:
         spec = GpSpectrum.from_kernel(kernel.with_params(epsilon=eps, gamma=1.0), design)
         g = solve_trace(spec.evals, 0.0, m, sigma2)[0]
-        achieved = spec.dof(gamma=g, sigma2=sigma2)
+        achieved = spec.scaled(g).dof(sigma2)
         points.append(
             IsofreedomPoint(
                 epsilon=eps, gamma=g, dof_achieved=achieved, residual=achieved - m
@@ -109,11 +108,7 @@ class MatchedApproximation:
     penalty: float
     achieved_dof: float
     source_dof: float
-
-    @cached_property
-    def factorization(self):
-        """The target's saddle-point factorization, shared by all predictions."""
-        return factorize_model(self.target, self.design)
+    factorization: SaddleFactorization
 
     def _fit(self, y):
         return fit_factored(self.target, self.design, self.factorization, y, self.penalty)
@@ -136,8 +131,7 @@ def matched_approximation(kernel: Kernel, eps: float, gamma: float, sigma2: floa
     """
     design = as_design(X)
     src = kernel.with_params(epsilon=eps, gamma=gamma)
-    spec = GpSpectrum.from_kernel(src, design)
-    m = spec.dof(gamma=gamma, sigma2=sigma2)
+    m = GpSpectrum.from_kernel(src, design).dof(sigma2)
     if not 0 < m < design.n - 1e-9:
         raise UnreachableDof(f"source dof {m:.6g} outside (0, n)")
 
@@ -147,9 +141,9 @@ def matched_approximation(kernel: Kernel, eps: float, gamma: float, sigma2: floa
 
     if math.isfinite(r) and m >= spline_floor:
         target = polyharmonic_spm(int(r), d)
-        base, lam = spm_filter_eigenvalues(target, design)
+        fac = factorize_model(target, design)
         # the penalty eta = 1 / g: lam / (lam + eta) = g lam / (g lam + 1)
-        g, achieved = solve_trace(lam, base, m, 1.0)
+        g, achieved = solve_trace(fac.evals, fac.m, m, 1.0)
         return MatchedApproximation(
             source_kernel=src,
             sigma2=sigma2,
@@ -159,6 +153,7 @@ def matched_approximation(kernel: Kernel, eps: float, gamma: float, sigma2: floa
             penalty=1.0 / g,
             achieved_dof=achieved,
             source_dof=m,
+            factorization=fac,
         )
 
     # polynomial regime: largest complete graded block below m
@@ -178,20 +173,21 @@ def matched_approximation(kernel: Kernel, eps: float, gamma: float, sigma2: floa
             penalty=sigma2,
             achieved_dof=achieved,
             source_dof=m,
+            factorization=factorize_model(target, design),
         )
     unit_target = SemiParametricModel(
         _monomial_block_kernel(kernel, p, d), d=d, basis_degree=p - 1
     )
-    base, lam = spm_filter_eigenvalues(unit_target, design)
-    g, achieved = solve_trace(lam, base, m, sigma2)
-    target = unit_target.scaled(g)
+    unit_fac = factorize_model(unit_target, design)
+    g, achieved = solve_trace(unit_fac.evals, unit_fac.m, m, sigma2)
     return MatchedApproximation(
         source_kernel=src,
         sigma2=sigma2,
         design=design,
         case=LimitCaseKind.PENALIZED_POLYNOMIAL,
-        target=target,
+        target=unit_target.scaled(g),
         penalty=sigma2,
         achieved_dof=achieved,
         source_dof=m,
+        factorization=unit_fac.scaled(g),
     )

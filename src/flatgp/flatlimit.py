@@ -50,7 +50,6 @@ from .spm import (
     project_out_basis,
     require_comparable,
     solve_trace,
-    spm_filter_eigenvalues,
     spm_smoother,
 )
 
@@ -377,22 +376,24 @@ def check_pred_equiv(
     return ok, report
 
 
-def _match_smoother(target: SmootherMatrix, model, X, sigma2, tol=1e-6):
-    """``model`` rescaled so its smoother's trace equals ``target``'s, and its gain.
+def _match_smoother(target: SmootherMatrix, model, fac, sigma2, tol=1e-6):
+    """``model`` rescaled so its smoother's trace equals ``target``'s.
 
-    The gain solves the trace equation on the unit-gain filter eigenvalues,
-    so the curve stays exact at extreme gains; the rescaled model's whole
-    smoother must then agree with ``target`` to ``tol``, or NotProportional.
+    ``fac`` is the model's factorization.  The gain solves the trace equation
+    on its unit-gain eigenvalues, so the curve stays exact at extreme gains;
+    the rescaled smoother must then agree with ``target`` to ``tol``, or
+    NotProportional.  Returns the rescaled model, ``fac`` at the new gain, and
+    the gain.
     """
-    base, lam = spm_filter_eigenvalues(model, X)
     try:
-        g, _ = solve_trace(lam, base, target.trace, sigma2)
+        g, _ = solve_trace(fac.evals, fac.m, target.trace, sigma2)
     except UnreachableDof as exc:
         raise NotProportional(f"trace matching failed: {exc}") from exc
-    scaled = model.scaled(g / model.kernel.gamma)
-    if float(np.abs(target.matrix - spm_smoother(scaled, X, sigma2).matrix).max()) > tol:
+    factor = g / model.kernel.gamma
+    scaled = fac.scaled(factor)
+    if float(np.abs(target.matrix - scaled.smoother(sigma2).matrix).max()) > tol:
         raise NotProportional("traces match but smoothers differ; models are not proportional")
-    return scaled, g
+    return model.scaled(factor), scaled, g
 
 
 def match_scale(
@@ -409,7 +410,8 @@ def match_scale(
     """
     require_comparable(model_a, model_b)
     design = as_design(X)
-    _, g = _match_smoother(spm_smoother(model_a, design, sigma2), model_b, design, sigma2, tol)
+    target = spm_smoother(model_a, design, sigma2)
+    _, _, g = _match_smoother(target, model_b, factorize_model(model_b, design), sigma2, tol)
     # alpha multiplies model_b's kernel as given: <l_a, V> ~ <alpha l_b, V'>
     return g / model_b.kernel.gamma
 
@@ -443,15 +445,17 @@ def _loglog_slope(eps, devs):
 
 
 def _limit_model_for_study(family, case, X, sigma2):
-    """The comparison SPM with its gain set (trace-matched when scale-free)."""
+    """The comparison SPM with its gain set (trace-matched when scale-free),
+    its factorization on ``X``, and that gain."""
     model = case.equivalent_model
-    if case.kind is LimitCaseKind.INTERPOLATION:
-        return model, 1.0
-    if model.kernel.family is Family.ZERO:
-        return model, 1.0
-    if not case.scale_free:
-        return model, 1.0
-    return _match_smoother(limiting_smoother(family, X, sigma2), model, X, sigma2)
+    fac = factorize_model(model, X)
+    if (
+        case.kind is LimitCaseKind.INTERPOLATION
+        or model.kernel.family is Family.ZERO
+        or not case.scale_free
+    ):
+        return model, fac, 1.0
+    return _match_smoother(limiting_smoother(family, X, sigma2), model, fac, sigma2)
 
 
 def convergence_study(
@@ -482,13 +486,12 @@ def convergence_study(
     case = classify_limit(
         family.regularity, family.p, design.d, n=design.n, kernel=family.kernel_at(1.0)
     )
-    limit_model, matched_gain = _limit_model_for_study(family, case, design, sigma2)
+    limit_model, limit_fac, matched_gain = _limit_model_for_study(family, case, design, sigma2)
     interpolation = case.kind is LimitCaseKind.INTERPOLATION
     limit_sigma2 = 0.0 if interpolation else sigma2
 
     rng = np.random.default_rng(seed)
     ys = rng.normal(size=(num_trials, design.n))
-    limit_fac = factorize_model(limit_model, design)
     limit_fits = [fit_factored(limit_model, design, limit_fac, y, limit_sigma2) for y in ys]
     limit_means = [f.predict(query_points) for f in limit_fits]
     if not interpolation:
@@ -559,13 +562,12 @@ def prediction_curve(
     if queries.shape[1] != design.d:
         raise ValueError("xa and xb must be points of the design dimension")
 
-    spec = GpSpectrum.from_kernel(kernel.with_params(epsilon=eps), design)
+    spec = GpSpectrum.from_kernel(kernel.with_params(epsilon=eps, gamma=1.0), design)
     points, statuses = [], []
     for g in gamma_grid:
         kq = kernel_cross(kernel.with_params(epsilon=eps, gamma=g), queries, design)
         try:
-            sol = spec.solve(g, sigma2, y)
-            pred = kq @ sol
+            pred = kq @ spec.scaled(g).solve(sigma2, y)[0]
             points.append((float(pred[0]), float(pred[1])))
             statuses.append("ok")
         except IllConditioned:

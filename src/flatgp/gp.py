@@ -1,10 +1,12 @@
 """Non-parametric GP regression, its smoother matrix, and selection criteria.
 
 The smoother of a GP with gain gamma and noise sigma2 filters each eigenmode
-of the unit-gain kernel matrix by lambda / (lambda + sigma2 / gamma).  All
-smoother-dependent quantities here are computed from a single symmetric
-eigendecomposition of that matrix, which is reused across gamma values when
-sweeping grids.
+of the unit-gain kernel matrix by lambda / (lambda + sigma2 / gamma).  That
+eigendecomposition is the spectral core of ``spm`` with an empty basis
+(``GpSpectrum``, the same type as ``spm.SaddleFactorization``): posteriors,
+smoothers and the marginal likelihood here are solves and filters against
+it, and one spectrum serves every gamma of a grid.  This module adds the
+selection criteria, which read the smoother matrix only.
 """
 
 import enum
@@ -13,14 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateVariance,
-    IllConditioned,
-    InterpolatingSmoother,
-)
-from .kernels import Kernel, kernel_cross, kernel_diag, kernel_matrix
+from .errors import DegenerateVariance, InterpolatingSmoother
+from .kernels import Kernel, kernel_cross, kernel_diag
 from .polybasis import as_design
 from .smoothers import SmootherMatrix
+from .spm import SaddleFactorization
 
 _LOO_DIAG_TOL = 1e-10
 
@@ -52,62 +51,9 @@ class CriterionValue:
     value: float
 
 
-@dataclass(frozen=True)
-class GpSpectrum:
-    """Eigendecomposition of the unit-gain kernel matrix (plus optional nugget).
-
-    Cheap to reuse across gamma: only the filter lambda/(lambda + sigma2/gamma)
-    changes along a grid.
-    """
-
-    evals: np.ndarray
-    evecs: np.ndarray
-    gamma: float
-
-    @classmethod
-    def from_kernel(cls, kernel: Kernel, X, nugget: float = 0.0) -> "GpSpectrum":
-        design = as_design(X)
-        K = kernel_matrix(kernel.with_params(gamma=1.0), design)
-        if nugget:
-            K = K + nugget * np.eye(design.n)
-        evals, evecs = np.linalg.eigh(K)
-        # round-off negatives of a PSD matrix are numerically zero
-        cut = 1e-13 * max(float(evals.max(initial=0.0)), 0.0)
-        evals = np.where((evals < 0) & (evals >= -cut), 0.0, evals)
-        return cls(evals=evals, evecs=evecs, gamma=kernel.gamma)
-
-    def _check(self, gamma, sigma2):
-        smallest = gamma * float(self.evals.min()) + sigma2
-        if smallest <= 0:
-            raise IllConditioned(
-                f"K + sigma2 I has nonpositive smallest eigenvalue {smallest:.3e}",
-                smallest_eigenvalue=smallest,
-            )
-        return smallest
-
-    def dof(self, gamma=None, sigma2=0.0) -> float:
-        gamma = self.gamma if gamma is None else gamma
-        self._check(gamma, sigma2)
-        lam = gamma * self.evals
-        if sigma2 == 0:
-            return float(np.sum(lam > 0))
-        return float(np.sum(lam / (lam + sigma2)))
-
-    def smoother(self, gamma=None, sigma2=0.0) -> SmootherMatrix:
-        gamma = self.gamma if gamma is None else gamma
-        self._check(gamma, sigma2)
-        lam = gamma * self.evals
-        filt = lam / (lam + sigma2) if sigma2 > 0 else np.ones_like(lam)
-        M = (self.evecs * filt[None, :]) @ self.evecs.T
-        return SmootherMatrix(0.5 * (M + M.T))
-
-    def solve(self, gamma, sigma2, rhs):
-        """(gamma K + sigma2 I)^{-1} rhs through the eigensystem."""
-        self._check(gamma, sigma2)
-        denom = gamma * self.evals + sigma2
-        z = self.evecs.T @ rhs
-        z = z / (denom[:, None] if z.ndim == 2 else denom)
-        return self.evecs @ z
+# The GP spectrum is the saddle-point factorization of the model with an empty
+# basis: ``GpSpectrum.from_kernel(kernel, X, nugget)``.
+GpSpectrum = SaddleFactorization
 
 
 def gp_posterior(kernel: Kernel, X, y, sigma2: float, query_points, nugget: float = 0.0):
@@ -125,17 +71,16 @@ def gp_posteriors(kernel: Kernel, X, ys, sigma2: float, query_points, nugget: fl
     design = as_design(X)
     spec = GpSpectrum.from_kernel(kernel, design, nugget=nugget)
     kq = kernel_cross(kernel, query_points, design)
-    means = [kq @ spec.solve(kernel.gamma, sigma2, np.asarray(y, dtype=float)) for y in ys]
+    means = [kq @ spec.solve(sigma2, np.asarray(y, dtype=float))[0] for y in ys]
     prior = kernel_diag(kernel, query_points)
-    quad = np.einsum("ij,ji->i", kq, spec.solve(kernel.gamma, sigma2, kq.T))
+    quad = np.einsum("ij,ji->i", kq, spec.solve(sigma2, kq.T)[0])
     var = prior - quad
     return means, np.maximum(var, 0.0)
 
 
 def gp_smoother(kernel: Kernel, X, sigma2: float, nugget: float = 0.0) -> SmootherMatrix:
     """M = K (K + (sigma2 / gamma) I)^{-1} via the symmetric eigendecomposition."""
-    spec = GpSpectrum.from_kernel(kernel, X, nugget=nugget)
-    return spec.smoother(kernel.gamma, sigma2)
+    return GpSpectrum.from_kernel(kernel, X, nugget=nugget).smoother(sigma2)
 
 
 def dof(M: SmootherMatrix) -> float:
@@ -196,16 +141,5 @@ def nlml(kernel: Kernel, X, y, sigma2: float, nugget: float = 0.0) -> CriterionV
     Divergent along flat-limit gain paths (the prior becomes improper); kept
     for completeness and never used by the flat-limit tooling.
     """
-    design = as_design(X)
-    y = np.asarray(y, dtype=float)
-    spec = GpSpectrum.from_kernel(kernel, design, nugget=nugget)
-    w = kernel.gamma * spec.evals + sigma2
-    smallest = float(w.min())
-    if smallest <= 0:
-        raise IllConditioned(
-            f"K + sigma2 I not positive definite, smallest eigenvalue {smallest:.3e}",
-            smallest_eigenvalue=smallest,
-        )
-    z = spec.evecs.T @ y
-    val = 0.5 * float(np.sum(np.log(2.0 * math.pi * w))) + 0.5 * float(np.sum(z**2 / w))
-    return CriterionValue(CriterionKind.NLML, val)
+    spec = GpSpectrum.from_kernel(kernel, X, nugget=nugget)
+    return CriterionValue(CriterionKind.NLML, spec.nlml(y, sigma2))

@@ -4,27 +4,33 @@ Inference never forms the inverse of the possibly indefinite kernel matrix.
 Every solve is block elimination on the bordered (saddle-point) system: the
 basis matrix is orthonormalized, the kernel is restricted to the orthogonal
 complement of its span, and a symmetric eigendecomposition of that restriction
-is reused for means, variances, smoothers, and the Laurent coefficient B0.
+is reused for means, variances, smoothers, traces, and the Laurent coefficient
+B0.
 
-A factorization depends on the model and the design only, never on the data
-``y`` or the noise level ``sigma2``.  ``factorize_model`` builds it once per
-(model, design); fits at any ``(y, sigma2)``, smoothers at any ``sigma2`` and
-the predictive variances of a whole query batch are then solves against it.
-The complement basis comes from one complete QR of the n x m orthonormal
-basis, and an identically zero kernel skips the eigensolver.  The smoother on
-the design plus one point follows from the factorization and the smoother on
-the design by a bordered update (``augmented_smoother``), in O(n^2) and with
-no new factorization.
+That eigendecomposition, ``SaddleFactorization``, is the package's one
+spectral core.  It is taken of the kernel matrix at unit gain and carries the
+gain as a scalar, so it depends on the kernel's shape, the basis and the
+design only, never on the data ``y``, the noise level ``sigma2`` or the gain:
+``factorize_model`` builds it once per (model, design), ``scaled(g)`` moves it
+to another gain without refactoring, and fits at any ``(y, sigma2)``,
+smoothers at any ``sigma2`` and the predictive variances of a whole query
+batch are solves against it.  A GP is the model with an empty basis; its
+spectrum (``from_kernel``, exported as ``gp.GpSpectrum``) skips the
+complement and keeps no kernel matrix.  The complement basis comes from one
+complete QR of the n x m orthonormal basis, and an identically zero kernel
+skips the eigensolver.  The smoother on the design plus one point follows from
+the factorization and the smoother on the design by a bordered update
+(``augmented_smoother``), in O(n^2) and with no new factorization.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     DegenerateDesign,
+    IllConditioned,
     IncomparableModels,
     NegativeVariance,
     NotUnisolvent,
@@ -47,6 +53,7 @@ from .smoothers import SmootherMatrix
 
 _RANK_TOL = 1e-10
 _PINV_TOL = 1e-12
+_CLIP_TOL = 1e-13
 _VARIANCE_ERROR_TOL = 1e-8
 # trace solves: gain search range, Newton step size (in log g) that ends the
 # iteration, iteration cap, and the residual (per design point) still accepted
@@ -117,80 +124,162 @@ def _orthonormal_basis(V, n):
     return Q, R
 
 
-def _complement_basis(Q, n):
+def _complement_basis(Q):
     """Orthonormal basis of the complement of span(Q), by complete QR of Q."""
-    m = Q.shape[1]
-    if m == 0:
-        return np.eye(n)
-    return np.linalg.qr(Q, mode="complete")[0][:, m:]
+    return np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]
 
 
 @dataclass(frozen=True)
 class SaddleFactorization:
-    """Shared pieces of the bordered solve: the kernel matrix L, Q/R of the
-    basis matrix V, and the eigensystem of L restricted to the complement of
-    span(V).  Independent of the data and the noise level."""
+    """The spectral core: eigenpairs of a unit-gain kernel matrix restricted to
+    the complement of a basis span, with the gain carried as a scalar.
 
-    L: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-    C: np.ndarray
+    ``evals`` and ``evecs`` are the eigensystem of C^T L C, where L is the
+    kernel matrix at unit gain and the columns of C span the complement of the
+    basis matrix V (no basis: C is the identity and is not stored);
+    ``modes`` = C evecs lifts them back to R^n.  With Q R = V, every solve,
+    smoother and trace at noise sigma2 filters the modes by
+    ``gain lam / (gain lam + sigma2)``.  ``scaled(g)`` multiplies the gain and
+    shares every array, so a model is factored once whatever its gains.
+
+    Two constructors fix what a singular ``gain L + sigma2 I`` means:
+    ``factorize``/``factorize_model`` (the saddle path) solve by the
+    pseudo-inverse; ``from_kernel`` (the GP spectrum, m = 0) raises
+    IllConditioned.  A negative or NaN sigma2 raises ValueError either way.
+    """
+
     evals: np.ndarray
     evecs: np.ndarray
+    modes: np.ndarray
+    gain: float
+    pseudo_inverse: bool
+    Q: np.ndarray
+    R: np.ndarray
+    complement: np.ndarray = None  # C; None without a basis
+    L: np.ndarray = None  # the unit-gain kernel matrix; kept only with a basis
+
+    @classmethod
+    def _restricted(cls, A, complement=None, **parts) -> "SaddleFactorization":
+        """Eigensystem of the symmetric unit-gain restriction ``A``."""
+        evals, evecs = np.linalg.eigh(A)
+        # round-off negatives of a PSD matrix are numerically zero
+        cut = _CLIP_TOL * max(float(evals.max(initial=0.0)), 0.0)
+        evals = np.where((evals < 0) & (evals >= -cut), 0.0, evals)
+        modes = evecs if complement is None else complement @ evecs
+        return cls(evals=evals, evecs=evecs, modes=modes, complement=complement, **parts)
+
+    @classmethod
+    def from_kernel(cls, kernel: Kernel, X, nugget: float = 0.0) -> "SaddleFactorization":
+        """The GP spectrum: no basis, unit-gain kernel matrix plus ``nugget`` I,
+        gain ``kernel.gamma``."""
+        design = as_design(X)
+        K = kernel_matrix(kernel.with_params(gamma=1.0), design)
+        if nugget:
+            K = K + nugget * np.eye(design.n)
+        return cls._restricted(
+            K, gain=kernel.gamma, pseudo_inverse=False,
+            Q=np.zeros((design.n, 0)), R=np.zeros((0, 0)),
+        )
 
     @property
     def m(self) -> int:
         return self.Q.shape[1]
 
-    @cached_property
-    def modes(self) -> np.ndarray:
-        """Complement eigenvectors lifted back to R^n (n x (n-m))."""
-        return self.C @ self.evecs
+    @property
+    def C(self) -> np.ndarray:
+        """Orthonormal basis of the complement of span(V): n x (n-m), the
+        identity without a basis."""
+        return np.eye(len(self.evals)) if self.complement is None else self.complement
 
-    def _pinv_kept(self) -> np.ndarray:
-        """Modes kept by the noiseless (sigma2 = 0) pseudo-inverse."""
-        cut = _PINV_TOL * max(1.0, float(np.abs(self.evals).max(initial=0.0)))
-        return np.abs(self.evals) > cut
+    def scaled(self, factor: float) -> "SaddleFactorization":
+        """The same factorization at gain ``gain * factor``; no array is copied."""
+        return self._with_gain(self.gain * factor)
 
-    def solve(self, sigma2, g, h):
-        """Solve [[L + sigma2 I, V], [V^T, 0]] (a; b) = (g; h) by elimination.
+    def _with_gain(self, gain) -> "SaddleFactorization":
+        # shares every field but the gain; skipping __init__ keeps this at
+        # about a microsecond, since the grids move the gain once per cell
+        moved = object.__new__(type(self))
+        moved.__dict__.update(vars(self), gain=gain)
+        return moved
 
-        ``g`` (n,) and ``h`` (m,) may also be (n, k) and (m, k): k right-hand
-        sides solved at once.
-        """
-        g = np.asarray(g, dtype=float)
-        if self.m:
-            a_basis = self.Q @ np.linalg.solve(self.R.T, h)
-        else:
-            a_basis = np.zeros_like(g)
-        rhs = self.modes.T @ (g - self.L @ a_basis)
-        col = (slice(None),) + (None,) * (rhs.ndim - 1)  # per-mode factors over columns
-        if sigma2 > 0:
-            w = rhs / (self.evals + sigma2)[col]
-        else:
-            keep = self._pinv_kept()
-            safe = np.where(keep, self.evals, 1.0)
-            w = np.where(keep[col], rhs / safe[col], 0.0)
-        a = a_basis + self.modes @ w
-        if self.m:
-            b = np.linalg.solve(self.R, self.Q.T @ (g - self.L @ a - sigma2 * a))
-        else:
-            b = np.zeros((0,) + g.shape[1:])
-        return a, b
+    def _filter_terms(self, sigma2):
+        """Scaled eigenvalues lam and solve denominators lam + sigma2.  At
+        sigma2 = 0 the pseudo-inverse drops the modes with |lam| at round-off
+        level by an infinite denominator."""
+        if not sigma2 >= 0:
+            raise ValueError(f"sigma2 must be nonnegative, got sigma2={sigma2}")
+        lam = self.gain * self.evals
+        if self.pseudo_inverse:
+            denom = lam + sigma2
+            if sigma2 == 0:
+                cut = _PINV_TOL * max(1.0, float(np.abs(lam).max(initial=0.0)))
+                denom[np.abs(lam) <= cut] = np.inf
+            return lam, denom
+        smallest = float(lam.min()) + sigma2
+        if smallest <= 0:
+            raise IllConditioned(
+                f"K + sigma2 I has nonpositive smallest eigenvalue {smallest:.3e}",
+                smallest_eigenvalue=smallest,
+            )
+        return lam, lam + sigma2
 
-    def fit(self, y, sigma2):
-        """Coefficients (alpha, beta) of the fit to data y at noise sigma2."""
-        return self.solve(sigma2, y, np.zeros(self.m))
+    def _filtered(self, f) -> np.ndarray:
+        """modes diag(f) modes^T."""
+        return (self.modes * f) @ self.modes.T
 
-    def smoother(self, sigma2) -> SmootherMatrix:
+    def dof(self, sigma2=0.0, *, gamma=None) -> float:
+        """Trace of the smoother: m + sum lam / (lam + sigma2).  ``gamma``, as
+        on ``smoother``, replaces the gain for this call."""
+        if gamma is not None:
+            return self._with_gain(gamma).dof(sigma2)
+        lam, denom = self._filter_terms(sigma2)
+        return self.m + float(np.sum(lam / denom))
+
+    def smoother(self, sigma2=0.0, *, gamma=None) -> SmootherMatrix:
         """M = QQ^T + Ltilde (Ltilde + sigma2 I)^{-1} on the complement of span(V)."""
-        lam = self.evals
-        filt = lam / (lam + sigma2) if sigma2 > 0 else self._pinv_kept().astype(float)
-        modes = self.modes
-        M = modes @ (filt[:, None] * modes.T)
+        if gamma is not None:
+            return self._with_gain(gamma).smoother(sigma2)
+        lam, denom = self._filter_terms(sigma2)
+        M = self._filtered(lam / denom)
         if self.m:
             M = M + self.Q @ self.Q.T
         return SmootherMatrix(0.5 * (M + M.T))
+
+    def solve(self, sigma2, g, h=None):
+        """Solve [[gain L + sigma2 I, V], [V^T, 0]] (a; b) = (g; h) by elimination.
+
+        ``g`` (n,) and ``h`` (m,) may also be (n, k) and (m, k): k right-hand
+        sides solved at once.  ``h`` defaults to zero.
+        """
+        denom = self._filter_terms(sigma2)[1]
+        g = np.asarray(g, dtype=float)
+        if g.ndim == 2:
+            denom = denom[:, None]  # per-mode factors over columns
+        if self.m and h is not None:
+            a_basis = self.Q @ np.linalg.solve(self.R.T, h)
+            rhs = self.modes.T @ (g - self.gain * (self.L @ a_basis))
+            a = a_basis + self.modes @ (rhs / denom)
+        else:
+            a = self.modes @ ((self.modes.T @ g) / denom)
+        if not self.m:
+            return a, np.zeros((0,) + g.shape[1:])
+        resid = g - self.gain * (self.L @ a) - sigma2 * a
+        return a, np.linalg.solve(self.R, self.Q.T @ resid)
+
+    def fit(self, y, sigma2):
+        """Coefficients (alpha, beta) of the fit to data y at noise sigma2."""
+        return self.solve(sigma2, y)
+
+    def nlml(self, y, sigma2) -> float:
+        """Negative log likelihood of ``y`` under N(0, gain K + sigma2 I); the
+        GP spectrum (``from_kernel``) only."""
+        if self.pseudo_inverse:
+            raise ValueError("nlml needs the GP spectrum of from_kernel")
+        denom = self._filter_terms(sigma2)[1]
+        z = self.modes.T @ np.asarray(y, dtype=float)
+        return 0.5 * float(np.sum(np.log(2.0 * math.pi * denom))) + 0.5 * float(
+            np.sum(z**2 / denom)
+        )
 
 
 def augmented_smoother(
@@ -227,23 +316,28 @@ def augmented_smoother(
 
 
 def factorize(L: np.ndarray, V: np.ndarray) -> SaddleFactorization:
+    """The saddle-point factorization of kernel matrix ``L`` (taken as unit
+    gain) and basis matrix ``V``."""
     n = L.shape[0]
     Q, R = _orthonormal_basis(V, n)
-    C = _complement_basis(Q, n)
+    m = Q.shape[1]
+    C = _complement_basis(Q) if m else None
+    parts = dict(gain=1.0, pseudo_inverse=True, Q=Q, R=R, complement=C, L=L if m else None)
     if L.any():
-        A = C.T @ L @ C
-        evals, evecs = np.linalg.eigh(0.5 * (A + A.T))
-    else:
-        # a zero kernel restricts to zero: eigenvalues 0, eigenvectors the identity
-        k = C.shape[1]
-        evals, evecs = np.zeros(k), np.eye(k)
-    return SaddleFactorization(L=L, Q=Q, R=R, C=C, evals=evals, evecs=evecs)
+        A = L if C is None else C.T @ L @ C
+        return SaddleFactorization._restricted(0.5 * (A + A.T), **parts)
+    # a zero kernel restricts to zero: eigenvalues 0, eigenvectors the identity
+    evecs = np.eye(n - m)
+    return SaddleFactorization(np.zeros(n - m), evecs, evecs if C is None else C, **parts)
 
 
 def factorize_model(model: SemiParametricModel, X) -> SaddleFactorization:
-    """The saddle-point factorization of ``model`` on the design ``X``."""
+    """The saddle-point factorization of ``model`` on the design ``X``: its
+    kernel matrix at unit gain, with the gain carried as a scalar."""
     design = as_design(X)
-    return factorize(kernel_matrix(model.kernel, design), model.basis_matrix(design))
+    kernel = model.kernel
+    L = kernel_matrix(kernel.with_params(gamma=1.0), design)
+    return factorize(L, model.basis_matrix(design)).scaled(kernel.gamma)
 
 
 def project_out_basis(L: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -256,7 +350,8 @@ def project_out_basis(L: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def cpd_check(model: SemiParametricModel, X, tol: float = 1e-10) -> bool:
     """Is the kernel positive semi-definite on the complement of the basis span?"""
-    w = factorize_model(model, X).evals
+    fac = factorize_model(model, X)
+    w = fac.gain * fac.evals
     if w.size == 0:
         return True
     scale = float(np.abs(w).max())
@@ -358,14 +453,8 @@ def laurent_b0(L: np.ndarray, V: np.ndarray, sigma2: float) -> np.ndarray:
     The pseudo-inverse of L + sigma2 I restricted to the complement of
     span(V); satisfies V^T B0 = 0 by construction.
     """
-    L = np.asarray(L, dtype=float)
-    fac = factorize(L, np.asarray(V, dtype=float))
-    denom = fac.evals + sigma2
-    cut = _PINV_TOL * max(1.0, float(np.abs(denom).max(initial=0.0)))
-    keep = np.abs(denom) > cut
-    inv = np.where(keep, 1.0 / np.where(keep, denom, 1.0), 0.0)
-    modes = fac.modes
-    B0 = modes @ (inv[:, None] * modes.T)
+    fac = factorize(np.asarray(L, dtype=float), np.asarray(V, dtype=float))
+    B0 = fac._filtered(1.0 / fac._filter_terms(sigma2)[1])
     return 0.5 * (B0 + B0.T)
 
 
@@ -398,19 +487,6 @@ def require_comparable(a: SemiParametricModel, b: SemiParametricModel):
         raise IncomparableModels(
             f"parametric dimensions differ: {a.basis_size()} vs {b.basis_size()}"
         )
-
-
-def spm_filter_eigenvalues(model: SemiParametricModel, X):
-    """Basis size and unit-gain eigenvalues driving the smoother's filter.
-
-    The trace of the smoother of ``model`` rescaled to absolute gain g at
-    noise sigma2 is ``m + sum g lam / (g lam + sigma2)``; evaluating that
-    curve is stable at any gain, unlike re-projecting a rescaled kernel.
-    ``solve_trace(lam, m, target, sigma2)`` is the one solver of that curve.
-    """
-    fac = factorize_model(model.scaled(1.0 / model.kernel.gamma), X)
-    lam = np.maximum(fac.evals, 0.0)
-    return fac.m, lam
 
 
 def solve_trace(lam, base: float, target: float, sigma2: float):
@@ -482,7 +558,4 @@ def solve_trace(lam, base: float, target: float, sigma2: float):
 def spline_dof(X, r: int, eta: float) -> float:
     """Degrees of freedom p + sum lam_i / (lam_i + eta) of a spline smoother."""
     design = as_design(X)
-    m, lam = spm_filter_eigenvalues(polyharmonic_spm(r, design.d), design)
-    if eta == 0:
-        return float(m + np.sum(lam > 0))
-    return float(m + np.sum(lam / (lam + eta)))
+    return factorize_model(polyharmonic_spm(r, design.d), design).dof(eta)

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from flatgp import accel
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_jit():
-    # compile the numba kernels once so timed tests measure math, not JIT
-    accel.warmup()
-
 
 @pytest.fixture
 def rng():

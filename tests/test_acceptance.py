@@ -40,7 +40,7 @@ from flatgp import (
     wronskian,
     wronskian_schur,
 )
-from flatgp.spm import solve_trace, spm_filter_eigenvalues
+from flatgp.spm import factorize_model, solve_trace
 
 
 RESULTS = []
@@ -133,7 +133,8 @@ def test_c3_gaussian_corollary_2d():
         family = ScaledKernelFamily(Kernel.gaussian(), p=2)
         model_b = SemiParametricModel(Kernel.polynomial(1), d=2, basis_degree=0)
         M0 = limiting_smoother(family, X, sigma2)
-        base, lam = spm_filter_eigenvalues(model_b, X)
+        fac = factorize_model(model_b, X)
+        base, lam = fac.m, fac.evals
         gain, _ = solve_trace(lam, base, M0.trace, sigma2)
         assert gain == pytest.approx(2.0, rel=1e-6)  # Schur diagonal 2^1/1!
         M_target = spm_smoother(model_b.scaled(gain), X, sigma2).matrix

@@ -202,6 +202,50 @@ class TestCommands:
         assert code == 1
         assert "sigma2" in capsys.readouterr().err
 
+    def test_dof_grid_rejects_negative_sigma2(self, tmp_path, capsys):
+        out = tmp_path / "dof"
+        code = main([
+            "dof-grid", "--n", "20", "--kernel", "exponential", "--sigma2", "-0.01",
+            "--eps-grid", "50:100:2", "--gamma-grid", "1:10:2", "--out", str(out),
+        ])
+        assert code == 1
+        assert "sigma2" in capsys.readouterr().err
+        rows = read_csv(f"{out}.csv")[1] if (tmp_path / "dof.csv").exists() else []
+        assert not any(row[-1] == "ok" for row in rows)
+
+    def test_fit_at_zero_noise_records_criterion_errors(self, tmp_path):
+        out = tmp_path / "fit"
+        code = main([
+            "fit", "--n", "20", "--kernel", "exponential", "--eps", "100",
+            "--sigma2", "0", "--out", str(out),
+        ])
+        assert code == 0
+        metrics = read_json(f"{out}.json")["metrics"]
+        assert metrics["dof"] == pytest.approx(20.0)
+        assert isinstance(metrics["nlml"], float)
+        for name in ("loo_mse", "loo_nll", "sure"):
+            assert metrics[name].startswith("error: "), name
+        assert "sigma2" in metrics["sure"]
+
+    @pytest.mark.parametrize(
+        "kernel, case",
+        [
+            (["--kernel", "matern", "--nu", "1.5"], "spline-regression"),
+            (["--kernel", "gaussian", "--dim", "2"], "penalized-polynomial"),
+        ],
+    )
+    def test_matched_factors_each_model_once(self, kernel, case, tmp_path, count_linalg):
+        eigh = count_linalg("eigh")
+        out = tmp_path / "matched"
+        code = main(
+            ["matched", "--n", "30", "--eps", "2.0", "--gamma", "5.0", "--out", str(out)] + kernel
+        )
+        assert code == 0
+        assert read_json(f"{out}.json")["metrics"]["case"] == case
+        # the source spectrum (its dof), the target (trace solve and fits) and
+        # the GP posterior; the target is never factored again at its gain
+        assert len(eigh) == 3
+
     def test_matched_summary(self, data_csv, tmp_path):
         out = tmp_path / "matched"
         code = main([

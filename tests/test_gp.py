@@ -80,6 +80,33 @@ class TestPosterior:
         assert exc.value.smallest_eigenvalue is not None
 
 
+class TestSpectrum:
+    def test_one_eigh_and_no_kernel_matrix_kept(self, setup, count_linalg):
+        X, _ = setup
+        eigh, qr, svd = count_linalg("eigh"), count_linalg("qr"), count_linalg("svd")
+        spec = GpSpectrum.from_kernel(Kernel.gaussian(epsilon=3.0), X, nugget=1e-6)
+        assert len(eigh) == 1 and not qr and not svd
+        assert spec.m == 0 and spec.L is None and spec.complement is None
+        assert spec.modes is spec.evecs
+
+    def test_gain_is_a_scalar(self, setup):
+        X, _ = setup
+        kern = Kernel.matern(1.5, epsilon=2.0)
+        spec = GpSpectrum.from_kernel(kern, X)
+        for g in (1e-3, 0.7, 40.0):
+            rescaled = GpSpectrum.from_kernel(kern.with_params(gamma=g), X)
+            assert spec.scaled(g).dof(0.1) == rescaled.dof(0.1) == spec.dof(0.1, gamma=g)
+
+    def test_gain_is_keyword_only(self, setup):
+        X, _ = setup
+        spec = GpSpectrum.from_kernel(Kernel.gaussian(epsilon=3.0), X)
+        with pytest.raises(TypeError):
+            spec.dof(2.0, 0.1)
+        with pytest.raises(TypeError):
+            spec.smoother(2.0, 0.1)
+        assert spec.dof(gamma=2.0, sigma2=0.1) == spec.scaled(2.0).dof(0.1)
+
+
 class TestSmoother:
     def test_tiny_noise_gives_identity(self):
         X = np.linspace(0, 1, 6)

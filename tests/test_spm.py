@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from flatgp import (
     Family,
+    GpSpectrum,
     Kernel,
     SemiParametricModel,
     cpd_check,
@@ -21,12 +22,18 @@ from flatgp import (
     spm_posterior_var,
     spm_smoother,
 )
-from flatgp.errors import DegenerateDesign, NegativeVariance, NotUnisolvent, UnreachableDof
+from flatgp.errors import (
+    DegenerateDesign,
+    IllConditioned,
+    NegativeVariance,
+    NotUnisolvent,
+    UnreachableDof,
+)
+from flatgp.flatlimit import absorbed_kernel_model
 from flatgp.spm import (
     augmented_smoother,
     factorize_model,
     solve_trace,
-    spm_filter_eigenvalues,
 )
 
 
@@ -78,6 +85,13 @@ class TestCpdCheck:
     def test_negative_distance_without_basis_fails(self):
         model = SemiParametricModel(Kernel.polyharmonic(1), d=1, basis_degree=-1)
         assert not cpd_check(model, np.array([0.0, 1.0]))
+
+    def test_tolerance_reads_the_scaled_eigenvalues(self):
+        # below unit scale the tolerance is absolute, so a tiny gain passes
+        model = SemiParametricModel(Kernel.polyharmonic(1), d=1, basis_degree=-1)
+        X = np.array([0.0, 1.0])
+        assert cpd_check(model.scaled(1e-12), X)
+        assert not cpd_check(model.scaled(1e3), X)
 
     def test_positive_definite_kernel_empty_basis(self, rng):
         model = SemiParametricModel(Kernel.gaussian(), d=1, basis_degree=-1)
@@ -505,7 +519,8 @@ class TestSolveTrace:
     def test_spline_penalty_route_reproduces_spline_dof(self, seed, n, r, log_eta):
         X = np.random.default_rng(seed).uniform(0, 1, n)
         target = spline_dof(X, r, 10.0**log_eta)
-        base, lam = spm_filter_eigenvalues(polyharmonic_spm(r, 1), X)
+        fac = factorize_model(polyharmonic_spm(r, 1), X)
+        base, lam = fac.m, fac.evals
         g, trace = solve_trace(lam, base, target, 1.0)
         # lam / (lam + eta) = g lam / (g lam + 1) with eta = 1 / g
         assert spline_dof(X, r, 1.0 / g) == pytest.approx(target, abs=1e-10 * n)
@@ -515,3 +530,145 @@ class TestSolveTrace:
     def test_nonpositive_sigma2_rejected(self, sigma2):
         with pytest.raises(ValueError, match="sigma2"):
             solve_trace(np.array([1.0, 0.5]), 0.0, 1.0, sigma2)
+
+
+def rescaled_pairs():
+    """Per case, ``pair(X, g)``: a factorization moved to gain factor g by
+    ``scaled``, and the same model rescaled by g and factored afresh."""
+    gauss = Kernel.gaussian(epsilon=3.0, gamma=1.7)
+
+    def gp(nugget):
+        return lambda X, g: (
+            GpSpectrum.from_kernel(gauss, X, nugget=nugget).scaled(g),
+            GpSpectrum.from_kernel(gauss.with_params(gamma=gauss.gamma * g), X, nugget=nugget),
+        )
+
+    def spm(make):
+        def pair(X, g):
+            model = make(X.shape[1])
+            return factorize_model(model, X).scaled(g), factorize_model(model.scaled(g), X)
+
+        return pair
+
+    return {
+        "gp": gp(0.0),
+        "gp-nugget": gp(1e-3),
+        "spm-empty-basis": spm(lambda d: SemiParametricModel(gauss, d=d)),
+        "polyharmonic-r1": spm(lambda d: polyharmonic_spm(1, d).scaled(0.6)),
+        "polyharmonic-r2": spm(lambda d: polyharmonic_spm(2, d)),
+        "absorbed-sum": spm(lambda d: absorbed_kernel_model(polyharmonic_spm(2, d), 0.7)),
+        "zero-kernel": spm(lambda d: SemiParametricModel(Kernel.zero(), d=d, basis_degree=1)),
+    }
+
+
+def outcome(fn):
+    """What ``fn()`` returns, or the type of the error it raises."""
+    try:
+        return fn()
+    except Exception as exc:  # both sides must fail alike
+        return type(exc)
+
+
+def assert_same(a, b):
+    if isinstance(a, type) or isinstance(b, type):
+        assert a is b
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for u, v in zip(a, b):
+            assert_same(u, v)
+    else:
+        assert np.array_equal(np.asarray(a), np.asarray(b))
+
+
+class TestSpectralCore:
+    @given(
+        case=st.sampled_from(sorted(rescaled_pairs())),
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2]),
+        extra=st.integers(1, 10),
+        log_g=st.floats(-6, 6),
+        log_sigma2=st.floats(-4, 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_scaled_equals_factoring_the_rescaled_model(
+        self, case, seed, d, extra, log_g, log_sigma2
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0, 1, size=(3 + extra, d))
+        try:
+            moved, fresh = rescaled_pairs()[case](X, 10.0**log_g)
+        except NotUnisolvent:
+            assume(False)
+        n, m = len(X), fresh.m
+        y, g, h = rng.normal(size=n), rng.normal(size=(n, 2)), rng.normal(size=(m, 2))
+        for sigma2 in (0.0, 10.0**log_sigma2):
+            for fac_call in (
+                lambda f: f.dof(sigma2),
+                lambda f: f.smoother(sigma2).matrix,
+                lambda f: f.solve(sigma2, g, h),
+                lambda f: f.fit(y, sigma2),
+            ):
+                assert_same(outcome(lambda: fac_call(moved)), outcome(lambda: fac_call(fresh)))
+
+    def test_scaled_shares_every_array(self, rng):
+        X = rng.uniform(0, 1, size=(12, 1))
+        for fac in (
+            factorize_model(polyharmonic_spm(2, 1), X),
+            GpSpectrum.from_kernel(Kernel.matern(1.5, epsilon=2.0), X),
+        ):
+            moved = fac.scaled(3.0)
+            assert moved.gain == 3.0 * fac.gain
+            for name, value in vars(fac).items():
+                if isinstance(value, np.ndarray):
+                    assert getattr(moved, name) is value, name
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2]),
+        n=st.integers(3, 15),
+        log_sigma2=st.floats(-3, 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_empty_basis_factorization_is_the_gp_spectrum(self, seed, d, n, log_sigma2):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0, 1, size=(n, d))
+        kernel = Kernel.matern(1.5, epsilon=2.0, gamma=1.7)
+        saddle = factorize_model(SemiParametricModel(kernel, d=d), X)
+        spectrum = GpSpectrum.from_kernel(kernel, X)
+        sigma2 = 10.0**log_sigma2
+        assert saddle.m == spectrum.m == 0
+        assert saddle.dof(sigma2) == pytest.approx(spectrum.dof(sigma2), abs=1e-12 * n)
+        np.testing.assert_allclose(
+            saddle.smoother(sigma2).matrix, spectrum.smoother(sigma2).matrix, rtol=0, atol=1e-12
+        )
+        y = rng.normal(size=n)
+        want = spectrum.solve(sigma2, y)[0]
+        np.testing.assert_allclose(
+            saddle.solve(sigma2, y)[0], want, rtol=0, atol=1e-12 * np.abs(want).max()
+        )
+
+    def test_sigma2_contracts(self, rng):
+        # the GP spectrum refuses a singular K + sigma2 I; the saddle path
+        # takes the pseudo-inverse
+        X = np.repeat(rng.uniform(0, 1, size=(4, 1)), 3, axis=0)  # each point thrice
+        kernel = Kernel.matern(1.5, epsilon=2.0)
+        with pytest.raises(IllConditioned):
+            GpSpectrum.from_kernel(kernel, X).dof(0.0)
+        assert factorize_model(SemiParametricModel(kernel, d=1), X).dof(0.0) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("sigma2", [-0.01, float("nan")])
+    @pytest.mark.parametrize("empty_basis", [True, False], ids=["gp", "saddle"])
+    def test_negative_sigma2_rejected(self, sigma2, empty_basis, rng):
+        X = rng.uniform(0, 1, size=(8, 1))
+        if empty_basis:
+            fac = GpSpectrum.from_kernel(Kernel.exponential(epsilon=50.0), X)
+        else:
+            fac = factorize_model(polyharmonic_spm(2, 1), X)
+        for call in (fac.dof, fac.smoother, lambda s: fac.solve(s, np.ones(8))):
+            with pytest.raises(ValueError, match="sigma2"):
+                call(sigma2)
+
+    def test_nlml_needs_the_gp_spectrum(self, rng):
+        X = rng.uniform(0, 1, size=(8, 1))
+        with pytest.raises(ValueError, match="GP spectrum"):
+            factorize_model(polyharmonic_spm(2, 1), X).nlml(np.ones(8), 0.1)
