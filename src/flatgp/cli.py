@@ -340,7 +340,8 @@ def cmd_converge(args):
     metrics = {
         "case": report.case.kind.value,
         "slope": report.slope_mean,
-        "slope_var": report.slope_var,
+        # an interpolating limit has no variance deviations to fit a slope to
+        "slope_var": report.slope_var if report.var_devs else None,
         "final_dev": report.final_dev,
         "matched_gain": report.matched_gain,
         "pass": report.passed,

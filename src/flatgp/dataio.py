@@ -2,7 +2,7 @@
 
 CSV outputs are long format: header row, comma separator, decimal point, and
 floats printed with 17 significant digits so re-parsing reproduces every value
-bit-exactly.
+bit-exactly.  JSON summaries are strict: they never hold NaN or infinity.
 """
 
 import csv
@@ -144,9 +144,11 @@ def write_csv(path, header, rows):
 
 
 def write_json(path, payload):
+    """Write ``payload`` as strict JSON: a NaN or infinity raises ValueError
+    before the file is opened, since strict parsers reject both."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _json_default(obj):

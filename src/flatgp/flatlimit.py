@@ -5,6 +5,11 @@ semi-parametric limit whose form depends only on p and the kernel regularity
 r: penalized polynomial regression (p even, p < 2r-1), unpenalized polynomial
 regression (p odd, p < 2r-1), (polyharmonic) spline regression (p = 2r-1), or
 interpolation (p > 2r-1, or a basis that already saturates the design).
+
+That limit is one semi-parametric model (SPM).  ``classify_limit`` names it,
+``_limit_model`` fixes the constant that the classification leaves free, and
+the limiting smoother, the convergence studies and the matched gain all
+factor that one exact model with the spectral core of ``spm``.
 """
 
 import enum
@@ -24,7 +29,6 @@ from .gp import GpSpectrum, gp_posteriors
 from .kernels import (
     Family,
     Kernel,
-    distance_power_matrix,
     kernel_cross,
     kernel_diag,
     leading_odd_coefficient,
@@ -37,7 +41,6 @@ from .polybasis import (
     count_poly_dim,
     enumerate_monomials,
     monomial_matrix,
-    vandermonde,
 )
 from .smoothers import SmootherMatrix
 from .spm import (
@@ -47,14 +50,10 @@ from .spm import (
     fit_factored,
     fit_spm,
     polyharmonic_spm,
-    project_out_basis,
     require_comparable,
     solve_trace,
     spm_smoother,
 )
-
-_EIG_KEEP_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ScaledKernelFamily:
@@ -181,70 +180,39 @@ def classify_limit(r, p: int, d: int, n: int = None, kernel: Kernel = None) -> L
     )
 
 
-def _require_prefix_rank(vblocks, upto_degree, d):
-    have = sum(vblocks.block_ranks[: upto_degree + 1])
-    need = count_poly_dim(upto_degree, d)
-    if have < need:
-        raise NotUnisolvent(
-            f"design is not unisolvent for monomials of degree <= {upto_degree}"
-        )
+def _limit_model(family: ScaledKernelFamily, case: LimitCase) -> SemiParametricModel:
+    """The exact limit SPM of ``family``: its classified model, with the
+    constant fixed where the classification leaves it free (``scale_free``).
+
+    The spline limit's kernel is f_{2r-1} ||x - y||^(2r-1), the polyharmonic
+    kernel times |f_{2r-1}| (``leading_odd_coefficient``); the Gaussian's
+    degree-m Wronskian-Schur block is (2^m / m!) (x^T y)^m, that constant
+    times the canonical polynomial kernel.
+    """
+    model = case.equivalent_model
+    if not case.scale_free:
+        return model
+    if case.kind is LimitCaseKind.SPLINE_REGRESSION:
+        return model.scaled(abs(leading_odd_coefficient(family.base)))
+    return model.scaled(2.0**case.m / math.factorial(case.m))
 
 
 def limiting_smoother(family: ScaledKernelFamily, X, sigma2: float) -> SmootherMatrix:
     """The eps -> 0 limit of the family's smoother matrix on the design.
 
-    Projection onto low-degree discrete polynomials, plus (in the penalized
-    and spline cases) filtered eigenmodes of the degree-m Wronskian block or
-    of the projected distance matrix f_{2r-1} Dtilde^(2r-1).
+    It is the smoother of the exact limit SPM (``_limit_model``) at
+    ``sigma2``, or the identity where the limit interpolates.  Designs that
+    are not unisolvent for the limit's basis raise NotUnisolvent.
     """
     design = as_design(X)
-    n, d = design.n, design.d
-    r = family.regularity
-    p = family.p
-    gamma0 = family.gamma0
-    finite_r = math.isfinite(r)
-    l = (p + 1) // 2 if p % 2 else p // 2
-
-    if count_poly_dim(l - 1, d) >= n or (finite_r and r < (p + 1) / 2):
-        return SmootherMatrix(np.eye(n))
-
-    if finite_r and p == 2 * r - 1:
-        rr = int(r)
-        vb = vandermonde(design, rr - 1)
-        _require_prefix_rank(vb, rr - 1, d)
-        Q = vb.q_prefix(rr - 1)
-        f_odd = leading_odd_coefficient(family.base)
-        D = distance_power_matrix(design, 2 * rr - 1)
-        Dt = project_out_basis(f_odd * D, Q)
-        lam, U = np.linalg.eigh(Dt)
-        keep = lam > _EIG_KEEP_TOL * max(1.0, float(np.abs(lam).max()))
-        lam, U = lam[keep], U[:, keep]
-        filt = gamma0 * lam / (gamma0 * lam + sigma2)
-        M = Q @ Q.T + (U * filt[None, :]) @ U.T
-        return SmootherMatrix(0.5 * (M + M.T))
-
-    if p % 2:  # odd: pure projector onto degree <= l-1
-        vb = vandermonde(design, l - 1)
-        _require_prefix_rank(vb, l - 1, d)
-        Q = vb.q_prefix(l - 1)
-        M = Q @ Q.T
-        return SmootherMatrix(0.5 * (M + M.T))
-
-    # even p = 2l: projector onto degree <= l-1 plus penalized degree-l block
-    vb = vandermonde(design, l)
-    if l > 0:
-        _require_prefix_rank(vb, l - 1, d)
-    A = vb.q_prefix(l - 1)
-    Ql = vb.q_block(l)
-    Wbar = np.asarray(_monomial_block_kernel(family.base, l, d).coef)
-    Vl = vb.blocks[l]
-    Pl = Ql @ Ql.T @ Vl @ Wbar @ Vl.T @ Ql @ Ql.T
-    lam, U = np.linalg.eigh(0.5 * (Pl + Pl.T))
-    keep = lam > _EIG_KEEP_TOL * max(1.0, float(np.abs(lam).max()))
-    lam, U = lam[keep], U[:, keep]
-    filt = gamma0 * lam / (gamma0 * lam + sigma2)
-    M = A @ A.T + (U * filt[None, :]) @ U.T
-    return SmootherMatrix(0.5 * (M + M.T))
+    case = classify_limit(
+        family.regularity, family.p, design.d, n=design.n, kernel=family.kernel_at(1.0)
+    )
+    if case.kind is LimitCaseKind.INTERPOLATION:
+        if not sigma2 >= 0:
+            raise ValueError(f"sigma2 must be nonnegative, got sigma2={sigma2}")
+        return SmootherMatrix(np.eye(design.n))
+    return factorize_model(_limit_model(family, case), design).smoother(sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -376,26 +344,6 @@ def check_pred_equiv(
     return ok, report
 
 
-def _match_smoother(target: SmootherMatrix, model, fac, sigma2, tol=1e-6):
-    """``model`` rescaled so its smoother's trace equals ``target``'s.
-
-    ``fac`` is the model's factorization.  The gain solves the trace equation
-    on its unit-gain eigenvalues, so the curve stays exact at extreme gains;
-    the rescaled smoother must then agree with ``target`` to ``tol``, or
-    NotProportional.  Returns the rescaled model, ``fac`` at the new gain, and
-    the gain.
-    """
-    try:
-        g, _ = solve_trace(fac.evals, fac.m, target.trace, sigma2)
-    except UnreachableDof as exc:
-        raise NotProportional(f"trace matching failed: {exc}") from exc
-    factor = g / model.kernel.gamma
-    scaled = fac.scaled(factor)
-    if float(np.abs(target.matrix - scaled.smoother(sigma2).matrix).max()) > tol:
-        raise NotProportional("traces match but smoothers differ; models are not proportional")
-    return model.scaled(factor), scaled, g
-
-
 def match_scale(
     model_a: SemiParametricModel,
     model_b: SemiParametricModel,
@@ -411,9 +359,18 @@ def match_scale(
     require_comparable(model_a, model_b)
     design = as_design(X)
     target = spm_smoother(model_a, design, sigma2)
-    _, _, g = _match_smoother(target, model_b, factorize_model(model_b, design), sigma2, tol)
+    fac = factorize_model(model_b, design)
+    # the gain solves the trace equation on the unit-gain eigenvalues, so the
+    # curve stays exact at extreme gains
+    try:
+        g, _ = solve_trace(fac.evals, fac.m, target.trace, sigma2)
+    except UnreachableDof as exc:
+        raise NotProportional(f"trace matching failed: {exc}") from exc
     # alpha multiplies model_b's kernel as given: <l_a, V> ~ <alpha l_b, V'>
-    return g / model_b.kernel.gamma
+    alpha = g / model_b.kernel.gamma
+    if float(np.abs(target.matrix - fac.scaled(alpha).smoother(sigma2).matrix).max()) > tol:
+        raise NotProportional("traces match but smoothers differ; models are not proportional")
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +379,7 @@ def match_scale(
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Per-epsilon deviations between a scaled family and its classified limit."""
+    """Per-epsilon deviations between a scaled family and its exact limit SPM."""
 
     case: LimitCase
     eps_values: tuple
@@ -444,20 +401,6 @@ def _loglog_slope(eps, devs):
     return float(np.polyfit(np.log(eps), np.log(devs), 1)[0])
 
 
-def _limit_model_for_study(family, case, X, sigma2):
-    """The comparison SPM with its gain set (trace-matched when scale-free),
-    its factorization on ``X``, and that gain."""
-    model = case.equivalent_model
-    fac = factorize_model(model, X)
-    if (
-        case.kind is LimitCaseKind.INTERPOLATION
-        or model.kernel.family is Family.ZERO
-        or not case.scale_free
-    ):
-        return model, fac, 1.0
-    return _match_smoother(limiting_smoother(family, X, sigma2), model, fac, sigma2)
-
-
 def convergence_study(
     family: ScaledKernelFamily,
     X,
@@ -476,7 +419,9 @@ def convergence_study(
     below ``tol``.  Ill-conditioned epsilons are dropped (recorded); fewer
     than three usable ones raise InsufficientGrid.
 
-    The limit model is factored once, and each epsilon's kernel matrix is
+    The limit is the exact limit SPM (``_limit_model``); ``matched_gain`` is
+    its gain where the classified model leaves the constant free, and 1.0
+    otherwise.  It is factored once, and each epsilon's kernel matrix is
     eigendecomposed once; every trial vector is solved against those.
     """
     eps_grid = [float(e) for e in eps_grid]
@@ -486,7 +431,9 @@ def convergence_study(
     case = classify_limit(
         family.regularity, family.p, design.d, n=design.n, kernel=family.kernel_at(1.0)
     )
-    limit_model, limit_fac, matched_gain = _limit_model_for_study(family, case, design, sigma2)
+    limit_model = _limit_model(family, case)
+    limit_fac = factorize_model(limit_model, design)
+    matched_gain = limit_model.kernel.gamma if case.scale_free else 1.0
     interpolation = case.kind is LimitCaseKind.INTERPOLATION
     limit_sigma2 = 0.0 if interpolation else sigma2
 

@@ -193,13 +193,10 @@ class SaddleFactorization:
 
     def scaled(self, factor: float) -> "SaddleFactorization":
         """The same factorization at gain ``gain * factor``; no array is copied."""
-        return self._with_gain(self.gain * factor)
-
-    def _with_gain(self, gain) -> "SaddleFactorization":
         # shares every field but the gain; skipping __init__ keeps this at
         # about a microsecond, since the grids move the gain once per cell
         moved = object.__new__(type(self))
-        moved.__dict__.update(vars(self), gain=gain)
+        moved.__dict__.update(vars(self), gain=self.gain * factor)
         return moved
 
     def _filter_terms(self, sigma2):
@@ -227,18 +224,13 @@ class SaddleFactorization:
         """modes diag(f) modes^T."""
         return (self.modes * f) @ self.modes.T
 
-    def dof(self, sigma2=0.0, *, gamma=None) -> float:
-        """Trace of the smoother: m + sum lam / (lam + sigma2).  ``gamma``, as
-        on ``smoother``, replaces the gain for this call."""
-        if gamma is not None:
-            return self._with_gain(gamma).dof(sigma2)
+    def dof(self, sigma2=0.0) -> float:
+        """Trace of the smoother: m + sum lam / (lam + sigma2)."""
         lam, denom = self._filter_terms(sigma2)
         return self.m + float(np.sum(lam / denom))
 
-    def smoother(self, sigma2=0.0, *, gamma=None) -> SmootherMatrix:
+    def smoother(self, sigma2=0.0) -> SmootherMatrix:
         """M = QQ^T + Ltilde (Ltilde + sigma2 I)^{-1} on the complement of span(V)."""
-        if gamma is not None:
-            return self._with_gain(gamma).smoother(sigma2)
         lam, denom = self._filter_terms(sigma2)
         M = self._filtered(lam / denom)
         if self.m:

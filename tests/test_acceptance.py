@@ -223,7 +223,7 @@ def test_c7_dof_formulas():
         for m in (1.5, 2.5, 3.5):
             g = isofreedom_gamma(Kernel.gaussian(), X8, sigma2, 0.1, m)
             spec = GpSpectrum.from_kernel(Kernel.gaussian(epsilon=0.1), X8)
-            assert abs(spec.dof(gamma=g, sigma2=sigma2) - m) <= 1e-10 * 8
+            assert abs(spec.scaled(g).dof(sigma2) - m) <= 1e-10 * 8
             curve = isofreedom_curve(
                 Kernel.gaussian(), X8, sigma2, m, np.geomspace(0.3, 0.03, 10)
             )
@@ -271,8 +271,8 @@ def test_c10_nugget_plateau():
         spec_nugget = GpSpectrum.from_kernel(kern, X, nugget=1e-6)
         spec_plain = GpSpectrum.from_kernel(kern, X)
         gammas = np.geomspace(1e8, 1e12, 5)  # well past the nugget scale s2/nu = 1e4
-        dof_nugget = [spec_nugget.dof(gamma=g, sigma2=sigma2) for g in gammas]
-        dof_plain = [spec_plain.dof(gamma=g, sigma2=sigma2) for g in gammas]
+        dof_nugget = [spec_nugget.scaled(g).dof(sigma2) for g in gammas]
+        dof_plain = [spec_plain.scaled(g).dof(sigma2) for g in gammas]
         nugget_steps = [abs(b - a) for a, b in zip(dof_nugget, dof_nugget[1:])]
         plain_steps = [abs(b - a) for a, b in zip(dof_plain, dof_plain[1:])]
         assert max(nugget_steps) < 1e-3, nugget_steps

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flatgp.cli import main
-from flatgp.dataio import Dataset, format_float, parse_dataset, write_dataset
+from flatgp.dataio import Dataset, format_float, parse_dataset, write_dataset, write_json
 from flatgp.errors import DatasetError, EmptyDataset
 from flatgp.polybasis import Design
 
@@ -180,6 +180,30 @@ class TestCommands:
         summary = read_json(f"{out}.json")
         assert summary["metrics"]["slope"] >= 0.8
         assert summary["metrics"]["pass"] is True
+
+    def test_converge_interpolation_summary_is_strict_json(self, tmp_path):
+        # an interpolating limit has no variance deviations: slope_var is null
+        out = tmp_path / "conv"
+        code = main([
+            "converge", "--n", "12", "--kernel", "exponential", "--p", "3",
+            "--eps-grid", "0.2:0.05:3", "--out", str(out),
+        ])
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        with open(f"{out}.json") as fh:
+            summary = json.load(fh, parse_constant=reject)
+        assert summary["metrics"]["case"] == "interpolation"
+        assert summary["metrics"]["slope_var"] is None
+
+    def test_write_json_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "summary.json"
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                write_json(path, {"metrics": {"slope": bad}})
+        assert not path.exists()
 
     def test_isofreedom_outputs_near_integer_slope(self, data_csv, tmp_path):
         out = tmp_path / "iso"

@@ -42,7 +42,7 @@ class TestIsofreedomGamma:
         for m in (1.3, 4.5, 7.2):
             g = isofreedom_gamma(kern, X, 0.05, 0.4, m)
             spec = GpSpectrum.from_kernel(kern.with_params(epsilon=0.4), X)
-            assert abs(spec.dof(gamma=g, sigma2=0.05) - m) <= 1e-10 * 9
+            assert abs(spec.scaled(g).dof(0.05) - m) <= 1e-10 * 9
 
     def test_target_at_n_unreachable(self, rng):
         X = np.sort(rng.uniform(0, 1, 6))

@@ -13,16 +13,22 @@ from flatgp import (
     check_pred_equiv,
     classify_limit,
     convergence_study,
+    distance_power_matrix,
     gp_smoother,
+    leading_odd_coefficient,
     limiting_smoother,
     match_scale,
     polyharmonic_spm,
     prediction_curve,
+    project_out_basis,
     recombined_basis_model,
     spm_smoother,
     vandermonde,
+    wronskian,
+    wronskian_schur,
 )
-from flatgp.errors import IncomparableModels, InsufficientGrid, NotProportional
+from flatgp.errors import IncomparableModels, InsufficientGrid, NotProportional, NotUnisolvent
+from flatgp.flatlimit import _limit_model, _monomial_block_kernel
 
 
 class TestClassify:
@@ -189,6 +195,118 @@ class TestLimitingSmoother:
             assert np.abs(slopes - predicted).max() <= 0.3
 
 
+def _dense_limit_smoother(family, X, sigma2):
+    """The flat-limit smoother from Vandermonde blocks, independently of the SPM
+    code: the projector A A^T onto degrees < l plus the filtered eigenmodes of
+    the projected distance matrix f_{2r-1} P D^(2r-1) P (p = 2r - 1), or of the
+    degree-l Wronskian-Schur block on the degree-l increment (even p)."""
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    r, p, gamma0 = family.regularity, family.p, family.gamma0
+    l = (p + 1) // 2
+
+    def filtered(A, B):
+        lam, U = np.linalg.eigh(0.5 * (B + B.T))
+        keep = lam > 1e-12 * max(1.0, np.abs(lam).max())
+        lam, U = lam[keep], U[:, keep]
+        return A @ A.T + (U * (gamma0 * lam / (gamma0 * lam + sigma2))) @ U.T
+
+    if math.isfinite(r) and p > 2 * r - 1:
+        return np.eye(n)
+    if p == 2 * r - 1:
+        Q = vandermonde(X, r - 1).q_prefix(r - 1)
+        D = leading_odd_coefficient(family.base) * distance_power_matrix(X, p)
+        return filtered(Q, project_out_basis(D, Q))
+    if p % 2:
+        Q = vandermonde(X, l - 1).q_prefix(l - 1)
+        return Q @ Q.T
+    vb = vandermonde(X, l)
+    Ql, Vl = vb.q_block(l), vb.blocks[l]
+    unit = family.base.with_params(epsilon=1.0, gamma=1.0)
+    Wbar = wronskian_schur(wronskian(unit, l, d), l)
+    B = Ql @ Ql.T @ Vl @ Wbar @ Vl.T @ Ql @ Ql.T
+    return filtered(vb.q_prefix(l - 1), B)
+
+
+class TestExactLimit:
+    @pytest.mark.parametrize(
+        "kernel,p,d,n",
+        [
+            (Kernel.exponential(), 1, 1, 20),  # spline
+            (Kernel.matern(1.5), 3, 1, 20),  # spline
+            (Kernel.matern(1.5), 3, 2, 25),  # spline, d=2
+            (Kernel.gaussian(), 0, 2, 20),  # Gaussian penalized constant
+            (Kernel.gaussian(), 2, 1, 20),  # Gaussian penalized
+            (Kernel.gaussian(), 4, 2, 30),  # Gaussian penalized
+            (Kernel.matern(2.5), 2, 1, 20),  # Matern penalized
+            (Kernel.matern(2.5), 2, 2, 25),  # Matern penalized
+            (Kernel.gaussian(), 3, 2, 20),  # odd
+            (Kernel.matern(2.5), 3, 1, 20),  # odd
+            (Kernel.gaussian(), 15, 1, 8),  # saturated
+            (Kernel.exponential(), 2, 1, 12),  # p > 2r-1
+        ],
+    )
+    @pytest.mark.parametrize("gamma0,sigma2", [(1.0, 0.01), (2.0, 0.3)])
+    def test_limiting_smoother_matches_dense_reference(self, kernel, p, d, n, gamma0, sigma2, rng):
+        X = rng.uniform(0, 1, size=(n, d))
+        family = ScaledKernelFamily(kernel, p=p, gamma0=gamma0)
+        M = limiting_smoother(family, X, sigma2).matrix
+        np.testing.assert_allclose(M, _dense_limit_smoother(family, X, sigma2), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_gaussian_even_constant_is_the_wronskian_block(self, d, m, rng):
+        # the exact Gaussian limit is (2^m / m!) (x^T y)^m: the degree-m
+        # Wronskian-Schur block kernel, at gain gamma0
+        X = rng.uniform(0, 1, size=(24, d))
+        gamma0, sigma2 = 1.3, 0.05
+        family = ScaledKernelFamily(Kernel.gaussian(), p=2 * m, gamma0=gamma0)
+        case = classify_limit(math.inf, 2 * m, d, n=len(X), kernel=family.kernel_at(1.0))
+        assert case.scale_free
+        block = _monomial_block_kernel(Kernel.gaussian(), m, d).with_params(gamma=gamma0)
+        wmodel = SemiParametricModel(block, d=d, basis_degree=m - 1)
+        np.testing.assert_allclose(
+            spm_smoother(_limit_model(family, case), X, sigma2).matrix,
+            spm_smoother(wmodel, X, sigma2).matrix,
+            rtol=0,
+            atol=1e-10,
+        )
+
+    def test_matched_gain_is_the_exact_gaussian_constant(self, rng):
+        X = rng.uniform(0, 1, size=(20, 2))
+        xq = rng.uniform(0, 1, size=(5, 2))
+        gamma0 = 0.7
+        family = ScaledKernelFamily(Kernel.gaussian(), p=2, gamma0=gamma0)
+        report = convergence_study(family, X, xq, [0.2, 0.1, 0.05], 0.01, num_trials=1)
+        assert report.matched_gain == pytest.approx(2.0 * gamma0, rel=1e-12)
+
+    @pytest.mark.parametrize("kernel", [Kernel.gaussian(), Kernel.matern(1.5)])
+    def test_collinear_design_is_not_unisolvent(self, kernel):
+        # p=3 needs the linear monomials, which points on a line do not separate
+        t = np.linspace(0, 1, 12)
+        X = np.column_stack([t, 0.5 - 2.0 * t])
+        family = ScaledKernelFamily(kernel, p=3)
+        with pytest.raises(NotUnisolvent):
+            limiting_smoother(family, X, 0.01)
+        with pytest.raises(NotUnisolvent):
+            convergence_study(family, X, X[:3], [0.2, 0.1, 0.05], 0.01)
+
+    @pytest.mark.parametrize(
+        "kernel,p",
+        [
+            (Kernel.matern(1.5), 3),  # spline
+            (Kernel.gaussian(), 2),  # penalized
+            (Kernel.gaussian(), 3),  # odd
+            (Kernel.exponential(), 2),  # interpolation
+        ],
+    )
+    @pytest.mark.parametrize("sigma2", [-0.01, math.nan])
+    def test_limiting_smoother_rejects_bad_sigma2(self, kernel, p, sigma2, rng):
+        X = np.sort(rng.uniform(0, 1, 10))
+        with pytest.raises(ValueError, match="sigma2"):
+            limiting_smoother(ScaledKernelFamily(kernel, p=p), X, sigma2)
+
+
 class TestPredEquiv:
     def test_kernel_absorption(self, rng):
         X = np.sort(rng.uniform(0, 1, 8))
@@ -330,11 +448,36 @@ class TestWorkCounts:
             convergence_study(family, X, xq, eps_grid, 0.01, num_trials=num_trials)
             return len(eigh)
 
-        # exponential p=1 is scale-free: one eigh for the limiting smoother, one
-        # for the limit model (reused at its matched gain), then one per epsilon
-        assert count([0.2, 0.1, 0.05], 1) == 2 + 3
-        assert count([0.2, 0.1, 0.05, 0.025, 0.0125], 1) == 2 + 5
-        assert count([0.2, 0.1, 0.05], 6) == 2 + 3
+        # exponential p=1 is scale-free: one eigh for the exact limit model, then
+        # one per epsilon
+        assert count([0.2, 0.1, 0.05], 1) == 1 + 3
+        assert count([0.2, 0.1, 0.05, 0.025, 0.0125], 1) == 1 + 5
+        assert count([0.2, 0.1, 0.05], 6) == 1 + 3
+
+    def test_convergence_study_one_eigh_per_eps_gaussian_d2(self, count_linalg, rng):
+        X = rng.uniform(0, 1, size=(15, 2))
+        xq = rng.uniform(0, 1, size=(6, 2))
+        family = ScaledKernelFamily(Kernel.gaussian(), p=2)
+        eigh = count_linalg("eigh")
+
+        def count(eps_grid, num_trials):
+            eigh.clear()
+            convergence_study(family, X, xq, eps_grid, 0.01, num_trials=num_trials)
+            return len(eigh)
+
+        # the Gaussian penalized limit is scale-free too: its constant is exact
+        assert count([0.2, 0.1, 0.05], 1) == 1 + 3
+        assert count([0.2, 0.1, 0.05, 0.025], 4) == 1 + 4
+
+    @pytest.mark.parametrize(
+        "kernel,p,d",
+        [(Kernel.matern(1.5), 3, 1), (Kernel.gaussian(), 2, 2), (Kernel.matern(2.5), 2, 2)],
+    )
+    def test_limiting_smoother_one_eigh(self, count_linalg, rng, kernel, p, d):
+        X = rng.uniform(0, 1, size=(15, d))
+        eigh = count_linalg("eigh")
+        limiting_smoother(ScaledKernelFamily(kernel, p=p), X, 0.01)
+        assert len(eigh) == 1
 
 
 class TestPredictionCurve:

@@ -95,7 +95,7 @@ class TestSpectrum:
         spec = GpSpectrum.from_kernel(kern, X)
         for g in (1e-3, 0.7, 40.0):
             rescaled = GpSpectrum.from_kernel(kern.with_params(gamma=g), X)
-            assert spec.scaled(g).dof(0.1) == rescaled.dof(0.1) == spec.dof(0.1, gamma=g)
+            assert spec.scaled(g).dof(0.1) == rescaled.dof(0.1)
 
     def test_gain_is_keyword_only(self, setup):
         X, _ = setup
@@ -104,7 +104,6 @@ class TestSpectrum:
             spec.dof(2.0, 0.1)
         with pytest.raises(TypeError):
             spec.smoother(2.0, 0.1)
-        assert spec.dof(gamma=2.0, sigma2=0.1) == spec.scaled(2.0).dof(0.1)
 
 
 class TestSmoother:
@@ -138,7 +137,7 @@ class TestSmoother:
         X, _ = setup
         spec = GpSpectrum.from_kernel(Kernel.gaussian(epsilon=1.0), X)
         gammas = np.geomspace(1e-3, 1e3, 13)
-        dofs = [spec.dof(gamma=g, sigma2=0.1) for g in gammas]
+        dofs = [spec.scaled(g).dof(0.1) for g in gammas]
         assert all(b >= a - 1e-12 for a, b in zip(dofs, dofs[1:]))
 
 
