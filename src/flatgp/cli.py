@@ -26,10 +26,10 @@ from .flatlimit import (
     prediction_curve,
     recombined_basis_model,
 )
-from .gp import GpSpectrum, gp_posterior, loo_mse, loo_nll, nlml, sure
+from .gp import GpSpectrum, loo_mse, loo_nll, sure
 from .kernels import Kernel
 from .polybasis import Design
-from .spm import SemiParametricModel, fit_spm
+from .spm import SemiParametricModel, factorize_model, fit_factored
 
 
 def _threads():
@@ -139,15 +139,15 @@ def _emit(args, command, metrics, csv_header=None, csv_rows=None, errors=()):
 
 def cmd_fit(args):
     ds = _load_data(args)
-    kern = _make_kernel(args)
-    M = GpSpectrum.from_kernel(kern, ds.X, nugget=args.nugget).smoother(args.sigma2)
+    spec = GpSpectrum.from_kernel(_make_kernel(args), ds.X, nugget=args.nugget)
+    M = spec.smoother(args.sigma2)
     fitted = M.fitted(ds.y)
     metrics = {"dof": M.trace, "n": ds.n, "d": ds.d}
     evaluations = {
         "loo_mse": lambda: loo_mse(M, ds.y).value,
         "loo_nll": lambda: loo_nll(M, ds.y, args.sigma2).value,
         "sure": lambda: sure(M, ds.y, args.sigma2).value,
-        "nlml": lambda: nlml(kern, ds.X, ds.y, args.sigma2, nugget=args.nugget).value,
+        "nlml": lambda: spec.nlml(ds.y, args.sigma2),
     }
     for name, fn in evaluations.items():
         try:
@@ -167,16 +167,17 @@ def cmd_fit(args):
 def cmd_predict(args):
     ds = _load_data(args)
     query = _parse_query(args.query, ds)
-    if args.basis_degree is not None or args.kernel == "zero":
-        degree = args.basis_degree if args.basis_degree is not None else 0
-        model = SemiParametricModel(_make_kernel(args), d=ds.d, basis_degree=degree)
-        fit = fit_spm(model, ds.X, ds.y, args.sigma2)
-        mean = fit.predict(query)
-        var = fit.predict_var(query)
+    kern = _make_kernel(args)
+    if args.basis_degree is None and args.kernel != "zero":
+        model = SemiParametricModel(kern, d=ds.d)
+        fac = GpSpectrum.from_kernel(kern, ds.X, nugget=args.nugget)
     else:
-        mean, var = gp_posterior(
-            _make_kernel(args), ds.X, ds.y, args.sigma2, query, nugget=args.nugget
-        )
+        if args.nugget:
+            raise FlatGpError("--nugget is for the GP alone; a model with a basis takes none")
+        degree = args.basis_degree if args.basis_degree is not None else 0
+        model = SemiParametricModel(kern, d=ds.d, basis_degree=degree)
+        fac = factorize_model(model, ds.X)
+    mean, var = fit_factored(model, ds.X, fac, ds.y, args.sigma2).posterior(query)
     header = [f"x{j + 1}" for j in range(ds.d)] + ["mean", "variance"]
     rows = [
         [format_float(v) for v in query[i]] + [format_float(mean[i]), format_float(var[i])]
@@ -274,9 +275,9 @@ def cmd_matched(args):
     kern = _make_kernel(args)
     approx = matched_approximation(kern, args.eps, args.gamma, args.sigma2, ds.X)
     query = _parse_query(args.query, ds)
-    mean_src, var_src = gp_posterior(kern, ds.X, ds.y, args.sigma2, query)
-    mean_tgt = approx.predict(ds.y, query)
-    var_tgt = approx.predict_var(ds.y, query)
+    gp = fit_factored(SemiParametricModel(kern, d=ds.d), ds.X, approx.source, ds.y, args.sigma2)
+    mean_src, var_src = gp.posterior(query)
+    mean_tgt, var_tgt = approx.fit(ds.y).posterior(query)
     header = [f"x{j + 1}" for j in range(ds.d)] + [
         "gp_mean", "gp_variance", "matched_mean", "matched_variance",
     ]
@@ -380,7 +381,7 @@ def cmd_nugget_compare(args):
     gamma_grid = _parse_grid(args.gamma_grid)
     rows = []
     errors = []
-    for variant, nug in (("nugget", args.nugget or 1e-6), ("plain", 0.0)):
+    for variant, nug in (("nugget", args.nugget), ("plain", 0.0)):
         spec = GpSpectrum.from_kernel(kern.with_params(epsilon=args.eps), ds.X, nugget=nug)
         for g in gamma_grid:
             try:
@@ -396,7 +397,8 @@ def cmd_nugget_compare(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp, query=False, grids=()):
+def _add_common(sp, query=False, grids=(), nugget=None):
+    """The shared options; ``--nugget`` (default ``nugget``) only where given."""
     sp.add_argument("--data", help="CSV dataset (features then target column)")
     sp.add_argument("--y-col", help="name of the target column")
     sp.add_argument("--n", type=int, help="synthesize n points when --data absent")
@@ -404,7 +406,8 @@ def _add_common(sp, query=False, grids=()):
     sp.add_argument("--kernel", default="gaussian", choices=["gaussian", "exponential", "matern", "zero"])
     sp.add_argument("--nu", type=float, help="matern smoothness (half-integer)")
     sp.add_argument("--sigma2", type=float, default=0.01)
-    sp.add_argument("--nugget", type=float, default=0.0)
+    if nugget is not None:
+        sp.add_argument("--nugget", type=float, default=nugget)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True, help="output path prefix")
     sp.add_argument("--format", default="csv", choices=["csv", "json"], help="primary output format")
@@ -419,24 +422,24 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("fit", help="fit on the design and report criteria")
-    _add_common(sp)
+    _add_common(sp, nugget=0.0)
     sp.add_argument("--eps", type=float, default=1.0)
     sp.add_argument("--gamma", type=float, default=1.0)
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("predict", help="posterior mean/variance at query points")
-    _add_common(sp, query=True)
+    _add_common(sp, query=True, nugget=0.0)
     sp.add_argument("--eps", type=float, default=1.0)
     sp.add_argument("--gamma", type=float, default=1.0)
     sp.add_argument("--basis-degree", type=int, help="add unpenalized monomials up to this degree")
     sp.set_defaults(func=cmd_predict)
 
     sp = sub.add_parser("dof-grid", help="degrees of freedom over an (eps, gamma) grid")
-    _add_common(sp, grids=("--eps-grid", "--gamma-grid"))
+    _add_common(sp, grids=("--eps-grid", "--gamma-grid"), nugget=0.0)
     sp.set_defaults(func=cmd_dof_grid)
 
     sp = sub.add_parser("criteria-grid", help="selection criteria over an (eps, gamma) grid")
-    _add_common(sp, grids=("--eps-grid", "--gamma-grid"))
+    _add_common(sp, grids=("--eps-grid", "--gamma-grid"), nugget=0.0)
     sp.set_defaults(func=cmd_criteria_grid)
 
     sp = sub.add_parser("isofreedom", help="gamma(eps) at fixed degrees of freedom")
@@ -472,7 +475,7 @@ def build_parser():
     sp.set_defaults(func=cmd_pred_curve)
 
     sp = sub.add_parser("nugget-compare", help="dof(gamma) with and without a nugget term")
-    _add_common(sp, grids=("--gamma-grid",))
+    _add_common(sp, grids=("--gamma-grid",), nugget=1e-6)
     sp.add_argument("--eps", type=float, required=True)
     sp.set_defaults(func=cmd_nugget_compare)
 

@@ -17,16 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientGrid, UnreachableDof
-from .flatlimit import LimitCaseKind, _monomial_block_kernel
+from .flatlimit import LimitCaseKind, classify_limit
 from .gp import GpSpectrum
 from .kernels import Kernel, regularity
 from .polybasis import as_design, count_poly_dim
 from .spm import (
     SaddleFactorization,
     SemiParametricModel,
+    SpmFit,
     factorize_model,
     fit_factored,
-    polyharmonic_spm,
     solve_trace,
 )
 
@@ -95,9 +95,10 @@ def isofreedom_curve(kernel: Kernel, X, sigma2: float, m: float, eps_grid) -> Is
 class MatchedApproximation:
     """A flat-limit model tuned to the source GP's degrees of freedom.
 
-    Predictions from the target use ``penalty`` in place of the noise variance
-    (for spline targets this is the tuned eta; for polynomial targets the
-    source sigma2 with the gain folded into the kernel).
+    ``source`` is the source GP's spectrum, ``factorization`` the target's.
+    Fits of the target (``fit``) use ``penalty`` in place of the noise
+    variance (for spline targets this is the tuned eta; for polynomial
+    targets the source sigma2 with the gain folded into the kernel).
     """
 
     source_kernel: Kernel
@@ -108,86 +109,63 @@ class MatchedApproximation:
     penalty: float
     achieved_dof: float
     source_dof: float
+    source: SaddleFactorization
     factorization: SaddleFactorization
 
-    def _fit(self, y):
+    def fit(self, y) -> SpmFit:
+        """The target fitted to ``y`` against its stored factorization."""
         return fit_factored(self.target, self.design, self.factorization, y, self.penalty)
-
-    def predict(self, y, query_points):
-        return self._fit(y).predict(query_points)
-
-    def predict_var(self, y, query_points):
-        return self._fit(y).predict_var(query_points)
 
 
 def matched_approximation(kernel: Kernel, eps: float, gamma: float, sigma2: float, X) -> MatchedApproximation:
     """Follow the isofreedom curve from (eps, gamma) down to its flat limit.
 
-    For infinitely smooth kernels the target is a penalized polynomial model
-    whose gain is tuned so the target smoother's trace equals the source dof;
-    for finite regularity r the target is the order-r polyharmonic spline
-    model with its penalty tuned through the spline dof formula, falling back
-    to the polynomial cases when the dof sits below the spline's floor.
+    The target is the flat limit (``classify_limit``) at the exponent p the
+    source dof m selects.  With P_j the dimension of polynomials of degree
+    <= j: for finite regularity r and m >= P_{r-1}, p = 2r - 1, the order-r
+    spline, its penalty tuned through the spline dof formula; otherwise, with
+    P_{k-1} <= m < P_k, p = 2k - 1 (unpenalized, degree k - 1) where
+    m = P_{k-1} and p = 2k (penalized by the degree-k block, its gain tuned
+    to trace m) elsewhere.
     """
     design = as_design(X)
     src = kernel.with_params(epsilon=eps, gamma=gamma)
-    m = GpSpectrum.from_kernel(src, design).dof(sigma2)
+    source = GpSpectrum.from_kernel(src, design)
+    m = source.dof(sigma2)
     if not 0 < m < design.n - 1e-9:
         raise UnreachableDof(f"source dof {m:.6g} outside (0, n)")
 
     r = regularity(kernel)
     d = design.d
-    spline_floor = count_poly_dim(int(r) - 1, d) if math.isfinite(r) else None
-
-    if math.isfinite(r) and m >= spline_floor:
-        target = polyharmonic_spm(int(r), d)
-        fac = factorize_model(target, design)
+    if math.isfinite(r) and m >= count_poly_dim(int(r) - 1, d):
+        p_flat = 2 * int(r) - 1
+    else:
+        k = 0
+        while count_poly_dim(k, d) <= m + 1e-9:
+            k += 1
+        p_flat = 2 * k - 1 if abs(m - count_poly_dim(k - 1, d)) <= 1e-9 else 2 * k
+    case = classify_limit(r, p_flat, d, kernel=kernel.with_params(epsilon=1.0, gamma=1.0))
+    target = case.equivalent_model
+    fac = factorize_model(target, design)
+    penalty = sigma2
+    if case.kind is LimitCaseKind.UNPENALIZED_POLYNOMIAL:
+        achieved = float(fac.m)
+    elif case.kind is LimitCaseKind.SPLINE_REGRESSION:
         # the penalty eta = 1 / g: lam / (lam + eta) = g lam / (g lam + 1)
         g, achieved = solve_trace(fac.evals, fac.m, m, 1.0)
-        return MatchedApproximation(
-            source_kernel=src,
-            sigma2=sigma2,
-            design=design,
-            case=LimitCaseKind.SPLINE_REGRESSION,
-            target=target,
-            penalty=1.0 / g,
-            achieved_dof=achieved,
-            source_dof=m,
-            factorization=fac,
-        )
-
-    # polynomial regime: largest complete graded block below m
-    p = 0
-    while count_poly_dim(p, d) <= m + 1e-9:
-        p += 1
-    # m sits in [P_{p-1,d}, P_{p,d}); the degree-p block carries the fraction
-    if abs(m - count_poly_dim(p - 1, d)) <= 1e-9:
-        target = SemiParametricModel(Kernel.zero(), d=d, basis_degree=p - 1)
-        achieved = float(count_poly_dim(p - 1, d))
-        return MatchedApproximation(
-            source_kernel=src,
-            sigma2=sigma2,
-            design=design,
-            case=LimitCaseKind.UNPENALIZED_POLYNOMIAL,
-            target=target,
-            penalty=sigma2,
-            achieved_dof=achieved,
-            source_dof=m,
-            factorization=factorize_model(target, design),
-        )
-    unit_target = SemiParametricModel(
-        _monomial_block_kernel(kernel, p, d), d=d, basis_degree=p - 1
-    )
-    unit_fac = factorize_model(unit_target, design)
-    g, achieved = solve_trace(unit_fac.evals, unit_fac.m, m, sigma2)
+        penalty = 1.0 / g
+    else:
+        g, achieved = solve_trace(fac.evals, fac.m, m, sigma2)
+        target, fac = target.scaled(g), fac.scaled(g)
     return MatchedApproximation(
         source_kernel=src,
         sigma2=sigma2,
         design=design,
-        case=LimitCaseKind.PENALIZED_POLYNOMIAL,
-        target=unit_target.scaled(g),
-        penalty=sigma2,
+        case=case.kind,
+        target=target,
+        penalty=penalty,
         achieved_dof=achieved,
         source_dof=m,
-        factorization=unit_fac.scaled(g),
+        source=source,
+        factorization=fac,
     )

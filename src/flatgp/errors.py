@@ -21,10 +21,6 @@ class NotUnisolvent(FlatGpError):
     """The design does not determine the parametric basis (rank-deficient V)."""
 
 
-class SingularSystem(FlatGpError):
-    """A saddle-point system could not be solved."""
-
-
 class NegativeVariance(FlatGpError):
     """A predictive variance fell below round-off level; likely a CPD violation."""
 

@@ -21,11 +21,12 @@ import numpy as np
 from .errors import (
     IllConditioned,
     InsufficientGrid,
+    NegativeVariance,
     NotProportional,
     NotUnisolvent,
     UnreachableDof,
 )
-from .gp import GpSpectrum, gp_posteriors
+from .gp import GpSpectrum
 from .kernels import (
     Family,
     Kernel,
@@ -321,10 +322,10 @@ def check_pred_equiv(
         y = rng.normal(size=design.n)
         sigma2 = float(10.0 ** rng.uniform(-2, 0.5))
         x_new = rng.uniform(lo, hi)[None, :]
-        fa = fit_factored(model_a, design, fac_a, y, sigma2)
-        fb = fit_factored(model_b, design, fac_b, y, sigma2)
-        dev_mean = max(dev_mean, float(np.abs(fa.predict(x_new) - fb.predict(x_new)).max()))
-        dev_var = max(dev_var, float(np.abs(fa.predict_var(x_new) - fb.predict_var(x_new)).max()))
+        mean_a, var_a = fit_factored(model_a, design, fac_a, y, sigma2).posterior(x_new)
+        mean_b, var_b = fit_factored(model_b, design, fac_b, y, sigma2).posterior(x_new)
+        dev_mean = max(dev_mean, float(np.abs(mean_a - mean_b).max()))
+        dev_var = max(dev_var, float(np.abs(var_a - var_b).max()))
         Ma = fac_a.smoother(sigma2)
         Mb = fac_b.smoother(sigma2)
         dev_smoother = max(dev_smoother, float(np.abs(Ma.matrix - Mb.matrix).max()))
@@ -416,13 +417,17 @@ def convergence_study(
     Random data vectors are drawn with the recorded seed; deviations are max
     absolute differences of predictive means and variances over the query
     points.  Pass requires a fitted log-log slope >= 0.8 and a final deviation
-    below ``tol``.  Ill-conditioned epsilons are dropped (recorded); fewer
+    below ``tol``.  Epsilons whose GP is ill-conditioned or has a predictive
+    variance below round-off (NegativeVariance) are dropped (recorded); fewer
     than three usable ones raise InsufficientGrid.
 
     The limit is the exact limit SPM (``_limit_model``); ``matched_gain`` is
     its gain where the classified model leaves the constant free, and 1.0
     otherwise.  It is factored once, and each epsilon's kernel matrix is
-    eigendecomposed once; every trial vector is solved against those.
+    eigendecomposed once; the trial vectors are fitted at once, as the
+    columns of one right-hand side, against those.  An interpolating limit
+    has no predictive variance to compare (at sigma2 = 0 it is zero up to
+    round-off), so only means are compared there.
     """
     eps_grid = [float(e) for e in eps_grid]
     if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
@@ -438,23 +443,26 @@ def convergence_study(
     limit_sigma2 = 0.0 if interpolation else sigma2
 
     rng = np.random.default_rng(seed)
-    ys = rng.normal(size=(num_trials, design.n))
-    limit_fits = [fit_factored(limit_model, design, limit_fac, y, limit_sigma2) for y in ys]
-    limit_means = [f.predict(query_points) for f in limit_fits]
-    if not interpolation:
-        limit_var = limit_fits[0].predict_var(query_points)
+    # one trial vector per column
+    ys = rng.normal(size=(num_trials, design.n)).T
+    limit = fit_factored(limit_model, design, limit_fac, ys, limit_sigma2)
+    if interpolation:
+        limit_means = limit.predict(query_points)
+    else:
+        limit_means, limit_var = limit.posterior(query_points)
 
     used, dropped, mean_devs, var_devs = [], [], [], []
     for eps in eps_grid:
+        kernel = family.kernel_at(eps)
         try:
-            means, var = gp_posteriors(family.kernel_at(eps), design, ys, sigma2, query_points)
-        except IllConditioned:
+            spec = GpSpectrum.from_kernel(kernel, design)
+            gp = fit_factored(SemiParametricModel(kernel, design.d), design, spec, ys, sigma2)
+            means, var = gp.posterior(query_points)
+        except (IllConditioned, NegativeVariance):
             dropped.append(eps)
             continue
         used.append(eps)
-        mean_devs.append(
-            max((float(np.abs(m - lm).max()) for m, lm in zip(means, limit_means)), default=0.0)
-        )
+        mean_devs.append(float(np.abs(means - limit_means).max(initial=0.0)))
         if not interpolation:
             var_devs.append(float(np.abs(var - limit_var).max()))
     if len(used) < 3:

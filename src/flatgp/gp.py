@@ -1,12 +1,14 @@
 """Non-parametric GP regression, its smoother matrix, and selection criteria.
 
-The smoother of a GP with gain gamma and noise sigma2 filters each eigenmode
-of the unit-gain kernel matrix by lambda / (lambda + sigma2 / gamma).  That
-eigendecomposition is the spectral core of ``spm`` with an empty basis
-(``GpSpectrum``, the same type as ``spm.SaddleFactorization``): posteriors,
-smoothers and the marginal likelihood here are solves and filters against
-it, and one spectrum serves every gamma of a grid.  This module adds the
-selection criteria, which read the smoother matrix only.
+A GP is the semi-parametric model of ``spm`` with an empty basis.  Its
+spectrum, ``GpSpectrum`` (the same type as ``spm.SaddleFactorization``,
+built by ``from_kernel``), is the eigendecomposition of the unit-gain kernel
+matrix; the smoother with gain gamma and noise sigma2 filters each of its
+modes by lambda / (lambda + sigma2 / gamma), and one spectrum serves every
+gamma of a grid.  Posterior means and variances are those of the fitted
+model, ``spm.SpmFit.posterior``, so a GP variance below round-off raises
+NegativeVariance as any model's does.  This module adds the selection
+criteria, which read the smoother matrix only.
 """
 
 import enum
@@ -16,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVariance, InterpolatingSmoother
-from .kernels import Kernel, kernel_cross, kernel_diag
+from .kernels import Kernel
 from .polybasis import as_design
 from .smoothers import SmootherMatrix
-from .spm import SaddleFactorization
+from .spm import SaddleFactorization, SemiParametricModel, fit_factored
 
 _LOO_DIAG_TOL = 1e-10
 
@@ -58,24 +60,10 @@ GpSpectrum = SaddleFactorization
 
 def gp_posterior(kernel: Kernel, X, y, sigma2: float, query_points, nugget: float = 0.0):
     """Posterior mean and variance at query points under Gaussian noise."""
-    means, var = gp_posteriors(kernel, X, [y], sigma2, query_points, nugget=nugget)
-    return means[0], var
-
-
-def gp_posteriors(kernel: Kernel, X, ys, sigma2: float, query_points, nugget: float = 0.0):
-    """Posterior means of each data vector in ``ys``, and the shared variance.
-
-    One eigendecomposition serves every vector; each is solved on its own,
-    so its mean is exactly what ``gp_posterior`` gives for it.
-    """
     design = as_design(X)
     spec = GpSpectrum.from_kernel(kernel, design, nugget=nugget)
-    kq = kernel_cross(kernel, query_points, design)
-    means = [kq @ spec.solve(sigma2, np.asarray(y, dtype=float))[0] for y in ys]
-    prior = kernel_diag(kernel, query_points)
-    quad = np.einsum("ij,ji->i", kq, spec.solve(sigma2, kq.T)[0])
-    var = prior - quad
-    return means, np.maximum(var, 0.0)
+    fit = fit_factored(SemiParametricModel(kernel, design.d), design, spec, y, sigma2)
+    return fit.posterior(query_points)
 
 
 def gp_smoother(kernel: Kernel, X, sigma2: float, nugget: float = 0.0) -> SmootherMatrix:
@@ -88,30 +76,27 @@ def dof(M: SmootherMatrix) -> float:
     return M.trace
 
 
-def loo_mse(M: SmootherMatrix, y) -> CriterionValue:
-    """Fast leave-one-out squared error from the smoother matrix."""
-    y = np.asarray(y, dtype=float)
+def _loo_residuals(M: SmootherMatrix, y):
+    """Leave-one-out residuals (y - M y) / (1 - diag M), and diag M."""
     diag = M.diagonal()
     if np.any(diag >= 1.0 - _LOO_DIAG_TOL):
         raise InterpolatingSmoother(
             "a smoother diagonal entry is 1; leave-one-out is undefined at interpolation"
         )
-    resid = (y - M.fitted(y)) / (1.0 - diag)
+    return (y - M.fitted(y)) / (1.0 - diag), diag
+
+
+def loo_mse(M: SmootherMatrix, y) -> CriterionValue:
+    """Fast leave-one-out squared error from the smoother matrix."""
+    resid, _ = _loo_residuals(M, np.asarray(y, dtype=float))
     return CriterionValue(CriterionKind.LOO_MSE, float(np.mean(resid**2)))
 
 
 def loo_components(M: SmootherMatrix, y, sigma2: float):
     """Leave-one-out predictive means and variances of each held-out y_i."""
     y = np.asarray(y, dtype=float)
-    diag = M.diagonal()
-    if np.any(diag >= 1.0 - _LOO_DIAG_TOL):
-        raise InterpolatingSmoother(
-            "a smoother diagonal entry is 1; leave-one-out is undefined at interpolation"
-        )
-    resid = (y - M.fitted(y)) / (1.0 - diag)
-    mean = y - resid
-    var = sigma2 / (1.0 - diag)
-    return mean, var
+    resid, diag = _loo_residuals(M, y)
+    return y - resid, sigma2 / (1.0 - diag)
 
 
 def loo_nll(M: SmootherMatrix, y, sigma2: float) -> CriterionValue:

@@ -21,6 +21,11 @@ complete QR of the n x m orthonormal basis, and an identically zero kernel
 skips the eigensolver.  The smoother on the design plus one point follows from
 the factorization and the smoother on the design by a bordered update
 (``augmented_smoother``), in O(n^2) and with no new factorization.
+
+A fit against a factorization (``fit_factored``, of one data vector or of k
+as columns) is an ``SpmFit``, and ``SpmFit.posterior`` is the package's one
+posterior path: a GP's means and variances are those of its empty-basis fit,
+with the same round-off guard (NegativeVariance).
 """
 
 import math
@@ -171,7 +176,9 @@ class SaddleFactorization:
     @classmethod
     def from_kernel(cls, kernel: Kernel, X, nugget: float = 0.0) -> "SaddleFactorization":
         """The GP spectrum: no basis, unit-gain kernel matrix plus ``nugget`` I,
-        gain ``kernel.gamma``."""
+        gain ``kernel.gamma``.  A negative or NaN nugget raises ValueError."""
+        if not nugget >= 0:
+            raise ValueError(f"nugget must be nonnegative, got nugget={nugget}")
         design = as_design(X)
         K = kernel_matrix(kernel.with_params(gamma=1.0), design)
         if nugget:
@@ -356,7 +363,13 @@ def cpd_check(model: SemiParametricModel, X, tol: float = 1e-10) -> bool:
 
 @dataclass(frozen=True)
 class SpmFit:
-    """An SPM fitted to data; prediction reuses the stored factorization."""
+    """An SPM fitted to data; prediction reuses the stored factorization.
+
+    ``y`` is one data vector (n,) or k of them as columns (n, k); the
+    coefficients and predictive means then carry the same trailing axis,
+    while the predictive variance, which does not depend on ``y``, is one
+    vector for all columns.
+    """
 
     model: SemiParametricModel
     design: object
@@ -366,20 +379,30 @@ class SpmFit:
     beta: np.ndarray
     factorization: SaddleFactorization
 
+    def _mean(self, Lq, Vq) -> np.ndarray:
+        out = Lq @ self.alpha
+        if self.factorization.m:
+            out = out + Vq @ self.beta
+        return out
+
     def predict(self, query_points) -> np.ndarray:
         Xq = as_design(query_points)
         Lq = kernel_cross(self.model.kernel, Xq, self.design)
-        out = Lq @ self.alpha
-        if self.factorization.m:
-            out = out + self.model.basis_matrix(Xq) @ self.beta
-        return out
+        return self._mean(Lq, self.model.basis_matrix(Xq))
 
     def predict_var(self, query_points) -> np.ndarray:
-        """Predictive variances prior - Lq a - Vq b at the query points.
+        """Predictive variances at the query points: ``posterior(q)[1]``."""
+        return self.posterior(query_points)[1]
+
+    def posterior(self, query_points):
+        """Predictive means and variances (prior - Lq a - Vq b) at the query
+        points, from one cross kernel Lq.
 
         The bordered systems of all queries are solved at once, as columns of
         one right-hand side, against the stored factorization: nothing is
-        refactored and the kernel matrix of the design is not rebuilt.
+        refactored and the kernel matrix of the design is not rebuilt.  A
+        variance below round-off raises NegativeVariance; the round-off
+        negatives above it are clamped to zero.
         """
         Xq = as_design(query_points)
         Lq = kernel_cross(self.model.kernel, Xq, self.design)
@@ -393,19 +416,22 @@ class SpmFit:
                 f"predictive variance {out.min():.3e} below round-off; "
                 "check conditional positive-definiteness"
             )
-        return np.maximum(out, 0.0)
+        return self._mean(Lq, Vq), np.maximum(out, 0.0)
 
 
 def fit_factored(
     model: SemiParametricModel, design, factorization: SaddleFactorization, y, sigma2: float
 ) -> SpmFit:
-    """Fit ``model`` to ``y`` by solving against its factorization on ``design``."""
+    """Fit ``model`` to ``y`` by solving against its factorization on ``design``.
+
+    ``y`` is (n,), or (n, k) for k data vectors fitted at once.
+    """
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
     design = as_design(design)
     y = np.asarray(y, dtype=float)
-    if y.shape != (design.n,):
-        raise ValueError("y must have one entry per design point")
+    if y.ndim not in (1, 2) or y.shape[0] != design.n:
+        raise ValueError("y must have one entry (or row) per design point")
     alpha, beta = factorization.fit(y, sigma2)
     return SpmFit(
         model=model,

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from flatgp.cli import main
+from flatgp.cli import build_parser, main
 from flatgp.dataio import Dataset, format_float, parse_dataset, write_dataset, write_json
 from flatgp.errors import DatasetError, EmptyDataset
 from flatgp.polybasis import Design
@@ -266,9 +266,18 @@ class TestCommands:
         )
         assert code == 0
         assert read_json(f"{out}.json")["metrics"]["case"] == case
-        # the source spectrum (its dof), the target (trace solve and fits) and
-        # the GP posterior; the target is never factored again at its gain
-        assert len(eigh) == 3
+        # the source spectrum (its dof and the GP posterior) and the target
+        # (trace solve and fits); neither is factored again
+        assert len(eigh) == 2
+
+    def test_fit_factors_once(self, tmp_path, count_linalg):
+        eigh = count_linalg("eigh")
+        out = tmp_path / "fit"
+        assert main(["fit", "--n", "30", "--sigma2", "0.1", "--out", str(out)]) == 0
+        metrics = read_json(f"{out}.json")["metrics"]
+        assert all(isinstance(metrics[k], float) for k in ("dof", "loo_mse", "nlml"))
+        # the smoother, the criteria and nlml all read one spectrum
+        assert len(eigh) == 1
 
     def test_matched_summary(self, data_csv, tmp_path):
         out = tmp_path / "matched"
@@ -331,6 +340,59 @@ class TestCommands:
         header, rows = read_csv(f"{out}.csv")
         nug = [float(r[2]) for r in rows if r[0] == "nugget" and r[3] == "ok"]
         assert max(abs(a - b) for a, b in zip(nug[-3:], nug[-2:])) < 1e-3
+
+    def test_nugget_compare_defaults_to_1e_6_and_keeps_an_explicit_zero(self, data_csv, tmp_path):
+        args = [
+            "nugget-compare", "--data", str(data_csv), "--eps", "0.05",
+            "--gamma-grid", "1e5:1e12:8", "--sigma2", "0.01",
+        ]
+        assert main(args + ["--out", str(tmp_path / "dflt")]) == 0
+        assert read_json(tmp_path / "dflt.json")["config"]["nugget"] == 1e-6
+        assert main(args + ["--nugget", "0", "--out", str(tmp_path / "zero")]) == 0
+        assert read_json(tmp_path / "zero.json")["config"]["nugget"] == 0.0
+        _, rows = read_csv(tmp_path / "zero.csv")
+        nug = [r[1:] for r in rows if r[0] == "nugget"]
+        plain = [r[1:] for r in rows if r[0] == "plain"]
+        assert nug == plain
+
+    def test_nugget_only_on_the_commands_that_use_it(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command").choices
+        with_nugget = {
+            name for name, sp in sub.items() if "--nugget" in sp._option_string_actions
+        }
+        assert with_nugget == {"fit", "predict", "dof-grid", "criteria-grid", "nugget-compare"}
+
+    def test_matched_rejects_nugget(self, tmp_path):
+        out = tmp_path / "matched"
+        code = main([
+            "matched", "--n", "20", "--eps", "2.0", "--gamma", "5.0",
+            "--nugget", "0.3", "--out", str(out),
+        ])
+        assert code == 1
+        assert not (tmp_path / "matched.json").exists()
+
+    def test_matched_config_has_no_nugget(self, tmp_path):
+        out = tmp_path / "matched"
+        assert main(["matched", "--n", "20", "--eps", "2.0", "--gamma", "5.0", "--out", str(out)]) == 0
+        assert "nugget" not in read_json(f"{out}.json")["config"]
+
+    @pytest.mark.parametrize("model", [["--basis-degree", "1"], ["--kernel", "zero"]])
+    def test_predict_with_a_basis_rejects_nugget(self, model, tmp_path, capsys):
+        out = tmp_path / "pred"
+        code = main(["predict", "--n", "20", "--nugget", "0.3", "--out", str(out)] + model)
+        assert code == 1
+        assert "--nugget" in capsys.readouterr().err
+        assert not (tmp_path / "pred.json").exists()
+        # a zero nugget is the default and stays accepted
+        assert main(["predict", "--n", "20", "--nugget", "0", "--out", str(out)] + model) == 0
+
+    @pytest.mark.parametrize("nugget", ["-0.5", "nan"])
+    def test_fit_rejects_negative_nugget(self, nugget, tmp_path, capsys):
+        out = tmp_path / "fit"
+        code = main(["fit", "--n", "20", "--nugget", nugget, "--sigma2", "1", "--out", str(out)])
+        assert code == 1
+        assert "nugget" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists() and not (tmp_path / "fit.csv").exists()
 
     def test_usage_error_exit_code(self, tmp_path):
         assert main(["predict", "--data", "missing.csv", "--out", str(tmp_path / "o")]) == 1

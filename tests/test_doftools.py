@@ -5,16 +5,22 @@ from flatgp import (
     GpSpectrum,
     Kernel,
     LimitCaseKind,
+    SemiParametricModel,
+    classify_limit,
     gp_posterior,
     gp_smoother,
     isofreedom_curve,
     isofreedom_gamma,
+    kernel_matrix,
     loo_mse,
     loo_nll,
     matched_approximation,
+    regularity,
     sure,
 )
 from flatgp.errors import InsufficientGrid, UnreachableDof
+from flatgp.flatlimit import _monomial_block_kernel
+from flatgp.spm import factorize_model, fit_factored, solve_trace
 
 
 def gamma_at_first_eps(kernel, X, sigma2, m, eps_grid):
@@ -170,8 +176,86 @@ class TestMatchedApproximation:
             mean_src, _ = gp_posterior(
                 kern.with_params(epsilon=eps, gamma=g), X, y, sigma2, xq
             )
-            mean_tgt = approx.predict(y, xq)
+            mean_tgt = approx.fit(y).predict(xq)
             devs.append(np.abs(mean_src - mean_tgt).max())
         slope = np.polyfit(np.log([0.4, 0.2, 0.1, 0.05]), np.log(devs), 1)[0]
         assert slope >= 0.8, (devs, slope)
         assert devs[-1] < devs[0]
+
+
+def matched_cases():
+    """(kernel, eps, gamma, sigma2, X, expected case, flat-limit exponent p)
+    for each case a matched target can take.  With P_j the dimension of
+    polynomials of degree <= j and P_{k-1} <= dof < P_k, p is 2r - 1 for a
+    spline, 2k - 1 for an unpenalized and 2k for a penalized polynomial."""
+    rng = np.random.default_rng(7)
+    x9 = np.sort(rng.uniform(0, 1, 9))
+    x10 = np.sort(rng.uniform(0, 1, 10))
+    x2d = rng.uniform(0, 1, size=(30, 2))
+    gauss, matern = Kernel.gaussian(), Kernel.matern(1.5)
+    return {
+        # dof in [P_1, n): the order-2 spline
+        "spline": (matern, 2.0, 5.0, 0.01, x10, LimitCaseKind.SPLINE_REGRESSION, 3),
+        # dof exactly P_4 = 5: degree-4 least squares
+        "unpenalized": (
+            gauss, 0.5, isofreedom_gamma(gauss, x9, 0.01, 0.5, 5.0), 0.01, x9,
+            LimitCaseKind.UNPENALIZED_POLYNOMIAL, 9,
+        ),
+        # dof 1.5 in (P_0, P_1), below the spline floor P_1: the degree-1 block
+        "penalized-matern": (
+            matern, 0.8, isofreedom_gamma(matern, x10, 0.05, 0.8, 1.5), 0.05, x10,
+            LimitCaseKind.PENALIZED_POLYNOMIAL, 2,
+        ),
+        # d = 2, dof 4.5 in (P_1, P_2) = (3, 6): the degree-2 block
+        "penalized-gaussian": (
+            gauss, 0.5, isofreedom_gamma(gauss, x2d, 0.01, 0.5, 4.5), 0.01, x2d,
+            LimitCaseKind.PENALIZED_POLYNOMIAL, 4,
+        ),
+    }
+
+
+class TestMatchedTarget:
+    @pytest.mark.parametrize("name", sorted(matched_cases()))
+    def test_target_is_the_classified_limit(self, name):
+        kern, eps, gamma, sigma2, X, kind, p = matched_cases()[name]
+        approx = matched_approximation(kern, eps, gamma, sigma2, X)
+        d = approx.design.d
+        model = classify_limit(
+            regularity(kern), p, d, kernel=kern.with_params(epsilon=1.0, gamma=1.0)
+        ).equivalent_model
+        assert approx.case is kind
+        assert approx.target.basis_degree == model.basis_degree
+        assert approx.target.kernel.family is model.kernel.family
+        # the target is the classified model at the tuned gain
+        gain = approx.target.kernel.gamma / model.kernel.gamma
+        np.testing.assert_allclose(
+            kernel_matrix(approx.target.kernel, X),
+            gain * kernel_matrix(model.kernel, X),
+            rtol=1e-12, atol=0,
+        )
+        assert approx.achieved_dof == pytest.approx(approx.source_dof, abs=1e-6)
+
+    def test_gaussian_target_predicts_as_the_wronskian_schur_block(self, rng):
+        # the classified Gaussian model is the canonical (x^T y)^2 kernel; the
+        # degree-2 Wronskian-Schur block is a constant multiple of it, which
+        # the tuned gain absorbs
+        kern, eps, gamma, sigma2, X, _, _ = matched_cases()["penalized-gaussian"]
+        approx = matched_approximation(kern, eps, gamma, sigma2, X)
+        block = SemiParametricModel(_monomial_block_kernel(kern, 2, 2), d=2, basis_degree=1)
+        fac = factorize_model(block, X)
+        g, _ = solve_trace(fac.evals, fac.m, approx.source_dof, sigma2)
+        y = rng.normal(size=len(X))
+        xq = rng.uniform(0, 1, size=(40, 2))
+        want = fit_factored(block.scaled(g), X, fac.scaled(g), y, sigma2).posterior(xq)
+        got = approx.fit(y).posterior(xq)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
+
+    def test_keeps_the_source_spectrum(self, rng):
+        X = np.sort(rng.uniform(0, 1, 10))
+        kern = Kernel.matern(1.5)
+        approx = matched_approximation(kern, 2.0, 5.0, 0.01, X)
+        spec = GpSpectrum.from_kernel(kern.with_params(epsilon=2.0, gamma=5.0), X)
+        np.testing.assert_array_equal(approx.source.evals, spec.evals)
+        assert approx.source.gain == 5.0
+        assert approx.source.dof(0.01) == approx.source_dof

@@ -9,6 +9,7 @@ from flatgp import (
     LimitCaseKind,
     ScaledKernelFamily,
     SemiParametricModel,
+    SpmFit,
     absorbed_kernel_model,
     check_pred_equiv,
     classify_limit,
@@ -27,7 +28,13 @@ from flatgp import (
     wronskian,
     wronskian_schur,
 )
-from flatgp.errors import IncomparableModels, InsufficientGrid, NotProportional, NotUnisolvent
+from flatgp.errors import (
+    IncomparableModels,
+    InsufficientGrid,
+    NegativeVariance,
+    NotProportional,
+    NotUnisolvent,
+)
 from flatgp.flatlimit import _limit_model, _monomial_block_kernel
 
 
@@ -413,6 +420,43 @@ class TestConvergenceStudy:
         family = ScaledKernelFamily(Kernel.gaussian(), p=1)
         with pytest.raises(InsufficientGrid):
             convergence_study(family, X, X[:, None], [0.2, 0.1], 0.01)
+
+    def test_gp_variance_below_roundoff_drops_the_eps(self, rng, monkeypatch):
+        X = np.sort(rng.uniform(0, 1, 8))
+        xq = np.linspace(0, 1, 10)[:, None]
+        family = ScaledKernelFamily(Kernel.exponential(), p=1)
+        grid = [0.2, 0.1, 0.05, 0.025]
+        posterior = SpmFit.posterior
+
+        def guarded(fit, query_points):
+            if fit.model.kernel.epsilon == 0.1:
+                raise NegativeVariance("predictive variance below round-off")
+            return posterior(fit, query_points)
+
+        monkeypatch.setattr(SpmFit, "posterior", guarded)
+        report = convergence_study(family, X, xq, grid, 0.01, tol=0.05)
+        assert report.dropped_eps == (0.1,)
+        assert report.eps_values == (0.2, 0.05, 0.025)
+        assert len(report.mean_devs) == len(report.var_devs) == 3
+
+    def test_interpolating_limit_computes_no_limit_variance(self, rng, monkeypatch):
+        # at sigma2 = 0 the limit's variance is zero up to round-off, which the
+        # NegativeVariance guard would report; only the GP variances are formed
+        X = np.sort(rng.uniform(0, 1, 12))
+        xq = np.linspace(0, 1, 9)[:, None]
+        family = ScaledKernelFamily(Kernel.exponential(), p=3)
+        noise = []
+        posterior = SpmFit.posterior
+
+        def recorded(fit, *args):
+            noise.append(fit.sigma2)
+            return posterior(fit, *args)
+
+        monkeypatch.setattr(SpmFit, "posterior", recorded)
+        report = convergence_study(family, X, xq, [0.2, 0.1, 0.05], 0.01)
+        assert report.case.kind is LimitCaseKind.INTERPOLATION
+        assert report.var_devs == ()
+        assert noise == [0.01] * 3
 
 
 class TestWorkCounts:

@@ -21,7 +21,7 @@ from flatgp import (
     spm_smoother,
     sure,
 )
-from flatgp.errors import IllConditioned, InterpolatingSmoother
+from flatgp.errors import IllConditioned, InterpolatingSmoother, NegativeVariance
 from flatgp.flatlimit import absorbed_kernel_model
 from flatgp.smoothers import SmootherMatrix
 
@@ -79,6 +79,13 @@ class TestPosterior:
             gp_posterior(kern, X, y, 0.0, X)
         assert exc.value.smallest_eigenvalue is not None
 
+    def test_variance_below_roundoff_raises(self):
+        # +|x-y|^3 is indefinite; at sigma2 = 1.5 > 1 = -lambda_min the GP
+        # solve is defined, but the quadratic form exceeds the zero prior at
+        # the midpoint: the variance is reported, not clamped to zero
+        with pytest.raises(NegativeVariance):
+            gp_posterior(Kernel.polyharmonic(2), np.array([0.0, 1.0]), np.zeros(2), 1.5, [0.5])
+
 
 class TestSpectrum:
     def test_one_eigh_and_no_kernel_matrix_kept(self, setup, count_linalg):
@@ -104,6 +111,12 @@ class TestSpectrum:
             spec.dof(2.0, 0.1)
         with pytest.raises(TypeError):
             spec.smoother(2.0, 0.1)
+
+    @pytest.mark.parametrize("nugget", [-0.5, -1e-300, float("nan")])
+    def test_negative_or_nan_nugget_rejected(self, setup, nugget):
+        X, _ = setup
+        with pytest.raises(ValueError, match="nugget"):
+            GpSpectrum.from_kernel(Kernel.gaussian(epsilon=3.0), X, nugget=nugget)
 
 
 class TestSmoother:

@@ -29,10 +29,12 @@ from flatgp.errors import (
     NotUnisolvent,
     UnreachableDof,
 )
+import flatgp.spm as spm_module
 from flatgp.flatlimit import absorbed_kernel_model
 from flatgp.spm import (
     augmented_smoother,
     factorize_model,
+    fit_factored,
     solve_trace,
 )
 
@@ -395,6 +397,60 @@ class TestBatchedVariance:
         fit = fit_spm(model, np.array([0.0, 1.0]), np.zeros(2), 0.5)
         with pytest.raises(NegativeVariance):
             fit.predict_var(np.array([[0.5]]))
+
+
+def posterior_fits(rng, k=None):
+    """Fits on one design, with (y of shape (15, k)) or without a trailing axis:
+    the GP spectrum (m = 0), a CPD model and a zero kernel with a basis."""
+    X = rng.uniform(0, 1, size=(15, 1))
+    y = rng.normal(size=15 if k is None else (15, k))
+    gauss = Kernel.gaussian(epsilon=3.0, gamma=0.7)
+    gp = SemiParametricModel(gauss, d=1)
+    return {
+        "gp-spectrum": fit_factored(gp, X, GpSpectrum.from_kernel(gauss, X), y, 0.2),
+        "polyharmonic": fit_spm(polyharmonic_spm(2, 1), X, y, 0.2),
+        "zero-kernel": fit_spm(SemiParametricModel(Kernel.zero(), d=1, basis_degree=2), X, y, 0.2),
+    }
+
+
+class TestPosteriorPath:
+    @pytest.mark.parametrize("case", ["gp-spectrum", "polyharmonic", "zero-kernel"])
+    def test_posterior_is_predict_and_predict_var(self, case, rng, monkeypatch):
+        fit = posterior_fits(rng)[case]
+        xq = np.linspace(-0.2, 1.2, 23)[:, None]
+        mean, var = fit.predict(xq), fit.predict_var(xq)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel_cross(*args, **kwargs)
+
+        monkeypatch.setattr(spm_module, "kernel_cross", counted)
+        got_mean, got_var = fit.posterior(xq)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(got_mean, mean)
+        np.testing.assert_array_equal(got_var, var)
+
+    @pytest.mark.parametrize("case", ["gp-spectrum", "polyharmonic", "zero-kernel"])
+    def test_columns_fit_as_single_vectors(self, case, rng):
+        k = 4
+        fit = posterior_fits(rng, k)[case]
+        xq = np.linspace(-0.2, 1.2, 23)[:, None]
+        mean, var = fit.posterior(xq)
+        assert mean.shape == (len(xq), k) and var.shape == (len(xq),)
+        for j in range(k):
+            one = fit_factored(fit.model, fit.design, fit.factorization, fit.y[:, j], fit.sigma2)
+            np.testing.assert_allclose(fit.alpha[:, j], one.alpha, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(fit.beta[:, j], one.beta, rtol=0, atol=1e-10)
+            one_mean, one_var = one.posterior(xq)
+            np.testing.assert_allclose(mean[:, j], one_mean, rtol=0, atol=1e-10)
+            np.testing.assert_array_equal(var, one_var)
+
+    @pytest.mark.parametrize("shape", [(14,), (16, 2), (15, 2, 1)])
+    def test_y_of_other_shapes_rejected(self, shape, rng):
+        fit = posterior_fits(rng)["polyharmonic"]
+        with pytest.raises(ValueError, match="design point"):
+            fit_factored(fit.model, fit.design, fit.factorization, np.zeros(shape), 0.2)
 
 
 def augmented_cases():
