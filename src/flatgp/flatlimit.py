@@ -284,6 +284,13 @@ def _augmented_smoother(model, fac, smoother, design, x_new, sigma2):
     )
 
 
+def _max_abs_diff(A, B) -> float:
+    """max |A - B| over all entries, with one temporary the size of A."""
+    D = A - B
+    np.abs(D, out=D)
+    return float(D.max())
+
+
 def check_pred_equiv(
     model_a: SemiParametricModel,
     model_b: SemiParametricModel,
@@ -326,12 +333,12 @@ def check_pred_equiv(
         mean_b, var_b = fit_factored(model_b, design, fac_b, y, sigma2).posterior(x_new)
         dev_mean = max(dev_mean, float(np.abs(mean_a - mean_b).max()))
         dev_var = max(dev_var, float(np.abs(var_a - var_b).max()))
-        Ma = fac_a.smoother(sigma2)
-        Mb = fac_b.smoother(sigma2)
-        dev_smoother = max(dev_smoother, float(np.abs(Ma.matrix - Mb.matrix).max()))
-        Ma = _augmented_smoother(model_a, fac_a, Ma, design, x_new, sigma2)
-        Mb = _augmented_smoother(model_b, fac_b, Mb, design, x_new, sigma2)
-        dev_smoother = max(dev_smoother, float(np.abs(Ma.matrix - Mb.matrix).max()))
+        Sa = fac_a.smoother(sigma2)
+        Sb = fac_b.smoother(sigma2)
+        dev_smoother = max(dev_smoother, _max_abs_diff(Sa.matrix, Sb.matrix))
+        Ma = _augmented_smoother(model_a, fac_a, Sa, design, x_new, sigma2)
+        Mb = _augmented_smoother(model_b, fac_b, Sb, design, x_new, sigma2)
+        dev_smoother = max(dev_smoother, _max_abs_diff(Ma.matrix, Mb.matrix))
     ok = dev_mean <= tol and dev_var <= tol and dev_smoother <= tol
     report = EquivalenceCheck(
         equivalent=ok,
@@ -517,12 +524,14 @@ def prediction_curve(
     if queries.shape[1] != design.d:
         raise ValueError("xa and xb must be points of the design dimension")
 
-    spec = GpSpectrum.from_kernel(kernel.with_params(epsilon=eps, gamma=1.0), design)
+    unit = kernel.with_params(epsilon=eps, gamma=1.0)
+    spec = GpSpectrum.from_kernel(unit, design)
+    # the cross kernel at gain g is g times the one at unit gain
+    kq = kernel_cross(unit, queries, design)
     points, statuses = [], []
     for g in gamma_grid:
-        kq = kernel_cross(kernel.with_params(epsilon=eps, gamma=g), queries, design)
         try:
-            pred = kq @ spec.scaled(g).solve(sigma2, y)[0]
+            pred = (g * kq) @ spec.scaled(g).solve(sigma2, y)[0]
             points.append((float(pred[0]), float(pred[1])))
             statuses.append("ok")
         except IllConditioned:

@@ -8,7 +8,10 @@ modes by lambda / (lambda + sigma2 / gamma), and one spectrum serves every
 gamma of a grid.  Posterior means and variances are those of the fitted
 model, ``spm.SpmFit.posterior``, so a GP variance below round-off raises
 NegativeVariance as any model's does.  This module adds the selection
-criteria, which read the smoother matrix only.
+criteria, which read the smoother's diagonal, fitted values and trace only.
+A spectrum's smoother gives each of these in O(n^2) from its modes and
+filter, so a criterion never forms the n x n matrix; it is formed only where
+``.matrix`` is read.
 """
 
 import enum

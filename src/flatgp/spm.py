@@ -14,9 +14,11 @@ design only, never on the data ``y``, the noise level ``sigma2`` or the gain:
 ``factorize_model`` builds it once per (model, design), ``scaled(g)`` moves it
 to another gain without refactoring, and fits at any ``(y, sigma2)``,
 smoothers at any ``sigma2`` and the predictive variances of a whole query
-batch are solves against it.  A GP is the model with an empty basis; its
-spectrum (``from_kernel``, exported as ``gp.GpSpectrum``) skips the
-complement and keeps no kernel matrix.  The complement basis comes from one
+batch are solves against it.  A smoother is kept as the modes, their filter
+and Q: its trace, diagonal and fitted values cost O(n^2), and the n x n
+matrix is formed only where it is read.  A GP is the model with an empty
+basis; its spectrum (``from_kernel``, exported as ``gp.GpSpectrum``) skips
+the complement and keeps no kernel matrix.  The complement basis comes from one
 complete QR of the n x m orthonormal basis, and an identically zero kernel
 skips the eigensolver.  The smoother on the design plus one point follows from
 the factorization and the smoother on the design by a bordered update
@@ -227,22 +229,20 @@ class SaddleFactorization:
             )
         return lam, lam + sigma2
 
-    def _filtered(self, f) -> np.ndarray:
-        """modes diag(f) modes^T."""
-        return (self.modes * f) @ self.modes.T
-
     def dof(self, sigma2=0.0) -> float:
         """Trace of the smoother: m + sum lam / (lam + sigma2)."""
         lam, denom = self._filter_terms(sigma2)
         return self.m + float(np.sum(lam / denom))
 
     def smoother(self, sigma2=0.0) -> SmootherMatrix:
-        """M = QQ^T + Ltilde (Ltilde + sigma2 I)^{-1} on the complement of span(V)."""
+        """M = QQ^T + Ltilde (Ltilde + sigma2 I)^{-1} on the complement of span(V).
+
+        The smoother is kept as the modes, their filter lam / (lam + sigma2)
+        and Q, so its trace, diagonal and fitted values cost O(n^2) and the
+        n x n matrix is formed only where ``.matrix`` is read.
+        """
         lam, denom = self._filter_terms(sigma2)
-        M = self._filtered(lam / denom)
-        if self.m:
-            M = M + self.Q @ self.Q.T
-        return SmootherMatrix(0.5 * (M + M.T))
+        return SmootherMatrix.filtered(self.modes, lam / denom, self.Q)
 
     def solve(self, sigma2, g, h=None):
         """Solve [[gain L + sigma2 I, V], [V^T, 0]] (a; b) = (g; h) by elimination.
@@ -472,7 +472,7 @@ def laurent_b0(L: np.ndarray, V: np.ndarray, sigma2: float) -> np.ndarray:
     span(V); satisfies V^T B0 = 0 by construction.
     """
     fac = factorize(np.asarray(L, dtype=float), np.asarray(V, dtype=float))
-    B0 = fac._filtered(1.0 / fac._filter_terms(sigma2)[1])
+    B0 = (fac.modes * (1.0 / fac._filter_terms(sigma2)[1])) @ fac.modes.T
     return 0.5 * (B0 + B0.T)
 
 

@@ -1,14 +1,21 @@
 import csv
 import json
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 
+import flatgp
 from flatgp.cli import build_parser, main
 from flatgp.dataio import Dataset, format_float, parse_dataset, write_dataset, write_json
 from flatgp.errors import DatasetError, EmptyDataset
 from flatgp.polybasis import Design
+from flatgp.smoothers import SmootherMatrix
 
 
 def write_lines(path, lines):
@@ -35,6 +42,20 @@ def read_csv(path):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+@pytest.fixture
+def dense_smoothers(monkeypatch):
+    """The size n of every n x n matrix formed from a smoother's spectral factors."""
+    formed = []
+    form = SmootherMatrix.matrix.func
+
+    def counted(self):
+        formed.append(self.n)
+        return form(self)
+
+    monkeypatch.setattr(SmootherMatrix.matrix, "func", counted)
+    return formed
 
 
 class TestParseDataset:
@@ -216,6 +237,28 @@ class TestCommands:
         slope = summary["metrics"]["slope"]
         assert abs(slope - round(slope)) <= 0.15
 
+    def test_isofreedom_eps_grid_in_either_order(self, data_csv, tmp_path):
+        outputs = []
+        for name, grid in (("down", "0.3:0.03:8"), ("up", "0.03:0.3:8")):
+            out = tmp_path / name
+            code = main([
+                "isofreedom", "--data", str(data_csv), "--dof", "2.5",
+                "--eps-grid", grid, "--sigma2", "0.01", "--out", str(out),
+            ])
+            assert code == 0
+            outputs.append(
+                ((tmp_path / f"{name}.csv").read_bytes(), read_json(f"{out}.json")["metrics"])
+            )
+        assert outputs[0] == outputs[1]
+
+    def test_isofreedom_rejects_repeated_eps_cleanly(self, data_csv, tmp_path, capsys):
+        code = main([
+            "isofreedom", "--data", str(data_csv), "--dof", "2.5",
+            "--eps-grid", "0.3:0.3:5", "--sigma2", "0.01", "--out", str(tmp_path / "iso"),
+        ])
+        assert code == 1
+        assert "eps_grid" in capsys.readouterr().err
+
     def test_isofreedom_rejects_zero_sigma2_cleanly(self, data_csv, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -278,6 +321,28 @@ class TestCommands:
         assert all(isinstance(metrics[k], float) for k in ("dof", "loo_mse", "nlml"))
         # the smoother, the criteria and nlml all read one spectrum
         assert len(eigh) == 1
+
+    def test_fit_forms_no_dense_smoother(self, tmp_path, dense_smoothers):
+        out = tmp_path / "fit"
+        assert main(["fit", "--n", "30", "--sigma2", "0.1", "--out", str(out)]) == 0
+        assert len(read_csv(f"{out}.csv")[1]) == 30
+        assert dense_smoothers == []
+
+    def test_criteria_grid_factors_once_per_eps_and_forms_no_smoother(
+        self, tmp_path, count_linalg, dense_smoothers
+    ):
+        eigh = count_linalg("eigh")
+        out = tmp_path / "crit"
+        code = main([
+            "criteria-grid", "--n", "25", "--kernel", "matern", "--nu", "1.5",
+            "--eps-grid", "0.2:2:4", "--gamma-grid", "0.1:10:5", "--out", str(out),
+        ])
+        assert code == 0
+        rows = read_csv(f"{out}.csv")[1]
+        assert len(rows) == 4 * 5 * 3 and all(row[-1] == "ok" for row in rows)
+        # one spectrum per eps; every gamma cell reads diag M, M y and tr M from it
+        assert eigh == [(25, 25)] * 4
+        assert dense_smoothers == []
 
     def test_matched_summary(self, data_csv, tmp_path):
         out = tmp_path / "matched"
@@ -406,6 +471,32 @@ class TestCommands:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="per-thread heaps are glibc's")
+    @pytest.mark.parametrize("command", ["dof-grid", "criteria-grid"])
+    def test_grid_workers_allocate_from_the_main_heap(self, command, tmp_path):
+        # a fresh interpreter, so that no earlier thread has made a heap; by
+        # default glibc makes one per worker, and malloc_info lists each heap
+        script = textwrap.dedent("""
+            import ctypes, sys
+            from flatgp.cli import main
+            code = main([sys.argv[1], "--n", "40", "--eps-grid", "0.5:2:6",
+                         "--gamma-grid", "0.1:10:3", "--out", sys.argv[2]])
+            libc = ctypes.CDLL(None)
+            libc.fopen.restype = ctypes.c_void_p
+            libc.fopen.argtypes = [ctypes.c_char_p, ctypes.c_char_p]
+            libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]
+            libc.fclose.argtypes = [ctypes.c_void_p]
+            fh = libc.fopen(sys.argv[3].encode(), b"w")
+            libc.malloc_info(0, fh)
+            libc.fclose(fh)
+            print(code, open(sys.argv[3]).read().count("<heap nr="))
+        """)
+        src = os.path.dirname(os.path.dirname(flatgp.__file__))
+        env = dict(os.environ, FLATGP_THREADS="2", PYTHONPATH=src)
+        argv = [sys.executable, "-c", script, command, str(tmp_path / "grid"), str(tmp_path / "heaps.xml")]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["0", "1"]
 
 
 class TestQueryCsv:

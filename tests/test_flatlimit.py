@@ -5,6 +5,7 @@ import pytest
 
 from flatgp import (
     Family,
+    GpSpectrum,
     Kernel,
     LimitCaseKind,
     ScaledKernelFamily,
@@ -16,6 +17,7 @@ from flatgp import (
     convergence_study,
     distance_power_matrix,
     gp_smoother,
+    kernel_cross,
     leading_odd_coefficient,
     limiting_smoother,
     match_scale,
@@ -35,6 +37,8 @@ from flatgp.errors import (
     NotProportional,
     NotUnisolvent,
 )
+import flatgp.flatlimit as flatlimit_module
+import flatgp.spm as spm_module
 from flatgp.flatlimit import _limit_model, _monomial_block_kernel
 
 
@@ -538,6 +542,30 @@ class TestPredictionCurve:
         assert last[1] == pytest.approx(y[5], abs=1e-3)
         assert curve.anchors[0][0] == 0
         assert len(curve.anchors) == 8
+
+    def test_one_cross_kernel_per_curve(self, rng, monkeypatch):
+        X = np.sort(rng.uniform(0, 1, 9))
+        y = rng.normal(size=9) + X
+        kernel, sigma2, eps = Kernel.matern(1.5), 0.01, 0.7
+        grid = np.geomspace(1e-6, 1e8, 30)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel_cross(*args, **kwargs)
+
+        monkeypatch.setattr(flatlimit_module, "kernel_cross", counted)
+        monkeypatch.setattr(spm_module, "kernel_cross", counted)
+        curve = prediction_curve(kernel, X, y, sigma2, eps, grid, 0.2, 0.8)
+        # the gamma loop reads one cross kernel; each anchor fit predicts once
+        assert len(calls) == 1 + len(curve.anchors)
+        # the same predictions as a cross kernel built at each gain
+        spec = GpSpectrum.from_kernel(kernel.with_params(epsilon=eps), X)
+        queries = np.array([[0.2], [0.8]])
+        for g, point in zip(grid, curve.points):
+            kq = kernel_cross(kernel.with_params(epsilon=eps, gamma=g), queries, X)
+            want = kq @ spec.scaled(g).solve(sigma2, y)[0]
+            assert point == (want[0], want[1])
 
     def test_curve_approaches_anchors_as_eps_shrinks(self, rng):
         X = np.sort(rng.uniform(0, 1, 8))

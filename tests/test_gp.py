@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatgp import (
     GpHyperparameters,
@@ -23,7 +25,9 @@ from flatgp import (
 )
 from flatgp.errors import IllConditioned, InterpolatingSmoother, NegativeVariance
 from flatgp.flatlimit import absorbed_kernel_model
+from flatgp.gp import loo_components
 from flatgp.smoothers import SmootherMatrix
+from flatgp.spm import factorize_model, fit_factored
 
 
 @pytest.fixture
@@ -215,6 +219,57 @@ class TestLooMse:
             a = loo_mse(spm_smoother(model, X, sigma2), y).value
             b = loo_mse(spm_smoother(other, X, sigma2), y).value
             assert a == pytest.approx(b, rel=1e-8)
+
+
+def loo_model(case):
+    return {
+        "gp-matern": SemiParametricModel(Kernel.matern(1.5, epsilon=2.0, gamma=1.3), d=1),
+        "gp-gaussian": SemiParametricModel(Kernel.gaussian(epsilon=2.0, gamma=0.8), d=1),
+        "polyharmonic-r1": polyharmonic_spm(1, 1),
+        "polyharmonic-r2": polyharmonic_spm(2, 1),
+        "gaussian-linear": SemiParametricModel(
+            Kernel.gaussian(epsilon=2.0, gamma=0.8), d=1, basis_degree=1
+        ),
+    }[case]
+
+
+def loo_factorization(model, X):
+    """The GP spectrum without a basis, the saddle factorization with one."""
+    if model.basis_size():
+        return factorize_model(model, X)
+    return GpSpectrum.from_kernel(model.kernel, X)
+
+
+class TestLooAgainstRefits:
+    @given(
+        case=st.sampled_from(
+            ["gp-matern", "gp-gaussian", "polyharmonic-r1", "polyharmonic-r2", "gaussian-linear"]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(6, 12),
+        log_sigma2=st.floats(-2.0, 0.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_equals_brute_force_refits(self, case, seed, n, log_sigma2):
+        model, sigma2 = loo_model(case), 10.0**log_sigma2
+        rng = np.random.default_rng(seed)
+        # one point per cell of a regular partition keeps the design well spread
+        X = ((np.arange(n) + rng.uniform(0.1, 0.9, n)) / n)[:, None]
+        y = rng.normal(size=n) + np.sin(3.0 * X[:, 0])
+        mus, variances = [], []
+        for i in range(n):
+            keep = np.arange(n) != i
+            fac = loo_factorization(model, X[keep])
+            fit = fit_factored(model, X[keep], fac, y[keep], sigma2)
+            mean, var = fit.posterior(X[i : i + 1])
+            mus.append(mean[0])
+            variances.append(var[0] + sigma2)
+        M = loo_factorization(model, X).smoother(sigma2)
+        mean, var = loo_components(M, y, sigma2)
+        np.testing.assert_allclose(mean, mus, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(var, variances, rtol=1e-8, atol=0)
+        literal = np.mean((y - np.array(mus)) ** 2)
+        assert loo_mse(M, y).value == pytest.approx(literal, rel=1e-8)
 
 
 class TestLooNll:

@@ -369,6 +369,53 @@ class TestFactorization:
         np.testing.assert_array_equal(fac.evecs, np.eye(7))
 
 
+def assert_spectral_smoother_matches_dense(M, seed):
+    """Trace, diagonal, fitted values and eigenvalues of a smoother kept as
+    spectral factors, against its dense matrix formed afterwards."""
+    rng = np.random.default_rng(seed)
+    n = M.n
+    y, Y = rng.normal(size=n), rng.normal(size=(n, 3))
+    trace, diag, eigenvalues = M.trace, M.diagonal(), M.eigenvalues
+    fitted, fitted_columns = M.fitted(y), M.fitted(Y)
+    assert "matrix" not in vars(M)  # none of the above formed it
+    dense = M.matrix
+    assert dense.shape == (n, n)
+    assert trace == pytest.approx(np.trace(dense), rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(diag, np.diag(dense), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fitted, dense @ y, rtol=0, atol=1e-11 * np.linalg.norm(y))
+    assert fitted_columns.shape == (n, 3)
+    np.testing.assert_allclose(
+        fitted_columns, dense @ Y, rtol=0, atol=1e-11 * np.linalg.norm(Y)
+    )
+    np.testing.assert_allclose(eigenvalues, np.linalg.eigvalsh(dense), rtol=0, atol=1e-10)
+
+
+class TestSpectralSmoother:
+    @design_cases
+    @settings(max_examples=60, deadline=None)
+    def test_saddle_smoother_matches_its_dense_matrix(self, seed, d, degree, zero_kernel, extra):
+        # sigma2 = 0 takes the pseudo-inverse
+        _, _, fac = random_factorization(seed, d, degree, zero_kernel, extra)
+        for sigma2 in (0.0, 0.05, 2.0):
+            assert_spectral_smoother_matches_dense(fac.smoother(sigma2), seed)
+
+    @pytest.mark.parametrize("gain", [0.1, 1.0, 30.0])
+    def test_gp_spectrum_smoother_matches_its_dense_matrix(self, gain, rng):
+        X = rng.uniform(0, 1, size=(20, 2))
+        spec = GpSpectrum.from_kernel(Kernel.matern(1.5, epsilon=2.0, gamma=gain), X)
+        for sigma2 in (1e-3, 0.1):
+            assert_spectral_smoother_matches_dense(spec.smoother(sigma2), 7)
+
+    def test_dense_matrix_is_formed_once_as_before(self, rng):
+        X = rng.uniform(0, 1, size=(12, 1))
+        fac = factorize_model(polyharmonic_spm(2, 1), X)
+        M = fac.smoother(0.3)
+        f = fac.gain * fac.evals / (fac.gain * fac.evals + 0.3)
+        want = (fac.modes * f) @ fac.modes.T + fac.Q @ fac.Q.T
+        assert M.matrix is M.matrix
+        np.testing.assert_array_equal(M.matrix, 0.5 * (want + want.T))
+
+
 class TestBatchedVariance:
     @pytest.mark.parametrize(
         "model",
