@@ -338,11 +338,15 @@ def cmd_equiv_check(args):
     m = model.basis_size()
     results = {}
     if m > 0:
+        # both checks compare against the same model on the same design
+        fac = factorize_model(model, ds.X)
         for name, other in (
             ("basis_change", recombined_basis_model(model, seed=args.seed)),
             ("kernel_absorption", absorbed_kernel_model(model, coefficient=0.7)),
         ):
-            ok, rep = check_pred_equiv(model, other, ds.X, tol=args.tol, seed=args.seed)
+            ok, rep = check_pred_equiv(
+                model, other, ds.X, tol=args.tol, seed=args.seed, factorization_a=fac
+            )
             results[name] = {
                 "equivalent": ok,
                 "max_dev": max(rep.max_mean_dev, rep.max_var_dev, rep.max_smoother_dev),
@@ -361,7 +365,7 @@ def cmd_equiv_check(args):
 def cmd_converge(args):
     ds = _load_data(args)
     family = ScaledKernelFamily(_make_kernel(args, gamma=1.0), p=args.p, gamma0=args.gamma0)
-    eps_grid = sorted(_parse_grid(args.eps_grid), reverse=True)
+    eps_grid = _parse_grid(args.eps_grid, descending=True)
     query = _parse_query(args.query, ds)
     report = convergence_study(
         family, ds.X, query, eps_grid, args.sigma2, seed=args.seed, tol=args.tol

@@ -43,10 +43,11 @@ from .polybasis import (
     enumerate_monomials,
     monomial_matrix,
 )
-from .smoothers import SmootherMatrix
+from .smoothers import SmootherMatrix, difference
 from .spm import (
+    SaddleFactorization,
     SemiParametricModel,
-    augmented_smoother,
+    _bordered_terms,
     factorize_model,
     fit_factored,
     fit_spm,
@@ -272,23 +273,9 @@ class EquivalenceCheck:
     seed: int
 
 
-def _augmented_smoother(model, fac, smoother, design, x_new, sigma2):
-    """Smoother of ``model`` on ``design`` plus the one point ``x_new`` (1, d)."""
-    return augmented_smoother(
-        fac,
-        smoother,
-        kernel_cross(model.kernel, x_new, design)[0],
-        kernel_diag(model.kernel, x_new)[0],
-        model.basis_matrix(x_new)[0],
-        sigma2,
-    )
-
-
-def _max_abs_diff(A, B) -> float:
-    """max |A - B| over all entries, with one temporary the size of A."""
-    D = A - B
-    np.abs(D, out=D)
-    return float(D.max())
+def _max_abs(A) -> float:
+    """max |A| over all entries, with no temporary."""
+    return max(float(A.max()), -float(A.min()))
 
 
 def check_pred_equiv(
@@ -298,29 +285,37 @@ def check_pred_equiv(
     num_trials: int = 8,
     tol: float = 1e-8,
     seed: int = 0,
+    factorization_a: SaddleFactorization = None,
 ) -> tuple:
     """Test prediction-equivalence on random data, noise levels, and queries.
 
     Also compares smoother matrices on X and on X augmented with each query
     point.  Returns (equivalent, EquivalenceCheck).
 
-    Each model is factored once on X, and every trial's fits, variances and
-    smoothers are solves against that factorization, since none of it depends
-    on the drawn (y, sigma2).  The smoother M+ on X augmented with the query
-    x* is a bordered update of the smoother M on X (``augmented_smoother``):
-    with (w, b) the saddle solve for x*'s kernel column k and basis row v,
+    Each model is factored once on X (``factorization_a``, model_a's
+    factorization on X, spares the first when the caller has it), and every
+    trial's fits, variances and smoothers are solves against those, since
+    none of it depends on the drawn (y, sigma2).  The two models never share
+    a factorization: that would compare a model with itself.
 
-        s  = k(x*, x*) - k^T w - v^T b + sigma2
-        M+ = [[M - sigma2 w w^T / s,  sigma2 w / s],
-              [sigma2 w^T / s,        1 - sigma2 / s]]
+    A trial forms one n x n matrix: the difference D = Sa - Sb of the two
+    smoothers on X, from their spectral factors (``smoothers.difference``;
+    Qa Qa^T - Qb Qb^T is formed once per check).  The smoother on X
+    augmented with the query x* is a bordered update of the smoother on X
+    (``augmented_smoother``): with (w, c) each model's bordered terms,
 
-    so no augmented design is factored.  The two models never share a
-    factorization: that would compare a model with itself.
+        M+ = [[M - c w w^T,  c w  ],
+              [c w^T,        1 - c]]
+
+    so after max |D| is read, D - ca wa wa^T + cb wb wb^T (in place),
+    ca wa - cb wb and cb - ca are the blocks of Ma - Mb: no augmented design
+    is factored and no smoother is formed.
     """
     require_comparable(model_a, model_b)
     design = as_design(X)
-    fac_a = factorize_model(model_a, design)
+    fac_a = factorize_model(model_a, design) if factorization_a is None else factorization_a
     fac_b = factorize_model(model_b, design)
+    basis = fac_a.Q @ fac_a.Q.T - fac_b.Q @ fac_b.Q.T if fac_a.m else None
     rng = np.random.default_rng(seed)
     lo = design.points.min(axis=0)
     hi = design.points.max(axis=0)
@@ -333,12 +328,23 @@ def check_pred_equiv(
         mean_b, var_b = fit_factored(model_b, design, fac_b, y, sigma2).posterior(x_new)
         dev_mean = max(dev_mean, float(np.abs(mean_a - mean_b).max()))
         dev_var = max(dev_var, float(np.abs(var_a - var_b).max()))
-        Sa = fac_a.smoother(sigma2)
-        Sb = fac_b.smoother(sigma2)
-        dev_smoother = max(dev_smoother, _max_abs_diff(Sa.matrix, Sb.matrix))
-        Ma = _augmented_smoother(model_a, fac_a, Sa, design, x_new, sigma2)
-        Mb = _augmented_smoother(model_b, fac_b, Sb, design, x_new, sigma2)
-        dev_smoother = max(dev_smoother, _max_abs_diff(Ma.matrix, Mb.matrix))
+        D = difference(fac_a.smoother(sigma2), fac_b.smoother(sigma2), basis)
+        dev_smoother = max(dev_smoother, _max_abs(D))
+        (wa, ca), (wb, cb) = (
+            _bordered_terms(
+                fac,
+                kernel_cross(model.kernel, x_new, design)[0],
+                kernel_diag(model.kernel, x_new)[0],
+                model.basis_matrix(x_new)[0],
+                sigma2,
+            )
+            for model, fac in ((model_a, fac_a), (model_b, fac_b))
+        )
+        W = np.stack([wa, wb], axis=1)
+        D += (W * [-ca, cb]) @ W.T
+        dev_smoother = max(
+            dev_smoother, _max_abs(D), _max_abs(ca * wa - cb * wb), abs(cb - ca)
+        )
     ok = dev_mean <= tol and dev_var <= tol and dev_smoother <= tol
     report = EquivalenceCheck(
         equivalent=ok,
@@ -376,7 +382,7 @@ def match_scale(
         raise NotProportional(f"trace matching failed: {exc}") from exc
     # alpha multiplies model_b's kernel as given: <l_a, V> ~ <alpha l_b, V'>
     alpha = g / model_b.kernel.gamma
-    if float(np.abs(target.matrix - fac.scaled(alpha).smoother(sigma2).matrix).max()) > tol:
+    if _max_abs(difference(target, fac.scaled(alpha).smoother(sigma2))) > tol:
         raise NotProportional("traces match but smoothers differ; models are not proportional")
     return alpha
 

@@ -16,7 +16,8 @@ class SmootherMatrix:
     and Q (n x m) with U^T Q = 0, kept as those factors: its trace is
     m + sum f, its eigenvalues are f and m ones, and its diagonal and fitted
     values cost O(n^2).  Its dense ``matrix``, an O(n^3) product, is formed
-    once, when it is first read.
+    once, when it is first read.  ``difference(a, b)`` forms a - b from the
+    factors of both, without forming either matrix.
     """
 
     def __init__(self, matrix):
@@ -77,3 +78,38 @@ class SmootherMatrix:
         if Q.shape[1]:
             out = out + np.einsum("ij,ij->i", Q, Q)
         return out
+
+
+def _gram(U, f) -> np.ndarray:
+    """U diag(f) U^T as A A^T with A = U sqrt|f|, less the same product over
+    the modes with f < 0 (indefinite models); numpy's matmul runs ``A @ A.T``
+    as a symmetric rank-k update, half the flops of a general product."""
+    A = U * np.sqrt(np.abs(f))
+    neg = f < 0
+    if not neg.any():
+        return A @ A.T
+    P, N = A[:, ~neg], A[:, neg]
+    G = P @ P.T
+    G -= N @ N.T
+    return G
+
+
+def difference(a: SmootherMatrix, b: SmootherMatrix, basis=None) -> np.ndarray:
+    """The dense n x n matrix a - b, formed from the factors of both.
+
+    For two filtered smoothers it is Ua diag(fa) Ua^T - Ub diag(fb) Ub^T plus
+    Qa Qa^T - Qb Qb^T; ``basis`` is that last term, passed in by callers that
+    compare smoothers of the same two bases at many noise levels.  Neither
+    dense ``matrix`` is formed, unless one of the two wraps a dense array.
+    """
+    if a._factors is None or b._factors is None:
+        return a.matrix - b.matrix
+    Ua, fa, Qa = a._factors
+    Ub, fb, Qb = b._factors
+    D = _gram(Ua, fa)
+    D -= _gram(Ub, fb)
+    if basis is None and (Qa.shape[1] or Qb.shape[1]):
+        basis = Qa @ Qa.T - Qb @ Qb.T
+    if basis is not None:
+        D += basis
+    return D

@@ -16,13 +16,17 @@ to another gain without refactoring, and fits at any ``(y, sigma2)``,
 smoothers at any ``sigma2`` and the predictive variances of a whole query
 batch are solves against it.  A smoother is kept as the modes, their filter
 and Q: its trace, diagonal and fitted values cost O(n^2), and the n x n
-matrix is formed only where it is read.  A GP is the model with an empty
-basis; its spectrum (``from_kernel``, exported as ``gp.GpSpectrum``) skips
-the complement and keeps no kernel matrix.  The complement basis comes from one
-complete QR of the n x m orthonormal basis, and an identically zero kernel
-skips the eigensolver.  The smoother on the design plus one point follows from
-the factorization and the smoother on the design by a bordered update
-(``augmented_smoother``), in O(n^2) and with no new factorization.
+matrix is formed only where it is read; two smoothers are compared through
+their difference (``smoothers.difference``), formed from the factors of
+both.  A GP is the model with an empty basis; its spectrum (``from_kernel``,
+exported as ``gp.GpSpectrum``) skips the complement and keeps no kernel
+matrix.  The complement basis comes from one complete QR of the n x m
+orthonormal basis, and an identically zero kernel skips the eigensolver.  The
+smoother on the design plus one point follows from the factorization and the
+smoother on the design by a bordered update (``augmented_smoother``), in
+O(n^2) and with no new factorization; its terms (w, c) come from
+``_bordered_terms``, so the difference of two models' augmented smoothers is
+a rank-two update of the difference on the design.
 
 A fit against a factorization (``fit_factored``, of one data vector or of k
 as columns) is an ``SpmFit``, and ``SpmFit.posterior`` is the package's one
@@ -281,6 +285,17 @@ class SaddleFactorization:
         )
 
 
+def _bordered_terms(fac: SaddleFactorization, k, kappa: float, v, sigma2: float):
+    """The terms (w, c) of the bordered update for one point x*, with
+    c = sigma2 / s (see ``augmented_smoother``)."""
+    if not sigma2 > 0:
+        raise ValueError(f"augmented smoothers need sigma2 > 0, got sigma2={sigma2}")
+    k = np.asarray(k, dtype=float)
+    v = np.asarray(v, dtype=float)
+    w, b = fac.solve(sigma2, k, v)
+    return w, sigma2 / (float(kappa) - k @ w - v @ b + sigma2)
+
+
 def augmented_smoother(
     fac: SaddleFactorization, smoother: SmootherMatrix, k, kappa: float, v, sigma2: float
 ) -> SmootherMatrix:
@@ -294,18 +309,14 @@ def augmented_smoother(
 
         (w, b) = fac.solve(sigma2, k, v)
         s      = kappa - k^T w - v^T b + sigma2   (predictive variance + sigma2)
-        M+     = [[M - sigma2 w w^T / s,  sigma2 w / s],
-                  [sigma2 w^T / s,        1 - sigma2 / s]]
+        c      = sigma2 / s
+        M+     = [[M - c w w^T,  c w  ],
+                  [c w^T,        1 - c]]
 
     which equals ``spm_smoother(model, vstack(X, x*), sigma2)`` without
     factoring the augmented design.
     """
-    if not sigma2 > 0:
-        raise ValueError(f"augmented smoothers need sigma2 > 0, got sigma2={sigma2}")
-    k = np.asarray(k, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w, b = fac.solve(sigma2, k, v)
-    c = sigma2 / (float(kappa) - k @ w - v @ b + sigma2)
+    w, c = _bordered_terms(fac, k, kappa, v, sigma2)
     n = smoother.n
     M = np.empty((n + 1, n + 1))
     M[:n, :n] = smoother.matrix - c * np.outer(w, w)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from flatgp.smoothers import SmootherMatrix
+
 
 @pytest.fixture
 def rng():
@@ -23,6 +25,20 @@ def count_linalg(monkeypatch):
         return shapes
 
     return count
+
+
+@pytest.fixture
+def dense_smoothers(monkeypatch):
+    """The size n of every n x n matrix formed from a smoother's spectral factors."""
+    formed = []
+    form = SmootherMatrix.matrix.func
+
+    def counted(self):
+        formed.append(self.n)
+        return form(self)
+
+    monkeypatch.setattr(SmootherMatrix.matrix, "func", counted)
+    return formed
 
 
 def pytest_terminal_summary(terminalreporter):

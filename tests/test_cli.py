@@ -15,7 +15,6 @@ from flatgp.cli import build_parser, main
 from flatgp.dataio import Dataset, format_float, parse_dataset, write_dataset, write_json
 from flatgp.errors import DatasetError, EmptyDataset
 from flatgp.polybasis import Design
-from flatgp.smoothers import SmootherMatrix
 
 
 def write_lines(path, lines):
@@ -42,20 +41,6 @@ def read_csv(path):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
-
-
-@pytest.fixture
-def dense_smoothers(monkeypatch):
-    """The size n of every n x n matrix formed from a smoother's spectral factors."""
-    formed = []
-    form = SmootherMatrix.matrix.func
-
-    def counted(self):
-        formed.append(self.n)
-        return form(self)
-
-    monkeypatch.setattr(SmootherMatrix.matrix, "func", counted)
-    return formed
 
 
 class TestParseDataset:
@@ -251,6 +236,20 @@ class TestCommands:
             )
         assert outputs[0] == outputs[1]
 
+    def test_converge_eps_grid_in_either_order(self, tmp_path):
+        outputs = []
+        for name, grid in (("down", "0.2:0.025:4"), ("up", "0.025:0.2:4")):
+            out = tmp_path / name
+            code = main([
+                "converge", "--n", "12", "--kernel", "exponential", "--p", "1",
+                "--eps-grid", grid, "--out", str(out),
+            ])
+            assert code == 0
+            outputs.append(
+                ((tmp_path / f"{name}.csv").read_bytes(), read_json(f"{out}.json")["metrics"])
+            )
+        assert outputs[0] == outputs[1]
+
     def test_isofreedom_rejects_repeated_eps_cleanly(self, data_csv, tmp_path, capsys):
         code = main([
             "isofreedom", "--data", str(data_csv), "--dof", "2.5",
@@ -376,7 +375,9 @@ class TestCommands:
         assert metrics["all_equivalent"] is True
         assert metrics["skipped"].startswith("basis_size 0:")
 
-    def test_equiv_check_factors_on_the_design_only(self, tmp_path, count_linalg):
+    def test_equiv_check_factors_on_the_design_only(
+        self, tmp_path, count_linalg, dense_smoothers
+    ):
         shapes = count_linalg("eigh")
         out = tmp_path / "eq"
         n = 20
@@ -389,10 +390,13 @@ class TestCommands:
         assert metrics["case"] == "spline-regression"
         m = metrics["basis_size"]
         assert m > 0 and sorted(metrics["checks"]) == ["basis_change", "kernel_absorption"]
-        # two models per check, each factored once on the n design points; an
-        # augmented design (n + 1 points) would restrict to n + 1 - m rows
-        assert len(shapes) == 4
+        # the limit model once for both checks and each transform once, all on
+        # the n design points; an augmented design (n + 1 points) would
+        # restrict to n + 1 - m rows
+        assert len(shapes) == 3
         assert all(shape == (n - m, n - m) for shape in shapes)
+        # smoothers are compared through their differences, never formed
+        assert dense_smoothers == []
 
     def test_nugget_compare_contrast(self, data_csv, tmp_path):
         out = tmp_path / "nug"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flatgp import (
     Family,
@@ -18,6 +20,7 @@ from flatgp import (
     distance_power_matrix,
     gp_smoother,
     kernel_cross,
+    kernel_diag,
     leading_odd_coefficient,
     limiting_smoother,
     match_scale,
@@ -25,6 +28,7 @@ from flatgp import (
     prediction_curve,
     project_out_basis,
     recombined_basis_model,
+    regularity,
     spm_smoother,
     vandermonde,
     wronskian,
@@ -38,8 +42,11 @@ from flatgp.errors import (
     NotUnisolvent,
 )
 import flatgp.flatlimit as flatlimit_module
+import flatgp.smoothers as smoothers_module
 import flatgp.spm as spm_module
 from flatgp.flatlimit import _limit_model, _monomial_block_kernel
+from flatgp.polybasis import as_design
+from flatgp.spm import augmented_smoother, factorize_model, fit_factored
 
 
 class TestClassify:
@@ -354,12 +361,183 @@ class TestPredEquiv:
         assert ok_ab and ok_ac and ok_bc
 
 
+def dense_pred_equiv(model_a, model_b, X, num_trials=8, seed=0):
+    """Reference for ``check_pred_equiv``'s deviations: the same trials, with
+    both smoothers on X and both augmented smoothers formed as dense matrices
+    and compared entrywise."""
+    design = as_design(X)
+    fac_a = factorize_model(model_a, design)
+    fac_b = factorize_model(model_b, design)
+    rng = np.random.default_rng(seed)
+    lo = design.points.min(axis=0)
+    hi = design.points.max(axis=0)
+    dev_mean = dev_var = dev_smoother = 0.0
+    for _ in range(num_trials):
+        y = rng.normal(size=design.n)
+        sigma2 = float(10.0 ** rng.uniform(-2, 0.5))
+        x_new = rng.uniform(lo, hi)[None, :]
+        mean_a, var_a = fit_factored(model_a, design, fac_a, y, sigma2).posterior(x_new)
+        mean_b, var_b = fit_factored(model_b, design, fac_b, y, sigma2).posterior(x_new)
+        dev_mean = max(dev_mean, float(np.abs(mean_a - mean_b).max()))
+        dev_var = max(dev_var, float(np.abs(var_a - var_b).max()))
+        Sa = fac_a.smoother(sigma2)
+        Sb = fac_b.smoother(sigma2)
+        dev_smoother = max(dev_smoother, float(np.abs(Sa.matrix - Sb.matrix).max()))
+        Ma, Mb = (
+            augmented_smoother(
+                fac,
+                S,
+                kernel_cross(model.kernel, x_new, design)[0],
+                kernel_diag(model.kernel, x_new)[0],
+                model.basis_matrix(x_new)[0],
+                sigma2,
+            )
+            for model, fac, S in ((model_a, fac_a, Sa), (model_b, fac_b, Sb))
+        )
+        dev_smoother = max(dev_smoother, float(np.abs(Ma.matrix - Mb.matrix).max()))
+    return dev_mean, dev_var, dev_smoother
+
+
+def oracle_design(d):
+    return np.random.default_rng(21).uniform(0, 1, size=(14, d))
+
+
+def oracle_pairs():
+    """Model pairs for the reference comparison: (model_a, model_b, d)."""
+    spline = polyharmonic_spm(2, 1)
+    gauss = SemiParametricModel(Kernel.gaussian(epsilon=2.0), d=2, basis_degree=1)
+    linear = polyharmonic_spm(1, 1)
+    # |x - y|^3 without its linear basis has two negative eigenvalues; where
+    # sigma2 lies between their magnitudes the filter of the smaller is negative
+    indefinite = SemiParametricModel(Kernel.polyharmonic(2), d=1)
+    zero = SemiParametricModel(Kernel.zero(), d=1, basis_degree=1)
+    constant = SemiParametricModel(Kernel.zero(), d=1, basis_degree=0)
+    on_design = oracle_design(1)[:, 0]
+
+    def off_design(g):
+        return lambda p: np.where(np.isin(p[:, 0], on_design), 1.0, g)
+
+    return {
+        "recombined": (spline, recombined_basis_model(spline, seed=3), 1),
+        "absorbed": (gauss, absorbed_kernel_model(gauss, 0.7), 2),
+        "scaled": (linear, linear.scaled(1.5), 1),
+        "indefinite": (indefinite, indefinite.scaled(1.5), 1),
+        "empty-basis": (
+            SemiParametricModel(Kernel.gaussian(epsilon=3.0), d=2),
+            SemiParametricModel(Kernel.matern(1.5, epsilon=2.0), d=2),
+            2,
+        ),
+        "zero-kernel": (zero, absorbed_kernel_model(zero, 0.7), 1),
+        # bases of one size whose spans differ: Qa Qa^T - Qb Qb^T is not zero
+        "other-basis": (
+            SemiParametricModel(Kernel.gaussian(epsilon=2.0), d=1, basis_degree=0),
+            SemiParametricModel(
+                Kernel.gaussian(epsilon=2.0), d=1, basis_functions=(lambda p: p[:, 0],)
+            ),
+            1,
+        ),
+        # a constant basis against one that is 1 on the design and g elsewhere:
+        # the smoothers on X agree and only the bordered terms differ, the
+        # corner most for g = 2 and the border alone for g = -1
+        **{
+            f"off-design-{g:g}": (
+                constant,
+                SemiParametricModel(Kernel.zero(), d=1, basis_functions=(off_design(g),)),
+                1,
+            )
+            for g in (2.0, -1.0)
+        },
+    }
+
+
+class TestPredEquivAgainstDenseLoop:
+    @pytest.mark.parametrize("case", sorted(oracle_pairs()))
+    @pytest.mark.parametrize("reuse", [False, True], ids=["own", "given"])
+    def test_same_deviations_as_dense_smoothers(self, case, reuse, monkeypatch):
+        model_a, model_b, d = oracle_pairs()[case]
+        X = oracle_design(d)
+        negative_filter = []
+        gram = smoothers_module._gram
+
+        def recorded(U, f):
+            negative_filter.append(bool((f < 0).any()))
+            return gram(U, f)
+
+        monkeypatch.setattr(smoothers_module, "_gram", recorded)
+        given_fac = factorize_model(model_a, X) if reuse else None
+        _, rep = check_pred_equiv(model_a, model_b, X, seed=1, factorization_a=given_fac)
+        want = dense_pred_equiv(model_a, model_b, X, seed=1)
+        got = (rep.max_mean_dev, rep.max_var_dev, rep.max_smoother_dev)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # round-off eigenvalues of the zero kernel's transform filter to about -1e-17
+        if case == "indefinite":
+            assert any(negative_filter)
+
+
+@st.composite
+def equivalence_cases(draw):
+    """A model with a basis and a random design of the dimension it lives in:
+    polyharmonic splines, a classified Matern spline limit, or the Gaussian's
+    canonical polynomial kernel, at a random gain."""
+    d = draw(st.sampled_from([1, 2]))
+    gain = 10.0 ** draw(st.floats(-1, 1))
+    kind = draw(st.sampled_from(["polyharmonic", "matern-spline", "gaussian-polynomial"]))
+    if kind == "polyharmonic":
+        model = polyharmonic_spm(draw(st.sampled_from([1, 2])), d).scaled(gain)
+    elif kind == "matern-spline":
+        kernel = Kernel.matern(draw(st.sampled_from([1.5, 2.5])), gamma=gain)
+        r = regularity(kernel)
+        model = classify_limit(r, 2 * r - 1, d, kernel=kernel).equivalent_model
+    else:
+        m = draw(st.sampled_from([1, 2]))
+        kernel = Kernel.gaussian(gamma=gain)
+        model = classify_limit(math.inf, 2 * m, d, kernel=kernel).equivalent_model
+    n = model.basis_size() + draw(st.integers(2, 12))
+    X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0, 1, size=(n, d))
+    return model, X
+
+
+def certify(model, other, X, seed):
+    try:
+        return check_pred_equiv(model, other, X, seed=seed)
+    except NotUnisolvent:
+        assume(False)
+
+
+class TestEquivalenceIdentities:
+    """The two exact transforms are certified on random designs and data; a
+    kernel rescaled by 1e-3 is not."""
+
+    @given(case=equivalence_cases(), mix=st.integers(0, 2**32 - 1), seed=st.integers(0, 999))
+    @settings(max_examples=60, deadline=None)
+    def test_basis_recombination_is_certified(self, case, mix, seed):
+        model, X = case
+        ok, rep = certify(model, recombined_basis_model(model, seed=mix), X, seed)
+        assert ok, rep
+
+    @given(case=equivalence_cases(), log_coef=st.floats(-1, 1), seed=st.integers(0, 999))
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_absorption_is_certified(self, case, log_coef, seed):
+        model, X = case
+        ok, rep = certify(model, absorbed_kernel_model(model, 10.0**log_coef), X, seed)
+        assert ok, rep
+
+    @given(case=equivalence_cases(), seed=st.integers(0, 999))
+    @settings(max_examples=60, deadline=None)
+    def test_rescaled_kernel_is_not_certified(self, case, seed):
+        model, X = case
+        ok, rep = certify(model, model.scaled(1 + 1e-3), X, seed)
+        assert not ok, rep
+
+
 class TestMatchScale:
-    def test_recovers_inverse_of_scaling(self, rng):
+    def test_recovers_inverse_of_scaling(self, rng, dense_smoothers):
         X = np.sort(rng.uniform(0, 1, 9))
         model = polyharmonic_spm(1, 1)
         alpha = match_scale(model, model.scaled(4.0), X, 0.1)
         assert alpha == pytest.approx(0.25, rel=1e-6)
+        # the smoothers are compared through their difference, never formed
+        assert dense_smoothers == []
 
     @pytest.mark.parametrize("m,d", [(1, 1), (1, 2), (2, 2)])
     def test_gaussian_wronskian_block_vs_polynomial_kernel(self, m, d, rng):
@@ -467,7 +645,9 @@ class TestWorkCounts:
     """Call counts, not timings: reuse of factorizations must not regress."""
 
     @pytest.mark.parametrize("num_trials", [1, 5])
-    def test_check_pred_equiv_factors_each_model_once(self, count_linalg, rng, num_trials):
+    def test_check_pred_equiv_factors_each_model_once(
+        self, count_linalg, dense_smoothers, rng, num_trials
+    ):
         X = np.sort(rng.uniform(0, 1, 20))
         model = polyharmonic_spm(2, 1)
         eigh = count_linalg("eigh")
@@ -484,6 +664,20 @@ class TestWorkCounts:
         assert all(shape == (n - m, n - m) for shape in eigh)
         # the only SVDs are rank checks of the n x m basis matrices on X
         assert svd and all(shape == (n, m) for shape in svd)
+        # smoothers are compared through their differences, never formed
+        assert dense_smoothers == []
+
+    def test_check_pred_equiv_reuses_a_given_factorization(self, count_linalg, rng):
+        X = np.sort(rng.uniform(0, 1, 20))
+        model = polyharmonic_spm(2, 1)
+        other = absorbed_kernel_model(model, 0.7)
+        fac = factorize_model(model, X)
+        eigh = count_linalg("eigh")
+        _, given_rep = check_pred_equiv(model, other, X, factorization_a=fac)
+        # only the other model is factored
+        assert len(eigh) == 1
+        _, own_rep = check_pred_equiv(model, other, X)
+        assert given_rep == own_rep
 
     def test_convergence_study_one_eigh_per_eps(self, count_linalg, rng):
         X = np.sort(rng.uniform(0, 1, 12))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +33,7 @@ from flatgp.errors import (
 )
 import flatgp.spm as spm_module
 from flatgp.flatlimit import absorbed_kernel_model
+from flatgp.smoothers import SmootherMatrix, difference
 from flatgp.spm import (
     augmented_smoother,
     factorize_model,
@@ -405,6 +408,24 @@ class TestSpectralSmoother:
         spec = GpSpectrum.from_kernel(Kernel.matern(1.5, epsilon=2.0, gamma=gain), X)
         for sigma2 in (1e-3, 0.1):
             assert_spectral_smoother_matches_dense(spec.smoother(sigma2), 7)
+
+    @design_cases
+    @settings(max_examples=60, deadline=None)
+    def test_difference_matches_dense_matrices(self, seed, d, degree, zero_kernel, extra):
+        _, X, fac = random_factorization(seed, d, degree, zero_kernel, extra)
+        # two orders above what its basis annihilates the kernel is indefinite
+        # on the complement, so filters of either sign occur
+        indefinite = SemiParametricModel(Kernel.polyharmonic(degree + 3), d=d, basis_degree=degree)
+        others = (fac.scaled(2.5), factorize_model(indefinite, X))
+        for other, sigma2 in itertools.product(others, (0.05, 2.0)):
+            a, b = fac.smoother(sigma2), other.smoother(sigma2)
+            got = difference(a, b)
+            assert "matrix" not in vars(a) and "matrix" not in vars(b)
+            want = a.matrix - b.matrix
+            scale = max(1.0, float(np.abs(b.matrix).max()))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+            # a smoother that wraps a dense array is subtracted as one
+            np.testing.assert_array_equal(difference(SmootherMatrix(a.matrix), b), want)
 
     def test_dense_matrix_is_formed_once_as_before(self, rng):
         X = rng.uniform(0, 1, size=(12, 1))
