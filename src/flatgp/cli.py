@@ -34,10 +34,16 @@ from .spm import SemiParametricModel, factorize_model, fit_factored
 
 
 def _threads():
+    """The grid pool's size: FLATGP_THREADS if set, else the CPUs this
+    process may run on (at most 8)."""
     raw = os.environ.get("FLATGP_THREADS", "").strip()
     if raw:
         return max(1, int(raw))
-    return min(8, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(8, cpus)
 
 
 def _parse_grid(spec, log=True, descending=False):
@@ -223,6 +229,12 @@ def _grid_eval(args, ds, values_fn):
     _share_main_heap()
     kern = _make_kernel(args, eps=1.0, gamma=1.0)
 
+    # every spectrum keeps its eigenvectors, also for dof-grid, which reads
+    # traces only: eigh's eigenvector back-transformation runs in parallel on
+    # the pool's workers and eigvalsh's work does not (20 Matern matrices at
+    # n=400, one BLAS thread, 2 CPUs: eigh 0.283 s on one worker and 0.171 s
+    # on two, eigvalsh 0.174 s and 0.164 s), so with eigvalsh in the pool
+    # dof-grid read about 7% slower
     def one(eps):
         spec = GpSpectrum.from_kernel(kern.with_params(epsilon=eps), ds.X, nugget=args.nugget)
         return values_fn(spec, eps)
@@ -418,7 +430,9 @@ def cmd_nugget_compare(args):
     rows = []
     errors = []
     for variant, nug in (("nugget", args.nugget), ("plain", 0.0)):
-        spec = GpSpectrum.from_kernel(kern.with_params(epsilon=args.eps), ds.X, nugget=nug)
+        spec = GpSpectrum.from_kernel(
+            kern.with_params(epsilon=args.eps), ds.X, nugget=nug, vectors=False
+        )
         for g in gamma_grid:
             try:
                 val, status = format_float(spec.scaled(g).dof(args.sigma2)), "ok"

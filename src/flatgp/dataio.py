@@ -152,7 +152,7 @@ def write_json(path, payload):
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):  # numpy scalars, numpy bools included
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()

@@ -8,7 +8,9 @@ of freedom as the source GP.
 
 Every gain and penalty here solves one equation, smoother trace
 ``m0 + sum g lam / (g lam + sigma2)`` = target dof, and ``spm.solve_trace`` is
-the single solver of it.
+the single solver of it.  That equation reads eigenvalues only, so
+``isofreedom_curve`` computes its spectra without eigenvectors
+(``vectors=False``).
 """
 
 import math
@@ -47,7 +49,13 @@ class IsofreedomCurve:
 
 
 def isofreedom_gamma(kernel: Kernel, X, sigma2: float, eps: float, m: float) -> float:
-    """The gain putting the smoother's trace at exactly ``m`` for this epsilon."""
+    """The gain putting the smoother's trace at exactly ``m`` for this epsilon.
+
+    Unlike ``isofreedom_curve``, this solves on the full ``eigh`` spectrum:
+    its gain is read back against that spectrum (``matched_approximation``
+    recomputes the source trace there and selects its case by it), and the
+    eigenvalues of ``eigvalsh`` differ from it by round-off.
+    """
     spec = GpSpectrum.from_kernel(kernel.with_params(epsilon=eps, gamma=1.0), X)
     return solve_trace(spec.evals, 0.0, m, sigma2)[0]
 
@@ -69,7 +77,9 @@ def isofreedom_curve(kernel: Kernel, X, sigma2: float, m: float, eps_grid) -> Is
     design = as_design(X)
     points = []
     for eps in eps_grid:
-        spec = GpSpectrum.from_kernel(kernel.with_params(epsilon=eps, gamma=1.0), design)
+        spec = GpSpectrum.from_kernel(
+            kernel.with_params(epsilon=eps, gamma=1.0), design, vectors=False
+        )
         g = solve_trace(spec.evals, 0.0, m, sigma2)[0]
         achieved = spec.scaled(g).dof(sigma2)
         points.append(

@@ -31,7 +31,6 @@ from .kernels import (
     Family,
     Kernel,
     kernel_cross,
-    kernel_diag,
     leading_odd_coefficient,
     regularity,
     wronskian,
@@ -47,7 +46,6 @@ from .smoothers import SmootherMatrix, difference
 from .spm import (
     SaddleFactorization,
     SemiParametricModel,
-    _bordered_terms,
     factorize_model,
     fit_factored,
     fit_spm,
@@ -302,7 +300,8 @@ def check_pred_equiv(
     smoothers on X, from their spectral factors (``smoothers.difference``;
     Qa Qa^T - Qb Qb^T is formed once per check).  The smoother on X
     augmented with the query x* is a bordered update of the smoother on X
-    (``augmented_smoother``): with (w, c) each model's bordered terms,
+    (``augmented_smoother``): with (w, c) each model's bordered terms, which
+    ``SpmFit.bordered`` takes from the same solve as the posterior at x*,
 
         M+ = [[M - c w w^T,  c w  ],
               [c w^T,        1 - c]]
@@ -324,28 +323,18 @@ def check_pred_equiv(
         y = rng.normal(size=design.n)
         sigma2 = float(10.0 ** rng.uniform(-2, 0.5))
         x_new = rng.uniform(lo, hi)[None, :]
-        mean_a, var_a = fit_factored(model_a, design, fac_a, y, sigma2).posterior(x_new)
-        mean_b, var_b = fit_factored(model_b, design, fac_b, y, sigma2).posterior(x_new)
+        mean_a, var_a, wa, ca = fit_factored(model_a, design, fac_a, y, sigma2).bordered(x_new)
+        mean_b, var_b, wb, cb = fit_factored(model_b, design, fac_b, y, sigma2).bordered(x_new)
         dev_mean = max(dev_mean, float(np.abs(mean_a - mean_b).max()))
         dev_var = max(dev_var, float(np.abs(var_a - var_b).max()))
         D = difference(fac_a.smoother(sigma2), fac_b.smoother(sigma2), basis)
         dev_smoother = max(dev_smoother, _max_abs(D))
-        (wa, ca), (wb, cb) = (
-            _bordered_terms(
-                fac,
-                kernel_cross(model.kernel, x_new, design)[0],
-                kernel_diag(model.kernel, x_new)[0],
-                model.basis_matrix(x_new)[0],
-                sigma2,
-            )
-            for model, fac in ((model_a, fac_a), (model_b, fac_b))
-        )
         W = np.stack([wa, wb], axis=1)
         D += (W * [-ca, cb]) @ W.T
         dev_smoother = max(
-            dev_smoother, _max_abs(D), _max_abs(ca * wa - cb * wb), abs(cb - ca)
+            dev_smoother, _max_abs(D), _max_abs(ca * wa - cb * wb), abs(float(cb - ca))
         )
-    ok = dev_mean <= tol and dev_var <= tol and dev_smoother <= tol
+    ok = bool(dev_mean <= tol and dev_var <= tol and dev_smoother <= tol)
     report = EquivalenceCheck(
         equivalent=ok,
         max_mean_dev=dev_mean,

@@ -5,9 +5,13 @@ spectrum, ``GpSpectrum`` (the same type as ``spm.SaddleFactorization``,
 built by ``from_kernel``), is the eigendecomposition of the unit-gain kernel
 matrix; the smoother with gain gamma and noise sigma2 filters each of its
 modes by lambda / (lambda + sigma2 / gamma), and one spectrum serves every
-gamma of a grid.  Posterior means and variances are those of the fitted
-model, ``spm.SpmFit.posterior``, so a GP variance below round-off raises
-NegativeVariance as any model's does.  This module adds the selection
+gamma of a grid.  Its trace, the degrees of freedom, reads the eigenvalues
+alone, so ``from_kernel(..., vectors=False)`` builds a spectrum for traces
+only, by ``eigvalsh``; the isofreedom curve and the CLI's nugget-compare use
+it, and the pooled grids keep ``eigh``, which parallelizes over the pool's
+workers where ``eigvalsh`` does not.  Posterior means and variances are
+those of the fitted model, ``spm.SpmFit.posterior``, so a GP variance below
+round-off raises NegativeVariance as any model's does.  This module adds the selection
 criteria, which read the smoother's diagonal, fitted values and trace only.
 A spectrum's smoother gives each of these in O(n^2) from its modes and
 filter, so a criterion never forms the n x n matrix; it is formed only where

@@ -20,18 +20,23 @@ matrix is formed only where it is read; two smoothers are compared through
 their difference (``smoothers.difference``), formed from the factors of
 both.  A GP is the model with an empty basis; its spectrum (``from_kernel``,
 exported as ``gp.GpSpectrum``) skips the complement and keeps no kernel
-matrix.  The complement basis comes from one complete QR of the n x m
-orthonormal basis, and an identically zero kernel skips the eigensolver.  The
-smoother on the design plus one point follows from the factorization and the
-smoother on the design by a bordered update (``augmented_smoother``), in
-O(n^2) and with no new factorization; its terms (w, c) come from
-``_bordered_terms``, so the difference of two models' augmented smoothers is
-a rank-two update of the difference on the design.
+matrix.  A caller that reads traces alone asks it for the eigenvalues only
+(``vectors=False``, ``eigvalsh``): ``dof``, ``scaled`` and ``solve_trace``
+need nothing else, and ``smoother``, ``solve``, ``fit`` and ``nlml`` then
+raise ValueError.  The complement basis comes from one complete QR of the
+n x m orthonormal basis, and an identically zero kernel skips the
+eigensolver.  The smoother on the design plus one point follows from the
+factorization and the smoother on the design by a bordered update
+(``augmented_smoother``), in O(n^2) and with no new factorization; its terms
+(w, c) are x*'s bordered solve and sigma2 / s, so the difference of two
+models' augmented smoothers is a rank-two update of the difference on the
+design.
 
 A fit against a factorization (``fit_factored``, of one data vector or of k
 as columns) is an ``SpmFit``, and ``SpmFit.posterior`` is the package's one
 posterior path: a GP's means and variances are those of its empty-basis fit,
-with the same round-off guard (NegativeVariance).
+with the same round-off guard (NegativeVariance).  ``SpmFit.bordered`` reads
+the posterior at x* and the terms (w, c) from that one solve.
 """
 
 import math
@@ -157,6 +162,8 @@ class SaddleFactorization:
     ``factorize``/``factorize_model`` (the saddle path) solve by the
     pseudo-inverse; ``from_kernel`` (the GP spectrum, m = 0) raises
     IllConditioned.  A negative or NaN sigma2 raises ValueError either way.
+    ``from_kernel(..., vectors=False)`` keeps the eigenvalues alone
+    (``evecs = modes = None``): traces only.
     """
 
     evals: np.ndarray
@@ -170,9 +177,13 @@ class SaddleFactorization:
     L: np.ndarray = None  # the unit-gain kernel matrix; kept only with a basis
 
     @classmethod
-    def _restricted(cls, A, complement=None, **parts) -> "SaddleFactorization":
-        """Eigensystem of the symmetric unit-gain restriction ``A``."""
-        evals, evecs = np.linalg.eigh(A)
+    def _restricted(cls, A, complement=None, vectors=True, **parts) -> "SaddleFactorization":
+        """Eigensystem of the symmetric unit-gain restriction ``A``; with
+        ``vectors=False`` its eigenvalues only (``evecs = modes = None``)."""
+        if vectors:
+            evals, evecs = np.linalg.eigh(A)
+        else:
+            evals, evecs = np.linalg.eigvalsh(A), None
         # round-off negatives of a PSD matrix are numerically zero
         cut = _CLIP_TOL * max(float(evals.max(initial=0.0)), 0.0)
         evals = np.where((evals < 0) & (evals >= -cut), 0.0, evals)
@@ -180,9 +191,16 @@ class SaddleFactorization:
         return cls(evals=evals, evecs=evecs, modes=modes, complement=complement, **parts)
 
     @classmethod
-    def from_kernel(cls, kernel: Kernel, X, nugget: float = 0.0) -> "SaddleFactorization":
+    def from_kernel(
+        cls, kernel: Kernel, X, nugget: float = 0.0, *, vectors: bool = True
+    ) -> "SaddleFactorization":
         """The GP spectrum: no basis, unit-gain kernel matrix plus ``nugget`` I,
-        gain ``kernel.gamma``.  A negative or NaN nugget raises ValueError."""
+        gain ``kernel.gamma``.  A negative or NaN nugget raises ValueError.
+
+        ``vectors=False`` computes the eigenvalues alone (``eigvalsh``): such a
+        spectrum gives ``dof`` and ``scaled`` and feeds ``solve_trace``, while
+        ``smoother``, ``solve``, ``fit`` and ``nlml`` raise ValueError.
+        """
         if not nugget >= 0:
             raise ValueError(f"nugget must be nonnegative, got nugget={nugget}")
         design = as_design(X)
@@ -190,7 +208,7 @@ class SaddleFactorization:
         if nugget:
             K = K + nugget * np.eye(design.n)
         return cls._restricted(
-            K, gain=kernel.gamma, pseudo_inverse=False,
+            K, vectors=vectors, gain=kernel.gamma, pseudo_inverse=False,
             Q=np.zeros((design.n, 0)), R=np.zeros((0, 0)),
         )
 
@@ -211,6 +229,13 @@ class SaddleFactorization:
         moved = object.__new__(type(self))
         moved.__dict__.update(vars(self), gain=self.gain * factor)
         return moved
+
+    def _require_vectors(self):
+        if self.modes is None:
+            raise ValueError(
+                "this spectrum has no eigenvectors (from_kernel(..., vectors=False)); "
+                "it gives traces only"
+            )
 
     def _filter_terms(self, sigma2):
         """Scaled eigenvalues lam and solve denominators lam + sigma2.  At
@@ -245,6 +270,7 @@ class SaddleFactorization:
         and Q, so its trace, diagonal and fitted values cost O(n^2) and the
         n x n matrix is formed only where ``.matrix`` is read.
         """
+        self._require_vectors()
         lam, denom = self._filter_terms(sigma2)
         return SmootherMatrix.filtered(self.modes, lam / denom, self.Q)
 
@@ -254,6 +280,7 @@ class SaddleFactorization:
         ``g`` (n,) and ``h`` (m,) may also be (n, k) and (m, k): k right-hand
         sides solved at once.  ``h`` defaults to zero.
         """
+        self._require_vectors()
         denom = self._filter_terms(sigma2)[1]
         g = np.asarray(g, dtype=float)
         if g.ndim == 2:
@@ -278,22 +305,12 @@ class SaddleFactorization:
         GP spectrum (``from_kernel``) only."""
         if self.pseudo_inverse:
             raise ValueError("nlml needs the GP spectrum of from_kernel")
+        self._require_vectors()
         denom = self._filter_terms(sigma2)[1]
         z = self.modes.T @ np.asarray(y, dtype=float)
         return 0.5 * float(np.sum(np.log(2.0 * math.pi * denom))) + 0.5 * float(
             np.sum(z**2 / denom)
         )
-
-
-def _bordered_terms(fac: SaddleFactorization, k, kappa: float, v, sigma2: float):
-    """The terms (w, c) of the bordered update for one point x*, with
-    c = sigma2 / s (see ``augmented_smoother``)."""
-    if not sigma2 > 0:
-        raise ValueError(f"augmented smoothers need sigma2 > 0, got sigma2={sigma2}")
-    k = np.asarray(k, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w, b = fac.solve(sigma2, k, v)
-    return w, sigma2 / (float(kappa) - k @ w - v @ b + sigma2)
 
 
 def augmented_smoother(
@@ -314,9 +331,15 @@ def augmented_smoother(
                   [c w^T,        1 - c]]
 
     which equals ``spm_smoother(model, vstack(X, x*), sigma2)`` without
-    factoring the augmented design.
+    factoring the augmented design.  ``SpmFit.bordered`` gives (w, c) from
+    the solve of x*'s posterior.
     """
-    w, c = _bordered_terms(fac, k, kappa, v, sigma2)
+    if not sigma2 > 0:
+        raise ValueError(f"augmented smoothers need sigma2 > 0, got sigma2={sigma2}")
+    k = np.asarray(k, dtype=float)
+    v = np.asarray(v, dtype=float)
+    w, b = fac.solve(sigma2, k, v)
+    c = sigma2 / (float(kappa) - k @ w - v @ b + sigma2)
     n = smoother.n
     M = np.empty((n + 1, n + 1))
     M[:n, :n] = smoother.matrix - c * np.outer(w, w)
@@ -405,16 +428,10 @@ class SpmFit:
         """Predictive variances at the query points: ``posterior(q)[1]``."""
         return self.posterior(query_points)[1]
 
-    def posterior(self, query_points):
-        """Predictive means and variances (prior - Lq a - Vq b) at the query
-        points, from one cross kernel Lq.
-
-        The bordered systems of all queries are solved at once, as columns of
-        one right-hand side, against the stored factorization: nothing is
-        refactored and the kernel matrix of the design is not rebuilt.  A
-        variance below round-off raises NegativeVariance; the round-off
-        negatives above it are clamped to zero.
-        """
+    def _solved(self, query_points):
+        """Means, unclamped variances (prior - Lq a - Vq b) and the solves a
+        of the queries' bordered systems, from one cross kernel Lq and one
+        solve.  A variance below round-off raises NegativeVariance."""
         Xq = as_design(query_points)
         Lq = kernel_cross(self.model.kernel, Xq, self.design)
         Vq = self.model.basis_matrix(Xq)
@@ -427,7 +444,30 @@ class SpmFit:
                 f"predictive variance {out.min():.3e} below round-off; "
                 "check conditional positive-definiteness"
             )
-        return self._mean(Lq, Vq), np.maximum(out, 0.0)
+        return self._mean(Lq, Vq), out, a
+
+    def posterior(self, query_points):
+        """Predictive means and variances (prior - Lq a - Vq b) at the query
+        points, from one cross kernel Lq.
+
+        The bordered systems of all queries are solved at once, as columns of
+        one right-hand side, against the stored factorization: nothing is
+        refactored and the kernel matrix of the design is not rebuilt.  A
+        variance below round-off raises NegativeVariance; the round-off
+        negatives above it are clamped to zero.
+        """
+        mean, var, _ = self._solved(query_points)
+        return mean, np.maximum(var, 0.0)
+
+    def bordered(self, x_new):
+        """``posterior`` at one point x*, with the bordered terms (w, c) of
+        ``augmented_smoother``, from the same solve: w is the solve a, and
+        c = sigma2 / s with s = (unclamped variance) + sigma2."""
+        if not self.sigma2 > 0:
+            raise ValueError(f"augmented smoothers need sigma2 > 0, got sigma2={self.sigma2}")
+        mean, var, a = self._solved(x_new)
+        c = self.sigma2 / (float(var[0]) + self.sigma2)
+        return mean, np.maximum(var, 0.0), a[:, 0], c
 
 
 def fit_factored(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import flatgp
+import flatgp.cli as cli_module
 from flatgp.cli import build_parser, main
 from flatgp.dataio import Dataset, format_float, parse_dataset, write_dataset, write_json
 from flatgp.errors import DatasetError, EmptyDataset
@@ -343,6 +344,66 @@ class TestCommands:
         assert eigh == [(25, 25)] * 4
         assert dense_smoothers == []
 
+    def test_isofreedom_reads_eigenvalues_only(self, tmp_path, count_linalg):
+        eigh, eigvalsh = count_linalg("eigh"), count_linalg("eigvalsh")
+        out = tmp_path / "iso"
+        code = main([
+            "isofreedom", "--n", "25", "--kernel", "matern", "--nu", "1.5",
+            "--dof", "2.5", "--eps-grid", "0.3:0.03:6", "--out", str(out),
+        ])
+        assert code == 0
+        assert len(read_csv(f"{out}.csv")[1]) == 6
+        # one eigenvalue solve per eps: the trace equation reads nothing else
+        assert eigvalsh == [(25, 25)] * 6 and eigh == []
+
+    def test_nugget_compare_reads_eigenvalues_only(self, data_csv, tmp_path, count_linalg):
+        eigh, eigvalsh = count_linalg("eigh"), count_linalg("eigvalsh")
+        out = tmp_path / "nug"
+        code = main([
+            "nugget-compare", "--data", str(data_csv), "--eps", "0.05",
+            "--gamma-grid", "1e2:1e6:5", "--out", str(out),
+        ])
+        assert code == 0
+        # one spectrum per variant, with and without the nugget
+        assert eigvalsh == [(8, 8)] * 2 and eigh == []
+
+    def test_dof_grid_keeps_eigh_in_its_pool(self, tmp_path, count_linalg):
+        eigh, eigvalsh = count_linalg("eigh"), count_linalg("eigvalsh")
+        out = tmp_path / "dof"
+        code = main([
+            "dof-grid", "--n", "20", "--eps-grid", "0.5:2:3", "--gamma-grid", "0.1:10:4",
+            "--out", str(out),
+        ])
+        assert code == 0
+        # eigh's back-transformation parallelizes over the pool's workers and
+        # eigvalsh's work does not: the pool keeps eigh, one per eps
+        assert eigh == [(20, 20)] * 3 and eigvalsh == []
+
+    def test_equiv_check_writes_strict_json_on_a_tiny_d2_design(self, tmp_path):
+        # n=30 points in [0, 1]^2 and a smooth target plus noise: here the
+        # bordered corner term is the largest deviation of basis_change
+        rng = np.random.default_rng(7)
+        X = rng.uniform(0.0, 1.0, size=(30, 2))
+        y = np.sum(np.sin(3.0 * X + 0.5 * np.arange(2)), axis=1) + 0.1 * rng.normal(size=30)
+        data = tmp_path / "data.csv"
+        rows = np.column_stack([X, y])
+        write_lines(data, ["x1,x2,y"] + [",".join(map(format_float, r)) for r in rows])
+        out = tmp_path / "eq"
+        code = main([
+            "equiv-check", "--data", str(data), "--kernel", "gaussian", "--p", "2",
+            "--sigma2", "0.01", "--seed", "7", "--out", str(out),
+        ])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON token {token}")
+
+        with open(f"{out}.json") as fh:
+            summary = json.loads(fh.read(), parse_constant=reject)
+        checks = summary["metrics"]["checks"]
+        assert sorted(checks) == ["basis_change", "kernel_absorption"]
+        assert all(check["equivalent"] is True for check in checks.values())
+
     def test_matched_summary(self, data_csv, tmp_path):
         out = tmp_path / "matched"
         code = main([
@@ -501,6 +562,37 @@ class TestCommands:
         argv = [sys.executable, "-c", script, command, str(tmp_path / "grid"), str(tmp_path / "heaps.xml")]
         done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         assert done.stdout.split() == ["0", "1"]
+
+
+class TestThreads:
+    def test_pool_follows_the_cpu_set(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("FLATGP_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        pools = []
+        executor = cli_module.ThreadPoolExecutor
+
+        def recorded(max_workers):
+            pools.append(max_workers)
+            return executor(max_workers=max_workers)
+
+        monkeypatch.setattr(cli_module, "ThreadPoolExecutor", recorded)
+        code = main([
+            "dof-grid", "--n", "10", "--eps-grid", "0.5:2:3", "--gamma-grid", "0.1:10:2",
+            "--out", str(tmp_path / "dof"),
+        ])
+        assert code == 0
+        assert pools == [1]
+
+    def test_environment_wins_and_cpu_count_is_the_fallback(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setenv("FLATGP_THREADS", "5")
+        assert cli_module._threads() == 5
+        monkeypatch.delenv("FLATGP_THREADS")
+        assert cli_module._threads() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli_module._threads() == 3
 
 
 class TestQueryCsv:

@@ -667,6 +667,35 @@ class TestWorkCounts:
         # smoothers are compared through their differences, never formed
         assert dense_smoothers == []
 
+    @pytest.mark.parametrize("num_trials", [1, 8])
+    def test_check_pred_equiv_one_bordered_solve_per_model_and_trial(
+        self, rng, monkeypatch, num_trials
+    ):
+        X = np.sort(rng.uniform(0, 1, 20))
+        model = polyharmonic_spm(2, 1)
+        crosses, solves = [], []
+        solve = spm_module.SaddleFactorization.solve
+
+        def counted_cross(*args, **kwargs):
+            crosses.append(1)
+            return kernel_cross(*args, **kwargs)
+
+        def counted_solve(self, *args, **kwargs):
+            solves.append(1)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(flatlimit_module, "kernel_cross", counted_cross)
+        monkeypatch.setattr(spm_module, "kernel_cross", counted_cross)
+        monkeypatch.setattr(spm_module.SaddleFactorization, "solve", counted_solve)
+        ok, _ = check_pred_equiv(
+            model, recombined_basis_model(model, seed=1), X, num_trials=num_trials
+        )
+        assert ok
+        # per model and trial: one cross kernel for x*, one solve for the fit
+        # and one for x*'s bordered system (mean, variance and (w, c))
+        assert len(crosses) == 2 * num_trials
+        assert len(solves) == 4 * num_trials
+
     def test_check_pred_equiv_reuses_a_given_factorization(self, count_linalg, rng):
         X = np.sort(rng.uniform(0, 1, 20))
         model = polyharmonic_spm(2, 1)

@@ -123,6 +123,60 @@ class TestSpectrum:
             GpSpectrum.from_kernel(Kernel.gaussian(epsilon=3.0), X, nugget=nugget)
 
 
+class TestValuesOnlySpectrum:
+    @given(
+        kernel=st.sampled_from(
+            [Kernel.matern(1.5), Kernel.matern(2.5), Kernel.exponential(), Kernel.gaussian()]
+        ),
+        d=st.sampled_from([1, 2]),
+        n=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        log_eps=st.floats(-0.5, 1.0),
+        nugget=st.sampled_from([0.0, 1e-8, 1e-4]),
+        log_gain=st.floats(-2.0, 1.0),
+        log_sigma2=st.floats(-2.0, 0.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_dof_matches_the_eigh_spectrum(
+        self, kernel, d, n, seed, log_eps, nugget, log_gain, log_sigma2
+    ):
+        rng = np.random.default_rng(seed)
+        # one point per cell of a regular partition keeps the design well spread
+        X = (np.arange(n)[:, None] + rng.uniform(0.1, 0.9, size=(n, d))) / n
+        kern = kernel.with_params(epsilon=10.0**log_eps)
+        full = GpSpectrum.from_kernel(kern, X, nugget=nugget)
+        values = GpSpectrum.from_kernel(kern, X, nugget=nugget, vectors=False)
+        assert values.evecs is None and values.modes is None
+        g, sigma2 = 10.0**log_gain, 10.0**log_sigma2
+        got = values.scaled(g).dof(sigma2)
+        assert got == pytest.approx(full.scaled(g).dof(sigma2), rel=0, abs=1e-10 * n)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_singular_kernel_raises_either_way(self, rng, d):
+        # at eps = 1e-4 the Gaussian kernel matrix is all ones to round-off
+        X = rng.uniform(0, 1, size=(10, d))
+        kern = Kernel.gaussian(epsilon=1e-4)
+        for vectors in (True, False):
+            spec = GpSpectrum.from_kernel(kern, X, vectors=vectors)
+            with pytest.raises(IllConditioned):
+                spec.dof(0.0)
+
+    def test_values_only_spectrum_refuses_solves(self, setup, count_linalg):
+        X, y = setup
+        eigh, eigvalsh = count_linalg("eigh"), count_linalg("eigvalsh")
+        spec = GpSpectrum.from_kernel(Kernel.matern(1.5, epsilon=2.0), X, vectors=False)
+        assert len(eigh) == 0 and len(eigvalsh) == 1
+        for call in (
+            lambda: spec.smoother(0.1),
+            lambda: spec.solve(0.1, y),
+            lambda: spec.fit(y, 0.1),
+            lambda: spec.nlml(y, 0.1),
+            lambda: spec.scaled(2.0).smoother(0.1),
+        ):
+            with pytest.raises(ValueError, match="no eigenvectors"):
+                call()
+
+
 class TestSmoother:
     def test_tiny_noise_gives_identity(self):
         X = np.linspace(0, 1, 6)

@@ -572,6 +572,42 @@ class TestAugmentedSmoother:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("case", sorted(augmented_cases()))
+    def test_fit_gives_posterior_and_bordered_terms_from_one_solve(
+        self, case, rng, monkeypatch
+    ):
+        model = augmented_cases()[case](2)
+        X = rng.uniform(0, 1, size=(model.basis_size() + 9, model.d))
+        x_new = rng.uniform(0, 1, size=(1, model.d))
+        sigma2 = 0.07
+        fac = factorize_model(model, X)
+        fit = fit_factored(model, X, fac, rng.normal(size=len(X)), sigma2)
+        # the last column of the augmented smoother is (c w, 1 - c)
+        border = augmented_smoother(
+            fac,
+            fac.smoother(sigma2),
+            kernel_cross(model.kernel, x_new, X)[0],
+            kernel_diag(model.kernel, x_new)[0],
+            model.basis_matrix(x_new)[0],
+            sigma2,
+        ).matrix[:, -1]
+        c_want = 1.0 - border[-1]
+        want_mean, want_var = fit.posterior(x_new)
+        solves = []
+        solve = spm_module.SaddleFactorization.solve
+
+        def counted(self, *args, **kwargs):
+            solves.append(1)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(spm_module.SaddleFactorization, "solve", counted)
+        mean, var, w, c = fit.bordered(x_new)
+        assert len(solves) == 1
+        np.testing.assert_array_equal(mean, want_mean)
+        np.testing.assert_array_equal(var, want_var)
+        assert c == pytest.approx(c_want, rel=1e-12, abs=1e-15)
+        np.testing.assert_allclose(c * w, border[:-1], rtol=1e-12, atol=1e-15)
+
     @pytest.mark.parametrize("sigma2", [0.0, -1.0, float("nan")])
     def test_nonpositive_sigma2_rejected(self, sigma2, rng):
         model = polyharmonic_spm(2, 1)
@@ -587,6 +623,8 @@ class TestAugmentedSmoother:
                 model.basis_matrix(x_new)[0],
                 sigma2,
             )
+        with pytest.raises(ValueError, match="sigma2"):
+            fit_factored(model, X, fac, np.zeros(6), sigma2).bordered(x_new)
 
 
 # filter eigenvalues: exact zeros and positive values spanning 1e-16 to 1e4
