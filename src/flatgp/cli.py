@@ -90,8 +90,8 @@ def _load_data(args):
     if args.data:
         ds = parse_dataset(args.data, target_col=args.y_col)
         return ds
-    n = args.n or 8
-    d = args.dim or 1
+    n = 8 if args.n is None else args.n
+    d = 1 if args.dim is None else args.dim
     rng = np.random.default_rng(args.seed)
     X = Design(rng.uniform(0.0, 1.0, size=(n, d)))
     y = rng.normal(size=n)
@@ -348,7 +348,7 @@ def cmd_equiv_check(args):
     case = classify_limit(family.regularity, family.p, ds.d, n=ds.n, kernel=family.kernel_at(1.0))
     model = case.equivalent_model
     m = model.basis_size()
-    results = {}
+    results, errors = {}, []
     if m > 0:
         # both checks compare against the same model on the same design
         fac = factorize_model(model, ds.X)
@@ -359,19 +359,19 @@ def cmd_equiv_check(args):
             ok, rep = check_pred_equiv(
                 model, other, ds.X, tol=args.tol, seed=args.seed, factorization_a=fac
             )
-            results[name] = {
-                "equivalent": ok,
-                "max_dev": max(rep.max_mean_dev, rep.max_var_dev, rep.max_smoother_dev),
-            }
-    status = all(v["equivalent"] for v in results.values())
-    metrics = {"case": case.kind.value, "basis_size": m, "checks": results, "all_equivalent": status}
+            dev = max(rep.max_mean_dev, rep.max_var_dev, rep.max_smoother_dev)
+            results[name] = {"equivalent": ok, "max_dev": dev}
+            if not ok:
+                errors.append(f"{name}: max_dev {dev:.3g} > tol {args.tol:g}")
+    metrics = {
+        "case": case.kind.value, "basis_size": m, "checks": results, "all_equivalent": not errors
+    }
     if m == 0:
         # both transformations act on the basis alone: no trial can run
         metrics["skipped"] = (
             "basis_size 0: basis recombination and kernel absorption are the identity"
         )
-    code = _emit(args, "equiv-check", metrics)
-    return code if status else 2
+    return _emit(args, "equiv-check", metrics, errors=errors)
 
 
 def cmd_converge(args):

@@ -6,6 +6,10 @@ parameter ``r`` (the kernel is (r-1)-times differentiable at coincident
 points, but not r-times) fixes the eigenvalue valuations of kernel matrices,
 and its Taylor coefficients assemble the Wronskian matrices whose Schur
 complements define the penalized part of flat limits.
+
+One private dispatch, ``_pairs``, evaluates every family: ``kernel_matrix``,
+``kernel_cross``, ``kernel_diag`` and ``eval_kernel`` only choose its rows,
+and every Wronskian, the Gaussian's included, is built from ``radial_series``.
 """
 
 import enum
@@ -230,79 +234,64 @@ def regularity(kernel: Kernel):
     raise UnknownRegularity(f"no regularity rule for {fam}")
 
 
-def eval_kernel(kernel: Kernel, x, y) -> float:
-    """Evaluate k(x, y) at two points of R^d."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+def _pairs(kernel: Kernel, A, B, paired) -> np.ndarray:
+    """k(a_i, b_j) over all pairs of rows, or k(a_i, b_i) when ``paired``.
+
+    ``B is A`` marks the symmetric case: radial squared distances come from
+    ``pairwise_sq_dists`` (exact zero diagonal), and a monomial block forms
+    its features once and is symmetrized.
+    """
     fam = kernel.family
     if fam is Family.ZERO:
-        return 0.0
+        return np.zeros(A.shape[0] if paired else (A.shape[0], B.shape[0]))
     if fam is Family.SUM:
-        return kernel.gamma * sum(eval_kernel(k, x, y) for k in kernel.components)
+        return kernel.gamma * sum(_pairs(k, A, B, paired) for k in kernel.components)
     if fam is Family.POLYNOMIAL:
-        return kernel.gamma * float(x @ y) ** kernel.order
+        # A @ A.T runs as a symmetric rank-k update, so it is exactly symmetric
+        G = np.einsum("ij,ij->i", A, B) if paired else A @ B.T
+        return kernel.gamma * G**kernel.order
     if fam is Family.MONOMIAL:
-        phi_x = monomial_matrix(x[None, :], kernel._exponent_indices)[0]
-        phi_y = monomial_matrix(y[None, :], kernel._exponent_indices)[0]
-        return kernel.gamma * float(phi_x @ kernel._coef_array @ phi_y)
-    t = kernel.epsilon * float(np.linalg.norm(x - y))
-    return kernel.gamma * float(profile(kernel)(t))
+        phi_a = monomial_matrix(A, kernel._exponent_indices)
+        phi_b = phi_a if B is A else monomial_matrix(B, kernel._exponent_indices)
+        C = kernel._coef_array
+        if paired:
+            return kernel.gamma * np.einsum("ij,jk,ik->i", phi_a, C, phi_b)
+        G = phi_a @ C @ phi_b.T
+        return kernel.gamma * (0.5 * (G + G.T) if B is A else G)
+    if paired:
+        sq = np.square(A - B).sum(axis=1)
+    elif B is A:
+        sq = accel.pairwise_sq_dists(A)
+    else:
+        sq = accel.cross_sq_dists(A, B)
+    # t = epsilon * distance, in place: no second n x n buffer while psi runs
+    t = np.sqrt(sq, out=sq)
+    t *= kernel.epsilon
+    return kernel.gamma * profile(kernel)(t)
+
+
+def eval_kernel(kernel: Kernel, x, y) -> float:
+    """Evaluate k(x, y) at two points of R^d: the 1 x 1 ``kernel_cross``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
+    y = np.atleast_1d(np.asarray(y, dtype=float))[None, :]
+    return float(_pairs(kernel, x, y, paired=False)[0, 0])
 
 
 def kernel_matrix(kernel: Kernel, X) -> np.ndarray:
     """Symmetric matrix K[i, j] = k(x_i, x_j) over the design."""
-    design = as_design(X)
-    pts = design.points
-    fam = kernel.family
-    if fam is Family.ZERO:
-        return np.zeros((design.n, design.n))
-    if fam is Family.SUM:
-        return kernel.gamma * sum(kernel_matrix(k, design) for k in kernel.components)
-    if fam is Family.POLYNOMIAL:
-        G = pts @ pts.T
-        G = 0.5 * (G + G.T)
-        return kernel.gamma * G**kernel.order
-    if fam is Family.MONOMIAL:
-        phi = monomial_matrix(design, kernel._exponent_indices)
-        G = phi @ kernel._coef_array @ phi.T
-        return kernel.gamma * 0.5 * (G + G.T)
-    t = kernel.epsilon * np.sqrt(accel.pairwise_sq_dists(pts))
-    return kernel.gamma * profile(kernel)(t)
+    pts = as_design(X).points
+    return _pairs(kernel, pts, pts, paired=False)
 
 
 def kernel_cross(kernel: Kernel, A, B) -> np.ndarray:
     """Rectangular matrix k(a_i, b_j) between two point sets."""
-    A = as_design(A).points
-    B = as_design(B).points
-    fam = kernel.family
-    if fam is Family.ZERO:
-        return np.zeros((A.shape[0], B.shape[0]))
-    if fam is Family.SUM:
-        return kernel.gamma * sum(kernel_cross(k, A, B) for k in kernel.components)
-    if fam is Family.POLYNOMIAL:
-        return kernel.gamma * (A @ B.T) ** kernel.order
-    if fam is Family.MONOMIAL:
-        pa = monomial_matrix(A, kernel._exponent_indices)
-        pb = monomial_matrix(B, kernel._exponent_indices)
-        return kernel.gamma * pa @ kernel._coef_array @ pb.T
-    t = kernel.epsilon * np.sqrt(accel.cross_sq_dists(A, B))
-    return kernel.gamma * profile(kernel)(t)
+    return _pairs(kernel, as_design(A).points, as_design(B).points, paired=False)
 
 
 def kernel_diag(kernel: Kernel, X) -> np.ndarray:
     """Vector of prior variances k(x_i, x_i)."""
     pts = as_design(X).points
-    fam = kernel.family
-    if fam is Family.ZERO:
-        return np.zeros(pts.shape[0])
-    if fam is Family.SUM:
-        return kernel.gamma * sum(kernel_diag(k, pts) for k in kernel.components)
-    if fam is Family.POLYNOMIAL:
-        return kernel.gamma * np.einsum("ij,ij->i", pts, pts) ** kernel.order
-    if fam is Family.MONOMIAL:
-        phi = monomial_matrix(pts, kernel._exponent_indices)
-        return kernel.gamma * np.einsum("ij,jk,ik->i", phi, kernel._coef_array, phi)
-    return np.full(pts.shape[0], kernel.gamma * float(profile(kernel)(0.0)))
+    return _pairs(kernel, pts, pts, paired=True)
 
 
 def distance_power_matrix(X, q: float) -> np.ndarray:
@@ -422,32 +411,6 @@ class WronskianMatrix:
         return count_poly_dim(l - 1, self.d)
 
 
-def _double_factorial(n: int) -> int:
-    if n <= 0:
-        return 1
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
-def _gaussian_wronskian_entry(alpha, beta):
-    s = [a + b for a, b in zip(alpha, beta)]
-    if any(si % 2 for si in s):
-        return 0.0
-    j = sum(s) // 2
-    num = 1
-    for si in s:
-        num *= _double_factorial(si - 1)
-    denom = 1
-    for a in alpha:
-        denom *= math.factorial(a)
-    for b in beta:
-        denom *= math.factorial(b)
-    return num * (-2.0) ** j * (-1.0) ** sum(beta) / denom
-
-
 def _series_wronskian_entry(alpha, beta, evens):
     s = [a + b for a, b in zip(alpha, beta)]
     if any(si % 2 for si in s):
@@ -469,9 +432,10 @@ def _series_wronskian_entry(alpha, beta, evens):
 def wronskian(kernel: Kernel, k: int, d: int) -> WronskianMatrix:
     """Wronskian W[a, b] = k^(a,b)(0, 0) / (a! b!) up to degree ``k`` blocks.
 
-    Computed in closed form from Gaussian moments for the Gaussian family and
-    from the radial series plus a multinomial expansion otherwise; either way
-    the combinatorial factors are exact integers.
+    Every family goes through its radial series: the entry of a coordinate
+    sum s = a + b with all s_i even is f_j * j!/prod(k_i!) * prod C(s_i, a_i)
+    * (-1)^|b|, with j = |s|/2 and k_i = s_i/2, and 0 otherwise.  The
+    combinatorial factors are exact integers.
     """
     r = regularity(kernel)
     if math.isfinite(r) and r <= k:
@@ -479,19 +443,12 @@ def wronskian(kernel: Kernel, k: int, d: int) -> WronskianMatrix:
     idx = [mi.exponents for mi in enumerate_monomials(k, d)]
     P = len(idx)
     W = np.zeros((P, P))
-    if kernel.family is Family.GAUSSIAN:
-        entry = _gaussian_wronskian_entry
-    else:
-        evens = radial_series(kernel, 2 * k).even_coeffs
-
-        def entry(alpha, beta, evens=evens):
-            return _series_wronskian_entry(alpha, beta, evens)
-
+    evens = radial_series(kernel, 2 * k).even_coeffs
     eps, gam = kernel.epsilon, kernel.gamma
     for i, alpha in enumerate(idx):
         for j in range(i, P):
             beta = idx[j]
-            v = entry(alpha, beta)
+            v = _series_wronskian_entry(alpha, beta, evens)
             if v != 0.0:
                 v *= gam * eps ** (sum(alpha) + sum(beta))
             W[i, j] = v

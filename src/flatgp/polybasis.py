@@ -171,8 +171,7 @@ def vandermonde(X, k: int) -> VandermondeBlocks:
     for deg in range(k + 1):
         idx = _exact_degree_indices(deg, design.d)
         blocks.append(monomial_matrix(design, idx))
-        cols = [np.prod(scaled ** np.asarray(e)[None, :], axis=1) for e in idx]
-        scaled_blocks.append(np.stack(cols, axis=1))
+        scaled_blocks.append(monomial_matrix(scaled, idx))
 
     q_blocks, ranks = [], []
     q_all = np.zeros((design.n, 0))
@@ -215,11 +214,7 @@ def unisolvency_rank(X, k: int, tol: float = DEFAULT_RANK_TOL):
     pts = design.points
     center, halfwidth = _rescale_params(pts)
     scaled = (pts - center) / halfwidth
-    cols = []
-    for mi in enumerate_monomials(k, design.d):
-        e = np.asarray(mi.exponents)
-        cols.append(np.prod(scaled ** e[None, :], axis=1))
-    V = np.stack(cols, axis=1)
+    V = monomial_matrix(scaled, enumerate_monomials(k, design.d))
     s = np.linalg.svd(V, compute_uv=False)
     rank = int(np.sum(s > tol * s[0])) if s.size else 0
     return rank, rank == count_poly_dim(k, design.d)

@@ -436,6 +436,29 @@ class TestCommands:
         assert metrics["all_equivalent"] is True
         assert metrics["skipped"].startswith("basis_size 0:")
 
+    def test_equiv_check_failure_names_each_failing_check(self, tmp_path):
+        # no round-off passes tol 1e-30, so both checks fail: a numerical failure
+        out = tmp_path / "eq"
+        code = main([
+            "equiv-check", "--n", "30", "--kernel", "matern", "--nu", "1.5", "--p", "3",
+            "--tol", "1e-30", "--out", str(out),
+        ])
+        assert code == 2
+        summary = read_json(f"{out}.json")
+        assert summary["metrics"]["all_equivalent"] is False
+        errors = summary["errors"]
+        assert len(errors) == 2
+        for name, error in zip(("basis_change", "kernel_absorption"), errors):
+            assert error.startswith(f"{name}: max_dev ") and error.endswith("> tol 1e-30")
+
+    @pytest.mark.parametrize("flag", ["--n", "--dim"])
+    def test_synthesized_design_rejects_zero_size(self, flag, tmp_path, capsys):
+        out = tmp_path / "fit"
+        code = main(["fit", flag, "0", "--sigma2", "0.1", "--out", str(out)])
+        assert code == 1
+        assert "design" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_equiv_check_factors_on_the_design_only(
         self, tmp_path, count_linalg, dense_smoothers
     ):
@@ -627,3 +650,41 @@ class TestQueryCsv:
         code = main(["predict", "--data", str(data_csv), "--query", query, "--out", str(tmp_path / "o")])
         assert code == 1
         assert "need 1 feature column(s), found 2" in capsys.readouterr().err
+
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+class TestBenchmarkImports:
+    """What the benchmark under perfbench/ reads of the package must keep resolving."""
+
+    def test_traced_modules_and_worker_names_resolve(self):
+        # a fresh interpreter, as the benchmark's worker: import the CLI only,
+        # then read the tracer's bindings from perfbench through sys.path
+        script = textwrap.dedent("""
+            import json, sys
+            import flatgp, flatgp.accel, flatgp.cli as cli
+            loaded = set(sys.modules)
+            sys.path.insert(0, sys.argv[1])
+            import tracing
+            modules = sorted({binding[1] for binding in tracing.BINDINGS})
+            print(json.dumps({
+                "modules": modules,
+                "missing": [m for m in modules if m not in loaded],
+                "names": [
+                    callable(flatgp.accel.using_numba), callable(cli._threads),
+                    callable(cli.build_parser), isinstance(flatgp.__version__, str),
+                ],
+            }))
+        """)
+        src = os.path.dirname(os.path.dirname(flatgp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script, PERFBENCH],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        found = json.loads(done.stdout)
+        assert {"flatgp.accel", "flatgp.kernels"} <= set(found["modules"])
+        assert found["missing"] == []
+        assert found["names"] == [True, True, True, True]

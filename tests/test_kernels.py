@@ -14,6 +14,8 @@ from flatgp import (
     distance_power_matrix,
     enumerate_monomials,
     eval_kernel,
+    kernel_cross,
+    kernel_diag,
     kernel_matrix,
     leading_odd_coefficient,
     radial_series,
@@ -22,6 +24,7 @@ from flatgp import (
     wronskian_schur,
 )
 from flatgp.errors import SeriesTruncation, SingularWronskianBlock, UnknownRegularity
+from flatgp.kernels import Family, profile
 
 
 def bessel_matern(nu, eps, gamma, x, y):
@@ -178,6 +181,91 @@ class TestKernelMatrix:
         assert all(30 <= r <= 100 for r in ratios), ratios
 
 
+RADIAL_FAMILIES = [
+    "gaussian", "exponential", "matern0.5", "matern1.5", "matern2.5", "matern3.5",
+    "polyharmonic1", "polyharmonic2", "polyharmonic3", "custom",
+]
+ALL_FAMILIES = RADIAL_FAMILIES + [
+    "polynomial0", "polynomial1", "polynomial2", "monomial", "sum", "zero",
+]
+
+
+def any_kernel(name, eps, gam, d, rng):
+    """One kernel of every family the evaluator dispatches on."""
+    if name == "gaussian":
+        return Kernel.gaussian(eps, gam)
+    if name == "exponential":
+        return Kernel.exponential(eps, gam)
+    if name.startswith("matern"):
+        return Kernel.matern(float(name[len("matern"):]), eps, gam)
+    if name.startswith("polyharmonic"):
+        return Kernel.polyharmonic(int(name[-1]), gam)
+    if name == "custom":
+        profile_fn = lambda t: 1.0 / (1.0 + np.square(t))
+        return Kernel.custom(profile_fn, epsilon=eps, gamma=gam, regularity=INF_REGULARITY)
+    if name.startswith("polynomial"):
+        return Kernel.polynomial(int(name[-1]), gamma=gam)
+    if name == "monomial":
+        exps = [m.exponents for m in enumerate_monomials(2, d)]
+        A = rng.normal(size=(len(exps), len(exps)))
+        return Kernel.monomial_block(exps, A + A.T, gamma=gam)
+    if name == "sum":
+        return Kernel.sum_of(Kernel.matern(1.5, eps), Kernel.polynomial(1), gamma=gam)
+    assert name == "zero"
+    return Kernel.zero()
+
+
+def term_magnitude(k, X):
+    """Largest sum of absolute terms behind kernel_diag(k, X), its round-off scale."""
+    if k.family is Family.SUM:
+        return k.gamma * sum(term_magnitude(c, X) for c in k.components)
+    if k.family is Family.MONOMIAL:
+        # |x^a| = |x|^a, so |C| at |X| sums the absolute values of the terms
+        k = Kernel.monomial_block(k.exponents, np.abs(k._coef_array), gamma=k.gamma)
+        X = np.abs(X)
+    return np.abs(kernel_diag(k, X)).max()
+
+
+class TestOneEvaluator:
+    """kernel_matrix, kernel_cross, kernel_diag and eval_kernel agree on every family."""
+
+    @given(
+        st.sampled_from(ALL_FAMILIES),
+        st.integers(1, 12),
+        st.integers(1, 3),
+        st.floats(0.1, 5.0),
+        st.floats(0.1, 5.0),
+        st.integers(0, 2**31),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_all_routes_agree(self, name, n, d, eps, gam, seed):
+        rng = np.random.default_rng(seed)
+        k = any_kernel(name, eps, gam, d, rng)
+        X = rng.uniform(-1.0, 1.0, size=(n, d))
+        Xq = rng.uniform(-1.0, 1.0, size=(max(1, n // 2), d))
+
+        K = kernel_matrix(k, X)
+        assert K.shape == (n, n)
+        assert np.array_equal(K, K.T)
+        if name in RADIAL_FAMILIES:
+            # zero distance on the diagonal, exactly: k(x, x) = gamma psi(0)
+            assert np.array_equal(np.diag(K), np.full(n, gam * profile(k)(np.zeros(1))[0]))
+        scale = max(np.abs(K).max(), 1e-300)
+        np.testing.assert_allclose(kernel_cross(k, X, X), K, rtol=0, atol=1e-15 * scale)
+
+        # the diagonal is summed in another order than the matrix products,
+        # so the two agree to a few round-offs of the summed terms' magnitude
+        np.testing.assert_allclose(
+            kernel_diag(k, Xq),
+            np.diag(kernel_cross(k, Xq, Xq)),
+            rtol=0,
+            atol=1e-14 * term_magnitude(k, Xq),
+        )
+        x, y = X[0], Xq[0]
+        expect = kernel_cross(k, x[None, :], y[None, :])[0, 0]
+        assert eval_kernel(k, x, y) == pytest.approx(expect, rel=1e-15, abs=1e-300)
+
+
 class TestDistancePower:
     def test_unit_pair(self):
         np.testing.assert_array_equal(
@@ -242,17 +330,29 @@ class TestWronskian:
                 assert W[a, b] == pytest.approx(fd, abs=5e-6), (a, b)
 
     def test_series_route_matches_gaussian_closed_form(self):
-        # dual route: moments formula vs radial-series + multinomial expansion
-        closed = wronskian(Kernel.gaussian(epsilon=1.3, gamma=0.7), 3, 2).matrix
-        series_kernel = Kernel.custom(
-            lambda t: np.exp(-(t**2)),
-            epsilon=1.3,
-            gamma=0.7,
-            regularity=INF_REGULARITY,
-            series=[(-1.0) ** (j // 2) / math.factorial(j // 2) if j % 2 == 0 else 0.0 for j in range(8)],
-        )
-        viaseries = wronskian(series_kernel, 3, 2).matrix
-        np.testing.assert_allclose(viaseries, closed, rtol=1e-12, atol=1e-12)
+        # independent oracle: Gaussian moments give prod (s_i - 1)!! (-2)^j
+        # (-1)^|b| / (a! b!) for s = a + b all even, j = |s|/2, and 0 otherwise
+        eps, gam = 1.3, 0.7
+
+        def double_factorial(m):
+            return math.prod(range(m, 0, -2))
+
+        for k in range(6):
+            for d in (1, 2, 3):
+                idx = [m.exponents for m in enumerate_monomials(k, d)]
+                closed = np.zeros((len(idx), len(idx)))
+                for i, a in enumerate(idx):
+                    for j, b in enumerate(idx):
+                        s = [ai + bi for ai, bi in zip(a, b)]
+                        if any(si % 2 for si in s):
+                            continue
+                        num = math.prod(double_factorial(si - 1) for si in s)
+                        den = math.prod(math.factorial(e) for e in a + b)
+                        sign = (-2.0) ** (sum(s) // 2) * (-1.0) ** sum(b)
+                        closed[i, j] = gam * eps ** sum(s) * num * sign / den
+                W = wronskian(Kernel.gaussian(epsilon=eps, gamma=gam), k, d).matrix
+                assert np.array_equal(W == 0.0, closed == 0.0), (k, d)
+                np.testing.assert_allclose(W, closed, rtol=4.4e-16, atol=0, err_msg=f"k={k} d={d}")
 
     def test_scaling_in_epsilon_and_gamma(self):
         W1 = wronskian(Kernel.gaussian(), 2, 1).matrix
