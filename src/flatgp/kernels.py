@@ -235,11 +235,11 @@ def regularity(kernel: Kernel):
 
 
 def _pairs(kernel: Kernel, A, B, paired) -> np.ndarray:
-    """k(a_i, b_j) over all pairs of rows, or k(a_i, b_i) when ``paired``.
+    """k(a_i, b_j) over all pairs of rows, or the diagonal k(a_i, a_i) when ``paired``.
 
-    ``B is A`` marks the symmetric case: radial squared distances come from
-    ``pairwise_sq_dists`` (exact zero diagonal), and a monomial block forms
-    its features once and is symmetrized.
+    ``paired`` reads A alone. ``B is A`` marks the symmetric case: radial
+    squared distances come from ``pairwise_sq_dists`` (exact zero diagonal),
+    and a monomial block forms its features once and is symmetrized.
     """
     fam = kernel.family
     if fam is Family.ZERO:
@@ -248,18 +248,18 @@ def _pairs(kernel: Kernel, A, B, paired) -> np.ndarray:
         return kernel.gamma * sum(_pairs(k, A, B, paired) for k in kernel.components)
     if fam is Family.POLYNOMIAL:
         # A @ A.T runs as a symmetric rank-k update, so it is exactly symmetric
-        G = np.einsum("ij,ij->i", A, B) if paired else A @ B.T
+        G = np.einsum("ij,ij->i", A, A) if paired else A @ B.T
         return kernel.gamma * G**kernel.order
     if fam is Family.MONOMIAL:
         phi_a = monomial_matrix(A, kernel._exponent_indices)
-        phi_b = phi_a if B is A else monomial_matrix(B, kernel._exponent_indices)
         C = kernel._coef_array
         if paired:
-            return kernel.gamma * np.einsum("ij,jk,ik->i", phi_a, C, phi_b)
+            return kernel.gamma * np.einsum("ij,jk,ik->i", phi_a, C, phi_a)
+        phi_b = phi_a if B is A else monomial_matrix(B, kernel._exponent_indices)
         G = phi_a @ C @ phi_b.T
         return kernel.gamma * (0.5 * (G + G.T) if B is A else G)
     if paired:
-        sq = np.square(A - B).sum(axis=1)
+        sq = np.zeros(A.shape[0])
     elif B is A:
         sq = accel.pairwise_sq_dists(A)
     else:

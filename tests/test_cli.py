@@ -669,9 +669,17 @@ class TestBenchmarkImports:
             sys.path.insert(0, sys.argv[1])
             import tracing
             modules = sorted({binding[1] for binding in tracing.BINDINGS})
+
+            def resolves(modname, path):
+                obj = sys.modules.get(modname)
+                for part in path.split("."):
+                    obj = getattr(obj, part, None)
+                return obj is not None
+
             print(json.dumps({
                 "modules": modules,
                 "missing": [m for m in modules if m not in loaded],
+                "unbound": [f"{b[1]}.{b[2]}" for b in tracing.BINDINGS if not resolves(b[1], b[2])],
                 "names": [
                     callable(flatgp.accel.using_numba), callable(cli._threads),
                     callable(cli.build_parser), isinstance(flatgp.__version__, str),
@@ -687,4 +695,7 @@ class TestBenchmarkImports:
         found = json.loads(done.stdout)
         assert {"flatgp.accel", "flatgp.kernels"} <= set(found["modules"])
         assert found["missing"] == []
+        # the one known-stale binding: the function went with the spectral
+        # core, and the tracer reports it as not found; no other may join it
+        assert set(found["unbound"]) <= {"flatgp.spm.spm_filter_eigenvalues"}
         assert found["names"] == [True, True, True, True]

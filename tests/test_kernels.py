@@ -353,6 +353,16 @@ class TestWronskian:
                 W = wronskian(Kernel.gaussian(epsilon=eps, gamma=gam), k, d).matrix
                 assert np.array_equal(W == 0.0, closed == 0.0), (k, d)
                 np.testing.assert_allclose(W, closed, rtol=4.4e-16, atol=0, err_msg=f"k={k} d={d}")
+                # the same profile through a custom kernel's declared series
+                declared = Kernel.custom(
+                    lambda t: np.exp(-(t**2)),
+                    epsilon=eps,
+                    gamma=gam,
+                    regularity=INF_REGULARITY,
+                    series=[(-1.0) ** (j // 2) / math.factorial(j // 2) if j % 2 == 0 else 0.0 for j in range(2 * k + 1)],
+                )
+                viaseries = wronskian(declared, k, d).matrix
+                np.testing.assert_allclose(viaseries, closed, rtol=1e-12, atol=1e-12, err_msg=f"k={k} d={d}")
 
     def test_scaling_in_epsilon_and_gamma(self):
         W1 = wronskian(Kernel.gaussian(), 2, 1).matrix
