@@ -26,9 +26,6 @@ from .flatlimit import (
     recombined_basis_model,
 )
 from .gp import (
-    CriterionKind,
-    CriterionValue,
-    GpHyperparameters,
     GpSpectrum,
     dof,
     gp_posterior,

@@ -157,9 +157,9 @@ def cmd_fit(args):
     fitted = M.fitted(ds.y)
     metrics = {"dof": M.trace, "n": ds.n, "d": ds.d}
     evaluations = {
-        "loo_mse": lambda: loo_mse(M, ds.y).value,
-        "loo_nll": lambda: loo_nll(M, ds.y, args.sigma2).value,
-        "sure": lambda: sure(M, ds.y, args.sigma2).value,
+        "loo_mse": lambda: loo_mse(M, ds.y),
+        "loo_nll": lambda: loo_nll(M, ds.y, args.sigma2),
+        "sure": lambda: sure(M, ds.y, args.sigma2),
         "nlml": lambda: spec.nlml(ds.y, args.sigma2),
     }
     for name, fn in evaluations.items():
@@ -279,9 +279,9 @@ def cmd_criteria_grid(args):
             try:
                 M = spec.scaled(g).smoother(args.sigma2)
                 cell = {
-                    "loo_mse": loo_mse(M, ds.y).value,
-                    "loo_nll": loo_nll(M, ds.y, args.sigma2).value,
-                    "sure": sure(M, ds.y, args.sigma2).value,
+                    "loo_mse": loo_mse(M, ds.y),
+                    "loo_nll": loo_nll(M, ds.y, args.sigma2),
+                    "sure": sure(M, ds.y, args.sigma2),
                 }
                 out.append((cell, "ok"))
             except FlatGpError as exc:

@@ -16,10 +16,8 @@ the single solver of it.  That equation reads eigenvalues only, so
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InsufficientGrid, UnreachableDof
-from .flatlimit import LimitCaseKind, classify_limit
+from .flatlimit import LimitCaseKind, _loglog_slope, classify_limit
 from .gp import GpSpectrum
 from .kernels import Kernel, regularity
 from .polybasis import as_design, count_poly_dim
@@ -89,11 +87,7 @@ def isofreedom_curve(kernel: Kernel, X, sigma2: float, m: float, eps_grid) -> Is
         )
     half = math.ceil(len(points) / 2)
     tail = points[-half:]
-    slope = float(
-        np.polyfit(
-            np.log([p.epsilon for p in tail]), np.log([p.gamma for p in tail]), 1
-        )[0]
-    )
+    slope = _loglog_slope([p.epsilon for p in tail], [p.gamma for p in tail])
     return IsofreedomCurve(points=tuple(points), slope=slope, target=m)
 
 

@@ -202,7 +202,9 @@ def limiting_smoother(family: ScaledKernelFamily, X, sigma2: float) -> SmootherM
 
     It is the smoother of the exact limit SPM (``_limit_model``) at
     ``sigma2``, or the identity where the limit interpolates.  Designs that
-    are not unisolvent for the limit's basis raise NotUnisolvent.
+    are not unisolvent for the limit's basis raise NotUnisolvent.  The
+    identity is the smoother with no filtered modes whose basis is all of
+    R^n: trace n, diagonal ones.
     """
     design = as_design(X)
     case = classify_limit(
@@ -211,7 +213,7 @@ def limiting_smoother(family: ScaledKernelFamily, X, sigma2: float) -> SmootherM
     if case.kind is LimitCaseKind.INTERPOLATION:
         if not sigma2 >= 0:
             raise ValueError(f"sigma2 must be nonnegative, got sigma2={sigma2}")
-        return SmootherMatrix(np.eye(design.n))
+        return SmootherMatrix(np.zeros((design.n, 0)), np.zeros(0), np.eye(design.n))
     return factorize_model(_limit_model(family, case), design).smoother(sigma2)
 
 
@@ -399,6 +401,8 @@ class EquivalenceReport:
 
 
 def _loglog_slope(eps, devs):
+    """Least-squares slope of log(devs) against log(eps); values below 1e-300
+    are read as 1e-300, so an exact zero stays finite."""
     eps = np.asarray(eps, dtype=float)
     devs = np.maximum(np.asarray(devs, dtype=float), 1e-300)
     return float(np.polyfit(np.log(eps), np.log(devs), 1)[0])

@@ -12,15 +12,13 @@ it, and the pooled grids keep ``eigh``, which parallelizes over the pool's
 workers where ``eigvalsh`` does not.  Posterior means and variances are
 those of the fitted model, ``spm.SpmFit.posterior``, so a GP variance below
 round-off raises NegativeVariance as any model's does.  This module adds the selection
-criteria, which read the smoother's diagonal, fitted values and trace only.
-A spectrum's smoother gives each of these in O(n^2) from its modes and
-filter, so a criterion never forms the n x n matrix; it is formed only where
-``.matrix`` is read.
+criteria, each a float, which read the smoother's diagonal, fitted values
+and trace only.  A spectrum's smoother gives each of these in O(n^2) from
+its modes and filter, so a criterion never forms the n x n matrix; it is
+formed only where ``.matrix`` is read.
 """
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,33 +29,6 @@ from .smoothers import SmootherMatrix
 from .spm import SaddleFactorization, SemiParametricModel, fit_factored
 
 _LOO_DIAG_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class GpHyperparameters:
-    epsilon: float
-    gamma: float
-    sigma2: float
-    nugget: float = 0.0
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.sigma2 < 0 or self.nugget < 0:
-            raise ValueError("sigma2 and nugget must be nonnegative")
-
-
-class CriterionKind(enum.Enum):
-    LOO_MSE = "loo-mse"
-    LOO_NLL = "loo-nll"
-    SURE = "sure"
-    NLML = "nlml"
-
-
-@dataclass(frozen=True)
-class CriterionValue:
-    kind: CriterionKind
-    value: float
 
 
 # The GP spectrum is the saddle-point factorization of the model with an empty
@@ -93,10 +64,10 @@ def _loo_residuals(M: SmootherMatrix, y):
     return (y - M.fitted(y)) / (1.0 - diag), diag
 
 
-def loo_mse(M: SmootherMatrix, y) -> CriterionValue:
+def loo_mse(M: SmootherMatrix, y) -> float:
     """Fast leave-one-out squared error from the smoother matrix."""
     resid, _ = _loo_residuals(M, np.asarray(y, dtype=float))
-    return CriterionValue(CriterionKind.LOO_MSE, float(np.mean(resid**2)))
+    return float(np.mean(resid**2))
 
 
 def loo_components(M: SmootherMatrix, y, sigma2: float):
@@ -106,32 +77,29 @@ def loo_components(M: SmootherMatrix, y, sigma2: float):
     return y - resid, sigma2 / (1.0 - diag)
 
 
-def loo_nll(M: SmootherMatrix, y, sigma2: float) -> CriterionValue:
+def loo_nll(M: SmootherMatrix, y, sigma2: float) -> float:
     """Fast leave-one-out negative log-likelihood from the smoother matrix."""
     mean, var = loo_components(M, y, sigma2)
     if np.any(var <= 0):
         raise DegenerateVariance("nonpositive leave-one-out predictive variance")
     y = np.asarray(y, dtype=float)
-    val = np.mean(0.5 * np.log(2.0 * math.pi * var) + 0.5 * (y - mean) ** 2 / var)
-    return CriterionValue(CriterionKind.LOO_NLL, float(val))
+    return float(np.mean(0.5 * np.log(2.0 * math.pi * var) + 0.5 * (y - mean) ** 2 / var))
 
 
-def sure(M: SmootherMatrix, y, sigma2: float) -> CriterionValue:
+def sure(M: SmootherMatrix, y, sigma2: float) -> float:
     """Stein's unbiased risk estimate; assumes sigma2 known."""
     if sigma2 <= 0:
         raise ValueError("sure requires sigma2 > 0")
     y = np.asarray(y, dtype=float)
     resid = y - M.fitted(y)
     n = len(y)
-    val = -sigma2 + float(np.mean(resid**2)) + 2.0 * sigma2 * M.trace / n
-    return CriterionValue(CriterionKind.SURE, float(val))
+    return float(-sigma2 + np.mean(resid**2) + 2.0 * sigma2 * M.trace / n)
 
 
-def nlml(kernel: Kernel, X, y, sigma2: float, nugget: float = 0.0) -> CriterionValue:
+def nlml(kernel: Kernel, X, y, sigma2: float, nugget: float = 0.0) -> float:
     """Negative log marginal likelihood of the observations.
 
     Divergent along flat-limit gain paths (the prior becomes improper); kept
     for completeness and never used by the flat-limit tooling.
     """
-    spec = GpSpectrum.from_kernel(kernel, X, nugget=nugget)
-    return CriterionValue(CriterionKind.NLML, spec.nlml(y, sigma2))
+    return GpSpectrum.from_kernel(kernel, X, nugget=nugget).nlml(y, sigma2)

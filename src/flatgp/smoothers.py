@@ -8,29 +8,17 @@ import numpy as np
 class SmootherMatrix:
     """A symmetric n-by-n operator mapping observations to fitted values.
 
-    Eigenvalues live in [0, 1] up to round-off; the trace is the effective
-    degrees of freedom of the fit.
-
-    ``SmootherMatrix(M)`` wraps a dense array.  ``SmootherMatrix.filtered(U,
-    f, Q)`` is M = U diag(f) U^T + Q Q^T, for orthonormal columns U (n x r)
-    and Q (n x m) with U^T Q = 0, kept as those factors: its trace is
-    m + sum f, its eigenvalues are f and m ones, and its diagonal and fitted
-    values cost O(n^2).  Its dense ``matrix``, an O(n^3) product, is formed
-    once, when it is first read.  ``difference(a, b)`` forms a - b from the
-    factors of both, without forming either matrix.
+    ``SmootherMatrix(U, f, Q)`` is M = U diag(f) U^T + Q Q^T, for orthonormal
+    columns U (n x r) and Q (n x m) with U^T Q = 0, kept as those factors:
+    its trace, the effective degrees of freedom of the fit, is m + sum f, its
+    eigenvalues are f and m ones (in [0, 1] up to round-off), and its
+    diagonal and fitted values cost O(n^2).  Its dense ``matrix``, an O(n^3)
+    product, is formed once, when it is first read.  ``difference(a, b)``
+    forms a - b from the factors of both, without forming either matrix.
     """
 
-    def __init__(self, matrix):
-        # an instance attribute shadows the ``matrix`` cached_property below
-        self.matrix = np.asarray(matrix, dtype=float)
-        self._factors = None
-
-    @classmethod
-    def filtered(cls, modes, f, Q) -> "SmootherMatrix":
-        """M = modes diag(f) modes^T + Q Q^T, with the product left unformed."""
-        smoother = cls.__new__(cls)
-        smoother._factors = (modes, f, Q)
-        return smoother
+    def __init__(self, U, f, Q):
+        self._factors = (U, f, Q)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -42,28 +30,20 @@ class SmootherMatrix:
 
     @property
     def n(self) -> int:
-        if self._factors is None:
-            return self.matrix.shape[0]
         return self._factors[0].shape[0]
 
     @cached_property
     def trace(self) -> float:
-        if self._factors is None:
-            return float(np.trace(self.matrix))
         _, f, Q = self._factors
         return Q.shape[1] + float(np.sum(f))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        if self._factors is None:
-            return np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))
         _, f, Q = self._factors
         return np.sort(np.concatenate([f, np.ones(Q.shape[1])]))
 
     def fitted(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        if self._factors is None:
-            return self.matrix @ y
         U, f, Q = self._factors
         out = U @ ((f if y.ndim == 1 else f[:, None]) * (U.T @ y))
         if Q.shape[1]:
@@ -71,8 +51,6 @@ class SmootherMatrix:
         return out
 
     def diagonal(self) -> np.ndarray:
-        if self._factors is None:
-            return np.diag(self.matrix)
         U, f, Q = self._factors
         out = np.square(U) @ f
         if Q.shape[1]:
@@ -97,13 +75,11 @@ def _gram(U, f) -> np.ndarray:
 def difference(a: SmootherMatrix, b: SmootherMatrix, basis=None) -> np.ndarray:
     """The dense n x n matrix a - b, formed from the factors of both.
 
-    For two filtered smoothers it is Ua diag(fa) Ua^T - Ub diag(fb) Ub^T plus
-    Qa Qa^T - Qb Qb^T; ``basis`` is that last term, passed in by callers that
-    compare smoothers of the same two bases at many noise levels.  Neither
-    dense ``matrix`` is formed, unless one of the two wraps a dense array.
+    It is Ua diag(fa) Ua^T - Ub diag(fb) Ub^T plus Qa Qa^T - Qb Qb^T;
+    ``basis`` is that last term, passed in by callers that compare smoothers
+    of the same two bases at many noise levels.  Neither dense ``matrix`` is
+    formed.
     """
-    if a._factors is None or b._factors is None:
-        return a.matrix - b.matrix
     Ua, fa, Qa = a._factors
     Ub, fb, Qb = b._factors
     D = _gram(Ua, fa)

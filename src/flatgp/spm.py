@@ -27,7 +27,8 @@ raise ValueError.  The complement basis comes from one complete QR of the
 n x m orthonormal basis, and an identically zero kernel skips the
 eigensolver.  The smoother on the design plus one point follows from the
 factorization and the smoother on the design by a bordered update
-(``augmented_smoother``), in O(n^2) and with no new factorization; its terms
+(``augmented_smoother``, an (n+1) x (n+1) array), in O(n^2) beyond the
+smoother's matrix and with no new factorization; its terms
 (w, c) are x*'s bordered solve and sigma2 / s, so the difference of two
 models' augmented smoothers is a rank-two update of the difference on the
 design.
@@ -132,7 +133,8 @@ def _orthonormal_basis(V, n):
     if m == 0:
         return np.zeros((n, 0)), np.zeros((0, 0))
     s = np.linalg.svd(V, compute_uv=False)
-    if s[-1] <= _RANK_TOL * s[0]:
+    # fewer points than basis functions leave fewer than m singular values
+    if len(s) < m or s[-1] <= _RANK_TOL * s[0]:
         raise NotUnisolvent(
             f"basis matrix has numerical rank below {m} on this design"
         )
@@ -150,11 +152,13 @@ class SaddleFactorization:
     """The spectral core: eigenpairs of a unit-gain kernel matrix restricted to
     the complement of a basis span, with the gain carried as a scalar.
 
-    ``evals`` and ``evecs`` are the eigensystem of C^T L C, where L is the
-    kernel matrix at unit gain and the columns of C span the complement of the
-    basis matrix V (no basis: C is the identity and is not stored);
-    ``modes`` = C evecs lifts them back to R^n.  With Q R = V, every solve,
-    smoother and trace at noise sigma2 filters the modes by
+    ``evals`` are the eigenvalues of C^T L C, where L is the kernel matrix at
+    unit gain and the columns of C span the complement of the basis matrix V
+    (no basis: C is the identity), and ``modes`` are its eigenvectors lifted
+    back to R^n by C: orthonormal, and orthogonal to V.  Neither C nor the
+    eigenvectors in the complement's coordinates are kept, since nothing
+    reads them once ``modes`` is formed.  With Q R = V, every solve, smoother
+    and trace at noise sigma2 filters the modes by
     ``gain lam / (gain lam + sigma2)``.  ``scaled(g)`` multiplies the gain and
     shares every array, so a model is factored once whatever its gains.
 
@@ -163,23 +167,22 @@ class SaddleFactorization:
     pseudo-inverse; ``from_kernel`` (the GP spectrum, m = 0) raises
     IllConditioned.  A negative or NaN sigma2 raises ValueError either way.
     ``from_kernel(..., vectors=False)`` keeps the eigenvalues alone
-    (``evecs = modes = None``): traces only.
+    (``modes = None``): traces only.
     """
 
     evals: np.ndarray
-    evecs: np.ndarray
     modes: np.ndarray
     gain: float
     pseudo_inverse: bool
     Q: np.ndarray
     R: np.ndarray
-    complement: np.ndarray = None  # C; None without a basis
     L: np.ndarray = None  # the unit-gain kernel matrix; kept only with a basis
 
     @classmethod
     def _restricted(cls, A, complement=None, vectors=True, **parts) -> "SaddleFactorization":
         """Eigensystem of the symmetric unit-gain restriction ``A``; with
-        ``vectors=False`` its eigenvalues only (``evecs = modes = None``)."""
+        ``vectors=False`` its eigenvalues only (``modes = None``).  The
+        eigenvectors are lifted to R^n by ``complement`` (C) once, here."""
         if vectors:
             evals, evecs = np.linalg.eigh(A)
         else:
@@ -188,7 +191,7 @@ class SaddleFactorization:
         cut = _CLIP_TOL * max(float(evals.max(initial=0.0)), 0.0)
         evals = np.where((evals < 0) & (evals >= -cut), 0.0, evals)
         modes = evecs if complement is None else complement @ evecs
-        return cls(evals=evals, evecs=evecs, modes=modes, complement=complement, **parts)
+        return cls(evals=evals, modes=modes, **parts)
 
     @classmethod
     def from_kernel(
@@ -215,12 +218,6 @@ class SaddleFactorization:
     @property
     def m(self) -> int:
         return self.Q.shape[1]
-
-    @property
-    def C(self) -> np.ndarray:
-        """Orthonormal basis of the complement of span(V): n x (n-m), the
-        identity without a basis."""
-        return np.eye(len(self.evals)) if self.complement is None else self.complement
 
     def scaled(self, factor: float) -> "SaddleFactorization":
         """The same factorization at gain ``gain * factor``; no array is copied."""
@@ -272,7 +269,7 @@ class SaddleFactorization:
         """
         self._require_vectors()
         lam, denom = self._filter_terms(sigma2)
-        return SmootherMatrix.filtered(self.modes, lam / denom, self.Q)
+        return SmootherMatrix(self.modes, lam / denom, self.Q)
 
     def solve(self, sigma2, g, h=None):
         """Solve [[gain L + sigma2 I, V], [V^T, 0]] (a; b) = (g; h) by elimination.
@@ -315,8 +312,9 @@ class SaddleFactorization:
 
 def augmented_smoother(
     fac: SaddleFactorization, smoother: SmootherMatrix, k, kappa: float, v, sigma2: float
-) -> SmootherMatrix:
-    """Smoother on the design plus one point x*, by a bordered update in O(n^2).
+) -> np.ndarray:
+    """The (n+1) x (n+1) smoother matrix on the design plus one point x*, by a
+    bordered update of ``smoother.matrix``.
 
     ``fac`` and ``smoother`` are the factorization on the design and its
     smoother at ``sigma2``; ``k`` (n,), ``kappa`` and ``v`` (m,) are x*'s
@@ -345,7 +343,7 @@ def augmented_smoother(
     M[:n, :n] = smoother.matrix - c * np.outer(w, w)
     M[:n, n] = M[n, :n] = c * w
     M[n, n] = 1.0 - c
-    return SmootherMatrix(M)
+    return M
 
 
 def factorize(L: np.ndarray, V: np.ndarray) -> SaddleFactorization:
@@ -355,13 +353,13 @@ def factorize(L: np.ndarray, V: np.ndarray) -> SaddleFactorization:
     Q, R = _orthonormal_basis(V, n)
     m = Q.shape[1]
     C = _complement_basis(Q) if m else None
-    parts = dict(gain=1.0, pseudo_inverse=True, Q=Q, R=R, complement=C, L=L if m else None)
+    parts = dict(gain=1.0, pseudo_inverse=True, Q=Q, R=R, L=L if m else None)
     if L.any():
         A = L if C is None else C.T @ L @ C
-        return SaddleFactorization._restricted(0.5 * (A + A.T), **parts)
-    # a zero kernel restricts to zero: eigenvalues 0, eigenvectors the identity
-    evecs = np.eye(n - m)
-    return SaddleFactorization(np.zeros(n - m), evecs, evecs if C is None else C, **parts)
+        return SaddleFactorization._restricted(0.5 * (A + A.T), complement=C, **parts)
+    # a zero kernel restricts to zero: eigenvalues 0, eigenvectors the identity,
+    # so the modes are C itself and no eigensolver runs
+    return SaddleFactorization(np.zeros(n - m), np.eye(n) if C is None else C, **parts)
 
 
 def factorize_model(model: SemiParametricModel, X) -> SaddleFactorization:

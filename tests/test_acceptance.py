@@ -185,8 +185,8 @@ def test_c5_loo_fast_formulas():
             literal_nll = float(
                 np.mean(0.5 * np.log(2 * np.pi * variances) + 0.5 * (y - mus) ** 2 / variances)
             )
-            assert loo_mse(M, y).value == pytest.approx(literal_mse, rel=1e-8)
-            assert loo_nll(M, y, sigma2).value == pytest.approx(literal_nll, rel=1e-8)
+            assert loo_mse(M, y) == pytest.approx(literal_mse, rel=1e-8)
+            assert loo_nll(M, y, sigma2) == pytest.approx(literal_nll, rel=1e-8)
 
 
 def test_c6_laurent_master_equation():
@@ -241,12 +241,12 @@ def test_c8_post_selection_equivalence():
         for gamma in np.geomspace(1e-2, 1e2, 10):
             Ma = spm_smoother(model.scaled(gamma), X, sigma2)
             Mb = spm_smoother(other.scaled(gamma), X, sigma2)
-            assert loo_mse(Ma, y).value == pytest.approx(loo_mse(Mb, y).value, rel=1e-8)
-            assert loo_nll(Ma, y, sigma2).value == pytest.approx(
-                loo_nll(Mb, y, sigma2).value, rel=1e-8
+            assert loo_mse(Ma, y) == pytest.approx(loo_mse(Mb, y), rel=1e-8)
+            assert loo_nll(Ma, y, sigma2) == pytest.approx(
+                loo_nll(Mb, y, sigma2), rel=1e-8
             )
-            assert sure(Ma, y, sigma2).value == pytest.approx(
-                sure(Mb, y, sigma2).value, rel=1e-8
+            assert sure(Ma, y, sigma2) == pytest.approx(
+                sure(Mb, y, sigma2), rel=1e-8
             )
 
 

@@ -132,9 +132,12 @@ class TestLimitingSmoother:
     def test_rough_kernel_high_p_is_identity(self, rng):
         X = np.sort(rng.uniform(0, 1, 8))
         family = ScaledKernelFamily(Kernel.exponential(), p=2)
-        np.testing.assert_allclose(
-            limiting_smoother(family, X, 0.01).matrix, np.eye(8), atol=1e-12
-        )
+        M = limiting_smoother(family, X, 0.01)
+        # the interpolating limit is the smoother of the full basis, exactly
+        assert M.n == 8 and M.trace == 8.0
+        np.testing.assert_array_equal(M.diagonal(), np.ones(8))
+        np.testing.assert_array_equal(M.eigenvalues, np.ones(8))
+        np.testing.assert_array_equal(M.matrix, np.eye(8))
 
     @pytest.mark.parametrize(
         "kernel,p",
@@ -394,7 +397,7 @@ def dense_pred_equiv(model_a, model_b, X, num_trials=8, seed=0):
             )
             for model, fac, S in ((model_a, fac_a, Sa), (model_b, fac_b, Sb))
         )
-        dev_smoother = max(dev_smoother, float(np.abs(Ma.matrix - Mb.matrix).max()))
+        dev_smoother = max(dev_smoother, float(np.abs(Ma - Mb).max()))
     return dev_mean, dev_var, dev_smoother
 
 

@@ -33,7 +33,7 @@ from flatgp.errors import (
 )
 import flatgp.spm as spm_module
 from flatgp.flatlimit import absorbed_kernel_model
-from flatgp.smoothers import SmootherMatrix, difference
+from flatgp.smoothers import difference
 from flatgp.spm import (
     augmented_smoother,
     factorize_model,
@@ -338,16 +338,20 @@ def random_factorization(seed, d, degree, zero_kernel, extra):
         assume(False)
 
 
+def assert_modes_span_complement(fac, V):
+    """The n - m modes are orthonormal and orthogonal to the basis matrix V."""
+    n, m = V.shape
+    assert fac.modes.shape == (n, n - m)
+    np.testing.assert_allclose(fac.modes.T @ fac.modes, np.eye(n - m), rtol=0, atol=1e-12)
+    assert np.abs(V.T @ fac.modes).max(initial=0.0) <= 1e-12
+
+
 class TestFactorization:
     @design_cases
     @settings(max_examples=60, deadline=None)
     def test_complement_orthonormal_and_orthogonal_to_basis(self, seed, d, degree, zero_kernel, extra):
         model, X, fac = random_factorization(seed, d, degree, zero_kernel, extra)
-        V = model.basis_matrix(X)
-        n, m = V.shape
-        assert fac.C.shape == (n, n - m)
-        np.testing.assert_allclose(fac.C.T @ fac.C, np.eye(n - m), rtol=0, atol=1e-12)
-        assert np.abs(V.T @ fac.C).max(initial=0.0) <= 1e-12
+        assert_modes_span_complement(fac, model.basis_matrix(X))
 
     @design_cases
     @settings(max_examples=60, deadline=None)
@@ -367,9 +371,16 @@ class TestFactorization:
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         model = SemiParametricModel(Kernel.zero(), d=1, basis_degree=1)
-        fac = factorize_model(model, rng.uniform(0, 1, 9))
+        X = rng.uniform(0, 1, 9)
+        fac = factorize_model(model, X)
         np.testing.assert_array_equal(fac.evals, np.zeros(7))
-        np.testing.assert_array_equal(fac.evecs, np.eye(7))
+        assert_modes_span_complement(fac, model.basis_matrix(X))
+
+    def test_more_basis_functions_than_points_raises(self):
+        # two points cannot fix a cubic: the basis matrix is 2 x 4
+        model = SemiParametricModel(Kernel.gaussian(), d=1, basis_degree=3)
+        with pytest.raises(NotUnisolvent, match="rank below 4"):
+            fit_spm(model, np.array([0.1, 0.7]), np.zeros(2), 0.1)
 
 
 def assert_spectral_smoother_matches_dense(M, seed):
@@ -424,8 +435,6 @@ class TestSpectralSmoother:
             want = a.matrix - b.matrix
             scale = max(1.0, float(np.abs(b.matrix).max()))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
-            # a smoother that wraps a dense array is subtracted as one
-            np.testing.assert_array_equal(difference(SmootherMatrix(a.matrix), b), want)
 
     def test_dense_matrix_is_formed_once_as_before(self, rng):
         X = rng.uniform(0, 1, size=(12, 1))
@@ -567,7 +576,7 @@ class TestAugmentedSmoother:
             kernel_diag(model.kernel, x_new[None, :])[0],
             model.basis_matrix(x_new[None, :])[0],
             sigma2,
-        ).matrix
+        )
         want = spm_smoother(model, X_aug, sigma2).matrix
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
@@ -590,7 +599,7 @@ class TestAugmentedSmoother:
             kernel_diag(model.kernel, x_new)[0],
             model.basis_matrix(x_new)[0],
             sigma2,
-        ).matrix[:, -1]
+        )[:, -1]
         c_want = 1.0 - border[-1]
         want_mean, want_var = fit.posterior(x_new)
         solves = []
