@@ -46,17 +46,17 @@ def _threads():
     return min(8, cpus)
 
 
-def _parse_grid(spec, log=True, descending=False):
+def _parse_grid(spec, log=True, order=None):
     """Parse 'a:b:k' into a k-point grid from a to b (log-spaced by default).
 
-    ``descending`` builds it from the larger end down instead, so that 'a:b:k'
-    and 'b:a:k' give the same values.
+    ``order`` "ascending" or "descending" builds it from the smaller or the
+    larger end instead, so that 'a:b:k' and 'b:a:k' give the same values.
     """
     parts = spec.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be a:b:k, got {spec!r}")
     a, b, k = float(parts[0]), float(parts[1]), int(parts[2])
-    if descending and a < b:
+    if order is not None and (a > b) != (order == "descending"):
         a, b = b, a
     if k < 1:
         raise argparse.ArgumentTypeError("grid needs at least one point")
@@ -223,24 +223,41 @@ def _share_main_heap():
     mallopt(_M_ARENA_MAX, 1)
 
 
-def _grid_eval(args, ds, values_fn):
-    """Evaluate values_fn(spectrum, eps) over the epsilon grid, in parallel."""
+# numpy's gufuncs, numpy.linalg's among them, release the GIL only when a
+# call's outer size times its core size exceeds 500.  eigh counts its (n, n)
+# eigenvector output and releases it at any n; eigvalsh counts its n
+# eigenvalues, so one matrix with n <= 500 holds the GIL for the whole solve
+# and the pool's workers take turns.  Measured with one BLAS thread on a
+# 2-vCPU VM, 20 eigvalsh of 400 x 400 matrices took 0.169 s on one worker,
+# 0.173 s on two, and 0.091 s on two in stacks of two.  A stack of
+# floor(500 / n) + 1 matrices is the smallest call that runs without the GIL.
+_GIL_FREE_SIZE = 500
+
+
+def _grid_eval(args, ds, values_fn, vectors=True):
+    """Evaluate values_fn(spectrum, eps) over the epsilon grid, in parallel.
+
+    Each task factors consecutive eps values in one stacked call
+    (``GpSpectrum.from_kernels``).  With eigenvectors a task takes one eps;
+    with ``vectors=False`` (traces only) it takes floor(500 / n) + 1, enough
+    for eigvalsh to release the GIL.
+    """
     eps_grid = _parse_grid(args.eps_grid)
     _share_main_heap()
     kern = _make_kernel(args, eps=1.0, gamma=1.0)
+    size = 1 if vectors else _GIL_FREE_SIZE // ds.n + 1
 
-    # every spectrum keeps its eigenvectors, also for dof-grid, which reads
-    # traces only: eigh's eigenvector back-transformation runs in parallel on
-    # the pool's workers and eigvalsh's work does not (20 Matern matrices at
-    # n=400, one BLAS thread, 2 CPUs: eigh 0.283 s on one worker and 0.171 s
-    # on two, eigvalsh 0.174 s and 0.164 s), so with eigvalsh in the pool
-    # dof-grid read about 7% slower
-    def one(eps):
-        spec = GpSpectrum.from_kernel(kern.with_params(epsilon=eps), ds.X, nugget=args.nugget)
-        return values_fn(spec, eps)
+    def stack(start):
+        chunk = eps_grid[start:start + size]
+        specs = GpSpectrum.from_kernels(
+            [kern.with_params(epsilon=eps) for eps in chunk], ds.X,
+            nugget=args.nugget, vectors=vectors,
+        )
+        return [values_fn(spec, eps) for spec, eps in zip(specs, chunk)]
 
     with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        results = list(pool.map(one, eps_grid))
+        stacks = pool.map(stack, range(0, len(eps_grid), size))
+        results = [values for part in stacks for values in part]
     return eps_grid, results
 
 
@@ -258,7 +275,7 @@ def cmd_dof_grid(args):
                 out.append(("nan", f"ill-conditioned:{exc.smallest_eigenvalue:.3e}"))
         return out
 
-    eps_grid, results = _grid_eval(args, ds, values)
+    eps_grid, results = _grid_eval(args, ds, values, vectors=False)
     rows = []
     for eps, cells in zip(eps_grid, results):
         for g, (val, status) in zip(gamma_grid, cells):
@@ -304,7 +321,7 @@ def cmd_criteria_grid(args):
 def cmd_isofreedom(args):
     ds = _load_data(args)
     kern = _make_kernel(args, eps=1.0, gamma=1.0)
-    eps_grid = _parse_grid(args.eps_grid, descending=True)
+    eps_grid = _parse_grid(args.eps_grid, order="descending")
     curve = isofreedom_curve(kern, ds.X, args.sigma2, args.dof, eps_grid)
     rows = [
         [format_float(p.epsilon), format_float(p.gamma), format_float(p.dof_achieved), format_float(p.residual)]
@@ -377,7 +394,7 @@ def cmd_equiv_check(args):
 def cmd_converge(args):
     ds = _load_data(args)
     family = ScaledKernelFamily(_make_kernel(args, gamma=1.0), p=args.p, gamma0=args.gamma0)
-    eps_grid = _parse_grid(args.eps_grid, descending=True)
+    eps_grid = _parse_grid(args.eps_grid, order="descending")
     query = _parse_query(args.query, ds)
     report = convergence_study(
         family, ds.X, query, eps_grid, args.sigma2, seed=args.seed, tol=args.tol
@@ -404,7 +421,8 @@ def cmd_converge(args):
 def cmd_pred_curve(args):
     ds = _load_data(args)
     kern = _make_kernel(args, gamma=1.0)
-    gamma_grid = _parse_grid(args.gamma_grid)
+    # the curve runs from small to large gains, whichever end is written first
+    gamma_grid = _parse_grid(args.gamma_grid, order="ascending")
     xa = np.full(ds.d, float(args.xa)) if "," not in args.xa else np.array([float(v) for v in args.xa.split(",")])
     xb = np.full(ds.d, float(args.xb)) if "," not in args.xb else np.array([float(v) for v in args.xb.split(",")])
     curve = prediction_curve(kern, ds.X, ds.y, args.sigma2, args.eps, gamma_grid, xa, xb)

@@ -7,11 +7,15 @@ matrix; the smoother with gain gamma and noise sigma2 filters each of its
 modes by lambda / (lambda + sigma2 / gamma), and one spectrum serves every
 gamma of a grid.  Its trace, the degrees of freedom, reads the eigenvalues
 alone, so ``from_kernel(..., vectors=False)`` builds a spectrum for traces
-only, by ``eigvalsh``; the isofreedom curve and the CLI's nugget-compare use
-it, and the pooled grids keep ``eigh``, which parallelizes over the pool's
-workers where ``eigvalsh`` does not.  Posterior means and variances are
-those of the fitted model, ``spm.SpmFit.posterior``, so a GP variance below
-round-off raises NegativeVariance as any model's does.  This module adds the selection
+only, by ``eigvalsh``; the isofreedom curve, the CLI's nugget-compare and its
+dof-grid use it.  ``from_kernels`` factors several kernels on one design in
+one stacked call.  numpy's gufuncs release the GIL only when a call's outer
+size times its core size exceeds 500, and ``eigvalsh`` counts n per matrix,
+so the dof-grid pool hands each worker floor(500 / n) + 1 eps values at a
+time: one 400 x 400 ``eigvalsh`` holds the GIL, a stack of two does not.
+Posterior means and variances are those of the fitted model,
+``spm.SpmFit.posterior``, so a GP variance below round-off raises
+NegativeVariance as any model's does.  This module adds the selection
 criteria, each a float, which read the smoother's diagonal, fitted values
 and trace only.  A spectrum's smoother gives each of these in O(n^2) from
 its modes and filter, so a criterion never forms the n x n matrix; it is

@@ -20,12 +20,13 @@ matrix is formed only where it is read; two smoothers are compared through
 their difference (``smoothers.difference``), formed from the factors of
 both.  A GP is the model with an empty basis; its spectrum (``from_kernel``,
 exported as ``gp.GpSpectrum``) skips the complement and keeps no kernel
-matrix.  A caller that reads traces alone asks it for the eigenvalues only
-(``vectors=False``, ``eigvalsh``): ``dof``, ``scaled`` and ``solve_trace``
-need nothing else, and ``smoother``, ``solve``, ``fit`` and ``nlml`` then
-raise ValueError.  The complement basis comes from one complete QR of the
-n x m orthonormal basis, and an identically zero kernel skips the
-eigensolver.  The smoother on the design plus one point follows from the
+matrix; ``from_kernels`` gives the spectra of several kernels on one design
+from one stacked eigensolver call.  A caller that reads traces alone asks for
+the eigenvalues only (``vectors=False``, ``eigvalsh``): ``dof``, ``scaled``
+and ``solve_trace`` need nothing else, and ``smoother``, ``solve``, ``fit``
+and ``nlml`` then raise ValueError.  The complement basis comes from one
+complete QR of the n x m orthonormal basis, and an identically zero kernel
+skips the eigensolver.  The smoother on the design plus one point follows from the
 factorization and the smoother on the design by a bordered update
 (``augmented_smoother``, an (n+1) x (n+1) array), in O(n^2) beyond the
 smoother's matrix and with no new factorization; its terms
@@ -147,6 +148,19 @@ def _complement_basis(Q):
     return np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]
 
 
+def _eigensystems(A, vectors):
+    """Eigenvalues of the symmetric matrix ``A``, or of each matrix of a stack
+    (..., n, n), and the eigenvectors with ``vectors`` (else None).  Round-off
+    negatives of a PSD matrix, down to ``_CLIP_TOL`` times its largest
+    eigenvalue, are set to zero matrix by matrix."""
+    if vectors:
+        evals, evecs = np.linalg.eigh(A)
+    else:
+        evals, evecs = np.linalg.eigvalsh(A), None
+    cut = _CLIP_TOL * evals.max(axis=-1, initial=0.0, keepdims=True)
+    return np.where((evals < 0) & (evals >= -cut), 0.0, evals), evecs
+
+
 @dataclass(frozen=True)
 class SaddleFactorization:
     """The spectral core: eigenpairs of a unit-gain kernel matrix restricted to
@@ -164,9 +178,10 @@ class SaddleFactorization:
 
     Two constructors fix what a singular ``gain L + sigma2 I`` means:
     ``factorize``/``factorize_model`` (the saddle path) solve by the
-    pseudo-inverse; ``from_kernel`` (the GP spectrum, m = 0) raises
-    IllConditioned.  A negative or NaN sigma2 raises ValueError either way.
-    ``from_kernel(..., vectors=False)`` keeps the eigenvalues alone
+    pseudo-inverse; ``from_kernels`` (the GP spectra of kernels sharing a
+    design, m = 0, one stacked eigensolver call) and its one-kernel case
+    ``from_kernel`` raise IllConditioned.  A negative or NaN sigma2 raises
+    ValueError either way.  ``vectors=False`` keeps the eigenvalues alone
     (``modes = None``): traces only.
     """
 
@@ -179,41 +194,56 @@ class SaddleFactorization:
     L: np.ndarray = None  # the unit-gain kernel matrix; kept only with a basis
 
     @classmethod
-    def _restricted(cls, A, complement=None, vectors=True, **parts) -> "SaddleFactorization":
-        """Eigensystem of the symmetric unit-gain restriction ``A``; with
-        ``vectors=False`` its eigenvalues only (``modes = None``).  The
+    def _restricted(cls, A, complement=None, **parts) -> "SaddleFactorization":
+        """Eigensystem of the symmetric unit-gain restriction ``A``.  The
         eigenvectors are lifted to R^n by ``complement`` (C) once, here."""
-        if vectors:
-            evals, evecs = np.linalg.eigh(A)
-        else:
-            evals, evecs = np.linalg.eigvalsh(A), None
-        # round-off negatives of a PSD matrix are numerically zero
-        cut = _CLIP_TOL * max(float(evals.max(initial=0.0)), 0.0)
-        evals = np.where((evals < 0) & (evals >= -cut), 0.0, evals)
+        evals, evecs = _eigensystems(A, vectors=True)
         modes = evecs if complement is None else complement @ evecs
         return cls(evals=evals, modes=modes, **parts)
+
+    @classmethod
+    def from_kernels(
+        cls, kernels, X, nugget: float = 0.0, *, vectors: bool = True
+    ) -> list:
+        """The GP spectra of ``kernels`` on one design, from one stacked
+        eigensolver call: for each kernel, no basis, its unit-gain kernel matrix
+        plus ``nugget`` I, and gain ``kernel.gamma``.  A negative or NaN nugget
+        raises ValueError.
+
+        Each spectrum is bitwise the one ``from_kernel`` gives that kernel
+        alone: numpy solves a stack matrix by matrix.  A stack is one call, so
+        it counts as one problem against numpy's threshold for releasing the
+        GIL.  ``vectors=False`` computes the eigenvalues alone (``eigvalsh``):
+        such a spectrum gives ``dof`` and ``scaled`` and feeds ``solve_trace``,
+        while ``smoother``, ``solve``, ``fit`` and ``nlml`` raise ValueError.
+        """
+        if not nugget >= 0:
+            raise ValueError(f"nugget must be nonnegative, got nugget={nugget}")
+        design = as_design(X)
+        mats = [kernel_matrix(k.with_params(gamma=1.0), design) for k in kernels]
+        # one kernel is solved as a plain (n, n) matrix, not a stack of one;
+        # a stack is a copy, so its parts are freed before the solve
+        K = mats[0] if len(mats) == 1 else np.stack(mats)
+        del mats
+        if nugget:
+            K = K + nugget * np.eye(design.n)
+        evals, evecs = _eigensystems(K, vectors)
+        evals = evals.reshape(len(kernels), design.n)
+        if evecs is not None:
+            evecs = evecs.reshape(len(kernels), design.n, design.n)
+        Q, R = np.zeros((design.n, 0)), np.zeros((0, 0))
+        return [
+            cls(evals=evals[i], modes=None if evecs is None else evecs[i],
+                gain=k.gamma, pseudo_inverse=False, Q=Q, R=R)
+            for i, k in enumerate(kernels)
+        ]
 
     @classmethod
     def from_kernel(
         cls, kernel: Kernel, X, nugget: float = 0.0, *, vectors: bool = True
     ) -> "SaddleFactorization":
-        """The GP spectrum: no basis, unit-gain kernel matrix plus ``nugget`` I,
-        gain ``kernel.gamma``.  A negative or NaN nugget raises ValueError.
-
-        ``vectors=False`` computes the eigenvalues alone (``eigvalsh``): such a
-        spectrum gives ``dof`` and ``scaled`` and feeds ``solve_trace``, while
-        ``smoother``, ``solve``, ``fit`` and ``nlml`` raise ValueError.
-        """
-        if not nugget >= 0:
-            raise ValueError(f"nugget must be nonnegative, got nugget={nugget}")
-        design = as_design(X)
-        K = kernel_matrix(kernel.with_params(gamma=1.0), design)
-        if nugget:
-            K = K + nugget * np.eye(design.n)
-        return cls._restricted(
-            K, vectors=vectors, gain=kernel.gamma, pseudo_inverse=False,
-            Q=np.zeros((design.n, 0)), R=np.zeros((0, 0)),
-        )
+        """The GP spectrum of one kernel: ``from_kernels([kernel], ...)``."""
+        return cls.from_kernels([kernel], X, nugget, vectors=vectors)[0]
 
     @property
     def m(self) -> int:

@@ -237,6 +237,20 @@ class TestCommands:
             )
         assert outputs[0] == outputs[1]
 
+    def test_pred_curve_gamma_grid_in_either_order(self, tmp_path):
+        outputs = []
+        for name, grid in (("down", "1e12:1e-8:20"), ("up", "1e-8:1e12:20")):
+            out = tmp_path / name
+            code = main([
+                "pred-curve", "--n", "20", "--eps", "0.5", "--gamma-grid", grid,
+                "--xa", "0.2", "--xb", "0.8", "--out", str(out),
+            ])
+            assert code == 0
+            outputs.append(
+                ((tmp_path / f"{name}.csv").read_bytes(), read_json(f"{out}.json")["metrics"])
+            )
+        assert outputs[0] == outputs[1]
+
     def test_converge_eps_grid_in_either_order(self, tmp_path):
         outputs = []
         for name, grid in (("down", "0.2:0.025:4"), ("up", "0.025:0.2:4")):
@@ -367,17 +381,20 @@ class TestCommands:
         # one spectrum per variant, with and without the nugget
         assert eigvalsh == [(8, 8)] * 2 and eigh == []
 
-    def test_dof_grid_keeps_eigh_in_its_pool(self, tmp_path, count_linalg):
+    def test_dof_grid_stacks_values_only_solves(self, tmp_path, count_linalg):
         eigh, eigvalsh = count_linalg("eigh"), count_linalg("eigvalsh")
-        out = tmp_path / "dof"
-        code = main([
-            "dof-grid", "--n", "20", "--eps-grid", "0.5:2:3", "--gamma-grid", "0.1:10:4",
-            "--out", str(out),
-        ])
-        assert code == 0
-        # eigh's back-transformation parallelizes over the pool's workers and
-        # eigvalsh's work does not: the pool keeps eigh, one per eps
-        assert eigh == [(20, 20)] * 3 and eigvalsh == []
+        for n, eps_grid, stacks in (
+            (20, "0.5:2:3", [(3, 20, 20)]), (300, "0.5:2:4", [(2, 300, 300)] * 2)
+        ):
+            eigvalsh.clear()
+            code = main([
+                "dof-grid", "--n", str(n), "--eps-grid", eps_grid,
+                "--gamma-grid", "0.1:10:4", "--out", str(tmp_path / f"dof{n}"),
+            ])
+            assert code == 0
+            # traces read eigenvalues only; each pool task solves floor(500 / n) + 1
+            # eps at once, the smallest stack numpy solves without the GIL
+            assert eigh == [] and eigvalsh == stacks
 
     def test_equiv_check_writes_strict_json_on_a_tiny_d2_design(self, tmp_path):
         # n=30 points in [0, 1]^2 and a smooth target plus noise: here the

@@ -807,6 +807,14 @@ class TestPredictionCurve:
             assert seq[0] > seq[2], (deg, seq)
             assert seq[2] <= 0.05 * max(1.0, np.abs(y).max())
 
+    @pytest.mark.parametrize(
+        "grid", [[1e2, 1.0, 1e-2], [1.0, 1.0, 10.0], [-1.0, 1.0], [0.0, 1.0]]
+    )
+    def test_grid_not_positive_and_increasing_rejected(self, rng, grid):
+        X = np.sort(rng.uniform(0, 1, 8))
+        with pytest.raises(ValueError, match="positive and ascending"):
+            prediction_curve(Kernel.gaussian(), X, X, 0.01, 0.5, grid, 0.2, 0.8)
+
 
 class TestReportBookkeeping:
     def test_seed_recorded_and_reproducible(self, rng):

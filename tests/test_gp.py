@@ -177,6 +177,68 @@ class TestValuesOnlySpectrum:
                 call()
 
 
+class TestStackedSpectra:
+    @given(
+        families=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    [Kernel.matern(1.5), Kernel.matern(2.5), Kernel.exponential(),
+                     Kernel.gaussian()]
+                ),
+                st.floats(-1.0, 1.0),
+                st.floats(-2.0, 2.0),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        d=st.sampled_from([1, 2]),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        nugget=st.sampled_from([0.0, 1e-6]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_spectrum_is_bitwise_its_own(self, families, d, n, seed, nugget):
+        X = np.random.default_rng(seed).uniform(0, 1, size=(n, d))
+        kernels = [
+            kernel.with_params(epsilon=10.0**log_eps, gamma=10.0**log_gain)
+            for kernel, log_eps, log_gain in families
+        ]
+        y = np.ones(n)
+        for vectors in (True, False):
+            stacked = GpSpectrum.from_kernels(kernels, X, nugget, vectors=vectors)
+            assert len(stacked) == len(kernels)
+            for kernel, spec in zip(kernels, stacked):
+                alone = GpSpectrum.from_kernel(kernel, X, nugget, vectors=vectors)
+                assert spec.gain == alone.gain == kernel.gamma
+                assert spec.evals.shape == (n,)
+                np.testing.assert_array_equal(spec.evals, alone.evals)
+                if vectors:
+                    np.testing.assert_array_equal(spec.modes, alone.modes)
+                    continue
+                assert spec.modes is None
+                for call in (
+                    lambda: spec.smoother(0.1),
+                    lambda: spec.solve(0.1, y),
+                    lambda: spec.fit(y, 0.1),
+                    lambda: spec.nlml(y, 0.1),
+                ):
+                    with pytest.raises(ValueError, match="no eigenvectors"):
+                        call()
+        for bad in (-1e-6, float("nan")):
+            with pytest.raises(ValueError, match="nugget"):
+                GpSpectrum.from_kernels(kernels, X, bad, vectors=False)
+
+    def test_one_stacked_call(self, setup, count_linalg):
+        X, _ = setup
+        eigh, eigvalsh = count_linalg("eigh"), count_linalg("eigvalsh")
+        kernels = [Kernel.matern(1.5, epsilon=e) for e in (0.5, 1.0, 2.0)]
+        GpSpectrum.from_kernels(kernels, X, vectors=False)
+        GpSpectrum.from_kernels(kernels[:1], X)
+        n = len(X)
+        # one kernel is a plain matrix, not a stack of one
+        assert eigvalsh == [(3, n, n)] and eigh == [(n, n)]
+
+
 class TestSmoother:
     def test_tiny_noise_gives_identity(self):
         X = np.linspace(0, 1, 6)
