@@ -50,19 +50,22 @@ def _parse_grid(spec, log=True, order=None):
     """Parse 'a:b:k' into a k-point grid from a to b (log-spaced by default).
 
     ``order`` "ascending" or "descending" builds it from the smaller or the
-    larger end instead, so that 'a:b:k' and 'b:a:k' give the same values.
+    larger end instead, so that 'a:b:k' and 'b:a:k' give the same values.  A
+    malformed spec or a non-finite endpoint raises FlatGpError.
     """
     parts = spec.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"grid must be a:b:k, got {spec!r}")
+        raise FlatGpError(f"grid must be a:b:k, got {spec!r}")
     a, b, k = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise FlatGpError(f"grid endpoints must be finite, got {spec!r}")
     if order is not None and (a > b) != (order == "descending"):
         a, b = b, a
     if k < 1:
-        raise argparse.ArgumentTypeError("grid needs at least one point")
+        raise FlatGpError("grid needs at least one point")
     if log:
         if a <= 0 or b <= 0:
-            raise argparse.ArgumentTypeError("log grids need positive endpoints")
+            raise FlatGpError("log grids need positive endpoints")
         return np.geomspace(a, b, k)
     return np.linspace(a, b, k)
 

@@ -39,7 +39,8 @@ class Dataset:
 def _read_columns(path, select):
     """Float rows of a headed CSV, over the columns that ``select(header)`` names.
 
-    Errors carry the offending row/column.
+    Errors carry the offending row/column; a column name that occurs twice in
+    the header raises DatasetError.
     """
     if not os.path.exists(path):
         raise DatasetError(f"no such file: {path}")
@@ -50,8 +51,11 @@ def _read_columns(path, select):
         except StopIteration:
             raise EmptyDataset(f"{path} is empty") from None
         header = [h.strip() for h in header]
+        col_pos = {name: i for i, name in enumerate(header)}
+        if len(col_pos) < len(header):
+            name = next(h for i, h in enumerate(header) if col_pos[h] != i)
+            raise DatasetError(f"{path}: column {name!r} is repeated in the header", column=name)
         names = select(header)
-        col_pos = {name: header.index(name) for name in header}
 
         rows = []
         for rownum, row in enumerate(reader, start=2):

@@ -40,7 +40,6 @@ _MATERN_NUS = (0.5, 1.5, 2.5, 3.5)
 
 class Family(enum.Enum):
     GAUSSIAN = "gaussian"
-    EXPONENTIAL = "exponential"
     MATERN = "matern"
     POLYHARMONIC = "polyharmonic"
     POLYNOMIAL = "polynomial"
@@ -76,7 +75,6 @@ class Kernel:
             raise ValueError("gamma must be positive")
         if self.epsilon <= 0 and self.family in (
             Family.GAUSSIAN,
-            Family.EXPONENTIAL,
             Family.MATERN,
             Family.CUSTOM,
         ):
@@ -91,7 +89,8 @@ class Kernel:
 
     @classmethod
     def exponential(cls, epsilon=1.0, gamma=1.0):
-        return cls(Family.EXPONENTIAL, epsilon=epsilon, gamma=gamma)
+        """exp(-epsilon ||x - y||): the Matern kernel with nu = 1/2."""
+        return cls.matern(0.5, epsilon=epsilon, gamma=gamma)
 
     @classmethod
     def matern(cls, nu, epsilon=1.0, gamma=1.0):
@@ -190,8 +189,6 @@ def profile(kernel: Kernel):
     fam = kernel.family
     if fam is Family.GAUSSIAN:
         return lambda t: np.exp(-np.square(t))
-    if fam is Family.EXPONENTIAL:
-        return lambda t: np.exp(-t)
     if fam is Family.MATERN:
         coeffs, a = _matern_poly_coeffs(kernel.nu)
 
@@ -219,8 +216,6 @@ def regularity(kernel: Kernel):
     fam = kernel.family
     if fam in (Family.GAUSSIAN, Family.POLYNOMIAL, Family.MONOMIAL, Family.ZERO):
         return INF_REGULARITY
-    if fam is Family.EXPONENTIAL:
-        return 1
     if fam is Family.MATERN:
         return int(kernel.nu + 0.5)
     if fam is Family.POLYHARMONIC:
@@ -318,9 +313,6 @@ class RadialSeries:
     odd_power: int
     truncation_order: int
 
-    def even(self, two_j: int) -> float:
-        return self.even_coeffs[two_j // 2]
-
 
 def _taylor_exp_poly(poly_coeffs, a, order):
     # coefficients of exp(-a t) * P(t) in powers of t, up to `order`
@@ -361,9 +353,7 @@ def radial_series(kernel: Kernel, order: int) -> RadialSeries:
         evens = tuple(0.0 for _ in range(order // 2 + 1))
         odd = (-1.0) ** rr if order >= 2 * rr - 1 else None
         return RadialSeries(evens, odd, 2 * rr - 1 if odd is not None else -1, order)
-    if fam is Family.EXPONENTIAL:
-        coeffs = _taylor_exp_poly([1.0], 1.0, order)
-    elif fam is Family.MATERN:
+    if fam is Family.MATERN:
         poly, a = _matern_poly_coeffs(kernel.nu)
         coeffs = _taylor_exp_poly(poly, a, order)
     elif fam is Family.CUSTOM:

@@ -4,8 +4,10 @@ Monomials are indexed by multi-indices and ordered graded-lexicographically:
 ascending total degree, and within a degree block the first coordinate carries
 the highest exponent first, so that for d=2 the degree-2 block reads
 ``x1^2, x1*x2, x2^2``.  Vandermonde matrices inherit one column block per
-degree; their blocked orthonormalization is the backbone of every projector
-used by the flat-limit machinery.
+degree.  The package's projectors come from one QR of the basis matrix
+(``spm.factorize``); the blocked orthonormalization of ``vandermonde`` is a
+public reference that no module of the package calls, and the tests check
+the flat-limit smoothers against it.
 """
 
 import math

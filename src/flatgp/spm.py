@@ -24,15 +24,15 @@ matrix; ``from_kernels`` gives the spectra of several kernels on one design
 from one stacked eigensolver call.  A caller that reads traces alone asks for
 the eigenvalues only (``vectors=False``, ``eigvalsh``): ``dof``, ``scaled``
 and ``solve_trace`` need nothing else, and ``smoother``, ``solve``, ``fit``
-and ``nlml`` then raise ValueError.  The complement basis comes from one
-complete QR of the n x m orthonormal basis, and an identically zero kernel
-skips the eigensolver.  The smoother on the design plus one point follows from the
-factorization and the smoother on the design by a bordered update
-(``augmented_smoother``, an (n+1) x (n+1) array), in O(n^2) beyond the
-smoother's matrix and with no new factorization; its terms
-(w, c) are x*'s bordered solve and sigma2 / s, so the difference of two
-models' augmented smoothers is a rank-two update of the difference on the
-design.
+and ``nlml`` then raise ValueError.  Q, R and the complement basis come from
+one complete QR of the n x m basis matrix V, a solve reads the kernel matrix
+only through L Q, and an identically zero kernel skips the eigensolver.  The
+smoother on the design plus one point follows from the factorization and the
+smoother on the design by a bordered update (``augmented_smoother``, an
+(n+1) x (n+1) array), in O(n^2) beyond the smoother's matrix and with no new
+factorization; its terms (w, c) are x*'s bordered solve and sigma2 / s, so the
+difference of two models' augmented smoothers is a rank-two update of the
+difference on the design.
 
 A fit against a factorization (``fit_factored``, of one data vector or of k
 as columns) is an ``SpmFit``, and ``SpmFit.posterior`` is the package's one
@@ -62,6 +62,7 @@ from .kernels import (
     kernel_matrix,
 )
 from .polybasis import (
+    DEFAULT_RANK_TOL,
     as_design,
     count_poly_dim,
     enumerate_monomials,
@@ -69,7 +70,6 @@ from .polybasis import (
 )
 from .smoothers import SmootherMatrix
 
-_RANK_TOL = 1e-10
 _PINV_TOL = 1e-12
 _CLIP_TOL = 1e-13
 _VARIANCE_ERROR_TOL = 1e-8
@@ -128,24 +128,22 @@ def polyharmonic_spm(r: int, d: int) -> SemiParametricModel:
 # saddle-point factorization
 
 
-def _orthonormal_basis(V, n):
-    """QR of the basis matrix; raises NotUnisolvent on rank deficiency."""
-    m = V.shape[1]
+def _basis_factors(V):
+    """Q, R (V = Q R, Q orthonormal) and an orthonormal basis C of the
+    complement of span(V), from one complete QR of the basis matrix V; no
+    basis gives C = None.  Raises NotUnisolvent on rank deficiency."""
+    n, m = V.shape
     if m == 0:
-        return np.zeros((n, 0)), np.zeros((0, 0))
+        return np.zeros((n, 0)), np.zeros((0, 0)), None
     s = np.linalg.svd(V, compute_uv=False)
     # fewer points than basis functions leave fewer than m singular values
-    if len(s) < m or s[-1] <= _RANK_TOL * s[0]:
+    if len(s) < m or s[-1] <= DEFAULT_RANK_TOL * s[0]:
         raise NotUnisolvent(
             f"basis matrix has numerical rank below {m} on this design"
         )
-    Q, R = np.linalg.qr(V)
-    return Q, R
-
-
-def _complement_basis(Q):
-    """Orthonormal basis of the complement of span(Q), by complete QR of Q."""
-    return np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]
+    full, R = np.linalg.qr(V, mode="complete")
+    # copies, so that the factorization does not keep the n x n array alive
+    return full[:, :m].copy(), R[:m].copy(), full[:, m:]
 
 
 def _eigensystems(A, vectors):
@@ -173,8 +171,11 @@ class SaddleFactorization:
     eigenvectors in the complement's coordinates are kept, since nothing
     reads them once ``modes`` is formed.  With Q R = V, every solve, smoother
     and trace at noise sigma2 filters the modes by
-    ``gain lam / (gain lam + sigma2)``.  ``scaled(g)`` multiplies the gain and
-    shares every array, so a model is factored once whatever its gains.
+    ``gain lam / (gain lam + sigma2)``, and a solve reads L only through
+    ``LQ = L Q``, the kernel's coupling to the basis (None without a basis),
+    so no n x n array but ``modes`` is kept.  ``scaled(g)`` multiplies the
+    gain and shares every array, so a model is factored once whatever its
+    gains.
 
     Two constructors fix what a singular ``gain L + sigma2 I`` means:
     ``factorize``/``factorize_model`` (the saddle path) solve by the
@@ -191,7 +192,7 @@ class SaddleFactorization:
     pseudo_inverse: bool
     Q: np.ndarray
     R: np.ndarray
-    L: np.ndarray = None  # the unit-gain kernel matrix; kept only with a basis
+    LQ: np.ndarray = None  # L Q, the kernel's coupling to the basis; None without one
 
     @classmethod
     def _restricted(cls, A, complement=None, **parts) -> "SaddleFactorization":
@@ -312,16 +313,14 @@ class SaddleFactorization:
         g = np.asarray(g, dtype=float)
         if g.ndim == 2:
             denom = denom[:, None]  # per-mode factors over columns
-        if self.m and h is not None:
-            a_basis = self.Q @ np.linalg.solve(self.R.T, h)
-            rhs = self.modes.T @ (g - self.gain * (self.L @ a_basis))
-            a = a_basis + self.modes @ (rhs / denom)
-        else:
-            a = self.modes @ ((self.modes.T @ g) / denom)
         if not self.m:
-            return a, np.zeros((0,) + g.shape[1:])
-        resid = g - self.gain * (self.L @ a) - sigma2 * a
-        return a, np.linalg.solve(self.R, self.Q.T @ resid)
+            return self.modes @ ((self.modes.T @ g) / denom), np.zeros((0,) + g.shape[1:])
+        # Q^T a = t = R^-T h fixes a in span(V); the modes, orthogonal to V,
+        # solve the complement; the rows along Q then give b
+        t = np.zeros((self.m,) + g.shape[1:]) if h is None else np.linalg.solve(self.R.T, h)
+        rhs = self.modes.T @ (g - self.gain * (self.LQ @ t))
+        a = self.Q @ t + self.modes @ (rhs / denom)
+        return a, np.linalg.solve(self.R, self.Q.T @ g - self.gain * (self.LQ.T @ a) - sigma2 * t)
 
     def fit(self, y, sigma2):
         """Coefficients (alpha, beta) of the fit to data y at noise sigma2."""
@@ -379,11 +378,9 @@ def augmented_smoother(
 def factorize(L: np.ndarray, V: np.ndarray) -> SaddleFactorization:
     """The saddle-point factorization of kernel matrix ``L`` (taken as unit
     gain) and basis matrix ``V``."""
-    n = L.shape[0]
-    Q, R = _orthonormal_basis(V, n)
-    m = Q.shape[1]
-    C = _complement_basis(Q) if m else None
-    parts = dict(gain=1.0, pseudo_inverse=True, Q=Q, R=R, L=L if m else None)
+    n, m = V.shape
+    Q, R, C = _basis_factors(V)
+    parts = dict(gain=1.0, pseudo_inverse=True, Q=Q, R=R, LQ=L @ Q if m else None)
     if L.any():
         A = L if C is None else C.T @ L @ C
         return SaddleFactorization._restricted(0.5 * (A + A.T), complement=C, **parts)

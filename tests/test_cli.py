@@ -13,7 +13,14 @@ import pytest
 import flatgp
 import flatgp.cli as cli_module
 from flatgp.cli import build_parser, main
-from flatgp.dataio import Dataset, format_float, parse_dataset, write_dataset, write_json
+from flatgp.dataio import (
+    Dataset,
+    format_float,
+    parse_dataset,
+    parse_points,
+    write_dataset,
+    write_json,
+)
 from flatgp.errors import DatasetError, EmptyDataset
 from flatgp.polybasis import Design
 
@@ -88,6 +95,16 @@ class TestParseDataset:
         with pytest.raises(DatasetError) as exc:
             parse_dataset(path)
         assert exc.value.column == "y"
+
+    @pytest.mark.parametrize("header", ["x,x,y", "x,y,x"])
+    def test_repeated_column_name_rejected(self, tmp_path, header):
+        path = tmp_path / "dup.csv"
+        write_lines(path, [header, "0,1,2"])
+        with pytest.raises(DatasetError, match="'x' is repeated") as exc:
+            parse_dataset(path)
+        assert exc.value.column == "x"
+        with pytest.raises(DatasetError, match="'x' is repeated"):
+            parse_points(path, 3)
 
     def test_roundtrip_is_bit_exact(self, tmp_path, rng):
         ds = Dataset(
@@ -566,6 +583,26 @@ class TestCommands:
 
     def test_usage_error_exit_code(self, tmp_path):
         assert main(["predict", "--data", "missing.csv", "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dof-grid", "--eps-grid", "1:2", "--gamma-grid", "1:2:3"],
+            ["dof-grid", "--eps-grid", "1:2:3", "--gamma-grid", "1:2:0"],
+            ["predict", "--query", "0:1"],
+            ["dof-grid", "--eps-grid", "1:2:3", "--gamma-grid", "1:nan:3"],
+            ["criteria-grid", "--eps-grid", "1:2:3", "--gamma-grid", "1:inf:3"],
+            ["converge", "--p", "1", "--kernel", "exponential", "--eps-grid", "0.1:inf:3"],
+            ["nugget-compare", "--eps", "1", "--gamma-grid", "1:nan:3"],
+            ["pred-curve", "--eps", "1", "--xa", "0.2", "--xb", "0.8", "--gamma-grid", "inf:1:3"],
+        ],
+        ids=" ".join,
+    )
+    def test_malformed_or_non_finite_grid_exits_1(self, argv, tmp_path, capsys):
+        code = main(argv + ["--n", "10", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o.json").exists()
 
     def test_reproducible_outputs(self, data_csv, tmp_path):
         args = [

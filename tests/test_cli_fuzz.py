@@ -5,7 +5,9 @@ points, collinear designs, constant targets, 1-column query CSVs, one-point
 and reversed grids, and noise levels from 1e-12 to 1e3.  Whatever the
 numerics do, the command returns 0, 1 or 2 and raises nothing; on 0 or 2 its
 JSON summary is strict JSON and every CSV row is as wide as its header; on 2
-the summary names at least one error.
+the summary names at least one error.  Usage errors return 1: a malformed
+grid ('a:b', 'a:b:0'), a grid with a NaN or infinite endpoint, and a data
+CSV whose header names a column twice.
 """
 
 import csv
@@ -47,16 +49,30 @@ def log_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda u: 10.0**u)
 
 
+# the usage errors a grid spec can hold, each drawn about once in 16 specs
+BAD_GRIDS = ("two-part", "no-points", "nan", "inf")
+
+
 @st.composite
 def grids(draw, lo, hi, max_points=4):
-    """An 'a:b:k' log grid: one point, or k points ascending or descending."""
-    shape = draw(st.sampled_from(["one-point", "ascending", "descending"]))
+    """An 'a:b:k' log grid and whether it is valid: one point, or k points
+    ascending or descending; or a malformed spec ('a:b', 'a:b:0') or one with
+    a NaN or infinite endpoint."""
+    shape = draw(st.sampled_from(["one-point", "ascending", "descending"] * 4 + list(BAD_GRIDS)))
     a, b = sorted([draw(log_uniform(lo, hi)), draw(log_uniform(lo, hi))])
+    k = draw(st.integers(2, max_points))
     if shape == "one-point":
-        return f"{a!r}:{b!r}:1"
+        return f"{a!r}:{b!r}:1", True
     if shape == "descending":
         a, b = b, a
-    return f"{a!r}:{b!r}:{draw(st.integers(2, max_points))}"
+    if shape == "two-part":
+        return f"{a!r}:{b!r}", False
+    if shape == "no-points":
+        return f"{a!r}:{b!r}:0", False
+    if shape in ("nan", "inf"):
+        ends = [repr(a), shape] if draw(st.booleans()) else [shape, repr(b)]
+        return f"{ends[0]}:{ends[1]}:{k}", False
+    return f"{a!r}:{b!r}:{k}", True
 
 
 @st.composite
@@ -86,15 +102,23 @@ def designs(draw):
 
 @st.composite
 def runs(draw):
-    """A command, its design and its options (paths filled in by the test)."""
+    """A command, its design, its options (paths filled in by the test), and
+    whether those options hold a usage error."""
     command = draw(st.sampled_from(COMMANDS))
     X, y, queries = draw(designs())
     n = len(X)
+    valid = []
+
+    def grid(*bounds):
+        spec, ok = draw(grids(*bounds))
+        valid.append(ok)
+        return spec
+
     args = list(draw(st.sampled_from(KERNELS)))
     args += ["--sigma2", repr(draw(log_uniform(-12, 3))), "--seed", str(draw(st.integers(0, 99)))]
     args += ["--format", draw(st.sampled_from(["csv", "json"]))]
     eps, gamma = repr(draw(log_uniform(-2, 1.5))), repr(draw(log_uniform(-3, 3)))
-    query = draw(st.sampled_from(["default", "csv", "grid", "list"]))
+    query = draw(st.sampled_from(["default", "csv", "grid", "list", "two-part grid"]))
     if command in ("fit", "predict"):
         args += ["--eps", eps, "--gamma", gamma]
     if command in ("fit", "predict", "dof-grid", "criteria-grid") and draw(st.booleans()):
@@ -102,18 +126,18 @@ def runs(draw):
     if command == "predict" and draw(st.booleans()):
         args += ["--basis-degree", str(draw(st.integers(0, 3)))]
     if command in ("dof-grid", "criteria-grid"):
-        args += ["--eps-grid", draw(grids(-2, 1.5)), "--gamma-grid", draw(grids(-4, 8))]
+        args += ["--eps-grid", grid(-2, 1.5), "--gamma-grid", grid(-4, 8)]
     if command == "isofreedom":
-        args += ["--eps-grid", draw(grids(-2, 1.5, 5))]
+        args += ["--eps-grid", grid(-2, 1.5, 5)]
         args += ["--dof", repr(draw(st.floats(0.1, n + 1.0)))]
     if command == "matched":
         args += ["--eps", eps, "--gamma", gamma]
     if command in ("converge", "equiv-check"):
         args += ["--p", str(draw(st.integers(0, 6)))]
     if command == "converge":
-        args += ["--eps-grid", draw(grids(-2, 0, 5))]
+        args += ["--eps-grid", grid(-2, 0, 5)]
     if command == "pred-curve":
-        args += ["--eps", eps, "--gamma-grid", draw(grids(-8, 12, 6))]
+        args += ["--eps", eps, "--gamma-grid", grid(-8, 12, 6)]
         for flag in ("--xa", "--xb"):
             # one value for every coordinate, or one per coordinate; '=' keeps a
             # leading minus from reading as an option
@@ -121,11 +145,15 @@ def runs(draw):
             point = [draw(st.floats(-0.5, 1.5)) for _ in range(k)]
             args.append(f"{flag}=" + ",".join(repr(v) for v in point))
     if command == "nugget-compare":
-        args += ["--eps", eps, "--gamma-grid", draw(grids(-2, 12, 6))]
+        args += ["--eps", eps, "--gamma-grid", grid(-2, 12, 6)]
         args += ["--nugget", repr(draw(log_uniform(-12, 0)))]
     if command not in ("predict", "matched", "converge"):
         query = None
-    return command, X, y, queries, query, args
+    valid.append(query != "two-part grid")
+    # the data CSV repeats the name of its first column, about once in 8 runs
+    repeated = draw(st.integers(0, 7)) == 0
+    valid.append(not repeated)
+    return command, X, y, queries, query, args, repeated, all(valid)
 
 
 def write_table(path, header, rows):
@@ -146,12 +174,16 @@ class TestCliFuzz:
     @given(run=runs())
     @settings(max_examples=120, deadline=None)
     def test_every_command_fails_cleanly(self, run):
-        command, X, y, queries, query, args = run
+        command, X, y, queries, query, args, repeated, valid = run
         d = X.shape[1]
         names = [f"x{j + 1}" for j in range(d)]
         with tempfile.TemporaryDirectory() as tmp:
             data = os.path.join(tmp, "data.csv")
-            write_table(data, names + ["y"], np.column_stack([X, y]))
+            if repeated:
+                # an extra column under the first column's name
+                write_table(data, names + [names[0], "y"], np.column_stack([X, X[:, :1], y]))
+            else:
+                write_table(data, names + ["y"], np.column_stack([X, y]))
             argv = [command, "--data", data, "--out", os.path.join(tmp, "out")] + args
             if query == "csv":
                 # d = 1 gives a 1-column query CSV
@@ -159,10 +191,14 @@ class TestCliFuzz:
                 write_table(argv[-1], names, queries)
             elif query == "grid":
                 argv += ["--query", f"{queries[0, 0]:.17g}:{queries[-1, 0]:.17g}:{len(queries)}"]
+            elif query == "two-part grid":
+                argv += ["--query", f"{queries[0, 0]:.17g}:{queries[-1, 0]:.17g}"]
             elif query == "list":
                 argv += ["--query", ",".join(format_float(v) for v in queries.ravel())]
             code = main(argv)
             assert code in (0, 1, 2), (argv, code)
+            if not valid:
+                assert code == 1, (argv, code)
             if code == 1:
                 return
             with open(os.path.join(tmp, "out.json")) as fh:

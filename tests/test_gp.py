@@ -94,7 +94,7 @@ class TestSpectrum:
         kern = Kernel.gaussian(epsilon=3.0)
         spec = GpSpectrum.from_kernel(kern, X, nugget=1e-6)
         assert len(eigh) == 1 and not qr and not svd
-        assert spec.m == 0 and spec.L is None
+        assert spec.m == 0 and spec.LQ is None
         # without a basis the modes are the eigenvectors of K + nugget I themselves
         K = kernel_matrix(kern, X) + 1e-6 * np.eye(len(X))
         np.testing.assert_allclose(spec.modes.T @ spec.modes, np.eye(len(X)), atol=1e-12)

@@ -42,14 +42,22 @@ from flatgp.spm import (
 )
 
 
-def dense_saddle_solve(L, V, sigma2, y):
-    """Independent oracle: assemble and invert the full bordered system."""
+def saddle_matrix(L, V, sigma2):
+    """The bordered system [[L + sigma2 I, V], [V^T, 0]]."""
     n, m = L.shape[0], V.shape[1]
     S = np.zeros((n + m, n + m))
     S[:n, :n] = L + sigma2 * np.eye(n)
     S[:n, n:] = V
     S[n:, :n] = V.T
-    sol = np.linalg.solve(S, np.concatenate([y, np.zeros(m)]))
+    return S
+
+
+def dense_saddle_solve(L, V, sigma2, y, h=None):
+    """Independent oracle: assemble and invert the full bordered system with
+    right-hand side (y; h), h zero by default; y and h may hold k columns."""
+    n, m = V.shape
+    h = np.zeros((m,) + np.shape(y)[1:]) if h is None else h
+    sol = np.linalg.solve(saddle_matrix(L, V, sigma2), np.concatenate([y, h]))
     return sol[:n], sol[n:]
 
 
@@ -357,13 +365,42 @@ class TestFactorization:
     @settings(max_examples=60, deadline=None)
     def test_reused_fits_match_dense_saddle_solve(self, seed, d, degree, zero_kernel, extra):
         model, X, fac = random_factorization(seed, d, degree, zero_kernel, extra)
-        L = kernel_matrix(model.kernel, X)
+        # two orders above what its basis annihilates the kernel is indefinite
+        # on the complement
+        indefinite = SemiParametricModel(Kernel.polyharmonic(degree + 3), d=d, basis_degree=degree)
         V = model.basis_matrix(X)
-        y = np.random.default_rng(seed + 1).normal(size=len(X))
-        for sigma2 in (1e-2, 0.3, 3.0):
-            got = np.concatenate(fac.fit(y, sigma2))
-            want = np.concatenate(dense_saddle_solve(L, V, sigma2, y))
-            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        rng = np.random.default_rng(seed + 1)
+        y = rng.normal(size=len(X))
+        # k = 3 right-hand sides (g; h) with a nonzero h
+        G, H = rng.normal(size=(len(X), 3)), rng.normal(size=(V.shape[1], 3))
+        for mdl, f in ((model, fac), (indefinite, factorize_model(indefinite, X))):
+            L = kernel_matrix(mdl.kernel, X)
+            for sigma2 in (1e-2, 0.3, 3.0):
+                tol = 1e-10
+                if mdl is indefinite:
+                    # a forward error bound: this kernel of high order makes
+                    # the bordered system ill-conditioned on a few designs
+                    tol = max(tol, 1e-14 * np.linalg.cond(saddle_matrix(L, V, sigma2)))
+                for got, want in (
+                    (f.fit(y, sigma2), dense_saddle_solve(L, V, sigma2, y)),
+                    (f.solve(sigma2, G, H), dense_saddle_solve(L, V, sigma2, G, H)),
+                ):
+                    got, want = np.concatenate(got), np.concatenate(want)
+                    assert got.shape == want.shape
+                    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+    def test_one_qr_of_the_basis_and_no_kernel_matrix_kept(self, rng, count_linalg):
+        qr, svd = count_linalg("qr"), count_linalg("svd")
+        n = 15
+        X = rng.uniform(0, 1, size=(n, 2))
+        fac = factorize_model(polyharmonic_spm(2, 2), X)
+        # the rank check's singular values, then Q, R and the complement at once
+        assert svd == [(n, 3)] and qr == [(n, 3)]
+        assert fac.LQ.shape == (n, 3)
+        for name, arr in vars(fac).items():
+            if isinstance(arr, np.ndarray) and name != "modes":
+                # neither an n x n array nor a view of one
+                assert arr.size < n * n and (arr.base is None or arr.base.size < n * n), name
 
     def test_zero_kernel_skips_eigensolver(self, rng, monkeypatch):
         def fail(*args, **kwargs):
