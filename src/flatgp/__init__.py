@@ -63,6 +63,7 @@ from .polybasis import (
     unisolvency_rank,
     vandermonde,
 )
+from .pool import map_spectra
 from .smoothers import SmootherMatrix
 from .spm import (
     SemiParametricModel,

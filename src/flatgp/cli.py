@@ -2,15 +2,20 @@
 
 Every command writes a JSON summary (config echo, seed, metrics, errors) and,
 where applicable, a long-format CSV next to it.  Exit code 0 on success, 1 on
-usage errors, 2 when numerical failures left only partial output.  Grid cells
-are evaluated concurrently; FLATGP_THREADS caps the pool.
+usage errors, 2 when numerical failures left only partial output.
+
+dof-grid, criteria-grid, isofreedom and converge factor their eps grids
+concurrently through the library's one pool (``flatgp.pool.map_spectra``):
+stacks of floor(500 / n) + 1 eps when only eigenvalues are read (dof-grid,
+isofreedom), one eps per task with eigenvectors; a grid that fits in one such
+stack runs inline.  While the pool runs, numpy's OpenBLAS runs one thread.
+FLATGP_THREADS sets the pool's size (an integer; anything else exits 1).
+nugget-compare stays serial.
 """
 
 import argparse
-import ctypes
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,20 +35,9 @@ from .flatlimit import (
 from .gp import GpSpectrum, loo_mse, loo_nll, sure
 from .kernels import Kernel
 from .polybasis import Design
+# threads: the pool size, which perfbench/worker.py records as cli._threads
+from .pool import map_spectra, threads as _threads  # noqa: F401
 from .spm import SemiParametricModel, factorize_model, fit_factored
-
-
-def _threads():
-    """The grid pool's size: FLATGP_THREADS if set, else the CPUs this
-    process may run on (at most 8)."""
-    raw = os.environ.get("FLATGP_THREADS", "").strip()
-    if raw:
-        return max(1, int(raw))
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(8, cpus)
 
 
 def _parse_grid(spec, log=True, order=None):
@@ -202,66 +196,13 @@ def cmd_predict(args):
     return _emit(args, "predict", {"n_query": len(query)}, header, rows)
 
 
-# glibc's mallopt parameter for the number of malloc arenas
-_M_ARENA_MAX = -8
-
-
-def _share_main_heap():
-    """Have the grid's worker threads allocate from the main heap (glibc).
-
-    By default glibc gives each worker thread a heap of its own.  After the
-    pool exits, those heaps keep the n x n arrays the grid freed, between
-    1 and 9 MB per worker at n=400 depending on how the grid was scheduled,
-    and no other thread reuses them.  With one heap, the next command reuses
-    what a grid freed, and a process running many commands has the same
-    footprint from run to run.  The workers allocate a few arrays per grid
-    cell, so they seldom wait on the shared heap's lock.  Heaps made by
-    threads before the first call stay in use; without glibc this does
-    nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(_M_ARENA_MAX, 1)
-
-
-# numpy's gufuncs, numpy.linalg's among them, release the GIL only when a
-# call's outer size times its core size exceeds 500.  eigh counts its (n, n)
-# eigenvector output and releases it at any n; eigvalsh counts its n
-# eigenvalues, so one matrix with n <= 500 holds the GIL for the whole solve
-# and the pool's workers take turns.  Measured with one BLAS thread on a
-# 2-vCPU VM, 20 eigvalsh of 400 x 400 matrices took 0.169 s on one worker,
-# 0.173 s on two, and 0.091 s on two in stacks of two.  A stack of
-# floor(500 / n) + 1 matrices is the smallest call that runs without the GIL.
-_GIL_FREE_SIZE = 500
-
-
 def _grid_eval(args, ds, values_fn, vectors=True):
-    """Evaluate values_fn(spectrum, eps) over the epsilon grid, in parallel.
-
-    Each task factors consecutive eps values in one stacked call
-    (``GpSpectrum.from_kernels``).  With eigenvectors a task takes one eps;
-    with ``vectors=False`` (traces only) it takes floor(500 / n) + 1, enough
-    for eigvalsh to release the GIL.
-    """
+    """The eps grid and ``values_fn(spectrum, kernel)`` at each of its eps, in
+    grid order (``pool.map_spectra``); ``vectors=False`` reads traces only."""
     eps_grid = _parse_grid(args.eps_grid)
-    _share_main_heap()
     kern = _make_kernel(args, eps=1.0, gamma=1.0)
-    size = 1 if vectors else _GIL_FREE_SIZE // ds.n + 1
-
-    def stack(start):
-        chunk = eps_grid[start:start + size]
-        specs = GpSpectrum.from_kernels(
-            [kern.with_params(epsilon=eps) for eps in chunk], ds.X,
-            nugget=args.nugget, vectors=vectors,
-        )
-        return [values_fn(spec, eps) for spec, eps in zip(specs, chunk)]
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        stacks = pool.map(stack, range(0, len(eps_grid), size))
-        results = [values for part in stacks for values in part]
-    return eps_grid, results
+    kernels = [kern.with_params(epsilon=eps) for eps in eps_grid]
+    return eps_grid, map_spectra(values_fn, kernels, ds.X, args.nugget, vectors=vectors)
 
 
 def cmd_dof_grid(args):
@@ -269,7 +210,7 @@ def cmd_dof_grid(args):
     gamma_grid = _parse_grid(args.gamma_grid)
     errors = []
 
-    def values(spec, eps):
+    def values(spec, _kernel):
         out = []
         for g in gamma_grid:
             try:
@@ -293,7 +234,7 @@ def cmd_criteria_grid(args):
     gamma_grid = _parse_grid(args.gamma_grid)
     errors = []
 
-    def values(spec, eps):
+    def values(spec, _kernel):
         out = []
         for g in gamma_grid:
             try:

@@ -10,7 +10,9 @@ Every gain and penalty here solves one equation, smoother trace
 ``m0 + sum g lam / (g lam + sigma2)`` = target dof, and ``spm.solve_trace`` is
 the single solver of it.  That equation reads eigenvalues only, so
 ``isofreedom_curve`` computes its spectra without eigenvectors
-(``vectors=False``).
+(``vectors=False``) through ``pool.map_spectra``: floor(500 / n) + 1 epsilon
+per stacked ``eigvalsh``, the stacks factored and solved concurrently, and
+a grid that fits in one stack inline.
 """
 
 import math
@@ -21,6 +23,7 @@ from .flatlimit import LimitCaseKind, _loglog_slope, classify_limit
 from .gp import GpSpectrum
 from .kernels import Kernel, regularity
 from .polybasis import as_design, count_poly_dim
+from .pool import map_spectra
 from .spm import (
     SaddleFactorization,
     SemiParametricModel,
@@ -63,7 +66,9 @@ def isofreedom_curve(kernel: Kernel, X, sigma2: float, m: float, eps_grid) -> Is
 
     The slope is fitted on the smaller half of the (decreasing) epsilon grid
     only, where the Puiseux behaviour has set in; that half needs at least two
-    points, so grids of fewer than three raise InsufficientGrid.
+    points, so grids of fewer than three raise InsufficientGrid.  Each
+    epsilon's trace solve runs in the pool worker that factored its spectrum;
+    the first epsilon whose solve fails, in grid order, raises.
     """
     eps_grid = [float(e) for e in eps_grid]
     if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
@@ -72,19 +77,16 @@ def isofreedom_curve(kernel: Kernel, X, sigma2: float, m: float, eps_grid) -> Is
         raise InsufficientGrid(
             f"an isofreedom slope needs at least 3 epsilon values, got {len(eps_grid)}"
         )
-    design = as_design(X)
-    points = []
-    for eps in eps_grid:
-        spec = GpSpectrum.from_kernel(
-            kernel.with_params(epsilon=eps, gamma=1.0), design, vectors=False
-        )
+
+    def point(spec, unit):
         g = solve_trace(spec.evals, 0.0, m, sigma2)[0]
         achieved = spec.scaled(g).dof(sigma2)
-        points.append(
-            IsofreedomPoint(
-                epsilon=eps, gamma=g, dof_achieved=achieved, residual=achieved - m
-            )
+        return IsofreedomPoint(
+            epsilon=unit.epsilon, gamma=g, dof_achieved=achieved, residual=achieved - m
         )
+
+    kernels = [kernel.with_params(epsilon=eps, gamma=1.0) for eps in eps_grid]
+    points = map_spectra(point, kernels, X, vectors=False)
     half = math.ceil(len(points) / 2)
     tail = points[-half:]
     slope = _loglog_slope([p.epsilon for p in tail], [p.gamma for p in tail])

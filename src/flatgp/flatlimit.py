@@ -42,6 +42,7 @@ from .polybasis import (
     enumerate_monomials,
     monomial_matrix,
 )
+from .pool import map_spectra
 from .smoothers import SmootherMatrix, difference
 from .spm import (
     SaddleFactorization,
@@ -431,7 +432,10 @@ def convergence_study(
     its gain where the classified model leaves the constant free, and 1.0
     otherwise.  It is factored once, and each epsilon's kernel matrix is
     eigendecomposed once; the trial vectors are fitted at once, as the
-    columns of one right-hand side, against those.  An interpolating limit
+    columns of one right-hand side, against those.  The epsilons are
+    factored, fitted and compared concurrently (``pool.map_spectra``, one
+    epsilon per task; a grid that fits in one eigenvalue stack runs inline),
+    and the dropped ones keep their grid order.  An interpolating limit
     has no predictive variance to compare (at sigma2 = 0 it is zero up to
     round-off), so only means are compared there.
     """
@@ -457,20 +461,26 @@ def convergence_study(
     else:
         limit_means, limit_var = limit.posterior(query_points)
 
-    used, dropped, mean_devs, var_devs = [], [], [], []
-    for eps in eps_grid:
-        kernel = family.kernel_at(eps)
+    def deviations(spec, kernel):
+        """(mean deviation, variance deviation or None), or None to drop eps."""
         try:
-            spec = GpSpectrum.from_kernel(kernel, design)
             gp = fit_factored(SemiParametricModel(kernel, design.d), design, spec, ys, sigma2)
             means, var = gp.posterior(query_points)
         except (IllConditioned, NegativeVariance):
+            return None
+        mean_dev = float(np.abs(means - limit_means).max(initial=0.0))
+        return mean_dev, None if interpolation else float(np.abs(var - limit_var).max())
+
+    kernels = [family.kernel_at(eps) for eps in eps_grid]
+    used, dropped, mean_devs, var_devs = [], [], [], []
+    for eps, devs in zip(eps_grid, map_spectra(deviations, kernels, design, vectors=True)):
+        if devs is None:
             dropped.append(eps)
             continue
         used.append(eps)
-        mean_devs.append(float(np.abs(means - limit_means).max(initial=0.0)))
+        mean_devs.append(devs[0])
         if not interpolation:
-            var_devs.append(float(np.abs(var - limit_var).max()))
+            var_devs.append(devs[1])
     if len(used) < 3:
         raise InsufficientGrid(f"only {len(used)} usable epsilon values")
 

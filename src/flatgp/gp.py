@@ -11,8 +11,10 @@ only, by ``eigvalsh``; the isofreedom curve, the CLI's nugget-compare and its
 dof-grid use it.  ``from_kernels`` factors several kernels on one design in
 one stacked call.  numpy's gufuncs release the GIL only when a call's outer
 size times its core size exceeds 500, and ``eigvalsh`` counts n per matrix,
-so the dof-grid pool hands each worker floor(500 / n) + 1 eps values at a
-time: one 400 x 400 ``eigvalsh`` holds the GIL, a stack of two does not.
+so ``pool.map_spectra``, the evaluator behind the isofreedom curve, the
+convergence study, dof-grid and criteria-grid, hands each worker
+floor(500 / n) + 1 eps values at a time when it reads eigenvalues only: one
+400 x 400 ``eigvalsh`` holds the GIL, a stack of two does not.
 Posterior means and variances are those of the fitted model,
 ``spm.SpmFit.posterior``, so a GP variance below round-off raises
 NegativeVariance as any model's does.  This module adds the selection

@@ -21,7 +21,8 @@ their difference (``smoothers.difference``), formed from the factors of
 both.  A GP is the model with an empty basis; its spectrum (``from_kernel``,
 exported as ``gp.GpSpectrum``) skips the complement and keeps no kernel
 matrix; ``from_kernels`` gives the spectra of several kernels on one design
-from one stacked eigensolver call.  A caller that reads traces alone asks for
+from one stacked eigensolver call, and ``pool.map_spectra`` factors a grid of
+kernels in such stacks concurrently.  A caller that reads traces alone asks for
 the eigenvalues only (``vectors=False``, ``eigvalsh``): ``dof``, ``scaled``
 and ``solve_trace`` need nothing else, and ``smoother``, ``solve``, ``fit``
 and ``nlml`` then raise ValueError.  Q, R and the complement basis come from
@@ -214,7 +215,9 @@ class SaddleFactorization:
         Each spectrum is bitwise the one ``from_kernel`` gives that kernel
         alone: numpy solves a stack matrix by matrix.  A stack is one call, so
         it counts as one problem against numpy's threshold for releasing the
-        GIL.  ``vectors=False`` computes the eigenvalues alone (``eigvalsh``):
+        GIL; ``pool.map_spectra``, which factors the eps grids of the
+        isofreedom curve, the convergence study, dof-grid and criteria-grid,
+        builds its tasks from such stacks.  ``vectors=False`` computes the eigenvalues alone (``eigvalsh``):
         such a spectrum gives ``dof`` and ``scaled`` and feeds ``solve_trace``,
         while ``smoother``, ``solve``, ``fit`` and ``nlml`` raise ValueError.
         """

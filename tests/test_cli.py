@@ -12,6 +12,7 @@ import pytest
 
 import flatgp
 import flatgp.cli as cli_module
+import flatgp.pool as pool_module
 from flatgp.cli import build_parser, main
 from flatgp.dataio import (
     Dataset,
@@ -21,7 +22,7 @@ from flatgp.dataio import (
     write_dataset,
     write_json,
 )
-from flatgp.errors import DatasetError, EmptyDataset
+from flatgp.errors import DatasetError, EmptyDataset, FlatGpError
 from flatgp.polybasis import Design
 
 
@@ -377,15 +378,31 @@ class TestCommands:
 
     def test_isofreedom_reads_eigenvalues_only(self, tmp_path, count_linalg):
         eigh, eigvalsh = count_linalg("eigh"), count_linalg("eigvalsh")
-        out = tmp_path / "iso"
-        code = main([
-            "isofreedom", "--n", "25", "--kernel", "matern", "--nu", "1.5",
-            "--dof", "2.5", "--eps-grid", "0.3:0.03:6", "--out", str(out),
-        ])
-        assert code == 0
-        assert len(read_csv(f"{out}.csv")[1]) == 6
-        # one eigenvalue solve per eps: the trace equation reads nothing else
-        assert eigvalsh == [(25, 25)] * 6 and eigh == []
+        for n, stacks in ((25, [(6, 25, 25)]), (300, [(2, 300, 300)] * 3)):
+            eigvalsh.clear()
+            out = tmp_path / f"iso{n}"
+            code = main([
+                "isofreedom", "--n", str(n), "--kernel", "matern", "--nu", "1.5",
+                "--dof", "2.5", "--eps-grid", "0.3:0.03:6", "--out", str(out),
+            ])
+            assert code == 0
+            assert len(read_csv(f"{out}.csv")[1]) == 6
+            # eigenvalues only, as the trace equation reads nothing else, in
+            # stacks of floor(500 / n) + 1 eps; at n = 25 one stack is the grid
+            assert eigvalsh == stacks and eigh == []
+
+    def test_converge_factors_each_eps_and_the_limit_once(self, tmp_path, count_linalg):
+        eigh, eigvalsh = count_linalg("eigh"), count_linalg("eigvalsh")
+        for n in (20, 300):
+            eigh.clear()
+            code = main([
+                "converge", "--n", str(n), "--kernel", "exponential", "--p", "1",
+                "--eps-grid", "0.025:0.2:4", "--query", "0:1:20", "--out", str(tmp_path / f"c{n}"),
+            ])
+            assert code == 0
+            # the linear spline limit on the complement of its constant basis,
+            # then one GP spectrum per eps, inline at n = 20 and pooled at 300
+            assert sorted(eigh) == [(n - 1, n - 1)] + [(n, n)] * 4 and eigvalsh == []
 
     def test_nugget_compare_reads_eigenvalues_only(self, data_csv, tmp_path, count_linalg):
         eigh, eigvalsh = count_linalg("eigh"), count_linalg("eigvalsh")
@@ -618,11 +635,12 @@ class TestCommands:
     @pytest.mark.parametrize("command", ["dof-grid", "criteria-grid"])
     def test_grid_workers_allocate_from_the_main_heap(self, command, tmp_path):
         # a fresh interpreter, so that no earlier thread has made a heap; by
-        # default glibc makes one per worker, and malloc_info lists each heap
+        # default glibc makes one per worker, and malloc_info lists each heap;
+        # 14 eps at n = 40 are more than one stack, so the grid is pooled
         script = textwrap.dedent("""
             import ctypes, sys
             from flatgp.cli import main
-            code = main([sys.argv[1], "--n", "40", "--eps-grid", "0.5:2:6",
+            code = main([sys.argv[1], "--n", "40", "--eps-grid", "0.5:2:14",
                          "--gamma-grid", "0.1:10:3", "--out", sys.argv[2]])
             libc = ctypes.CDLL(None)
             libc.fopen.restype = ctypes.c_void_p
@@ -641,25 +659,67 @@ class TestCommands:
         assert done.stdout.split() == ["0", "1"]
 
 
+POOLED_COMMANDS = {
+    "isofreedom": ["--kernel", "matern", "--nu", "1.5", "--dof", "2.5", "--eps-grid", "0.3:0.03:6"],
+    # at sigma2 = 0 the GP at eps = 100 is singular and dropped
+    "converge": ["--kernel", "gaussian", "--p", "2", "--sigma2", "0", "--eps-grid", "3e3:100:6",
+                 "--query", "0:1:20"],
+    "dof-grid": ["--eps-grid", "0.5:2:4", "--gamma-grid", "0.1:10:4"],
+    "criteria-grid": ["--eps-grid", "0.5:2:3", "--gamma-grid", "0.1:10:3"],
+}
+
+
 class TestThreads:
     def test_pool_follows_the_cpu_set(self, tmp_path, monkeypatch):
         monkeypatch.delenv("FLATGP_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         pools = []
-        executor = cli_module.ThreadPoolExecutor
+        executor = pool_module.ThreadPoolExecutor
 
         def recorded(max_workers):
             pools.append(max_workers)
             return executor(max_workers=max_workers)
 
-        monkeypatch.setattr(cli_module, "ThreadPoolExecutor", recorded)
+        monkeypatch.setattr(pool_module, "ThreadPoolExecutor", recorded)
+        # 52 eps at n = 10 are two stacks, so the grid does not run inline
         code = main([
-            "dof-grid", "--n", "10", "--eps-grid", "0.5:2:3", "--gamma-grid", "0.1:10:2",
+            "dof-grid", "--n", "10", "--eps-grid", "0.5:2:52", "--gamma-grid", "0.1:10:2",
             "--out", str(tmp_path / "dof"),
         ])
         assert code == 0
         assert pools == [1]
+
+    @pytest.mark.parametrize("command", sorted(POOLED_COMMANDS))
+    def test_pooled_and_serial_outputs_are_byte_identical(self, command, tmp_path, monkeypatch):
+        # n = 300: every grid above is at least two tasks, so both runs are pooled
+        for fmt in ("csv", "json"):
+            (tmp_path / fmt).mkdir()
+            outputs = []
+            for workers in ("1", "2"):
+                monkeypatch.setenv("FLATGP_THREADS", workers)
+                out = tmp_path / fmt / command
+                code = main([command, "--n", "300", "--format", fmt, "--out", str(out)]
+                            + POOLED_COMMANDS[command])
+                assert code == (2 if command == "converge" else 0)
+                outputs.append({p.name: p.read_bytes() for p in out.parent.iterdir()})
+            assert len(outputs[0]) == (2 if fmt == "csv" else 1)
+            assert outputs[0] == outputs[1]
+        if command == "converge":
+            assert read_json(f"{out}.json")["metrics"]["dropped_eps"] == [100.0]
+
+    def test_non_integer_threads_exits_1_naming_the_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FLATGP_THREADS", "abc")
+        with pytest.raises(FlatGpError, match="FLATGP_THREADS"):
+            cli_module._threads()
+        code = main([
+            "isofreedom", "--n", "10", "--dof", "2.5", "--eps-grid", "0.3:0.03:4",
+            "--out", str(tmp_path / "iso"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: FLATGP_THREADS must be an integer, got 'abc'\n"
+        monkeypatch.setenv("FLATGP_THREADS", "-3")
+        assert cli_module._threads() == 1
 
     def test_environment_wins_and_cpu_count_is_the_fallback(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
