@@ -27,12 +27,9 @@ from .flatlimit import (
 )
 from .gp import (
     GpSpectrum,
-    dof,
     gp_posterior,
-    gp_smoother,
     loo_mse,
     loo_nll,
-    nlml,
     sure,
 )
 from .kernels import (
@@ -41,7 +38,6 @@ from .kernels import (
     Kernel,
     RadialSeries,
     WronskianMatrix,
-    distance_power_matrix,
     eval_kernel,
     kernel_cross,
     kernel_diag,
@@ -75,7 +71,4 @@ from .spm import (
     project_out_basis,
     smoothing_spline_fit,
     spline_dof,
-    spm_posterior_mean,
-    spm_posterior_var,
-    spm_smoother,
 )

@@ -1,9 +1,9 @@
-"""Pairwise assembly: squared distances and distance powers between points.
+"""Pairwise assembly: squared distances between points.
 
-Kernel and distance matrices are rebuilt for every point of an (epsilon, gamma)
-grid.  Assembly is a numpy broadcast: it costs about a tenth of the
-eigendecomposition of the same matrix at n = 400 and less at larger n, so a
-compiled path would not pay for itself.
+Every radial kernel matrix is a profile of these distances, rebuilt for
+every epsilon of a grid.  Assembly is a numpy broadcast: it costs about a
+tenth of the eigendecomposition of the same matrix at n = 400 and less at
+larger n, so a compiled path would not pay for itself.
 """
 
 import numpy as np
@@ -37,16 +37,3 @@ def pairwise_sq_dists(X):
 def cross_sq_dists(A, B):
     """Squared distances between rows of ``A`` (na, d) and ``B`` (nb, d)."""
     return _sq_dists(_as2d(A), _as2d(B))
-
-
-def pairwise_dist_power(X, q):
-    """Matrix with entries ``||x_i - x_j||**q``; exact zero diagonal."""
-    X = _as2d(X)
-    out = _sq_dists(X, X) ** (float(q) / 2.0)
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
-def cross_dist_power(A, B, q):
-    """Matrix with entries ``||a_i - b_j||**q``."""
-    return _sq_dists(_as2d(A), _as2d(B)) ** (float(q) / 2.0)

@@ -6,14 +6,15 @@ usage errors, 2 when numerical failures left only partial output.
 
 dof-grid, criteria-grid, isofreedom and converge factor their eps grids
 concurrently through the library's one pool (``flatgp.pool.map_spectra``):
-stacks of floor(500 / n) + 1 eps when only eigenvalues are read (dof-grid,
-isofreedom), one eps per task with eigenvectors; a grid that fits in one such
-stack runs inline.  While the pool runs, numpy's OpenBLAS runs one thread.
-FLATGP_THREADS sets the pool's size (an integer; anything else exits 1).
-nugget-compare stays serial.
+stacks of eps when only eigenvalues are read (dof-grid, isofreedom; the
+stacking rule is stated in ``flatgp.pool``), one eps per task with
+eigenvectors; a grid that fits in one such stack runs inline.  While the
+pool runs, numpy's OpenBLAS runs one thread.  FLATGP_THREADS sets the pool's
+size (an integer; anything else exits 1).  nugget-compare stays serial.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -64,6 +65,15 @@ def _parse_grid(spec, log=True, order=None):
     return np.linspace(a, b, k)
 
 
+def _finite_float(text):
+    """The argparse type of every float option: a NaN or an infinity is a
+    usage error, refused before any work or output."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _make_kernel(args, eps=None, gamma=None):
     eps = getattr(args, "eps", None) if eps is None else eps
     gamma = getattr(args, "gamma", None) if gamma is None else gamma
@@ -85,8 +95,7 @@ def _make_kernel(args, eps=None, gamma=None):
 
 def _load_data(args):
     if args.data:
-        ds = parse_dataset(args.data, target_col=args.y_col)
-        return ds
+        return parse_dataset(args.data, target_col=args.y_col)
     n = 8 if args.n is None else args.n
     d = 1 if args.dim is None else args.dim
     rng = np.random.default_rng(args.seed)
@@ -205,19 +214,22 @@ def _grid_eval(args, ds, values_fn, vectors=True):
     return eps_grid, map_spectra(values_fn, kernels, ds.X, args.nugget, vectors=vectors)
 
 
+def _dof_cell(spec, sigma2):
+    """A dof cell of dof-grid and nugget-compare: the formatted trace and
+    "ok", or "nan" and the smallest eigenvalue of an ill-conditioned system."""
+    try:
+        return format_float(spec.dof(sigma2)), "ok"
+    except IllConditioned as exc:
+        return "nan", f"ill-conditioned:{exc.smallest_eigenvalue:.3e}"
+
+
 def cmd_dof_grid(args):
     ds = _load_data(args)
     gamma_grid = _parse_grid(args.gamma_grid)
     errors = []
 
     def values(spec, _kernel):
-        out = []
-        for g in gamma_grid:
-            try:
-                out.append((format_float(spec.scaled(g).dof(args.sigma2)), "ok"))
-            except IllConditioned as exc:
-                out.append(("nan", f"ill-conditioned:{exc.smallest_eigenvalue:.3e}"))
-        return out
+        return [_dof_cell(spec.scaled(g), args.sigma2) for g in gamma_grid]
 
     eps_grid, results = _grid_eval(args, ds, values, vectors=False)
     rows = []
@@ -358,8 +370,7 @@ def cmd_converge(args):
         "dropped_eps": list(report.dropped_eps),
     }
     errors = [f"dropped eps={e:g}" for e in report.dropped_eps]
-    code = _emit(args, "converge", metrics, ["eps", "mean_dev", "var_dev"], rows, errors)
-    return code
+    return _emit(args, "converge", metrics, ["eps", "mean_dev", "var_dev"], rows, errors)
 
 
 def cmd_pred_curve(args):
@@ -396,10 +407,8 @@ def cmd_nugget_compare(args):
             kern.with_params(epsilon=args.eps), ds.X, nugget=nug, vectors=False
         )
         for g in gamma_grid:
-            try:
-                val, status = format_float(spec.scaled(g).dof(args.sigma2)), "ok"
-            except IllConditioned as exc:
-                val, status = "nan", f"ill-conditioned:{exc.smallest_eigenvalue:.3e}"
+            val, status = _dof_cell(spec.scaled(g), args.sigma2)
+            if status != "ok":
                 errors.append(f"{variant} gamma={g:g}: {status}")
             rows.append([variant, format_float(g), val, status])
     header = ["variant", "gamma", "dof", "status"]
@@ -416,10 +425,10 @@ def _add_common(sp, query=False, grids=(), nugget=None):
     sp.add_argument("--n", type=int, help="synthesize n points when --data absent")
     sp.add_argument("--dim", type=int, help="dimension of synthesized points")
     sp.add_argument("--kernel", default="gaussian", choices=["gaussian", "exponential", "matern", "zero"])
-    sp.add_argument("--nu", type=float, help="matern smoothness (half-integer)")
-    sp.add_argument("--sigma2", type=float, default=0.01)
+    sp.add_argument("--nu", type=_finite_float, help="matern smoothness (half-integer)")
+    sp.add_argument("--sigma2", type=_finite_float, default=0.01)
     if nugget is not None:
-        sp.add_argument("--nugget", type=float, default=nugget)
+        sp.add_argument("--nugget", type=_finite_float, default=nugget)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True, help="output path prefix")
     sp.add_argument("--format", default="csv", choices=["csv", "json"], help="primary output format")
@@ -435,14 +444,14 @@ def build_parser():
 
     sp = sub.add_parser("fit", help="fit on the design and report criteria")
     _add_common(sp, nugget=0.0)
-    sp.add_argument("--eps", type=float, default=1.0)
-    sp.add_argument("--gamma", type=float, default=1.0)
+    sp.add_argument("--eps", type=_finite_float, default=1.0)
+    sp.add_argument("--gamma", type=_finite_float, default=1.0)
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("predict", help="posterior mean/variance at query points")
     _add_common(sp, query=True, nugget=0.0)
-    sp.add_argument("--eps", type=float, default=1.0)
-    sp.add_argument("--gamma", type=float, default=1.0)
+    sp.add_argument("--eps", type=_finite_float, default=1.0)
+    sp.add_argument("--gamma", type=_finite_float, default=1.0)
     sp.add_argument("--basis-degree", type=int, help="add unpenalized monomials up to this degree")
     sp.set_defaults(func=cmd_predict)
 
@@ -456,39 +465,39 @@ def build_parser():
 
     sp = sub.add_parser("isofreedom", help="gamma(eps) at fixed degrees of freedom")
     _add_common(sp, grids=("--eps-grid",))
-    sp.add_argument("--dof", type=float, required=True)
+    sp.add_argument("--dof", type=_finite_float, required=True)
     sp.set_defaults(func=cmd_isofreedom)
 
     sp = sub.add_parser("matched", help="matched flat-limit approximation of a GP fit")
     _add_common(sp, query=True)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--gamma", type=float, required=True)
+    sp.add_argument("--eps", type=_finite_float, required=True)
+    sp.add_argument("--gamma", type=_finite_float, required=True)
     sp.set_defaults(func=cmd_matched)
 
     sp = sub.add_parser("equiv-check", help="prediction-equivalence checks for the classified limit")
     _add_common(sp)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--gamma0", type=float, default=1.0)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--gamma0", type=_finite_float, default=1.0)
+    sp.add_argument("--tol", type=_finite_float, default=1e-8)
     sp.set_defaults(func=cmd_equiv_check)
 
     sp = sub.add_parser("converge", help="convergence study against the classified flat limit")
     _add_common(sp, query=True, grids=("--eps-grid",))
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--gamma0", type=float, default=1.0)
-    sp.add_argument("--tol", type=float, default=1e-2)
+    sp.add_argument("--gamma0", type=_finite_float, default=1.0)
+    sp.add_argument("--tol", type=_finite_float, default=1e-2)
     sp.set_defaults(func=cmd_converge)
 
     sp = sub.add_parser("pred-curve", help="two-point prediction curve over a gamma grid")
     _add_common(sp, grids=("--gamma-grid",))
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=_finite_float, required=True)
     sp.add_argument("--xa", required=True)
     sp.add_argument("--xb", required=True)
     sp.set_defaults(func=cmd_pred_curve)
 
     sp = sub.add_parser("nugget-compare", help="dof(gamma) with and without a nugget term")
     _add_common(sp, grids=("--gamma-grid",), nugget=1e-6)
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=_finite_float, required=True)
     sp.set_defaults(func=cmd_nugget_compare)
 
     return ap
@@ -502,10 +511,7 @@ def main(argv=None):
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except FlatGpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (FlatGpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,9 +10,9 @@ Every gain and penalty here solves one equation, smoother trace
 ``m0 + sum g lam / (g lam + sigma2)`` = target dof, and ``spm.solve_trace`` is
 the single solver of it.  That equation reads eigenvalues only, so
 ``isofreedom_curve`` computes its spectra without eigenvectors
-(``vectors=False``) through ``pool.map_spectra``: floor(500 / n) + 1 epsilon
-per stacked ``eigvalsh``, the stacks factored and solved concurrently, and
-a grid that fits in one stack inline.
+(``vectors=False``) through ``pool.map_spectra``: stacked ``eigvalsh`` calls
+(``pool`` states the stacking rule), factored and solved concurrently, and a
+grid that fits in one stack inline.
 """
 
 import math

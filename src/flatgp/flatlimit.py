@@ -53,7 +53,6 @@ from .spm import (
     polyharmonic_spm,
     require_comparable,
     solve_trace,
-    spm_smoother,
 )
 
 @dataclass(frozen=True)
@@ -67,8 +66,8 @@ class ScaledKernelFamily:
     def __post_init__(self):
         if self.p < 0 or self.p != int(self.p):
             raise ValueError("p must be a nonnegative integer")
-        if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be positive")
+        if not 0 < self.gamma0 < math.inf:
+            raise ValueError(f"gamma0 must be positive and finite, got gamma0={self.gamma0}")
 
     def kernel_at(self, eps: float) -> Kernel:
         return self.base.with_params(
@@ -364,7 +363,7 @@ def match_scale(
     """
     require_comparable(model_a, model_b)
     design = as_design(X)
-    target = spm_smoother(model_a, design, sigma2)
+    target = factorize_model(model_a, design).smoother(sigma2)
     fac = factorize_model(model_b, design)
     # the gain solves the trace equation on the unit-gain eigenvalues, so the
     # curve stays exact at extreme gains

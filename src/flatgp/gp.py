@@ -9,12 +9,9 @@ gamma of a grid.  Its trace, the degrees of freedom, reads the eigenvalues
 alone, so ``from_kernel(..., vectors=False)`` builds a spectrum for traces
 only, by ``eigvalsh``; the isofreedom curve, the CLI's nugget-compare and its
 dof-grid use it.  ``from_kernels`` factors several kernels on one design in
-one stacked call.  numpy's gufuncs release the GIL only when a call's outer
-size times its core size exceeds 500, and ``eigvalsh`` counts n per matrix,
-so ``pool.map_spectra``, the evaluator behind the isofreedom curve, the
-convergence study, dof-grid and criteria-grid, hands each worker
-floor(500 / n) + 1 eps values at a time when it reads eigenvalues only: one
-400 x 400 ``eigvalsh`` holds the GIL, a stack of two does not.
+one stacked call, and ``pool.map_spectra``, the evaluator behind the
+isofreedom curve, the convergence study, dof-grid and criteria-grid, hands its
+workers such stacks (``pool`` states the stacking rule).
 Posterior means and variances are those of the fitted model,
 ``spm.SpmFit.posterior``, so a GP variance below round-off raises
 NegativeVariance as any model's does.  This module adds the selection
@@ -48,16 +45,6 @@ def gp_posterior(kernel: Kernel, X, y, sigma2: float, query_points, nugget: floa
     spec = GpSpectrum.from_kernel(kernel, design, nugget=nugget)
     fit = fit_factored(SemiParametricModel(kernel, design.d), design, spec, y, sigma2)
     return fit.posterior(query_points)
-
-
-def gp_smoother(kernel: Kernel, X, sigma2: float, nugget: float = 0.0) -> SmootherMatrix:
-    """M = K (K + (sigma2 / gamma) I)^{-1} via the symmetric eigendecomposition."""
-    return GpSpectrum.from_kernel(kernel, X, nugget=nugget).smoother(sigma2)
-
-
-def dof(M: SmootherMatrix) -> float:
-    """Effective degrees of freedom: the trace of the smoother."""
-    return M.trace
 
 
 def _loo_residuals(M: SmootherMatrix, y):
@@ -100,12 +87,3 @@ def sure(M: SmootherMatrix, y, sigma2: float) -> float:
     resid = y - M.fitted(y)
     n = len(y)
     return float(-sigma2 + np.mean(resid**2) + 2.0 * sigma2 * M.trace / n)
-
-
-def nlml(kernel: Kernel, X, y, sigma2: float, nugget: float = 0.0) -> float:
-    """Negative log marginal likelihood of the observations.
-
-    Divergent along flat-limit gain paths (the prior becomes improper); kept
-    for completeness and never used by the flat-limit tooling.
-    """
-    return GpSpectrum.from_kernel(kernel, X, nugget=nugget).nlml(y, sigma2)

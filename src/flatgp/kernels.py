@@ -71,6 +71,8 @@ class Kernel:
     components: tuple = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.epsilon) and math.isfinite(self.gamma)):
+            raise ValueError(f"epsilon and gamma must be finite, got {self.epsilon}, {self.gamma}")
         if self.gamma <= 0 and self.family is not Family.ZERO:
             raise ValueError("gamma must be positive")
         if self.epsilon <= 0 and self.family in (
@@ -287,13 +289,6 @@ def kernel_diag(kernel: Kernel, X) -> np.ndarray:
     """Vector of prior variances k(x_i, x_i)."""
     pts = as_design(X).points
     return _pairs(kernel, pts, pts, paired=True)
-
-
-def distance_power_matrix(X, q: float) -> np.ndarray:
-    """Matrix ||x_i - x_j||^q with exact zero diagonal; requires q > 0."""
-    if q <= 0:
-        raise ValueError("q must be positive")
-    return accel.pairwise_dist_power(as_design(X).points, q)
 
 
 # ---------------------------------------------------------------------------

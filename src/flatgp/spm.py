@@ -24,8 +24,8 @@ matrix; ``from_kernels`` gives the spectra of several kernels on one design
 from one stacked eigensolver call, and ``pool.map_spectra`` factors a grid of
 kernels in such stacks concurrently.  A caller that reads traces alone asks for
 the eigenvalues only (``vectors=False``, ``eigvalsh``): ``dof``, ``scaled``
-and ``solve_trace`` need nothing else, and ``smoother``, ``solve``, ``fit``
-and ``nlml`` then raise ValueError.  Q, R and the complement basis come from
+and ``solve_trace`` need nothing else, and ``smoother``, ``solve`` and
+``nlml`` then raise ValueError.  Q, R and the complement basis come from
 one complete QR of the n x m basis matrix V, a solve reads the kernel matrix
 only through L Q, and an identically zero kernel skips the eigensolver.  The
 smoother on the design plus one point follows from the factorization and the
@@ -217,9 +217,10 @@ class SaddleFactorization:
         it counts as one problem against numpy's threshold for releasing the
         GIL; ``pool.map_spectra``, which factors the eps grids of the
         isofreedom curve, the convergence study, dof-grid and criteria-grid,
-        builds its tasks from such stacks.  ``vectors=False`` computes the eigenvalues alone (``eigvalsh``):
-        such a spectrum gives ``dof`` and ``scaled`` and feeds ``solve_trace``,
-        while ``smoother``, ``solve``, ``fit`` and ``nlml`` raise ValueError.
+        builds its tasks from such stacks.  ``vectors=False`` computes the
+        eigenvalues alone (``eigvalsh``): such a spectrum gives ``dof`` and
+        ``scaled`` and feeds ``solve_trace``, while ``smoother``, ``solve``
+        and ``nlml`` raise ValueError.
         """
         if not nugget >= 0:
             raise ValueError(f"nugget must be nonnegative, got nugget={nugget}")
@@ -325,10 +326,6 @@ class SaddleFactorization:
         a = self.Q @ t + self.modes @ (rhs / denom)
         return a, np.linalg.solve(self.R, self.Q.T @ g - self.gain * (self.LQ.T @ a) - sigma2 * t)
 
-    def fit(self, y, sigma2):
-        """Coefficients (alpha, beta) of the fit to data y at noise sigma2."""
-        return self.solve(sigma2, y)
-
     def nlml(self, y, sigma2) -> float:
         """Negative log likelihood of ``y`` under N(0, gain K + sigma2 I); the
         GP spectrum (``from_kernel``) only."""
@@ -360,9 +357,10 @@ def augmented_smoother(
         M+     = [[M - c w w^T,  c w  ],
                   [c w^T,        1 - c]]
 
-    which equals ``spm_smoother(model, vstack(X, x*), sigma2)`` without
-    factoring the augmented design.  ``SpmFit.bordered`` gives (w, c) from
-    the solve of x*'s posterior.
+    which equals the smoother of the augmented design's factorization,
+    ``factorize_model(model, vstack(X, x*)).smoother(sigma2)``, but factors
+    nothing.  ``SpmFit.bordered`` gives (w, c) from the solve of x*'s
+    posterior.
     """
     if not sigma2 > 0:
         raise ValueError(f"augmented smoothers need sigma2 > 0, got sigma2={sigma2}")
@@ -452,10 +450,6 @@ class SpmFit:
         Lq = kernel_cross(self.model.kernel, Xq, self.design)
         return self._mean(Lq, self.model.basis_matrix(Xq))
 
-    def predict_var(self, query_points) -> np.ndarray:
-        """Predictive variances at the query points: ``posterior(q)[1]``."""
-        return self.posterior(query_points)[1]
-
     def _solved(self, query_points):
         """Means, unclamped variances (prior - Lq a - Vq b) and the solves a
         of the queries' bordered systems, from one cross kernel Lq and one
@@ -511,7 +505,7 @@ def fit_factored(
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[0] != design.n:
         raise ValueError("y must have one entry (or row) per design point")
-    alpha, beta = factorization.fit(y, sigma2)
+    alpha, beta = factorization.solve(sigma2, y)
     return SpmFit(
         model=model,
         design=design,
@@ -527,21 +521,6 @@ def fit_spm(model: SemiParametricModel, X, y, sigma2: float) -> SpmFit:
     """Solve the bordered system [[L + sigma2 I, V], [V^T, 0]] (alpha; beta) = (y; 0)."""
     design = as_design(X)
     return fit_factored(model, design, factorize_model(model, design), y, sigma2)
-
-
-def spm_posterior_mean(model, X, y, sigma2, query_points) -> np.ndarray:
-    return fit_spm(model, X, y, sigma2).predict(query_points)
-
-
-def spm_posterior_var(model, X, sigma2, query_points) -> np.ndarray:
-    design = as_design(X)
-    fit = fit_spm(model, design, np.zeros(design.n), sigma2)
-    return fit.predict_var(query_points)
-
-
-def spm_smoother(model: SemiParametricModel, X, sigma2: float) -> SmootherMatrix:
-    """M = QQ^T + Ltilde (Ltilde + sigma2 I)^{-1} on the complement of span(V)."""
-    return factorize_model(model, X).smoother(sigma2)
 
 
 def laurent_b0(L: np.ndarray, V: np.ndarray, sigma2: float) -> np.ndarray:

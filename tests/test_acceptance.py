@@ -25,7 +25,6 @@ from flatgp import (
     convergence_study,
     enumerate_monomials,
     gp_posterior,
-    gp_smoother,
     isofreedom_curve,
     isofreedom_gamma,
     kernel_matrix,
@@ -35,7 +34,6 @@ from flatgp import (
     loo_nll,
     polyharmonic_spm,
     spline_dof,
-    spm_smoother,
     sure,
     wronskian,
     wronskian_schur,
@@ -137,10 +135,10 @@ def test_c3_gaussian_corollary_2d():
         base, lam = fac.m, fac.evals
         gain, _ = solve_trace(lam, base, M0.trace, sigma2)
         assert gain == pytest.approx(2.0, rel=1e-6)  # Schur diagonal 2^1/1!
-        M_target = spm_smoother(model_b.scaled(gain), X, sigma2).matrix
+        M_target = factorize_model(model_b.scaled(gain), X).smoother(sigma2).matrix
         devs = []
         for eps in (0.2, 0.1, 0.05):
-            M = gp_smoother(family.kernel_at(eps), X, sigma2).matrix
+            M = GpSpectrum.from_kernel(family.kernel_at(eps), X).smoother(sigma2).matrix
             devs.append(float(np.abs(M - M_target).max()))
         assert devs[0] > devs[1] > devs[2], devs
         slope = np.polyfit(np.log([0.2, 0.1, 0.05]), np.log(devs), 1)[0]
@@ -173,7 +171,7 @@ def test_c5_loo_fast_formulas():
             kern = Kernel.gaussian(
                 epsilon=10.0 ** rng.uniform(-0.3, 0.7), gamma=10.0 ** rng.uniform(-0.5, 0.5)
             )
-            M = gp_smoother(kern, X, sigma2)
+            M = GpSpectrum.from_kernel(kern, X).smoother(sigma2)
             mus, variances = [], []
             for i in range(n):
                 keep = [j for j in range(n) if j != i]
@@ -213,9 +211,9 @@ def test_c7_dof_formulas():
         X = np.sort(rng.uniform(0, 1, 9))
         for p in range(4):
             model = SemiParametricModel(Kernel.zero(), d=1, basis_degree=p)
-            assert abs(spm_smoother(model, X, 0.3).trace - (p + 1)) <= 1e-10
+            assert abs(factorize_model(model, X).smoother(0.3).trace - (p + 1)) <= 1e-10
         eta = 0.03
-        M = spm_smoother(polyharmonic_spm(2, 1), X, eta)
+        M = factorize_model(polyharmonic_spm(2, 1), X).smoother(eta)
         assert M.trace == pytest.approx(spline_dof(X, 2, eta), abs=1e-8)
 
         X8, _ = design_and_data()
@@ -239,8 +237,8 @@ def test_c8_post_selection_equivalence():
         model = polyharmonic_spm(1, 1)
         other = absorbed_kernel_model(model, coefficient=1.7)
         for gamma in np.geomspace(1e-2, 1e2, 10):
-            Ma = spm_smoother(model.scaled(gamma), X, sigma2)
-            Mb = spm_smoother(other.scaled(gamma), X, sigma2)
+            Ma = factorize_model(model.scaled(gamma), X).smoother(sigma2)
+            Mb = factorize_model(other.scaled(gamma), X).smoother(sigma2)
             assert loo_mse(Ma, y) == pytest.approx(loo_mse(Mb, y), rel=1e-8)
             assert loo_nll(Ma, y, sigma2) == pytest.approx(
                 loo_nll(Mb, y, sigma2), rel=1e-8

@@ -6,8 +6,9 @@ and reversed grids, and noise levels from 1e-12 to 1e3.  Whatever the
 numerics do, the command returns 0, 1 or 2 and raises nothing; on 0 or 2 its
 JSON summary is strict JSON and every CSV row is as wide as its header; on 2
 the summary names at least one error.  Usage errors return 1: a malformed
-grid ('a:b', 'a:b:0'), a grid with a NaN or infinite endpoint, and a data
-CSV whose header names a column twice.
+grid ('a:b', 'a:b:0'), a grid with a NaN or infinite endpoint, a NaN or
+infinite scalar option, and a data CSV whose header names a column twice;
+they write no file.
 """
 
 import csv
@@ -51,6 +52,20 @@ def log_uniform(lo, hi):
 
 # the usage errors a grid spec can hold, each drawn about once in 16 specs
 BAD_GRIDS = ("two-part", "no-points", "nan", "inf")
+
+# the float options each command takes besides --sigma2 and --nu
+FLOAT_OPTIONS = {
+    "fit": ("--eps", "--gamma", "--nugget"),
+    "predict": ("--eps", "--gamma", "--nugget"),
+    "dof-grid": ("--nugget",),
+    "criteria-grid": ("--nugget",),
+    "isofreedom": ("--dof",),
+    "matched": ("--eps", "--gamma"),
+    "converge": ("--gamma0", "--tol"),
+    "equiv-check": ("--gamma0", "--tol"),
+    "pred-curve": ("--eps",),
+    "nugget-compare": ("--eps", "--nugget"),
+}
 
 
 @st.composite
@@ -147,6 +162,14 @@ def runs(draw):
     if command == "nugget-compare":
         args += ["--eps", eps, "--gamma-grid", grid(-2, 12, 6)]
         args += ["--nugget", repr(draw(log_uniform(-12, 0)))]
+    if draw(st.integers(0, 7)) == 0:
+        # one float option, drawn or not, set to a NaN or an infinity; '='
+        # keeps '-inf' from reading as an option
+        flag = draw(st.sampled_from(("--sigma2", "--nu") + FLOAT_OPTIONS[command]))
+        if flag in args:
+            del args[args.index(flag):args.index(flag) + 2]
+        args.append(f"{flag}=" + draw(st.sampled_from(["nan", "inf", "-inf"])))
+        valid.append(False)
     if command not in ("predict", "matched", "converge"):
         query = None
     valid.append(query != "two-part grid")
@@ -199,6 +222,7 @@ class TestCliFuzz:
             assert code in (0, 1, 2), (argv, code)
             if not valid:
                 assert code == 1, (argv, code)
+                assert not [f for f in os.listdir(tmp) if f.startswith("out")], argv
             if code == 1:
                 return
             with open(os.path.join(tmp, "out.json")) as fh:

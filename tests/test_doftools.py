@@ -8,7 +8,6 @@ from flatgp import (
     SemiParametricModel,
     classify_limit,
     gp_posterior,
-    gp_smoother,
     isofreedom_curve,
     isofreedom_gamma,
     kernel_matrix,
@@ -94,9 +93,9 @@ class TestIsofreedomCurve:
         curve = isofreedom_curve(kern, X, sigma2, 2.5, np.geomspace(0.2, 0.025, 7))
         vals = {"mse": [], "nll": [], "sure": []}
         for pt in curve.points[-2:]:
-            M = gp_smoother(
-                kern.with_params(epsilon=pt.epsilon, gamma=pt.gamma), X, sigma2
-            )
+            M = GpSpectrum.from_kernel(
+                kern.with_params(epsilon=pt.epsilon, gamma=pt.gamma), X
+            ).smoother(sigma2)
             vals["mse"].append(loo_mse(M, y))
             vals["nll"].append(loo_nll(M, y, sigma2))
             vals["sure"].append(sure(M, y, sigma2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from flatgp import (
     Family,
@@ -17,8 +18,6 @@ from flatgp import (
     check_pred_equiv,
     classify_limit,
     convergence_study,
-    distance_power_matrix,
-    gp_smoother,
     kernel_cross,
     kernel_diag,
     leading_odd_coefficient,
@@ -29,7 +28,6 @@ from flatgp import (
     project_out_basis,
     recombined_basis_model,
     regularity,
-    spm_smoother,
     vandermonde,
     wronskian,
     wronskian_schur,
@@ -112,6 +110,12 @@ class TestClassify:
         assert kinds == set(LimitCaseKind)
 
 
+@pytest.mark.parametrize("gamma0", [0.0, -1.0, math.nan, math.inf])
+def test_family_gain_must_be_positive_and_finite(gamma0):
+    with pytest.raises(ValueError, match="gamma0"):
+        ScaledKernelFamily(Kernel.gaussian(), p=2, gamma0=gamma0)
+
+
 class TestLimitingSmoother:
     def test_odd_case_is_projector_with_trace_l(self, rng):
         X = np.sort(rng.uniform(0, 1, 8))
@@ -154,7 +158,7 @@ class TestLimitingSmoother:
         M0 = limiting_smoother(family, X, sigma2).matrix
         devs = []
         for eps in (0.1, 0.05, 0.025):
-            M = gp_smoother(family.kernel_at(eps), X, sigma2).matrix
+            M = GpSpectrum.from_kernel(family.kernel_at(eps), X).smoother(sigma2).matrix
             devs.append(np.abs(M - M0).max())
         ratios = [devs[i] / devs[i + 1] for i in range(2)]
         assert all(1.3 <= r <= 3.0 for r in ratios), (devs, ratios)
@@ -169,7 +173,7 @@ class TestLimitingSmoother:
         M0 = limiting_smoother(family, X, sigma2).matrix
         devs = []
         for eps in (0.1, 0.05, 0.025):
-            M = gp_smoother(family.kernel_at(eps), X, sigma2).matrix
+            M = GpSpectrum.from_kernel(family.kernel_at(eps), X).smoother(sigma2).matrix
             devs.append(np.abs(M - M0).max())
         ratios = [devs[i] / devs[i + 1] for i in range(2)]
         assert all(1.3 <= r <= 4.5 for r in ratios), (devs, ratios)
@@ -196,7 +200,7 @@ class TestLimitingSmoother:
         family = ScaledKernelFamily(Kernel.matern(1.5), p=3, gamma0=gamma0)
         M0 = limiting_smoother(family, X, sigma2)
         f3 = math.sqrt(3)  # leading odd coefficient of the nu=3/2 profile
-        M_spm = spm_smoother(polyharmonic_spm(2, 1).scaled(gamma0 * f3), X, sigma2)
+        M_spm = factorize_model(polyharmonic_spm(2, 1).scaled(gamma0 * f3), X).smoother(sigma2)
         np.testing.assert_allclose(M0.matrix, M_spm.matrix, atol=1e-10)
 
     def test_eigenvalue_valuations(self, rng):
@@ -236,7 +240,7 @@ def _dense_limit_smoother(family, X, sigma2):
         return np.eye(n)
     if p == 2 * r - 1:
         Q = vandermonde(X, r - 1).q_prefix(r - 1)
-        D = leading_odd_coefficient(family.base) * distance_power_matrix(X, p)
+        D = leading_odd_coefficient(family.base) * cdist(X, X) ** p
         return filtered(Q, project_out_basis(D, Q))
     if p % 2:
         Q = vandermonde(X, l - 1).q_prefix(l - 1)
@@ -287,8 +291,8 @@ class TestExactLimit:
         block = _monomial_block_kernel(Kernel.gaussian(), m, d).with_params(gamma=gamma0)
         wmodel = SemiParametricModel(block, d=d, basis_degree=m - 1)
         np.testing.assert_allclose(
-            spm_smoother(_limit_model(family, case), X, sigma2).matrix,
-            spm_smoother(wmodel, X, sigma2).matrix,
+            factorize_model(_limit_model(family, case), X).smoother(sigma2).matrix,
+            factorize_model(wmodel, X).smoother(sigma2).matrix,
             rtol=0,
             atol=1e-10,
         )

@@ -9,18 +9,13 @@ from flatgp import (
     GpSpectrum,
     Kernel,
     SemiParametricModel,
-    dof,
+    fit_spm,
     gp_posterior,
-    gp_smoother,
     kernel_matrix,
     loo_mse,
     loo_nll,
-    nlml,
     polyharmonic_spm,
     spline_dof,
-    spm_posterior_mean,
-    spm_posterior_var,
-    spm_smoother,
     sure,
 )
 from flatgp.errors import IllConditioned, InterpolatingSmoother, NegativeVariance
@@ -66,10 +61,10 @@ class TestPosterior:
         xq = np.linspace(0, 1, 7)
         mean, var = gp_posterior(kern, X, y, 0.2, xq)
         np.testing.assert_allclose(
-            mean, spm_posterior_mean(model, X, y, 0.2, xq), atol=1e-10
+            mean, fit_spm(model, X, y, 0.2).predict(xq), atol=1e-10
         )
         np.testing.assert_allclose(
-            var, spm_posterior_var(model, X, 0.2, xq), atol=1e-10
+            var, fit_spm(model, X, y, 0.2).posterior(xq)[1], atol=1e-10
         )
 
     def test_illconditioned_carries_eigenvalue(self, setup):
@@ -169,7 +164,6 @@ class TestValuesOnlySpectrum:
         for call in (
             lambda: spec.smoother(0.1),
             lambda: spec.solve(0.1, y),
-            lambda: spec.fit(y, 0.1),
             lambda: spec.nlml(y, 0.1),
             lambda: spec.scaled(2.0).smoother(0.1),
         ):
@@ -219,7 +213,6 @@ class TestStackedSpectra:
                 for call in (
                     lambda: spec.smoother(0.1),
                     lambda: spec.solve(0.1, y),
-                    lambda: spec.fit(y, 0.1),
                     lambda: spec.nlml(y, 0.1),
                 ):
                     with pytest.raises(ValueError, match="no eigenvectors"):
@@ -242,19 +235,19 @@ class TestStackedSpectra:
 class TestSmoother:
     def test_tiny_noise_gives_identity(self):
         X = np.linspace(0, 1, 6)
-        M = gp_smoother(Kernel.gaussian(epsilon=3.0), X, 1e-14)
+        M = GpSpectrum.from_kernel(Kernel.gaussian(epsilon=3.0), X).smoother(1e-14)
         assert M.trace == pytest.approx(6.0, abs=1e-6)
 
     def test_huge_noise_gives_zero(self, setup):
         X, _ = setup
-        M = gp_smoother(Kernel.gaussian(epsilon=2.0), X, 1e14)
+        M = GpSpectrum.from_kernel(Kernel.gaussian(epsilon=2.0), X).smoother(1e14)
         assert np.abs(M.matrix).max() <= 1e-10
 
     def test_trace_is_eigenvalue_filter_sum(self, setup):
         X, _ = setup
         kern = Kernel.gaussian(epsilon=1.5, gamma=2.0)
         sigma2 = 0.3
-        M = gp_smoother(kern, X, sigma2)
+        M = GpSpectrum.from_kernel(kern, X).smoother(sigma2)
         lam = np.linalg.eigvalsh(
             2.0 * np.exp(-1.5**2 * (X[:, None] - X[None, :]) ** 2)
         )
@@ -262,7 +255,7 @@ class TestSmoother:
 
     def test_eigenvalues_in_unit_interval(self, setup):
         X, _ = setup
-        M = gp_smoother(Kernel.matern(1.5, epsilon=2.0), X, 0.05)
+        M = GpSpectrum.from_kernel(Kernel.matern(1.5, epsilon=2.0), X).smoother(0.05)
         w = M.eigenvalues
         assert w.min() >= -1e-9 and w.max() <= 1 + 1e-9
 
@@ -279,16 +272,16 @@ class TestDof:
         X = np.sort(rng.uniform(0, 1, 9))
         for p in range(4):
             model = SemiParametricModel(Kernel.zero(), d=1, basis_degree=p)
-            assert spm_smoother(model, X, 0.2).trace == pytest.approx(p + 1, abs=1e-10)
+            assert factorize_model(model, X).smoother(0.2).trace == pytest.approx(p + 1, abs=1e-10)
 
     def test_identity_smoother(self):
-        assert dof(basis_smoother(7, 7)) == pytest.approx(7.0)
+        assert basis_smoother(7, 7).trace == pytest.approx(7.0)
 
     def test_spline_smoother_matches_eigen_sum(self, rng):
         X = np.sort(rng.uniform(0, 1, 11))
         eta = 0.02
-        M = spm_smoother(polyharmonic_spm(3, 1), X, eta)
-        assert dof(M) == pytest.approx(spline_dof(X, 3, eta), abs=1e-8)
+        M = factorize_model(polyharmonic_spm(3, 1), X).smoother(eta)
+        assert M.trace == pytest.approx(spline_dof(X, 3, eta), abs=1e-8)
 
 
 def literal_loo(kernel, X, y, sigma2):
@@ -315,7 +308,7 @@ class TestLooMse:
             y = rng.normal(size=10)
             sigma2 = 10.0 ** rng.uniform(-2, 0)
             kern = Kernel.gaussian(epsilon=2.0, gamma=1.4)
-            M = gp_smoother(kern, X, sigma2)
+            M = GpSpectrum.from_kernel(kern, X).smoother(sigma2)
             mus, _ = literal_loo(kern, X, y, sigma2)
             fast = loo_mse(M, y)
             literal = np.mean((y - mus) ** 2)
@@ -332,8 +325,8 @@ class TestLooMse:
         model = polyharmonic_spm(1, 1)
         other = absorbed_kernel_model(model, coefficient=2.5)
         for sigma2 in (0.05, 0.5):
-            a = loo_mse(spm_smoother(model, X, sigma2), y)
-            b = loo_mse(spm_smoother(other, X, sigma2), y)
+            a = loo_mse(factorize_model(model, X).smoother(sigma2), y)
+            b = loo_mse(factorize_model(other, X).smoother(sigma2), y)
             assert a == pytest.approx(b, rel=1e-8)
 
 
@@ -394,7 +387,7 @@ class TestLooNll:
         y = rng.normal(size=10)
         sigma2 = 0.2
         kern = Kernel.matern(1.5, epsilon=1.5, gamma=0.8)
-        M = gp_smoother(kern, X, sigma2)
+        M = GpSpectrum.from_kernel(kern, X).smoother(sigma2)
         mus, variances = literal_loo(kern, X, y, sigma2)
         literal = np.mean(
             0.5 * np.log(2 * np.pi * variances) + 0.5 * (y - mus) ** 2 / variances
@@ -407,17 +400,21 @@ class TestLooNll:
         model = polyharmonic_spm(1, 1)
         other = absorbed_kernel_model(model, coefficient=-0.8)
         for gamma in np.geomspace(0.1, 10, 5):
-            a = loo_nll(spm_smoother(model.scaled(gamma), X, 0.1), y, 0.1)
-            b = loo_nll(spm_smoother(other.scaled(gamma), X, 0.1), y, 0.1)
+            a = loo_nll(factorize_model(model.scaled(gamma), X).smoother(0.1), y, 0.1)
+            b = loo_nll(factorize_model(other.scaled(gamma), X).smoother(0.1), y, 0.1)
             assert a == pytest.approx(b, rel=1e-8)
 
     def test_scaling_shifts_by_half_log_c(self, rng):
         X = np.sort(rng.uniform(0, 1, 9))
         y = rng.normal(size=9)
         sigma2, c = 0.3, 4.0
-        M = gp_smoother(Kernel.gaussian(epsilon=2.0, gamma=2.0 / 1.0), X, sigma2)
+        M = GpSpectrum.from_kernel(Kernel.gaussian(epsilon=2.0, gamma=2.0 / 1.0), X).smoother(
+            sigma2
+        )
         # scaling sigma2 by c and y by sqrt(c) leaves the smoother unchanged
-        Mc = gp_smoother(Kernel.gaussian(epsilon=2.0, gamma=2.0 * c), X, c * sigma2)
+        Mc = GpSpectrum.from_kernel(Kernel.gaussian(epsilon=2.0, gamma=2.0 * c), X).smoother(
+            c * sigma2
+        )
         np.testing.assert_allclose(M.matrix, Mc.matrix, atol=1e-12)
         base = loo_nll(M, y, sigma2)
         scaled = loo_nll(Mc, math.sqrt(c) * y, c * sigma2)
@@ -439,8 +436,8 @@ class TestSure:
         y = rng.normal(size=8)
         model = polyharmonic_spm(1, 1)
         other = absorbed_kernel_model(model, coefficient=1.3)
-        a = sure(spm_smoother(model, X, 0.2), y, 0.2)
-        b = sure(spm_smoother(other, X, 0.2), y, 0.2)
+        a = sure(factorize_model(model, X).smoother(0.2), y, 0.2)
+        b = sure(factorize_model(other, X).smoother(0.2), y, 0.2)
         assert a == pytest.approx(b, rel=1e-10)
 
 
@@ -448,7 +445,7 @@ class TestNlml:
     def test_scalar_case_by_hand(self):
         y = np.array([0.7])
         gamma, sigma2 = 1.3, 0.2
-        val = nlml(Kernel.gaussian(gamma=gamma), np.array([0.5]), y, sigma2)
+        val = GpSpectrum.from_kernel(Kernel.gaussian(gamma=gamma), np.array([0.5])).nlml(y, sigma2)
         expect = 0.5 * math.log(2 * math.pi * (gamma + sigma2)) + y[0] ** 2 / (
             2 * (gamma + sigma2)
         )
@@ -459,8 +456,8 @@ class TestNlml:
         y = rng.normal(size=8)
         perm = rng.permutation(8)
         kern = Kernel.gaussian(epsilon=1.2, gamma=0.9)
-        a = nlml(kern, X, y, 0.1)
-        b = nlml(kern, X[perm], y[perm], 0.1)
+        a = GpSpectrum.from_kernel(kern, X).nlml(y, 0.1)
+        b = GpSpectrum.from_kernel(kern, X[perm]).nlml(y[perm], 0.1)
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_diverges_along_flat_limit_path(self, rng):
@@ -470,7 +467,7 @@ class TestNlml:
         vals = []
         for eps in (0.4, 0.2, 0.1, 0.05):
             kern = Kernel.gaussian(epsilon=eps, gamma=eps**-3)
-            vals.append(nlml(kern, X, y, 0.01))
+            vals.append(GpSpectrum.from_kernel(kern, X).nlml(y, 0.01))
         assert all(b > a for a, b in zip(vals, vals[1:])), vals
 
 
@@ -478,6 +475,7 @@ def test_criteria_are_python_floats(rng):
     X = np.sort(rng.uniform(0, 1, 9))
     y = rng.normal(size=9)
     kern = Kernel.matern(1.5, epsilon=2.0, gamma=1.1)
-    M = gp_smoother(kern, X, 0.1)
-    for value in (loo_mse(M, y), loo_nll(M, y, 0.1), sure(M, y, 0.1), nlml(kern, X, y, 0.1)):
+    spec = GpSpectrum.from_kernel(kern, X)
+    M = spec.smoother(0.1)
+    for value in (loo_mse(M, y), loo_nll(M, y, 0.1), sure(M, y, 0.1), spec.nlml(y, 0.1)):
         assert type(value) is float and math.isfinite(value)

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
+from scipy.spatial.distance import cdist
 from scipy.special import kv
 
 from flatgp import (
     INF_REGULARITY,
     Kernel,
     WronskianMatrix,
-    distance_power_matrix,
     enumerate_monomials,
     eval_kernel,
     kernel_cross,
@@ -71,6 +71,17 @@ class TestEval:
         x, y = np.array([0.5]), np.array([0.2])
         expect = 2.0 * (math.exp(-0.09) + 0.1)
         assert eval_kernel(k, x, y) == pytest.approx(expect, rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        for make in (
+            lambda: Kernel.gaussian(epsilon=bad),
+            lambda: Kernel.gaussian(gamma=bad),
+            lambda: Kernel.polyharmonic(2, gamma=bad),
+            lambda: Kernel.matern(1.5).with_params(epsilon=bad),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                make()
 
 
 class TestRegularity:
@@ -170,8 +181,8 @@ class TestKernelMatrix:
     def test_expansion_remainder_is_order_six(self, rng):
         # Gaussian d=1: || K(eps) - sum_{j<=4} f_j eps^j D^j ||_max = O(eps^6)
         x = np.sort(rng.uniform(0, 1, 7))
-        D2 = distance_power_matrix(x, 2.0)
-        D4 = distance_power_matrix(x, 4.0)
+        D2 = cdist(x[:, None], x[:, None]) ** 2.0
+        D4 = cdist(x[:, None], x[:, None]) ** 4.0
         rem = []
         for eps in (0.1, 0.05, 0.025):
             K = kernel_matrix(Kernel.gaussian(epsilon=eps), x)
@@ -264,29 +275,6 @@ class TestOneEvaluator:
         x, y = X[0], Xq[0]
         expect = kernel_cross(k, x[None, :], y[None, :])[0, 0]
         assert eval_kernel(k, x, y) == pytest.approx(expect, rel=1e-15, abs=1e-300)
-
-
-class TestDistancePower:
-    def test_unit_pair(self):
-        np.testing.assert_array_equal(
-            distance_power_matrix(np.array([0.0, 1.0]), 1.0), [[0, 1], [1, 0]]
-        )
-
-    def test_cubed_distances(self):
-        D = distance_power_matrix(np.array([0.0, 1.0, 3.0]), 3.0)
-        np.testing.assert_allclose(D, [[0, 1, 27], [1, 0, 8], [27, 8, 0]])
-
-    @given(st.integers(2, 12), st.integers(1, 3))
-    @settings(max_examples=25, deadline=None)
-    def test_symmetry_and_zero_diagonal(self, n, d):
-        X = np.random.default_rng(n * 7 + d).normal(size=(n, d))
-        D = distance_power_matrix(X, 1.7)
-        assert np.array_equal(D, D.T)
-        assert not np.diag(D).any()
-
-    def test_requires_positive_power(self):
-        with pytest.raises(ValueError):
-            distance_power_matrix(np.array([0.0, 1.0]), 0.0)
 
 
 def fd_wronskian_1d(psi, a, b, h=1e-2):

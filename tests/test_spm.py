@@ -20,9 +20,6 @@ from flatgp import (
     project_out_basis,
     smoothing_spline_fit,
     spline_dof,
-    spm_posterior_mean,
-    spm_posterior_var,
-    spm_smoother,
 )
 from flatgp.errors import (
     DegenerateDesign,
@@ -129,14 +126,14 @@ class TestPosteriorMean:
     def test_noiseless_fit_interpolates(self, rng):
         X = np.sort(rng.uniform(0, 1, 8))
         y = rng.normal(size=8)
-        mean = spm_posterior_mean(linear_spline_model(), X, y, 0.0, X)
+        mean = fit_spm(linear_spline_model(), X, y, 0.0).predict(X)
         np.testing.assert_allclose(mean, y, atol=1e-9)
 
     def test_zero_kernel_is_least_squares(self, rng):
         X = rng.uniform(0, 1, size=(12, 2))
         y = rng.normal(size=12)
         model = SemiParametricModel(Kernel.zero(), d=2, basis_degree=2)
-        mean = spm_posterior_mean(model, X, y, 0.3, X)
+        mean = fit_spm(model, X, y, 0.3).predict(X)
         V = model.basis_matrix(X)
         coef, *_ = np.linalg.lstsq(V, y, rcond=None)
         np.testing.assert_allclose(mean, V @ coef, atol=1e-8)
@@ -162,7 +159,7 @@ class TestPosteriorMean:
 class TestPosteriorVar:
     def test_zero_at_design_when_noiseless(self, rng):
         X = np.sort(rng.uniform(0, 1, 7))
-        var = spm_posterior_var(linear_spline_model(), X, 0.0, X)
+        var = fit_spm(linear_spline_model(), X, np.zeros(len(X)), 0.0).posterior(X)[1]
         np.testing.assert_allclose(var, 0.0, atol=1e-9)
 
     def test_parametric_variance_formula(self, rng):
@@ -170,7 +167,7 @@ class TestPosteriorVar:
         sigma2 = 0.4
         model = SemiParametricModel(Kernel.zero(), d=1, basis_degree=2)
         xq = np.linspace(0, 1, 9)[:, None]
-        var = spm_posterior_var(model, X, sigma2, xq)
+        var = fit_spm(model, X, np.zeros(len(X)), sigma2).posterior(xq)[1]
         V = model.basis_matrix(X)
         Vq = model.basis_matrix(xq)
         expect = sigma2 * np.einsum(
@@ -185,8 +182,7 @@ class TestPosteriorVar:
         sigma2 = 0.3
         model = linear_spline_model()
         xq = np.linspace(0.1, 0.9, 5)[:, None]
-        mean = spm_posterior_mean(model, X, y, sigma2, xq)
-        var = spm_posterior_var(model, X, sigma2, xq)
+        mean, var = fit_spm(model, X, y, sigma2).posterior(xq)
         eps = 1e-6
         bump = Kernel.monomial_block([(0,)], [[1.0 / eps]])
         kern = Kernel.sum_of(Kernel.polyharmonic(1), bump)
@@ -205,12 +201,12 @@ class TestSmoother:
     def test_zero_kernel_trace_counts_basis(self, rng):
         X = rng.uniform(0, 1, size=(11, 2))
         model = SemiParametricModel(Kernel.zero(), d=2, basis_degree=1)
-        M = spm_smoother(model, X, 0.7)
+        M = factorize_model(model, X).smoother(0.7)
         assert M.trace == pytest.approx(3.0, abs=1e-10)
 
     def test_vanishing_noise_reaches_full_dof(self, rng):
         X = np.sort(rng.uniform(0, 1, 9))
-        M = spm_smoother(linear_spline_model(), X, 1e-12)
+        M = factorize_model(linear_spline_model(), X).smoother(1e-12)
         assert M.trace == pytest.approx(9.0, abs=1e-6)
 
     def test_rows_reproduce_design_predictions(self, rng):
@@ -218,13 +214,13 @@ class TestSmoother:
         y = rng.normal(size=8)
         sigma2 = 0.15
         model = polyharmonic_spm(2, 1)
-        M = spm_smoother(model, X, sigma2)
-        mean = spm_posterior_mean(model, X, y, sigma2, X)
+        M = factorize_model(model, X).smoother(sigma2)
+        mean = fit_spm(model, X, y, sigma2).predict(X)
         np.testing.assert_allclose(M.fitted(y), mean, atol=1e-8)
 
     def test_eigenvalues_in_unit_interval(self, rng):
         X = rng.uniform(0, 1, size=(10, 2))
-        M = spm_smoother(polyharmonic_spm(2, 2), X, 0.3)
+        M = factorize_model(polyharmonic_spm(2, 2), X).smoother(0.3)
         w = M.eigenvalues
         assert w.min() >= -1e-9 and w.max() <= 1 + 1e-9
         assert M.trace == pytest.approx(w.sum(), abs=1e-8)
@@ -232,7 +228,7 @@ class TestSmoother:
     def test_trace_matches_spline_dof_formula(self, rng):
         X = np.sort(rng.uniform(0, 1, 12))
         eta = 0.05
-        M = spm_smoother(polyharmonic_spm(2, 1), X, eta)
+        M = factorize_model(polyharmonic_spm(2, 1), X).smoother(eta)
         assert M.trace == pytest.approx(spline_dof(X, 2, eta), abs=1e-8)
 
 
@@ -382,7 +378,7 @@ class TestFactorization:
                     # the bordered system ill-conditioned on a few designs
                     tol = max(tol, 1e-14 * np.linalg.cond(saddle_matrix(L, V, sigma2)))
                 for got, want in (
-                    (f.fit(y, sigma2), dense_saddle_solve(L, V, sigma2, y)),
+                    (f.solve(sigma2, y), dense_saddle_solve(L, V, sigma2, y)),
                     (f.solve(sigma2, G, H), dense_saddle_solve(L, V, sigma2, G, H)),
                 ):
                     got, want = np.concatenate(got), np.concatenate(want)
@@ -502,7 +498,7 @@ class TestBatchedVariance:
             a, b = fit.factorization.solve(sigma2, Lq[i], Vq[i])
             expect[i] = prior[i] - Lq[i] @ a - Vq[i] @ b
         assert expect.min() >= 0
-        np.testing.assert_allclose(fit.predict_var(xq), expect, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fit.posterior(xq)[1], expect, rtol=0, atol=1e-12)
 
     def test_negative_variance_raises(self):
         # +|x-y|^3 without its linear basis is indefinite: the quadratic form
@@ -510,7 +506,7 @@ class TestBatchedVariance:
         model = SemiParametricModel(Kernel.polyharmonic(2), d=1, basis_degree=-1)
         fit = fit_spm(model, np.array([0.0, 1.0]), np.zeros(2), 0.5)
         with pytest.raises(NegativeVariance):
-            fit.predict_var(np.array([[0.5]]))
+            fit.posterior(np.array([[0.5]]))
 
 
 def posterior_fits(rng, k=None):
@@ -532,7 +528,7 @@ class TestPosteriorPath:
     def test_posterior_is_predict_and_predict_var(self, case, rng, monkeypatch):
         fit = posterior_fits(rng)[case]
         xq = np.linspace(-0.2, 1.2, 23)[:, None]
-        mean, var = fit.predict(xq), fit.predict_var(xq)
+        mean, var = fit.predict(xq), fit.posterior(xq)[1]
         calls = []
 
         def counted(*args, **kwargs):
@@ -614,7 +610,7 @@ class TestAugmentedSmoother:
             model.basis_matrix(x_new[None, :])[0],
             sigma2,
         )
-        want = spm_smoother(model, X_aug, sigma2).matrix
+        want = factorize_model(model, X_aug).smoother(sigma2).matrix
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
@@ -814,7 +810,7 @@ class TestSpectralCore:
                 lambda f: f.dof(sigma2),
                 lambda f: f.smoother(sigma2).matrix,
                 lambda f: f.solve(sigma2, g, h),
-                lambda f: f.fit(y, sigma2),
+                lambda f: f.solve(sigma2, y),
             ):
                 assert_same(outcome(lambda: fac_call(moved)), outcome(lambda: fac_call(fresh)))
 
