@@ -37,7 +37,6 @@ from .kernels import (
     Family,
     Kernel,
     RadialSeries,
-    WronskianMatrix,
     eval_kernel,
     kernel_cross,
     kernel_diag,
@@ -50,7 +49,6 @@ from .kernels import (
 )
 from .polybasis import (
     Design,
-    MultiIndex,
     VandermondeBlocks,
     count_monomials,
     count_poly_dim,

@@ -8,9 +8,10 @@ dof-grid, criteria-grid, isofreedom and converge factor their eps grids
 concurrently through the library's one pool (``flatgp.pool.map_spectra``):
 stacks of eps when only eigenvalues are read (dof-grid, isofreedom; the
 stacking rule is stated in ``flatgp.pool``), one eps per task with
-eigenvectors; a grid that fits in one such stack runs inline.  While the
-pool runs, numpy's OpenBLAS runs one thread.  FLATGP_THREADS sets the pool's
-size (an integer; anything else exits 1).  nugget-compare stays serial.
+eigenvectors; a grid that fits in one such stack runs inline.  The pool has
+one worker per CPU of the process's CPU set, at most 8: ``taskset -c 0``
+caps it at one.  While the pool runs, numpy's OpenBLAS runs one thread.
+nugget-compare stays serial.
 """
 
 import argparse

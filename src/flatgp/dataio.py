@@ -90,10 +90,10 @@ def _read_columns(path, select):
     return names, np.asarray(rows, dtype=float)
 
 
-def parse_dataset(path, feature_cols=None, target_col=None) -> Dataset:
-    """Read a CSV with a header: d feature columns then one target column.
-
-    Column names are configurable; errors carry the offending row/column.
+def parse_dataset(path, target_col=None) -> Dataset:
+    """Read a CSV with a header: the target column (``target_col``, else the
+    last) and every other column as a feature.  Errors carry the offending
+    row/column.
     """
 
     def select(header):
@@ -102,11 +102,7 @@ def parse_dataset(path, feature_cols=None, target_col=None) -> Dataset:
         target = header[-1] if target_col is None else target_col
         if target not in header:
             raise DatasetError(f"{path}: no target column named {target!r}")
-        features = [h for h in header if h != target] if feature_cols is None else feature_cols
-        missing = [c for c in features if c not in header]
-        if missing:
-            raise DatasetError(f"{path}: missing feature columns {missing}")
-        return list(features) + [target]
+        return [h for h in header if h != target] + [target]
 
     names, arr = _read_columns(path, select)
     return Dataset(

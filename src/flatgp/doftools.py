@@ -52,10 +52,10 @@ class IsofreedomCurve:
 def isofreedom_gamma(kernel: Kernel, X, sigma2: float, eps: float, m: float) -> float:
     """The gain putting the smoother's trace at exactly ``m`` for this epsilon.
 
-    Unlike ``isofreedom_curve``, this solves on the full ``eigh`` spectrum:
-    its gain is read back against that spectrum (``matched_approximation``
-    recomputes the source trace there and selects its case by it), and the
-    eigenvalues of ``eigvalsh`` differ from it by round-off.
+    This is the gain on the full ``eigh`` spectrum, where ``isofreedom_curve``
+    solves on ``eigvalsh`` eigenvalues, which differ from it by round-off.
+    No module of the package calls it: it is kept as a public reference that
+    the tests use.
     """
     spec = GpSpectrum.from_kernel(kernel.with_params(epsilon=eps, gamma=1.0), X)
     return solve_trace(spec.evals, 0.0, m, sigma2)[0]

@@ -92,10 +92,13 @@ class LimitCase:
     only holds up to a global kernel rescaling."""
 
     kind: LimitCaseKind
-    basis_degree: int
     m: int
     equivalent_model: SemiParametricModel
     scale_free: bool
+
+    @property
+    def basis_degree(self) -> int:
+        return self.equivalent_model.basis_degree
 
 
 def _monomial_block_kernel(kernel: Kernel, m: int, d: int) -> Kernel:
@@ -105,8 +108,8 @@ def _monomial_block_kernel(kernel: Kernel, m: int, d: int) -> Kernel:
     Wronskian; the kernel's ``coef`` holds it, rows in monomial order.
     """
     unit = kernel.with_params(epsilon=1.0, gamma=1.0)
-    Wbar = wronskian_schur(wronskian(unit, m, d), m)
-    block = [mi for mi in enumerate_monomials(m, d) if mi.degree == m]
+    Wbar = wronskian_schur(wronskian(unit, m, d), m, d)
+    block = [e for e in enumerate_monomials(m, d) if sum(e) == m]
     return Kernel.monomial_block(block, Wbar)
 
 
@@ -137,7 +140,6 @@ def classify_limit(r, p: int, d: int, n: int = None, kernel: Kernel = None) -> L
             model = SemiParametricModel(Kernel.zero(), d=d, basis_degree=degree)
         return LimitCase(
             kind=LimitCaseKind.INTERPOLATION,
-            basis_degree=model.basis_degree,
             m=l,
             equivalent_model=model,
             scale_free=False,
@@ -147,7 +149,6 @@ def classify_limit(r, p: int, d: int, n: int = None, kernel: Kernel = None) -> L
         model = model.scaled(gamma0) if gamma0 != 1.0 else model
         return LimitCase(
             kind=LimitCaseKind.SPLINE_REGRESSION,
-            basis_degree=int(r) - 1,
             m=int(r),
             equivalent_model=model,
             scale_free=True,
@@ -156,7 +157,6 @@ def classify_limit(r, p: int, d: int, n: int = None, kernel: Kernel = None) -> L
         model = SemiParametricModel(Kernel.zero(), d=d, basis_degree=l - 1)
         return LimitCase(
             kind=LimitCaseKind.UNPENALIZED_POLYNOMIAL,
-            basis_degree=l - 1,
             m=l,
             equivalent_model=model,
             scale_free=False,
@@ -173,7 +173,6 @@ def classify_limit(r, p: int, d: int, n: int = None, kernel: Kernel = None) -> L
         scale_free = True
     return LimitCase(
         kind=LimitCaseKind.PENALIZED_POLYNOMIAL,
-        basis_degree=m - 1,
         m=m,
         equivalent_model=model,
         scale_free=scale_free,

@@ -26,7 +26,6 @@ from .errors import (
     UnknownRegularity,
 )
 from .polybasis import (
-    MultiIndex,
     as_design,
     count_poly_dim,
     enumerate_monomials,
@@ -113,10 +112,7 @@ class Kernel:
     @classmethod
     def monomial_block(cls, exponents, coef, gamma=1.0):
         """Finite-rank kernel ``sum_{a,b} C[a,b] x^a y^b`` over listed exponents."""
-        exps = tuple(
-            tuple(e.exponents) if isinstance(e, MultiIndex) else tuple(e)
-            for e in exponents
-        )
+        exps = tuple(tuple(e) for e in exponents)
         C = np.asarray(coef, dtype=float)
         if C.shape != (len(exps), len(exps)):
             raise ValueError("coef must be square over the exponent list")
@@ -161,12 +157,6 @@ class Kernel:
     @cached_property
     def _coef_array(self):
         return np.asarray(self.coef, dtype=float) if self.coef is not None else None
-
-    @cached_property
-    def _exponent_indices(self):
-        if self.exponents is None:
-            return None
-        return [MultiIndex(e) for e in self.exponents]
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +238,11 @@ def _pairs(kernel: Kernel, A, B, paired) -> np.ndarray:
         G = np.einsum("ij,ij->i", A, A) if paired else A @ B.T
         return kernel.gamma * G**kernel.order
     if fam is Family.MONOMIAL:
-        phi_a = monomial_matrix(A, kernel._exponent_indices)
+        phi_a = monomial_matrix(A, kernel.exponents)
         C = kernel._coef_array
         if paired:
             return kernel.gamma * np.einsum("ij,jk,ik->i", phi_a, C, phi_a)
-        phi_b = phi_a if B is A else monomial_matrix(B, kernel._exponent_indices)
+        phi_b = phi_a if B is A else monomial_matrix(B, kernel.exponents)
         G = phi_a @ C @ phi_b.T
         return kernel.gamma * (0.5 * (G + G.T) if B is A else G)
     if paired:
@@ -380,22 +370,6 @@ def leading_odd_coefficient(kernel: Kernel) -> float:
 # Wronskian matrices
 
 
-@dataclass(frozen=True)
-class WronskianMatrix:
-    """Scaled kernel derivatives at 0 indexed by the graded monomial ordering."""
-
-    order: int
-    d: int
-    matrix: np.ndarray
-
-    @property
-    def indices(self) -> list:
-        return enumerate_monomials(self.order, self.d)
-
-    def block_boundary(self, l: int) -> int:
-        return count_poly_dim(l - 1, self.d)
-
-
 def _series_wronskian_entry(alpha, beta, evens):
     s = [a + b for a, b in zip(alpha, beta)]
     if any(si % 2 for si in s):
@@ -414,8 +388,9 @@ def _series_wronskian_entry(alpha, beta, evens):
     return f * multinom * prod * (-1.0) ** sum(beta)
 
 
-def wronskian(kernel: Kernel, k: int, d: int) -> WronskianMatrix:
-    """Wronskian W[a, b] = k^(a,b)(0, 0) / (a! b!) up to degree ``k`` blocks.
+def wronskian(kernel: Kernel, k: int, d: int) -> np.ndarray:
+    """Wronskian W[a, b] = k^(a,b)(0, 0) / (a! b!) up to degree ``k`` blocks,
+    rows and columns in the graded order of ``enumerate_monomials(k, d)``.
 
     Every family goes through its radial series: the entry of a coordinate
     sum s = a + b with all s_i even is f_j * j!/prod(k_i!) * prod C(s_i, a_i)
@@ -425,7 +400,7 @@ def wronskian(kernel: Kernel, k: int, d: int) -> WronskianMatrix:
     r = regularity(kernel)
     if math.isfinite(r) and r <= k:
         raise SeriesTruncation(f"wronskian of order {k} needs regularity > {k}")
-    idx = [mi.exponents for mi in enumerate_monomials(k, d)]
+    idx = enumerate_monomials(k, d)
     P = len(idx)
     W = np.zeros((P, P))
     evens = radial_series(kernel, 2 * k).even_coeffs
@@ -438,20 +413,20 @@ def wronskian(kernel: Kernel, k: int, d: int) -> WronskianMatrix:
                 v *= gam * eps ** (sum(alpha) + sum(beta))
             W[i, j] = v
             W[j, i] = v
-    return WronskianMatrix(order=k, d=d, matrix=W)
+    return W
 
 
-def wronskian_schur(W: WronskianMatrix, l: int) -> np.ndarray:
-    """Schur complement of the degree-l block onto the lower-degree blocks.
+def wronskian_schur(W: np.ndarray, l: int, d: int) -> np.ndarray:
+    """Schur complement of the degree-l block of the dimension-``d`` Wronskian
+    ``W`` onto the lower-degree blocks.
 
     For l = 0 this is just the leading block; the leading sub-Wronskian must
     be invertible (condition number below 1e12).
     """
-    if l < 0 or l > W.order:
+    if l < 0 or count_poly_dim(l, d) > len(W):
         raise ValueError("block degree out of range")
-    nl = W.block_boundary(l)
-    nh = count_poly_dim(l, W.d)
-    M = W.matrix[:nh, :nh]
+    nl, nh = count_poly_dim(l - 1, d), count_poly_dim(l, d)
+    M = W[:nh, :nh]
     if l == 0:
         return M.copy()
     A = M[:nl, :nl]

@@ -1,13 +1,15 @@
 """Multivariate monomials, graded Vandermonde matrices, and unisolvency.
 
-Monomials are indexed by multi-indices and ordered graded-lexicographically:
-ascending total degree, and within a degree block the first coordinate carries
-the highest exponent first, so that for d=2 the degree-2 block reads
-``x1^2, x1*x2, x2^2``.  Vandermonde matrices inherit one column block per
-degree.  The package's projectors come from one QR of the basis matrix
-(``spm.factorize``); the blocked orthonormalization of ``vandermonde`` is a
-public reference that no module of the package calls, and the tests check
-the flat-limit smoothers against it.
+A monomial is its exponent tuple: ``(2, 1)`` is ``x1^2 * x2``, of degree
+``sum((2, 1)) = 3``.  Monomials are ordered graded-lexicographically:
+ascending total degree, and within a degree block the first coordinate
+carries the highest exponent first, so that for d=2 the degree-2 block reads
+``(2, 0), (1, 1), (0, 2)``, that is ``x1^2, x1*x2, x2^2``.  Vandermonde
+matrices inherit one column block per degree.  The package's projectors come
+from one QR of the basis matrix (``spm.factorize``); the blocked
+orthonormalization of ``vandermonde`` is a public reference that no module
+of the package calls, and the tests check the flat-limit smoothers against
+it.
 """
 
 import math
@@ -20,20 +22,6 @@ from .errors import FlatGpError
 
 #: Relative singular-value cutoff for numerical rank decisions.
 DEFAULT_RANK_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Exponent vector of one monomial; degree is the sum of exponents."""
-
-    exponents: tuple
-
-    @property
-    def degree(self) -> int:
-        return int(sum(self.exponents))
-
-    def __len__(self):
-        return len(self.exponents)
 
 
 def count_monomials(k: int, d: int) -> int:
@@ -52,7 +40,7 @@ def count_poly_dim(k: int, d: int) -> int:
     return math.comb(k + d, d)
 
 
-def _exact_degree_indices(k, d):
+def _exact_degree_exponents(k, d):
     out = []
 
     def rec(prefix, rem, dims):
@@ -67,13 +55,11 @@ def _exact_degree_indices(k, d):
 
 
 def enumerate_monomials(k: int, d: int) -> list:
-    """All multi-indices of degree <= ``k``, graded order, degree blocks contiguous."""
+    """The exponent tuples of all monomials of degree <= ``k``, in graded
+    order, degree blocks contiguous."""
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
-    out = []
-    for deg in range(k + 1):
-        out.extend(MultiIndex(e) for e in _exact_degree_indices(deg, d))
-    return out
+    return [e for deg in range(k + 1) for e in _exact_degree_exponents(deg, d)]
 
 
 @dataclass(frozen=True)
@@ -105,22 +91,18 @@ def as_design(X) -> Design:
     return X if isinstance(X, Design) else Design(np.asarray(X))
 
 
-def _rescale_params(pts):
-    # affine map of each coordinate onto [-1, 1]; degenerate widths left alone
+def _rescaled(pts):
+    """The points under the affine map of each coordinate onto [-1, 1];
+    degenerate widths are left alone."""
     lo, hi = pts.min(axis=0), pts.max(axis=0)
-    center = 0.5 * (lo + hi)
     halfwidth = 0.5 * (hi - lo)
-    halfwidth = np.where(halfwidth > 0, halfwidth, 1.0)
-    return center, halfwidth
+    return (pts - 0.5 * (lo + hi)) / np.where(halfwidth > 0, halfwidth, 1.0)
 
 
-def monomial_matrix(X, indices) -> np.ndarray:
-    """Evaluate raw monomials (columns, one per multi-index) at design rows."""
+def monomial_matrix(X, exponents) -> np.ndarray:
+    """Evaluate raw monomials (columns, one per exponent tuple) at design rows."""
     pts = as_design(X).points
-    cols = []
-    for mi in indices:
-        e = np.asarray(mi.exponents if isinstance(mi, MultiIndex) else mi)
-        cols.append(np.prod(pts ** e[None, :], axis=1))
+    cols = [np.prod(pts ** np.asarray(e)[None, :], axis=1) for e in exponents]
     return np.stack(cols, axis=1) if cols else np.zeros((pts.shape[0], 0))
 
 
@@ -129,27 +111,19 @@ class VandermondeBlocks:
     """Degree-blocked Vandermonde matrix with blocked orthonormalization.
 
     ``blocks`` hold raw monomial values; the orthonormal blocks are computed
-    after an internal affine rescale of the points onto [-1, 1]^d (recorded in
-    ``center``/``halfwidth``), which tames the conditioning without changing
-    any degree-prefix column span.
+    after an internal affine rescale of the points onto [-1, 1]^d, which
+    tames the conditioning without changing any degree-prefix column span.
     """
 
     design: Design
     degree: int
     blocks: tuple
     orthonormal_blocks: tuple
-    triangular_factor: np.ndarray
-    center: np.ndarray
-    halfwidth: np.ndarray
     block_ranks: tuple
 
     @cached_property
     def assembled(self) -> np.ndarray:
         return np.hstack(self.blocks)
-
-    @property
-    def indices(self) -> list:
-        return enumerate_monomials(self.degree, self.design.d)
 
     def q_prefix(self, j: int) -> np.ndarray:
         """Orthonormal columns spanning polynomials of degree <= ``j``."""
@@ -165,13 +139,11 @@ class VandermondeBlocks:
 def vandermonde(X, k: int) -> VandermondeBlocks:
     """Build degree blocks V_0..V_k and their blocked Gram-Schmidt basis."""
     design = as_design(X)
-    pts = design.points
-    center, halfwidth = _rescale_params(pts)
-    scaled = (pts - center) / halfwidth
+    scaled = _rescaled(design.points)
 
     blocks, scaled_blocks = [], []
     for deg in range(k + 1):
-        idx = _exact_degree_indices(deg, design.d)
+        idx = _exact_degree_exponents(deg, design.d)
         blocks.append(monomial_matrix(design, idx))
         scaled_blocks.append(monomial_matrix(scaled, idx))
 
@@ -191,16 +163,11 @@ def vandermonde(X, k: int) -> VandermondeBlocks:
         ranks.append(r)
         q_all = np.hstack([q_all, U[:, :r]])
 
-    scaled_assembled = np.hstack(scaled_blocks)
-    R = q_all.T @ scaled_assembled  # block upper-triangular by construction
     return VandermondeBlocks(
         design=design,
         degree=k,
         blocks=tuple(blocks),
         orthonormal_blocks=tuple(q_blocks),
-        triangular_factor=R,
-        center=center,
-        halfwidth=halfwidth,
         block_ranks=tuple(ranks),
     )
 
@@ -213,10 +180,7 @@ def unisolvency_rank(X, k: int, tol: float = DEFAULT_RANK_TOL):
     if tol <= 0:
         raise ValueError("tol must be positive")
     design = as_design(X)
-    pts = design.points
-    center, halfwidth = _rescale_params(pts)
-    scaled = (pts - center) / halfwidth
-    V = monomial_matrix(scaled, enumerate_monomials(k, design.d))
+    V = monomial_matrix(_rescaled(design.points), enumerate_monomials(k, design.d))
     s = np.linalg.svd(V, compute_uv=False)
     rank = int(np.sum(s > tol * s[0])) if s.size else 0
     return rank, rank == count_poly_dim(k, design.d)

@@ -16,11 +16,13 @@ at that size the pool's start-up costs more than it overlaps (criteria-grid's
 10 eps at n = 50: 0.0142 s inline against 0.0175 s pooled, the medians of 10
 runs of the fastest call on a 2-vCPU VM).
 
-While a pool runs, numpy's OpenBLAS runs one thread (its count is restored
-afterwards): its threads and the pool's would share the same CPUs.  Where
-that count cannot be reached, and neither OPENBLAS_NUM_THREADS nor
-OMP_NUM_THREADS pins BLAS to one thread, the pool has one worker.
-FLATGP_THREADS sets the pool's size.
+The pool has one worker per CPU this process may run on, at most 8; to cap
+it, restrict the CPU set (``taskset -c 0 flatgp ...``), which numpy's
+OpenBLAS reads the same way.  While a pool runs, OpenBLAS runs one thread
+(its count is restored afterwards): its threads and the pool's would share
+the same CPUs.  Where that count cannot be reached, and neither
+OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS pins BLAS to one thread, the pool
+has one worker.
 
 nugget-compare stays serial: its two variants have different matrices, so no
 stack holds both, and one 400 x 400 ``eigvalsh`` holds the GIL.
@@ -36,7 +38,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import FlatGpError
 from .polybasis import as_design
 from .spm import SaddleFactorization
 
@@ -52,15 +53,7 @@ _GIL_FREE_SIZE = 500
 
 
 def threads():
-    """The pool's size: FLATGP_THREADS if set, else the CPUs this process may
-    run on (at most 8).  A FLATGP_THREADS that is not an integer raises
-    FlatGpError."""
-    raw = os.environ.get("FLATGP_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise FlatGpError(f"FLATGP_THREADS must be an integer, got {raw!r}") from None
+    """The pool's size: the number of CPUs this process may run on, at most 8."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -163,8 +156,6 @@ def map_spectra(fn, kernels, X, nugget: float = 0.0, *, vectors: bool) -> list:
     """
     kernels = list(kernels)
     design = as_design(X)
-    # read on inline grids too, so that a malformed FLATGP_THREADS always fails
-    workers = threads()
     stack = _GIL_FREE_SIZE // design.n + 1
     size = 1 if vectors else stack
 
@@ -178,5 +169,5 @@ def map_spectra(fn, kernels, X, nugget: float = 0.0, *, vectors: bool) -> list:
         return [out for start in starts for out in task(start)]
     with _one_blas_thread() as pinned:
         _share_main_heap()
-        with ThreadPoolExecutor(max_workers=workers if pinned else 1) as pool:
+        with ThreadPoolExecutor(max_workers=threads() if pinned else 1) as pool:
             return [out for part in pool.map(task, starts) for out in part]

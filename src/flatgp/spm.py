@@ -196,14 +196,6 @@ class SaddleFactorization:
     LQ: np.ndarray = None  # L Q, the kernel's coupling to the basis; None without one
 
     @classmethod
-    def _restricted(cls, A, complement=None, **parts) -> "SaddleFactorization":
-        """Eigensystem of the symmetric unit-gain restriction ``A``.  The
-        eigenvectors are lifted to R^n by ``complement`` (C) once, here."""
-        evals, evecs = _eigensystems(A, vectors=True)
-        modes = evecs if complement is None else complement @ evecs
-        return cls(evals=evals, modes=modes, **parts)
-
-    @classmethod
     def from_kernels(
         cls, kernels, X, nugget: float = 0.0, *, vectors: bool = True
     ) -> list:
@@ -384,7 +376,9 @@ def factorize(L: np.ndarray, V: np.ndarray) -> SaddleFactorization:
     parts = dict(gain=1.0, pseudo_inverse=True, Q=Q, R=R, LQ=L @ Q if m else None)
     if L.any():
         A = L if C is None else C.T @ L @ C
-        return SaddleFactorization._restricted(0.5 * (A + A.T), complement=C, **parts)
+        evals, evecs = _eigensystems(0.5 * (A + A.T), vectors=True)
+        # the eigenvectors are lifted to R^n by C once, here
+        return SaddleFactorization(evals, evecs if C is None else C @ evecs, **parts)
     # a zero kernel restricts to zero: eigenvalues 0, eigenvectors the identity,
     # so the modes are C itself and no eigensolver runs
     return SaddleFactorization(np.zeros(n - m), np.eye(n) if C is None else C, **parts)

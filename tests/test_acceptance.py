@@ -149,12 +149,12 @@ def test_c4_wronskian_structure():
     with criterion("C4", "Gaussian Wronskian Schur blocks are diagonal with 2^l/a!", 1.0):
         for d in (1, 2, 3):
             for l in (1, 2, 3):
-                S = wronskian_schur(wronskian(Kernel.gaussian(), l, d), l)
+                S = wronskian_schur(wronskian(Kernel.gaussian(), l, d), l, d)
                 off = S - np.diag(np.diag(S))
                 assert np.abs(off).max() <= 1e-9 * np.abs(np.diag(S)).max(), (d, l)
-                block = [m for m in enumerate_monomials(l, d) if m.degree == l]
+                block = [m for m in enumerate_monomials(l, d) if sum(m) == l]
                 scaled = [
-                    S[i, i] * np.prod([math.factorial(a) for a in m.exponents])
+                    S[i, i] * np.prod([math.factorial(a) for a in m])
                     for i, m in enumerate(block)
                 ]
                 np.testing.assert_allclose(scaled, 2.0**l, rtol=1e-9)

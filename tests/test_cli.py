@@ -22,7 +22,7 @@ from flatgp.dataio import (
     write_dataset,
     write_json,
 )
-from flatgp.errors import DatasetError, EmptyDataset, FlatGpError
+from flatgp.errors import DatasetError, EmptyDataset
 from flatgp.polybasis import Design
 
 
@@ -612,14 +612,45 @@ class TestCommands:
             ["converge", "--p", "1", "--kernel", "exponential", "--eps-grid", "0.1:inf:3"],
             ["nugget-compare", "--eps", "1", "--gamma-grid", "1:nan:3"],
             ["pred-curve", "--eps", "1", "--xa", "0.2", "--xb", "0.8", "--gamma-grid", "inf:1:3"],
+            ["fit", "--kernel", "matern"],
+            ["dof-grid", "--eps-grid", "0:1:3", "--gamma-grid", "1:10:2"],
+            ["predict", "--dim", "2", "--query", "0.1,0.2,0.3"],
+            ["fit", "--data", "DATA", "--y-col", "zz"],
         ],
         ids=" ".join,
     )
-    def test_malformed_or_non_finite_grid_exits_1(self, argv, tmp_path, capsys):
+    def test_malformed_or_non_finite_grid_exits_1(self, argv, data_csv, tmp_path, capsys):
+        argv = [str(data_csv) if a == "DATA" else a for a in argv]
         code = main(argv + ["--n", "10", "--out", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "o.json").exists()
+        assert not list(tmp_path.glob("o.*"))
+
+    # at sigma2 = 0 the GP on 30 points is singular at every eps of these grids
+    FAILED_CELLS = {
+        "dof-grid": (["--eps-grid", "0.01:1:3"], ["dof"], "ill-conditioned:0.000e+00"),
+        "criteria-grid": (["--eps-grid", "0.01:1:3"], ["value"], "error:IllConditioned"),
+        "pred-curve": (
+            ["--eps", "0.01", "--xa", "0.2", "--xb", "0.8"], ["pred_a", "pred_b"], "ill-conditioned"
+        ),
+        "nugget-compare": (
+            ["--eps", "0.01", "--nugget", "0"], ["dof"], "ill-conditioned:0.000e+00"
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(FAILED_CELLS))
+    def test_failed_cells_exit_2_and_write_both_files(self, command, tmp_path):
+        extra, values, status = self.FAILED_CELLS[command]
+        out = tmp_path / command
+        argv = [command, "--n", "30", "--sigma2", "0", "--gamma-grid", "1:10:2", "--out", str(out)]
+        assert main(argv + extra) == 2
+        header, rows = read_csv(f"{out}.csv")
+        failed = [dict(zip(header, row)) for row in rows if row[-1] != "ok"]
+        assert failed
+        for row in failed:
+            assert row["status"] == status
+            assert [row[v] for v in values] == ["nan"] * len(values)
+        assert len(read_json(f"{out}.json")["errors"]) == len(failed)
 
     def test_reproducible_outputs(self, data_csv, tmp_path):
         args = [
@@ -639,7 +670,9 @@ class TestCommands:
         # 14 eps at n = 40 are more than one stack, so the grid is pooled
         script = textwrap.dedent("""
             import ctypes, sys
+            import flatgp.pool
             from flatgp.cli import main
+            flatgp.pool.threads = lambda: 2
             code = main([sys.argv[1], "--n", "40", "--eps-grid", "0.5:2:14",
                          "--gamma-grid", "0.1:10:3", "--out", sys.argv[2]])
             libc = ctypes.CDLL(None)
@@ -653,7 +686,7 @@ class TestCommands:
             print(code, open(sys.argv[3]).read().count("<heap nr="))
         """)
         src = os.path.dirname(os.path.dirname(flatgp.__file__))
-        env = dict(os.environ, FLATGP_THREADS="2", PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=src)
         argv = [sys.executable, "-c", script, command, str(tmp_path / "grid"), str(tmp_path / "heaps.xml")]
         done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         assert done.stdout.split() == ["0", "1"]
@@ -708,7 +741,6 @@ POOLED_COMMANDS = {
 
 class TestThreads:
     def test_pool_follows_the_cpu_set(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("FLATGP_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         pools = []
@@ -733,8 +765,8 @@ class TestThreads:
         for fmt in ("csv", "json"):
             (tmp_path / fmt).mkdir()
             outputs = []
-            for workers in ("1", "2"):
-                monkeypatch.setenv("FLATGP_THREADS", workers)
+            for workers in (1, 2):
+                monkeypatch.setattr(pool_module, "threads", lambda w=workers: w)
                 out = tmp_path / fmt / command
                 code = main([command, "--n", "300", "--format", fmt, "--out", str(out)]
                             + POOLED_COMMANDS[command])
@@ -745,28 +777,17 @@ class TestThreads:
         if command == "converge":
             assert read_json(f"{out}.json")["metrics"]["dropped_eps"] == [100.0]
 
-    def test_non_integer_threads_exits_1_naming_the_variable(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FLATGP_THREADS", "abc")
-        with pytest.raises(FlatGpError, match="FLATGP_THREADS"):
-            cli_module._threads()
-        code = main([
-            "isofreedom", "--n", "10", "--dof", "2.5", "--eps-grid", "0.3:0.03:4",
-            "--out", str(tmp_path / "iso"),
-        ])
-        assert code == 1
-        assert capsys.readouterr().err == "error: FLATGP_THREADS must be an integer, got 'abc'\n"
-        monkeypatch.setenv("FLATGP_THREADS", "-3")
-        assert cli_module._threads() == 1
-
-    def test_environment_wins_and_cpu_count_is_the_fallback(self, monkeypatch):
+    def test_cpu_set_wins_and_cpu_count_is_the_fallback(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setenv("FLATGP_THREADS", "5")
-        assert cli_module._threads() == 5
-        monkeypatch.delenv("FLATGP_THREADS")
-        assert cli_module._threads() == 1
-        monkeypatch.delattr(os, "sched_getaffinity")
-        assert cli_module._threads() == 3
+        # the pool reads no environment variable: a set FLATGP_THREADS changes nothing
+        for ignored in ("5", "abc"):
+            monkeypatch.setenv("FLATGP_THREADS", ignored)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            assert cli_module._threads() == 1
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(12)))
+            assert cli_module._threads() == 8
+            monkeypatch.delattr(os, "sched_getaffinity")
+            assert cli_module._threads() == 3
 
 
 class TestQueryCsv:

@@ -248,7 +248,7 @@ def _dense_limit_smoother(family, X, sigma2):
     vb = vandermonde(X, l)
     Ql, Vl = vb.q_block(l), vb.blocks[l]
     unit = family.base.with_params(epsilon=1.0, gamma=1.0)
-    Wbar = wronskian_schur(wronskian(unit, l, d), l)
+    Wbar = wronskian_schur(wronskian(unit, l, d), l, d)
     B = Ql @ Ql.T @ Vl @ Wbar @ Vl.T @ Ql @ Ql.T
     return filtered(vb.q_prefix(l - 1), B)
 

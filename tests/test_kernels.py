@@ -11,7 +11,7 @@ from scipy.special import kv
 from flatgp import (
     INF_REGULARITY,
     Kernel,
-    WronskianMatrix,
+    count_poly_dim,
     enumerate_monomials,
     eval_kernel,
     kernel_cross,
@@ -217,7 +217,7 @@ def any_kernel(name, eps, gam, d, rng):
     if name.startswith("polynomial"):
         return Kernel.polynomial(int(name[-1]), gamma=gam)
     if name == "monomial":
-        exps = [m.exponents for m in enumerate_monomials(2, d)]
+        exps = enumerate_monomials(2, d)
         A = rng.normal(size=(len(exps), len(exps)))
         return Kernel.monomial_block(exps, A + A.T, gamma=gam)
     if name == "sum":
@@ -299,18 +299,18 @@ def fd_wronskian_1d(psi, a, b, h=1e-2):
 class TestWronskian:
     def test_gaussian_constant_entry(self):
         W = wronskian(Kernel.gaussian(), 2, 2)
-        assert W.matrix[0, 0] == pytest.approx(1.0)
+        assert W[0, 0] == pytest.approx(1.0)
 
     def test_odd_coordinate_sums_vanish(self):
         W = wronskian(Kernel.gaussian(), 3, 2)
-        idx = [m.exponents for m in W.indices]
+        idx = enumerate_monomials(3, 2)
         for i, a in enumerate(idx):
             for j, b in enumerate(idx):
                 if any((ai + bi) % 2 for ai, bi in zip(a, b)):
-                    assert W.matrix[i, j] == 0.0
+                    assert W[i, j] == 0.0
 
     def test_gaussian_univariate_against_finite_differences(self):
-        W = wronskian(Kernel.gaussian(), 2, 1).matrix
+        W = wronskian(Kernel.gaussian(), 2, 1)
         psi = lambda t: math.exp(-(t**2))
         for a in range(3):
             for b in range(3):
@@ -327,7 +327,7 @@ class TestWronskian:
 
         for k in range(6):
             for d in (1, 2, 3):
-                idx = [m.exponents for m in enumerate_monomials(k, d)]
+                idx = enumerate_monomials(k, d)
                 closed = np.zeros((len(idx), len(idx)))
                 for i, a in enumerate(idx):
                     for j, b in enumerate(idx):
@@ -338,7 +338,7 @@ class TestWronskian:
                         den = math.prod(math.factorial(e) for e in a + b)
                         sign = (-2.0) ** (sum(s) // 2) * (-1.0) ** sum(b)
                         closed[i, j] = gam * eps ** sum(s) * num * sign / den
-                W = wronskian(Kernel.gaussian(epsilon=eps, gamma=gam), k, d).matrix
+                W = wronskian(Kernel.gaussian(epsilon=eps, gamma=gam), k, d)
                 assert np.array_equal(W == 0.0, closed == 0.0), (k, d)
                 np.testing.assert_allclose(W, closed, rtol=4.4e-16, atol=0, err_msg=f"k={k} d={d}")
                 # the same profile through a custom kernel's declared series
@@ -349,13 +349,13 @@ class TestWronskian:
                     regularity=INF_REGULARITY,
                     series=[(-1.0) ** (j // 2) / math.factorial(j // 2) if j % 2 == 0 else 0.0 for j in range(2 * k + 1)],
                 )
-                viaseries = wronskian(declared, k, d).matrix
+                viaseries = wronskian(declared, k, d)
                 np.testing.assert_allclose(viaseries, closed, rtol=1e-12, atol=1e-12, err_msg=f"k={k} d={d}")
 
     def test_scaling_in_epsilon_and_gamma(self):
-        W1 = wronskian(Kernel.gaussian(), 2, 1).matrix
-        W2 = wronskian(Kernel.gaussian(epsilon=2.0, gamma=3.0), 2, 1).matrix
-        idx = [m.degree for m in enumerate_monomials(2, 1)]
+        W1 = wronskian(Kernel.gaussian(), 2, 1)
+        W2 = wronskian(Kernel.gaussian(epsilon=2.0, gamma=3.0), 2, 1)
+        idx = [sum(m) for m in enumerate_monomials(2, 1)]
         for i, di in enumerate(idx):
             for j, dj in enumerate(idx):
                 assert W2[i, j] == pytest.approx(3.0 * 2.0 ** (di + dj) * W1[i, j])
@@ -366,12 +366,12 @@ class TestWronskian:
 
     @pytest.mark.parametrize("kernel,k", [(Kernel.gaussian(), 3), (Kernel.matern(3.5), 3), (Kernel.matern(2.5), 2)])
     def test_positive_semidefinite(self, kernel, k):
-        W = wronskian(kernel, k, 2).matrix
+        W = wronskian(kernel, k, 2)
         w = np.linalg.eigvalsh(W)
         assert w.min() >= -1e-10 * w.max()
 
     def test_gaussian_univariate_ldl_positive(self):
-        W = wronskian(Kernel.gaussian(), 3, 1).matrix
+        W = wronskian(Kernel.gaussian(), 3, 1)
         L = np.linalg.cholesky(W)  # succeeds iff W > 0
         assert (np.diag(L) > 0).all()
 
@@ -397,26 +397,26 @@ def product_measure_wronskian(seed):
         return W1
 
     Wx, Wy = one_dim(), one_dim()
-    idx = [m.exponents for m in enumerate_monomials(2, 2)]
+    idx = enumerate_monomials(2, 2)
     P = len(idx)
     W = np.zeros((P, P))
     for i, a in enumerate(idx):
         for j, b in enumerate(idx):
             W[i, j] = Wx[a[0], b[0]] * Wy[a[1], b[1]]
-    return WronskianMatrix(order=2, d=2, matrix=W)
+    return W
 
 
 class TestWronskianSchur:
     def test_order_zero_is_leading_entry(self):
         W = wronskian(Kernel.gaussian(), 2, 2)
-        np.testing.assert_allclose(wronskian_schur(W, 0), [[1.0]])
+        np.testing.assert_allclose(wronskian_schur(W, 0, 2), [[1.0]])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_gaussian_schur_diagonal_constant(self, d, l):
         W = wronskian(Kernel.gaussian(), l, d)
-        S = wronskian_schur(W, l)
-        block = [m.exponents for m in enumerate_monomials(l, d) if m.degree == l]
+        S = wronskian_schur(W, l, d)
+        block = [m for m in enumerate_monomials(l, d) if sum(m) == l]
         diag_scaled = [
             S[i, i] * np.prod([math.factorial(a) for a in alpha])
             for i, alpha in enumerate(block)
@@ -429,16 +429,15 @@ class TestWronskianSchur:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_separable_kernel_schur_is_diagonal(self, seed):
         W = product_measure_wronskian(seed)
-        S = wronskian_schur(W, 2)
+        S = wronskian_schur(W, 2, 2)
         off = S - np.diag(np.diag(S))
         assert np.abs(off).max() <= 1e-9 * np.abs(np.diag(S)).max()
         # dual route: Schur complement = inverse of the trailing block of W^{-1}
-        nl = W.block_boundary(2)
-        Winv = np.linalg.inv(W.matrix)
+        nl = count_poly_dim(1, 2)
+        Winv = np.linalg.inv(W)
         dense = np.linalg.inv(Winv[nl:, nl:])
         np.testing.assert_allclose(S, dense, rtol=1e-8, atol=1e-10 * np.abs(S).max())
 
     def test_singular_leading_block_raises(self):
-        W = WronskianMatrix(order=1, d=1, matrix=np.zeros((2, 2)))
         with pytest.raises(SingularWronskianBlock):
-            wronskian_schur(W, 1)
+            wronskian_schur(np.zeros((2, 2)), 1, 1)

@@ -37,7 +37,7 @@ def kernels(count):
 
 @pytest.mark.parametrize("vectors", [False, True])
 def test_a_grid_in_one_stack_runs_inline(vectors, pools, monkeypatch):
-    monkeypatch.setenv("FLATGP_THREADS", "2")
+    monkeypatch.setattr(pool_module, "threads", lambda: 2)
     # at n = 100 a stack holds floor(500 / 100) + 1 = 6 kernels
     eps = lambda spec, kernel: kernel.epsilon  # noqa: E731
     assert map_spectra(eps, kernels(6), X100, vectors=vectors) == [k.epsilon for k in kernels(6)]
@@ -48,7 +48,7 @@ def test_a_grid_in_one_stack_runs_inline(vectors, pools, monkeypatch):
 
 @pytest.mark.parametrize("vectors", [False, True])
 def test_first_failure_in_grid_order_raises(vectors, monkeypatch):
-    monkeypatch.setenv("FLATGP_THREADS", "2")
+    monkeypatch.setattr(pool_module, "threads", lambda: 2)
     grid = kernels(12)
 
     def fn(spec, kernel):
@@ -66,7 +66,7 @@ def test_first_failure_in_grid_order_raises(vectors, monkeypatch):
 
 def test_without_openblas_control_the_pool_has_one_worker(pools, monkeypatch):
     monkeypatch.setattr(pool_module, "_openblas", lambda: None)
-    monkeypatch.setenv("FLATGP_THREADS", "2")
+    monkeypatch.setattr(pool_module, "threads", lambda: 2)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     one = lambda spec, kernel: None  # noqa: E731
@@ -107,7 +107,7 @@ def test_a_pooled_command_runs_one_blas_thread_and_restores_the_count(tmp_path):
     """)
     src = os.path.dirname(os.path.dirname(flatgp.__file__))
     env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "FLATGP_THREADS")}
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = src
     done = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "iso")],
