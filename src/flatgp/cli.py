@@ -291,7 +291,7 @@ def cmd_isofreedom(args):
 def cmd_matched(args):
     ds = _load_data(args)
     kern = _make_kernel(args)
-    approx = matched_approximation(kern, args.eps, args.gamma, args.sigma2, ds.X)
+    approx = matched_approximation(kern, args.sigma2, ds.X)
     query = _parse_query(args.query, ds)
     gp = fit_factored(SemiParametricModel(kern, d=ds.d), ds.X, approx.source, ds.y, args.sigma2)
     mean_src, var_src = gp.posterior(query)
@@ -319,7 +319,7 @@ def cmd_equiv_check(args):
     """Verify the two exact equivalence transformations on the classified limit."""
     ds = _load_data(args)
     family = ScaledKernelFamily(_make_kernel(args, gamma=1.0), p=args.p, gamma0=args.gamma0)
-    case = classify_limit(family.regularity, family.p, ds.d, n=ds.n, kernel=family.kernel_at(1.0))
+    case = classify_limit(family, ds.X)
     model = case.equivalent_model
     m = model.basis_size()
     results, errors = {}, []
@@ -381,7 +381,7 @@ def cmd_pred_curve(args):
     gamma_grid = _parse_grid(args.gamma_grid, order="ascending")
     xa = np.full(ds.d, float(args.xa)) if "," not in args.xa else np.array([float(v) for v in args.xa.split(",")])
     xb = np.full(ds.d, float(args.xb)) if "," not in args.xb else np.array([float(v) for v in args.xb.split(",")])
-    curve = prediction_curve(kern, ds.X, ds.y, args.sigma2, args.eps, gamma_grid, xa, xb)
+    curve = prediction_curve(kern, ds.X, ds.y, args.sigma2, gamma_grid, xa, xb)
     rows = []
     errors = []
     for g, pt, status in zip(curve.gammas, curve.points, curve.statuses):

@@ -12,14 +12,15 @@ the single solver of it.  That equation reads eigenvalues only, so
 ``isofreedom_curve`` computes its spectra without eigenvectors
 (``vectors=False``) through ``pool.map_spectra``: stacked ``eigvalsh`` calls
 (``pool`` states the stacking rule), factored and solved concurrently, and a
-grid that fits in one stack inline.
+grid that fits in one stack inline.  A kernel passed here carries its
+epsilon and gain; a function replaces only those it sweeps or solves for.
 """
 
 import math
 from dataclasses import dataclass
 
 from .errors import InsufficientGrid, UnreachableDof
-from .flatlimit import LimitCaseKind, _loglog_slope, classify_limit
+from .flatlimit import LimitCaseKind, ScaledKernelFamily, _loglog_slope, classify_limit
 from .gp import GpSpectrum
 from .kernels import Kernel, regularity
 from .polybasis import as_design, count_poly_dim
@@ -49,15 +50,16 @@ class IsofreedomCurve:
     target: float
 
 
-def isofreedom_gamma(kernel: Kernel, X, sigma2: float, eps: float, m: float) -> float:
-    """The gain putting the smoother's trace at exactly ``m`` for this epsilon.
+def isofreedom_gamma(kernel: Kernel, X, sigma2: float, m: float) -> float:
+    """The gain putting the smoother's trace at exactly ``m`` at the kernel's
+    epsilon; the solved gain replaces the kernel's own.
 
     This is the gain on the full ``eigh`` spectrum, where ``isofreedom_curve``
     solves on ``eigvalsh`` eigenvalues, which differ from it by round-off.
     No module of the package calls it: it is kept as a public reference that
     the tests use.
     """
-    spec = GpSpectrum.from_kernel(kernel.with_params(epsilon=eps, gamma=1.0), X)
+    spec = GpSpectrum.from_kernel(kernel.with_params(gamma=1.0), X)
     return solve_trace(spec.evals, 0.0, m, sigma2)[0]
 
 
@@ -107,8 +109,6 @@ class MatchedApproximation:
     targets the source sigma2 with the gain folded into the kernel).
     """
 
-    source_kernel: Kernel
-    sigma2: float
     design: object
     case: LimitCaseKind
     target: SemiParametricModel
@@ -123,8 +123,9 @@ class MatchedApproximation:
         return fit_factored(self.target, self.design, self.factorization, y, self.penalty)
 
 
-def matched_approximation(kernel: Kernel, eps: float, gamma: float, sigma2: float, X) -> MatchedApproximation:
-    """Follow the isofreedom curve from (eps, gamma) down to its flat limit.
+def matched_approximation(kernel: Kernel, sigma2: float, X) -> MatchedApproximation:
+    """Follow the isofreedom curve from the source GP ``kernel`` (its epsilon
+    and gain) down to its flat limit.
 
     The target is the flat limit (``classify_limit``) at the exponent p the
     source dof m selects.  With P_j the dimension of polynomials of degree
@@ -135,8 +136,7 @@ def matched_approximation(kernel: Kernel, eps: float, gamma: float, sigma2: floa
     to trace m) elsewhere.
     """
     design = as_design(X)
-    src = kernel.with_params(epsilon=eps, gamma=gamma)
-    source = GpSpectrum.from_kernel(src, design)
+    source = GpSpectrum.from_kernel(kernel, design)
     m = source.dof(sigma2)
     if not 0 < m < design.n - 1e-9:
         raise UnreachableDof(f"source dof {m:.6g} outside (0, n)")
@@ -150,7 +150,7 @@ def matched_approximation(kernel: Kernel, eps: float, gamma: float, sigma2: floa
         while count_poly_dim(k, d) <= m + 1e-9:
             k += 1
         p_flat = 2 * k - 1 if abs(m - count_poly_dim(k - 1, d)) <= 1e-9 else 2 * k
-    case = classify_limit(r, p_flat, d, kernel=kernel.with_params(epsilon=1.0, gamma=1.0))
+    case = classify_limit(ScaledKernelFamily(kernel, p_flat), design)
     target = case.equivalent_model
     fac = factorize_model(target, design)
     penalty = sigma2
@@ -164,8 +164,6 @@ def matched_approximation(kernel: Kernel, eps: float, gamma: float, sigma2: floa
         g, achieved = solve_trace(fac.evals, fac.m, m, sigma2)
         target, fac = target.scaled(g), fac.scaled(g)
     return MatchedApproximation(
-        source_kernel=src,
-        sigma2=sigma2,
         design=design,
         case=case.kind,
         target=target,

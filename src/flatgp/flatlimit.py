@@ -6,10 +6,11 @@ r: penalized polynomial regression (p even, p < 2r-1), unpenalized polynomial
 regression (p odd, p < 2r-1), (polyharmonic) spline regression (p = 2r-1), or
 interpolation (p > 2r-1, or a basis that already saturates the design).
 
-That limit is one semi-parametric model (SPM).  ``classify_limit`` names it,
-``_limit_model`` fixes the constant that the classification leaves free, and
-the limiting smoother, the convergence studies and the matched gain all
-factor that one exact model with the spectral core of ``spm``.
+That limit is one semi-parametric model (SPM).  ``classify_limit`` names it
+from the family and the design alone, ``_limit_model`` fixes the constant
+that the classification leaves free, and the limiting smoother, the
+convergence studies and the matched gain all factor that one exact model
+with the spectral core of ``spm``.
 """
 
 import enum
@@ -74,10 +75,6 @@ class ScaledKernelFamily:
             epsilon=float(eps), gamma=self.gamma0 * float(eps) ** (-self.p)
         )
 
-    @property
-    def regularity(self):
-        return regularity(self.base)
-
 
 class LimitCaseKind(enum.Enum):
     PENALIZED_POLYNOMIAL = "penalized-polynomial"
@@ -113,21 +110,21 @@ def _monomial_block_kernel(kernel: Kernel, m: int, d: int) -> Kernel:
     return Kernel.monomial_block(block, Wbar)
 
 
-def classify_limit(r, p: int, d: int, n: int = None, kernel: Kernel = None) -> LimitCase:
-    """Case table of the flat-limit theorems for regularity r and exponent p.
+def classify_limit(family: ScaledKernelFamily, X) -> LimitCase:
+    """Case table of the flat-limit theorems for ``family`` on the design X.
 
-    With ``n`` given, bases that saturate the design are classified as
-    interpolation.  With ``kernel`` given, the penalized case materializes the
-    exact Wronskian-Schur block kernel (no free constant); without it, and for
-    the Gaussian family, the canonical polynomial kernel is returned with
-    ``scale_free=True``.
+    The case follows from the base kernel's regularity r, the exponent p and
+    the design's dimension d; a basis that saturates the design's n points is
+    classified as interpolation.  The penalized case of a Gaussian base is
+    the canonical polynomial kernel at gain gamma0 (``scale_free=True``);
+    any other base gives its exact Wronskian-Schur block kernel at gamma0
+    (no free constant).
     """
-    if p < 0:
-        raise ValueError("p must be nonnegative")
+    design = as_design(X)
+    r, p, d, gamma0 = regularity(family.base), family.p, design.d, family.gamma0
     finite_r = math.isfinite(r)
-    l = (p + 1) // 2 if p % 2 else p // 2
-    saturated = n is not None and count_poly_dim(l - 1, d) >= n
-    gamma0 = kernel.gamma if kernel is not None else 1.0
+    l = (p + 1) // 2
+    saturated = count_poly_dim(l - 1, d) >= design.n
 
     if (finite_r and p > 2 * r - 1) or saturated:
         if finite_r and p > 2 * r - 1:
@@ -135,7 +132,7 @@ def classify_limit(r, p: int, d: int, n: int = None, kernel: Kernel = None) -> L
         else:
             # largest complete graded basis the design can carry (exact for d=1)
             degree = 0
-            while count_poly_dim(degree + 1, d) <= n:
+            while count_poly_dim(degree + 1, d) <= design.n:
                 degree += 1
             model = SemiParametricModel(Kernel.zero(), d=d, basis_degree=degree)
         return LimitCase(
@@ -163,8 +160,8 @@ def classify_limit(r, p: int, d: int, n: int = None, kernel: Kernel = None) -> L
         )
     # even, p = 2m < 2r-1: penalized polynomial with degree-m kernel block
     m = l
-    if kernel is not None and kernel.family is not Family.GAUSSIAN:
-        block_kernel = _monomial_block_kernel(kernel, m, d)
+    if family.base.family is not Family.GAUSSIAN:
+        block_kernel = _monomial_block_kernel(family.base, m, d)
         block_kernel = block_kernel.with_params(gamma=gamma0)
         model = SemiParametricModel(block_kernel, d=d, basis_degree=m - 1)
         scale_free = False
@@ -206,9 +203,7 @@ def limiting_smoother(family: ScaledKernelFamily, X, sigma2: float) -> SmootherM
     R^n: trace n, diagonal ones.
     """
     design = as_design(X)
-    case = classify_limit(
-        family.regularity, family.p, design.d, n=design.n, kernel=family.kernel_at(1.0)
-    )
+    case = classify_limit(family, design)
     if case.kind is LimitCaseKind.INTERPOLATION:
         if not sigma2 >= 0:
             raise ValueError(f"sigma2 must be nonnegative, got sigma2={sigma2}")
@@ -441,9 +436,7 @@ def convergence_study(
     if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps_grid must be strictly decreasing")
     design = as_design(X)
-    case = classify_limit(
-        family.regularity, family.p, design.d, n=design.n, kernel=family.kernel_at(1.0)
-    )
+    case = classify_limit(family, design)
     limit_model = _limit_model(family, case)
     limit_fac = factorize_model(limit_model, design)
     matched_gain = limit_model.kernel.gamma if case.scale_free else 1.0
@@ -516,10 +509,9 @@ class PredictionCurve:
     statuses: tuple
 
 
-def prediction_curve(
-    kernel: Kernel, X, y, sigma2: float, eps: float, gamma_grid, xa, xb
-) -> PredictionCurve:
-    """Data behind the two-point visualization of the flat-limit theorems."""
+def prediction_curve(kernel: Kernel, X, y, sigma2: float, gamma_grid, xa, xb) -> PredictionCurve:
+    """Data behind the two-point visualization of the flat-limit theorems, at
+    the kernel's epsilon: each gamma of ``gamma_grid`` replaces its gain."""
     design = as_design(X)
     y = np.asarray(y, dtype=float)
     gamma_grid = [float(g) for g in gamma_grid]
@@ -531,7 +523,7 @@ def prediction_curve(
     if queries.shape[1] != design.d:
         raise ValueError("xa and xb must be points of the design dimension")
 
-    unit = kernel.with_params(epsilon=eps, gamma=1.0)
+    unit = kernel.with_params(gamma=1.0)
     spec = GpSpectrum.from_kernel(unit, design)
     # the cross kernel at gain g is g times the one at unit gain
     kq = kernel_cross(unit, queries, design)

@@ -541,8 +541,8 @@ def smoothing_spline_fit(X, y, p: int, eta: float) -> SpmFit:
         raise ValueError("eta must be nonnegative")
     if design.n <= p:
         raise DegenerateDesign(f"need more than p={p} points")
-    dists = np.abs(design.points[:, 0][:, None] - design.points[:, 0][None, :])
-    if np.any(dists[~np.eye(design.n, dtype=bool)] == 0.0):
+    # a repeated point has a zero gap to a neighbour once the points are sorted
+    if np.any(np.diff(np.sort(design.points[:, 0])) == 0.0):
         raise DegenerateDesign("design points must be distinct")
     model = polyharmonic_spm(p, 1)
     return fit_spm(model, design, y, eta)

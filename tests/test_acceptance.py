@@ -76,7 +76,7 @@ def test_c1_theorem1_odd_case_degree2():
         sigma2 = 0.01
         xq = np.linspace(0, 1, 50)
         # the degree-2 fit is the odd case with basis dimension (p+1)/2 = 3
-        case = classify_limit(math.inf, 5, 1)
+        case = classify_limit(ScaledKernelFamily(Kernel.gaussian(), p=5), X)
         assert case.kind is LimitCaseKind.UNPENALIZED_POLYNOMIAL
         assert case.basis_degree == 2
         V = np.vander(X, 3, increasing=True)
@@ -219,7 +219,7 @@ def test_c7_dof_formulas():
         X8, _ = design_and_data()
         sigma2 = 0.01
         for m in (1.5, 2.5, 3.5):
-            g = isofreedom_gamma(Kernel.gaussian(), X8, sigma2, 0.1, m)
+            g = isofreedom_gamma(Kernel.gaussian(epsilon=0.1), X8, sigma2, m)
             spec = GpSpectrum.from_kernel(Kernel.gaussian(epsilon=0.1), X8)
             assert abs(spec.scaled(g).dof(sigma2) - m) <= 1e-10 * 8
             curve = isofreedom_curve(

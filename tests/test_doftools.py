@@ -5,6 +5,7 @@ from flatgp import (
     GpSpectrum,
     Kernel,
     LimitCaseKind,
+    ScaledKernelFamily,
     SemiParametricModel,
     classify_limit,
     gp_posterior,
@@ -14,7 +15,6 @@ from flatgp import (
     loo_mse,
     loo_nll,
     matched_approximation,
-    regularity,
     sure,
 )
 from flatgp.errors import InsufficientGrid, UnreachableDof
@@ -23,7 +23,7 @@ from flatgp.spm import factorize_model, fit_factored, solve_trace
 
 
 def gamma_at_first_eps(kernel, X, sigma2, m, eps_grid):
-    return isofreedom_gamma(kernel, X, sigma2, eps_grid[0], m)
+    return isofreedom_gamma(kernel.with_params(epsilon=eps_grid[0]), X, sigma2, m)
 
 
 # both isofreedom entry points, called as isofreedom_curve is
@@ -38,25 +38,25 @@ class TestIsofreedomGamma:
         sigma2, m = 0.3, 0.6
         lam = 1.0  # K is the 1x1 matrix [psi(0)] = [1]
         expect = sigma2 * m / (lam * (1 - m))
-        got = isofreedom_gamma(kern, X, sigma2, 1.0, m)
+        got = isofreedom_gamma(kern, X, sigma2, m)
         assert got == pytest.approx(expect, rel=1e-10)
 
     def test_residual_within_tolerance(self, rng):
         X = np.sort(rng.uniform(0, 1, 9))
-        kern = Kernel.gaussian()
+        kern = Kernel.gaussian(epsilon=0.4)
         for m in (1.3, 4.5, 7.2):
-            g = isofreedom_gamma(kern, X, 0.05, 0.4, m)
-            spec = GpSpectrum.from_kernel(kern.with_params(epsilon=0.4), X)
+            g = isofreedom_gamma(kern, X, 0.05, m)
+            spec = GpSpectrum.from_kernel(kern, X)
             assert abs(spec.scaled(g).dof(0.05) - m) <= 1e-10 * 9
 
     def test_target_at_n_unreachable(self, rng):
         X = np.sort(rng.uniform(0, 1, 6))
         with pytest.raises(UnreachableDof):
-            isofreedom_gamma(Kernel.gaussian(), X, 0.1, 0.5, 6.0)
+            isofreedom_gamma(Kernel.gaussian(epsilon=0.5), X, 0.1, 6.0)
 
     def test_near_n_expands_bracket(self, rng):
         X = np.linspace(0, 1, 6)
-        g = isofreedom_gamma(Kernel.gaussian(), X, 0.1, 1.0, 5.999)
+        g = isofreedom_gamma(Kernel.gaussian(), X, 0.1, 5.999)
         assert g > 1e3
 
 
@@ -128,38 +128,38 @@ class TestMatchedApproximation:
         # source tuned to exactly 5 dof -> degree-4 polynomial model
         X = np.sort(rng.uniform(0, 1, 9))
         sigma2 = 0.01
-        kern = Kernel.gaussian()
-        g5 = isofreedom_gamma(kern, X, sigma2, 0.5, 5.0)
-        approx = matched_approximation(kern, 0.5, g5, sigma2, X)
+        kern = Kernel.gaussian(epsilon=0.5)
+        g5 = isofreedom_gamma(kern, X, sigma2, 5.0)
+        approx = matched_approximation(kern.with_params(gamma=g5), sigma2, X)
         assert approx.case is LimitCaseKind.UNPENALIZED_POLYNOMIAL
         assert approx.target.basis_degree == 4
         assert approx.achieved_dof == pytest.approx(5.0, abs=1e-6)
 
     def test_gaussian_fractional_dof_penalized(self, rng):
         X = np.sort(rng.uniform(0, 1, 9))
-        approx = matched_approximation(Kernel.gaussian(), 1.0, 30.0, 0.01, X)
+        approx = matched_approximation(Kernel.gaussian(gamma=30.0), 0.01, X)
         assert approx.case is LimitCaseKind.PENALIZED_POLYNOMIAL
         assert approx.achieved_dof == pytest.approx(approx.source_dof, abs=1e-6)
 
     def test_matern_spline_target_matches_dof(self, rng):
         X = np.sort(rng.uniform(0, 1, 10))
-        approx = matched_approximation(Kernel.matern(1.5), 2.0, 5.0, 0.01, X)
+        approx = matched_approximation(Kernel.matern(1.5, epsilon=2.0, gamma=5.0), 0.01, X)
         assert approx.case is LimitCaseKind.SPLINE_REGRESSION
         assert approx.target.kernel.order == 2
         assert approx.achieved_dof == pytest.approx(approx.source_dof, abs=1e-6)
 
     def test_matern_low_dof_falls_back_to_polynomial(self, rng):
         X = np.sort(rng.uniform(0, 1, 10))
-        kern = Kernel.matern(1.5)
-        g = isofreedom_gamma(kern, X, 0.05, 0.8, 1.5)
-        approx = matched_approximation(kern, 0.8, g, 0.05, X)
+        kern = Kernel.matern(1.5, epsilon=0.8)
+        g = isofreedom_gamma(kern, X, 0.05, 1.5)
+        approx = matched_approximation(kern.with_params(gamma=g), 0.05, X)
         assert approx.case is LimitCaseKind.PENALIZED_POLYNOMIAL
         assert approx.achieved_dof == pytest.approx(1.5, abs=1e-6)
 
     def test_dof_at_n_rejected(self, rng):
         X = np.sort(rng.uniform(0, 1, 6))
         with pytest.raises(UnreachableDof):
-            matched_approximation(Kernel.gaussian(epsilon=5.0), 5.0, 1e12, 1e-12, X)
+            matched_approximation(Kernel.gaussian(epsilon=5.0, gamma=1e12), 1e-12, X)
 
     def test_approximation_sharpens_along_isofreedom_curve(self, rng):
         # following the curve to eps -> 0, source and target predictions merge
@@ -170,11 +170,10 @@ class TestMatchedApproximation:
         xq = np.linspace(0, 1, 20)
         devs = []
         for eps in (0.4, 0.2, 0.1, 0.05):
-            g = isofreedom_gamma(kern, X, sigma2, eps, m)
-            approx = matched_approximation(kern, eps, g, sigma2, X)
-            mean_src, _ = gp_posterior(
-                kern.with_params(epsilon=eps, gamma=g), X, y, sigma2, xq
-            )
+            g = isofreedom_gamma(kern.with_params(epsilon=eps), X, sigma2, m)
+            source = kern.with_params(epsilon=eps, gamma=g)
+            approx = matched_approximation(source, sigma2, X)
+            mean_src, _ = gp_posterior(source, X, y, sigma2, xq)
             mean_tgt = approx.fit(y).predict(xq)
             devs.append(np.abs(mean_src - mean_tgt).max())
         slope = np.polyfit(np.log([0.4, 0.2, 0.1, 0.05]), np.log(devs), 1)[0]
@@ -183,32 +182,36 @@ class TestMatchedApproximation:
 
 
 def matched_cases():
-    """(kernel, eps, gamma, sigma2, X, expected case, flat-limit exponent p)
-    for each case a matched target can take.  With P_j the dimension of
+    """(source kernel, sigma2, X, expected case, flat-limit exponent p) for
+    each case a matched target can take.  With P_j the dimension of
     polynomials of degree <= j and P_{k-1} <= dof < P_k, p is 2r - 1 for a
     spline, 2k - 1 for an unpenalized and 2k for a penalized polynomial."""
     rng = np.random.default_rng(7)
     x9 = np.sort(rng.uniform(0, 1, 9))
     x10 = np.sort(rng.uniform(0, 1, 10))
     x2d = rng.uniform(0, 1, size=(30, 2))
-    gauss, matern = Kernel.gaussian(), Kernel.matern(1.5)
+    gauss, matern = Kernel.gaussian(epsilon=0.5), Kernel.matern(1.5, epsilon=0.8)
+
+    def at_dof(kernel, X, sigma2, m):
+        return kernel.with_params(gamma=isofreedom_gamma(kernel, X, sigma2, m))
+
     return {
         # dof in [P_1, n): the order-2 spline
-        "spline": (matern, 2.0, 5.0, 0.01, x10, LimitCaseKind.SPLINE_REGRESSION, 3),
+        "spline": (
+            Kernel.matern(1.5, epsilon=2.0, gamma=5.0), 0.01, x10,
+            LimitCaseKind.SPLINE_REGRESSION, 3,
+        ),
         # dof exactly P_4 = 5: degree-4 least squares
         "unpenalized": (
-            gauss, 0.5, isofreedom_gamma(gauss, x9, 0.01, 0.5, 5.0), 0.01, x9,
-            LimitCaseKind.UNPENALIZED_POLYNOMIAL, 9,
+            at_dof(gauss, x9, 0.01, 5.0), 0.01, x9, LimitCaseKind.UNPENALIZED_POLYNOMIAL, 9,
         ),
         # dof 1.5 in (P_0, P_1), below the spline floor P_1: the degree-1 block
         "penalized-matern": (
-            matern, 0.8, isofreedom_gamma(matern, x10, 0.05, 0.8, 1.5), 0.05, x10,
-            LimitCaseKind.PENALIZED_POLYNOMIAL, 2,
+            at_dof(matern, x10, 0.05, 1.5), 0.05, x10, LimitCaseKind.PENALIZED_POLYNOMIAL, 2,
         ),
         # d = 2, dof 4.5 in (P_1, P_2) = (3, 6): the degree-2 block
         "penalized-gaussian": (
-            gauss, 0.5, isofreedom_gamma(gauss, x2d, 0.01, 0.5, 4.5), 0.01, x2d,
-            LimitCaseKind.PENALIZED_POLYNOMIAL, 4,
+            at_dof(gauss, x2d, 0.01, 4.5), 0.01, x2d, LimitCaseKind.PENALIZED_POLYNOMIAL, 4,
         ),
     }
 
@@ -216,12 +219,9 @@ def matched_cases():
 class TestMatchedTarget:
     @pytest.mark.parametrize("name", sorted(matched_cases()))
     def test_target_is_the_classified_limit(self, name):
-        kern, eps, gamma, sigma2, X, kind, p = matched_cases()[name]
-        approx = matched_approximation(kern, eps, gamma, sigma2, X)
-        d = approx.design.d
-        model = classify_limit(
-            regularity(kern), p, d, kernel=kern.with_params(epsilon=1.0, gamma=1.0)
-        ).equivalent_model
+        kern, sigma2, X, kind, p = matched_cases()[name]
+        approx = matched_approximation(kern, sigma2, X)
+        model = classify_limit(ScaledKernelFamily(kern, p=p), X).equivalent_model
         assert approx.case is kind
         assert approx.target.basis_degree == model.basis_degree
         assert approx.target.kernel.family is model.kernel.family
@@ -238,8 +238,8 @@ class TestMatchedTarget:
         # the classified Gaussian model is the canonical (x^T y)^2 kernel; the
         # degree-2 Wronskian-Schur block is a constant multiple of it, which
         # the tuned gain absorbs
-        kern, eps, gamma, sigma2, X, _, _ = matched_cases()["penalized-gaussian"]
-        approx = matched_approximation(kern, eps, gamma, sigma2, X)
+        kern, sigma2, X, _, _ = matched_cases()["penalized-gaussian"]
+        approx = matched_approximation(kern, sigma2, X)
         block = SemiParametricModel(_monomial_block_kernel(kern, 2, 2), d=2, basis_degree=1)
         fac = factorize_model(block, X)
         g, _ = solve_trace(fac.evals, fac.m, approx.source_dof, sigma2)
@@ -252,9 +252,9 @@ class TestMatchedTarget:
 
     def test_keeps_the_source_spectrum(self, rng):
         X = np.sort(rng.uniform(0, 1, 10))
-        kern = Kernel.matern(1.5)
-        approx = matched_approximation(kern, 2.0, 5.0, 0.01, X)
-        spec = GpSpectrum.from_kernel(kern.with_params(epsilon=2.0, gamma=5.0), X)
+        kern = Kernel.matern(1.5, epsilon=2.0, gamma=5.0)
+        approx = matched_approximation(kern, 0.01, X)
+        spec = GpSpectrum.from_kernel(kern, X)
         np.testing.assert_array_equal(approx.source.evals, spec.evals)
         assert approx.source.gain == 5.0
         assert approx.source.dof(0.01) == approx.source_dof

@@ -43,13 +43,18 @@ import flatgp.flatlimit as flatlimit_module
 import flatgp.smoothers as smoothers_module
 import flatgp.spm as spm_module
 from flatgp.flatlimit import _limit_model, _monomial_block_kernel
-from flatgp.polybasis import as_design
+from flatgp.polybasis import as_design, count_poly_dim
 from flatgp.spm import augmented_smoother, factorize_model, fit_factored
+
+
+def _classify(kernel, p, d, n=20, gamma0=1.0):
+    X = np.random.default_rng(0).uniform(0, 1, size=(n, d))
+    return classify_limit(ScaledKernelFamily(kernel, p=p, gamma0=gamma0), X)
 
 
 class TestClassify:
     def test_exponential_p1_is_linear_spline(self):
-        case = classify_limit(1, 1, 1)
+        case = _classify(Kernel.exponential(), 1, 1)
         assert case.kind is LimitCaseKind.SPLINE_REGRESSION
         model = case.equivalent_model
         assert model.kernel.family is Family.POLYHARMONIC
@@ -57,7 +62,7 @@ class TestClassify:
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_spline_case_at_p_equals_2r_minus_1(self, r):
-        case = classify_limit(r, 2 * r - 1, 2)
+        case = _classify(Kernel.matern(r - 0.5), 2 * r - 1, 2)
         assert case.kind is LimitCaseKind.SPLINE_REGRESSION
         assert case.equivalent_model.basis_degree == r - 1
         assert case.equivalent_model.kernel.order == r
@@ -65,7 +70,7 @@ class TestClassify:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 2])
     def test_gaussian_even_case_is_polynomial_kernel(self, d, m):
-        case = classify_limit(math.inf, 2 * m, d, kernel=Kernel.gaussian())
+        case = _classify(Kernel.gaussian(), 2 * m, d)
         assert case.kind is LimitCaseKind.PENALIZED_POLYNOMIAL
         assert case.equivalent_model.kernel.family is Family.POLYNOMIAL
         assert case.equivalent_model.kernel.order == m
@@ -75,25 +80,29 @@ class TestClassify:
     def test_odd_case_basis_dimension(self):
         # p = 2m+1: dimension (p+1)/2, i.e. degree (p-1)/2
         for p in (1, 3, 5, 7):
-            case = classify_limit(math.inf, p, 1)
+            case = _classify(Kernel.gaussian(), p, 1)
             assert case.kind is LimitCaseKind.UNPENALIZED_POLYNOMIAL
             assert case.basis_degree == (p - 1) // 2
 
     def test_interpolation_beyond_2r_minus_1(self):
-        case = classify_limit(2, 5, 1)
+        case = _classify(Kernel.matern(1.5), 5, 1)
         assert case.kind is LimitCaseKind.INTERPOLATION
         assert case.equivalent_model.kernel.family is Family.POLYHARMONIC
 
     def test_saturated_basis_is_interpolation(self):
-        case = classify_limit(math.inf, 2 * 8 - 1, 1, n=8)
+        case = _classify(Kernel.gaussian(), 2 * 8 - 1, 1, n=8)
         assert case.kind is LimitCaseKind.INTERPOLATION
         assert case.equivalent_model.basis_degree == 7
 
     def test_non_gaussian_even_case_materializes_wronskian_kernel(self):
-        case = classify_limit(2, 2, 1, kernel=Kernel.matern(1.5))
-        assert case.kind is LimitCaseKind.PENALIZED_POLYNOMIAL
-        assert case.equivalent_model.kernel.family is Family.MONOMIAL
-        assert not case.scale_free
+        # at m = 2, d = 2 the canonical (x.y)^2 is not proportional to the
+        # Matern-7/2 block: only the exact block, at gain gamma0, is the limit
+        for kernel, p, d in ((Kernel.matern(1.5), 2, 1), (Kernel.matern(3.5), 4, 2)):
+            case = _classify(kernel, p, d, gamma0=1.7)
+            assert case.kind is LimitCaseKind.PENALIZED_POLYNOMIAL
+            assert case.equivalent_model.kernel.family is Family.MONOMIAL
+            assert case.equivalent_model.kernel.gamma == 1.7
+            assert not case.scale_free
 
     def test_case_table_exhaustive(self):
         kinds = set()
@@ -103,7 +112,7 @@ class TestClassify:
                     kernel = (
                         Kernel.gaussian() if r == math.inf else Kernel.matern(r - 0.5)
                     )
-                    case = classify_limit(r, p, d, n=20, kernel=kernel)
+                    case = _classify(kernel, p, d)
                     assert case.kind in LimitCaseKind
                     assert case.equivalent_model.basis_degree >= -1
                     kinds.add(case.kind)
@@ -227,7 +236,7 @@ def _dense_limit_smoother(family, X, sigma2):
     degree-l Wronskian-Schur block on the degree-l increment (even p)."""
     X = np.asarray(X, dtype=float)
     n, d = X.shape
-    r, p, gamma0 = family.regularity, family.p, family.gamma0
+    r, p, gamma0 = regularity(family.base), family.p, family.gamma0
     l = (p + 1) // 2
 
     def filtered(A, B):
@@ -269,6 +278,7 @@ class TestExactLimit:
             (Kernel.matern(2.5), 3, 1, 20),  # odd
             (Kernel.gaussian(), 15, 1, 8),  # saturated
             (Kernel.exponential(), 2, 1, 12),  # p > 2r-1
+            (Kernel.matern(3.5), 4, 2, 30),  # Matern penalized, not (x.y)^2
         ],
     )
     @pytest.mark.parametrize("gamma0,sigma2", [(1.0, 0.01), (2.0, 0.3)])
@@ -286,7 +296,7 @@ class TestExactLimit:
         X = rng.uniform(0, 1, size=(24, d))
         gamma0, sigma2 = 1.3, 0.05
         family = ScaledKernelFamily(Kernel.gaussian(), p=2 * m, gamma0=gamma0)
-        case = classify_limit(math.inf, 2 * m, d, n=len(X), kernel=family.kernel_at(1.0))
+        case = classify_limit(family, X)
         assert case.scale_free
         block = _monomial_block_kernel(Kernel.gaussian(), m, d).with_params(gamma=gamma0)
         wmodel = SemiParametricModel(block, d=d, basis_degree=m - 1)
@@ -489,18 +499,22 @@ def equivalence_cases(draw):
     d = draw(st.sampled_from([1, 2]))
     gain = 10.0 ** draw(st.floats(-1, 1))
     kind = draw(st.sampled_from(["polyharmonic", "matern-spline", "gaussian-polynomial"]))
+    extra = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "polyharmonic":
         model = polyharmonic_spm(draw(st.sampled_from([1, 2])), d).scaled(gain)
-    elif kind == "matern-spline":
-        kernel = Kernel.matern(draw(st.sampled_from([1.5, 2.5])), gamma=gain)
-        r = regularity(kernel)
-        model = classify_limit(r, 2 * r - 1, d, kernel=kernel).equivalent_model
+        return model, rng.uniform(0, 1, size=(model.basis_size() + extra, d))
+    if kind == "matern-spline":
+        nu = draw(st.sampled_from([1.5, 2.5]))
+        # p = 2r - 1 with r = nu + 1/2
+        family = ScaledKernelFamily(Kernel.matern(nu), p=int(2 * nu), gamma0=gain)
     else:
         m = draw(st.sampled_from([1, 2]))
-        kernel = Kernel.gaussian(gamma=gain)
-        model = classify_limit(math.inf, 2 * m, d, kernel=kernel).equivalent_model
-    n = model.basis_size() + draw(st.integers(2, 12))
-    X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0, 1, size=(n, d))
+        family = ScaledKernelFamily(Kernel.gaussian(), p=2 * m, gamma0=gain)
+    # both limits have the basis of degree < (p+1)/2
+    n = count_poly_dim((family.p + 1) // 2 - 1, d) + extra
+    X = rng.uniform(0, 1, size=(n, d))
+    model = classify_limit(family, X).equivalent_model
     return model, X
 
 
@@ -550,7 +564,7 @@ class TestMatchScale:
     def test_gaussian_wronskian_block_vs_polynomial_kernel(self, m, d, rng):
         # Schur diagonal 2^m/alpha! against (x^T y)^m with coefficients m!/alpha!
         X = rng.uniform(0, 1, size=(12, d))
-        case = classify_limit(math.inf, 2 * m, d, kernel=Kernel.gaussian())
+        case = classify_limit(ScaledKernelFamily(Kernel.gaussian(), p=2 * m), X)
         from flatgp.flatlimit import _monomial_block_kernel
 
         wmodel = SemiParametricModel(
@@ -763,7 +777,7 @@ class TestPredictionCurve:
         X = np.sort(rng.uniform(0, 1, 8))
         y = rng.normal(size=8) + X
         curve = prediction_curve(
-            Kernel.gaussian(), X, y, 0.01, 1.5,
+            Kernel.gaussian(epsilon=1.5), X, y, 0.01,
             np.geomspace(1e-8, 1e14, 220), X[2], X[5],
         )
         first, last = curve.points[0], curve.points[-1]
@@ -786,7 +800,7 @@ class TestPredictionCurve:
 
         monkeypatch.setattr(flatlimit_module, "kernel_cross", counted)
         monkeypatch.setattr(spm_module, "kernel_cross", counted)
-        curve = prediction_curve(kernel, X, y, sigma2, eps, grid, 0.2, 0.8)
+        curve = prediction_curve(kernel.with_params(epsilon=eps), X, y, sigma2, grid, 0.2, 0.8)
         # the gamma loop reads one cross kernel; each anchor fit predicts once
         assert len(calls) == 1 + len(curve.anchors)
         # the same predictions as a cross kernel built at each gain
@@ -803,7 +817,7 @@ class TestPredictionCurve:
         grid = np.geomspace(1e-4, 1e10, 400)
         dists = {deg: [] for deg in (0, 1, 2)}
         for eps in (0.4, 0.2, 0.1):
-            curve = prediction_curve(Kernel.gaussian(), X, y, 0.01, eps, grid, 0.2, 0.8)
+            curve = prediction_curve(Kernel.gaussian(epsilon=eps), X, y, 0.01, grid, 0.2, 0.8)
             pts = np.array([p for p in curve.points if p is not None])
             for deg, pa, pb in curve.anchors[:3]:
                 dists[deg].append(float(np.hypot(pts[:, 0] - pa, pts[:, 1] - pb).min()))
@@ -817,7 +831,7 @@ class TestPredictionCurve:
     def test_grid_not_positive_and_increasing_rejected(self, rng, grid):
         X = np.sort(rng.uniform(0, 1, 8))
         with pytest.raises(ValueError, match="positive and ascending"):
-            prediction_curve(Kernel.gaussian(), X, X, 0.01, 0.5, grid, 0.2, 0.8)
+            prediction_curve(Kernel.gaussian(epsilon=0.5), X, X, 0.01, grid, 0.2, 0.8)
 
 
 class TestReportBookkeeping:

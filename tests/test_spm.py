@@ -289,8 +289,10 @@ class TestSmoothingSpline:
         assert np.abs(V.T @ fit.alpha).max() <= 1e-8 * np.linalg.norm(fit.alpha)
 
     def test_duplicate_points_rejected(self):
-        with pytest.raises(DegenerateDesign):
-            smoothing_spline_fit(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros(4), 1, 0.1)
+        # sorted, unsorted, and -0.0 against 0.0
+        for x in ([0.0, 0.5, 0.5, 1.0], [0.5, 0.0, 1.0, 0.5], [-0.0, 0.5, 0.0, 1.0]):
+            with pytest.raises(DegenerateDesign):
+                smoothing_spline_fit(np.array(x), np.zeros(4), 1, 0.1)
 
     def test_needs_more_points_than_order(self):
         with pytest.raises(DegenerateDesign):
