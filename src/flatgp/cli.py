@@ -11,13 +11,14 @@ stacking rule is stated in ``flatgp.pool``), one eps per task with
 eigenvectors; a grid that fits in one such stack runs inline.  The pool has
 one worker per CPU of the process's CPU set, at most 8: ``taskset -c 0``
 caps it at one.  While the pool runs, numpy's OpenBLAS runs one thread.
-nugget-compare stays serial.
+nugget-compare factors its one spectrum serially.
 """
 
 import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .kernels import Kernel
 from .polybasis import Design
 # threads: the pool size, which perfbench/worker.py records as cli._threads
 from .pool import map_spectra, threads as _threads  # noqa: F401
-from .spm import SemiParametricModel, factorize_model, fit_factored
+from .spm import SemiParametricModel, factorize_model
 
 
 def _parse_grid(spec, log=True, order=None):
@@ -75,11 +76,9 @@ def _finite_float(text):
     return value
 
 
-def _make_kernel(args, eps=None, gamma=None):
-    eps = getattr(args, "eps", None) if eps is None else eps
-    gamma = getattr(args, "gamma", None) if gamma is None else gamma
-    eps = 1.0 if eps is None else float(eps)
-    gamma = 1.0 if gamma is None else float(gamma)
+def _make_kernel(args):
+    """``--kernel`` at the command's ``--eps`` and ``--gamma``, 1.0 if it has none."""
+    eps, gamma = getattr(args, "eps", 1.0), getattr(args, "gamma", 1.0)
     name = args.kernel
     if name == "gaussian":
         return Kernel.gaussian(epsilon=eps, gamma=gamma)
@@ -92,6 +91,18 @@ def _make_kernel(args, eps=None, gamma=None):
     if name == "zero":
         return Kernel.zero()
     raise FlatGpError(f"unknown kernel {name!r}")
+
+
+def _parse_point(text, option, d):
+    """A point of R^d: d comma-separated numbers, or one for every coordinate;
+    anything else raises FlatGpError naming ``option``."""
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) not in (1, d):
+        raise FlatGpError(f"{option} must be 1 or d={d} comma-separated numbers, got {text!r}")
+    return np.full(d, vals[0]) if len(vals) == 1 else np.array(vals)
 
 
 def _load_data(args):
@@ -189,15 +200,13 @@ def cmd_predict(args):
     query = _parse_query(args.query, ds)
     kern = _make_kernel(args)
     if args.basis_degree is None and args.kernel != "zero":
-        model = SemiParametricModel(kern, d=ds.d)
         fac = GpSpectrum.from_kernel(kern, ds.X, nugget=args.nugget)
     else:
         if args.nugget:
             raise FlatGpError("--nugget is for the GP alone; a model with a basis takes none")
         degree = args.basis_degree if args.basis_degree is not None else 0
-        model = SemiParametricModel(kern, d=ds.d, basis_degree=degree)
-        fac = factorize_model(model, ds.X)
-    mean, var = fit_factored(model, ds.X, fac, ds.y, args.sigma2).posterior(query)
+        fac = factorize_model(SemiParametricModel(kern, d=ds.d, basis_degree=degree), ds.X)
+    mean, var = fac.fit(ds.y, args.sigma2).posterior(query)
     header = [f"x{j + 1}" for j in range(ds.d)] + ["mean", "variance"]
     rows = [
         [format_float(v) for v in query[i]] + [format_float(mean[i]), format_float(var[i])]
@@ -207,10 +216,10 @@ def cmd_predict(args):
 
 
 def _grid_eval(args, ds, values_fn, vectors=True):
-    """The eps grid and ``values_fn(spectrum, kernel)`` at each of its eps, in
-    grid order (``pool.map_spectra``); ``vectors=False`` reads traces only."""
+    """The eps grid and ``values_fn(spectrum)`` at each of its eps, in grid
+    order (``pool.map_spectra``); ``vectors=False`` reads traces only."""
     eps_grid = _parse_grid(args.eps_grid)
-    kern = _make_kernel(args, eps=1.0, gamma=1.0)
+    kern = _make_kernel(args)
     kernels = [kern.with_params(epsilon=eps) for eps in eps_grid]
     return eps_grid, map_spectra(values_fn, kernels, ds.X, args.nugget, vectors=vectors)
 
@@ -229,7 +238,7 @@ def cmd_dof_grid(args):
     gamma_grid = _parse_grid(args.gamma_grid)
     errors = []
 
-    def values(spec, _kernel):
+    def values(spec):
         return [_dof_cell(spec.scaled(g), args.sigma2) for g in gamma_grid]
 
     eps_grid, results = _grid_eval(args, ds, values, vectors=False)
@@ -247,7 +256,7 @@ def cmd_criteria_grid(args):
     gamma_grid = _parse_grid(args.gamma_grid)
     errors = []
 
-    def values(spec, _kernel):
+    def values(spec):
         out = []
         for g in gamma_grid:
             try:
@@ -277,7 +286,7 @@ def cmd_criteria_grid(args):
 
 def cmd_isofreedom(args):
     ds = _load_data(args)
-    kern = _make_kernel(args, eps=1.0, gamma=1.0)
+    kern = _make_kernel(args)
     eps_grid = _parse_grid(args.eps_grid, order="descending")
     curve = isofreedom_curve(kern, ds.X, args.sigma2, args.dof, eps_grid)
     rows = [
@@ -293,8 +302,7 @@ def cmd_matched(args):
     kern = _make_kernel(args)
     approx = matched_approximation(kern, args.sigma2, ds.X)
     query = _parse_query(args.query, ds)
-    gp = fit_factored(SemiParametricModel(kern, d=ds.d), ds.X, approx.source, ds.y, args.sigma2)
-    mean_src, var_src = gp.posterior(query)
+    mean_src, var_src = approx.source.fit(ds.y, args.sigma2).posterior(query)
     mean_tgt, var_tgt = approx.fit(ds.y).posterior(query)
     header = [f"x{j + 1}" for j in range(ds.d)] + [
         "gp_mean", "gp_variance", "matched_mean", "matched_variance",
@@ -318,7 +326,7 @@ def cmd_matched(args):
 def cmd_equiv_check(args):
     """Verify the two exact equivalence transformations on the classified limit."""
     ds = _load_data(args)
-    family = ScaledKernelFamily(_make_kernel(args, gamma=1.0), p=args.p, gamma0=args.gamma0)
+    family = ScaledKernelFamily(_make_kernel(args), p=args.p, gamma0=args.gamma0)
     case = classify_limit(family, ds.X)
     model = case.equivalent_model
     m = model.basis_size()
@@ -350,7 +358,7 @@ def cmd_equiv_check(args):
 
 def cmd_converge(args):
     ds = _load_data(args)
-    family = ScaledKernelFamily(_make_kernel(args, gamma=1.0), p=args.p, gamma0=args.gamma0)
+    family = ScaledKernelFamily(_make_kernel(args), p=args.p, gamma0=args.gamma0)
     eps_grid = _parse_grid(args.eps_grid, order="descending")
     query = _parse_query(args.query, ds)
     report = convergence_study(
@@ -376,12 +384,10 @@ def cmd_converge(args):
 
 def cmd_pred_curve(args):
     ds = _load_data(args)
-    kern = _make_kernel(args, gamma=1.0)
     # the curve runs from small to large gains, whichever end is written first
     gamma_grid = _parse_grid(args.gamma_grid, order="ascending")
-    xa = np.full(ds.d, float(args.xa)) if "," not in args.xa else np.array([float(v) for v in args.xa.split(",")])
-    xb = np.full(ds.d, float(args.xb)) if "," not in args.xb else np.array([float(v) for v in args.xb.split(",")])
-    curve = prediction_curve(kern, ds.X, ds.y, args.sigma2, gamma_grid, xa, xb)
+    xa, xb = _parse_point(args.xa, "--xa", ds.d), _parse_point(args.xb, "--xb", ds.d)
+    curve = prediction_curve(_make_kernel(args), ds.X, ds.y, args.sigma2, gamma_grid, xa, xb)
     rows = []
     errors = []
     for g, pt, status in zip(curve.gammas, curve.points, curve.statuses):
@@ -399,14 +405,15 @@ def cmd_pred_curve(args):
 
 def cmd_nugget_compare(args):
     ds = _load_data(args)
-    kern = _make_kernel(args, gamma=1.0)
     gamma_grid = _parse_grid(args.gamma_grid)
+    if not args.nugget >= 0:
+        raise ValueError(f"nugget must be nonnegative, got nugget={args.nugget}")
+    plain = GpSpectrum.from_kernel(_make_kernel(args), ds.X, vectors=False)
+    # a nugget shifts every eigenvalue of the unit-gain kernel matrix by itself
+    nugget = replace(plain, evals=plain.evals + args.nugget)
     rows = []
     errors = []
-    for variant, nug in (("nugget", args.nugget), ("plain", 0.0)):
-        spec = GpSpectrum.from_kernel(
-            kern.with_params(epsilon=args.eps), ds.X, nugget=nug, vectors=False
-        )
+    for variant, spec in (("nugget", nugget), ("plain", plain)):
         for g in gamma_grid:
             val, status = _dof_cell(spec.scaled(g), args.sigma2)
             if status != "ok":

@@ -13,7 +13,9 @@ the single solver of it.  That equation reads eigenvalues only, so
 (``vectors=False``) through ``pool.map_spectra``: stacked ``eigvalsh`` calls
 (``pool`` states the stacking rule), factored and solved concurrently, and a
 grid that fits in one stack inline.  A kernel passed here carries its
-epsilon and gain; a function replaces only those it sweeps or solves for.
+epsilon and gain; a function replaces only those it sweeps or solves for.  A
+matched approximation keeps the target's factorization, which records the
+target model and the design and carries the tuned gain.
 """
 
 import math
@@ -25,14 +27,7 @@ from .gp import GpSpectrum
 from .kernels import Kernel, regularity
 from .polybasis import as_design, count_poly_dim
 from .pool import map_spectra
-from .spm import (
-    SaddleFactorization,
-    SemiParametricModel,
-    SpmFit,
-    factorize_model,
-    fit_factored,
-    solve_trace,
-)
+from .spm import SaddleFactorization, SpmFit, factorize_model, solve_trace
 
 
 @dataclass(frozen=True)
@@ -80,11 +75,12 @@ def isofreedom_curve(kernel: Kernel, X, sigma2: float, m: float, eps_grid) -> Is
             f"an isofreedom slope needs at least 3 epsilon values, got {len(eps_grid)}"
         )
 
-    def point(spec, unit):
+    def point(spec):
         g = solve_trace(spec.evals, 0.0, m, sigma2)[0]
         achieved = spec.scaled(g).dof(sigma2)
         return IsofreedomPoint(
-            epsilon=unit.epsilon, gamma=g, dof_achieved=achieved, residual=achieved - m
+            epsilon=spec.model.kernel.epsilon, gamma=g, dof_achieved=achieved,
+            residual=achieved - m,
         )
 
     kernels = [kernel.with_params(epsilon=eps, gamma=1.0) for eps in eps_grid]
@@ -103,15 +99,15 @@ def isofreedom_curve(kernel: Kernel, X, sigma2: float, m: float, eps_grid) -> Is
 class MatchedApproximation:
     """A flat-limit model tuned to the source GP's degrees of freedom.
 
-    ``source`` is the source GP's spectrum, ``factorization`` the target's.
-    Fits of the target (``fit``) use ``penalty`` in place of the noise
-    variance (for spline targets this is the tuned eta; for polynomial
-    targets the source sigma2 with the gain folded into the kernel).
+    ``source`` is the source GP's spectrum, ``factorization`` the target's:
+    the target model at unit gain is ``factorization.model``, its gain
+    ``factorization.gain``, and both record the design.  Fits of the target
+    (``fit``) use ``penalty`` in place of the noise variance (for spline
+    targets this is the tuned eta; for polynomial targets the source sigma2,
+    with the tuned gain in the factorization).
     """
 
-    design: object
     case: LimitCaseKind
-    target: SemiParametricModel
     penalty: float
     achieved_dof: float
     source_dof: float
@@ -120,7 +116,7 @@ class MatchedApproximation:
 
     def fit(self, y) -> SpmFit:
         """The target fitted to ``y`` against its stored factorization."""
-        return fit_factored(self.target, self.design, self.factorization, y, self.penalty)
+        return self.factorization.fit(y, self.penalty)
 
 
 def matched_approximation(kernel: Kernel, sigma2: float, X) -> MatchedApproximation:
@@ -151,8 +147,7 @@ def matched_approximation(kernel: Kernel, sigma2: float, X) -> MatchedApproximat
             k += 1
         p_flat = 2 * k - 1 if abs(m - count_poly_dim(k - 1, d)) <= 1e-9 else 2 * k
     case = classify_limit(ScaledKernelFamily(kernel, p_flat), design)
-    target = case.equivalent_model
-    fac = factorize_model(target, design)
+    fac = factorize_model(case.equivalent_model, design)
     penalty = sigma2
     if case.kind is LimitCaseKind.UNPENALIZED_POLYNOMIAL:
         achieved = float(fac.m)
@@ -162,11 +157,9 @@ def matched_approximation(kernel: Kernel, sigma2: float, X) -> MatchedApproximat
         penalty = 1.0 / g
     else:
         g, achieved = solve_trace(fac.evals, fac.m, m, sigma2)
-        target, fac = target.scaled(g), fac.scaled(g)
+        fac = fac.scaled(g)
     return MatchedApproximation(
-        design=design,
         case=case.kind,
-        target=target,
         penalty=penalty,
         achieved_dof=achieved,
         source_dof=m,

@@ -49,7 +49,6 @@ from .spm import (
     SaddleFactorization,
     SemiParametricModel,
     factorize_model,
-    fit_factored,
     fit_spm,
     polyharmonic_spm,
     require_comparable,
@@ -319,8 +318,8 @@ def check_pred_equiv(
         y = rng.normal(size=design.n)
         sigma2 = float(10.0 ** rng.uniform(-2, 0.5))
         x_new = rng.uniform(lo, hi)[None, :]
-        mean_a, var_a, wa, ca = fit_factored(model_a, design, fac_a, y, sigma2).bordered(x_new)
-        mean_b, var_b, wb, cb = fit_factored(model_b, design, fac_b, y, sigma2).bordered(x_new)
+        mean_a, var_a, wa, ca = fac_a.fit(y, sigma2).bordered(x_new)
+        mean_b, var_b, wb, cb = fac_b.fit(y, sigma2).bordered(x_new)
         dev_mean = max(dev_mean, float(np.abs(mean_a - mean_b).max()))
         dev_var = max(dev_var, float(np.abs(var_a - var_b).max()))
         D = difference(fac_a.smoother(sigma2), fac_b.smoother(sigma2), basis)
@@ -437,26 +436,24 @@ def convergence_study(
         raise ValueError("eps_grid must be strictly decreasing")
     design = as_design(X)
     case = classify_limit(family, design)
-    limit_model = _limit_model(family, case)
-    limit_fac = factorize_model(limit_model, design)
-    matched_gain = limit_model.kernel.gamma if case.scale_free else 1.0
+    limit_fac = factorize_model(_limit_model(family, case), design)
+    matched_gain = limit_fac.gain if case.scale_free else 1.0
     interpolation = case.kind is LimitCaseKind.INTERPOLATION
     limit_sigma2 = 0.0 if interpolation else sigma2
 
     rng = np.random.default_rng(seed)
     # one trial vector per column
     ys = rng.normal(size=(num_trials, design.n)).T
-    limit = fit_factored(limit_model, design, limit_fac, ys, limit_sigma2)
+    limit = limit_fac.fit(ys, limit_sigma2)
     if interpolation:
         limit_means = limit.predict(query_points)
     else:
         limit_means, limit_var = limit.posterior(query_points)
 
-    def deviations(spec, kernel):
+    def deviations(spec):
         """(mean deviation, variance deviation or None), or None to drop eps."""
         try:
-            gp = fit_factored(SemiParametricModel(kernel, design.d), design, spec, ys, sigma2)
-            means, var = gp.posterior(query_points)
+            means, var = spec.fit(ys, sigma2).posterior(query_points)
         except (IllConditioned, NegativeVariance):
             return None
         mean_dev = float(np.abs(means - limit_means).max(initial=0.0))

@@ -11,11 +11,12 @@ only, by ``eigvalsh``; the isofreedom curve, the CLI's nugget-compare and its
 dof-grid use it.  ``from_kernels`` factors several kernels on one design in
 one stacked call, and ``pool.map_spectra``, the evaluator behind the
 isofreedom curve, the convergence study, dof-grid and criteria-grid, hands its
-workers such stacks (``pool`` states the stacking rule).
-Posterior means and variances are those of the fitted model,
-``spm.SpmFit.posterior``, so a GP variance below round-off raises
-NegativeVariance as any model's does.  This module adds the selection
-criteria, each a float, which read the smoother's diagonal, fitted values
+workers such stacks (``pool`` states the stacking rule).  A spectrum
+records its kernel's empty-basis model and the design, so
+``spec.fit(y, sigma2)`` fits the GP, and its posterior means and variances
+are those of any fitted model, ``spm.SpmFit.posterior``: a GP variance below
+round-off raises NegativeVariance as any model's does.  This module adds the
+selection criteria, each a float, which read the smoother's diagonal, fitted values
 and trace only.  A spectrum's smoother gives each of these in O(n^2) from
 its modes and filter, so a criterion never forms the n x n matrix; it is
 formed only where ``.matrix`` is read.
@@ -27,9 +28,8 @@ import numpy as np
 
 from .errors import DegenerateVariance, InterpolatingSmoother
 from .kernels import Kernel
-from .polybasis import as_design
 from .smoothers import SmootherMatrix
-from .spm import SaddleFactorization, SemiParametricModel, fit_factored
+from .spm import SaddleFactorization
 
 _LOO_DIAG_TOL = 1e-10
 
@@ -41,10 +41,7 @@ GpSpectrum = SaddleFactorization
 
 def gp_posterior(kernel: Kernel, X, y, sigma2: float, query_points, nugget: float = 0.0):
     """Posterior mean and variance at query points under Gaussian noise."""
-    design = as_design(X)
-    spec = GpSpectrum.from_kernel(kernel, design, nugget=nugget)
-    fit = fit_factored(SemiParametricModel(kernel, design.d), design, spec, y, sigma2)
-    return fit.posterior(query_points)
+    return GpSpectrum.from_kernel(kernel, X, nugget=nugget).fit(y, sigma2).posterior(query_points)
 
 
 def _loo_residuals(M: SmootherMatrix, y):

@@ -1,10 +1,12 @@
 """The epsilon pool: one evaluator for every loop over a kernel grid.
 
 ``map_spectra(fn, kernels, X)`` factors the GP spectrum of each kernel on one
-design and returns ``fn(spectrum, kernel)`` for each, in grid order.  The
-isofreedom curve, the convergence study and the CLI's dof-grid and
-criteria-grid loop over epsilon through it, and each keeps its per-epsilon
-work inside ``fn``, so that the work runs in the pool's workers.
+design and returns ``fn(spectrum)`` for each, in grid order; the spectrum
+records its kernel at unit gain (``spectrum.model.kernel``) and carries the
+kernel's gain (``spectrum.gain``).  The isofreedom curve, the convergence
+study and the CLI's dof-grid and criteria-grid loop over epsilon through it,
+and each keeps its per-epsilon work inside ``fn``, so that the work runs in
+the pool's workers.
 
 Tasks are stacks of consecutive kernels, factored by one
 ``SaddleFactorization.from_kernels`` call, which gives each spectrum bitwise
@@ -24,8 +26,8 @@ the same CPUs.  Where that count cannot be reached, and neither
 OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS pins BLAS to one thread, the pool
 has one worker.
 
-nugget-compare stays serial: its two variants have different matrices, so no
-stack holds both, and one 400 x 400 ``eigvalsh`` holds the GIL.
+nugget-compare factors one spectrum and needs no pool: its nugget variant
+reads the same eigenvalues shifted by the nugget.
 """
 
 import ctypes
@@ -144,7 +146,7 @@ _one_blas_thread = _BlasPin()
 
 
 def map_spectra(fn, kernels, X, nugget: float = 0.0, *, vectors: bool) -> list:
-    """``[fn(spectrum, kernel) for kernel in kernels]``, in order, where
+    """``[fn(spectrum) for kernel in kernels]``, in order, where
     ``spectrum`` is the GP spectrum ``SaddleFactorization.from_kernel(kernel,
     X, nugget, vectors=vectors)``.
 
@@ -162,7 +164,7 @@ def map_spectra(fn, kernels, X, nugget: float = 0.0, *, vectors: bool) -> list:
     def task(start):
         part = kernels[start:start + size]
         specs = SaddleFactorization.from_kernels(part, design, nugget, vectors=vectors)
-        return [fn(spec, kernel) for spec, kernel in zip(specs, part)]
+        return [fn(spec) for spec in specs]
 
     starts = range(0, len(kernels), size)
     if len(kernels) <= stack:

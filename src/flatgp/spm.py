@@ -35,15 +35,17 @@ factorization; its terms (w, c) are x*'s bordered solve and sigma2 / s, so the
 difference of two models' augmented smoothers is a rank-two update of the
 difference on the design.
 
-A fit against a factorization (``fit_factored``, of one data vector or of k
-as columns) is an ``SpmFit``, and ``SpmFit.posterior`` is the package's one
-posterior path: a GP's means and variances are those of its empty-basis fit,
-with the same round-off guard (NegativeVariance).  ``SpmFit.bordered`` reads
-the posterior at x* and the terms (w, c) from that one solve.
+A factorization records the model it factored and the design, so
+``fac.fit(y, sigma2)`` (of one data vector or of k as columns) is an
+``SpmFit`` that reads the kernel, basis, design and gain from it, and
+``SpmFit.posterior`` is the package's one posterior path: a GP's means and
+variances are those of its empty-basis fit, with the same round-off guard
+(NegativeVariance).  ``SpmFit.bordered`` reads the posterior at x* and the
+terms (w, c) from that one solve.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,6 +97,10 @@ class SemiParametricModel:
     d: int
     basis_degree: int = -1
     basis_functions: tuple = None
+
+    def __post_init__(self):
+        if self.basis_degree < -1:
+            raise ValueError(f"basis_degree must be >= -1, got {self.basis_degree}")
 
     def basis_size(self) -> int:
         if self.basis_functions is not None:
@@ -176,7 +182,8 @@ class SaddleFactorization:
     ``LQ = L Q``, the kernel's coupling to the basis (None without a basis),
     so no n x n array but ``modes`` is kept.  ``scaled(g)`` multiplies the
     gain and shares every array, so a model is factored once whatever its
-    gains.
+    gains.  It records what it factored, ``model`` (at unit gain) and
+    ``design``, which ``fit`` reads; the raw ``factorize(L, V)`` records neither.
 
     Two constructors fix what a singular ``gain L + sigma2 I`` means:
     ``factorize``/``factorize_model`` (the saddle path) solve by the
@@ -194,6 +201,8 @@ class SaddleFactorization:
     Q: np.ndarray
     R: np.ndarray
     LQ: np.ndarray = None  # L Q, the kernel's coupling to the basis; None without one
+    model: SemiParametricModel = None  # the factored model at unit gain
+    design: object = None
 
     @classmethod
     def from_kernels(
@@ -201,7 +210,8 @@ class SaddleFactorization:
     ) -> list:
         """The GP spectra of ``kernels`` on one design, from one stacked
         eigensolver call: for each kernel, no basis, its unit-gain kernel matrix
-        plus ``nugget`` I, and gain ``kernel.gamma``.  A negative or NaN nugget
+        plus ``nugget`` I, and gain ``kernel.gamma``; each records the
+        kernel's empty-basis model at unit gain.  A negative or NaN nugget
         raises ValueError.
 
         Each spectrum is bitwise the one ``from_kernel`` gives that kernel
@@ -217,7 +227,8 @@ class SaddleFactorization:
         if not nugget >= 0:
             raise ValueError(f"nugget must be nonnegative, got nugget={nugget}")
         design = as_design(X)
-        mats = [kernel_matrix(k.with_params(gamma=1.0), design) for k in kernels]
+        units = [k.with_params(gamma=1.0) for k in kernels]
+        mats = [kernel_matrix(unit, design) for unit in units]
         # one kernel is solved as a plain (n, n) matrix, not a stack of one;
         # a stack is a copy, so its parts are freed before the solve
         K = mats[0] if len(mats) == 1 else np.stack(mats)
@@ -231,7 +242,8 @@ class SaddleFactorization:
         Q, R = np.zeros((design.n, 0)), np.zeros((0, 0))
         return [
             cls(evals=evals[i], modes=None if evecs is None else evecs[i],
-                gain=k.gamma, pseudo_inverse=False, Q=Q, R=R)
+                gain=k.gamma, pseudo_inverse=False, Q=Q, R=R,
+                model=SemiParametricModel(units[i], design.d), design=design)
             for i, k in enumerate(kernels)
         ]
 
@@ -318,6 +330,15 @@ class SaddleFactorization:
         a = self.Q @ t + self.modes @ (rhs / denom)
         return a, np.linalg.solve(self.R, self.Q.T @ g - self.gain * (self.LQ.T @ a) - sigma2 * t)
 
+    def fit(self, y, sigma2: float) -> "SpmFit":
+        """The factored model at this gain fitted to ``y``, (n,) or (n, k) for
+        k data vectors at once, by one solve."""
+        y = np.asarray(y, dtype=float)
+        if y.ndim not in (1, 2) or y.shape[0] != self.design.n:
+            raise ValueError("y must have one entry (or row) per design point")
+        alpha, beta = self.solve(sigma2, y)
+        return SpmFit(self, float(sigma2), alpha, beta)
+
     def nlml(self, y, sigma2) -> float:
         """Negative log likelihood of ``y`` under N(0, gain K + sigma2 I); the
         GP spectrum (``from_kernel``) only."""
@@ -386,11 +407,12 @@ def factorize(L: np.ndarray, V: np.ndarray) -> SaddleFactorization:
 
 def factorize_model(model: SemiParametricModel, X) -> SaddleFactorization:
     """The saddle-point factorization of ``model`` on the design ``X``: its
-    kernel matrix at unit gain, with the gain carried as a scalar."""
+    kernel matrix at unit gain, with the gain carried as a scalar.  It
+    records ``model`` at unit gain and the design."""
     design = as_design(X)
-    kernel = model.kernel
-    L = kernel_matrix(kernel.with_params(gamma=1.0), design)
-    return factorize(L, model.basis_matrix(design)).scaled(kernel.gamma)
+    unit = model.kernel.with_params(gamma=1.0)
+    fac = factorize(kernel_matrix(unit, design), model.basis_matrix(design))
+    return replace(fac.scaled(model.kernel.gamma), model=replace(model, kernel=unit), design=design)
 
 
 def project_out_basis(L: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -417,21 +439,25 @@ def cpd_check(model: SemiParametricModel, X, tol: float = 1e-10) -> bool:
 
 @dataclass(frozen=True)
 class SpmFit:
-    """An SPM fitted to data; prediction reuses the stored factorization.
+    """An SPM fitted to data by ``SaddleFactorization.fit``; the kernel,
+    basis, design and gain are the factorization's.
 
-    ``y`` is one data vector (n,) or k of them as columns (n, k); the
-    coefficients and predictive means then carry the same trailing axis,
-    while the predictive variance, which does not depend on ``y``, is one
-    vector for all columns.
+    The data were one vector (n,) or k of them as columns (n, k); the
+    coefficients and predictive means carry the same trailing axis, while the
+    predictive variance, which does not depend on the data, is one vector.
     """
 
-    model: SemiParametricModel
-    design: object
-    y: np.ndarray
+    factorization: SaddleFactorization
     sigma2: float
     alpha: np.ndarray
     beta: np.ndarray
-    factorization: SaddleFactorization
+
+    def _queried(self, query_points):
+        """The queries, their cross kernel Lq (gain times the unit-gain one)
+        and basis rows Vq."""
+        fac, Xq = self.factorization, as_design(query_points)
+        Lq = fac.gain * kernel_cross(fac.model.kernel, Xq, fac.design)
+        return Xq, Lq, fac.model.basis_matrix(Xq)
 
     def _mean(self, Lq, Vq) -> np.ndarray:
         out = Lq @ self.alpha
@@ -440,19 +466,17 @@ class SpmFit:
         return out
 
     def predict(self, query_points) -> np.ndarray:
-        Xq = as_design(query_points)
-        Lq = kernel_cross(self.model.kernel, Xq, self.design)
-        return self._mean(Lq, self.model.basis_matrix(Xq))
+        _, Lq, Vq = self._queried(query_points)
+        return self._mean(Lq, Vq)
 
     def _solved(self, query_points):
         """Means, unclamped variances (prior - Lq a - Vq b) and the solves a
         of the queries' bordered systems, from one cross kernel Lq and one
         solve.  A variance below round-off raises NegativeVariance."""
-        Xq = as_design(query_points)
-        Lq = kernel_cross(self.model.kernel, Xq, self.design)
-        Vq = self.model.basis_matrix(Xq)
-        prior = kernel_diag(self.model.kernel, Xq)
-        a, b = self.factorization.solve(self.sigma2, Lq.T, Vq.T)
+        fac = self.factorization
+        Xq, Lq, Vq = self._queried(query_points)
+        prior = fac.gain * kernel_diag(fac.model.kernel, Xq)
+        a, b = fac.solve(self.sigma2, Lq.T, Vq.T)
         out = prior - np.einsum("ij,ji->i", Lq, a) - np.einsum("ij,ji->i", Vq, b)
         scale = max(1.0, float(np.abs(prior).max(initial=0.0)))
         if np.any(out < -_VARIANCE_ERROR_TOL * scale):
@@ -486,35 +510,9 @@ class SpmFit:
         return mean, np.maximum(var, 0.0), a[:, 0], c
 
 
-def fit_factored(
-    model: SemiParametricModel, design, factorization: SaddleFactorization, y, sigma2: float
-) -> SpmFit:
-    """Fit ``model`` to ``y`` by solving against its factorization on ``design``.
-
-    ``y`` is (n,), or (n, k) for k data vectors fitted at once.
-    """
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
-    design = as_design(design)
-    y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[0] != design.n:
-        raise ValueError("y must have one entry (or row) per design point")
-    alpha, beta = factorization.solve(sigma2, y)
-    return SpmFit(
-        model=model,
-        design=design,
-        y=y,
-        sigma2=float(sigma2),
-        alpha=alpha,
-        beta=beta,
-        factorization=factorization,
-    )
-
-
 def fit_spm(model: SemiParametricModel, X, y, sigma2: float) -> SpmFit:
     """Solve the bordered system [[L + sigma2 I, V], [V^T, 0]] (alpha; beta) = (y; 0)."""
-    design = as_design(X)
-    return fit_factored(model, design, factorize_model(model, design), y, sigma2)
+    return factorize_model(model, X).fit(y, sigma2)
 
 
 def laurent_b0(L: np.ndarray, V: np.ndarray, sigma2: float) -> np.ndarray:

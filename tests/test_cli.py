@@ -412,8 +412,8 @@ class TestCommands:
             "--gamma-grid", "1e2:1e6:5", "--out", str(out),
         ])
         assert code == 0
-        # one spectrum per variant, with and without the nugget
-        assert eigvalsh == [(8, 8)] * 2 and eigh == []
+        # one spectrum: the nugget shifts its eigenvalues
+        assert eigvalsh == [(8, 8)] and eigh == []
 
     def test_dof_grid_stacks_values_only_solves(self, tmp_path, count_linalg):
         eigh, eigvalsh = count_linalg("eigh"), count_linalg("eigvalsh")
@@ -597,6 +597,36 @@ class TestCommands:
         assert code == 1
         assert "nugget" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists() and not (tmp_path / "fit.csv").exists()
+
+    def test_nugget_compare_rejects_negative_nugget(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "nug"
+        code = main([
+            "nugget-compare", "--data", str(data_csv), "--eps", "0.05",
+            "--gamma-grid", "1e2:1e6:5", "--nugget", "-1e-6", "--out", str(out),
+        ])
+        assert code == 1
+        assert "nugget" in capsys.readouterr().err
+        assert not (tmp_path / "nug.json").exists()
+
+    def test_predict_rejects_a_basis_degree_below_minus_one(self, tmp_path, capsys):
+        out = tmp_path / "pred"
+        code = main(["predict", "--n", "20", "--basis-degree", "-2", "--out", str(out)])
+        assert code == 1
+        assert "basis_degree" in capsys.readouterr().err
+        assert not (tmp_path / "pred.json").exists()
+
+    @pytest.mark.parametrize("xa, xb, option", [("0.2,0.3", "0.5", "--xa"), ("0.2", "x", "--xb")])
+    def test_pred_curve_point_errors_name_the_option(
+        self, xa, xb, option, data_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "curve"
+        code = main([
+            "pred-curve", "--data", str(data_csv), "--eps", "1.0",
+            "--gamma-grid", "1e-2:1e2:5", "--xa", xa, "--xb", xb, "--out", str(out),
+        ])
+        assert code == 1
+        assert option in capsys.readouterr().err
+        assert not (tmp_path / "curve.json").exists()
 
     def test_usage_error_exit_code(self, tmp_path):
         assert main(["predict", "--data", "missing.csv", "--out", str(tmp_path / "o")]) == 1

@@ -19,7 +19,7 @@ from flatgp import (
 )
 from flatgp.errors import InsufficientGrid, UnreachableDof
 from flatgp.flatlimit import _monomial_block_kernel
-from flatgp.spm import factorize_model, fit_factored, solve_trace
+from flatgp.spm import factorize_model, solve_trace
 
 
 def gamma_at_first_eps(kernel, X, sigma2, m, eps_grid):
@@ -132,7 +132,7 @@ class TestMatchedApproximation:
         g5 = isofreedom_gamma(kern, X, sigma2, 5.0)
         approx = matched_approximation(kern.with_params(gamma=g5), sigma2, X)
         assert approx.case is LimitCaseKind.UNPENALIZED_POLYNOMIAL
-        assert approx.target.basis_degree == 4
+        assert approx.factorization.model.basis_degree == 4
         assert approx.achieved_dof == pytest.approx(5.0, abs=1e-6)
 
     def test_gaussian_fractional_dof_penalized(self, rng):
@@ -145,7 +145,7 @@ class TestMatchedApproximation:
         X = np.sort(rng.uniform(0, 1, 10))
         approx = matched_approximation(Kernel.matern(1.5, epsilon=2.0, gamma=5.0), 0.01, X)
         assert approx.case is LimitCaseKind.SPLINE_REGRESSION
-        assert approx.target.kernel.order == 2
+        assert approx.factorization.model.kernel.order == 2
         assert approx.achieved_dof == pytest.approx(approx.source_dof, abs=1e-6)
 
     def test_matern_low_dof_falls_back_to_polynomial(self, rng):
@@ -223,12 +223,13 @@ class TestMatchedTarget:
         approx = matched_approximation(kern, sigma2, X)
         model = classify_limit(ScaledKernelFamily(kern, p=p), X).equivalent_model
         assert approx.case is kind
-        assert approx.target.basis_degree == model.basis_degree
-        assert approx.target.kernel.family is model.kernel.family
+        target, fac = approx.factorization.model, approx.factorization
+        assert target.basis_degree == model.basis_degree
+        assert target.kernel.family is model.kernel.family
         # the target is the classified model at the tuned gain
-        gain = approx.target.kernel.gamma / model.kernel.gamma
+        gain = fac.gain / model.kernel.gamma
         np.testing.assert_allclose(
-            kernel_matrix(approx.target.kernel, X),
+            fac.gain * kernel_matrix(target.kernel, X),
             gain * kernel_matrix(model.kernel, X),
             rtol=1e-12, atol=0,
         )
@@ -245,7 +246,7 @@ class TestMatchedTarget:
         g, _ = solve_trace(fac.evals, fac.m, approx.source_dof, sigma2)
         y = rng.normal(size=len(X))
         xq = rng.uniform(0, 1, size=(40, 2))
-        want = fit_factored(block.scaled(g), X, fac.scaled(g), y, sigma2).posterior(xq)
+        want = fac.scaled(g).fit(y, sigma2).posterior(xq)
         got = approx.fit(y).posterior(xq)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)

@@ -44,7 +44,7 @@ import flatgp.smoothers as smoothers_module
 import flatgp.spm as spm_module
 from flatgp.flatlimit import _limit_model, _monomial_block_kernel
 from flatgp.polybasis import as_design, count_poly_dim
-from flatgp.spm import augmented_smoother, factorize_model, fit_factored
+from flatgp.spm import augmented_smoother, factorize_model
 
 
 def _classify(kernel, p, d, n=20, gamma0=1.0):
@@ -393,8 +393,8 @@ def dense_pred_equiv(model_a, model_b, X, num_trials=8, seed=0):
         y = rng.normal(size=design.n)
         sigma2 = float(10.0 ** rng.uniform(-2, 0.5))
         x_new = rng.uniform(lo, hi)[None, :]
-        mean_a, var_a = fit_factored(model_a, design, fac_a, y, sigma2).posterior(x_new)
-        mean_b, var_b = fit_factored(model_b, design, fac_b, y, sigma2).posterior(x_new)
+        mean_a, var_a = fac_a.fit(y, sigma2).posterior(x_new)
+        mean_b, var_b = fac_b.fit(y, sigma2).posterior(x_new)
         dev_mean = max(dev_mean, float(np.abs(mean_a - mean_b).max()))
         dev_var = max(dev_var, float(np.abs(var_a - var_b).max()))
         Sa = fac_a.smoother(sigma2)
@@ -632,7 +632,7 @@ class TestConvergenceStudy:
         posterior = SpmFit.posterior
 
         def guarded(fit, query_points):
-            if fit.model.kernel.epsilon == 0.1:
+            if fit.factorization.model.kernel.epsilon == 0.1:
                 raise NegativeVariance("predictive variance below round-off")
             return posterior(fit, query_points)
 

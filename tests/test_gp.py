@@ -22,7 +22,7 @@ from flatgp.errors import IllConditioned, InterpolatingSmoother, NegativeVarianc
 from flatgp.flatlimit import absorbed_kernel_model
 from flatgp.gp import loo_components
 from flatgp.smoothers import SmootherMatrix
-from flatgp.spm import factorize_model, fit_factored
+from flatgp.spm import factorize_model
 
 
 def basis_smoother(n, m):
@@ -368,8 +368,7 @@ class TestLooAgainstRefits:
         mus, variances = [], []
         for i in range(n):
             keep = np.arange(n) != i
-            fac = loo_factorization(model, X[keep])
-            fit = fit_factored(model, X[keep], fac, y[keep], sigma2)
+            fit = loo_factorization(model, X[keep]).fit(y[keep], sigma2)
             mean, var = fit.posterior(X[i : i + 1])
             mus.append(mean[0])
             variances.append(var[0] + sigma2)

@@ -39,7 +39,7 @@ def kernels(count):
 def test_a_grid_in_one_stack_runs_inline(vectors, pools, monkeypatch):
     monkeypatch.setattr(pool_module, "threads", lambda: 2)
     # at n = 100 a stack holds floor(500 / 100) + 1 = 6 kernels
-    eps = lambda spec, kernel: kernel.epsilon  # noqa: E731
+    eps = lambda spec: spec.model.kernel.epsilon  # noqa: E731
     assert map_spectra(eps, kernels(6), X100, vectors=vectors) == [k.epsilon for k in kernels(6)]
     assert pools == []
     assert map_spectra(eps, kernels(7), X100, vectors=vectors) == [k.epsilon for k in kernels(7)]
@@ -51,12 +51,13 @@ def test_first_failure_in_grid_order_raises(vectors, monkeypatch):
     monkeypatch.setattr(pool_module, "threads", lambda: 2)
     grid = kernels(12)
 
-    def fn(spec, kernel):
+    def fn(spec):
         # the second kernel fails last in time and first in grid order
-        if kernel is grid[1]:
+        eps = spec.model.kernel.epsilon
+        if eps == grid[1].epsilon:
             time.sleep(0.2)
             raise UnreachableDof("second")
-        if kernel is grid[9]:
+        if eps == grid[9].epsilon:
             raise UnreachableDof("tenth")
         return spec.evals.max()
 
@@ -69,7 +70,7 @@ def test_without_openblas_control_the_pool_has_one_worker(pools, monkeypatch):
     monkeypatch.setattr(pool_module, "threads", lambda: 2)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
-    one = lambda spec, kernel: None  # noqa: E731
+    one = lambda spec: None  # noqa: E731
     map_spectra(one, kernels(7), X100, vectors=False)
     # BLAS may run threads of its own unless the environment pins it
     monkeypatch.setenv("OMP_NUM_THREADS", "1")

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -34,7 +35,6 @@ from flatgp.smoothers import difference
 from flatgp.spm import (
     augmented_smoother,
     factorize_model,
-    fit_factored,
     solve_trace,
 )
 
@@ -152,7 +152,7 @@ class TestPosteriorMean:
         X = np.sort(rng.uniform(0, 1, 10))
         y = rng.normal(size=10)
         fit = fit_spm(polyharmonic_spm(2, 1), X, y, 0.05)
-        V = fit.model.basis_matrix(X)
+        V = fit.factorization.model.basis_matrix(X)
         assert np.abs(V.T @ fit.alpha).max() <= 1e-8 * np.linalg.norm(fit.alpha)
 
 
@@ -285,7 +285,7 @@ class TestSmoothingSpline:
         x = np.sort(rng.uniform(0, 1, 9))
         y = rng.normal(size=9)
         fit = smoothing_spline_fit(x, y, 3, 0.01)
-        V = fit.model.basis_matrix(x[:, None])
+        V = fit.factorization.model.basis_matrix(x[:, None])
         assert np.abs(V.T @ fit.alpha).max() <= 1e-8 * np.linalg.norm(fit.alpha)
 
     def test_duplicate_points_rejected(self):
@@ -517,9 +517,8 @@ def posterior_fits(rng, k=None):
     X = rng.uniform(0, 1, size=(15, 1))
     y = rng.normal(size=15 if k is None else (15, k))
     gauss = Kernel.gaussian(epsilon=3.0, gamma=0.7)
-    gp = SemiParametricModel(gauss, d=1)
     return {
-        "gp-spectrum": fit_factored(gp, X, GpSpectrum.from_kernel(gauss, X), y, 0.2),
+        "gp-spectrum": GpSpectrum.from_kernel(gauss, X).fit(y, 0.2),
         "polyharmonic": fit_spm(polyharmonic_spm(2, 1), X, y, 0.2),
         "zero-kernel": fit_spm(SemiParametricModel(Kernel.zero(), d=1, basis_degree=2), X, y, 0.2),
     }
@@ -546,12 +545,16 @@ class TestPosteriorPath:
     @pytest.mark.parametrize("case", ["gp-spectrum", "polyharmonic", "zero-kernel"])
     def test_columns_fit_as_single_vectors(self, case, rng):
         k = 4
+        # a copy of the generator draws posterior_fits's design and data again
+        draws = copy.deepcopy(rng)
         fit = posterior_fits(rng, k)[case]
+        draws.uniform(0, 1, size=(15, 1))
+        y = draws.normal(size=(15, k))
         xq = np.linspace(-0.2, 1.2, 23)[:, None]
         mean, var = fit.posterior(xq)
         assert mean.shape == (len(xq), k) and var.shape == (len(xq),)
         for j in range(k):
-            one = fit_factored(fit.model, fit.design, fit.factorization, fit.y[:, j], fit.sigma2)
+            one = fit.factorization.fit(y[:, j], fit.sigma2)
             np.testing.assert_allclose(fit.alpha[:, j], one.alpha, rtol=0, atol=1e-10)
             np.testing.assert_allclose(fit.beta[:, j], one.beta, rtol=0, atol=1e-10)
             one_mean, one_var = one.posterior(xq)
@@ -562,7 +565,7 @@ class TestPosteriorPath:
     def test_y_of_other_shapes_rejected(self, shape, rng):
         fit = posterior_fits(rng)["polyharmonic"]
         with pytest.raises(ValueError, match="design point"):
-            fit_factored(fit.model, fit.design, fit.factorization, np.zeros(shape), 0.2)
+            fit.factorization.fit(np.zeros(shape), 0.2)
 
 
 def augmented_cases():
@@ -625,7 +628,7 @@ class TestAugmentedSmoother:
         x_new = rng.uniform(0, 1, size=(1, model.d))
         sigma2 = 0.07
         fac = factorize_model(model, X)
-        fit = fit_factored(model, X, fac, rng.normal(size=len(X)), sigma2)
+        fit = fac.fit(rng.normal(size=len(X)), sigma2)
         # the last column of the augmented smoother is (c w, 1 - c)
         border = augmented_smoother(
             fac,
@@ -668,7 +671,7 @@ class TestAugmentedSmoother:
                 sigma2,
             )
         with pytest.raises(ValueError, match="sigma2"):
-            fit_factored(model, X, fac, np.zeros(6), sigma2).bordered(x_new)
+            fac.fit(np.zeros(6), sigma2).bordered(x_new)
 
 
 # filter eigenvalues: exact zeros and positive values spanning 1e-16 to 1e4
@@ -815,6 +818,46 @@ class TestSpectralCore:
                 lambda f: f.solve(sigma2, y),
             ):
                 assert_same(outcome(lambda: fac_call(moved)), outcome(lambda: fac_call(fresh)))
+
+    @given(
+        case=st.sampled_from(["gp", "polyharmonic", "zero-kernel"]),
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2]),
+        extra=st.integers(1, 10),
+        log_g=st.floats(-6, 6),
+        log_sigma2=st.floats(-4, 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_factorization_fits_the_model_it_records(
+        self, case, seed, d, extra, log_g, log_sigma2
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0, 1, size=(3 + extra, d))
+        gauss = Kernel.gaussian(epsilon=3.0, gamma=1.7)
+        models = {
+            "gp": [SemiParametricModel(gauss, d=d), SemiParametricModel(Kernel.matern(1.5), d=d)],
+            "polyharmonic": [polyharmonic_spm(2, d).scaled(0.6)],
+            "zero-kernel": [SemiParametricModel(Kernel.zero(), d=d, basis_degree=1)],
+        }[case]
+        g, sigma2 = 10.0**log_g, 10.0**log_sigma2
+        try:
+            if case == "gp":
+                facs = GpSpectrum.from_kernels([model.kernel for model in models], X)
+            else:
+                facs = [factorize_model(models[0], X)]
+            fresh = factorize_model(models[0].scaled(g), X)
+        except NotUnisolvent:
+            assume(False)
+        for model, fac in zip(models, facs):
+            unit = model.kernel.with_params(gamma=1.0)
+            assert fac.model == SemiParametricModel(unit, d, model.basis_degree)
+            assert fac.gain == model.kernel.gamma
+            assert np.array_equal(fac.design.points, X)
+        y, xq = rng.normal(size=len(X)), rng.uniform(-0.2, 1.2, size=(7, d))
+        assert_same(
+            outcome(lambda: facs[0].scaled(g).fit(y, sigma2).posterior(xq)),
+            outcome(lambda: fresh.fit(y, sigma2).posterior(xq)),
+        )
 
     def test_scaled_shares_every_array(self, rng):
         X = rng.uniform(0, 1, size=(12, 1))
