@@ -325,6 +325,9 @@ def cmd_matched(args):
 
 def cmd_equiv_check(args):
     """Verify the two exact equivalence transformations on the classified limit."""
+    if not args.tol > 0:
+        # refused here too: a limit without a basis runs no check to refuse it
+        raise ValueError(f"tol must be positive, got tol={args.tol}")
     ds = _load_data(args)
     family = ScaledKernelFamily(_make_kernel(args), p=args.p, gamma0=args.gamma0)
     case = classify_limit(family, ds.X)

@@ -24,7 +24,6 @@ from .errors import (
     InsufficientGrid,
     NegativeVariance,
     NotProportional,
-    NotUnisolvent,
     UnreachableDof,
 )
 from .gp import GpSpectrum
@@ -41,6 +40,8 @@ from .polybasis import (
     as_design,
     count_poly_dim,
     enumerate_monomials,
+    framed_monomials,
+    graded_basis,
     monomial_matrix,
 )
 from .pool import map_spectra
@@ -49,7 +50,6 @@ from .spm import (
     SaddleFactorization,
     SemiParametricModel,
     factorize_model,
-    fit_spm,
     polyharmonic_spm,
     require_comparable,
     solve_trace,
@@ -289,7 +289,8 @@ def check_pred_equiv(
     factorization on X, spares the first when the caller has it), and every
     trial's fits, variances and smoothers are solves against those, since
     none of it depends on the drawn (y, sigma2).  The two models never share
-    a factorization: that would compare a model with itself.
+    a factorization: that would compare a model with itself.  A ``tol`` <= 0
+    raises ValueError.
 
     A trial forms one n x n matrix: the difference D = Sa - Sb of the two
     smoothers on X, from their spectral factors (``smoothers.difference``;
@@ -305,6 +306,8 @@ def check_pred_equiv(
     ca wa - cb wb and cb - ca are the blocks of Ma - Mb: no augmented design
     is factored and no smoother is formed.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got tol={tol}")
     require_comparable(model_a, model_b)
     design = as_design(X)
     fac_a = factorize_model(model_a, design) if factorization_a is None else factorization_a
@@ -416,9 +419,10 @@ def convergence_study(
     Random data vectors are drawn with the recorded seed; deviations are max
     absolute differences of predictive means and variances over the query
     points.  Pass requires a fitted log-log slope >= 0.8 and a final deviation
-    below ``tol``.  Epsilons whose GP is ill-conditioned or has a predictive
-    variance below round-off (NegativeVariance) are dropped (recorded); fewer
-    than three usable ones raise InsufficientGrid.
+    below ``tol`` (ValueError if ``tol`` <= 0).  Epsilons whose GP is
+    ill-conditioned or has a predictive variance below round-off
+    (NegativeVariance) are dropped (recorded); fewer than three usable ones
+    raise InsufficientGrid.
 
     The limit is the exact limit SPM (``_limit_model``); ``matched_gain`` is
     its gain where the classified model leaves the constant free, and 1.0
@@ -431,6 +435,8 @@ def convergence_study(
     has no predictive variance to compare (at sigma2 = 0 it is zero up to
     round-off), so only means are compared there.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got tol={tol}")
     eps_grid = [float(e) for e in eps_grid]
     if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps_grid must be strictly decreasing")
@@ -508,7 +514,9 @@ class PredictionCurve:
 
 def prediction_curve(kernel: Kernel, X, y, sigma2: float, gamma_grid, xa, xb) -> PredictionCurve:
     """Data behind the two-point visualization of the flat-limit theorems, at
-    the kernel's epsilon: each gamma of ``gamma_grid`` replaces its gain."""
+    the kernel's epsilon: each gamma of ``gamma_grid`` replaces its gain.
+    The anchors are the least-squares polynomial fits of degree 0, 1, ..., up
+    to the highest the design separates, from one QR (``graded_basis``)."""
     design = as_design(X)
     y = np.asarray(y, dtype=float)
     gamma_grid = [float(g) for g in gamma_grid]
@@ -534,19 +542,14 @@ def prediction_curve(kernel: Kernel, X, y, sigma2: float, gamma_grid, xa, xb) ->
             points.append(None)
             statuses.append("ill-conditioned")
 
-    anchors = []
-    deg = 0
-    while count_poly_dim(deg, design.d) <= design.n:
-        model = SemiParametricModel(Kernel.zero(), d=design.d, basis_degree=deg)
-        try:
-            pred = fit_spm(model, design, y, 0.0).predict(queries)
-        except NotUnisolvent:
-            break
-        anchors.append((deg, float(pred[0]), float(pred[1])))
-        deg += 1
+    Q, R, top = graded_basis(design, design.n - 1)
+    z = Q.T @ y
+    Vq = framed_monomials(queries, enumerate_monomials(top, design.d), design)
+    sizes = [count_poly_dim(deg, design.d) for deg in range(top + 1)]
+    fits = [Vq[:, :m] @ np.linalg.solve(R[:m, :m], z[:m]) for m in sizes]
     return PredictionCurve(
         gammas=tuple(gamma_grid),
         points=tuple(points),
-        anchors=tuple(anchors),
+        anchors=tuple((deg, float(pa), float(pb)) for deg, (pa, pb) in enumerate(fits)),
         statuses=tuple(statuses),
     )

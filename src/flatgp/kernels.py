@@ -433,8 +433,7 @@ def wronskian_schur(W: np.ndarray, l: int, d: int) -> np.ndarray:
     B = M[:nl, nl:]
     C = M[nl:, :nl]
     D = M[nl:, nl:]
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] > 1e12:
+    if not np.linalg.cond(A) <= 1e12:
         raise SingularWronskianBlock(
             f"leading Wronskian block of size {nl} is numerically singular"
         )

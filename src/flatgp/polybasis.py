@@ -5,13 +5,16 @@ A monomial is its exponent tuple: ``(2, 1)`` is ``x1^2 * x2``, of degree
 ascending total degree, and within a degree block the first coordinate
 carries the highest exponent first, so that for d=2 the degree-2 block reads
 ``(2, 0), (1, 1), (0, 2)``, that is ``x1^2, x1*x2, x2^2``.  Vandermonde
-matrices inherit one column block per degree.  The package's projectors come
-from one QR of the basis matrix (``spm.factorize``); the blocked
-orthonormalization of ``vandermonde`` is a public reference that no module
-of the package calls, and the tests check the flat-limit smoothers against
-it.
+matrices inherit one column block per degree.  A monomial basis lives in
+its design's frame (``framed_monomials``): each coordinate centred on the
+middle of the design's range and divided by half its width, so a design on
+[1990, 2020] is as well conditioned as one on [-1, 1], with the same spans.
+One rule judges a basis's rank, ``full_rank_blocks``; ``graded_basis`` reads
+it.  ``vandermonde`` is a public reference with a rule of its own, which no
+module of the package calls; the tests check the package against it.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,17 +44,9 @@ def count_poly_dim(k: int, d: int) -> int:
 
 
 def _exact_degree_exponents(k, d):
-    out = []
-
-    def rec(prefix, rem, dims):
-        if dims == 1:
-            out.append(prefix + (rem,))
-            return
-        for a in range(rem, -1, -1):
-            rec(prefix + (a,), rem - a, dims - 1)
-
-    rec((), k, d)
-    return out
+    if d == 1:
+        return [(k,)]
+    return [(a,) + rest for a in range(k, -1, -1) for rest in _exact_degree_exponents(k - a, d - 1)]
 
 
 def enumerate_monomials(k: int, d: int) -> list:
@@ -86,24 +81,34 @@ class Design:
     def d(self) -> int:
         return self.points.shape[1]
 
+    @cached_property
+    def frame(self):
+        """Centre and half-width of each coordinate's range (1 where it is 0)."""
+        lo, hi = self.points.min(axis=0), self.points.max(axis=0)
+        return 0.5 * (lo + hi), np.where(hi > lo, 0.5 * (hi - lo), 1.0)
+
 
 def as_design(X) -> Design:
     return X if isinstance(X, Design) else Design(np.asarray(X))
 
 
-def _rescaled(pts):
-    """The points under the affine map of each coordinate onto [-1, 1];
-    degenerate widths are left alone."""
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    halfwidth = 0.5 * (hi - lo)
-    return (pts - 0.5 * (lo + hi)) / np.where(halfwidth > 0, halfwidth, 1.0)
-
-
 def monomial_matrix(X, exponents) -> np.ndarray:
-    """Evaluate raw monomials (columns, one per exponent tuple) at design rows."""
+    """Evaluate raw monomials (columns, one per exponent tuple) at design rows,
+    from powers by repeated products: pow() of a negative base is slow."""
     pts = as_design(X).points
-    cols = [np.prod(pts ** np.asarray(e)[None, :], axis=1) for e in exponents]
-    return np.stack(cols, axis=1) if cols else np.zeros((pts.shape[0], 0))
+    E = np.asarray(exponents, dtype=int).reshape(-1, pts.shape[1])
+    powers = np.ones((E.max(initial=0) + 1,) + pts.shape)
+    for k in range(1, len(powers)):
+        powers[k] = powers[k - 1] * pts
+    return powers[E, :, np.arange(pts.shape[1])].prod(axis=1).T
+
+
+def framed_monomials(X, exponents, design=None) -> np.ndarray:
+    """Monomials (columns, one per exponent tuple) at the points ``X``, in the
+    ``frame`` of ``design`` (default ``X``): centred, and scaled to [-1, 1]."""
+    pts = as_design(X)
+    centre, half = (pts if design is None else as_design(design)).frame
+    return monomial_matrix((pts.points - centre) / half, exponents)
 
 
 @dataclass(frozen=True)
@@ -139,13 +144,11 @@ class VandermondeBlocks:
 def vandermonde(X, k: int) -> VandermondeBlocks:
     """Build degree blocks V_0..V_k and their blocked Gram-Schmidt basis."""
     design = as_design(X)
-    scaled = _rescaled(design.points)
-
     blocks, scaled_blocks = [], []
     for deg in range(k + 1):
         idx = _exact_degree_exponents(deg, design.d)
         blocks.append(monomial_matrix(design, idx))
-        scaled_blocks.append(monomial_matrix(scaled, idx))
+        scaled_blocks.append(framed_monomials(design, idx))
 
     q_blocks, ranks = [], []
     q_all = np.zeros((design.n, 0))
@@ -172,15 +175,37 @@ def vandermonde(X, k: int) -> VandermondeBlocks:
     )
 
 
-def unisolvency_rank(X, k: int, tol: float = DEFAULT_RANK_TOL):
-    """Numerical rank of V_{<=k}(X) and whether it is full (unisolvent).
+def full_rank_blocks(R, sizes) -> int:
+    """How many leading column blocks (of ``sizes``) of V = Q R are full rank,
+    by the package's one rule: while R has rows enough and its leading square
+    block's singular values, V's, all exceed ``DEFAULT_RANK_TOL`` times the largest."""
+    for j, cols in enumerate(itertools.accumulate(sizes)):
+        if cols > R.shape[0]:
+            return j
+        s = np.linalg.svd(R[:cols, :cols], compute_uv=False)
+        if not s[-1] > DEFAULT_RANK_TOL * s[0]:
+            return j
+    return len(sizes)
 
-    Singular values below ``tol`` times the largest one count as zero.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+
+def graded_basis(X, k: int):
+    """``(Q, R, degree)``: the reduced QR of the design's framed monomials of
+    degree <= ``degree``, the highest <= ``k`` whose blocks ``full_rank_blocks``
+    all admits; degrees 0..15 first, then twice as many while all are admitted."""
     design = as_design(X)
-    V = monomial_matrix(_rescaled(design.points), enumerate_monomials(k, design.d))
-    s = np.linalg.svd(V, compute_uv=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
-    return rank, rank == count_poly_dim(k, design.d)
+    top = max(j for j in range(-1, k + 1) if count_poly_dim(j, design.d) <= design.n)
+    degree = built = -1
+    Q = R = np.zeros((design.n, 0))
+    while degree == built < top:
+        built = min(top, max(15, 2 * built + 1))
+        Q, R = np.linalg.qr(framed_monomials(design, enumerate_monomials(built, design.d)))
+        degree = full_rank_blocks(R, [count_monomials(j, design.d) for j in range(built + 1)]) - 1
+    m = count_poly_dim(degree, design.d)
+    return Q[:, :m].copy(), R[:m, :m].copy(), degree
+
+
+def unisolvency_rank(X, k: int):
+    """Dimension of the polynomials of the highest degree <= ``k`` that the
+    design separates (``graded_basis``), and whether that degree is k."""
+    _, R, degree = graded_basis(X, k)
+    return R.shape[0], degree == k

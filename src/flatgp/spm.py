@@ -2,46 +2,25 @@
 
 Inference never forms the inverse of the possibly indefinite kernel matrix.
 Every solve is block elimination on the bordered (saddle-point) system: the
-basis matrix is orthonormalized, the kernel is restricted to the orthogonal
-complement of its span, and a symmetric eigendecomposition of that restriction
-is reused for means, variances, smoothers, traces, and the Laurent coefficient
-B0.
+basis matrix V is orthonormalized, the kernel is restricted to the orthogonal
+complement of its span, and a symmetric eigendecomposition of that
+restriction, ``SaddleFactorization``, the package's one spectral core, is
+reused for means, variances, smoothers, traces and the Laurent coefficient
+B0.  It is taken at unit gain and carries the gain as a scalar, so it depends
+on the kernel's shape, the basis and the design only: ``factorize_model``
+builds it once per (model, design) and ``scaled(g)`` moves it to any gain.  A
+GP is the model with an empty basis (``from_kernel``, exported as
+``gp.GpSpectrum``).
 
-That eigendecomposition, ``SaddleFactorization``, is the package's one
-spectral core.  It is taken of the kernel matrix at unit gain and carries the
-gain as a scalar, so it depends on the kernel's shape, the basis and the
-design only, never on the data ``y``, the noise level ``sigma2`` or the gain:
-``factorize_model`` builds it once per (model, design), ``scaled(g)`` moves it
-to another gain without refactoring, and fits at any ``(y, sigma2)``,
-smoothers at any ``sigma2`` and the predictive variances of a whole query
-batch are solves against it.  A smoother is kept as the modes, their filter
-and Q: its trace, diagonal and fitted values cost O(n^2), and the n x n
-matrix is formed only where it is read; two smoothers are compared through
-their difference (``smoothers.difference``), formed from the factors of
-both.  A GP is the model with an empty basis; its spectrum (``from_kernel``,
-exported as ``gp.GpSpectrum``) skips the complement and keeps no kernel
-matrix; ``from_kernels`` gives the spectra of several kernels on one design
-from one stacked eigensolver call, and ``pool.map_spectra`` factors a grid of
-kernels in such stacks concurrently.  A caller that reads traces alone asks for
-the eigenvalues only (``vectors=False``, ``eigvalsh``): ``dof``, ``scaled``
-and ``solve_trace`` need nothing else, and ``smoother``, ``solve`` and
-``nlml`` then raise ValueError.  Q, R and the complement basis come from
-one complete QR of the n x m basis matrix V, a solve reads the kernel matrix
-only through L Q, and an identically zero kernel skips the eigensolver.  The
-smoother on the design plus one point follows from the factorization and the
-smoother on the design by a bordered update (``augmented_smoother``, an
-(n+1) x (n+1) array), in O(n^2) beyond the smoother's matrix and with no new
-factorization; its terms (w, c) are x*'s bordered solve and sigma2 / s, so the
-difference of two models' augmented smoothers is a rank-two update of the
-difference on the design.
-
-A factorization records the model it factored and the design, so
-``fac.fit(y, sigma2)`` (of one data vector or of k as columns) is an
-``SpmFit`` that reads the kernel, basis, design and gain from it, and
-``SpmFit.posterior`` is the package's one posterior path: a GP's means and
-variances are those of its empty-basis fit, with the same round-off guard
-(NegativeVariance).  ``SpmFit.bordered`` reads the posterior at x* and the
-terms (w, c) from that one solve.
+Q, R and the complement basis come from one complete QR of V, whose rank the
+package's one rule judges (``polybasis.full_rank_blocks``).  A monomial basis
+is taken on the design's centred, scaled coordinates
+(``polybasis.framed_monomials``), and so are the query points: ``SpmFit.beta``
+holds the coefficients of those monomials, while the means and variances are
+those of the raw ones.  A factorization records the model it factored and the
+design, so ``fac.fit(y, sigma2)`` is an ``SpmFit`` that reads the kernel,
+basis, design and gain from it, and ``SpmFit.posterior`` is the package's one
+posterior path.
 """
 
 import math
@@ -64,13 +43,7 @@ from .kernels import (
     kernel_diag,
     kernel_matrix,
 )
-from .polybasis import (
-    DEFAULT_RANK_TOL,
-    as_design,
-    count_poly_dim,
-    enumerate_monomials,
-    monomial_matrix,
-)
+from .polybasis import as_design, count_poly_dim, enumerate_monomials, framed_monomials, full_rank_blocks
 from .smoothers import SmootherMatrix
 
 _PINV_TOL = 1e-12
@@ -107,16 +80,17 @@ class SemiParametricModel:
             return len(self.basis_functions)
         return count_poly_dim(self.basis_degree, self.d)
 
-    def basis_matrix(self, X) -> np.ndarray:
-        design = as_design(X)
-        if design.d != self.d:
-            raise ValueError(f"design dimension {design.d} != model dimension {self.d}")
+    def basis_matrix(self, X, design=None) -> np.ndarray:
+        """The basis at ``X``; monomials in the frame of ``design`` (default ``X``)."""
+        pts = as_design(X)
+        if pts.d != self.d:
+            raise ValueError(f"design dimension {pts.d} != model dimension {self.d}")
         if self.basis_functions is not None:
-            cols = [np.asarray(f(design.points), dtype=float) for f in self.basis_functions]
-            return np.stack(cols, axis=1) if cols else np.zeros((design.n, 0))
+            cols = [np.asarray(f(pts.points), dtype=float) for f in self.basis_functions]
+            return np.stack(cols, axis=1) if cols else np.zeros((pts.n, 0))
         if self.basis_degree < 0:
-            return np.zeros((design.n, 0))
-        return monomial_matrix(design, enumerate_monomials(self.basis_degree, self.d))
+            return np.zeros((pts.n, 0))
+        return framed_monomials(pts, enumerate_monomials(self.basis_degree, self.d), design)
 
     def scaled(self, factor: float) -> "SemiParametricModel":
         k = self.kernel
@@ -142,13 +116,9 @@ def _basis_factors(V):
     n, m = V.shape
     if m == 0:
         return np.zeros((n, 0)), np.zeros((0, 0)), None
-    s = np.linalg.svd(V, compute_uv=False)
-    # fewer points than basis functions leave fewer than m singular values
-    if len(s) < m or s[-1] <= DEFAULT_RANK_TOL * s[0]:
-        raise NotUnisolvent(
-            f"basis matrix has numerical rank below {m} on this design"
-        )
     full, R = np.linalg.qr(V, mode="complete")
+    if not full_rank_blocks(R, [m]):
+        raise NotUnisolvent(f"basis matrix has numerical rank below {m} on this design")
     # copies, so that the factorization does not keep the n x n array alive
     return full[:, :m].copy(), R[:m].copy(), full[:, m:]
 
@@ -275,21 +245,22 @@ class SaddleFactorization:
 
     def _filter_terms(self, sigma2):
         """Scaled eigenvalues lam and solve denominators lam + sigma2.  At
-        sigma2 = 0 the pseudo-inverse drops the modes with |lam| at round-off
-        level by an infinite denominator."""
+        sigma2 = 0 the pseudo-inverse drops the modes with |lam| <= ``_PINV_TOL``
+        |lam|_max, and the GP spectrum raises from n u lam_max down."""
         if not sigma2 >= 0:
             raise ValueError(f"sigma2 must be nonnegative, got sigma2={sigma2}")
         lam = self.gain * self.evals
         if self.pseudo_inverse:
             denom = lam + sigma2
             if sigma2 == 0:
-                cut = _PINV_TOL * max(1.0, float(np.abs(lam).max(initial=0.0)))
-                denom[np.abs(lam) <= cut] = np.inf
+                denom[np.abs(lam) <= _PINV_TOL * np.abs(lam).max(initial=0.0)] = np.inf
             return lam, denom
         smallest = float(lam.min()) + sigma2
-        if smallest <= 0:
+        floor = 0.0 if sigma2 else lam.size * np.finfo(float).eps * float(lam.max())
+        if smallest <= floor:
             raise IllConditioned(
-                f"K + sigma2 I has nonpositive smallest eigenvalue {smallest:.3e}",
+                f"K + sigma2 I is singular: its smallest eigenvalue {smallest:.3e} is at or "
+                f"below {floor:.3e}" + ("" if sigma2 else ", n u lam_max at sigma2 = 0"),
                 smallest_eigenvalue=smallest,
             )
         return lam, lam + sigma2
@@ -454,16 +425,13 @@ class SpmFit:
 
     def _queried(self, query_points):
         """The queries, their cross kernel Lq (gain times the unit-gain one)
-        and basis rows Vq."""
+        and basis rows Vq, in the design's frame."""
         fac, Xq = self.factorization, as_design(query_points)
         Lq = fac.gain * kernel_cross(fac.model.kernel, Xq, fac.design)
-        return Xq, Lq, fac.model.basis_matrix(Xq)
+        return Xq, Lq, fac.model.basis_matrix(Xq, fac.design)
 
     def _mean(self, Lq, Vq) -> np.ndarray:
-        out = Lq @ self.alpha
-        if self.factorization.m:
-            out = out + Vq @ self.beta
-        return out
+        return Lq @ self.alpha + Vq @ self.beta
 
     def predict(self, query_points) -> np.ndarray:
         _, Lq, Vq = self._queried(query_points)

@@ -628,6 +628,23 @@ class TestCommands:
         assert option in capsys.readouterr().err
         assert not (tmp_path / "curve.json").exists()
 
+    def test_noiseless_gp_on_a_repeated_point_exits_1(self, tmp_path, capsys):
+        # the repeat, with another y, leaves K's smallest eigenvalue at
+        # round-off (1e-18 here, above zero): a GP interpolant there is noise
+        x = np.linspace(0, 1, 30)
+        y = np.sin(3 * x)
+        data = tmp_path / "repeated.csv"
+        rows = [f"{a:.17g},{b:.17g}" for a, b in zip(np.append(x, x[3]), np.append(y, y[3] + 0.5))]
+        data.write_text("x1,y\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "pred"
+        code = main([
+            "predict", "--data", str(data), "--kernel", "matern", "--nu", "1.5", "--eps", "1",
+            "--sigma2", "0", "--query", "0.1,0.2", "--out", str(out),
+        ])
+        assert code == 1
+        assert "singular" in capsys.readouterr().err
+        assert not (tmp_path / "pred.json").exists()
+
     def test_usage_error_exit_code(self, tmp_path):
         assert main(["predict", "--data", "missing.csv", "--out", str(tmp_path / "o")]) == 1
 
@@ -646,6 +663,10 @@ class TestCommands:
             ["dof-grid", "--eps-grid", "0:1:3", "--gamma-grid", "1:10:2"],
             ["predict", "--dim", "2", "--query", "0.1,0.2,0.3"],
             ["fit", "--data", "DATA", "--y-col", "zz"],
+            ["equiv-check", "--p", "1", "--kernel", "exponential", "--tol", "-1"],
+            ["equiv-check", "--p", "0", "--tol", "0"],
+            ["converge", "--p", "1", "--kernel", "exponential", "--eps-grid", "0.025:0.2:4",
+             "--tol", "-1"],
         ],
         ids=" ".join,
     )

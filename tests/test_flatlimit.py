@@ -406,7 +406,7 @@ def dense_pred_equiv(model_a, model_b, X, num_trials=8, seed=0):
                 S,
                 kernel_cross(model.kernel, x_new, design)[0],
                 kernel_diag(model.kernel, x_new)[0],
-                model.basis_matrix(x_new)[0],
+                model.basis_matrix(x_new, design)[0],
                 sigma2,
             )
             for model, fac, S in ((model_a, fac_a, Sa), (model_b, fac_b, Sb))
@@ -683,8 +683,8 @@ class TestWorkCounts:
         # that is n - m rows, on an augmented design it would be n + 1 - m
         n, m = len(X), model.basis_size()
         assert all(shape == (n - m, n - m) for shape in eigh)
-        # the only SVDs are rank checks of the n x m basis matrices on X
-        assert svd and all(shape == (n, m) for shape in svd)
+        # the only SVDs are the rank rule's, of the m x m factors R of the bases
+        assert svd and all(shape == (m, m) for shape in svd)
         # smoothers are compared through their differences, never formed
         assert dense_smoothers == []
 
@@ -801,8 +801,8 @@ class TestPredictionCurve:
         monkeypatch.setattr(flatlimit_module, "kernel_cross", counted)
         monkeypatch.setattr(spm_module, "kernel_cross", counted)
         curve = prediction_curve(kernel.with_params(epsilon=eps), X, y, sigma2, grid, 0.2, 0.8)
-        # the gamma loop reads one cross kernel; each anchor fit predicts once
-        assert len(calls) == 1 + len(curve.anchors)
+        # the gamma loop reads one cross kernel; the anchors read none
+        assert len(calls) == 1 and len(curve.anchors) == 9
         # the same predictions as a cross kernel built at each gain
         spec = GpSpectrum.from_kernel(kernel.with_params(epsilon=eps), X)
         queries = np.array([[0.2], [0.8]])

@@ -148,13 +148,19 @@ class TestValuesOnlySpectrum:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_singular_kernel_raises_either_way(self, rng, d):
-        # at eps = 1e-4 the Gaussian kernel matrix is all ones to round-off
+        # at eps = 1e-4 the Gaussian kernel matrix is all ones to round-off;
+        # a repeated point makes two rows equal, and the smallest eigenvalue
+        # lands at round-off, which may be above zero
         X = rng.uniform(0, 1, size=(10, d))
-        kern = Kernel.gaussian(epsilon=1e-4)
-        for vectors in (True, False):
-            spec = GpSpectrum.from_kernel(kern, X, vectors=vectors)
-            with pytest.raises(IllConditioned):
-                spec.dof(0.0)
+        repeated = np.vstack([X, X[3]])
+        for kern, design in (
+            (Kernel.gaussian(epsilon=1e-4), X),
+            (Kernel.matern(1.5), repeated),
+        ):
+            for vectors in (True, False):
+                spec = GpSpectrum.from_kernel(kern, design, vectors=vectors)
+                with pytest.raises(IllConditioned):
+                    spec.dof(0.0)
 
     def test_values_only_spectrum_refuses_solves(self, setup, count_linalg):
         X, y = setup

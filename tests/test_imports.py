@@ -1,10 +1,15 @@
-"""Every name a module of the package imports is used in it.
+"""Every name a module of the package imports is used in it, and one
+function judges a basis's rank.
 
 A stdlib stand-in for a linter's unused-import rule (pyflakes F401): a name
 bound by an import counts as used when the module reads it as a name, the
 root of an attribute chain included.  ``__init__.py`` re-exports by
 importing, so it is exempt, as is any imported name on a line marked
 ``# noqa: F401``.
+
+The rank of a basis is decided by ``polybasis.full_rank_blocks`` alone: no other
+function reads ``DEFAULT_RANK_TOL`` or takes an SVD, except the blocked
+reference ``vandermonde`` that the tests compare against.
 """
 
 import ast
@@ -46,3 +51,49 @@ def test_module_uses_every_name_it_imports(path):
 def test_an_unused_import_is_found():
     source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\nprint(os.sep, tau)\n"
     assert unused_imports(source) == [(3, "pi")]
+
+
+# The rank rule lives in one function, and the blocked reference keeps its own
+RANK_RULE = {("polybasis.py", "full_rank_blocks"), ("polybasis.py", "vandermonde")}
+
+
+def rank_rule_readers(source: str) -> set:
+    """Names of the functions of ``source`` (``<module>`` outside any) that
+    read ``DEFAULT_RANK_TOL`` or call an ``svd``."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name not in ("DEFAULT_RANK_TOL", "svd"):
+            continue
+        owner = node
+        while owner in parents and not isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = parents[owner]
+        found.add(getattr(owner, "name", "<module>"))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_rank_rule_judges_rank(path):
+    readers = {(path.name, name) for name in rank_rule_readers(path.read_text())}
+    assert readers <= RANK_RULE
+
+
+def test_a_rank_rule_reader_is_found():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import svd\n"
+        "from .polybasis import DEFAULT_RANK_TOL\n"
+        "CUT = 1e-10\n"
+        "def judged(V, tol=DEFAULT_RANK_TOL):\n    return V\n"
+        "def spectral(V):\n    return np.linalg.svd(V)\n"
+        "def bare(V):\n    return svd(V)\n"
+        "def clean(V):\n    return np.linalg.qr(V)\n"
+    )
+    assert rank_rule_readers(source) == {"judged", "spectral", "bare"}

@@ -14,6 +14,7 @@ from flatgp import (
     vandermonde,
 )
 from flatgp.errors import FlatGpError
+from flatgp.polybasis import framed_monomials, graded_basis
 
 
 def brute_count(k, d):
@@ -131,9 +132,54 @@ class TestUnisolvency:
         rank, ok = unisolvency_rank(x, 5)
         assert ok and rank == 6
 
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            unisolvency_rank(np.array([0.0, 1.0]), 1, tol=0.0)
+
+class TestGradedBasis:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2]),
+        k=st.integers(0, 3),
+        extra=st.integers(-3, 8),
+        collinear=st.booleans(),
+        log_shift=st.floats(0, 4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_degree_is_where_the_reference_block_ranks_fall_short(
+        self, seed, d, k, extra, collinear, log_shift
+    ):
+        # random designs, some with too few points and, in d = 2, some on a line
+        rng = np.random.default_rng(seed)
+        n = max(1, count_poly_dim(k, d) + extra)
+        X = rng.uniform(0, 1, size=(n, d))
+        if collinear and d == 2:
+            X[:, 1] = X[:, 0]
+        X = X + 10.0**log_shift
+        Q, R, degree = graded_basis(X, k)
+        full = [
+            rank == count_monomials(j, d) for j, rank in enumerate(vandermonde(X, k).block_ranks)
+        ]
+        assert degree == (full.index(False) if False in full else k + 1) - 1
+        m = count_poly_dim(degree, d)
+        assert Q.shape == (n, m) and R.shape == (m, m)
+        V = framed_monomials(X, enumerate_monomials(degree, d))
+        np.testing.assert_allclose(Q @ R, V, rtol=0, atol=1e-12)
+        assert unisolvency_rank(X, k) == (m, degree == k)
+
+    def test_stops_where_the_rank_rule_does(self):
+        # monomials of high degree on 400 points of [-1, 1] lose rank near
+        # degree 27; the basis is built in doubling batches only that far
+        x = np.linspace(-1, 1, 400)
+        degree = graded_basis(x, 399)[2]
+        assert 15 < degree < 31
+        assert graded_basis(x, degree)[2] == degree
+        assert graded_basis(x, degree + 1)[2] == degree
+
+    def test_queries_take_the_design_frame(self):
+        X = np.array([[1990.0, -5.0], [2000.0, 5.0], [2020.0, 0.0]])
+        q = np.array([[2005.0, 2.5]])
+        # centre (2005, 0), half-widths (15, 5): q sits at (0, 0.5)
+        linear = enumerate_monomials(1, 2)
+        np.testing.assert_array_equal(framed_monomials(q, linear, X), [[1.0, 0.0, 0.5]])
+        np.testing.assert_array_equal(framed_monomials(X, linear)[:, 1], [-1.0, -1 / 3, 1.0])
 
 
 class TestDesign:

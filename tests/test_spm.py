@@ -21,6 +21,7 @@ from flatgp import (
     project_out_basis,
     smoothing_spline_fit,
     spline_dof,
+    unisolvency_rank,
 )
 from flatgp.errors import (
     DegenerateDesign,
@@ -169,7 +170,7 @@ class TestPosteriorVar:
         xq = np.linspace(0, 1, 9)[:, None]
         var = fit_spm(model, X, np.zeros(len(X)), sigma2).posterior(xq)[1]
         V = model.basis_matrix(X)
-        Vq = model.basis_matrix(xq)
+        Vq = model.basis_matrix(xq, X)
         expect = sigma2 * np.einsum(
             "ij,ji->i", Vq, np.linalg.solve(V.T @ V, Vq.T)
         )
@@ -392,8 +393,8 @@ class TestFactorization:
         n = 15
         X = rng.uniform(0, 1, size=(n, 2))
         fac = factorize_model(polyharmonic_spm(2, 2), X)
-        # the rank check's singular values, then Q, R and the complement at once
-        assert svd == [(n, 3)] and qr == [(n, 3)]
+        # Q, R and the complement at once, then the rank rule's singular values of R
+        assert svd == [(3, 3)] and qr == [(n, 3)]
         assert fac.LQ.shape == (n, 3)
         for name, arr in vars(fac).items():
             if isinstance(arr, np.ndarray) and name != "modes":
@@ -493,7 +494,7 @@ class TestBatchedVariance:
         fit = fit_spm(model, X, rng.normal(size=15), sigma2)
         xq = np.linspace(-0.2, 1.2, 23)[:, None]
         Lq = kernel_cross(model.kernel, xq, X)
-        Vq = model.basis_matrix(xq)
+        Vq = model.basis_matrix(xq, X)
         prior = kernel_diag(model.kernel, xq)
         expect = np.empty(len(xq))
         for i in range(len(xq)):
@@ -612,7 +613,7 @@ class TestAugmentedSmoother:
             fac.smoother(sigma2),
             kernel_cross(model.kernel, x_new[None, :], X)[0],
             kernel_diag(model.kernel, x_new[None, :])[0],
-            model.basis_matrix(x_new[None, :])[0],
+            model.basis_matrix(x_new[None, :], X)[0],
             sigma2,
         )
         want = factorize_model(model, X_aug).smoother(sigma2).matrix
@@ -635,7 +636,7 @@ class TestAugmentedSmoother:
             fac.smoother(sigma2),
             kernel_cross(model.kernel, x_new, X)[0],
             kernel_diag(model.kernel, x_new)[0],
-            model.basis_matrix(x_new)[0],
+            model.basis_matrix(x_new, X)[0],
             sigma2,
         )[:, -1]
         c_want = 1.0 - border[-1]
@@ -667,7 +668,7 @@ class TestAugmentedSmoother:
                 fac.smoother(0.1),
                 kernel_cross(model.kernel, x_new, X)[0],
                 kernel_diag(model.kernel, x_new)[0],
-                model.basis_matrix(x_new)[0],
+                model.basis_matrix(x_new, X)[0],
                 sigma2,
             )
         with pytest.raises(ValueError, match="sigma2"):
@@ -921,3 +922,78 @@ class TestSpectralCore:
         X = rng.uniform(0, 1, size=(8, 1))
         with pytest.raises(ValueError, match="GP spectrum"):
             factorize_model(polyharmonic_spm(2, 1), X).nlml(np.ones(8), 0.1)
+
+
+class TestDesignFrame:
+    """Monomial bases live in the design's centred, scaled frame, so a fit
+    does not depend on where the design sits."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2]),
+        degree=st.integers(0, 3),
+        extra=st.integers(-2, 6),
+        collinear=st.booleans(),
+        log_shift=st.floats(3, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fit_succeeds_exactly_when_unisolvent(
+        self, seed, d, degree, extra, collinear, log_shift
+    ):
+        rng = np.random.default_rng(seed)
+        n = max(1, SemiParametricModel(Kernel.zero(), d, degree).basis_size() + extra)
+        X = rng.uniform(0, 1, size=(n, d))
+        if collinear and d == 2:
+            X[:, 1] = X[:, 0]
+        X = X + rng.choice([-1.0, 1.0], size=d) * 10.0**log_shift
+        model = SemiParametricModel(Kernel.matern(1.5), d, basis_degree=degree)
+        try:
+            fit_spm(model, X, rng.normal(size=n), 0.1)
+            fitted = True
+        except NotUnisolvent:
+            fitted = False
+        assert fitted == unisolvency_rank(X, degree)[1]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2]),
+        r=st.integers(1, 4),
+        extra=st.integers(3, 14),
+        log_shift=st.floats(3, 4),
+        log_sigma2=st.floats(-3, 0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_translated_design_predicts_the_same(self, seed, d, r, extra, log_shift, log_sigma2):
+        rng = np.random.default_rng(seed)
+        model = polyharmonic_spm(r, d)
+        n = model.basis_size() + extra
+        X, q = rng.uniform(0, 1, size=(n, d)), rng.uniform(0, 1, size=(7, d))
+        y, sigma2 = rng.normal(size=n), 10.0**log_sigma2
+        shift = rng.choice([-1.0, 1.0], size=d) * 10.0**log_shift
+        try:
+            mean, var = fit_spm(model, X, y, sigma2).posterior(q)
+        except NotUnisolvent:
+            assume(False)
+        moved_mean, moved_var = fit_spm(model, X + shift, y, sigma2).posterior(q + shift)
+        # the moved design holds its coordinates to relative 4e-16, absolute
+        # 4e-16 |x + shift|, and moving the design itself by that much moves
+        # a fit whatever its basis (a linear spline on 7 points: means by
+        # 6e-9 relative); the translation may move it ten times as much
+        nudged_mean = nudged_var = 0.0
+        for _ in range(3):
+            nudge = 4e-16 * np.abs(X + shift) * rng.choice([-1.0, 1.0], size=X.shape)
+            m, v = fit_spm(model, X + nudge, y, sigma2).posterior(q)
+            nudged_mean = max(nudged_mean, np.abs(m - mean).max())
+            nudged_var = max(nudged_var, np.abs(v - var).max())
+        assert np.abs(moved_mean - mean).max() <= max(
+            1e-9 * np.abs(mean).max(), 10 * nudged_mean
+        )
+        assert np.abs(moved_var - var).max() <= 10 * nudged_var + 1e-15 * var.max()
+
+    @pytest.mark.parametrize("gain", [1.0, 1e-3, 1e-6, 1e-9, 1e-12])
+    def test_noiseless_saddle_fit_interpolates_at_any_gain(self, gain):
+        # the pseudo-inverse's round-off cut scales with the largest eigenvalue
+        X = np.linspace(0, 1, 30)
+        y = np.sin(3 * X)
+        fit = fit_spm(polyharmonic_spm(2, 1).scaled(gain), X, y, 0.0)
+        assert np.abs(fit.predict(X) - y).max() <= 1e-13
