@@ -335,18 +335,18 @@ def cmd_equiv_check(args):
     m = model.basis_size()
     results, errors = {}, []
     if m > 0:
-        # both checks compare against the same model on the same design
+        # both checks compare against one factorization of the model
         fac = factorize_model(model, ds.X)
         for name, other in (
             ("basis_change", recombined_basis_model(model, seed=args.seed)),
-            ("kernel_absorption", absorbed_kernel_model(model, coefficient=0.7)),
+            ("kernel_absorption", absorbed_kernel_model(model, ds.X, coefficient=0.7)),
         ):
-            ok, rep = check_pred_equiv(
-                model, other, ds.X, tol=args.tol, seed=args.seed, factorization_a=fac
+            rep = check_pred_equiv(
+                fac, factorize_model(other, ds.X), tol=args.tol, seed=args.seed
             )
             dev = max(rep.max_mean_dev, rep.max_var_dev, rep.max_smoother_dev)
-            results[name] = {"equivalent": ok, "max_dev": dev}
-            if not ok:
+            results[name] = {"equivalent": rep.equivalent, "max_dev": dev}
+            if not rep.equivalent:
                 errors.append(f"{name}: max_dev {dev:.3g} > tol {args.tol:g}")
     metrics = {
         "case": case.kind.value, "basis_size": m, "checks": results, "all_equivalent": not errors

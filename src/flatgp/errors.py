@@ -61,7 +61,9 @@ class InsufficientGrid(FlatGpError):
 
 
 class IncomparableModels(FlatGpError):
-    """Two semi-parametric models have different parametric dimensions."""
+    """Two factorizations cannot be compared: their bases differ in size, they
+    are of different designs, or one is a raw ``factorize(L, V)`` that records
+    no model."""
 
 
 class DatasetError(FlatGpError):

@@ -11,6 +11,12 @@ from the family and the design alone, ``_limit_model`` fixes the constant
 that the classification leaves free, and the limiting smoother, the
 convergence studies and the matched gain all factor that one exact model
 with the spectral core of ``spm``.
+
+Prediction-equivalence is a relation between factored models:
+``check_pred_equiv`` and ``match_scale`` take two factorizations
+(``spm.factorize_model``) and read the models, gains and design from them,
+so they factor nothing and a factorization cannot stand beside another
+model.
 """
 
 import enum
@@ -21,6 +27,7 @@ import numpy as np
 
 from .errors import (
     IllConditioned,
+    IncomparableModels,
     InsufficientGrid,
     NegativeVariance,
     NotProportional,
@@ -51,7 +58,6 @@ from .spm import (
     SemiParametricModel,
     factorize_model,
     polyharmonic_spm,
-    require_comparable,
     solve_trace,
 )
 
@@ -97,8 +103,9 @@ class LimitCase:
         return self.equivalent_model.basis_degree
 
 
-def _monomial_block_kernel(kernel: Kernel, m: int, d: int) -> Kernel:
-    """Finite-rank kernel sum_{|a|=|b|=m} Wbar_m(a, b) x^a y^b at unit scale.
+def _monomial_block_kernel(kernel: Kernel, m: int, d: int, centre=None) -> Kernel:
+    """Finite-rank kernel sum_{|a|=|b|=m} Wbar_m(a, b) (x - c)^a (y - c)^b at
+    unit scale, with c the ``centre`` (default 0).
 
     Wbar_m is the Schur complement of the degree-m block of the unit-scale
     Wronskian; the kernel's ``coef`` holds it, rows in monomial order.
@@ -106,7 +113,7 @@ def _monomial_block_kernel(kernel: Kernel, m: int, d: int) -> Kernel:
     unit = kernel.with_params(epsilon=1.0, gamma=1.0)
     Wbar = wronskian_schur(wronskian(unit, m, d), m, d)
     block = [e for e in enumerate_monomials(m, d) if sum(e) == m]
-    return Kernel.monomial_block(block, Wbar)
+    return Kernel.monomial_block(block, Wbar, centre=centre)
 
 
 def classify_limit(family: ScaledKernelFamily, X) -> LimitCase:
@@ -117,7 +124,10 @@ def classify_limit(family: ScaledKernelFamily, X) -> LimitCase:
     classified as interpolation.  The penalized case of a Gaussian base is
     the canonical polynomial kernel at gain gamma0 (``scale_free=True``);
     any other base gives its exact Wronskian-Schur block kernel at gamma0
-    (no free constant).
+    (no free constant).  Both are taken about the centre of the design's
+    frame: for |a| = |b| = m, (x - c)^a (y - c)^b - x^a y^b has degree below
+    m in x or in y, which the basis of degree m - 1 absorbs, so the model is
+    the same while a design far from the origin keeps its digits.
     """
     design = as_design(X)
     r, p, d, gamma0 = regularity(family.base), family.p, design.d, family.gamma0
@@ -158,14 +168,15 @@ def classify_limit(family: ScaledKernelFamily, X) -> LimitCase:
             scale_free=False,
         )
     # even, p = 2m < 2r-1: penalized polynomial with degree-m kernel block
-    m = l
+    m, centre = l, design.frame[0]
     if family.base.family is not Family.GAUSSIAN:
-        block_kernel = _monomial_block_kernel(family.base, m, d)
+        block_kernel = _monomial_block_kernel(family.base, m, d, centre)
         block_kernel = block_kernel.with_params(gamma=gamma0)
         model = SemiParametricModel(block_kernel, d=d, basis_degree=m - 1)
         scale_free = False
     else:
-        model = SemiParametricModel(Kernel.polynomial(m, gamma=gamma0), d=d, basis_degree=m - 1)
+        kernel = Kernel.polynomial(m, gamma=gamma0, centre=centre)
+        model = SemiParametricModel(kernel, d=d, basis_degree=m - 1)
         scale_free = True
     return LimitCase(
         kind=LimitCaseKind.PENALIZED_POLYNOMIAL,
@@ -238,8 +249,11 @@ def recombined_basis_model(model: SemiParametricModel, seed: int = 0) -> SemiPar
     )
 
 
-def absorbed_kernel_model(model: SemiParametricModel, coefficient: float = 1.0) -> SemiParametricModel:
-    """Add ``coefficient * sum_v v(x) v(y)`` over the basis into the kernel.
+def absorbed_kernel_model(
+    model: SemiParametricModel, X, coefficient: float = 1.0
+) -> SemiParametricModel:
+    """Add ``coefficient * sum_v v(x) v(y)`` over the basis into the kernel,
+    the monomials v taken about the centre of the design X's frame.
 
     Outer products of unpenalized basis functions are absorbed by the improper
     prior, so the result is prediction-equivalent to the original.
@@ -247,7 +261,9 @@ def absorbed_kernel_model(model: SemiParametricModel, coefficient: float = 1.0) 
     if model.basis_functions is not None:
         raise ValueError("expected a monomial-basis model")
     indices = enumerate_monomials(model.basis_degree, model.d)
-    bump = Kernel.monomial_block(indices, coefficient * np.eye(len(indices)))
+    bump = Kernel.monomial_block(
+        indices, coefficient * np.eye(len(indices)), centre=as_design(X).frame[0]
+    )
     if model.kernel.family is Family.ZERO:
         new_kernel = bump
     else:
@@ -261,9 +277,6 @@ class EquivalenceCheck:
     max_mean_dev: float
     max_var_dev: float
     max_smoother_dev: float
-    tol: float
-    num_trials: int
-    seed: int
 
 
 def _max_abs(A) -> float:
@@ -271,26 +284,32 @@ def _max_abs(A) -> float:
     return max(float(A.max()), -float(A.min()))
 
 
+def _require_comparable(fac_a: SaddleFactorization, fac_b: SaddleFactorization):
+    """Raise IncomparableModels unless both record a model, of one design and basis size."""
+    if fac_a.model is None or fac_b.model is None:
+        raise IncomparableModels("a raw factorize(L, V) records no model to compare")
+    if fac_a.m != fac_b.m:
+        raise IncomparableModels(f"parametric dimensions differ: {fac_a.m} vs {fac_b.m}")
+    if not np.array_equal(fac_a.design.points, fac_b.design.points):
+        raise IncomparableModels("the factorizations are of different designs")
+
+
 def check_pred_equiv(
-    model_a: SemiParametricModel,
-    model_b: SemiParametricModel,
-    X,
+    fac_a: SaddleFactorization,
+    fac_b: SaddleFactorization,
     num_trials: int = 8,
     tol: float = 1e-8,
     seed: int = 0,
-    factorization_a: SaddleFactorization = None,
-) -> tuple:
-    """Test prediction-equivalence on random data, noise levels, and queries.
+) -> EquivalenceCheck:
+    """Test prediction-equivalence of two factored models (``factorize_model``)
+    on random data, noise levels and queries, and compare their smoothers on
+    the design and on the design augmented with each query point.
 
-    Also compares smoother matrices on X and on X augmented with each query
-    point.  Returns (equivalent, EquivalenceCheck).
-
-    Each model is factored once on X (``factorization_a``, model_a's
-    factorization on X, spares the first when the caller has it), and every
-    trial's fits, variances and smoothers are solves against those, since
-    none of it depends on the drawn (y, sigma2).  The two models never share
-    a factorization: that would compare a model with itself.  A ``tol`` <= 0
-    raises ValueError.
+    Models, gains and design are read from the factorizations, and every
+    trial's fits, variances and smoothers are solves against them: nothing
+    is factored.  Factorizations of different designs or basis sizes, or a
+    raw ``factorize(L, V)``, raise IncomparableModels; ``num_trials`` < 1 or
+    ``tol`` <= 0 raises ValueError.
 
     A trial forms one n x n matrix: the difference D = Sa - Sb of the two
     smoothers on X, from their spectral factors (``smoothers.difference``;
@@ -306,12 +325,12 @@ def check_pred_equiv(
     ca wa - cb wb and cb - ca are the blocks of Ma - Mb: no augmented design
     is factored and no smoother is formed.
     """
+    if not num_trials >= 1:
+        raise ValueError(f"num_trials must be at least 1, got num_trials={num_trials}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got tol={tol}")
-    require_comparable(model_a, model_b)
-    design = as_design(X)
-    fac_a = factorize_model(model_a, design) if factorization_a is None else factorization_a
-    fac_b = factorize_model(model_b, design)
+    _require_comparable(fac_a, fac_b)
+    design = fac_a.design
     basis = fac_a.Q @ fac_a.Q.T - fac_b.Q @ fac_b.Q.T if fac_a.m else None
     rng = np.random.default_rng(seed)
     lo = design.points.min(axis=0)
@@ -332,44 +351,37 @@ def check_pred_equiv(
         dev_smoother = max(
             dev_smoother, _max_abs(D), _max_abs(ca * wa - cb * wb), abs(float(cb - ca))
         )
-    ok = bool(dev_mean <= tol and dev_var <= tol and dev_smoother <= tol)
-    report = EquivalenceCheck(
-        equivalent=ok,
+    return EquivalenceCheck(
+        equivalent=bool(dev_mean <= tol and dev_var <= tol and dev_smoother <= tol),
         max_mean_dev=dev_mean,
         max_var_dev=dev_var,
         max_smoother_dev=dev_smoother,
-        tol=tol,
-        num_trials=num_trials,
-        seed=seed,
     )
-    return ok, report
 
 
 def match_scale(
-    model_a: SemiParametricModel,
-    model_b: SemiParametricModel,
-    X,
+    fac_a: SaddleFactorization,
+    fac_b: SaddleFactorization,
     sigma2: float,
     tol: float = 1e-6,
 ) -> float:
-    """Scalar alpha with <l_a, V> ~ <alpha l_b, V'> on the design.
+    """Scalar alpha with <l_a, V> ~ <alpha l_b, V'> on the factorizations' design.
 
     Found by matching smoother traces (monotone in the gain), then verified by
-    full smoother agreement; raises NotProportional when no scalar works.
+    full smoother agreement; raises NotProportional when no scalar works, and
+    IncomparableModels as ``check_pred_equiv`` does.
     """
-    require_comparable(model_a, model_b)
-    design = as_design(X)
-    target = factorize_model(model_a, design).smoother(sigma2)
-    fac = factorize_model(model_b, design)
+    _require_comparable(fac_a, fac_b)
+    target = fac_a.smoother(sigma2)
     # the gain solves the trace equation on the unit-gain eigenvalues, so the
     # curve stays exact at extreme gains
     try:
-        g, _ = solve_trace(fac.evals, fac.m, target.trace, sigma2)
+        g, _ = solve_trace(fac_b.evals, fac_b.m, target.trace, sigma2)
     except UnreachableDof as exc:
         raise NotProportional(f"trace matching failed: {exc}") from exc
-    # alpha multiplies model_b's kernel as given: <l_a, V> ~ <alpha l_b, V'>
-    alpha = g / model_b.kernel.gamma
-    if _max_abs(difference(target, fac.scaled(alpha).smoother(sigma2))) > tol:
+    # alpha multiplies fac_b's gain: <l_a, V> ~ <alpha l_b, V'>
+    alpha = g / fac_b.gain
+    if _max_abs(difference(target, fac_b.scaled(alpha).smoother(sigma2))) > tol:
         raise NotProportional("traces match but smoothers differ; models are not proportional")
     return alpha
 
@@ -419,10 +431,10 @@ def convergence_study(
     Random data vectors are drawn with the recorded seed; deviations are max
     absolute differences of predictive means and variances over the query
     points.  Pass requires a fitted log-log slope >= 0.8 and a final deviation
-    below ``tol`` (ValueError if ``tol`` <= 0).  Epsilons whose GP is
-    ill-conditioned or has a predictive variance below round-off
-    (NegativeVariance) are dropped (recorded); fewer than three usable ones
-    raise InsufficientGrid.
+    below ``tol``; ``tol`` <= 0 or ``num_trials`` < 1 raises ValueError.
+    Epsilons whose GP is ill-conditioned or has a predictive variance below
+    round-off (NegativeVariance) are dropped (recorded); fewer than three
+    usable ones raise InsufficientGrid.
 
     The limit is the exact limit SPM (``_limit_model``); ``matched_gain`` is
     its gain where the classified model leaves the constant free, and 1.0
@@ -435,6 +447,8 @@ def convergence_study(
     has no predictive variance to compare (at sigma2 = 0 it is zero up to
     round-off), so only means are compared there.
     """
+    if not num_trials >= 1:
+        raise ValueError(f"num_trials must be at least 1, got num_trials={num_trials}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got tol={tol}")
     eps_grid = [float(e) for e in eps_grid]

@@ -20,7 +20,10 @@ holds the coefficients of those monomials, while the means and variances are
 those of the raw ones.  A factorization records the model it factored and the
 design, so ``fac.fit(y, sigma2)`` is an ``SpmFit`` that reads the kernel,
 basis, design and gain from it, and ``SpmFit.posterior`` is the package's one
-posterior path.
+posterior path.  The same record serves the equivalence layer:
+``augmented_smoother(fac, x, sigma2)`` reads x's kernel column, prior
+variance and basis row from the factorization, and ``flatlimit``'s checks
+compare two factorizations, not a model beside one.
 """
 
 import math
@@ -31,7 +34,6 @@ import numpy as np
 from .errors import (
     DegenerateDesign,
     IllConditioned,
-    IncomparableModels,
     NegativeVariance,
     NotUnisolvent,
     UnreachableDof,
@@ -301,6 +303,13 @@ class SaddleFactorization:
         a = self.Q @ t + self.modes @ (rhs / denom)
         return a, np.linalg.solve(self.R, self.Q.T @ g - self.gain * (self.LQ.T @ a) - sigma2 * t)
 
+    def _queried(self, query_points):
+        """The queries, their cross kernel Lq (gain times the unit-gain one)
+        and basis rows Vq, in the design's frame."""
+        Xq = as_design(query_points)
+        Lq = self.gain * kernel_cross(self.model.kernel, Xq, self.design)
+        return Xq, Lq, self.model.basis_matrix(Xq, self.design)
+
     def fit(self, y, sigma2: float) -> "SpmFit":
         """The factored model at this gain fitted to ``y``, (n,) or (n, k) for
         k data vectors at once, by one solve."""
@@ -323,17 +332,15 @@ class SaddleFactorization:
         )
 
 
-def augmented_smoother(
-    fac: SaddleFactorization, smoother: SmootherMatrix, k, kappa: float, v, sigma2: float
-) -> np.ndarray:
-    """The (n+1) x (n+1) smoother matrix on the design plus one point x*, by a
-    bordered update of ``smoother.matrix``.
+def augmented_smoother(fac: SaddleFactorization, x_new, sigma2: float) -> np.ndarray:
+    """The (n+1) x (n+1) smoother matrix on the factorization's design plus
+    one point x* (an array of d values), by a bordered update of the smoother
+    on the design.
 
-    ``fac`` and ``smoother`` are the factorization on the design and its
-    smoother at ``sigma2``; ``k`` (n,), ``kappa`` and ``v`` (m,) are x*'s
-    kernel column k(X, x*), prior variance k(x*, x*) and basis row v(x*).
-    Since M = I - sigma2 H, with H the top-left block of the inverse saddle
-    matrix, the Schur complement of x* in the bordered system gives
+    x*'s kernel column k = k(X, x*), prior variance kappa = k(x*, x*) and
+    basis row v = v(x*) are those of ``fac``'s model at its gain.  Since
+    M = I - sigma2 H, with H the top-left block of the inverse saddle matrix,
+    the Schur complement of x* in the bordered system gives
 
         (w, b) = fac.solve(sigma2, k, v)
         s      = kappa - k^T w - v^T b + sigma2   (predictive variance + sigma2)
@@ -348,13 +355,13 @@ def augmented_smoother(
     """
     if not sigma2 > 0:
         raise ValueError(f"augmented smoothers need sigma2 > 0, got sigma2={sigma2}")
-    k = np.asarray(k, dtype=float)
-    v = np.asarray(v, dtype=float)
+    Xq, Lq, Vq = fac._queried(np.reshape(x_new, (1, -1)))
+    k, v, kappa = Lq[0], Vq[0], fac.gain * kernel_diag(fac.model.kernel, Xq)[0]
     w, b = fac.solve(sigma2, k, v)
-    c = sigma2 / (float(kappa) - k @ w - v @ b + sigma2)
-    n = smoother.n
+    c = sigma2 / (kappa - k @ w - v @ b + sigma2)
+    n = fac.design.n
     M = np.empty((n + 1, n + 1))
-    M[:n, :n] = smoother.matrix - c * np.outer(w, w)
+    M[:n, :n] = fac.smoother(sigma2).matrix - c * np.outer(w, w)
     M[:n, n] = M[n, :n] = c * w
     M[n, n] = 1.0 - c
     return M
@@ -423,18 +430,11 @@ class SpmFit:
     alpha: np.ndarray
     beta: np.ndarray
 
-    def _queried(self, query_points):
-        """The queries, their cross kernel Lq (gain times the unit-gain one)
-        and basis rows Vq, in the design's frame."""
-        fac, Xq = self.factorization, as_design(query_points)
-        Lq = fac.gain * kernel_cross(fac.model.kernel, Xq, fac.design)
-        return Xq, Lq, fac.model.basis_matrix(Xq, fac.design)
-
     def _mean(self, Lq, Vq) -> np.ndarray:
         return Lq @ self.alpha + Vq @ self.beta
 
     def predict(self, query_points) -> np.ndarray:
-        _, Lq, Vq = self._queried(query_points)
+        _, Lq, Vq = self.factorization._queried(query_points)
         return self._mean(Lq, Vq)
 
     def _solved(self, query_points):
@@ -442,7 +442,7 @@ class SpmFit:
         of the queries' bordered systems, from one cross kernel Lq and one
         solve.  A variance below round-off raises NegativeVariance."""
         fac = self.factorization
-        Xq, Lq, Vq = self._queried(query_points)
+        Xq, Lq, Vq = fac._queried(query_points)
         prior = fac.gain * kernel_diag(fac.model.kernel, Xq)
         a, b = fac.solve(self.sigma2, Lq.T, Vq.T)
         out = prior - np.einsum("ij,ji->i", Lq, a) - np.einsum("ij,ji->i", Vq, b)
@@ -512,17 +512,6 @@ def smoothing_spline_fit(X, y, p: int, eta: float) -> SpmFit:
         raise DegenerateDesign("design points must be distinct")
     model = polyharmonic_spm(p, 1)
     return fit_spm(model, design, y, eta)
-
-
-# ---------------------------------------------------------------------------
-# structural checks used by equivalence machinery
-
-
-def require_comparable(a: SemiParametricModel, b: SemiParametricModel):
-    if a.basis_size() != b.basis_size():
-        raise IncomparableModels(
-            f"parametric dimensions differ: {a.basis_size()} vs {b.basis_size()}"
-        )
 
 
 def solve_trace(lam, base: float, target: float, sigma2: float):

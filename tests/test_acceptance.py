@@ -235,7 +235,7 @@ def test_c8_post_selection_equivalence():
         y = rng.normal(size=9)
         sigma2 = 0.05
         model = polyharmonic_spm(1, 1)
-        other = absorbed_kernel_model(model, coefficient=1.7)
+        other = absorbed_kernel_model(model, X, coefficient=1.7)
         for gamma in np.geomspace(1e-2, 1e2, 10):
             Ma = factorize_model(model.scaled(gamma), X).smoother(sigma2)
             Mb = factorize_model(other.scaled(gamma), X).smoother(sigma2)

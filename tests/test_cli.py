@@ -455,6 +455,23 @@ class TestCommands:
         assert sorted(checks) == ["basis_change", "kernel_absorption"]
         assert all(check["equivalent"] is True for check in checks.values())
 
+    def test_equiv_check_passes_on_a_design_far_from_the_origin(self, tmp_path):
+        # 30 points of [1990, 2020]: the absorbed kernel's monomials are taken
+        # about the design's centre, so no x^2 ~ 4e6 round-off enters the check
+        rng = np.random.default_rng(7)
+        x = rng.uniform(1990.0, 2020.0, 30)
+        y = np.sin(3.0 * (x - 1990.0) / 30.0) + 0.1 * rng.normal(size=30)
+        data = tmp_path / "data.csv"
+        write_lines(data, ["x1,y"] + [f"{format_float(a)},{format_float(b)}" for a, b in zip(x, y)])
+        out = tmp_path / "eq"
+        code = main([
+            "equiv-check", "--data", str(data), "--kernel", "matern", "--nu", "1.5", "--p", "3",
+            "--seed", "7", "--out", str(out),
+        ])
+        assert code == 0
+        checks = read_json(f"{out}.json")["metrics"]["checks"]
+        assert all(check["max_dev"] <= 1e-9 for check in checks.values())
+
     def test_matched_summary(self, data_csv, tmp_path):
         out = tmp_path / "matched"
         code = main([

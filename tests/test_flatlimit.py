@@ -19,7 +19,7 @@ from flatgp import (
     classify_limit,
     convergence_study,
     kernel_cross,
-    kernel_diag,
+    kernel_matrix,
     leading_odd_coefficient,
     limiting_smoother,
     match_scale,
@@ -326,6 +326,18 @@ class TestExactLimit:
         with pytest.raises(NotUnisolvent):
             convergence_study(family, X, X[:3], [0.2, 0.1, 0.05], 0.01)
 
+    @pytest.mark.parametrize("kernel", [Kernel.gaussian(), Kernel.matern(3.5)])
+    @pytest.mark.parametrize("shift", [1e3, 1e4])
+    def test_shifted_design_gives_the_same_smoother(self, kernel, shift):
+        # the penalized limits' monomial kernels are centred on the design:
+        # uncentred, (x.y)^2 on [1e4, 1e4 + 30] leaves no digit of the smoother
+        X = np.linspace(0.0, 30.0, 30)
+        family = ScaledKernelFamily(kernel, p=4)
+        want = limiting_smoother(family, X, 1.0)
+        got = limiting_smoother(family, X + shift, 1.0)
+        assert got.trace == pytest.approx(want.trace, rel=0, abs=1e-8)
+        np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-8)
+
     @pytest.mark.parametrize(
         "kernel,p",
         [
@@ -342,40 +354,81 @@ class TestExactLimit:
             limiting_smoother(ScaledKernelFamily(kernel, p=p), X, sigma2)
 
 
+def factored(*models, X):
+    """Each model factored on the one design X."""
+    design = as_design(X)
+    return [factorize_model(model, design) for model in models]
+
+
 class TestPredEquiv:
     def test_kernel_absorption(self, rng):
         X = np.sort(rng.uniform(0, 1, 8))
         model = polyharmonic_spm(1, 1)
-        ok, rep = check_pred_equiv(model, absorbed_kernel_model(model, 2.0), X, seed=3)
-        assert ok, rep
+        rep = check_pred_equiv(*factored(model, absorbed_kernel_model(model, X, 2.0), X=X), seed=3)
+        assert rep.equivalent, rep
 
     def test_basis_recombination(self, rng):
         X = rng.uniform(0, 1, size=(10, 2))
         model = SemiParametricModel(Kernel.gaussian(epsilon=2.0), d=2, basis_degree=1)
-        ok, rep = check_pred_equiv(model, recombined_basis_model(model, seed=7), X, seed=4)
-        assert ok, rep
+        other = recombined_basis_model(model, seed=7)
+        rep = check_pred_equiv(*factored(model, other, X=X), seed=4)
+        assert rep.equivalent, rep
 
     def test_scaled_kernel_not_equivalent(self, rng):
         X = np.sort(rng.uniform(0, 1, 8))
         model = polyharmonic_spm(1, 1)
-        ok, rep = check_pred_equiv(model, model.scaled(2.0), X, seed=5)
-        assert not ok
+        rep = check_pred_equiv(*factored(model, model.scaled(2.0), X=X), seed=5)
+        assert not rep.equivalent
         assert rep.max_mean_dev > 1e-4
 
     def test_basis_size_mismatch_raises(self, rng):
         X = np.sort(rng.uniform(0, 1, 8))
-        with pytest.raises(IncomparableModels):
-            check_pred_equiv(polyharmonic_spm(1, 1), polyharmonic_spm(2, 1), X)
+        facs = factored(polyharmonic_spm(1, 1), polyharmonic_spm(2, 1), X=X)
+        with pytest.raises(IncomparableModels, match="parametric dimensions"):
+            check_pred_equiv(*facs)
+        with pytest.raises(IncomparableModels, match="parametric dimensions"):
+            match_scale(*facs, 0.1)
+
+    def test_different_designs_raise(self, rng):
+        X = np.sort(rng.uniform(0, 1, 8))
+        model = polyharmonic_spm(2, 1)
+        fac_a = factorize_model(model, X)
+        # one point moved: a factorization of another design of the same size
+        fac_b = factorize_model(recombined_basis_model(model, seed=1), np.r_[X[:-1], 0.5])
+        with pytest.raises(IncomparableModels, match="different designs"):
+            check_pred_equiv(fac_a, fac_b)
+        with pytest.raises(IncomparableModels, match="different designs"):
+            match_scale(fac_a, fac_b, 0.1)
+
+    def test_raw_factorization_raises(self, rng):
+        X = np.sort(rng.uniform(0, 1, 8))
+        model = polyharmonic_spm(2, 1)
+        fac = factorize_model(model, X)
+        # the same arrays, but a raw factorization records no model to compare
+        raw = spm_module.factorize(kernel_matrix(model.kernel, X), model.basis_matrix(X))
+        for fac_a, fac_b in ((fac, raw), (raw, fac)):
+            with pytest.raises(IncomparableModels, match="records no model"):
+                check_pred_equiv(fac_a, fac_b)
+            with pytest.raises(IncomparableModels, match="records no model"):
+                match_scale(fac_a, fac_b, 0.1)
+
+    @pytest.mark.parametrize("num_trials", [0, -1])
+    def test_no_trial_is_refused(self, num_trials, rng):
+        # zero trials would certify a 2x rescaling with all deviations 0.0
+        X = np.sort(rng.uniform(0, 1, 8))
+        model = polyharmonic_spm(2, 1)
+        with pytest.raises(ValueError, match="num_trials"):
+            check_pred_equiv(*factored(model, model.scaled(2.0), X=X), num_trials=num_trials)
 
     def test_transitivity_spot_check(self, rng):
         X = np.sort(rng.uniform(0, 1, 8))
         model = polyharmonic_spm(1, 1)
-        b = absorbed_kernel_model(model, 1.5)
-        c = recombined_basis_model(model, seed=11)
-        ok_ab, _ = check_pred_equiv(model, b, X, seed=6)
-        ok_ac, _ = check_pred_equiv(model, c, X, seed=6)
-        ok_bc, _ = check_pred_equiv(b, c, X, seed=6)
-        assert ok_ab and ok_ac and ok_bc
+        a, b, c = factored(
+            model, absorbed_kernel_model(model, X, 1.5), recombined_basis_model(model, seed=11), X=X
+        )
+        assert all(
+            check_pred_equiv(one, two, seed=6).equivalent for one, two in ((a, b), (a, c), (b, c))
+        )
 
 
 def dense_pred_equiv(model_a, model_b, X, num_trials=8, seed=0):
@@ -400,17 +453,7 @@ def dense_pred_equiv(model_a, model_b, X, num_trials=8, seed=0):
         Sa = fac_a.smoother(sigma2)
         Sb = fac_b.smoother(sigma2)
         dev_smoother = max(dev_smoother, float(np.abs(Sa.matrix - Sb.matrix).max()))
-        Ma, Mb = (
-            augmented_smoother(
-                fac,
-                S,
-                kernel_cross(model.kernel, x_new, design)[0],
-                kernel_diag(model.kernel, x_new)[0],
-                model.basis_matrix(x_new, design)[0],
-                sigma2,
-            )
-            for model, fac, S in ((model_a, fac_a, Sa), (model_b, fac_b, Sb))
-        )
+        Ma, Mb = (augmented_smoother(fac, x_new, sigma2) for fac in (fac_a, fac_b))
         dev_smoother = max(dev_smoother, float(np.abs(Ma - Mb).max()))
     return dev_mean, dev_var, dev_smoother
 
@@ -436,7 +479,7 @@ def oracle_pairs():
 
     return {
         "recombined": (spline, recombined_basis_model(spline, seed=3), 1),
-        "absorbed": (gauss, absorbed_kernel_model(gauss, 0.7), 2),
+        "absorbed": (gauss, absorbed_kernel_model(gauss, oracle_design(2), 0.7), 2),
         "scaled": (linear, linear.scaled(1.5), 1),
         "indefinite": (indefinite, indefinite.scaled(1.5), 1),
         "empty-basis": (
@@ -444,7 +487,7 @@ def oracle_pairs():
             SemiParametricModel(Kernel.matern(1.5, epsilon=2.0), d=2),
             2,
         ),
-        "zero-kernel": (zero, absorbed_kernel_model(zero, 0.7), 1),
+        "zero-kernel": (zero, absorbed_kernel_model(zero, oracle_design(1), 0.7), 1),
         # bases of one size whose spans differ: Qa Qa^T - Qb Qb^T is not zero
         "other-basis": (
             SemiParametricModel(Kernel.gaussian(epsilon=2.0), d=1, basis_degree=0),
@@ -473,6 +516,10 @@ class TestPredEquivAgainstDenseLoop:
     def test_same_deviations_as_dense_smoothers(self, case, reuse, monkeypatch):
         model_a, model_b, d = oracle_pairs()[case]
         X = oracle_design(d)
+        fac_a, fac_b = factored(model_a, model_b, X=X)
+        # equiv-check gives one factorization of its model to two checks: one
+        # that has served a check already gives the same report again
+        first = check_pred_equiv(fac_a, fac_b, seed=1) if reuse else None
         negative_filter = []
         gram = smoothers_module._gram
 
@@ -481,11 +528,11 @@ class TestPredEquivAgainstDenseLoop:
             return gram(U, f)
 
         monkeypatch.setattr(smoothers_module, "_gram", recorded)
-        given_fac = factorize_model(model_a, X) if reuse else None
-        _, rep = check_pred_equiv(model_a, model_b, X, seed=1, factorization_a=given_fac)
+        rep = check_pred_equiv(fac_a, fac_b, seed=1)
         want = dense_pred_equiv(model_a, model_b, X, seed=1)
         got = (rep.max_mean_dev, rep.max_var_dev, rep.max_smoother_dev)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert first in (None, rep)
         # round-off eigenvalues of the zero kernel's transform filter to about -1e-17
         if case == "indefinite":
             assert any(negative_filter)
@@ -520,7 +567,7 @@ def equivalence_cases(draw):
 
 def certify(model, other, X, seed):
     try:
-        return check_pred_equiv(model, other, X, seed=seed)
+        return check_pred_equiv(*factored(model, other, X=X), seed=seed)
     except NotUnisolvent:
         assume(False)
 
@@ -533,44 +580,58 @@ class TestEquivalenceIdentities:
     @settings(max_examples=60, deadline=None)
     def test_basis_recombination_is_certified(self, case, mix, seed):
         model, X = case
-        ok, rep = certify(model, recombined_basis_model(model, seed=mix), X, seed)
-        assert ok, rep
+        rep = certify(model, recombined_basis_model(model, seed=mix), X, seed)
+        assert rep.equivalent, rep
 
     @given(case=equivalence_cases(), log_coef=st.floats(-1, 1), seed=st.integers(0, 999))
     @settings(max_examples=60, deadline=None)
     def test_kernel_absorption_is_certified(self, case, log_coef, seed):
         model, X = case
-        ok, rep = certify(model, absorbed_kernel_model(model, 10.0**log_coef), X, seed)
-        assert ok, rep
+        rep = certify(model, absorbed_kernel_model(model, X, 10.0**log_coef), X, seed)
+        assert rep.equivalent, rep
 
     @given(case=equivalence_cases(), seed=st.integers(0, 999))
     @settings(max_examples=60, deadline=None)
     def test_rescaled_kernel_is_not_certified(self, case, seed):
         model, X = case
-        ok, rep = certify(model, model.scaled(1 + 1e-3), X, seed)
-        assert not ok, rep
+        rep = certify(model, model.scaled(1 + 1e-3), X, seed)
+        assert not rep.equivalent, rep
 
 
 class TestMatchScale:
     def test_recovers_inverse_of_scaling(self, rng, dense_smoothers):
         X = np.sort(rng.uniform(0, 1, 9))
         model = polyharmonic_spm(1, 1)
-        alpha = match_scale(model, model.scaled(4.0), X, 0.1)
+        alpha = match_scale(*factored(model, model.scaled(4.0), X=X), 0.1)
         assert alpha == pytest.approx(0.25, rel=1e-6)
         # the smoothers are compared through their difference, never formed
         assert dense_smoothers == []
+
+    @given(
+        case=equivalence_cases(),
+        log_gain=st.floats(-1, 1),
+        log_sigma2=st.floats(-2, 0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_recovers_the_gain_of_a_rescaled_model(self, case, log_gain, log_sigma2):
+        model, X = case
+        g = 10.0**log_gain
+        try:
+            facs = factored(model.scaled(g), model, X=X)
+        except NotUnisolvent:
+            assume(False)
+        # the gain is divided by fac_b's, whatever gain the model carries
+        assert match_scale(*facs, 10.0**log_sigma2) == pytest.approx(g, rel=1e-6)
 
     @pytest.mark.parametrize("m,d", [(1, 1), (1, 2), (2, 2)])
     def test_gaussian_wronskian_block_vs_polynomial_kernel(self, m, d, rng):
         # Schur diagonal 2^m/alpha! against (x^T y)^m with coefficients m!/alpha!
         X = rng.uniform(0, 1, size=(12, d))
         case = classify_limit(ScaledKernelFamily(Kernel.gaussian(), p=2 * m), X)
-        from flatgp.flatlimit import _monomial_block_kernel
-
         wmodel = SemiParametricModel(
             _monomial_block_kernel(Kernel.gaussian(), m, d), d=d, basis_degree=m - 1
         )
-        alpha = match_scale(wmodel, case.equivalent_model, X, 0.05)
+        alpha = match_scale(*factored(wmodel, case.equivalent_model, X=X), 0.05)
         assert alpha == pytest.approx(2.0**m / math.factorial(m), rel=1e-6)
 
     def test_unrelated_kernels_not_proportional(self, rng):
@@ -578,7 +639,7 @@ class TestMatchScale:
         a = SemiParametricModel(Kernel.polynomial(1), d=1, basis_degree=0)
         b = SemiParametricModel(Kernel.polynomial(2), d=1, basis_degree=0)
         with pytest.raises(NotProportional):
-            match_scale(a, b, X, 0.05)
+            match_scale(*factored(a, b, X=X), 0.05)
 
 
 class TestConvergenceStudy:
@@ -623,6 +684,16 @@ class TestConvergenceStudy:
         family = ScaledKernelFamily(Kernel.gaussian(), p=1)
         with pytest.raises(InsufficientGrid):
             convergence_study(family, X, X[:, None], [0.2, 0.1], 0.01)
+
+    @pytest.mark.parametrize("num_trials", [0, -1])
+    def test_no_trial_is_refused(self, num_trials, rng):
+        # zero trials would report mean deviations of 0.0
+        X = np.sort(rng.uniform(0, 1, 8))
+        family = ScaledKernelFamily(Kernel.gaussian(), p=3)
+        with pytest.raises(ValueError, match="num_trials"):
+            convergence_study(
+                family, X, X[:, None], [0.2, 0.1, 0.05], 0.01, num_trials=num_trials
+            )
 
     def test_gp_variance_below_roundoff_drops_the_eps(self, rng, monkeypatch):
         X = np.sort(rng.uniform(0, 1, 8))
@@ -673,10 +744,8 @@ class TestWorkCounts:
         model = polyharmonic_spm(2, 1)
         eigh = count_linalg("eigh")
         svd = count_linalg("svd")
-        ok, _ = check_pred_equiv(
-            model, recombined_basis_model(model, seed=1), X, num_trials=num_trials
-        )
-        assert ok
+        facs = factored(model, recombined_basis_model(model, seed=1), X=X)
+        assert check_pred_equiv(*facs, num_trials=num_trials).equivalent
         # each model on X once; augmented designs are bordered updates, never factored
         assert len(eigh) == 2
         # eigh sees the kernel restricted to the complement of the basis: on X
@@ -707,27 +776,25 @@ class TestWorkCounts:
 
         monkeypatch.setattr(flatlimit_module, "kernel_cross", counted_cross)
         monkeypatch.setattr(spm_module, "kernel_cross", counted_cross)
+        facs = factored(model, recombined_basis_model(model, seed=1), X=X)
         monkeypatch.setattr(spm_module.SaddleFactorization, "solve", counted_solve)
-        ok, _ = check_pred_equiv(
-            model, recombined_basis_model(model, seed=1), X, num_trials=num_trials
-        )
-        assert ok
+        assert check_pred_equiv(*facs, num_trials=num_trials).equivalent
         # per model and trial: one cross kernel for x*, one solve for the fit
         # and one for x*'s bordered system (mean, variance and (w, c))
         assert len(crosses) == 2 * num_trials
         assert len(solves) == 4 * num_trials
 
-    def test_check_pred_equiv_reuses_a_given_factorization(self, count_linalg, rng):
+    def test_equivalence_layer_factors_nothing(self, count_linalg, rng):
         X = np.sort(rng.uniform(0, 1, 20))
         model = polyharmonic_spm(2, 1)
-        other = absorbed_kernel_model(model, 0.7)
-        fac = factorize_model(model, X)
-        eigh = count_linalg("eigh")
-        _, given_rep = check_pred_equiv(model, other, X, factorization_a=fac)
-        # only the other model is factored
-        assert len(eigh) == 1
-        _, own_rep = check_pred_equiv(model, other, X)
-        assert given_rep == own_rep
+        fac, absorbed, scaled = factored(
+            model, absorbed_kernel_model(model, X, 0.7), model.scaled(3.0), X=X
+        )
+        calls = {name: count_linalg(name) for name in ("eigh", "eigvalsh", "qr")}
+        assert check_pred_equiv(fac, absorbed).equivalent
+        assert match_scale(scaled, fac, 0.1) == pytest.approx(3.0, rel=1e-6)
+        # models, gains and the design are the factorizations': nothing is factored
+        assert calls == {"eigh": [], "eigvalsh": [], "qr": []}
 
     def test_convergence_study_one_eigh_per_eps(self, count_linalg, rng):
         X = np.sort(rng.uniform(0, 1, 12))

@@ -329,7 +329,7 @@ class TestLooMse:
         X = np.sort(rng.uniform(0, 1, 9))
         y = rng.normal(size=9)
         model = polyharmonic_spm(1, 1)
-        other = absorbed_kernel_model(model, coefficient=2.5)
+        other = absorbed_kernel_model(model, X, coefficient=2.5)
         for sigma2 in (0.05, 0.5):
             a = loo_mse(factorize_model(model, X).smoother(sigma2), y)
             b = loo_mse(factorize_model(other, X).smoother(sigma2), y)
@@ -403,7 +403,7 @@ class TestLooNll:
         X = np.sort(rng.uniform(0, 1, 8))
         y = rng.normal(size=8)
         model = polyharmonic_spm(1, 1)
-        other = absorbed_kernel_model(model, coefficient=-0.8)
+        other = absorbed_kernel_model(model, X, coefficient=-0.8)
         for gamma in np.geomspace(0.1, 10, 5):
             a = loo_nll(factorize_model(model.scaled(gamma), X).smoother(0.1), y, 0.1)
             b = loo_nll(factorize_model(other.scaled(gamma), X).smoother(0.1), y, 0.1)
@@ -440,7 +440,7 @@ class TestSure:
         X = np.sort(rng.uniform(0, 1, 8))
         y = rng.normal(size=8)
         model = polyharmonic_spm(1, 1)
-        other = absorbed_kernel_model(model, coefficient=1.3)
+        other = absorbed_kernel_model(model, X, coefficient=1.3)
         a = sure(factorize_model(model, X).smoother(0.2), y, 0.2)
         b = sure(factorize_model(other, X).smoother(0.2), y, 0.2)
         assert a == pytest.approx(b, rel=1e-10)

@@ -66,6 +66,20 @@ class TestEval:
         k = Kernel.polynomial(2, gamma=3.0)
         assert eval_kernel(k, [1.0, 2.0], [3.0, 1.0]) == pytest.approx(3.0 * 25.0)
 
+    def test_centred_polynomial_and_monomial_kernels(self):
+        c = np.array([1.0, -2.0])
+        x, y = np.array([2.0, 0.5]), np.array([4.0, -1.0])
+        u, v = x - c, y - c
+        k = Kernel.polynomial(2, gamma=3.0, centre=c)
+        assert k.centre == (1.0, -2.0)
+        assert eval_kernel(k, x, y) == pytest.approx(3.0 * (u @ v) ** 2, rel=1e-14)
+        C = np.array([[1.0, 2.0], [2.0, -1.0]])
+        block = Kernel.monomial_block([(1, 0), (0, 1)], C, centre=c)
+        assert eval_kernel(block, x, y) == pytest.approx(u @ C @ v, rel=1e-14)
+        # no centre keeps raw coordinates
+        assert Kernel.polynomial(2).centre is None
+        assert eval_kernel(Kernel.polynomial(2, centre=[0.0, 0.0]), x, y) == (x @ y) ** 2
+
     def test_sum_kernel(self):
         k = Kernel.sum_of(Kernel.gaussian(), Kernel.polynomial(1), gamma=2.0)
         x, y = np.array([0.5]), np.array([0.2])
@@ -215,11 +229,11 @@ def any_kernel(name, eps, gam, d, rng):
         profile_fn = lambda t: 1.0 / (1.0 + np.square(t))
         return Kernel.custom(profile_fn, epsilon=eps, gamma=gam, regularity=INF_REGULARITY)
     if name.startswith("polynomial"):
-        return Kernel.polynomial(int(name[-1]), gamma=gam)
+        return Kernel.polynomial(int(name[-1]), gamma=gam, centre=rng.uniform(-1, 1, d))
     if name == "monomial":
         exps = enumerate_monomials(2, d)
         A = rng.normal(size=(len(exps), len(exps)))
-        return Kernel.monomial_block(exps, A + A.T, gamma=gam)
+        return Kernel.monomial_block(exps, A + A.T, gamma=gam, centre=rng.uniform(-1, 1, d))
     if name == "sum":
         return Kernel.sum_of(Kernel.matern(1.5, eps), Kernel.polynomial(1), gamma=gam)
     assert name == "zero"
@@ -231,9 +245,9 @@ def term_magnitude(k, X):
     if k.family is Family.SUM:
         return k.gamma * sum(term_magnitude(c, X) for c in k.components)
     if k.family is Family.MONOMIAL:
-        # |x^a| = |x|^a, so |C| at |X| sums the absolute values of the terms
+        # |x^a| = |x|^a, so |C| at |X - c| sums the absolute values of the terms
+        X = np.abs(X - np.asarray(k.centre or 0.0))
         k = Kernel.monomial_block(k.exponents, np.abs(k._coef_array), gamma=k.gamma)
-        X = np.abs(X)
     return np.abs(kernel_diag(k, X)).max()
 
 

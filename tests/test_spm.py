@@ -608,14 +608,7 @@ class TestAugmentedSmoother:
             fac = factorize_model(model, X)
         except NotUnisolvent:
             assume(False)
-        got = augmented_smoother(
-            fac,
-            fac.smoother(sigma2),
-            kernel_cross(model.kernel, x_new[None, :], X)[0],
-            kernel_diag(model.kernel, x_new[None, :])[0],
-            model.basis_matrix(x_new[None, :], X)[0],
-            sigma2,
-        )
+        got = augmented_smoother(fac, x_new, sigma2)
         want = factorize_model(model, X_aug).smoother(sigma2).matrix
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
@@ -631,14 +624,7 @@ class TestAugmentedSmoother:
         fac = factorize_model(model, X)
         fit = fac.fit(rng.normal(size=len(X)), sigma2)
         # the last column of the augmented smoother is (c w, 1 - c)
-        border = augmented_smoother(
-            fac,
-            fac.smoother(sigma2),
-            kernel_cross(model.kernel, x_new, X)[0],
-            kernel_diag(model.kernel, x_new)[0],
-            model.basis_matrix(x_new, X)[0],
-            sigma2,
-        )[:, -1]
+        border = augmented_smoother(fac, x_new, sigma2)[:, -1]
         c_want = 1.0 - border[-1]
         want_mean, want_var = fit.posterior(x_new)
         solves = []
@@ -663,14 +649,7 @@ class TestAugmentedSmoother:
         fac = factorize_model(model, X)
         x_new = np.array([[0.5]])
         with pytest.raises(ValueError, match="sigma2"):
-            augmented_smoother(
-                fac,
-                fac.smoother(0.1),
-                kernel_cross(model.kernel, x_new, X)[0],
-                kernel_diag(model.kernel, x_new)[0],
-                model.basis_matrix(x_new, X)[0],
-                sigma2,
-            )
+            augmented_smoother(fac, x_new, sigma2)
         with pytest.raises(ValueError, match="sigma2"):
             fac.fit(np.zeros(6), sigma2).bordered(x_new)
 
@@ -755,7 +734,7 @@ def rescaled_pairs():
 
     def spm(make):
         def pair(X, g):
-            model = make(X.shape[1])
+            model = make(X, X.shape[1])
             return factorize_model(model, X).scaled(g), factorize_model(model.scaled(g), X)
 
         return pair
@@ -763,11 +742,11 @@ def rescaled_pairs():
     return {
         "gp": gp(0.0),
         "gp-nugget": gp(1e-3),
-        "spm-empty-basis": spm(lambda d: SemiParametricModel(gauss, d=d)),
-        "polyharmonic-r1": spm(lambda d: polyharmonic_spm(1, d).scaled(0.6)),
-        "polyharmonic-r2": spm(lambda d: polyharmonic_spm(2, d)),
-        "absorbed-sum": spm(lambda d: absorbed_kernel_model(polyharmonic_spm(2, d), 0.7)),
-        "zero-kernel": spm(lambda d: SemiParametricModel(Kernel.zero(), d=d, basis_degree=1)),
+        "spm-empty-basis": spm(lambda X, d: SemiParametricModel(gauss, d=d)),
+        "polyharmonic-r1": spm(lambda X, d: polyharmonic_spm(1, d).scaled(0.6)),
+        "polyharmonic-r2": spm(lambda X, d: polyharmonic_spm(2, d)),
+        "absorbed-sum": spm(lambda X, d: absorbed_kernel_model(polyharmonic_spm(2, d), X, 0.7)),
+        "zero-kernel": spm(lambda X, d: SemiParametricModel(Kernel.zero(), d=d, basis_degree=1)),
     }
 
 
