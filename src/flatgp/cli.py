@@ -8,10 +8,11 @@ dof-grid, criteria-grid, isofreedom and converge factor their eps grids
 concurrently through the library's one pool (``flatgp.pool.map_spectra``):
 stacks of eps when only eigenvalues are read (dof-grid, isofreedom; the
 stacking rule is stated in ``flatgp.pool``), one eps per task with
-eigenvectors; a grid that fits in one such stack runs inline.  The pool has
-one worker per CPU of the process's CPU set, at most 8: ``taskset -c 0``
-caps it at one.  While the pool runs, numpy's OpenBLAS runs one thread.
-nugget-compare factors its one spectrum serially.
+eigenvectors; a grid that fits in one such stack runs inline.  equiv-check
+runs its trials on the same pool (``flatgp.pool.map_pooled``) from n = 250
+up.  The pool has one worker per CPU of the process's CPU set, at most 8;
+under ``taskset -c 0`` everything runs inline.  While the pool runs, numpy's
+OpenBLAS runs one thread.  nugget-compare factors its one spectrum serially.
 """
 
 import argparse
@@ -338,7 +339,7 @@ def cmd_equiv_check(args):
         # both checks compare against one factorization of the model
         fac = factorize_model(model, ds.X)
         for name, other in (
-            ("basis_change", recombined_basis_model(model, seed=args.seed)),
+            ("basis_change", recombined_basis_model(model, ds.X, seed=args.seed)),
             ("kernel_absorption", absorbed_kernel_model(model, ds.X, coefficient=0.7)),
         ):
             rep = check_pred_equiv(

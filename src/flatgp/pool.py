@@ -1,12 +1,23 @@
-"""The epsilon pool: one evaluator for every loop over a kernel grid.
+"""The pool: one evaluator for every loop over a kernel grid, and for the
+trials of an equivalence check.
 
+``map_pooled(fn, items)`` returns ``fn(item)`` for each item, in order, run
+on the pool's workers; it is the one place a pool is started.
 ``map_spectra(fn, kernels, X)`` factors the GP spectrum of each kernel on one
-design and returns ``fn(spectrum)`` for each, in grid order; the spectrum
-records its kernel at unit gain (``spectrum.model.kernel``) and carries the
-kernel's gain (``spectrum.gain``).  The isofreedom curve, the convergence
-study and the CLI's dof-grid and criteria-grid loop over epsilon through it,
-and each keeps its per-epsilon work inside ``fn``, so that the work runs in
-the pool's workers.
+design through it and returns ``fn(spectrum)`` for each, in grid order; the
+spectrum records its kernel at unit gain (``spectrum.model.kernel``) and
+carries the kernel's gain (``spectrum.gain``).  The isofreedom curve, the
+convergence study and the CLI's dof-grid and criteria-grid loop over epsilon
+through it, and each keeps its per-epsilon work inside ``fn``, so that the
+work runs in the pool's workers.
+
+``flatlimit.check_pred_equiv`` (the CLI's equiv-check) runs its independent
+trials through ``map_pooled`` on designs of at least
+``flatlimit._POOLED_TRIALS_SIZE`` = 250 points and inline below: with one
+BLAS thread on a 2-vCPU VM, 8 trials took 14.6 ms inline against 16.9 ms
+pooled at n = 200, and 44.2 against 29.5 ms at n = 400.  The trials reduce
+to three maxima, whose order does not matter, so under one BLAS thread a
+pooled check is bitwise the inline one.
 
 Tasks are stacks of consecutive kernels, factored by one
 ``SaddleFactorization.from_kernels`` call, which gives each spectrum bitwise
@@ -145,16 +156,38 @@ class _BlasPin:
 _one_blas_thread = _BlasPin()
 
 
+def map_pooled(fn, items) -> list:
+    """``[fn(item) for item in items]``, in order, run concurrently on the
+    pool's workers with BLAS pinned to one thread (see the module docstring).
+
+    A single item runs inline; so does a pool of one worker, under the same
+    pin, so that its results are bitwise those of a larger pool.  ``fn`` must
+    not change state that other calls read.  An exception raised by ``fn``
+    propagates as a serial loop would raise it: the first failing item's, in
+    order.
+    """
+    items = list(items)
+    if len(items) < 2:
+        return [fn(item) for item in items]
+    with _one_blas_thread() as pinned:
+        workers = threads() if pinned else 1
+        if workers == 1:
+            return [fn(item) for item in items]
+        _share_main_heap()
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+
+
 def map_spectra(fn, kernels, X, nugget: float = 0.0, *, vectors: bool) -> list:
     """``[fn(spectrum) for kernel in kernels]``, in order, where
     ``spectrum`` is the GP spectrum ``SaddleFactorization.from_kernel(kernel,
     X, nugget, vectors=vectors)``.
 
-    The spectra are factored in stacks and the stacks run concurrently (see
-    the module docstring); ``fn`` runs in the worker that factored its
-    spectrum, so it must not change state that other calls read.  An
-    exception raised by ``fn`` or a factorization propagates as a serial loop
-    would raise it: the first failing kernel's, in grid order.
+    The spectra are factored in stacks and the stacks run through
+    ``map_pooled`` (see the module docstring); ``fn`` runs in the worker that
+    factored its spectrum, so it must not change state that other calls read.
+    An exception raised by ``fn`` or a factorization propagates as a serial
+    loop would raise it: the first failing kernel's, in grid order.
     """
     kernels = list(kernels)
     design = as_design(X)
@@ -169,7 +202,4 @@ def map_spectra(fn, kernels, X, nugget: float = 0.0, *, vectors: bool) -> list:
     starts = range(0, len(kernels), size)
     if len(kernels) <= stack:
         return [out for start in starts for out in task(start)]
-    with _one_blas_thread() as pinned:
-        _share_main_heap()
-        with ThreadPoolExecutor(max_workers=threads() if pinned else 1) as pool:
-            return [out for part in pool.map(task, starts) for out in part]
+    return [out for part in map_pooled(task, starts) for out in part]

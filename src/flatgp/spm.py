@@ -12,9 +12,11 @@ builds it once per (model, design) and ``scaled(g)`` moves it to any gain.  A
 GP is the model with an empty basis (``from_kernel``, exported as
 ``gp.GpSpectrum``).
 
-Q, R and the complement basis come from one complete QR of V, whose rank the
-package's one rule judges (``polybasis.full_rank_blocks``).  A monomial basis
-is taken on the design's centred, scaled coordinates
+Q, R and the restriction to the complement come from one QR of V, whose
+rank the package's one rule judges (``polybasis.full_rank_blocks``): its m
+Householder reflectors, in compact WY form, restrict the kernel and lift the
+eigenvectors in O(n^2 m), and no basis of the complement is formed.  A
+monomial basis is taken on the design's centred, scaled coordinates
 (``polybasis.framed_monomials``), and so are the query points: ``SpmFit.beta``
 holds the coefficients of those monomials, while the means and variances are
 those of the raw ones.  A factorization records the model it factored and the
@@ -112,17 +114,30 @@ def polyharmonic_spm(r: int, d: int) -> SemiParametricModel:
 
 
 def _basis_factors(V):
-    """Q, R (V = Q R, Q orthonormal) and an orthonormal basis C of the
-    complement of span(V), from one complete QR of the basis matrix V; no
-    basis gives C = None.  Raises NotUnisolvent on rank deficiency."""
+    """Q, R (V = Q R, Q orthonormal) and the compact WY pair (Y, T) of the
+    basis matrix V, from one QR of V's own shape (``mode="raw"``): its m
+    Householder reflectors multiply to H = I - Y T Y^T (Schreiber and Van
+    Loan, 1989), whose first m columns are Q and whose last n - m are an
+    orthonormal basis of the complement of span(V).  That basis is never
+    formed: ``factorize`` applies H through Y and T.  No basis gives
+    Y = T = None.  Raises NotUnisolvent on rank deficiency."""
     n, m = V.shape
     if m == 0:
-        return np.zeros((n, 0)), np.zeros((0, 0)), None
-    full, R = np.linalg.qr(V, mode="complete")
+        return np.zeros((n, 0)), np.zeros((0, 0)), None, None
+    h, tau = np.linalg.qr(V, mode="raw")
+    # h holds R on and above the diagonal of h^T, the reflectors (with unit
+    # diagonals left implicit) below it
+    R = np.triu(h.T[:m])
     if not full_rank_blocks(R, [m]):
         raise NotUnisolvent(f"basis matrix has numerical rank below {m} on this design")
-    # copies, so that the factorization does not keep the n x n array alive
-    return full[:, :m].copy(), R[:m].copy(), full[:, m:]
+    Y = np.tril(h.T, -1) + np.eye(n, m)
+    # T column by column (LAPACK's dlarft): H_1 ... H_j = I - Y_j T_j Y_j^T
+    G = Y.T @ Y
+    T = np.zeros((m, m))
+    for j in range(m):
+        T[:j, j] = -tau[j] * (T[:j, :j] @ G[:j, j])
+        T[j, j] = tau[j]
+    return np.eye(n, m) - Y @ (T @ Y[:m].T), R, Y, T
 
 
 def _eigensystems(A, vectors):
@@ -143,19 +158,22 @@ class SaddleFactorization:
     """The spectral core: eigenpairs of a unit-gain kernel matrix restricted to
     the complement of a basis span, with the gain carried as a scalar.
 
-    ``evals`` are the eigenvalues of C^T L C, where L is the kernel matrix at
-    unit gain and the columns of C span the complement of the basis matrix V
-    (no basis: C is the identity), and ``modes`` are its eigenvectors lifted
-    back to R^n by C: orthonormal, and orthogonal to V.  Neither C nor the
-    eigenvectors in the complement's coordinates are kept, since nothing
-    reads them once ``modes`` is formed.  With Q R = V, every solve, smoother
-    and trace at noise sigma2 filters the modes by
+    ``evals`` are the eigenvalues of L restricted to the complement of the
+    span of the basis matrix V, where L is the kernel matrix at unit gain:
+    with H = I - Y T Y^T the product of the Householder reflectors of V's QR,
+    they are those of (H^T L H)[m:, m:] (no basis: of L), and ``modes`` are
+    its eigenvectors lifted back to R^n by H[:, m:]: orthonormal, and
+    orthogonal to V.  Neither Y, T nor the eigenvectors in the complement's
+    coordinates are kept, since nothing reads them once ``modes`` is formed.
+    With Q R = V, every solve, smoother and trace at noise sigma2 filters the
+    modes by
     ``gain lam / (gain lam + sigma2)``, and a solve reads L only through
     ``LQ = L Q``, the kernel's coupling to the basis (None without a basis),
     so no n x n array but ``modes`` is kept.  ``scaled(g)`` multiplies the
     gain and shares every array, so a model is factored once whatever its
     gains.  It records what it factored, ``model`` (at unit gain) and
-    ``design``, which ``fit`` reads; the raw ``factorize(L, V)`` records neither.
+    ``design``, which ``fit`` and the queries read; the raw ``factorize(L, V)``
+    records neither, and they raise ValueError on it.
 
     Two constructors fix what a singular ``gain L + sigma2 I`` means:
     ``factorize``/``factorize_model`` (the saddle path) solve by the
@@ -245,6 +263,13 @@ class SaddleFactorization:
                 "it gives traces only"
             )
 
+    def _require_model(self):
+        if self.model is None:
+            raise ValueError(
+                "a raw factorize(L, V) records no model or design; "
+                "factor the model with factorize_model(model, X)"
+            )
+
     def _filter_terms(self, sigma2):
         """Scaled eigenvalues lam and solve denominators lam + sigma2.  At
         sigma2 = 0 the pseudo-inverse drops the modes with |lam| <= ``_PINV_TOL``
@@ -306,6 +331,7 @@ class SaddleFactorization:
     def _queried(self, query_points):
         """The queries, their cross kernel Lq (gain times the unit-gain one)
         and basis rows Vq, in the design's frame."""
+        self._require_model()
         Xq = as_design(query_points)
         Lq = self.gain * kernel_cross(self.model.kernel, Xq, self.design)
         return Xq, Lq, self.model.basis_matrix(Xq, self.design)
@@ -313,6 +339,7 @@ class SaddleFactorization:
     def fit(self, y, sigma2: float) -> "SpmFit":
         """The factored model at this gain fitted to ``y``, (n,) or (n, k) for
         k data vectors at once, by one solve."""
+        self._require_model()
         y = np.asarray(y, dtype=float)
         if y.ndim not in (1, 2) or y.shape[0] != self.design.n:
             raise ValueError("y must have one entry (or row) per design point")
@@ -371,16 +398,27 @@ def factorize(L: np.ndarray, V: np.ndarray) -> SaddleFactorization:
     """The saddle-point factorization of kernel matrix ``L`` (taken as unit
     gain) and basis matrix ``V``."""
     n, m = V.shape
-    Q, R, C = _basis_factors(V)
+    Q, R, Y, T = _basis_factors(V)
     parts = dict(gain=1.0, pseudo_inverse=True, Q=Q, R=R, LQ=L @ Q if m else None)
-    if L.any():
-        A = L if C is None else C.T @ L @ C
+    if not L.any():
+        # a zero kernel restricts to zero: eigenvalues 0 and eigenvectors the
+        # identity, so no eigensolver runs
+        evals, evecs = np.zeros(n - m), np.eye(n - m)
+    elif Y is None:
+        evals, evecs = _eigensystems(0.5 * (L + L.T), vectors=True)
+    else:
+        # (H^T L H)[m:, m:], one side at a time: rows m: of H^T L, then
+        # columns m: of that times H, in O(n^2 m)
+        B = L[m:] - Y[m:] @ (T.T @ (Y.T @ L))
+        A = B[:, m:] - (B @ Y) @ (T @ Y[m:].T)
+        del B
         evals, evecs = _eigensystems(0.5 * (A + A.T), vectors=True)
-        # the eigenvectors are lifted to R^n by C once, here
-        return SaddleFactorization(evals, evecs if C is None else C @ evecs, **parts)
-    # a zero kernel restricts to zero: eigenvalues 0, eigenvectors the identity,
-    # so the modes are C itself and no eigensolver runs
-    return SaddleFactorization(np.zeros(n - m), np.eye(n) if C is None else C, **parts)
+    if Y is None:
+        return SaddleFactorization(evals, evecs, **parts)
+    # the eigenvectors are lifted to R^n once, here: H [0; E]
+    modes = Y @ -(T @ (Y[m:].T @ evecs))
+    modes[m:] += evecs
+    return SaddleFactorization(evals, modes, **parts)
 
 
 def factorize_model(model: SemiParametricModel, X) -> SaddleFactorization:

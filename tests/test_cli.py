@@ -472,6 +472,26 @@ class TestCommands:
         checks = read_json(f"{out}.json")["metrics"]["checks"]
         assert all(check["max_dev"] <= 1e-9 for check in checks.values())
 
+    def test_equiv_check_runs_a_quadratic_basis_far_from_the_origin(self, tmp_path):
+        # the quintic spline limit's basis has degree 2: recombined from raw
+        # monomials of 30 points of [1990, 2020] it failed the rank rule
+        rng = np.random.default_rng(7)
+        x = rng.uniform(1990.0, 2020.0, 30)
+        y = np.sin(3.0 * (x - 1990.0) / 30.0) + 0.1 * rng.normal(size=30)
+        data = tmp_path / "data.csv"
+        write_lines(data, ["x1,y"] + [f"{format_float(a)},{format_float(b)}" for a, b in zip(x, y)])
+        out = tmp_path / "eq"
+        # the kernel grows like |x - y|^5 ~ 2e7 over the design, and the
+        # deviations with it, so the absolute tol is taken above 1e-8
+        code = main([
+            "equiv-check", "--data", str(data), "--kernel", "matern", "--nu", "2.5", "--p", "5",
+            "--seed", "7", "--tol", "1e-6", "--out", str(out),
+        ])
+        assert code == 0
+        metrics = read_json(f"{out}.json")["metrics"]
+        assert metrics["basis_size"] == 3
+        assert set(metrics["checks"]) == {"basis_change", "kernel_absorption"}
+
     def test_matched_summary(self, data_csv, tmp_path):
         out = tmp_path / "matched"
         code = main([
@@ -810,7 +830,6 @@ POOLED_COMMANDS = {
 class TestThreads:
     def test_pool_follows_the_cpu_set(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         pools = []
         executor = pool_module.ThreadPoolExecutor
 
@@ -819,13 +838,16 @@ class TestThreads:
             return executor(max_workers=max_workers)
 
         monkeypatch.setattr(pool_module, "ThreadPoolExecutor", recorded)
-        # 52 eps at n = 10 are two stacks, so the grid does not run inline
-        code = main([
-            "dof-grid", "--n", "10", "--eps-grid", "0.5:2:52", "--gamma-grid", "0.1:10:2",
-            "--out", str(tmp_path / "dof"),
-        ])
-        assert code == 0
-        assert pools == [1]
+        # 52 eps at n = 10 are two stacks, so the grid does not run inline for
+        # its size; one CPU is a pool of one worker, which runs inline
+        for cpus, started in (({0}, []), ({0, 1}, [2])):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c, raising=False)
+            code = main([
+                "dof-grid", "--n", "10", "--eps-grid", "0.5:2:52", "--gamma-grid", "0.1:10:2",
+                "--out", str(tmp_path / "dof"),
+            ])
+            assert code == 0
+            assert pools == started
 
     @pytest.mark.parametrize("command", sorted(POOLED_COMMANDS))
     def test_pooled_and_serial_outputs_are_byte_identical(self, command, tmp_path, monkeypatch):

@@ -370,9 +370,18 @@ class TestPredEquiv:
     def test_basis_recombination(self, rng):
         X = rng.uniform(0, 1, size=(10, 2))
         model = SemiParametricModel(Kernel.gaussian(epsilon=2.0), d=2, basis_degree=1)
-        other = recombined_basis_model(model, seed=7)
+        other = recombined_basis_model(model, X, seed=7)
         rep = check_pred_equiv(*factored(model, other, X=X), seed=4)
         assert rep.equivalent, rep
+
+    @pytest.mark.parametrize("shift", [0.0, 1e2, 1e4])
+    def test_recombined_basis_spans_the_basis_far_from_the_origin(self, shift, rng):
+        # a quadratic basis: raw monomials of a design near 1e4 are
+        # numerically dependent, the frame's are not
+        X = shift + np.sort(rng.uniform(0, 30, 30))
+        model = polyharmonic_spm(3, 1)
+        fac, other = factored(model, recombined_basis_model(model, X, seed=7), X=X)
+        np.testing.assert_allclose(other.Q @ other.Q.T, fac.Q @ fac.Q.T, rtol=0, atol=1e-12)
 
     def test_scaled_kernel_not_equivalent(self, rng):
         X = np.sort(rng.uniform(0, 1, 8))
@@ -394,7 +403,7 @@ class TestPredEquiv:
         model = polyharmonic_spm(2, 1)
         fac_a = factorize_model(model, X)
         # one point moved: a factorization of another design of the same size
-        fac_b = factorize_model(recombined_basis_model(model, seed=1), np.r_[X[:-1], 0.5])
+        fac_b = factorize_model(recombined_basis_model(model, X, seed=1), np.r_[X[:-1], 0.5])
         with pytest.raises(IncomparableModels, match="different designs"):
             check_pred_equiv(fac_a, fac_b)
         with pytest.raises(IncomparableModels, match="different designs"):
@@ -424,7 +433,10 @@ class TestPredEquiv:
         X = np.sort(rng.uniform(0, 1, 8))
         model = polyharmonic_spm(1, 1)
         a, b, c = factored(
-            model, absorbed_kernel_model(model, X, 1.5), recombined_basis_model(model, seed=11), X=X
+            model,
+            absorbed_kernel_model(model, X, 1.5),
+            recombined_basis_model(model, X, seed=11),
+            X=X,
         )
         assert all(
             check_pred_equiv(one, two, seed=6).equivalent for one, two in ((a, b), (a, c), (b, c))
@@ -478,7 +490,7 @@ def oracle_pairs():
         return lambda p: np.where(np.isin(p[:, 0], on_design), 1.0, g)
 
     return {
-        "recombined": (spline, recombined_basis_model(spline, seed=3), 1),
+        "recombined": (spline, recombined_basis_model(spline, oracle_design(1), seed=3), 1),
         "absorbed": (gauss, absorbed_kernel_model(gauss, oracle_design(2), 0.7), 2),
         "scaled": (linear, linear.scaled(1.5), 1),
         "indefinite": (indefinite, indefinite.scaled(1.5), 1),
@@ -580,7 +592,7 @@ class TestEquivalenceIdentities:
     @settings(max_examples=60, deadline=None)
     def test_basis_recombination_is_certified(self, case, mix, seed):
         model, X = case
-        rep = certify(model, recombined_basis_model(model, seed=mix), X, seed)
+        rep = certify(model, recombined_basis_model(model, X, seed=mix), X, seed)
         assert rep.equivalent, rep
 
     @given(case=equivalence_cases(), log_coef=st.floats(-1, 1), seed=st.integers(0, 999))
@@ -744,7 +756,7 @@ class TestWorkCounts:
         model = polyharmonic_spm(2, 1)
         eigh = count_linalg("eigh")
         svd = count_linalg("svd")
-        facs = factored(model, recombined_basis_model(model, seed=1), X=X)
+        facs = factored(model, recombined_basis_model(model, X, seed=1), X=X)
         assert check_pred_equiv(*facs, num_trials=num_trials).equivalent
         # each model on X once; augmented designs are bordered updates, never factored
         assert len(eigh) == 2
@@ -776,7 +788,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(flatlimit_module, "kernel_cross", counted_cross)
         monkeypatch.setattr(spm_module, "kernel_cross", counted_cross)
-        facs = factored(model, recombined_basis_model(model, seed=1), X=X)
+        facs = factored(model, recombined_basis_model(model, X, seed=1), X=X)
         monkeypatch.setattr(spm_module.SaddleFactorization, "solve", counted_solve)
         assert check_pred_equiv(*facs, num_trials=num_trials).equivalent
         # per model and trial: one cross kernel for x*, one solve for the fit

@@ -3,16 +3,19 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import numpy as np
 import pytest
 
 import flatgp
+import flatgp.flatlimit as flatlimit_module
 import flatgp.pool as pool_module
 from flatgp.errors import UnreachableDof
 from flatgp.kernels import Kernel
 from flatgp.pool import map_spectra
+from flatgp.spm import factorize_model
 
 X100 = np.linspace(0.0, 1.0, 100)
 
@@ -65,17 +68,60 @@ def test_first_failure_in_grid_order_raises(vectors, monkeypatch):
         map_spectra(fn, grid, X100, vectors=vectors)
 
 
+def equivalence_pair(n):
+    X = np.sort(np.random.default_rng(7).uniform(0, 1, n))
+    model = flatgp.polyharmonic_spm(2, 1)
+    absorbed = flatgp.absorbed_kernel_model(model, X, 0.7)
+    return factorize_model(model, X), factorize_model(absorbed, X)
+
+
+def test_pooled_equivalence_trials_equal_inline_ones(pools, monkeypatch):
+    pair = equivalence_pair(400)
+    checks = []
+    switch = sys.getswitchinterval()
+    try:
+        # more workers than CPUs, switching threads often
+        sys.setswitchinterval(1e-6)
+        for workers in (8, 2, 1):
+            monkeypatch.setattr(pool_module, "threads", lambda w=workers: w)
+            checks.append(flatgp.check_pred_equiv(*pair, seed=7))
+    finally:
+        sys.setswitchinterval(switch)
+    # pools of eight and two workers, then one worker, which runs inline
+    assert pools == [8, 2]
+    # the serial loop, under the same one BLAS thread
+    monkeypatch.setattr(flatlimit_module, "_POOLED_TRIALS_SIZE", 401)
+    with pool_module._one_blas_thread():
+        checks.append(flatgp.check_pred_equiv(*pair, seed=7))
+    assert pools == [8, 2]
+    assert checks[0] == checks[1] == checks[2] == checks[3]
+    assert checks[0].equivalent
+
+
+def test_equivalence_trials_below_the_cut_run_inline(monkeypatch):
+    def refused(max_workers):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(pool_module, "threads", lambda: 2)
+    monkeypatch.setattr(pool_module, "ThreadPoolExecutor", refused)
+    assert flatlimit_module._POOLED_TRIALS_SIZE > 50
+    assert flatgp.check_pred_equiv(*equivalence_pair(50), seed=7).equivalent
+
+
 def test_without_openblas_control_the_pool_has_one_worker(pools, monkeypatch):
     monkeypatch.setattr(pool_module, "_openblas", lambda: None)
     monkeypatch.setattr(pool_module, "threads", lambda: 2)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
-    one = lambda spec: None  # noqa: E731
-    map_spectra(one, kernels(7), X100, vectors=False)
+    caller = threading.get_ident()
+    thread = lambda spec: threading.get_ident()  # noqa: E731
+    # a pool of one worker runs inline, in the calling thread
+    assert set(map_spectra(thread, kernels(7), X100, vectors=False)) == {caller}
+    assert pools == []
     # BLAS may run threads of its own unless the environment pins it
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    map_spectra(one, kernels(7), X100, vectors=False)
-    assert pools == [1, 2]
+    map_spectra(thread, kernels(7), X100, vectors=False)
+    assert pools == [2]
 
 
 def test_a_pooled_command_runs_one_blas_thread_and_restores_the_count(tmp_path):

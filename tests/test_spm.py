@@ -393,13 +393,67 @@ class TestFactorization:
         n = 15
         X = rng.uniform(0, 1, size=(n, 2))
         fac = factorize_model(polyharmonic_spm(2, 2), X)
-        # Q, R and the complement at once, then the rank rule's singular values of R
+        # one QR of V's own shape, whose reflectors restrict the kernel, then
+        # the rank rule's singular values of R
         assert svd == [(3, 3)] and qr == [(n, 3)]
         assert fac.LQ.shape == (n, 3)
         for name, arr in vars(fac).items():
             if isinstance(arr, np.ndarray) and name != "modes":
                 # neither an n x n array nor a view of one
                 assert arr.size < n * n and (arr.base is None or arr.base.size < n * n), name
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        basis=st.sampled_from([(1, k) for k in range(-1, 10)] + [(2, k) for k in range(-1, 4)]),
+        kernel=st.sampled_from([
+            Kernel.zero(), Kernel.gaussian(epsilon=3.0), Kernel.matern(1.5, epsilon=2.0),
+            Kernel.polyharmonic(2),
+        ]),
+        extra=st.integers(0, 12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_reflector_restriction_matches_an_explicit_complement(self, seed, basis, kernel, extra):
+        # monomial bases of up to m = 10 columns
+        d, degree = basis
+        model = SemiParametricModel(kernel, d=d, basis_degree=degree)
+        m = model.basis_size()
+        n = max(m + extra, 1)
+        X = np.random.default_rng(seed).uniform(0, 1, size=(n, d))
+        V, L = model.basis_matrix(X), kernel_matrix(kernel, X)
+        try:
+            fac = spm_module.factorize(L, V)
+        except NotUnisolvent:
+            assume(False)
+        assert fac.modes.shape == (n, n - m)
+        np.testing.assert_allclose(fac.modes.T @ fac.modes, np.eye(n - m), rtol=0, atol=1e-13)
+        unit = V / np.linalg.norm(V, axis=0)
+        assert np.abs(unit.T @ fac.modes).max(initial=0.0) <= 1e-13
+        # the reference restricts L to an explicit complement C
+        C = np.linalg.qr(V, mode="complete")[0][:, m:] if m else np.eye(n)
+        want = np.linalg.eigvalsh(C.T @ L @ C)
+        # both restrictions round off relative to L, whose largest eigenvalue
+        # bounds the restriction's: a smooth kernel's can be 1e-5 of it
+        scale = np.abs(np.linalg.eigvalsh(L)).max(initial=0.0)
+        np.testing.assert_allclose(fac.evals, want, rtol=0, atol=1e-12 * scale)
+        if kernel.family is Family.ZERO:
+            # n - m orthonormal modes orthogonal to V: they span C's columns
+            np.testing.assert_array_equal(fac.evals, np.zeros(n - m))
+            np.testing.assert_allclose(fac.modes @ (fac.modes.T @ C), C, rtol=0, atol=1e-13)
+
+    def raw_factorization(self, rng):
+        model = polyharmonic_spm(2, 1)
+        X = np.sort(rng.uniform(0, 1, 8))
+        return spm_module.factorize(kernel_matrix(model.kernel, X), model.basis_matrix(X))
+
+    def test_raw_factorization_refuses_a_fit(self, rng):
+        raw = self.raw_factorization(rng)
+        with pytest.raises(ValueError, match=r"raw factorize\(L, V\) records no model or design"):
+            raw.fit(np.zeros(8), 0.1)
+
+    def test_raw_factorization_refuses_an_augmented_smoother(self, rng):
+        raw = self.raw_factorization(rng)
+        with pytest.raises(ValueError, match=r"raw factorize\(L, V\) records no model or design"):
+            augmented_smoother(raw, [0.5], 0.1)
 
     def test_zero_kernel_skips_eigensolver(self, rng, monkeypatch):
         def fail(*args, **kwargs):
