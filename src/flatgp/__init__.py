@@ -27,6 +27,7 @@ from .flatlimit import (
 )
 from .gp import (
     GpSpectrum,
+    criteria,
     gp_posterior,
     loo_mse,
     loo_nll,
@@ -58,7 +59,7 @@ from .polybasis import (
     vandermonde,
 )
 from .pool import map_spectra
-from .smoothers import SmootherMatrix
+from .smoothers import SmootherMatrix, SmootherStack
 from .spm import (
     SemiParametricModel,
     SpmFit,

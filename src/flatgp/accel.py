@@ -1,9 +1,12 @@
 """Pairwise assembly: squared distances between points.
 
 Every radial kernel matrix is a profile of these distances, rebuilt for
-every epsilon of a grid.  Assembly is a numpy broadcast: it costs about a
-tenth of the eigendecomposition of the same matrix at n = 400 and less at
-larger n, so a compiled path would not pay for itself.
+every epsilon of a grid.  Assembly is a numpy broadcast.  On a 2-vCPU VM with
+one BLAS thread, a 400 x 400 Matern-3/2 matrix (d = 1) takes about 2.1 ms
+to assemble, beside about 14.5 ms for its ``eigh`` and 7.5 ms for its
+``eigvalsh``: about a seventh of the eigendecomposition and under a third
+of the eigenvalues alone, and it grows as n^2 against their n^3, so a
+compiled path would not pay for itself.
 """
 
 import numpy as np

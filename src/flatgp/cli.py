@@ -13,6 +13,9 @@ runs its trials on the same pool (``flatgp.pool.map_pooled``) from n = 250
 up.  The pool has one worker per CPU of the process's CPU set, at most 8;
 under ``taskset -c 0`` everything runs inline.  While the pool runs, numpy's
 OpenBLAS runs one thread.  nugget-compare factors its one spectrum serially.
+dof-grid, criteria-grid and nugget-compare filter each spectrum at every
+gamma of their grid at once (``spec.dofs``, ``gp.criteria``), so a cell is a
+row of one gain-major filter, not a smoother of its own.
 """
 
 import argparse
@@ -26,7 +29,7 @@ import numpy as np
 from . import __version__
 from .dataio import Dataset, format_float, parse_dataset, parse_points, write_csv, write_json
 from .doftools import isofreedom_curve, matched_approximation
-from .errors import FlatGpError, IllConditioned
+from .errors import FlatGpError
 from .flatlimit import (
     ScaledKernelFamily,
     absorbed_kernel_model,
@@ -36,7 +39,7 @@ from .flatlimit import (
     prediction_curve,
     recombined_basis_model,
 )
-from .gp import GpSpectrum, loo_mse, loo_nll, sure
+from .gp import GpSpectrum, criteria, loo_mse, loo_nll, sure
 from .kernels import Kernel
 from .polybasis import Design
 # threads: the pool size, which perfbench/worker.py records as cli._threads
@@ -225,13 +228,15 @@ def _grid_eval(args, ds, values_fn, vectors=True):
     return eps_grid, map_spectra(values_fn, kernels, ds.X, args.nugget, vectors=vectors)
 
 
-def _dof_cell(spec, sigma2):
-    """A dof cell of dof-grid and nugget-compare: the formatted trace and
-    "ok", or "nan" and the smallest eigenvalue of an ill-conditioned system."""
-    try:
-        return format_float(spec.dof(sigma2)), "ok"
-    except IllConditioned as exc:
-        return "nan", f"ill-conditioned:{exc.smallest_eigenvalue:.3e}"
+def _dof_cells(spec, sigma2, gains):
+    """The dof cells of dof-grid and nugget-compare at each gain factor, from
+    one gain-major filter: the formatted trace and "ok", or "nan" and the
+    smallest eigenvalue of an ill-conditioned system."""
+    traces, errors = spec.dofs(sigma2, gains)
+    return [
+        ("nan", f"ill-conditioned:{exc.smallest_eigenvalue:.3e}") if exc else (format_float(t), "ok")
+        for t, exc in zip(traces, errors)
+    ]
 
 
 def cmd_dof_grid(args):
@@ -240,7 +245,7 @@ def cmd_dof_grid(args):
     errors = []
 
     def values(spec):
-        return [_dof_cell(spec.scaled(g), args.sigma2) for g in gamma_grid]
+        return _dof_cells(spec, args.sigma2, gamma_grid)
 
     eps_grid, results = _grid_eval(args, ds, values, vectors=False)
     rows = []
@@ -259,17 +264,10 @@ def cmd_criteria_grid(args):
 
     def values(spec):
         out = []
-        for g in gamma_grid:
-            try:
-                M = spec.scaled(g).smoother(args.sigma2)
-                cell = {
-                    "loo_mse": loo_mse(M, ds.y),
-                    "loo_nll": loo_nll(M, ds.y, args.sigma2),
-                    "sure": sure(M, ds.y, args.sigma2),
-                }
-                out.append((cell, "ok"))
-            except FlatGpError as exc:
-                out.append(({}, f"error:{type(exc).__name__}"))
+        for cell, exc in criteria(spec, ds.y, args.sigma2, gamma_grid):
+            if exc is not None and not isinstance(exc, FlatGpError):
+                raise exc
+            out.append((cell, f"error:{type(exc).__name__}" if exc else "ok"))
         return out
 
     eps_grid, results = _grid_eval(args, ds, values)
@@ -418,8 +416,7 @@ def cmd_nugget_compare(args):
     rows = []
     errors = []
     for variant, spec in (("nugget", nugget), ("plain", plain)):
-        for g in gamma_grid:
-            val, status = _dof_cell(spec.scaled(g), args.sigma2)
+        for g, (val, status) in zip(gamma_grid, _dof_cells(spec, args.sigma2, gamma_grid)):
             if status != "ok":
                 errors.append(f"{variant} gamma={g:g}: {status}")
             rows.append([variant, format_float(g), val, status])

@@ -195,11 +195,17 @@ def profile(kernel: Kernel):
         coeffs, a = _matern_poly_coeffs(kernel.nu)
 
         def psi(t, coeffs=coeffs, a=a):
+            # in place: two buffers the size of t, the exponential and the
+            # Horner sum, and no temporaries
             t = np.asarray(t, dtype=float)
-            p = np.zeros_like(t)
-            for c in reversed(coeffs):
-                p = p * t + c
-            return p * np.exp(-a * t)
+            e = np.multiply(t, -a)
+            np.exp(e, out=e)
+            p = np.full_like(t, coeffs[-1])
+            for c in reversed(coeffs[:-1]):
+                p *= t
+                p += c
+            p *= e
+            return p
 
         return psi
     if fam is Family.POLYHARMONIC:

@@ -8,8 +8,10 @@ restriction, ``SaddleFactorization``, the package's one spectral core, is
 reused for means, variances, smoothers, traces and the Laurent coefficient
 B0.  It is taken at unit gain and carries the gain as a scalar, so it depends
 on the kernel's shape, the basis and the design only: ``factorize_model``
-builds it once per (model, design) and ``scaled(g)`` moves it to any gain.  A
-GP is the model with an empty basis (``from_kernel``, exported as
+builds it once per (model, design) and ``scaled(g)`` moves it to any gain;
+``filters(sigma2, gains)`` filters it at a vector of gains at once, one
+gain-major row per gain, for the traces (``dofs``) and smoothers
+(``smoothers``) of a whole gain grid.  A GP is the model with an empty basis (``from_kernel``, exported as
 ``gp.GpSpectrum``).
 
 Q, R and the restriction to the complement come from one QR of V, whose
@@ -48,10 +50,11 @@ from .kernels import (
     kernel_matrix,
 )
 from .polybasis import as_design, count_poly_dim, enumerate_monomials, framed_monomials, full_rank_blocks
-from .smoothers import SmootherMatrix
+from .smoothers import SmootherMatrix, SmootherStack
 
 _PINV_TOL = 1e-12
 _CLIP_TOL = 1e-13
+_EPS = float(np.finfo(float).eps)
 _VARIANCE_ERROR_TOL = 1e-8
 # trace solves: gain search range, Newton step size (in log g) that ends the
 # iteration, iteration cap, and the residual (per design point) still accepted
@@ -210,9 +213,9 @@ class SaddleFactorization:
         GIL; ``pool.map_spectra``, which factors the eps grids of the
         isofreedom curve, the convergence study, dof-grid and criteria-grid,
         builds its tasks from such stacks.  ``vectors=False`` computes the
-        eigenvalues alone (``eigvalsh``): such a spectrum gives ``dof`` and
-        ``scaled`` and feeds ``solve_trace``, while ``smoother``, ``solve``
-        and ``nlml`` raise ValueError.
+        eigenvalues alone (``eigvalsh``): such a spectrum gives ``dof``,
+        ``dofs`` and ``scaled`` and feeds ``solve_trace``, while ``smoother``,
+        ``smoothers``, ``solve`` and ``nlml`` raise ValueError.
         """
         if not nugget >= 0:
             raise ValueError(f"nugget must be nonnegative, got nugget={nugget}")
@@ -270,32 +273,91 @@ class SaddleFactorization:
                 "factor the model with factorize_model(model, X)"
             )
 
-    def _filter_terms(self, sigma2):
-        """Scaled eigenvalues lam and solve denominators lam + sigma2.  At
-        sigma2 = 0 the pseudo-inverse drops the modes with |lam| <= ``_PINV_TOL``
-        |lam|_max, and the GP spectrum raises from n u lam_max down."""
+    def _filter_rows(self, sigma2, gains=None):
+        """The filter terms of ``scaled(g)`` for each gain factor g of ``gains``,
+        gain-major, one row per g (no ``gains``: one row, at this gain): scaled
+        eigenvalues lam (G, r), solve denominators lam + sigma2, and per row
+        None or the IllConditioned that ``scaled(g)`` raises.  At sigma2 = 0 the
+        pseudo-inverse drops the modes with |lam| <= ``_PINV_TOL`` |lam|_max,
+        and the GP spectrum raises from n u lam_max down.  Dropped modes and
+        the rows that raise have infinite denominators, so their filter reads 0
+        without a warning."""
         if not sigma2 >= 0:
             raise ValueError(f"sigma2 must be nonnegative, got sigma2={sigma2}")
-        lam = self.gain * self.evals
+        if gains is None:
+            factors = [self.gain]
+            lam = (self.gain * self.evals)[None]
+        else:
+            factors = self.gain * np.asarray(gains, dtype=float)
+            # each row is bitwise scaled(g)'s: its gain is the product gain * g
+            lam = np.multiply.outer(factors, self.evals)
+            factors = factors.tolist()
+        denom = lam + sigma2
+        errors = [None] * len(lam)
         if self.pseudo_inverse:
-            denom = lam + sigma2
             if sigma2 == 0:
-                denom[np.abs(lam) <= _PINV_TOL * np.abs(lam).max(initial=0.0)] = np.inf
-            return lam, denom
-        smallest = float(lam.min()) + sigma2
-        floor = 0.0 if sigma2 else lam.size * np.finfo(float).eps * float(lam.max())
-        if smallest <= floor:
-            raise IllConditioned(
-                f"K + sigma2 I is singular: its smallest eigenvalue {smallest:.3e} is at or "
-                f"below {floor:.3e}" + ("" if sigma2 else ", n u lam_max at sigma2 = 0"),
-                smallest_eigenvalue=smallest,
-            )
-        return lam, lam + sigma2
+                top = np.abs(lam).max(axis=1, initial=0.0, keepdims=True)
+                denom[np.abs(lam) <= _PINV_TOL * top] = np.inf
+            return lam, denom, errors
+        # rounding is monotone, so a row's extremes are its gain times those of
+        # the eigenvalues, bitwise: no row is reduced
+        lo = float(self.evals.min())
+        hi = 0.0 if sigma2 else float(self.evals.max())
+        for i, c in enumerate(factors):
+            low, high = (c * lo, c * hi) if c >= 0 else (c * hi, c * lo)
+            smallest = low + sigma2
+            floor = 0.0 if sigma2 else lam.shape[1] * _EPS * high
+            if smallest <= floor:
+                errors[i] = IllConditioned(
+                    f"K + sigma2 I is singular: its smallest eigenvalue {smallest:.3e} is at or "
+                    f"below {floor:.3e}" + ("" if sigma2 else ", n u lam_max at sigma2 = 0"),
+                    smallest_eigenvalue=smallest,
+                )
+                denom[i] = np.inf
+        return lam, denom, errors
+
+    def _filter_terms(self, sigma2):
+        """Scaled eigenvalues lam and solve denominators lam + sigma2 at this
+        gain: the one row of ``_filter_rows``, whose error it raises."""
+        lam, denom, (error,) = self._filter_rows(sigma2)
+        if error is not None:
+            raise error
+        return lam[0], denom[0]
+
+    def filters(self, sigma2, gains=None):
+        """The filters lam / (lam + sigma2) of ``scaled(g)`` for each g of
+        ``gains``, gain-major (G, r), and per row None or the IllConditioned
+        that ``scaled(g)`` raises (its row reads 0).  One spectrum and one
+        vector of gains give every smoother and trace of a gain grid."""
+        lam, denom, errors = self._filter_rows(sigma2, gains)
+        return lam / denom, errors
+
+    def dofs(self, sigma2, gains=None):
+        """The traces m + sum lam / (lam + sigma2) of ``scaled(g)`` for each g
+        of ``gains`` (nan where a row raises) and ``filters``' errors.  Each
+        row sum runs along a gain-major row, so each trace is bitwise the one
+        ``scaled(g).dof(sigma2)`` returns."""
+        F, errors = self.filters(sigma2, gains)
+        traces = self.m + F.sum(axis=1)
+        for i, error in enumerate(errors):
+            if error is not None:
+                traces[i] = np.nan
+        return traces, errors
 
     def dof(self, sigma2=0.0) -> float:
-        """Trace of the smoother: m + sum lam / (lam + sigma2)."""
-        lam, denom = self._filter_terms(sigma2)
-        return self.m + float(np.sum(lam / denom))
+        """Trace of the smoother: m + sum lam / (lam + sigma2); ``dofs`` at
+        this gain alone."""
+        (trace,), (error,) = self.dofs(sigma2)
+        if error is not None:
+            raise error
+        return float(trace)
+
+    def smoothers(self, sigma2, gains):
+        """The smoothers of ``scaled(g)`` for each g of ``gains``, as one
+        ``SmootherStack`` over the shared modes, and ``filters``' errors."""
+        self._require_vectors()
+        F, errors = self.filters(sigma2, gains)
+        return SmootherStack(self.modes, F, self.Q), errors
 
     def smoother(self, sigma2=0.0) -> SmootherMatrix:
         """M = QQ^T + Ltilde (Ltilde + sigma2 I)^{-1} on the complement of span(V).

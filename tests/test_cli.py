@@ -24,6 +24,8 @@ from flatgp.dataio import (
 )
 from flatgp.errors import DatasetError, EmptyDataset
 from flatgp.polybasis import Design
+from flatgp.smoothers import SmootherStack
+from flatgp.spm import SaddleFactorization
 
 
 def write_lines(path, lines):
@@ -372,9 +374,50 @@ class TestCommands:
         assert code == 0
         rows = read_csv(f"{out}.csv")[1]
         assert len(rows) == 4 * 5 * 3 and all(row[-1] == "ok" for row in rows)
-        # one spectrum per eps; every gamma cell reads diag M, M y and tr M from it
+        # one spectrum per eps, filtered at every gamma at once: one stack of
+        # smoothers gives all cells' diag M, M y and tr M
         assert eigh == [(25, 25)] * 4
         assert dense_smoothers == []
+
+    def test_fit_reads_one_diagonal_and_one_fitted_vector(self, tmp_path, monkeypatch):
+        reads = []
+        diagonal, fitted = SmootherStack._diagonal.func, SmootherStack.fitted
+
+        def counted_diagonal(self):
+            reads.append("diagonal")
+            return diagonal(self)
+
+        def counted_fitted(self, y):
+            last = self._last
+            out = fitted(self, y)
+            if self._last is not last:  # not the kept values of this y
+                reads.append("fitted")
+            return out
+
+        monkeypatch.setattr(SmootherStack._diagonal, "func", counted_diagonal)
+        monkeypatch.setattr(SmootherStack, "fitted", counted_fitted)
+        out = tmp_path / "fit"
+        assert main(["fit", "--n", "30", "--sigma2", "0.1", "--out", str(out)]) == 0
+        metrics = read_json(f"{out}.json")["metrics"]
+        assert all(isinstance(metrics[k], float) for k in ("loo_mse", "loo_nll", "sure"))
+        # the fitted column and the three criteria share one of each
+        assert sorted(reads) == ["diagonal", "fitted"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dof-grid", "--eps-grid", "0.5:2:3", "--gamma-grid", "0.1:10:4"],
+            ["criteria-grid", "--eps-grid", "0.5:2:3", "--gamma-grid", "0.1:10:4"],
+            ["nugget-compare", "--eps", "0.5", "--gamma-grid", "1e2:1e6:5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_gain_grids_move_no_spectrum_per_cell(self, argv, tmp_path, monkeypatch):
+        def refuse(self, factor):
+            raise AssertionError("a gain grid cell moved a spectrum to its gain")
+
+        monkeypatch.setattr(SaddleFactorization, "scaled", refuse)
+        assert main(argv + ["--n", "20", "--out", str(tmp_path / "o")]) == 0
 
     def test_isofreedom_reads_eigenvalues_only(self, tmp_path, count_linalg):
         eigh, eigvalsh = count_linalg("eigh"), count_linalg("eigvalsh")

@@ -18,9 +18,15 @@ from flatgp import (
     spline_dof,
     sure,
 )
-from flatgp.errors import IllConditioned, InterpolatingSmoother, NegativeVariance
+from flatgp.errors import (
+    DegenerateVariance,
+    FlatGpError,
+    IllConditioned,
+    InterpolatingSmoother,
+    NegativeVariance,
+)
 from flatgp.flatlimit import absorbed_kernel_model
-from flatgp.gp import loo_components
+from flatgp.gp import criteria, loo_components
 from flatgp.smoothers import SmootherMatrix
 from flatgp.spm import factorize_model
 
@@ -484,3 +490,117 @@ def test_criteria_are_python_floats(rng):
     M = spec.smoother(0.1)
     for value in (loo_mse(M, y), loo_nll(M, y, 0.1), sure(M, y, 0.1), spec.nlml(y, 0.1)):
         assert type(value) is float and math.isfinite(value)
+
+
+def serial_cell(spec, y, sigma2, g):
+    """A criteria-grid cell evaluated one smoother at a time: the three
+    criteria, or {} and the first error the serial order raises."""
+    try:
+        M = spec.scaled(g).smoother(sigma2)
+        return {
+            "loo_mse": loo_mse(M, y), "loo_nll": loo_nll(M, y, sigma2), "sure": sure(M, y, sigma2)
+        }, None
+    except (FlatGpError, ValueError) as exc:
+        return {}, exc
+
+
+def serial_dof(spec, sigma2, g):
+    try:
+        return spec.scaled(g).dof(sigma2), None
+    except IllConditioned as exc:
+        return math.nan, exc
+
+
+def same_error(a, b):
+    return type(a) is type(b) and str(a) == str(b) and (
+        getattr(a, "smallest_eigenvalue", None) == getattr(b, "smallest_eigenvalue", None)
+    )
+
+
+class TestGainAxis:
+    """One spectrum filtered at G gains at once, against one smoother per gain."""
+
+    @given(
+        kernel=st.sampled_from(["gaussian", "matern0.5", "matern1.5", "matern2.5"]),
+        d=st.sampled_from([1, 2]),
+        n=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        log_eps=st.floats(-1.5, 1.5),
+        log_gains=st.lists(st.floats(-8.0, 12.0), min_size=1, max_size=8),
+        sigma2=st.sampled_from([0.0, 1e-4, 1e-2]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batched_gains_match_one_smoother_per_gain(
+        self, kernel, d, n, seed, log_eps, log_gains, sigma2
+    ):
+        rng = np.random.default_rng(seed)
+        X, y = rng.uniform(0, 1, size=(n, d)), rng.normal(size=n)
+        eps = 10.0**log_eps
+        kern = Kernel.gaussian(eps) if kernel == "gaussian" else Kernel.matern(float(kernel[6:]), eps)
+        spec = GpSpectrum.from_kernel(kern, X)
+        gains = 10.0 ** np.array(log_gains)
+        traces, dof_errors = spec.dofs(sigma2, gains)
+        for g, trace, error, cell in zip(gains, traces, dof_errors, criteria(spec, y, sigma2, gains)):
+            want, want_error = serial_dof(spec, sigma2, g)
+            # the trace bitwise, or the same IllConditioned with the same smallest eigenvalue
+            assert np.array_equal(trace, want, equal_nan=True)
+            assert same_error(error, want_error) if want_error else error is None
+            # both as the plain expressions of the scaled eigenvalues give them
+            lam = spec.scaled(g).gain * spec.evals
+            if want_error:
+                assert want_error.smallest_eigenvalue == float(lam.min()) + sigma2
+            else:
+                assert want == float(np.sum(lam / (lam + sigma2)))
+            values, cell_error = cell
+            want_values, want_cell_error = serial_cell(spec, y, sigma2, g)
+            assert same_error(cell_error, want_cell_error) if want_cell_error else cell_error is None
+            assert values.keys() == want_values.keys()
+            for name, value in values.items():
+                assert value == pytest.approx(want_values[name], rel=1e-12, abs=0), name
+
+    @pytest.mark.parametrize(
+        "case, sigma2, kinds",
+        [
+            # singular at every gain: at sigma2 = 0 the test n u lam_max scales with the gain
+            ("flat gaussian", 0.0, {IllConditioned}),
+            # large gains pass every mode and interpolate
+            ("exponential", 1e-2, {type(None), InterpolatingSmoother}),
+            # a basis alone: diag M < 1, but a zero leave-one-out variance
+            ("zero kernel, linear basis", 0.0, {DegenerateVariance}),
+        ],
+    )
+    def test_statuses_follow_the_serial_order(self, case, sigma2, kinds, rng):
+        X, y = rng.uniform(0, 1, 12), rng.normal(size=12)
+        spec = {
+            "flat gaussian": lambda: GpSpectrum.from_kernel(Kernel.gaussian(0.5), X),
+            "exponential": lambda: GpSpectrum.from_kernel(Kernel.exponential(2.0), X),
+            "zero kernel, linear basis": lambda: factorize_model(
+                SemiParametricModel(Kernel.zero(), d=1, basis_degree=1), X
+            ),
+        }[case]()
+        gains = np.geomspace(1e-8, 1e12, 21)
+        cells = criteria(spec, y, sigma2, gains)
+        assert {type(error) for _, error in cells} == kinds
+        for g, (values, error) in zip(gains, cells):
+            want_values, want_error = serial_cell(spec, y, sigma2, g)
+            assert same_error(error, want_error) if want_error else error is None
+            assert values == want_values
+
+    def test_negative_or_nan_sigma2_raises(self, rng):
+        spec = GpSpectrum.from_kernel(Kernel.gaussian(2.0), rng.uniform(0, 1, 6))
+        for sigma2 in (-1e-3, math.nan):
+            with pytest.raises(ValueError, match="sigma2"):
+                spec.dofs(sigma2, [1.0, 2.0])
+            with pytest.raises(ValueError, match="sigma2"):
+                criteria(spec, np.zeros(6), sigma2, [1.0, 2.0])
+
+    def test_one_smoother_reads_its_diagonal_and_fitted_values_once(self, rng):
+        X, y = rng.uniform(0, 1, 9), rng.normal(size=9)
+        M = GpSpectrum.from_kernel(Kernel.matern(1.5, 2.0), X).smoother(0.1)
+        assert M.diagonal().base is M.diagonal().base
+        fitted = M.fitted(y)
+        assert M.fitted(y.copy()).base is fitted.base
+        # another y is smoothed anew
+        assert not np.array_equal(M.fitted(y + 1.0), fitted)
+        with pytest.raises(ValueError):
+            fitted[0] = 0.0  # the kept values are read-only

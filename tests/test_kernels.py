@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from flatgp import (
     wronskian_schur,
 )
 from flatgp.errors import SeriesTruncation, SingularWronskianBlock, UnknownRegularity
-from flatgp.kernels import Family, profile
+from flatgp.kernels import Family, _matern_poly_coeffs, profile
 
 
 def bessel_matern(nu, eps, gamma, x, y):
@@ -204,6 +205,30 @@ class TestKernelMatrix:
             rem.append(np.abs(K - approx).max())
         ratios = [rem[i] / rem[i + 1] for i in range(2)]
         assert all(30 <= r <= 100 for r in ratios), ratios
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
+    def test_matern_profile_is_bitwise_the_plain_expression(self, nu, rng):
+        # the in-place profile against exp(-a t) P(t) by Horner's rule in fresh arrays
+        coeffs, a = _matern_poly_coeffs(nu)
+        t = np.concatenate([[0.0], rng.uniform(0, 1, 199), rng.uniform(0, 800, 200)]).reshape(20, 20)
+        p = np.zeros_like(t)
+        for c in reversed(coeffs):
+            p = p * t + c
+        assert np.array_equal(profile(Kernel.matern(nu))(t), p * np.exp(-a * t))
+
+    def test_matern_matrix_holds_three_buffers_at_most(self, rng):
+        X = rng.uniform(0, 1, 400)
+        k = Kernel.matern(1.5, epsilon=2.0, gamma=3.0)
+        kernel_matrix(k, X)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            K = kernel_matrix(k, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # distances (then t), the exponential and the Horner sum, then the
+        # gain times that sum; the plain expression held four (+5.12 MB)
+        assert peak <= 3 * K.nbytes + 65536
 
 
 RADIAL_FAMILIES = [

@@ -503,6 +503,21 @@ class TestSpectralSmoother:
         for sigma2 in (0.0, 0.05, 2.0):
             assert_spectral_smoother_matches_dense(fac.smoother(sigma2), seed)
 
+    @design_cases
+    @settings(max_examples=60, deadline=None)
+    def test_stack_rows_are_the_smoothers_of_each_gain(self, seed, d, degree, zero_kernel, extra):
+        _, X, fac = random_factorization(seed, d, degree, zero_kernel, extra)
+        y = np.random.default_rng(seed).normal(size=len(X))
+        gains = (1e-3, 0.3, 1.0, 7.0, 1e4)
+        for sigma2 in (0.0, 0.05, 2.0):
+            stack, errors = fac.smoothers(sigma2, gains)
+            assert errors == [None] * len(gains)
+            rows = zip(gains, stack.trace, stack.diagonal(), stack.fitted(y))
+            for g, trace, diag, fitted in rows:
+                M = fac.scaled(g).smoother(sigma2)
+                assert trace == M.trace
+                assert np.array_equal(diag, M.diagonal()) and np.array_equal(fitted, M.fitted(y))
+
     @pytest.mark.parametrize("gain", [0.1, 1.0, 30.0])
     def test_gp_spectrum_smoother_matches_its_dense_matrix(self, gain, rng):
         X = rng.uniform(0, 1, size=(20, 2))
