@@ -13,9 +13,10 @@ runs its trials on the same pool (``flatgp.pool.map_pooled``) from n = 250
 up.  The pool has one worker per CPU of the process's CPU set, at most 8;
 under ``taskset -c 0`` everything runs inline.  While the pool runs, numpy's
 OpenBLAS runs one thread.  nugget-compare factors its one spectrum serially.
-dof-grid, criteria-grid and nugget-compare filter each spectrum at every
-gamma of their grid at once (``spec.dofs``, ``gp.criteria``), so a cell is a
-row of one gain-major filter, not a smoother of its own.
+dof-grid, criteria-grid, nugget-compare and pred-curve filter each spectrum
+at every gamma of their grid at once (``spec.dofs``, ``gp.criteria``,
+``flatlimit.prediction_curve``, all through ``spec.filter_terms``), so a
+cell is a row of one gain-major filter, not a spectrum moved to its gain.
 """
 
 import argparse
@@ -343,9 +344,13 @@ def cmd_equiv_check(args):
             rep = check_pred_equiv(
                 fac, factorize_model(other, ds.X), tol=args.tol, seed=args.seed
             )
-            dev = max(rep.max_mean_dev, rep.max_var_dev, rep.max_smoother_dev)
-            results[name] = {"equivalent": rep.equivalent, "max_dev": dev}
-            if not rep.equivalent:
+            # a NaN deviation fails the check, and strict JSON writes it as null
+            dev = float(np.max([rep.max_mean_dev, rep.max_var_dev, rep.max_smoother_dev]))
+            nan = math.isnan(dev)
+            results[name] = {"equivalent": rep.equivalent, "max_dev": None if nan else dev}
+            if nan:
+                errors.append(f"{name}: max_dev is nan")
+            elif not rep.equivalent:
                 errors.append(f"{name}: max_dev {dev:.3g} > tol {args.tol:g}")
     metrics = {
         "case": case.kind.value, "basis_size": m, "checks": results, "all_equivalent": not errors

@@ -373,14 +373,15 @@ def check_pred_equiv(
         return (
             float(np.abs(mean_a - mean_b).max()),
             float(np.abs(var_a - var_b).max()),
-            max(on_design, _max_abs(D), _max_abs(ca * wa - cb * wb), abs(float(cb - ca))),
+            float(np.max([on_design, _max_abs(D), _max_abs(ca * wa - cb * wb), abs(cb - ca)])),
         )
 
     if design.n >= _POOLED_TRIALS_SIZE:
         devs = map_pooled(deviations, trials)
     else:
         devs = [deviations(trial) for trial in trials]
-    dev_mean, dev_var, dev_smoother = (max(column) for column in zip(*devs))
+    # numpy's max, unlike Python's, keeps a NaN wherever it stands
+    dev_mean, dev_var, dev_smoother = np.max(devs, axis=0).tolist()
     return EquivalenceCheck(
         equivalent=bool(dev_mean <= tol and dev_var <= tol and dev_smoother <= tol),
         max_mean_dev=dev_mean,
@@ -411,7 +412,8 @@ def match_scale(
         raise NotProportional(f"trace matching failed: {exc}") from exc
     # alpha multiplies fac_b's gain: <l_a, V> ~ <alpha l_b, V'>
     alpha = g / fac_b.gain
-    if _max_abs(difference(target, fac_b.scaled(alpha).smoother(sigma2))) > tol:
+    # a NaN difference is no agreement
+    if not _max_abs(difference(target, fac_b.scaled(alpha).smoother(sigma2))) <= tol:
         raise NotProportional("traces match but smoothers differ; models are not proportional")
     return alpha
 
@@ -434,8 +436,6 @@ class EquivalenceReport:
     final_dev: float
     passed: bool
     dropped_eps: tuple
-    seed: int
-    tol: float
 
 
 def _loglog_slope(eps, devs):
@@ -458,7 +458,7 @@ def convergence_study(
 ) -> EquivalenceReport:
     """Measure, per epsilon, how far the family's predictions sit from the limit.
 
-    Random data vectors are drawn with the recorded seed; deviations are max
+    Random data vectors are drawn with ``seed``; deviations are max
     absolute differences of predictive means and variances over the query
     points.  Pass requires a fitted log-log slope >= 0.8 and a final deviation
     below ``tol``; ``tol`` <= 0 or ``num_trials`` < 1 raises ValueError.
@@ -537,8 +537,6 @@ def convergence_study(
         final_dev=final_dev,
         passed=passed,
         dropped_eps=tuple(dropped),
-        seed=seed,
-        tol=tol,
     )
 
 
@@ -559,8 +557,13 @@ class PredictionCurve:
 def prediction_curve(kernel: Kernel, X, y, sigma2: float, gamma_grid, xa, xb) -> PredictionCurve:
     """Data behind the two-point visualization of the flat-limit theorems, at
     the kernel's epsilon: each gamma of ``gamma_grid`` replaces its gain.
-    The anchors are the least-squares polynomial fits of degree 0, 1, ..., up
-    to the highest the design separates, from one QR (``graded_basis``)."""
+
+    The unit-gain spectrum is filtered at every gamma at once
+    (``filter_terms``) and y is projected on its modes once, z; a gamma's
+    prediction is (gamma kq) @ (modes @ (z / denom)), its solve, or None
+    with status ``ill-conditioned`` where the filter refuses its row.  The
+    anchors are the least-squares polynomial fits of degree 0, 1, ..., up to
+    the highest the design separates, from one QR (``graded_basis``)."""
     design = as_design(X)
     y = np.asarray(y, dtype=float)
     gamma_grid = [float(g) for g in gamma_grid]
@@ -576,15 +579,15 @@ def prediction_curve(kernel: Kernel, X, y, sigma2: float, gamma_grid, xa, xb) ->
     spec = GpSpectrum.from_kernel(unit, design)
     # the cross kernel at gain g is g times the one at unit gain
     kq = kernel_cross(unit, queries, design)
-    points, statuses = [], []
-    for g in gamma_grid:
-        try:
-            pred = (g * kq) @ spec.scaled(g).solve(sigma2, y)[0]
-            points.append((float(pred[0]), float(pred[1])))
-            statuses.append("ok")
-        except IllConditioned:
-            points.append(None)
-            statuses.append("ill-conditioned")
+    _, denoms, errors = spec.filter_terms(sigma2, gamma_grid)
+    z = spec.modes.T @ y
+    # in solve's order, the coefficients and then the cross kernel, whose
+    # terms cancel at large g: another order moves the digits
+    points = [
+        None if error else tuple(((g * kq) @ (spec.modes @ (z / denom))).tolist())
+        for g, denom, error in zip(gamma_grid, denoms, errors)
+    ]
+    statuses = ["ill-conditioned" if error else "ok" for error in errors]
 
     Q, R, top = graded_basis(design, design.n - 1)
     z = Q.T @ y

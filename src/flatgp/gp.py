@@ -5,9 +5,10 @@ spectrum, ``GpSpectrum`` (the same type as ``spm.SaddleFactorization``,
 built by ``from_kernel``), is the eigendecomposition of the unit-gain kernel
 matrix; the smoother with gain gamma and noise sigma2 filters each of its
 modes by lambda / (lambda + sigma2 / gamma), and one spectrum serves every
-gamma of a grid: ``spec.filters(sigma2, gains)`` forms the filters of all
-gains at once, gain-major (G, r), and ``spec.dofs`` and ``spec.smoothers``
-read every trace and every smoother of a gain grid from them.  The trace,
+gamma of a grid: ``spec.filter_terms(sigma2, gains)`` forms the scaled
+eigenvalues and denominators of all gains at once, gain-major (G, r), and
+``spec.dofs`` and ``spec.smoothers`` read every trace and every smoother of
+a gain grid from their ratios.  The trace,
 the degrees of freedom, reads the eigenvalues alone, so
 ``from_kernel(..., vectors=False)`` builds a spectrum for traces only, by
 ``eigvalsh``; the isofreedom curve, the CLI's nugget-compare and its dof-grid

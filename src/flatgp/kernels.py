@@ -187,7 +187,8 @@ def _matern_poly_coeffs(nu):
 
 
 def profile(kernel: Kernel):
-    """Vectorized radial profile ``psi(t)``, t >= 0; None for non-radial kernels."""
+    """Vectorized radial profile ``psi(t)``, t >= 0, of a radial kernel; ``_pairs``
+    evaluates the zero, sum, polynomial and monomial kernels without one."""
     fam = kernel.family
     if fam is Family.GAUSSIAN:
         return lambda t: np.exp(-np.square(t))
@@ -212,11 +213,7 @@ def profile(kernel: Kernel):
         r = kernel.order
         sign = (-1.0) ** r
         return lambda t: sign * np.asarray(t, dtype=float) ** (2 * r - 1)
-    if fam is Family.ZERO:
-        return lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    if fam is Family.CUSTOM:
-        return kernel.profile_fn
-    return None
+    return kernel.profile_fn
 
 
 def regularity(kernel: Kernel):

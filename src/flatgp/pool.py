@@ -13,11 +13,10 @@ work runs in the pool's workers.
 
 ``flatlimit.check_pred_equiv`` (the CLI's equiv-check) runs its independent
 trials through ``map_pooled`` on designs of at least
-``flatlimit._POOLED_TRIALS_SIZE`` = 250 points and inline below: with one
-BLAS thread on a 2-vCPU VM, 8 trials took 14.6 ms inline against 16.9 ms
-pooled at n = 200, and 44.2 against 29.5 ms at n = 400.  The trials reduce
-to three maxima, whose order does not matter, so under one BLAS thread a
-pooled check is bitwise the inline one.
+``flatlimit._POOLED_TRIALS_SIZE`` points and inline below; the measurements
+that set that size stand beside it.  The trials reduce to three maxima,
+whose order does not matter, so under one BLAS thread a pooled check is
+bitwise the inline one.
 
 Tasks are stacks of consecutive kernels, factored by one
 ``SaddleFactorization.from_kernels`` call, which gives each spectrum bitwise

@@ -8,10 +8,11 @@ restriction, ``SaddleFactorization``, the package's one spectral core, is
 reused for means, variances, smoothers, traces and the Laurent coefficient
 B0.  It is taken at unit gain and carries the gain as a scalar, so it depends
 on the kernel's shape, the basis and the design only: ``factorize_model``
-builds it once per (model, design) and ``scaled(g)`` moves it to any gain;
-``filters(sigma2, gains)`` filters it at a vector of gains at once, one
-gain-major row per gain, for the traces (``dofs``) and smoothers
-(``smoothers``) of a whole gain grid.  A GP is the model with an empty basis (``from_kernel``, exported as
+builds it once per (model, design).  ``filter_terms(sigma2, gains)``
+filters it at a vector of gains at once, one gain-major row per gain: the
+traces (``dofs``), smoothers (``smoothers``) and predictions of a whole gain
+grid read those rows, and ``scaled(g)`` moves it to one other gain.  A GP is
+the model with an empty basis (``from_kernel``, exported as
 ``gp.GpSpectrum``).
 
 Q, R and the restriction to the complement come from one QR of V, whose
@@ -253,11 +254,7 @@ class SaddleFactorization:
 
     def scaled(self, factor: float) -> "SaddleFactorization":
         """The same factorization at gain ``gain * factor``; no array is copied."""
-        # shares every field but the gain; skipping __init__ keeps this at
-        # about a microsecond, since the grids move the gain once per cell
-        moved = object.__new__(type(self))
-        moved.__dict__.update(vars(self), gain=self.gain * factor)
-        return moved
+        return replace(self, gain=self.gain * factor)
 
     def _require_vectors(self):
         if self.modes is None:
@@ -273,11 +270,14 @@ class SaddleFactorization:
                 "factor the model with factorize_model(model, X)"
             )
 
-    def _filter_rows(self, sigma2, gains=None):
+    def filter_terms(self, sigma2, gains=None):
         """The filter terms of ``scaled(g)`` for each gain factor g of ``gains``,
         gain-major, one row per g (no ``gains``: one row, at this gain): scaled
         eigenvalues lam (G, r), solve denominators lam + sigma2, and per row
-        None or the IllConditioned that ``scaled(g)`` raises.  At sigma2 = 0 the
+        None or the IllConditioned that ``scaled(g)`` raises.  Row g's filter
+        is lam / (lam + sigma2) and its solve divides the modes' coefficients
+        by the denominators, so one spectrum and one vector of gains give every
+        smoother, trace and prediction of a gain grid.  At sigma2 = 0 the
         pseudo-inverse drops the modes with |lam| <= ``_PINV_TOL`` |lam|_max,
         and the GP spectrum raises from n u lam_max down.  Dropped modes and
         the rows that raise have infinite denominators, so their filter reads 0
@@ -318,30 +318,20 @@ class SaddleFactorization:
 
     def _filter_terms(self, sigma2):
         """Scaled eigenvalues lam and solve denominators lam + sigma2 at this
-        gain: the one row of ``_filter_rows``, whose error it raises."""
-        lam, denom, (error,) = self._filter_rows(sigma2)
+        gain: the one row of ``filter_terms``, whose error it raises."""
+        lam, denom, (error,) = self.filter_terms(sigma2)
         if error is not None:
             raise error
         return lam[0], denom[0]
 
-    def filters(self, sigma2, gains=None):
-        """The filters lam / (lam + sigma2) of ``scaled(g)`` for each g of
-        ``gains``, gain-major (G, r), and per row None or the IllConditioned
-        that ``scaled(g)`` raises (its row reads 0).  One spectrum and one
-        vector of gains give every smoother and trace of a gain grid."""
-        lam, denom, errors = self._filter_rows(sigma2, gains)
-        return lam / denom, errors
-
     def dofs(self, sigma2, gains=None):
         """The traces m + sum lam / (lam + sigma2) of ``scaled(g)`` for each g
-        of ``gains`` (nan where a row raises) and ``filters``' errors.  Each
-        row sum runs along a gain-major row, so each trace is bitwise the one
-        ``scaled(g).dof(sigma2)`` returns."""
-        F, errors = self.filters(sigma2, gains)
-        traces = self.m + F.sum(axis=1)
-        for i, error in enumerate(errors):
-            if error is not None:
-                traces[i] = np.nan
+        of ``gains`` (nan where a row raises) and ``filter_terms``' errors.
+        Each row sum runs along a gain-major row, so each trace is bitwise the
+        one ``scaled(g).dof(sigma2)`` returns."""
+        lam, denom, errors = self.filter_terms(sigma2, gains)
+        traces = self.m + (lam / denom).sum(axis=1)
+        traces[[error is not None for error in errors]] = np.nan
         return traces, errors
 
     def dof(self, sigma2=0.0) -> float:
@@ -354,10 +344,10 @@ class SaddleFactorization:
 
     def smoothers(self, sigma2, gains):
         """The smoothers of ``scaled(g)`` for each g of ``gains``, as one
-        ``SmootherStack`` over the shared modes, and ``filters``' errors."""
+        ``SmootherStack`` over the shared modes, and ``filter_terms``' errors."""
         self._require_vectors()
-        F, errors = self.filters(sigma2, gains)
-        return SmootherStack(self.modes, F, self.Q), errors
+        lam, denom, errors = self.filter_terms(sigma2, gains)
+        return SmootherStack(self.modes, lam / denom, self.Q), errors
 
     def smoother(self, sigma2=0.0) -> SmootherMatrix:
         """M = QQ^T + Ltilde (Ltilde + sigma2 I)^{-1} on the complement of span(V).
@@ -490,7 +480,7 @@ def factorize_model(model: SemiParametricModel, X) -> SaddleFactorization:
     design = as_design(X)
     unit = model.kernel.with_params(gamma=1.0)
     fac = factorize(kernel_matrix(unit, design), model.basis_matrix(design))
-    return replace(fac.scaled(model.kernel.gamma), model=replace(model, kernel=unit), design=design)
+    return replace(fac, gain=float(model.kernel.gamma), model=replace(model, kernel=unit), design=design)
 
 
 def project_out_basis(L: np.ndarray, Q: np.ndarray) -> np.ndarray:

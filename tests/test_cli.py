@@ -12,6 +12,7 @@ import pytest
 
 import flatgp
 import flatgp.cli as cli_module
+import flatgp.flatlimit as flatlimit_module
 import flatgp.pool as pool_module
 from flatgp.cli import build_parser, main
 from flatgp.dataio import (
@@ -24,7 +25,7 @@ from flatgp.dataio import (
 )
 from flatgp.errors import DatasetError, EmptyDataset
 from flatgp.polybasis import Design
-from flatgp.smoothers import SmootherStack
+from flatgp.smoothers import SmootherStack, difference
 from flatgp.spm import SaddleFactorization
 
 
@@ -409,6 +410,8 @@ class TestCommands:
             ["dof-grid", "--eps-grid", "0.5:2:3", "--gamma-grid", "0.1:10:4"],
             ["criteria-grid", "--eps-grid", "0.5:2:3", "--gamma-grid", "0.1:10:4"],
             ["nugget-compare", "--eps", "0.5", "--gamma-grid", "1e2:1e6:5"],
+            ["pred-curve", "--eps", "0.5", "--gamma-grid", "1e-4:1e6:7", "--sigma2", "0.01",
+             "--xa", "0.2", "--xb", "0.8"],
         ],
         ids=lambda argv: argv[0],
     )
@@ -581,6 +584,36 @@ class TestCommands:
         assert len(errors) == 2
         for name, error in zip(("basis_change", "kernel_absorption"), errors):
             assert error.startswith(f"{name}: max_dev ") and error.endswith("> tol 1e-30")
+
+    def test_equiv_check_reports_a_nan_deviation_as_null(self, tmp_path, monkeypatch):
+        # one NaN in the second trial's smoother difference of the first check:
+        # Python's max would drop it behind the first trial's finite deviation
+        calls = []
+
+        def poisoned(*args):
+            D = difference(*args)
+            calls.append(1)
+            if len(calls) == 2:
+                D[0, 0] = np.nan
+            return D
+
+        monkeypatch.setattr(flatlimit_module, "difference", poisoned)
+        out = tmp_path / "eq"
+        code = main([
+            "equiv-check", "--n", "20", "--kernel", "matern", "--nu", "1.5", "--p", "3",
+            "--out", str(out),
+        ])
+        assert code == 2
+
+        def refuse(constant):
+            raise AssertionError(f"the summary is not strict JSON: {constant}")
+
+        summary = json.loads((tmp_path / "eq.json").read_text(), parse_constant=refuse)
+        checks = summary["metrics"]["checks"]
+        assert checks["basis_change"] == {"equivalent": False, "max_dev": None}
+        assert checks["kernel_absorption"]["equivalent"] is True
+        assert summary["metrics"]["all_equivalent"] is False
+        assert summary["errors"] == ["basis_change: max_dev is nan"]
 
     @pytest.mark.parametrize("flag", ["--n", "--dim"])
     def test_synthesized_design_rejects_zero_size(self, flag, tmp_path, capsys):

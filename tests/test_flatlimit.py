@@ -33,6 +33,7 @@ from flatgp import (
     wronskian_schur,
 )
 from flatgp.errors import (
+    IllConditioned,
     IncomparableModels,
     InsufficientGrid,
     NegativeVariance,
@@ -429,6 +430,27 @@ class TestPredEquiv:
         with pytest.raises(ValueError, match="num_trials"):
             check_pred_equiv(*factored(model, model.scaled(2.0), X=X), num_trials=num_trials)
 
+    @pytest.mark.parametrize("trial", [0, 1])
+    def test_a_nan_deviation_fails_the_check(self, trial, monkeypatch):
+        # Python's max(1.0, nan) is 1.0: a NaN deviation must fail the check
+        # whichever trial makes it
+        X = np.linspace(0, 1, 12)
+        model = polyharmonic_spm(2, 1)
+        calls = []
+
+        def poisoned(*args):
+            D = smoothers_module.difference(*args)
+            if len(calls) == trial:
+                D[0, 0] = np.nan
+            calls.append(1)
+            return D
+
+        monkeypatch.setattr(flatlimit_module, "difference", poisoned)
+        rep = check_pred_equiv(*factored(model, absorbed_kernel_model(model, X), X=X))
+        assert not rep.equivalent
+        assert math.isnan(rep.max_smoother_dev)
+        assert rep.max_mean_dev <= 1e-8 and rep.max_var_dev <= 1e-8
+
     def test_transitivity_spot_check(self, rng):
         X = np.sort(rng.uniform(0, 1, 8))
         model = polyharmonic_spm(1, 1)
@@ -653,6 +675,20 @@ class TestMatchScale:
         with pytest.raises(NotProportional):
             match_scale(*factored(a, b, X=X), 0.05)
 
+    def test_a_nan_smoother_difference_is_not_proportional(self, monkeypatch):
+        # nan > tol is False: the verification must not pass a NaN
+        X = np.linspace(0, 1, 9)
+        model = polyharmonic_spm(1, 1)
+
+        def poisoned(*args):
+            D = smoothers_module.difference(*args)
+            D[0, 0] = np.nan
+            return D
+
+        monkeypatch.setattr(flatlimit_module, "difference", poisoned)
+        with pytest.raises(NotProportional, match="smoothers differ"):
+            match_scale(*factored(model, model.scaled(4.0), X=X), 0.1)
+
 
 class TestConvergenceStudy:
     def test_gaussian_odd_case(self, rng):
@@ -866,10 +902,25 @@ class TestPredictionCurve:
         assert curve.anchors[0][0] == 0
         assert len(curve.anchors) == 8
 
-    def test_one_cross_kernel_per_curve(self, rng, monkeypatch):
-        X = np.sort(rng.uniform(0, 1, 9))
-        y = rng.normal(size=9) + X
-        kernel, sigma2, eps = Kernel.matern(1.5), 0.01, 0.7
+    @pytest.mark.parametrize(
+        "kernel,d,sigma2,statuses",
+        [
+            (Kernel.matern(1.5), 1, 0.01, {"ok"}),
+            (Kernel.gaussian(), 2, 0.01, {"ok"}),
+            # noiseless: a Gaussian's spectrum reaches round-off, an exponential's does not
+            (Kernel.gaussian(), 1, 0.0, {"ill-conditioned"}),
+            (Kernel.exponential(), 1, 0.0, {"ok"}),
+            # indefinite: large gains push a negative eigenvalue past -sigma2
+            (Kernel.custom(lambda t: 1.0 - t**2), 1, 0.01, {"ok", "ill-conditioned"}),
+        ],
+        ids=["matern-d1", "gaussian-d2", "gaussian-noiseless", "exponential-noiseless",
+             "indefinite"],
+    )
+    def test_one_cross_kernel_per_curve(self, kernel, d, sigma2, statuses, rng, monkeypatch):
+        X = rng.uniform(0, 1, size=(9, d))
+        y = rng.normal(size=9) + X[:, 0]
+        eps = 0.7
+        xa, xb = np.full(d, 0.2), np.full(d, 0.8)
         grid = np.geomspace(1e-6, 1e8, 30)
         calls = []
 
@@ -879,16 +930,22 @@ class TestPredictionCurve:
 
         monkeypatch.setattr(flatlimit_module, "kernel_cross", counted)
         monkeypatch.setattr(spm_module, "kernel_cross", counted)
-        curve = prediction_curve(kernel.with_params(epsilon=eps), X, y, sigma2, grid, 0.2, 0.8)
+        curve = prediction_curve(kernel.with_params(epsilon=eps), X, y, sigma2, grid, xa, xb)
         # the gamma loop reads one cross kernel; the anchors read none
-        assert len(calls) == 1 and len(curve.anchors) == 9
-        # the same predictions as a cross kernel built at each gain
+        assert len(calls) == 1 and len(curve.anchors) == {1: 9, 2: 3}[d]
+        assert set(curve.statuses) == statuses
+        # the same predictions and statuses as a cross kernel and a solve at
+        # each gain, bitwise
         spec = GpSpectrum.from_kernel(kernel.with_params(epsilon=eps), X)
-        queries = np.array([[0.2], [0.8]])
-        for g, point in zip(grid, curve.points):
+        queries = np.array([xa, xb])
+        for g, point, status in zip(grid, curve.points, curve.statuses):
             kq = kernel_cross(kernel.with_params(epsilon=eps, gamma=g), queries, X)
-            want = kq @ spec.scaled(g).solve(sigma2, y)[0]
-            assert point == (want[0], want[1])
+            try:
+                want = kq @ spec.scaled(g).solve(sigma2, y)[0]
+            except IllConditioned:
+                assert (point, status) == (None, "ill-conditioned")
+            else:
+                assert (point, status) == ((want[0], want[1]), "ok")
 
     def test_curve_approaches_anchors_as_eps_shrinks(self, rng):
         X = np.sort(rng.uniform(0, 1, 8))
@@ -921,4 +978,3 @@ class TestReportBookkeeping:
         r1 = convergence_study(family, X, xq, [0.2, 0.1, 0.05], 0.01, seed=42)
         r2 = convergence_study(family, X, xq, [0.2, 0.1, 0.05], 0.01, seed=42)
         assert r1.mean_devs == r2.mean_devs
-        assert r1.seed == 42

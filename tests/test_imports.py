@@ -10,6 +10,10 @@ importing, so it is exempt, as is any imported name on a line marked
 The rank of a basis is decided by ``polybasis.full_rank_blocks`` alone: no other
 function reads ``DEFAULT_RANK_TOL`` or takes an SVD, except the blocked
 reference ``vandermonde`` that the tests compare against.
+
+A private name stays in its module: every attribute read ``obj._name`` in the
+package, ``obj`` other than ``self`` or ``cls``, names something the same
+module defines.  The tests are exempt, since they patch private methods.
 """
 
 import ast
@@ -97,3 +101,46 @@ def test_a_rank_rule_reader_is_found():
         "def clean(V):\n    return np.linalg.qr(V)\n"
     )
     assert rank_rule_readers(source) == {"judged", "spectral", "bare"}
+
+
+def foreign_private_reads(source: str) -> list:
+    """(line, name) of each attribute read ``obj._name`` of ``source``, with
+    ``obj`` other than ``self`` or ``cls``, whose name the source does not
+    define as a function, class, method, variable or assigned attribute."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+        and node.attr not in defined
+    )
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_private_names_stay_in_their_module(path):
+    assert foreign_private_reads(path.read_text()) == []
+
+
+def test_a_foreign_private_read_is_found():
+    source = (
+        "class Stack:\n"
+        "    _rows: tuple = ()\n"
+        "    def __init__(self, U):\n        self._factors = U\n"
+        "    def _diagonal(self):\n        return self._hidden\n"
+        "def same(a, b):\n    return a._factors, b._diagonal(), a._rows, type(a).__name__\n"
+        "def foreign(spec):\n    return spec._filter_rows(0.1)\n"
+        "def chained(fit):\n    return fit.factorization._queried\n"
+    )
+    assert foreign_private_reads(source) == [(10, "_filter_rows"), (12, "_queried")]
