@@ -28,7 +28,6 @@ from .flatlimit import (
 from .gp import (
     GpSpectrum,
     criteria,
-    gp_posterior,
     loo_mse,
     loo_nll,
     sure,
@@ -55,7 +54,6 @@ from .polybasis import (
     count_poly_dim,
     enumerate_monomials,
     monomial_matrix,
-    unisolvency_rank,
     vandermonde,
 )
 from .pool import map_spectra
@@ -63,11 +61,7 @@ from .smoothers import SmootherMatrix, SmootherStack
 from .spm import (
     SemiParametricModel,
     SpmFit,
-    cpd_check,
-    fit_spm,
     laurent_b0,
     polyharmonic_spm,
     project_out_basis,
-    smoothing_spline_fit,
-    spline_dof,
 )

@@ -25,10 +25,6 @@ class NegativeVariance(FlatGpError):
     """A predictive variance fell below round-off level; likely a CPD violation."""
 
 
-class DegenerateDesign(FlatGpError):
-    """The design contains duplicate points where distinct ones are required."""
-
-
 class IllConditioned(FlatGpError):
     """A kernel-matrix factorization is numerically meaningless.
 

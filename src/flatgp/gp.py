@@ -37,7 +37,6 @@ import math
 import numpy as np
 
 from .errors import DegenerateVariance, InterpolatingSmoother
-from .kernels import Kernel
 from .smoothers import SmootherMatrix, SmootherStack
 from .spm import SaddleFactorization
 
@@ -47,11 +46,6 @@ _LOO_DIAG_TOL = 1e-10
 # The GP spectrum is the saddle-point factorization of the model with an empty
 # basis: ``GpSpectrum.from_kernel(kernel, X, nugget)``.
 GpSpectrum = SaddleFactorization
-
-
-def gp_posterior(kernel: Kernel, X, y, sigma2: float, query_points, nugget: float = 0.0):
-    """Posterior mean and variance at query points under Gaussian noise."""
-    return GpSpectrum.from_kernel(kernel, X, nugget=nugget).fit(y, sigma2).posterior(query_points)
 
 
 def _loo_rows(y, diag, fitted):
@@ -146,11 +140,6 @@ def _one(rows, M: SmootherMatrix, y, sigma2=None):
 def loo_mse(M: SmootherMatrix, y) -> float:
     """Fast leave-one-out squared error from the smoother matrix."""
     return float(_one(_loo_mse_rows, M, y)[0])
-
-
-def loo_components(M: SmootherMatrix, y, sigma2: float):
-    """Leave-one-out predictive means and variances of each held-out y_i."""
-    return tuple(_one(_loo_components_rows, M, y, sigma2))
 
 
 def loo_nll(M: SmootherMatrix, y, sigma2: float) -> float:

@@ -202,10 +202,3 @@ def graded_basis(X, k: int):
         degree = full_rank_blocks(R, [count_monomials(j, design.d) for j in range(built + 1)]) - 1
     m = count_poly_dim(degree, design.d)
     return Q[:, :m].copy(), R[:m, :m].copy(), degree
-
-
-def unisolvency_rank(X, k: int):
-    """Dimension of the polynomials of the highest degree <= ``k`` that the
-    design separates (``graded_basis``), and whether that degree is k."""
-    _, R, degree = graded_basis(X, k)
-    return R.shape[0], degree == k

@@ -7,7 +7,7 @@ in their filters alone: a ``SmootherStack`` holds all G filters as one
 gain-major (G, r) array, squares the modes and projects y on them once, and
 reads each smoother's diagonal and fitted values from those shared terms by
 one matrix-vector product each.  A ``SmootherMatrix`` is the stack of one,
-with the dense matrix and eigenvalues besides.
+with its dense matrix besides.
 """
 
 from functools import cached_property
@@ -105,11 +105,6 @@ class SmootherMatrix:
     @property
     def trace(self) -> float:
         return float(self.stack.trace[0])
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        _, f, Q = self._factors
-        return np.sort(np.concatenate([f, np.ones(Q.shape[1])]))
 
     def fitted(self, y) -> np.ndarray:
         return self.stack.fitted(y)[0]

@@ -37,7 +37,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    DegenerateDesign,
     IllConditioned,
     NegativeVariance,
     NotUnisolvent,
@@ -491,16 +490,6 @@ def project_out_basis(L: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def cpd_check(model: SemiParametricModel, X, tol: float = 1e-10) -> bool:
-    """Is the kernel positive semi-definite on the complement of the basis span?"""
-    fac = factorize_model(model, X)
-    w = fac.gain * fac.evals
-    if w.size == 0:
-        return True
-    scale = float(np.abs(w).max())
-    return bool(w.min() >= -tol * max(scale, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # fitting and prediction
 
@@ -568,11 +557,6 @@ class SpmFit:
         return mean, np.maximum(var, 0.0), a[:, 0], c
 
 
-def fit_spm(model: SemiParametricModel, X, y, sigma2: float) -> SpmFit:
-    """Solve the bordered system [[L + sigma2 I, V], [V^T, 0]] (alpha; beta) = (y; 0)."""
-    return factorize_model(model, X).fit(y, sigma2)
-
-
 def laurent_b0(L: np.ndarray, V: np.ndarray, sigma2: float) -> np.ndarray:
     """Leading Laurent coefficient of (VV^T + eps (L + sigma2 I))^{-1}.
 
@@ -582,26 +566,6 @@ def laurent_b0(L: np.ndarray, V: np.ndarray, sigma2: float) -> np.ndarray:
     fac = factorize(np.asarray(L, dtype=float), np.asarray(V, dtype=float))
     B0 = (fac.modes * (1.0 / fac._filter_terms(sigma2)[1])) @ fac.modes.T
     return 0.5 * (B0 + B0.T)
-
-
-def smoothing_spline_fit(X, y, p: int, eta: float) -> SpmFit:
-    """Univariate smoothing spline of order p with penalty eta.
-
-    Solves [[(-1)^p D^(2p-1) + eta I, V_{<p}], [V_{<p}^T, 0]] (alpha; beta) =
-    (y; 0); eta = 0 is the polyharmonic interpolation system.
-    """
-    design = as_design(X)
-    if design.d != 1:
-        raise ValueError("smoothing splines are univariate; use polyharmonic_spm for d > 1")
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    if design.n <= p:
-        raise DegenerateDesign(f"need more than p={p} points")
-    # a repeated point has a zero gap to a neighbour once the points are sorted
-    if np.any(np.diff(np.sort(design.points[:, 0])) == 0.0):
-        raise DegenerateDesign("design points must be distinct")
-    model = polyharmonic_spm(p, 1)
-    return fit_spm(model, design, y, eta)
 
 
 def solve_trace(lam, base: float, target: float, sigma2: float):
@@ -668,9 +632,3 @@ def solve_trace(lam, base: float, target: float, sigma2: float):
     if abs(trace - target) > _TRACE_RESIDUAL_TOL * max(1, n):
         raise UnreachableDof(f"trace solve stopped {trace - target:.3e} away from {target:.6g}")
     return math.exp(t), trace
-
-
-def spline_dof(X, r: int, eta: float) -> float:
-    """Degrees of freedom p + sum lam_i / (lam_i + eta) of a spline smoother."""
-    design = as_design(X)
-    return factorize_model(polyharmonic_spm(r, design.d), design).dof(eta)

@@ -1034,10 +1034,19 @@ class TestBenchmarkImports:
         assert {"flatgp.accel", "flatgp.kernels"} <= set(found["modules"])
         assert found["missing"] == []
         # the known-stale bindings, which the tracer reports as not found: one
-        # function went with the spectral core, and six wrappers and distance
+        # function went with the spectral core, and eight wrappers and distance
         # powers that restated the core with it; no other may join them
-        assert "flatgp.spm.spm_filter_eigenvalues" in found["unbound"]
-        assert len(found["unbound"]) == 7
+        assert sorted(found["unbound"]) == [
+            "flatgp.accel.cross_dist_power",
+            "flatgp.accel.pairwise_dist_power",
+            "flatgp.gp.gp_posterior",
+            "flatgp.gp.nlml",
+            "flatgp.kernels.distance_power_matrix",
+            "flatgp.spm.SpmFit.predict_var",
+            "flatgp.spm.fit_spm",
+            "flatgp.spm.spm_filter_eigenvalues",
+            "flatgp.spm.spm_smoother",
+        ]
         assert found["names"] == [True, True, True, True]
 
     def test_worker_environment(self, monkeypatch):

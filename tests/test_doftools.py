@@ -8,7 +8,6 @@ from flatgp import (
     ScaledKernelFamily,
     SemiParametricModel,
     classify_limit,
-    gp_posterior,
     isofreedom_curve,
     isofreedom_gamma,
     kernel_matrix,
@@ -173,7 +172,7 @@ class TestMatchedApproximation:
             g = isofreedom_gamma(kern.with_params(epsilon=eps), X, sigma2, m)
             source = kern.with_params(epsilon=eps, gamma=g)
             approx = matched_approximation(source, sigma2, X)
-            mean_src, _ = gp_posterior(source, X, y, sigma2, xq)
+            mean_src, _ = GpSpectrum.from_kernel(source, X).fit(y, sigma2).posterior(xq)
             mean_tgt = approx.fit(y).predict(xq)
             devs.append(np.abs(mean_src - mean_tgt).max())
         slope = np.polyfit(np.log([0.4, 0.2, 0.1, 0.05]), np.log(devs), 1)[0]

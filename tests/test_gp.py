@@ -9,13 +9,10 @@ from flatgp import (
     GpSpectrum,
     Kernel,
     SemiParametricModel,
-    fit_spm,
-    gp_posterior,
     kernel_matrix,
     loo_mse,
     loo_nll,
     polyharmonic_spm,
-    spline_dof,
     sure,
 )
 from flatgp.errors import (
@@ -26,9 +23,10 @@ from flatgp.errors import (
     NegativeVariance,
 )
 from flatgp.flatlimit import absorbed_kernel_model
-from flatgp.gp import criteria, loo_components
+from flatgp.gp import _loo_components_rows, criteria
 from flatgp.smoothers import SmootherMatrix
 from flatgp.spm import factorize_model
+from spline_references import TOL as SPLINE_TOL, spline_deviation
 
 
 def basis_smoother(n, m):
@@ -49,14 +47,14 @@ class TestPosterior:
         X, y = setup
         kern = Kernel.gaussian(epsilon=2.0, gamma=1.5)
         xq = np.linspace(0, 1, 5)
-        mean, var = gp_posterior(kern, X, y, 1e12, xq)
+        mean, var = GpSpectrum.from_kernel(kern, X).fit(y, 1e12).posterior(xq)
         np.testing.assert_allclose(mean, 0.0, atol=1e-9)
         np.testing.assert_allclose(var, 1.5, atol=1e-9)
 
     def test_far_query_returns_prior_variance(self, setup):
         X, y = setup
         kern = Kernel.gaussian(epsilon=25.0, gamma=2.0)
-        mean, var = gp_posterior(kern, X, y, 0.01, np.array([50.0]))
+        mean, var = GpSpectrum.from_kernel(kern, X).fit(y, 0.01).posterior(np.array([50.0]))
         assert var[0] == pytest.approx(2.0, abs=1e-8)
         assert mean[0] == pytest.approx(0.0, abs=1e-8)
 
@@ -65,27 +63,28 @@ class TestPosterior:
         kern = Kernel.gaussian(epsilon=3.0, gamma=0.7)
         model = SemiParametricModel(kern, d=1, basis_degree=-1)
         xq = np.linspace(0, 1, 7)
-        mean, var = gp_posterior(kern, X, y, 0.2, xq)
+        mean, var = GpSpectrum.from_kernel(kern, X).fit(y, 0.2).posterior(xq)
         np.testing.assert_allclose(
-            mean, fit_spm(model, X, y, 0.2).predict(xq), atol=1e-10
+            mean, factorize_model(model, X).fit(y, 0.2).predict(xq), atol=1e-10
         )
         np.testing.assert_allclose(
-            var, fit_spm(model, X, y, 0.2).posterior(xq)[1], atol=1e-10
+            var, factorize_model(model, X).fit(y, 0.2).posterior(xq)[1], atol=1e-10
         )
 
     def test_illconditioned_carries_eigenvalue(self, setup):
         X, y = setup
         kern = Kernel.gaussian(epsilon=1e-4)
         with pytest.raises(IllConditioned) as exc:
-            gp_posterior(kern, X, y, 0.0, X)
+            GpSpectrum.from_kernel(kern, X).fit(y, 0.0).posterior(X)
         assert exc.value.smallest_eigenvalue is not None
 
     def test_variance_below_roundoff_raises(self):
         # +|x-y|^3 is indefinite; at sigma2 = 1.5 > 1 = -lambda_min the GP
         # solve is defined, but the quadratic form exceeds the zero prior at
         # the midpoint: the variance is reported, not clamped to zero
+        spec = GpSpectrum.from_kernel(Kernel.polyharmonic(2), np.array([0.0, 1.0]))
         with pytest.raises(NegativeVariance):
-            gp_posterior(Kernel.polyharmonic(2), np.array([0.0, 1.0]), np.zeros(2), 1.5, [0.5])
+            spec.fit(np.zeros(2), 1.5).posterior([0.5])
 
 
 class TestSpectrum:
@@ -268,7 +267,7 @@ class TestSmoother:
     def test_eigenvalues_in_unit_interval(self, setup):
         X, _ = setup
         M = GpSpectrum.from_kernel(Kernel.matern(1.5, epsilon=2.0), X).smoother(0.05)
-        w = M.eigenvalues
+        w = np.linalg.eigvalsh(M.matrix)
         assert w.min() >= -1e-9 and w.max() <= 1 + 1e-9
 
     def test_dof_monotone_in_gamma(self, setup):
@@ -290,10 +289,11 @@ class TestDof:
         assert basis_smoother(7, 7).trace == pytest.approx(7.0)
 
     def test_spline_smoother_matches_eigen_sum(self, rng):
+        # the piecewise linear smoothing spline, (I + (eta/2) D^T diag(h) D)^-1
         X = np.sort(rng.uniform(0, 1, 11))
         eta = 0.02
-        M = factorize_model(polyharmonic_spm(3, 1), X).smoother(eta)
-        assert M.trace == pytest.approx(spline_dof(X, 3, eta), abs=1e-8)
+        M = factorize_model(polyharmonic_spm(1, 1), X).smoother(eta)
+        assert max(spline_deviation(M, X, 1, eta)) <= SPLINE_TOL
 
 
 def literal_loo(kernel, X, y, sigma2):
@@ -302,7 +302,8 @@ def literal_loo(kernel, X, y, sigma2):
     mus, variances = [], []
     for i in range(n):
         keep = [j for j in range(n) if j != i]
-        mean, var = gp_posterior(kernel, X[keep], y[keep], sigma2, X[i : i + 1])
+        fit = GpSpectrum.from_kernel(kernel, X[keep]).fit(y[keep], sigma2)
+        mean, var = fit.posterior(X[i : i + 1])
         mus.append(mean[0])
         variances.append(var[0] + sigma2)
     return np.array(mus), np.array(variances)
@@ -385,7 +386,8 @@ class TestLooAgainstRefits:
             mus.append(mean[0])
             variances.append(var[0] + sigma2)
         M = loo_factorization(model, X).smoother(sigma2)
-        mean, var = loo_components(M, y, sigma2)
+        rows = M.diagonal()[None], M.fitted(y)[None]
+        (mean,), (var,), _ = _loo_components_rows(y, *rows, None, sigma2)
         np.testing.assert_allclose(mean, mus, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(var, variances, rtol=1e-8, atol=0)
         literal = np.mean((y - np.array(mus)) ** 2)

@@ -11,20 +11,14 @@ from flatgp import (
     GpSpectrum,
     Kernel,
     SemiParametricModel,
-    cpd_check,
-    fit_spm,
     kernel_cross,
     kernel_diag,
     kernel_matrix,
     laurent_b0,
     polyharmonic_spm,
     project_out_basis,
-    smoothing_spline_fit,
-    spline_dof,
-    unisolvency_rank,
 )
 from flatgp.errors import (
-    DegenerateDesign,
     IllConditioned,
     NegativeVariance,
     NotUnisolvent,
@@ -32,12 +26,14 @@ from flatgp.errors import (
 )
 import flatgp.spm as spm_module
 from flatgp.flatlimit import absorbed_kernel_model
+from flatgp.polybasis import graded_basis
 from flatgp.smoothers import difference
 from flatgp.spm import (
     augmented_smoother,
     factorize_model,
     solve_trace,
 )
+from spline_references import TOL as SPLINE_TOL, spline_deviation, spline_smoother
 
 
 def saddle_matrix(L, V, sigma2):
@@ -89,52 +85,60 @@ class TestProjectOutBasis:
 
 
 class TestCpdCheck:
+    """Conditional positive-definiteness is the sign of the factorization's
+    eigenvalues, the kernel restricted to the complement of the basis span."""
+
     def test_negative_distance_with_constant_basis(self, rng):
         X = np.sort(rng.uniform(-1, 1, 7))
-        assert cpd_check(linear_spline_model(), X)
+        evals = factorize_model(linear_spline_model(), X).evals
+        assert evals.min() >= -1e-10 * np.abs(evals).max()
 
     def test_negative_distance_without_basis_fails(self):
         model = SemiParametricModel(Kernel.polyharmonic(1), d=1, basis_degree=-1)
-        assert not cpd_check(model, np.array([0.0, 1.0]))
+        # -|x - y| on two points is [[0, -1], [-1, 0]]
+        np.testing.assert_allclose(factorize_model(model, np.array([0.0, 1.0])).evals, [-1.0, 1.0])
 
     def test_tolerance_reads_the_scaled_eigenvalues(self):
-        # below unit scale the tolerance is absolute, so a tiny gain passes
+        # the eigenvalues are the unit-gain kernel's; the gain scales them
         model = SemiParametricModel(Kernel.polyharmonic(1), d=1, basis_degree=-1)
         X = np.array([0.0, 1.0])
-        assert cpd_check(model.scaled(1e-12), X)
-        assert not cpd_check(model.scaled(1e3), X)
+        for gain in (1e-12, 1e3):
+            fac = factorize_model(model.scaled(gain), X)
+            assert fac.gain == gain
+            np.testing.assert_allclose(fac.gain * fac.evals, [-gain, gain], rtol=1e-14)
 
     def test_positive_definite_kernel_empty_basis(self, rng):
         model = SemiParametricModel(Kernel.gaussian(), d=1, basis_degree=-1)
-        assert cpd_check(model, rng.uniform(0, 1, 5))
+        assert factorize_model(model, rng.uniform(0, 1, 5)).evals.min() > 0
 
     def test_non_unisolvent_design_raises(self, rng):
         t = rng.uniform(0, 1, 8)
         X = np.column_stack([t, t])
         model = SemiParametricModel(Kernel.polyharmonic(2), d=2, basis_degree=2)
         with pytest.raises(NotUnisolvent):
-            cpd_check(model, X)
+            factorize_model(model, X)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_polyharmonic_is_cpd_on_random_designs(self, r, d):
         rng = np.random.default_rng(10 * r + d)
         X = rng.uniform(0, 1, size=(14, d))
-        assert cpd_check(polyharmonic_spm(r, d), X, tol=1e-9)
+        evals = factorize_model(polyharmonic_spm(r, d), X).evals
+        assert evals.min() >= -1e-9 * max(np.abs(evals).max(), 1.0)
 
 
 class TestPosteriorMean:
     def test_noiseless_fit_interpolates(self, rng):
         X = np.sort(rng.uniform(0, 1, 8))
         y = rng.normal(size=8)
-        mean = fit_spm(linear_spline_model(), X, y, 0.0).predict(X)
+        mean = factorize_model(linear_spline_model(), X).fit(y, 0.0).predict(X)
         np.testing.assert_allclose(mean, y, atol=1e-9)
 
     def test_zero_kernel_is_least_squares(self, rng):
         X = rng.uniform(0, 1, size=(12, 2))
         y = rng.normal(size=12)
         model = SemiParametricModel(Kernel.zero(), d=2, basis_degree=2)
-        mean = fit_spm(model, X, y, 0.3).predict(X)
+        mean = factorize_model(model, X).fit(y, 0.3).predict(X)
         V = model.basis_matrix(X)
         coef, *_ = np.linalg.lstsq(V, y, rcond=None)
         np.testing.assert_allclose(mean, V @ coef, atol=1e-8)
@@ -143,7 +147,7 @@ class TestPosteriorMean:
         X = np.sort(rng.uniform(0, 1, 9))
         y = rng.normal(size=9)
         sigma2 = 0.2
-        fit = fit_spm(linear_spline_model(), X, y, sigma2)
+        fit = factorize_model(linear_spline_model(), X).fit(y, sigma2)
         L = kernel_matrix(Kernel.polyharmonic(1), X)
         a, b = dense_saddle_solve(L, np.ones((9, 1)), sigma2, y)
         np.testing.assert_allclose(fit.alpha, a, atol=1e-9)
@@ -152,7 +156,7 @@ class TestPosteriorMean:
     def test_orthogonality_constraint(self, rng):
         X = np.sort(rng.uniform(0, 1, 10))
         y = rng.normal(size=10)
-        fit = fit_spm(polyharmonic_spm(2, 1), X, y, 0.05)
+        fit = factorize_model(polyharmonic_spm(2, 1), X).fit(y, 0.05)
         V = fit.factorization.model.basis_matrix(X)
         assert np.abs(V.T @ fit.alpha).max() <= 1e-8 * np.linalg.norm(fit.alpha)
 
@@ -160,7 +164,7 @@ class TestPosteriorMean:
 class TestPosteriorVar:
     def test_zero_at_design_when_noiseless(self, rng):
         X = np.sort(rng.uniform(0, 1, 7))
-        var = fit_spm(linear_spline_model(), X, np.zeros(len(X)), 0.0).posterior(X)[1]
+        var = factorize_model(linear_spline_model(), X).fit(np.zeros(len(X)), 0.0).posterior(X)[1]
         np.testing.assert_allclose(var, 0.0, atol=1e-9)
 
     def test_parametric_variance_formula(self, rng):
@@ -168,7 +172,7 @@ class TestPosteriorVar:
         sigma2 = 0.4
         model = SemiParametricModel(Kernel.zero(), d=1, basis_degree=2)
         xq = np.linspace(0, 1, 9)[:, None]
-        var = fit_spm(model, X, np.zeros(len(X)), sigma2).posterior(xq)[1]
+        var = factorize_model(model, X).fit(np.zeros(len(X)), sigma2).posterior(xq)[1]
         V = model.basis_matrix(X)
         Vq = model.basis_matrix(xq, X)
         expect = sigma2 * np.einsum(
@@ -183,7 +187,7 @@ class TestPosteriorVar:
         sigma2 = 0.3
         model = linear_spline_model()
         xq = np.linspace(0.1, 0.9, 5)[:, None]
-        mean, var = fit_spm(model, X, y, sigma2).posterior(xq)
+        mean, var = factorize_model(model, X).fit(y, sigma2).posterior(xq)
         eps = 1e-6
         bump = Kernel.monomial_block([(0,)], [[1.0 / eps]])
         kern = Kernel.sum_of(Kernel.polyharmonic(1), bump)
@@ -216,21 +220,32 @@ class TestSmoother:
         sigma2 = 0.15
         model = polyharmonic_spm(2, 1)
         M = factorize_model(model, X).smoother(sigma2)
-        mean = fit_spm(model, X, y, sigma2).predict(X)
+        mean = factorize_model(model, X).fit(y, sigma2).predict(X)
         np.testing.assert_allclose(M.fitted(y), mean, atol=1e-8)
 
     def test_eigenvalues_in_unit_interval(self, rng):
         X = rng.uniform(0, 1, size=(10, 2))
         M = factorize_model(polyharmonic_spm(2, 2), X).smoother(0.3)
-        w = M.eigenvalues
+        w = np.linalg.eigvalsh(M.matrix)
         assert w.min() >= -1e-9 and w.max() <= 1 + 1e-9
         assert M.trace == pytest.approx(w.sum(), abs=1e-8)
 
     def test_trace_matches_spline_dof_formula(self, rng):
+        # the cubic smoothing spline's smoother by Reinsch's banded form
         X = np.sort(rng.uniform(0, 1, 12))
         eta = 0.05
         M = factorize_model(polyharmonic_spm(2, 1), X).smoother(eta)
-        assert M.trace == pytest.approx(spline_dof(X, 2, eta), abs=1e-8)
+        assert max(spline_deviation(M, X, 2, eta)) <= SPLINE_TOL
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_spline_reference_rejects_a_moved_gain(self, r):
+        # negative control: a gain moved by 1e-3 moves the trace by about
+        # 1.8e-3 (r = 1) and 5.5e-4 (r = 2), the largest entry by about 1e-4
+        X = np.sort(np.random.default_rng(7).uniform(0, 1, 12))
+        eta = 0.05
+        M = factorize_model(polyharmonic_spm(r, 1).scaled(1 + 1e-3), X).smoother(eta)
+        trace_dev, matrix_dev = spline_deviation(M, X, r, eta)
+        assert trace_dev > SPLINE_TOL and matrix_dev > SPLINE_TOL
 
 
 class TestLaurentB0:
@@ -268,16 +283,18 @@ class TestLaurentB0:
 
 
 class TestSmoothingSpline:
+    """The univariate smoothing spline of order p is ``polyharmonic_spm(p, 1)``."""
+
     def test_zero_penalty_interpolates(self, rng):
         x = np.sort(rng.uniform(0, 1, 8))
         y = rng.normal(size=8)
-        fit = smoothing_spline_fit(x, y, 2, 0.0)
+        fit = factorize_model(polyharmonic_spm(2, 1), x).fit(y, 0.0)
         np.testing.assert_allclose(fit.predict(x), y, atol=1e-8)
 
     def test_huge_penalty_recovers_polynomial_regression(self, rng):
         x = np.sort(rng.uniform(0, 1, 10))
         y = rng.normal(size=10)
-        fit = smoothing_spline_fit(x, y, 2, 1e8)
+        fit = factorize_model(polyharmonic_spm(2, 1), x).fit(y, 1e8)
         V = np.column_stack([np.ones(10), x])
         coef, *_ = np.linalg.lstsq(V, y, rcond=None)
         assert np.abs(fit.predict(x) - V @ coef).max() <= 1e-3 * np.linalg.norm(y)
@@ -285,19 +302,9 @@ class TestSmoothingSpline:
     def test_coefficient_constraint(self, rng):
         x = np.sort(rng.uniform(0, 1, 9))
         y = rng.normal(size=9)
-        fit = smoothing_spline_fit(x, y, 3, 0.01)
+        fit = factorize_model(polyharmonic_spm(3, 1), x).fit(y, 0.01)
         V = fit.factorization.model.basis_matrix(x[:, None])
         assert np.abs(V.T @ fit.alpha).max() <= 1e-8 * np.linalg.norm(fit.alpha)
-
-    def test_duplicate_points_rejected(self):
-        # sorted, unsorted, and -0.0 against 0.0
-        for x in ([0.0, 0.5, 0.5, 1.0], [0.5, 0.0, 1.0, 0.5], [-0.0, 0.5, 0.0, 1.0]):
-            with pytest.raises(DegenerateDesign):
-                smoothing_spline_fit(np.array(x), np.zeros(4), 1, 0.1)
-
-    def test_needs_more_points_than_order(self):
-        with pytest.raises(DegenerateDesign):
-            smoothing_spline_fit(np.array([0.0, 1.0]), np.zeros(2), 2, 0.1)
 
 
 class TestPolyharmonicConstructor:
@@ -470,16 +477,18 @@ class TestFactorization:
         # two points cannot fix a cubic: the basis matrix is 2 x 4
         model = SemiParametricModel(Kernel.gaussian(), d=1, basis_degree=3)
         with pytest.raises(NotUnisolvent, match="rank below 4"):
-            fit_spm(model, np.array([0.1, 0.7]), np.zeros(2), 0.1)
+            factorize_model(model, np.array([0.1, 0.7])).fit(np.zeros(2), 0.1)
 
 
 def assert_spectral_smoother_matches_dense(M, seed):
-    """Trace, diagonal, fitted values and eigenvalues of a smoother kept as
-    spectral factors, against its dense matrix formed afterwards."""
+    """Trace, diagonal, fitted values and eigenvalues (the filter and a one
+    per basis vector) of a smoother kept as spectral factors, against its
+    dense matrix formed afterwards."""
     rng = np.random.default_rng(seed)
     n = M.n
     y, Y = rng.normal(size=n), rng.normal(size=(n, 3))
-    trace, diag, eigenvalues = M.trace, M.diagonal(), M.eigenvalues
+    _, f, Q = M._factors
+    trace, diag, eigenvalues = M.trace, M.diagonal(), np.sort(np.append(f, np.ones(Q.shape[1])))
     fitted, fitted_columns = M.fitted(y), M.fitted(Y)
     assert "matrix" not in vars(M)  # none of the above formed it
     dense = M.matrix
@@ -560,7 +569,7 @@ class TestBatchedVariance:
     def test_matches_per_query_formula(self, model, rng):
         X = rng.uniform(0, 1, size=(15, 1))
         sigma2 = 0.2
-        fit = fit_spm(model, X, rng.normal(size=15), sigma2)
+        fit = factorize_model(model, X).fit(rng.normal(size=15), sigma2)
         xq = np.linspace(-0.2, 1.2, 23)[:, None]
         Lq = kernel_cross(model.kernel, xq, X)
         Vq = model.basis_matrix(xq, X)
@@ -576,7 +585,7 @@ class TestBatchedVariance:
         # +|x-y|^3 without its linear basis is indefinite: the quadratic form
         # exceeds the zero prior at the midpoint
         model = SemiParametricModel(Kernel.polyharmonic(2), d=1, basis_degree=-1)
-        fit = fit_spm(model, np.array([0.0, 1.0]), np.zeros(2), 0.5)
+        fit = factorize_model(model, np.array([0.0, 1.0])).fit(np.zeros(2), 0.5)
         with pytest.raises(NegativeVariance):
             fit.posterior(np.array([[0.5]]))
 
@@ -589,8 +598,10 @@ def posterior_fits(rng, k=None):
     gauss = Kernel.gaussian(epsilon=3.0, gamma=0.7)
     return {
         "gp-spectrum": GpSpectrum.from_kernel(gauss, X).fit(y, 0.2),
-        "polyharmonic": fit_spm(polyharmonic_spm(2, 1), X, y, 0.2),
-        "zero-kernel": fit_spm(SemiParametricModel(Kernel.zero(), d=1, basis_degree=2), X, y, 0.2),
+        "polyharmonic": factorize_model(polyharmonic_spm(2, 1), X).fit(y, 0.2),
+        "zero-kernel": factorize_model(
+            SemiParametricModel(Kernel.zero(), d=1, basis_degree=2), X
+        ).fit(y, 0.2),
     }
 
 
@@ -775,13 +786,16 @@ class TestSolveTrace:
     )
     @settings(max_examples=40, deadline=None)
     def test_spline_penalty_route_reproduces_spline_dof(self, seed, n, r, log_eta):
-        X = np.random.default_rng(seed).uniform(0, 1, n)
-        target = spline_dof(X, r, 10.0**log_eta)
+        # one point per cell of a regular partition keeps every gap >= 1e-3,
+        # where the banded reference keeps its digits (``spline_references``)
+        rng = np.random.default_rng(seed)
+        X = rng.permutation((np.arange(n) + rng.uniform(0.01, 0.99, n)) / n)
+        target = np.trace(spline_smoother(X, r, 10.0**log_eta))
         fac = factorize_model(polyharmonic_spm(r, 1), X)
         base, lam = fac.m, fac.evals
         g, trace = solve_trace(lam, base, target, 1.0)
         # lam / (lam + eta) = g lam / (g lam + 1) with eta = 1 / g
-        assert spline_dof(X, r, 1.0 / g) == pytest.approx(target, abs=1e-10 * n)
+        assert np.trace(spline_smoother(X, r, 1.0 / g)) == pytest.approx(target, abs=SPLINE_TOL)
         assert trace == pytest.approx(target, abs=1e-10 * n)
 
     @pytest.mark.parametrize("sigma2", [0.0, -0.5, float("nan")])
@@ -996,11 +1010,11 @@ class TestDesignFrame:
         X = X + rng.choice([-1.0, 1.0], size=d) * 10.0**log_shift
         model = SemiParametricModel(Kernel.matern(1.5), d, basis_degree=degree)
         try:
-            fit_spm(model, X, rng.normal(size=n), 0.1)
+            factorize_model(model, X).fit(rng.normal(size=n), 0.1)
             fitted = True
         except NotUnisolvent:
             fitted = False
-        assert fitted == unisolvency_rank(X, degree)[1]
+        assert fitted == (graded_basis(X, degree)[2] == degree)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -1019,10 +1033,11 @@ class TestDesignFrame:
         y, sigma2 = rng.normal(size=n), 10.0**log_sigma2
         shift = rng.choice([-1.0, 1.0], size=d) * 10.0**log_shift
         try:
-            mean, var = fit_spm(model, X, y, sigma2).posterior(q)
+            mean, var = factorize_model(model, X).fit(y, sigma2).posterior(q)
         except NotUnisolvent:
             assume(False)
-        moved_mean, moved_var = fit_spm(model, X + shift, y, sigma2).posterior(q + shift)
+        moved = factorize_model(model, X + shift).fit(y, sigma2)
+        moved_mean, moved_var = moved.posterior(q + shift)
         # the moved design holds its coordinates to relative 4e-16, absolute
         # 4e-16 |x + shift|, and moving the design itself by that much moves
         # a fit whatever its basis (a linear spline on 7 points: means by
@@ -1030,7 +1045,7 @@ class TestDesignFrame:
         nudged_mean = nudged_var = 0.0
         for _ in range(3):
             nudge = 4e-16 * np.abs(X + shift) * rng.choice([-1.0, 1.0], size=X.shape)
-            m, v = fit_spm(model, X + nudge, y, sigma2).posterior(q)
+            m, v = factorize_model(model, X + nudge).fit(y, sigma2).posterior(q)
             nudged_mean = max(nudged_mean, np.abs(m - mean).max())
             nudged_var = max(nudged_var, np.abs(v - var).max())
         assert np.abs(moved_mean - mean).max() <= max(
@@ -1043,5 +1058,5 @@ class TestDesignFrame:
         # the pseudo-inverse's round-off cut scales with the largest eigenvalue
         X = np.linspace(0, 1, 30)
         y = np.sin(3 * X)
-        fit = fit_spm(polyharmonic_spm(2, 1).scaled(gain), X, y, 0.0)
+        fit = factorize_model(polyharmonic_spm(2, 1).scaled(gain), X).fit(y, 0.0)
         assert np.abs(fit.predict(X) - y).max() <= 1e-13
