@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InsufficientGrid, UnreachableDof
-from .flatlimit import LimitCaseKind, ScaledKernelFamily, _loglog_slope, classify_limit
+from .flatlimit import LimitCaseKind, ScaledKernelFamily, classify_limit, loglog_slope
 from .gp import GpSpectrum
 from .kernels import Kernel, regularity
 from .polybasis import as_design, count_poly_dim
@@ -87,7 +87,7 @@ def isofreedom_curve(kernel: Kernel, X, sigma2: float, m: float, eps_grid) -> Is
     points = map_spectra(point, kernels, X, vectors=False)
     half = math.ceil(len(points) / 2)
     tail = points[-half:]
-    slope = _loglog_slope([p.epsilon for p in tail], [p.gamma for p in tail])
+    slope = loglog_slope([p.epsilon for p in tail], [p.gamma for p in tail])
     return IsofreedomCurve(points=tuple(points), slope=slope, target=m)
 
 

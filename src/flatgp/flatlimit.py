@@ -208,15 +208,15 @@ def limiting_smoother(family: ScaledKernelFamily, X, sigma2: float) -> SmootherM
     It is the smoother of the exact limit SPM (``_limit_model``) at
     ``sigma2``, or the identity where the limit interpolates.  Designs that
     are not unisolvent for the limit's basis raise NotUnisolvent.  The
-    identity is the smoother with no filtered modes whose basis is all of
-    R^n: trace n, diagonal ones.
+    identity is the smoother of the unit vectors, each with filter 1: trace
+    n, diagonal ones.
     """
     design = as_design(X)
     case = classify_limit(family, design)
     if case.kind is LimitCaseKind.INTERPOLATION:
         if not sigma2 >= 0:
             raise ValueError(f"sigma2 must be nonnegative, got sigma2={sigma2}")
-        return SmootherMatrix(np.zeros((design.n, 0)), np.zeros(0), np.eye(design.n))
+        return SmootherMatrix(np.eye(design.n), np.ones(design.n))
     return factorize_model(_limit_model(family, case), design).smoother(sigma2)
 
 
@@ -328,8 +328,9 @@ def check_pred_equiv(
     ``tol`` <= 0 raises ValueError.
 
     A trial forms one n x n matrix: the difference D = Sa - Sb of the two
-    smoothers on X, from their spectral factors (``smoothers.difference``;
-    Qa Qa^T - Qb Qb^T is formed once per check).  The smoother on X
+    smoothers on X, from their eigenbases and filters
+    (``smoothers.difference``); a basis is eigenvectors with filter 1 there,
+    so no basis term is formed on its own.  The smoother on X
     augmented with the query x* is a bordered update of the smoother on X
     (``augmented_smoother``): with (w, c) each model's bordered terms, which
     ``SpmFit.bordered`` takes from the same solve as the posterior at x*,
@@ -351,7 +352,6 @@ def check_pred_equiv(
         raise ValueError(f"tol must be positive, got tol={tol}")
     _require_comparable(fac_a, fac_b)
     design = fac_a.design
-    basis = fac_a.Q @ fac_a.Q.T - fac_b.Q @ fac_b.Q.T if fac_a.m else None
     rng = np.random.default_rng(seed)
     lo = design.points.min(axis=0)
     hi = design.points.max(axis=0)
@@ -366,7 +366,7 @@ def check_pred_equiv(
         y, sigma2, x_new = trial
         mean_a, var_a, wa, ca = fac_a.fit(y, sigma2).bordered(x_new)
         mean_b, var_b, wb, cb = fac_b.fit(y, sigma2).bordered(x_new)
-        D = difference(fac_a.smoother(sigma2), fac_b.smoother(sigma2), basis)
+        D = difference(fac_a.smoother(sigma2), fac_b.smoother(sigma2))
         on_design = _max_abs(D)
         W = np.stack([wa, wb], axis=1)
         D += (W * [-ca, cb]) @ W.T
@@ -438,7 +438,7 @@ class EquivalenceReport:
     dropped_eps: tuple
 
 
-def _loglog_slope(eps, devs):
+def loglog_slope(eps, devs):
     """Least-squares slope of log(devs) against log(eps); values below 1e-300
     are read as 1e-300, so an exact zero stays finite."""
     eps = np.asarray(eps, dtype=float)
@@ -522,8 +522,8 @@ def convergence_study(
     if len(used) < 3:
         raise InsufficientGrid(f"only {len(used)} usable epsilon values")
 
-    slope_mean = _loglog_slope(used, mean_devs)
-    slope_var = _loglog_slope(used, var_devs) if var_devs else float("nan")
+    slope_mean = loglog_slope(used, mean_devs)
+    slope_var = loglog_slope(used, var_devs) if var_devs else float("nan")
     final_dev = mean_devs[-1]
     passed = slope_mean >= 0.8 and final_dev <= tol
     return EquivalenceReport(

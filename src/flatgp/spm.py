@@ -18,7 +18,9 @@ the model with an empty basis (``from_kernel``, exported as
 Q, R and the restriction to the complement come from one QR of V, whose
 rank the package's one rule judges (``polybasis.full_rank_blocks``): its m
 Householder reflectors, in compact WY form, restrict the kernel and lift the
-eigenvectors in O(n^2 m), and no basis of the complement is formed.  A
+eigenvectors in O(n^2 m).  Q and the lifted eigenvectors are the columns of
+one orthogonal n x n basis W, and a smoother is W diag(1_m, filter) W^T, the
+Demmler-Reinsch form: the basis directions are modes with filter 1.  A
 monomial basis is taken on the design's centred, scaled coordinates
 (``polybasis.framed_monomials``), and so are the query points: ``SpmFit.beta``
 holds the coefficients of those monomials, while the means and variances are
@@ -121,8 +123,8 @@ def _basis_factors(V):
     basis matrix V, from one QR of V's own shape (``mode="raw"``): its m
     Householder reflectors multiply to H = I - Y T Y^T (Schreiber and Van
     Loan, 1989), whose first m columns are Q and whose last n - m are an
-    orthonormal basis of the complement of span(V).  That basis is never
-    formed: ``factorize`` applies H through Y and T.  No basis gives
+    orthonormal basis of the complement of span(V).  H is never formed:
+    ``factorize`` applies it through Y and T.  No basis gives
     Y = T = None.  Raises NotUnisolvent on rank deficiency."""
     n, m = V.shape
     if m == 0:
@@ -164,19 +166,20 @@ class SaddleFactorization:
     ``evals`` are the eigenvalues of L restricted to the complement of the
     span of the basis matrix V, where L is the kernel matrix at unit gain:
     with H = I - Y T Y^T the product of the Householder reflectors of V's QR,
-    they are those of (H^T L H)[m:, m:] (no basis: of L), and ``modes`` are
-    its eigenvectors lifted back to R^n by H[:, m:]: orthonormal, and
-    orthogonal to V.  Neither Y, T nor the eigenvectors in the complement's
-    coordinates are kept, since nothing reads them once ``modes`` is formed.
-    With Q R = V, every solve, smoother and trace at noise sigma2 filters the
-    modes by
-    ``gain lam / (gain lam + sigma2)``, and a solve reads L only through
+    they are those of (H^T L H)[m:, m:] (no basis: of L).  ``eigvecs`` is
+    one orthogonal n x n basis W = H diag(I_m, E), E the eigenvectors of that
+    restriction: its first m columns are ``Q`` (Q R = V) and its last n - m,
+    ``modes``, the eigenvectors lifted back to R^n, orthogonal to V; both are
+    views of W.  For a GP (m = 0) W is the kernel matrix's eigenvectors.
+    Every solve, smoother and trace at noise sigma2 filters the modes by
+    ``gain lam / (gain lam + sigma2)`` and passes Q with filter 1, so the
+    smoother is W diag(1_m, filter) W^T.  A solve reads L only through
     ``LQ = L Q``, the kernel's coupling to the basis (None without a basis),
-    so no n x n array but ``modes`` is kept.  ``scaled(g)`` multiplies the
-    gain and shares every array, so a model is factored once whatever its
-    gains.  It records what it factored, ``model`` (at unit gain) and
-    ``design``, which ``fit`` and the queries read; the raw ``factorize(L, V)``
-    records neither, and they raise ValueError on it.
+    so W is the one n x n array kept.  ``scaled(g)`` multiplies the gain and
+    shares every array, so a model is factored once whatever its gains.  It
+    records what it factored, ``model`` (at unit gain) and ``design``, which
+    ``fit`` and the queries read; the raw ``factorize(L, V)`` records
+    neither, and they raise ValueError on it.
 
     Two constructors fix what a singular ``gain L + sigma2 I`` means:
     ``factorize``/``factorize_model`` (the saddle path) solve by the
@@ -184,14 +187,13 @@ class SaddleFactorization:
     design, m = 0, one stacked eigensolver call) and its one-kernel case
     ``from_kernel`` raise IllConditioned.  A negative or NaN sigma2 raises
     ValueError either way.  ``vectors=False`` keeps the eigenvalues alone
-    (``modes = None``): traces only.
+    (``eigvecs``, ``Q`` and ``modes`` are None): traces only.
     """
 
     evals: np.ndarray
-    modes: np.ndarray
+    eigvecs: np.ndarray  # W = [Q | modes], n x n; None for eigenvalues alone
     gain: float
     pseudo_inverse: bool
-    Q: np.ndarray
     R: np.ndarray
     LQ: np.ndarray = None  # L Q, the kernel's coupling to the basis; None without one
     model: SemiParametricModel = None  # the factored model at unit gain
@@ -232,10 +234,10 @@ class SaddleFactorization:
         evals = evals.reshape(len(kernels), design.n)
         if evecs is not None:
             evecs = evecs.reshape(len(kernels), design.n, design.n)
-        Q, R = np.zeros((design.n, 0)), np.zeros((0, 0))
+        R = np.zeros((0, 0))
         return [
-            cls(evals=evals[i], modes=None if evecs is None else evecs[i],
-                gain=k.gamma, pseudo_inverse=False, Q=Q, R=R,
+            cls(evals=evals[i], eigvecs=None if evecs is None else evecs[i],
+                gain=k.gamma, pseudo_inverse=False, R=R,
                 model=SemiParametricModel(units[i], design.d), design=design)
             for i, k in enumerate(kernels)
         ]
@@ -249,14 +251,22 @@ class SaddleFactorization:
 
     @property
     def m(self) -> int:
-        return self.Q.shape[1]
+        return self.R.shape[0]
+
+    @property
+    def Q(self):  # W's first m columns, an orthonormal basis of span(V)
+        return None if self.eigvecs is None else self.eigvecs[:, : self.m]
+
+    @property
+    def modes(self):  # W's last n - m columns, the eigenvectors on the complement
+        return None if self.eigvecs is None else self.eigvecs[:, self.m :]
 
     def scaled(self, factor: float) -> "SaddleFactorization":
         """The same factorization at gain ``gain * factor``; no array is copied."""
         return replace(self, gain=self.gain * factor)
 
     def _require_vectors(self):
-        if self.modes is None:
+        if self.eigvecs is None:
             raise ValueError(
                 "this spectrum has no eigenvectors (from_kernel(..., vectors=False)); "
                 "it gives traces only"
@@ -326,10 +336,10 @@ class SaddleFactorization:
     def dofs(self, sigma2, gains=None):
         """The traces m + sum lam / (lam + sigma2) of ``scaled(g)`` for each g
         of ``gains`` (nan where a row raises) and ``filter_terms``' errors.
-        Each row sum runs along a gain-major row, so each trace is bitwise the
-        one ``scaled(g).dof(sigma2)`` returns."""
+        Each is the row sum of the smoother's filters [1_m, lam / denom], so
+        it is bitwise ``scaled(g).dof(sigma2)`` and the smoother's trace."""
         lam, denom, errors = self.filter_terms(sigma2, gains)
-        traces = self.m + (lam / denom).sum(axis=1)
+        traces = self._filters(lam, denom).sum(axis=1)
         traces[[error is not None for error in errors]] = np.nan
         return traces, errors
 
@@ -341,23 +351,24 @@ class SaddleFactorization:
             raise error
         return float(trace)
 
+    def _filters(self, lam, denom):
+        """W's filters [1_m, lam / denom] along the last axis: Q passes unfiltered."""
+        return np.concatenate([np.ones(lam.shape[:-1] + (self.m,)), lam / denom], axis=-1)
+
     def smoothers(self, sigma2, gains):
         """The smoothers of ``scaled(g)`` for each g of ``gains``, as one
-        ``SmootherStack`` over the shared modes, and ``filter_terms``' errors."""
+        ``SmootherStack`` over W, and ``filter_terms``' errors."""
         self._require_vectors()
         lam, denom, errors = self.filter_terms(sigma2, gains)
-        return SmootherStack(self.modes, lam / denom, self.Q), errors
+        return SmootherStack(self.eigvecs, self._filters(lam, denom)), errors
 
     def smoother(self, sigma2=0.0) -> SmootherMatrix:
-        """M = QQ^T + Ltilde (Ltilde + sigma2 I)^{-1} on the complement of span(V).
-
-        The smoother is kept as the modes, their filter lam / (lam + sigma2)
-        and Q, so its trace, diagonal and fitted values cost O(n^2) and the
-        n x n matrix is formed only where ``.matrix`` is read.
-        """
+        """M = W diag(1_m, lam / (lam + sigma2)) W^T, kept as W and its
+        filter, so its trace, diagonal and fitted values cost O(n^2) and the
+        n x n matrix is formed only where ``.matrix`` is read."""
         self._require_vectors()
         lam, denom = self._filter_terms(sigma2)
-        return SmootherMatrix(self.modes, lam / denom, self.Q)
+        return SmootherMatrix(self.eigvecs, self._filters(lam, denom))
 
     def solve(self, sigma2, g, h=None):
         """Solve [[gain L + sigma2 I, V], [V^T, 0]] (a; b) = (g; h) by elimination.
@@ -450,7 +461,7 @@ def factorize(L: np.ndarray, V: np.ndarray) -> SaddleFactorization:
     gain) and basis matrix ``V``."""
     n, m = V.shape
     Q, R, Y, T = _basis_factors(V)
-    parts = dict(gain=1.0, pseudo_inverse=True, Q=Q, R=R, LQ=L @ Q if m else None)
+    parts = dict(gain=1.0, pseudo_inverse=True, R=R, LQ=L @ Q if m else None)
     if not L.any():
         # a zero kernel restricts to zero: eigenvalues 0 and eigenvectors the
         # identity, so no eigensolver runs
@@ -466,10 +477,13 @@ def factorize(L: np.ndarray, V: np.ndarray) -> SaddleFactorization:
         evals, evecs = _eigensystems(0.5 * (A + A.T), vectors=True)
     if Y is None:
         return SaddleFactorization(evals, evecs, **parts)
-    # the eigenvectors are lifted to R^n once, here: H [0; E]
-    modes = Y @ -(T @ (Y[m:].T @ evecs))
-    modes[m:] += evecs
-    return SaddleFactorization(evals, modes, **parts)
+    # W = H diag(I_m, E), in place: Q, then the eigenvectors lifted to R^n,
+    # H [0; E]
+    W = np.empty((n, n))
+    W[:, :m] = Q
+    np.matmul(Y, -(T @ (Y[m:].T @ evecs)), out=W[:, m:])
+    W[m:, m:] += evecs
+    return SaddleFactorization(evals, W, **parts)
 
 
 def factorize_model(model: SemiParametricModel, X) -> SaddleFactorization:

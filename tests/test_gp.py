@@ -30,9 +30,9 @@ from spline_references import TOL as SPLINE_TOL, spline_deviation
 
 
 def basis_smoother(n, m):
-    """The smoother with no filtered modes and basis the first m unit vectors:
-    the zero matrix at m = 0, the identity at m = n."""
-    return SmootherMatrix(np.zeros((n, 0)), np.zeros(0), np.eye(n)[:, :m])
+    """The smoother of the first m unit vectors, each with filter 1: the zero
+    matrix at m = 0, the identity at m = n."""
+    return SmootherMatrix(np.eye(n)[:, :m], np.ones(m))
 
 
 @pytest.fixture
@@ -94,8 +94,9 @@ class TestSpectrum:
         kern = Kernel.gaussian(epsilon=3.0)
         spec = GpSpectrum.from_kernel(kern, X, nugget=1e-6)
         assert len(eigh) == 1 and not qr and not svd
-        assert spec.m == 0 and spec.LQ is None
+        assert spec.m == 0 and spec.LQ is None and spec.Q.shape == (len(X), 0)
         # without a basis the modes are the eigenvectors of K + nugget I themselves
+        assert np.shares_memory(spec.modes, spec.eigvecs)
         K = kernel_matrix(kern, X) + 1e-6 * np.eye(len(X))
         np.testing.assert_allclose(spec.modes.T @ spec.modes, np.eye(len(X)), atol=1e-12)
         np.testing.assert_allclose(K @ spec.modes, spec.modes * spec.evals, atol=1e-12)

@@ -13,7 +13,9 @@ reference ``vandermonde`` that the tests compare against.
 
 A private name stays in its module: every attribute read ``obj._name`` in the
 package, ``obj`` other than ``self`` or ``cls``, names something the same
-module defines.  The tests are exempt, since they patch private methods.
+module defines, and no module imports a private name
+(``from .mod import _name``).  The tests are exempt, since they patch
+private methods.
 """
 
 import ast
@@ -106,7 +108,8 @@ def test_a_rank_rule_reader_is_found():
 def foreign_private_reads(source: str) -> list:
     """(line, name) of each attribute read ``obj._name`` of ``source``, with
     ``obj`` other than ``self`` or ``cls``, whose name the source does not
-    define as a function, class, method, variable or assigned attribute."""
+    define as a function, class, method, variable or assigned attribute, and
+    of each private name imported by ``from ... import _name``."""
     tree = ast.parse(source)
     defined = set()
     for node in ast.walk(tree):
@@ -116,16 +119,27 @@ def foreign_private_reads(source: str) -> list:
             defined.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
             defined.add(node.attr)
-    return sorted(
+    reads = [
         (node.lineno, node.attr)
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
         and isinstance(node.ctx, ast.Load)
-        and node.attr.startswith("_")
-        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and _private(node.attr)
         and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
         and node.attr not in defined
-    )
+    ]
+    imports = [
+        (alias.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if _private(alias.name)
+    ]
+    return sorted(reads + imports)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -142,5 +156,9 @@ def test_a_foreign_private_read_is_found():
         "def same(a, b):\n    return a._factors, b._diagonal(), a._rows, type(a).__name__\n"
         "def foreign(spec):\n    return spec._filter_rows(0.1)\n"
         "def chained(fit):\n    return fit.factorization._queried\n"
+        "from .flatlimit import loglog_slope, _limit_model\n"
+        "from .pool import threads as _threads\n"
     )
-    assert foreign_private_reads(source) == [(10, "_filter_rows"), (12, "_queried")]
+    assert foreign_private_reads(source) == [
+        (10, "_filter_rows"), (12, "_queried"), (13, "_limit_model")
+    ]

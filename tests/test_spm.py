@@ -25,7 +25,7 @@ from flatgp.errors import (
     UnreachableDof,
 )
 import flatgp.spm as spm_module
-from flatgp.flatlimit import absorbed_kernel_model
+from flatgp.flatlimit import ScaledKernelFamily, absorbed_kernel_model, limiting_smoother
 from flatgp.polybasis import graded_basis
 from flatgp.smoothers import difference
 from flatgp.spm import (
@@ -404,10 +404,16 @@ class TestFactorization:
         # the rank rule's singular values of R
         assert svd == [(3, 3)] and qr == [(n, 3)]
         assert fac.LQ.shape == (n, 3)
+        W = fac.eigvecs
+        assert W.shape == (n, n)
         for name, arr in vars(fac).items():
-            if isinstance(arr, np.ndarray) and name != "modes":
+            if isinstance(arr, np.ndarray) and name != "eigvecs":
                 # neither an n x n array nor a view of one
                 assert arr.size < n * n and (arr.base is None or arr.base.size < n * n), name
+        # Q and the modes are W's columns, not copies
+        assert fac.Q.shape == (n, 3) and fac.modes.shape == (n, n - 3)
+        assert np.shares_memory(fac.Q, W) and np.shares_memory(fac.modes, W)
+        np.testing.assert_allclose(W.T @ W, np.eye(n), rtol=0, atol=1e-13)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -481,14 +487,15 @@ class TestFactorization:
 
 
 def assert_spectral_smoother_matches_dense(M, seed):
-    """Trace, diagonal, fitted values and eigenvalues (the filter and a one
-    per basis vector) of a smoother kept as spectral factors, against its
-    dense matrix formed afterwards."""
+    """Trace, diagonal, fitted values and eigenvalues (the filter, and a zero
+    per direction its eigenvectors leave out) of a smoother kept as spectral
+    factors, against its dense matrix formed afterwards."""
     rng = np.random.default_rng(seed)
     n = M.n
     y, Y = rng.normal(size=n), rng.normal(size=(n, 3))
-    _, f, Q = M._factors
-    trace, diag, eigenvalues = M.trace, M.diagonal(), np.sort(np.append(f, np.ones(Q.shape[1])))
+    U, f = M._factors
+    trace, diag = M.trace, M.diagonal()
+    eigenvalues = np.sort(np.append(f, np.zeros(n - U.shape[1])))
     fitted, fitted_columns = M.fitted(y), M.fitted(Y)
     assert "matrix" not in vars(M)  # none of the above formed it
     dense = M.matrix
@@ -550,14 +557,41 @@ class TestSpectralSmoother:
             scale = max(1.0, float(np.abs(b.matrix).max()))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
-    def test_dense_matrix_is_formed_once_as_before(self, rng):
+    def test_dense_matrix_is_formed_once_and_exactly_symmetric(self, rng):
         X = rng.uniform(0, 1, size=(12, 1))
         fac = factorize_model(polyharmonic_spm(2, 1), X)
         M = fac.smoother(0.3)
         f = fac.gain * fac.evals / (fac.gain * fac.evals + 0.3)
         want = (fac.modes * f) @ fac.modes.T + fac.Q @ fac.Q.T
         assert M.matrix is M.matrix
-        np.testing.assert_array_equal(M.matrix, 0.5 * (want + want.T))
+        np.testing.assert_array_equal(M.matrix, M.matrix.T)
+        np.testing.assert_allclose(M.matrix, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("case", ["gp", "saddle", "zero-kernel", "interpolating"])
+    def test_smoother_is_its_own_eigendecomposition(self, case, rng):
+        # M W = W diag(f): W's columns are M's eigenvectors, the basis's with
+        # filter 1, for every kind of smoother the package forms
+        X = np.sort(rng.uniform(0, 1, 14))
+        sigma2 = 0.1
+        if case == "interpolating":
+            # p above 2r - 1 = 3: the limit interpolates, M = I
+            M = limiting_smoother(ScaledKernelFamily(Kernel.matern(1.5), p=5), X, sigma2)
+            m = X.size
+        else:
+            if case == "gp":
+                fac = GpSpectrum.from_kernel(Kernel.matern(1.5, epsilon=3.0, gamma=2.0), X)
+            else:
+                kernel = Kernel.zero() if case == "zero-kernel" else Kernel.polyharmonic(2)
+                fac = factorize_model(SemiParametricModel(kernel, d=1, basis_degree=1), X)
+            M, m = fac.smoother(sigma2), fac.m
+            lam = fac.gain * fac.evals
+            assert M._factors[0] is fac.eigvecs
+            np.testing.assert_array_equal(M._factors[1], np.r_[np.ones(m), lam / (lam + sigma2)])
+        W, f = M._factors
+        assert W.shape == (X.size, X.size)
+        np.testing.assert_array_equal(f[:m], np.ones(m))
+        np.testing.assert_allclose(W.T @ W, np.eye(X.size), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(M.matrix @ W, W * f, rtol=0, atol=1e-13)
 
 
 class TestBatchedVariance:
