@@ -93,9 +93,7 @@ def _make_kernel(args):
         if args.nu is None:
             raise FlatGpError("--nu is required for the matern kernel")
         return Kernel.matern(args.nu, epsilon=eps, gamma=gamma)
-    if name == "zero":
-        return Kernel.zero()
-    raise FlatGpError(f"unknown kernel {name!r}")
+    return Kernel.zero()  # argparse's choices admit no other name
 
 
 def _parse_point(text, option, d):
@@ -145,6 +143,9 @@ def _parse_query(spec, dataset):
 
 
 def _emit(args, command, metrics, csv_header=None, csv_rows=None, errors=()):
+    """Write the JSON summary and the table: a CSV, or the summary's ``table``
+    with ``--format json``.  Rows hold raw numbers and text; every number is
+    printed here, by ``format_float``."""
     out = args.out
     paths = {}
     summary = {
@@ -159,11 +160,12 @@ def _emit(args, command, metrics, csv_header=None, csv_rows=None, errors=()):
         "outputs": paths,
     }
     if csv_header is not None:
+        rows = [[c if isinstance(c, str) else format_float(c) for c in r] for r in csv_rows]
         if args.format == "json":
-            summary["table"] = {"header": list(csv_header), "rows": [list(r) for r in csv_rows]}
+            summary["table"] = {"header": list(csv_header), "rows": rows}
         else:
             paths["csv"] = out + ".csv"
-            write_csv(paths["csv"], csv_header, csv_rows)
+            write_csv(paths["csv"], csv_header, rows)
     paths["json"] = out + ".json"
     write_json(paths["json"], summary)
     return 2 if errors else 0
@@ -190,12 +192,7 @@ def cmd_fit(args):
             metrics[name] = fn()
         except (FlatGpError, ValueError) as exc:
             metrics[name] = f"error: {exc}"
-    rows = [
-        [str(i)]
-        + [format_float(v) for v in ds.X.points[i]]
-        + [format_float(ds.y[i]), format_float(fitted[i])]
-        for i in range(ds.n)
-    ]
+    rows = np.column_stack([np.arange(ds.n), ds.X.points, ds.y, fitted])
     header = ["index"] + [f"x{j + 1}" for j in range(ds.d)] + ["y", "fitted"]
     return _emit(args, "fit", metrics, header, rows)
 
@@ -213,10 +210,7 @@ def cmd_predict(args):
         fac = factorize_model(SemiParametricModel(kern, d=ds.d, basis_degree=degree), ds.X)
     mean, var = fac.fit(ds.y, args.sigma2).posterior(query)
     header = [f"x{j + 1}" for j in range(ds.d)] + ["mean", "variance"]
-    rows = [
-        [format_float(v) for v in query[i]] + [format_float(mean[i]), format_float(var[i])]
-        for i in range(len(query))
-    ]
+    rows = np.column_stack([query, mean, var])
     return _emit(args, "predict", {"n_query": len(query)}, header, rows)
 
 
@@ -231,11 +225,11 @@ def _grid_eval(args, ds, values_fn, vectors=True):
 
 def _dof_cells(spec, sigma2, gains):
     """The dof cells of dof-grid and nugget-compare at each gain factor, from
-    one gain-major filter: the formatted trace and "ok", or "nan" and the
-    smallest eigenvalue of an ill-conditioned system."""
+    one gain-major filter: the trace and "ok", or nan and the smallest
+    eigenvalue of an ill-conditioned system."""
     traces, errors = spec.dofs(sigma2, gains)
     return [
-        ("nan", f"ill-conditioned:{exc.smallest_eigenvalue:.3e}") if exc else (format_float(t), "ok")
+        (t, f"ill-conditioned:{exc.smallest_eigenvalue:.3e}" if exc else "ok")
         for t, exc in zip(traces, errors)
     ]
 
@@ -252,7 +246,7 @@ def cmd_dof_grid(args):
     rows = []
     for eps, cells in zip(eps_grid, results):
         for g, (val, status) in zip(gamma_grid, cells):
-            rows.append([format_float(eps), format_float(g), val, status])
+            rows.append([eps, g, val, status])
             if status != "ok":
                 errors.append(f"eps={eps:g} gamma={g:g}: {status}")
     return _emit(args, "dof-grid", {"rows": len(rows)}, ["eps", "gamma", "dof", "status"], rows, errors)
@@ -276,8 +270,7 @@ def cmd_criteria_grid(args):
     for eps, cells in zip(eps_grid, results):
         for g, (cell, status) in zip(gamma_grid, cells):
             for crit in ("loo_mse", "loo_nll", "sure"):
-                val = format_float(cell[crit]) if crit in cell else "nan"
-                rows.append([format_float(eps), format_float(g), crit, val, status])
+                rows.append([eps, g, crit, cell.get(crit, math.nan), status])
                 if status != "ok":
                     errors.append(f"eps={eps:g} gamma={g:g} {crit}: {status}")
     header = ["eps", "gamma", "criterion", "value", "status"]
@@ -289,10 +282,7 @@ def cmd_isofreedom(args):
     kern = _make_kernel(args)
     eps_grid = _parse_grid(args.eps_grid, order="descending")
     curve = isofreedom_curve(kern, ds.X, args.sigma2, args.dof, eps_grid)
-    rows = [
-        [format_float(p.epsilon), format_float(p.gamma), format_float(p.dof_achieved), format_float(p.residual)]
-        for p in curve.points
-    ]
+    rows = [[p.epsilon, p.gamma, p.dof_achieved, p.residual] for p in curve.points]
     metrics = {"slope": curve.slope, "target_dof": curve.target}
     return _emit(args, "isofreedom", metrics, ["eps", "gamma", "dof", "residual"], rows)
 
@@ -307,12 +297,7 @@ def cmd_matched(args):
     header = [f"x{j + 1}" for j in range(ds.d)] + [
         "gp_mean", "gp_variance", "matched_mean", "matched_variance",
     ]
-    rows = [
-        [format_float(v) for v in query[i]]
-        + [format_float(mean_src[i]), format_float(var_src[i]),
-           format_float(mean_tgt[i]), format_float(var_tgt[i])]
-        for i in range(len(query))
-    ]
+    rows = np.column_stack([query, mean_src, var_src, mean_tgt, var_tgt])
     metrics = {
         "source_dof": approx.source_dof,
         "achieved_dof": approx.achieved_dof,
@@ -373,8 +358,8 @@ def cmd_converge(args):
     )
     rows = []
     for i, eps in enumerate(report.eps_values):
-        var_dev = report.var_devs[i] if i < len(report.var_devs) else float("nan")
-        rows.append([format_float(eps), format_float(report.mean_devs[i]), format_float(var_dev)])
+        var_dev = report.var_devs[i] if i < len(report.var_devs) else math.nan
+        rows.append([eps, report.mean_devs[i], var_dev])
     metrics = {
         "case": report.case.kind.value,
         "slope": report.slope_mean,
@@ -399,10 +384,9 @@ def cmd_pred_curve(args):
     errors = []
     for g, pt, status in zip(curve.gammas, curve.points, curve.statuses):
         if pt is None:
-            rows.append([format_float(g), "nan", "nan", status])
+            pt = (math.nan, math.nan)
             errors.append(f"gamma={g:g}: {status}")
-        else:
-            rows.append([format_float(g), format_float(pt[0]), format_float(pt[1]), status])
+        rows.append([g, *pt, status])
     anchor_rows = [
         {"degree": deg, "pred_a": pa, "pred_b": pb} for deg, pa, pb in curve.anchors
     ]
@@ -424,7 +408,7 @@ def cmd_nugget_compare(args):
         for g, (val, status) in zip(gamma_grid, _dof_cells(spec, args.sigma2, gamma_grid)):
             if status != "ok":
                 errors.append(f"{variant} gamma={g:g}: {status}")
-            rows.append([variant, format_float(g), val, status])
+            rows.append([variant, g, val, status])
     header = ["variant", "gamma", "dof", "status"]
     return _emit(args, "nugget-compare", {"eps": args.eps}, header, rows, errors)
 

@@ -57,9 +57,8 @@ class InsufficientGrid(FlatGpError):
 
 
 class IncomparableModels(FlatGpError):
-    """Two factorizations cannot be compared: their bases differ in size, they
-    are of different designs, or one is a raw ``factorize(L, V)`` that records
-    no model."""
+    """Two factorizations cannot be compared: their bases differ in size or
+    they are of different designs."""
 
 
 class DatasetError(FlatGpError):

@@ -301,9 +301,7 @@ def _max_abs(A) -> float:
 
 
 def _require_comparable(fac_a: SaddleFactorization, fac_b: SaddleFactorization):
-    """Raise IncomparableModels unless both record a model, of one design and basis size."""
-    if fac_a.model is None or fac_b.model is None:
-        raise IncomparableModels("a raw factorize(L, V) records no model to compare")
+    """Raise IncomparableModels unless both are of one design and basis size."""
     if fac_a.m != fac_b.m:
         raise IncomparableModels(f"parametric dimensions differ: {fac_a.m} vs {fac_b.m}")
     if not np.array_equal(fac_a.design.points, fac_b.design.points):
@@ -323,9 +321,8 @@ def check_pred_equiv(
 
     Models, gains and design are read from the factorizations, and every
     trial's fits, variances and smoothers are solves against them: nothing
-    is factored.  Factorizations of different designs or basis sizes, or a
-    raw ``factorize(L, V)``, raise IncomparableModels; ``num_trials`` < 1 or
-    ``tol`` <= 0 raises ValueError.
+    is factored.  Factorizations of different designs or basis sizes raise
+    IncomparableModels; ``num_trials`` < 1 or ``tol`` <= 0 raises ValueError.
 
     A trial forms one n x n matrix: the difference D = Sa - Sb of the two
     smoothers on X, from their eigenbases and filters

@@ -124,11 +124,9 @@ def _basis_factors(V):
     Householder reflectors multiply to H = I - Y T Y^T (Schreiber and Van
     Loan, 1989), whose first m columns are Q and whose last n - m are an
     orthonormal basis of the complement of span(V).  H is never formed:
-    ``factorize`` applies it through Y and T.  No basis gives
-    Y = T = None.  Raises NotUnisolvent on rank deficiency."""
+    ``factorize`` applies it through Y and T.  Raises NotUnisolvent on rank
+    deficiency."""
     n, m = V.shape
-    if m == 0:
-        return np.zeros((n, 0)), np.zeros((0, 0)), None, None
     h, tau = np.linalg.qr(V, mode="raw")
     # h holds R on and above the diagonal of h^T, the reflectors (with unit
     # diagonals left implicit) below it
@@ -166,25 +164,29 @@ class SaddleFactorization:
     ``evals`` are the eigenvalues of L restricted to the complement of the
     span of the basis matrix V, where L is the kernel matrix at unit gain:
     with H = I - Y T Y^T the product of the Householder reflectors of V's QR,
-    they are those of (H^T L H)[m:, m:] (no basis: of L).  ``eigvecs`` is
-    one orthogonal n x n basis W = H diag(I_m, E), E the eigenvectors of that
-    restriction: its first m columns are ``Q`` (Q R = V) and its last n - m,
-    ``modes``, the eigenvectors lifted back to R^n, orthogonal to V; both are
-    views of W.  For a GP (m = 0) W is the kernel matrix's eigenvectors.
-    Every solve, smoother and trace at noise sigma2 filters the modes by
+    they are those of (H^T L H)[m:, m:] (no basis: of L, plus the nugget of
+    ``from_kernels``).  ``eigvecs`` is one orthogonal n x n basis
+    W = H diag(I_m, E), E the eigenvectors of that restriction: its first m
+    columns are ``Q`` (Q R = V) and its last n - m, ``modes``, the
+    eigenvectors lifted back to R^n, orthogonal to V; both are views of W.
+    For a GP (m = 0) W is the kernel matrix's eigenvectors.  Every solve,
+    smoother and trace at noise sigma2 filters the modes by
     ``gain lam / (gain lam + sigma2)`` and passes Q with filter 1, so the
     smoother is W diag(1_m, filter) W^T.  A solve reads L only through
     ``LQ = L Q``, the kernel's coupling to the basis (None without a basis),
     so W is the one n x n array kept.  ``scaled(g)`` multiplies the gain and
-    shares every array, so a model is factored once whatever its gains.  It
-    records what it factored, ``model`` (at unit gain) and ``design``, which
-    ``fit`` and the queries read; the raw ``factorize(L, V)`` records
-    neither, and they raise ValueError on it.
+    shares every array, so a model is factored once whatever its gains.
+    Every factorization records what it factored, ``model`` (at unit gain)
+    and ``design``, which ``fit`` and the queries read.
 
-    Two constructors fix what a singular ``gain L + sigma2 I`` means:
-    ``factorize``/``factorize_model`` (the saddle path) solve by the
-    pseudo-inverse; ``from_kernels`` (the GP spectra of kernels sharing a
-    design, m = 0, one stacked eigensolver call) and its one-kernel case
+    The eigenpairs come by one route per kind of matrix: ``from_kernels``
+    (the GP spectra of kernels sharing a design, m = 0, one stacked
+    eigensolver call) for a kernel matrix, and ``factorize`` for its
+    restriction to the complement of a basis of m >= 1 columns.
+    ``factorize_model`` takes a model with a basis by the second and one
+    without by the first.  The constructor fixes what a singular
+    ``gain L + sigma2 I`` means: ``factorize_model`` solves by the
+    pseudo-inverse, while ``from_kernels`` and its one-kernel case
     ``from_kernel`` raise IllConditioned.  A negative or NaN sigma2 raises
     ValueError either way.  ``vectors=False`` keeps the eigenvalues alone
     (``eigvecs``, ``Q`` and ``modes`` are None): traces only.
@@ -195,18 +197,20 @@ class SaddleFactorization:
     gain: float
     pseudo_inverse: bool
     R: np.ndarray
-    LQ: np.ndarray = None  # L Q, the kernel's coupling to the basis; None without one
-    model: SemiParametricModel = None  # the factored model at unit gain
-    design: object = None
+    LQ: np.ndarray  # L Q, the kernel's coupling to the basis; None without one
+    model: SemiParametricModel  # the factored model at unit gain
+    design: object
 
     @classmethod
     def from_kernels(
         cls, kernels, X, nugget: float = 0.0, *, vectors: bool = True
     ) -> list:
         """The GP spectra of ``kernels`` on one design, from one stacked
-        eigensolver call: for each kernel, no basis, its unit-gain kernel matrix
-        plus ``nugget`` I, and gain ``kernel.gamma``; each records the
-        kernel's empty-basis model at unit gain.  A negative or NaN nugget
+        eigensolver call: for each kernel, no basis, its unit-gain kernel
+        matrix, and gain ``kernel.gamma``; each records the kernel's
+        empty-basis model at unit gain.  A nugget shifts every eigenvalue by
+        itself, so the spectrum is that of the kernel matrix plus ``nugget``
+        I, with the kernel matrix's eigenvectors.  A negative or NaN nugget
         raises ValueError.
 
         Each spectrum is bitwise the one ``from_kernel`` gives that kernel
@@ -228,16 +232,16 @@ class SaddleFactorization:
         # a stack is a copy, so its parts are freed before the solve
         K = mats[0] if len(mats) == 1 else np.stack(mats)
         del mats
-        if nugget:
-            K = K + nugget * np.eye(design.n)
         evals, evecs = _eigensystems(K, vectors)
         evals = evals.reshape(len(kernels), design.n)
+        if nugget:
+            evals = evals + nugget
         if evecs is not None:
             evecs = evecs.reshape(len(kernels), design.n, design.n)
         R = np.zeros((0, 0))
         return [
             cls(evals=evals[i], eigvecs=None if evecs is None else evecs[i],
-                gain=k.gamma, pseudo_inverse=False, R=R,
+                gain=k.gamma, pseudo_inverse=False, R=R, LQ=None,
                 model=SemiParametricModel(units[i], design.d), design=design)
             for i, k in enumerate(kernels)
         ]
@@ -270,13 +274,6 @@ class SaddleFactorization:
             raise ValueError(
                 "this spectrum has no eigenvectors (from_kernel(..., vectors=False)); "
                 "it gives traces only"
-            )
-
-    def _require_model(self):
-        if self.model is None:
-            raise ValueError(
-                "a raw factorize(L, V) records no model or design; "
-                "factor the model with factorize_model(model, X)"
             )
 
     def filter_terms(self, sigma2, gains=None):
@@ -393,7 +390,6 @@ class SaddleFactorization:
     def _queried(self, query_points):
         """The queries, their cross kernel Lq (gain times the unit-gain one)
         and basis rows Vq, in the design's frame."""
-        self._require_model()
         Xq = as_design(query_points)
         Lq = self.gain * kernel_cross(self.model.kernel, Xq, self.design)
         return Xq, Lq, self.model.basis_matrix(Xq, self.design)
@@ -401,7 +397,6 @@ class SaddleFactorization:
     def fit(self, y, sigma2: float) -> "SpmFit":
         """The factored model at this gain fitted to ``y``, (n,) or (n, k) for
         k data vectors at once, by one solve."""
-        self._require_model()
         y = np.asarray(y, dtype=float)
         if y.ndim not in (1, 2) or y.shape[0] != self.design.n:
             raise ValueError("y must have one entry (or row) per design point")
@@ -456,18 +451,18 @@ def augmented_smoother(fac: SaddleFactorization, x_new, sigma2: float) -> np.nda
     return M
 
 
-def factorize(L: np.ndarray, V: np.ndarray) -> SaddleFactorization:
-    """The saddle-point factorization of kernel matrix ``L`` (taken as unit
-    gain) and basis matrix ``V``."""
+def factorize(L: np.ndarray, V: np.ndarray):
+    """The restriction of kernel matrix ``L`` (taken as unit gain) to the
+    complement of the span of basis matrix ``V`` (m >= 1 columns): the
+    arrays ``evals``, ``eigvecs`` (W), ``R`` and ``LQ`` of its
+    ``SaddleFactorization``, which ``factorize_model`` builds."""
     n, m = V.shape
     Q, R, Y, T = _basis_factors(V)
-    parts = dict(gain=1.0, pseudo_inverse=True, R=R, LQ=L @ Q if m else None)
+    LQ = L @ Q
     if not L.any():
         # a zero kernel restricts to zero: eigenvalues 0 and eigenvectors the
         # identity, so no eigensolver runs
         evals, evecs = np.zeros(n - m), np.eye(n - m)
-    elif Y is None:
-        evals, evecs = _eigensystems(0.5 * (L + L.T), vectors=True)
     else:
         # (H^T L H)[m:, m:], one side at a time: rows m: of H^T L, then
         # columns m: of that times H, in O(n^2 m)
@@ -475,25 +470,31 @@ def factorize(L: np.ndarray, V: np.ndarray) -> SaddleFactorization:
         A = B[:, m:] - (B @ Y) @ (T @ Y[m:].T)
         del B
         evals, evecs = _eigensystems(0.5 * (A + A.T), vectors=True)
-    if Y is None:
-        return SaddleFactorization(evals, evecs, **parts)
     # W = H diag(I_m, E), in place: Q, then the eigenvectors lifted to R^n,
     # H [0; E]
     W = np.empty((n, n))
     W[:, :m] = Q
     np.matmul(Y, -(T @ (Y[m:].T @ evecs)), out=W[:, m:])
     W[m:, m:] += evecs
-    return SaddleFactorization(evals, W, **parts)
+    return evals, W, R, LQ
 
 
 def factorize_model(model: SemiParametricModel, X) -> SaddleFactorization:
     """The saddle-point factorization of ``model`` on the design ``X``: its
-    kernel matrix at unit gain, with the gain carried as a scalar.  It
-    records ``model`` at unit gain and the design."""
+    kernel matrix at unit gain, with the gain carried as a scalar, solved by
+    the pseudo-inverse.  It records ``model`` at unit gain and the design.
+    A model without a basis is a GP: its eigenpairs are ``from_kernel``'s."""
     design = as_design(X)
     unit = model.kernel.with_params(gamma=1.0)
-    fac = factorize(kernel_matrix(unit, design), model.basis_matrix(design))
-    return replace(fac, gain=float(model.kernel.gamma), model=replace(model, kernel=unit), design=design)
+    V = model.basis_matrix(design)
+    if V.shape[1]:
+        evals, W, R, LQ = factorize(kernel_matrix(unit, design), V)
+    else:
+        gp = SaddleFactorization.from_kernel(unit, design)
+        evals, W, R, LQ = gp.evals, gp.eigvecs, gp.R, gp.LQ
+    return SaddleFactorization(
+        evals, W, float(model.kernel.gamma), True, R, LQ, replace(model, kernel=unit), design
+    )
 
 
 def project_out_basis(L: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -571,13 +572,15 @@ class SpmFit:
         return mean, np.maximum(var, 0.0), a[:, 0], c
 
 
-def laurent_b0(L: np.ndarray, V: np.ndarray, sigma2: float) -> np.ndarray:
-    """Leading Laurent coefficient of (VV^T + eps (L + sigma2 I))^{-1}.
+def laurent_b0(fac: SaddleFactorization, sigma2: float) -> np.ndarray:
+    """Leading Laurent coefficient of (VV^T + eps (L + sigma2 I))^{-1}, with
+    L the kernel matrix at the gain of ``fac`` and V the basis matrix of its
+    model on its design.
 
     The pseudo-inverse of L + sigma2 I restricted to the complement of
-    span(V); satisfies V^T B0 = 0 by construction.
+    span(V), by the factorization's own solve rule; satisfies V^T B0 = 0 by
+    construction.
     """
-    fac = factorize(np.asarray(L, dtype=float), np.asarray(V, dtype=float))
     B0 = (fac.modes * (1.0 / fac._filter_terms(sigma2)[1])) @ fac.modes.T
     return 0.5 * (B0 + B0.T)
 

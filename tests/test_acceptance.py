@@ -192,10 +192,10 @@ def test_c6_laurent_master_equation():
         rng = np.random.default_rng(3)
         n = 10
         X = np.sort(rng.uniform(0, 1, n))
-        L = kernel_matrix(Kernel.polyharmonic(1), X)
-        V = np.ones((n, 1))
+        model = polyharmonic_spm(1, 1)
+        L, V = kernel_matrix(model.kernel, X), model.basis_matrix(X)
         sigma2 = 0.3
-        B0 = laurent_b0(L, V, sigma2)
+        B0 = laurent_b0(factorize_model(model, X), sigma2)
         assert np.abs(V.T @ B0).max() <= 1e-10 * np.abs(B0).max()
         errs = []
         for eps in (1e-2, 1e-3, 1e-4):

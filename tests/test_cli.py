@@ -123,6 +123,19 @@ class TestParseDataset:
         np.testing.assert_array_equal(back.X.points, ds.X.points)
         np.testing.assert_array_equal(back.y, ds.y)
 
+    def test_one_column_has_no_feature(self, tmp_path):
+        path = tmp_path / "one.csv"
+        write_lines(path, ["y", "1", "2"])
+        with pytest.raises(DatasetError, match="at least one feature and one target"):
+            parse_dataset(path)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        write_lines(path, ["x,y", "0,1", "", " , ", "2,3", ""])
+        ds = parse_dataset(path)
+        np.testing.assert_array_equal(ds.X.points[:, 0], [0, 2])
+        np.testing.assert_array_equal(ds.y, [1, 3])
+
     def test_named_target_column(self, tmp_path):
         path = tmp_path / "t.csv"
         write_lines(path, ["y,x", "1,2", "3,4"])
@@ -721,6 +734,18 @@ class TestCommands:
         assert "nugget" in capsys.readouterr().err
         assert not (tmp_path / "nug.json").exists()
 
+    def test_nugget_compare_checks_its_nugget_before_any_output(self, data_csv, tmp_path, capsys):
+        # "-1" parses as a number ("-1e-6" above is taken for an option), so
+        # the command's own check refuses it
+        out = tmp_path / "nug"
+        code = main([
+            "nugget-compare", "--data", str(data_csv), "--eps", "0.05",
+            "--gamma-grid", "1e2:1e6:5", "--nugget", "-1", "--out", str(out),
+        ])
+        assert code == 1
+        assert "nugget must be nonnegative, got nugget=-1.0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data_csv]
+
     def test_predict_rejects_a_basis_degree_below_minus_one(self, tmp_path, capsys):
         out = tmp_path / "pred"
         code = main(["predict", "--n", "20", "--basis-degree", "-2", "--out", str(out)])
@@ -982,6 +1007,16 @@ class TestQueryCsv:
         header, rows = read_csv(f"{out}.csv")
         assert header == ["x1", "x2", "mean", "variance"]
         assert [[float(v) for v in r[:2]] for r in rows] == [[0.1, 0.2], [0.7, 0.4]]
+
+    def test_comma_list_query_for_d2(self, tmp_path, capsys):
+        out = str(tmp_path / "pred")
+        common = ["predict", "--n", "10", "--dim", "2", "--out", out]
+        assert main(common + ["--query", "0.1,0.2,0.7,0.4"]) == 0
+        header, rows = read_csv(f"{out}.csv")
+        assert header == ["x1", "x2", "mean", "variance"]
+        assert [[float(v) for v in r[:2]] for r in rows] == [[0.1, 0.2], [0.7, 0.4]]
+        assert main(common + ["--query", "0.1,0.2,0.7"]) == 1
+        assert "multiple of d" in capsys.readouterr().err
 
     def test_column_count_must_match_d(self, data_csv, tmp_path, capsys):
         query = self.write_query(tmp_path, ["x,z", "0.1,0.2"])

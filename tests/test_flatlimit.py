@@ -126,6 +126,12 @@ def test_family_gain_must_be_positive_and_finite(gamma0):
         ScaledKernelFamily(Kernel.gaussian(), p=2, gamma0=gamma0)
 
 
+@pytest.mark.parametrize("p", [-1, 1.5])
+def test_family_exponent_must_be_a_nonnegative_integer(p):
+    with pytest.raises(ValueError, match="p must be a nonnegative integer"):
+        ScaledKernelFamily(Kernel.gaussian(), p=p)
+
+
 class TestLimitingSmoother:
     def test_odd_case_is_projector_with_trace_l(self, rng):
         X = np.sort(rng.uniform(0, 1, 8))
@@ -410,18 +416,6 @@ class TestPredEquiv:
         with pytest.raises(IncomparableModels, match="different designs"):
             match_scale(fac_a, fac_b, 0.1)
 
-    def test_raw_factorization_raises(self, rng):
-        X = np.sort(rng.uniform(0, 1, 8))
-        model = polyharmonic_spm(2, 1)
-        fac = factorize_model(model, X)
-        # the same arrays, but a raw factorization records no model to compare
-        raw = spm_module.factorize(kernel_matrix(model.kernel, X), model.basis_matrix(X))
-        for fac_a, fac_b in ((fac, raw), (raw, fac)):
-            with pytest.raises(IncomparableModels, match="records no model"):
-                check_pred_equiv(fac_a, fac_b)
-            with pytest.raises(IncomparableModels, match="records no model"):
-                match_scale(fac_a, fac_b, 0.1)
-
     @pytest.mark.parametrize("num_trials", [0, -1])
     def test_no_trial_is_refused(self, num_trials, rng):
         # zero trials would certify a 2x rescaling with all deviations 0.0
@@ -674,6 +668,15 @@ class TestMatchScale:
         b = SemiParametricModel(Kernel.polynomial(2), d=1, basis_degree=0)
         with pytest.raises(NotProportional):
             match_scale(*factored(a, b, X=X), 0.05)
+
+    def test_an_unreachable_trace_is_not_proportional(self, rng):
+        # the zero kernel's trace is its basis size at every gain, below the
+        # spline's at any noise level
+        X = np.sort(rng.uniform(0, 1, 10))
+        spline = polyharmonic_spm(1, 1)
+        constant = SemiParametricModel(Kernel.zero(), d=1, basis_degree=0)
+        with pytest.raises(NotProportional, match="trace matching failed"):
+            match_scale(*factored(spline, constant, X=X), 0.05)
 
     def test_a_nan_smoother_difference_is_not_proportional(self, monkeypatch):
         # nan > tol is False: the verification must not pass a NaN

@@ -101,6 +101,20 @@ class TestSpectrum:
         np.testing.assert_allclose(spec.modes.T @ spec.modes, np.eye(len(X)), atol=1e-12)
         np.testing.assert_allclose(K @ spec.modes, spec.modes * spec.evals, atol=1e-12)
 
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_a_nugget_shifts_the_eigenvalues(self, vectors, setup):
+        # the nugget is added after the eigensolver, to the eigenvalues alone
+        X, _ = setup
+        kern = Kernel.matern(1.5, epsilon=2.0, gamma=3.0)
+        plain = GpSpectrum.from_kernel(kern, X, vectors=vectors)
+        for nugget in (1e-6, 0.5):
+            spec = GpSpectrum.from_kernel(kern, X, nugget=nugget, vectors=vectors)
+            np.testing.assert_array_equal(spec.evals, plain.evals + nugget)
+            if vectors:
+                np.testing.assert_array_equal(spec.eigvecs, plain.eigvecs)
+            else:
+                assert spec.eigvecs is plain.eigvecs is None
+
     def test_gain_is_a_scalar(self, setup):
         X, _ = setup
         kern = Kernel.matern(1.5, epsilon=2.0)

@@ -1,5 +1,5 @@
-"""Every name a module of the package imports is used in it, and one
-function judges a basis's rank.
+"""Every name a module of the package imports is used in it, one function
+judges a basis's rank, and one calls an eigensolver.
 
 A stdlib stand-in for a linter's unused-import rule (pyflakes F401): a name
 bound by an import counts as used when the module reads it as a name, the
@@ -10,6 +10,10 @@ importing, so it is exempt, as is any imported name on a line marked
 The rank of a basis is decided by ``polybasis.full_rank_blocks`` alone: no other
 function reads ``DEFAULT_RANK_TOL`` or takes an SVD, except the blocked
 reference ``vandermonde`` that the tests compare against.
+
+The eigenpairs of every kernel matrix and restriction come from
+``spm._eigensystems``: no other function calls ``eigh`` or ``eigvalsh``, so
+a new spectral route enters through it.
 
 A private name stays in its module: every attribute read ``obj._name`` in the
 package, ``obj`` other than ``self`` or ``cls``, names something the same
@@ -61,11 +65,12 @@ def test_an_unused_import_is_found():
 
 # The rank rule lives in one function, and the blocked reference keeps its own
 RANK_RULE = {("polybasis.py", "full_rank_blocks"), ("polybasis.py", "vandermonde")}
+RANK_NAMES = ("DEFAULT_RANK_TOL", "svd")
 
 
-def rank_rule_readers(source: str) -> set:
+def readers(source: str, names) -> set:
     """Names of the functions of ``source`` (``<module>`` outside any) that
-    read ``DEFAULT_RANK_TOL`` or call an ``svd``."""
+    read one of ``names``, bare or as an attribute (``np.linalg.svd``)."""
     tree = ast.parse(source)
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     found = set()
@@ -76,7 +81,7 @@ def rank_rule_readers(source: str) -> set:
             name = node.attr
         else:
             continue
-        if name not in ("DEFAULT_RANK_TOL", "svd"):
+        if name not in names:
             continue
         owner = node
         while owner in parents and not isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -87,8 +92,8 @@ def rank_rule_readers(source: str) -> set:
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_rank_rule_judges_rank(path):
-    readers = {(path.name, name) for name in rank_rule_readers(path.read_text())}
-    assert readers <= RANK_RULE
+    found = {(path.name, name) for name in readers(path.read_text(), RANK_NAMES)}
+    assert found <= RANK_RULE
 
 
 def test_a_rank_rule_reader_is_found():
@@ -102,7 +107,30 @@ def test_a_rank_rule_reader_is_found():
         "def bare(V):\n    return svd(V)\n"
         "def clean(V):\n    return np.linalg.qr(V)\n"
     )
-    assert rank_rule_readers(source) == {"judged", "spectral", "bare"}
+    assert readers(source, RANK_NAMES) == {"judged", "spectral", "bare"}
+
+
+# One eigensolver entry: the spectral core's
+EIGENSOLVER = {("spm.py", "_eigensystems")}
+EIGENSOLVER_NAMES = ("eigh", "eigvalsh")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_core_calls_an_eigensolver(path):
+    found = {(path.name, name) for name in readers(path.read_text(), EIGENSOLVER_NAMES)}
+    assert found <= EIGENSOLVER
+
+
+def test_an_eigensolver_call_is_found():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import eigvalsh\n"
+        "def _eigensystems(A):\n    return np.linalg.eigh(A)\n"
+        "def values(A):\n    return eigvalsh(A)\n"
+        "SOLVE = np.linalg.eigh\n"
+        "def clean(A):\n    return np.linalg.svd(A)\n"
+    )
+    assert readers(source, EIGENSOLVER_NAMES) == {"_eigensystems", "values", "<module>"}
 
 
 def foreign_private_reads(source: str) -> list:

@@ -165,6 +165,20 @@ class TestRadialSeries:
         a = math.sqrt(5)
         assert leading_odd_coefficient(Kernel.matern(2.5)) == pytest.approx(-(a**5) / 45)
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_polyharmonic_series_is_its_one_odd_term(self, r):
+        # (-1)^r |t|^(2r-1): no even part, and the odd term only from order 2r - 1
+        s = radial_series(Kernel.polyharmonic(r), 2 * r - 1)
+        assert s.even_coeffs == (0.0,) * r
+        assert (s.odd_coeff, s.odd_power) == ((-1.0) ** r, 2 * r - 1)
+        below = radial_series(Kernel.polyharmonic(r), 2 * r - 2)
+        assert (below.odd_coeff, below.odd_power) == (None, -1)
+        assert leading_odd_coefficient(Kernel.polyharmonic(r)) == (-1.0) ** r
+
+    def test_smooth_kernel_has_no_leading_odd_coefficient(self):
+        with pytest.raises(SeriesTruncation, match="no odd term"):
+            leading_odd_coefficient(Kernel.gaussian())
+
     def test_truncation_error_beyond_smoothness(self):
         with pytest.raises(SeriesTruncation):
             radial_series(Kernel.matern(1.5), 4)

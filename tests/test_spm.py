@@ -252,34 +252,41 @@ class TestLaurentB0:
     def test_annihilates_basis(self, rng):
         n = 9
         X = np.sort(rng.uniform(0, 1, n))
-        L = kernel_matrix(Kernel.polyharmonic(1), X)
-        V = np.ones((n, 1))
-        B0 = laurent_b0(L, V, 0.4)
+        model = linear_spline_model()
+        B0 = laurent_b0(factorize_model(model, X), 0.4)
+        V = model.basis_matrix(X)
         assert np.abs(V.T @ B0).max() <= 1e-10 * np.abs(B0).max()
 
     def test_finite_eps_inverse_converges_linearly(self, rng):
         n = 8
         X = np.sort(rng.uniform(0, 1, n))
-        L = kernel_matrix(Kernel.polyharmonic(1), X)
-        V = np.ones((n, 1))
         sigma2 = 0.3
-        B0 = laurent_b0(L, V, sigma2)
-        errs = []
-        for eps in (1e-2, 1e-3, 1e-4):
-            inv = np.linalg.inv(V @ V.T + eps * (L + sigma2 * np.eye(n)))
-            errs.append(np.abs(eps * inv - B0).max())
-        ratios = [errs[i] / errs[i + 1] for i in range(2)]
-        assert all(5 <= r <= 20 for r in ratios), ratios
+        for gain in (1.0, 2.5):
+            model = linear_spline_model().scaled(gain)
+            # L is the kernel matrix at the model's gain
+            L, V = kernel_matrix(model.kernel, X), model.basis_matrix(X)
+            B0 = laurent_b0(factorize_model(model, X), sigma2)
+            errs = []
+            for eps in (1e-2, 1e-3, 1e-4):
+                inv = np.linalg.inv(V @ V.T + eps * (L + sigma2 * np.eye(n)))
+                errs.append(np.abs(eps * inv - B0).max())
+            ratios = [errs[i] / errs[i + 1] for i in range(2)]
+            assert all(5 <= r <= 20 for r in ratios), (gain, ratios)
 
     def test_zero_kernel_ones_basis_hand_case(self):
         n = 5
-        B0 = laurent_b0(np.zeros((n, n)), np.ones((n, 1)), 1.0)
+        model = SemiParametricModel(Kernel.zero(), d=1, basis_degree=0)
+        B0 = laurent_b0(factorize_model(model, np.linspace(0, 1, n)), 1.0)
         np.testing.assert_allclose(B0, np.eye(n) - np.ones((n, n)) / n, atol=1e-12)
 
     def test_rank_deficient_basis_raises(self, rng):
-        V = np.ones((6, 2))  # duplicated column
+        def ones(x):
+            return np.ones(len(x))
+
+        # a duplicated column
+        model = SemiParametricModel(Kernel.zero(), d=1, basis_functions=(ones, ones))
         with pytest.raises(NotUnisolvent):
-            laurent_b0(np.eye(6), V, 0.1)
+            laurent_b0(factorize_model(model, rng.uniform(0, 1, 6)), 0.1)
 
 
 class TestSmoothingSpline:
@@ -305,6 +312,22 @@ class TestSmoothingSpline:
         fit = factorize_model(polyharmonic_spm(3, 1), x).fit(y, 0.01)
         V = fit.factorization.model.basis_matrix(x[:, None])
         assert np.abs(V.T @ fit.alpha).max() <= 1e-8 * np.linalg.norm(fit.alpha)
+
+
+class TestModel:
+    def test_basis_size_of_basis_functions(self):
+        funcs = (lambda x: np.ones(len(x)), lambda x: x[:, 0], lambda x: x[:, 1] ** 2)
+        model = SemiParametricModel(Kernel.zero(), d=2, basis_functions=funcs)
+        assert model.basis_size() == 3
+        assert model.basis_matrix(np.zeros((4, 2))).shape == (4, 3)
+
+    @pytest.mark.parametrize("model", [
+        SemiParametricModel(Kernel.zero(), d=2, basis_degree=1),
+        SemiParametricModel(Kernel.zero(), d=2, basis_functions=(lambda x: x[:, 0],)),
+    ], ids=["monomials", "functions"])
+    def test_basis_matrix_on_a_design_of_another_dimension_raises(self, model):
+        with pytest.raises(ValueError, match="design dimension 3 != model dimension 2"):
+            model.basis_matrix(np.zeros((4, 3)))
 
 
 class TestPolyharmonicConstructor:
@@ -434,39 +457,30 @@ class TestFactorization:
         X = np.random.default_rng(seed).uniform(0, 1, size=(n, d))
         V, L = model.basis_matrix(X), kernel_matrix(kernel, X)
         try:
-            fac = spm_module.factorize(L, V)
+            if m:
+                evals, W, _, _ = spm_module.factorize(L, V)
+            else:
+                # no basis restricts nothing: the model is factored as a GP
+                fac = factorize_model(model, X)
+                evals, W = fac.evals, fac.eigvecs
         except NotUnisolvent:
             assume(False)
-        assert fac.modes.shape == (n, n - m)
-        np.testing.assert_allclose(fac.modes.T @ fac.modes, np.eye(n - m), rtol=0, atol=1e-13)
+        modes = W[:, m:]
+        assert modes.shape == (n, n - m)
+        np.testing.assert_allclose(modes.T @ modes, np.eye(n - m), rtol=0, atol=1e-13)
         unit = V / np.linalg.norm(V, axis=0)
-        assert np.abs(unit.T @ fac.modes).max(initial=0.0) <= 1e-13
+        assert np.abs(unit.T @ modes).max(initial=0.0) <= 1e-13
         # the reference restricts L to an explicit complement C
         C = np.linalg.qr(V, mode="complete")[0][:, m:] if m else np.eye(n)
         want = np.linalg.eigvalsh(C.T @ L @ C)
         # both restrictions round off relative to L, whose largest eigenvalue
         # bounds the restriction's: a smooth kernel's can be 1e-5 of it
         scale = np.abs(np.linalg.eigvalsh(L)).max(initial=0.0)
-        np.testing.assert_allclose(fac.evals, want, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(evals, want, rtol=0, atol=1e-12 * scale)
         if kernel.family is Family.ZERO:
             # n - m orthonormal modes orthogonal to V: they span C's columns
-            np.testing.assert_array_equal(fac.evals, np.zeros(n - m))
-            np.testing.assert_allclose(fac.modes @ (fac.modes.T @ C), C, rtol=0, atol=1e-13)
-
-    def raw_factorization(self, rng):
-        model = polyharmonic_spm(2, 1)
-        X = np.sort(rng.uniform(0, 1, 8))
-        return spm_module.factorize(kernel_matrix(model.kernel, X), model.basis_matrix(X))
-
-    def test_raw_factorization_refuses_a_fit(self, rng):
-        raw = self.raw_factorization(rng)
-        with pytest.raises(ValueError, match=r"raw factorize\(L, V\) records no model or design"):
-            raw.fit(np.zeros(8), 0.1)
-
-    def test_raw_factorization_refuses_an_augmented_smoother(self, rng):
-        raw = self.raw_factorization(rng)
-        with pytest.raises(ValueError, match=r"raw factorize\(L, V\) records no model or design"):
-            augmented_smoother(raw, [0.5], 0.1)
+            np.testing.assert_array_equal(evals, np.zeros(n - m))
+            np.testing.assert_allclose(modes @ (modes.T @ C), C, rtol=0, atol=1e-13)
 
     def test_zero_kernel_skips_eigensolver(self, rng, monkeypatch):
         def fail(*args, **kwargs):
@@ -969,29 +983,38 @@ class TestSpectralCore:
                     assert getattr(moved, name) is value, name
 
     @given(
+        kernel=st.sampled_from([
+            Kernel.matern(1.5, epsilon=2.0, gamma=1.7), Kernel.gaussian(epsilon=3.0),
+            Kernel.zero(), Kernel.polyharmonic(2),
+        ]),
         seed=st.integers(0, 2**32 - 1),
         d=st.sampled_from([1, 2]),
         n=st.integers(3, 15),
         log_sigma2=st.floats(-3, 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_empty_basis_factorization_is_the_gp_spectrum(self, seed, d, n, log_sigma2):
+    def test_empty_basis_factorization_is_the_gp_spectrum(self, kernel, seed, d, n, log_sigma2):
         rng = np.random.default_rng(seed)
         X = rng.uniform(0, 1, size=(n, d))
-        kernel = Kernel.matern(1.5, epsilon=2.0, gamma=1.7)
         saddle = factorize_model(SemiParametricModel(kernel, d=d), X)
         spectrum = GpSpectrum.from_kernel(kernel, X)
-        sigma2 = 10.0**log_sigma2
-        assert saddle.m == spectrum.m == 0
-        assert saddle.dof(sigma2) == pytest.approx(spectrum.dof(sigma2), abs=1e-12 * n)
-        np.testing.assert_allclose(
-            saddle.smoother(sigma2).matrix, spectrum.smoother(sigma2).matrix, rtol=0, atol=1e-12
-        )
-        y = rng.normal(size=n)
-        want = spectrum.solve(sigma2, y)[0]
-        np.testing.assert_allclose(
-            saddle.solve(sigma2, y)[0], want, rtol=0, atol=1e-12 * np.abs(want).max()
-        )
+        # one route: the same eigenpairs, bitwise; only the solve rule differs
+        assert saddle.m == spectrum.m == 0 and saddle.LQ is spectrum.LQ is None
+        np.testing.assert_array_equal(saddle.evals, spectrum.evals)
+        np.testing.assert_array_equal(saddle.eigvecs, spectrum.eigvecs)
+        assert (saddle.gain, saddle.model) == (spectrum.gain, spectrum.model)
+        assert saddle.pseudo_inverse and not spectrum.pseudo_inverse
+        # above sigma2 = 0 the pseudo-inverse drops nothing, so the two agree
+        # wherever the GP spectrum solves
+        sigma2, y = 10.0**log_sigma2, rng.normal(size=n)
+        for call in (
+            lambda f: f.dof(sigma2),
+            lambda f: f.smoother(sigma2).matrix,
+            lambda f: f.solve(sigma2, y),
+        ):
+            want = outcome(lambda: call(spectrum))
+            if want is not IllConditioned:
+                assert_same(call(saddle), want)
 
     def test_sigma2_contracts(self, rng):
         # the GP spectrum refuses a singular K + sigma2 I; the saddle path
