@@ -17,11 +17,16 @@ dof-grid, criteria-grid, nugget-compare and pred-curve filter each spectrum
 at every gamma of their grid at once (``spec.dofs``, ``gp.criteria``,
 ``flatlimit.prediction_curve``, all through ``spec.filter_terms``), so a
 cell is a row of one gain-major filter, not a spectrum moved to its gain.
+
+``main`` builds its parser once per process and reuses it for every call;
+``build_parser()`` returns a fresh one.
 """
 
 import argparse
+import functools
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -160,6 +165,8 @@ def _emit(args, command, metrics, csv_header=None, csv_rows=None, errors=()):
         "outputs": paths,
     }
     if csv_header is not None:
+        if isinstance(csv_rows, np.ndarray):
+            csv_rows = csv_rows.tolist()  # Python floats print faster than numpy scalars
         rows = [[c if isinstance(c, str) else format_float(c) for c in r] for r in csv_rows]
         if args.format == "json":
             summary["table"] = {"header": list(csv_header), "rows": rows}
@@ -436,8 +443,21 @@ def _add_common(sp, query=False, grids=(), nugget=None):
         sp.add_argument(g, required=True)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every token starting with ``-digit`` or
+    ``-.digit`` as a value, as newer CPython does: ``--xa -1e-3`` and
+    ``--query -1:1:5`` pass a number, not an unknown option.  No flatgp option
+    name starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="flatgp", description=__doc__)
+    """A fresh parser of every command (``add_subparsers`` makes the
+    subcommands' parsers ``_Parser``s too)."""
+    ap = _Parser(prog="flatgp", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("fit", help="fit on the design and report criteria")
@@ -501,10 +521,15 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser ``main`` reuses: parsing a command line leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:

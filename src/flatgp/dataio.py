@@ -7,6 +7,7 @@ bit-exactly.  JSON summaries are strict: they never hold NaN or infinity.
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -77,7 +78,7 @@ def _read_columns(path, select):
                         row=rownum,
                         column=name,
                     ) from None
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise DatasetError(
                         f"{path}: non-finite value at row {rownum}, column {name}",
                         row=rownum,

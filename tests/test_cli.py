@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -5,6 +6,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import threading
 import warnings
 
 import numpy as np
@@ -136,6 +138,19 @@ class TestParseDataset:
         np.testing.assert_array_equal(ds.X.points[:, 0], [0, 2])
         np.testing.assert_array_equal(ds.y, [1, 3])
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_names_its_row_and_column_after_blank_rows(self, cell, tmp_path):
+        # "1e999" overflows to inf; the blank rows still count as file lines
+        path = tmp_path / "nf.csv"
+        write_lines(path, ["x,y", "0,1", "", " , ", "2,3", f"{cell},4"])
+        with pytest.raises(DatasetError, match="non-finite value at row 6, column x") as exc:
+            parse_dataset(path)
+        assert exc.value.row == 6 and exc.value.column == "x"
+        write_lines(path, ["x", "", "0", cell])
+        with pytest.raises(DatasetError, match="row 4, column x") as exc:
+            parse_points(path, 1)
+        assert exc.value.row == 4
+
     def test_named_target_column(self, tmp_path):
         path = tmp_path / "t.csv"
         write_lines(path, ["y,x", "1,2", "3,4"])
@@ -245,6 +260,24 @@ class TestCommands:
             with pytest.raises(ValueError):
                 write_json(path, {"metrics": {"slope": bad}})
         assert not path.exists()
+
+    def test_rows_print_as_per_element_numpy_scalars_did(self, tmp_path):
+        rng = np.random.default_rng(6)
+        rows = np.column_stack([
+            np.arange(6), rng.normal(size=6) * 10.0 ** rng.integers(-300, 300, 6),
+            [-0.0, 1 / 3, 2.0**53 + 2, 5e-324, np.nan, -np.inf],
+        ])
+        out = tmp_path / "rows"
+        args = argparse.Namespace(out=str(out), format="csv", seed=0)
+        cli_module._emit(args, "rows", {}, ["i", "a", "b"], rows)
+        from_array = (tmp_path / "rows.csv").read_bytes()
+        # the per-element path: rows of numpy scalars
+        cli_module._emit(args, "rows", {}, ["i", "a", "b"], [list(r) for r in rows])
+        assert (tmp_path / "rows.csv").read_bytes() == from_array
+        assert [line.rsplit(b",", 1)[1] for line in from_array.splitlines()[1:]] == [
+            b"-0", b"0.33333333333333331", b"9007199254740994", b"4.9406564584124654e-324",
+            b"nan", b"-inf",
+        ]
 
     def test_isofreedom_outputs_near_integer_slope(self, data_csv, tmp_path):
         out = tmp_path / "iso"
@@ -731,12 +764,12 @@ class TestCommands:
             "--gamma-grid", "1e2:1e6:5", "--nugget", "-1e-6", "--out", str(out),
         ])
         assert code == 1
-        assert "nugget" in capsys.readouterr().err
+        # "-1e-6" reaches the command as a value, and its own check refuses it
+        assert "nugget must be nonnegative, got nugget=-1e-06" in capsys.readouterr().err
         assert not (tmp_path / "nug.json").exists()
 
     def test_nugget_compare_checks_its_nugget_before_any_output(self, data_csv, tmp_path, capsys):
-        # "-1" parses as a number ("-1e-6" above is taken for an option), so
-        # the command's own check refuses it
+        # the command refuses the nugget before it factors or writes anything
         out = tmp_path / "nug"
         code = main([
             "nugget-compare", "--data", str(data_csv), "--eps", "0.05",
@@ -745,6 +778,26 @@ class TestCommands:
         assert code == 1
         assert "nugget must be nonnegative, got nugget=-1.0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [data_csv]
+
+    @pytest.mark.parametrize(
+        "query, first", [("-1e-3,0.5", -1e-3), ("-1:1:5", -1.0), ("-.5e-1", -0.05)]
+    )
+    def test_predict_takes_a_negative_query_in_any_notation(self, query, first, tmp_path):
+        out = tmp_path / "pred"
+        assert main(["predict", "--n", "8", "--query", query, "--out", str(out)]) == 0
+        _, rows = read_csv(f"{out}.csv")
+        assert float(rows[0][0]) == first
+
+    def test_pred_curve_takes_a_negative_point_with_an_exponent(self, data_csv, tmp_path):
+        out = tmp_path / "curve"
+        code = main([
+            "pred-curve", "--data", str(data_csv), "--eps", "1.0",
+            "--gamma-grid", "1e-2:1e2:5", "--xa", "-1e-3", "--xb", "0.5", "--out", str(out),
+        ])
+        assert code == 0
+        assert read_json(f"{out}.json")["config"]["xa"] == "-1e-3"
+        _, rows = read_csv(f"{out}.csv")
+        assert len(rows) == 5 and all(r[3] == "ok" for r in rows)
 
     def test_predict_rejects_a_basis_degree_below_minus_one(self, tmp_path, capsys):
         out = tmp_path / "pred"
@@ -926,6 +979,140 @@ POOLED_COMMANDS = {
     "dof-grid": ["--eps-grid", "0.5:2:4", "--gamma-grid", "0.1:10:4"],
     "criteria-grid": ["--eps-grid", "0.5:2:3", "--gamma-grid", "0.1:10:3"],
 }
+
+
+class TestSharedParser:
+    """``main`` reuses one parser per process: every call must behave as it
+    would on a fresh ``build_parser()``."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        cli_module._parser.cache_clear()
+        yield
+        cli_module._parser.cache_clear()
+
+    @staticmethod
+    def run(argv, out, capsys, fresh):
+        """Exit code, stdout, stderr and the bytes of every file written under
+        ``out`` by one call, which then removes those files."""
+        if fresh:
+            cli_module._parser.cache_clear()
+        code = main(argv)
+        captured = capsys.readouterr()
+        files = {}
+        for path in sorted(out.iterdir()):
+            files[path.name] = path.read_bytes()
+            path.unlink()
+        return code, captured.out, captured.err, files
+
+    def test_interleaved_calls_match_fresh_parsers(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        prefix = str(out / "run")
+        calls = [
+            ["fit", "--n", "12", "--eps", "0.7", "--out", prefix],
+            ["fit", "--n", "12", "--sigma2", "nan", "--out", prefix],
+            ["predict", "--n", "12", "--kernel", "matern", "--nu", "1.5",
+             "--query", "-1e-3,0.5", "--format", "json", "--out", prefix],
+            ["--help"],
+            ["--help"],
+        ]
+        fresh = [self.run(argv, out, capsys, fresh=True) for argv in calls]
+        shared = [self.run(argv, out, capsys, fresh=False) for argv in calls]
+        assert [r[0] for r in shared] == [0, 1, 0, 0, 0]
+        assert shared[1][3] == {} and "finite" in shared[1][2]
+        assert shared[3][1].startswith("usage: flatgp") and shared[3] == shared[4]
+        assert shared == fresh
+
+    def test_an_option_does_not_outlive_its_call(self, tmp_path):
+        out = str(tmp_path / "o")
+        argv = ["fit", "--n", "8", "--out", out]
+        assert main([
+            "predict", "--n", "8", "--dim", "2", "--kernel", "matern", "--nu", "2.5",
+            "--basis-degree", "1", "--query", "0.5,0.5", "--out", out,
+        ]) == 0
+        assert main(argv + ["--nugget", "0.1", "--eps", "3"]) == 0
+        assert main(argv) == 0
+        shared = read_json(f"{out}.json")["config"]
+        cli_module._parser.cache_clear()
+        assert main(argv) == 0
+        assert shared == read_json(f"{out}.json")["config"]
+        assert shared["kernel"] == "gaussian" and shared["nugget"] == 0.0 and shared["eps"] == 1.0
+        assert not {"nu", "dim", "basis_degree", "query"} & set(shared)
+
+    def test_one_build_over_many_calls(self, tmp_path, monkeypatch):
+        builds = []
+
+        def counted():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli_module, "build_parser", counted)
+        out = str(tmp_path / "o")
+        for argv in (
+            ["fit", "--n", "8", "--out", out],
+            ["predict", "--n", "8", "--out", out],
+            ["fit", "--n", "8", "--eps", "inf", "--out", out],
+            ["no-such-command"],
+            ["nugget-compare", "--n", "8", "--eps", "0.5", "--gamma-grid", "1:10:3", "--out", out],
+        ):
+            main(argv)
+        assert len(builds) == 1
+        # the public builder still returns a new parser each time
+        assert build_parser() is not build_parser()
+        assert build_parser() is not cli_module._parser()
+
+    def test_concurrent_calls_write_identical_files(self, tmp_path):
+        workers = min(len(os.sched_getaffinity(0)), 8) + 1
+        rounds = 5
+        calls = [
+            ["fit", "--n", "20", "--dim", "2", "--eps", "0.8", "--gamma", "2"],
+            ["predict", "--n", "20", "--kernel", "exponential", "--query", "-1:1:9"],
+            ["fit", "--n", "20", "--sigma2", "-inf"],
+        ]
+
+        def outputs(out):
+            """The bytes of each file under ``out``, without the JSON's own paths."""
+            files = {}
+            for path in sorted(out.iterdir()):
+                if path.suffix == ".json":
+                    summary = read_json(path)
+                    summary.pop("outputs")
+                    summary["config"].pop("out")
+                    files[path.name] = summary
+                else:
+                    files[path.name] = path.read_bytes()
+            return files
+
+        def session(out):
+            out.mkdir()
+            results = []
+            for _ in range(rounds):
+                for i, argv in enumerate(calls):
+                    results.append(main(argv + ["--out", str(out / f"c{i}")]))
+            return results, outputs(out)
+
+        expected = session(tmp_path / "serial")
+        barrier = threading.Barrier(workers, timeout=30)
+        results = [None] * workers
+
+        def worker(k):
+            barrier.wait()
+            results[k] = session(tmp_path / f"thread{k}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert expected[0] == [0, 0, 1] * rounds
+        assert results == [expected] * workers
 
 
 class TestThreads:
