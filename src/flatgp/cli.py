@@ -28,7 +28,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -53,26 +52,44 @@ from .pool import map_spectra, threads as _threads  # noqa: F401
 from .spm import SemiParametricModel, factorize_model
 
 
-def _parse_grid(spec, log=True, order=None):
-    """Parse 'a:b:k' into a k-point grid from a to b (log-spaced by default).
+def _numbers(text, option, sep=","):
+    """The numbers of ``text`` split at ``sep``: the one reader of a grid
+    spec's, a query list's and a point's numbers.  A part that is not a
+    number, or is NaN or infinite, raises FlatGpError naming ``option``."""
+    values = []
+    for part in text.split(sep):
+        try:
+            value = float(part)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise FlatGpError(f"{option}: {part!r} is not a finite number, in {text!r}")
+        values.append(value)
+    return values
+
+
+def _parse_grid(spec, option, log=True, order=None):
+    """Parse the ``option`` value 'a:b:k' into a k-point grid from a to b
+    (log-spaced by default).
 
     ``order`` "ascending" or "descending" builds it from the smaller or the
     larger end instead, so that 'a:b:k' and 'b:a:k' give the same values.  A
-    malformed spec or a non-finite endpoint raises FlatGpError.
+    malformed spec, a non-finite endpoint or a k that is not a whole number
+    raises FlatGpError naming ``option``.
     """
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise FlatGpError(f"grid must be a:b:k, got {spec!r}")
-    a, b, k = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise FlatGpError(f"grid endpoints must be finite, got {spec!r}")
+    if spec.count(":") != 2:
+        raise FlatGpError(f"{option} must be a:b:k, got {spec!r}")
+    a, b, k = _numbers(spec, option, sep=":")
+    if not k.is_integer():
+        raise FlatGpError(f"{option}: the point count k of a:b:k must be whole, got {spec!r}")
+    k = int(k)
     if order is not None and (a > b) != (order == "descending"):
         a, b = b, a
     if k < 1:
-        raise FlatGpError("grid needs at least one point")
+        raise FlatGpError(f"{option} needs at least one point, got {spec!r}")
     if log:
         if a <= 0 or b <= 0:
-            raise FlatGpError("log grids need positive endpoints")
+            raise FlatGpError(f"{option} is a log grid and needs positive endpoints, got {spec!r}")
         return np.geomspace(a, b, k)
     return np.linspace(a, b, k)
 
@@ -102,12 +119,9 @@ def _make_kernel(args):
 
 
 def _parse_point(text, option, d):
-    """A point of R^d: d comma-separated numbers, or one for every coordinate;
-    anything else raises FlatGpError naming ``option``."""
-    try:
-        vals = [float(v) for v in text.split(",")]
-    except ValueError:
-        vals = []
+    """A point of R^d: d comma-separated finite numbers, or one for every
+    coordinate; anything else raises FlatGpError naming ``option``."""
+    vals = _numbers(text, option)
     if len(vals) not in (1, d):
         raise FlatGpError(f"{option} must be 1 or d={d} comma-separated numbers, got {text!r}")
     return np.full(d, vals[0]) if len(vals) == 1 else np.array(vals)
@@ -138,12 +152,12 @@ def _parse_query(spec, dataset):
     if ":" in spec:
         if dataset.d != 1:
             raise FlatGpError("query grids a:b:k are for d=1; pass a CSV for d>1")
-        return _parse_grid(spec, log=False)[:, None]
-    vals = [float(v) for v in spec.split(",")]
+        return _parse_grid(spec, "--query", log=False)[:, None]
+    vals = _numbers(spec, "--query")
     if dataset.d == 1:
         return np.asarray(vals)[:, None]
     if len(vals) % dataset.d:
-        raise FlatGpError("query list length must be a multiple of d")
+        raise FlatGpError("--query list length must be a multiple of d")
     return np.asarray(vals).reshape(-1, dataset.d)
 
 
@@ -184,7 +198,7 @@ def _emit(args, command, metrics, csv_header=None, csv_rows=None, errors=()):
 
 def cmd_fit(args):
     ds = _load_data(args)
-    spec = GpSpectrum.from_kernel(_make_kernel(args), ds.X, nugget=args.nugget)
+    spec = GpSpectrum.from_kernel(_make_kernel(args), ds.X).shifted(args.nugget)
     M = spec.smoother(args.sigma2)
     fitted = M.fitted(ds.y)
     metrics = {"dof": M.trace, "n": ds.n, "d": ds.d}
@@ -209,7 +223,7 @@ def cmd_predict(args):
     query = _parse_query(args.query, ds)
     kern = _make_kernel(args)
     if args.basis_degree is None and args.kernel != "zero":
-        fac = GpSpectrum.from_kernel(kern, ds.X, nugget=args.nugget)
+        fac = GpSpectrum.from_kernel(kern, ds.X).shifted(args.nugget)
     else:
         if args.nugget:
             raise FlatGpError("--nugget is for the GP alone; a model with a basis takes none")
@@ -222,12 +236,16 @@ def cmd_predict(args):
 
 
 def _grid_eval(args, ds, values_fn, vectors=True):
-    """The eps grid and ``values_fn(spectrum)`` at each of its eps, in grid
+    """The eps grid and ``values_fn(spectrum)`` at each of its eps, the
+    spectrum shifted by ``--nugget`` in the worker that factored it, in grid
     order (``pool.map_spectra``); ``vectors=False`` reads traces only."""
-    eps_grid = _parse_grid(args.eps_grid)
+    eps_grid = _parse_grid(args.eps_grid, "--eps-grid")
     kern = _make_kernel(args)
     kernels = [kern.with_params(epsilon=eps) for eps in eps_grid]
-    return eps_grid, map_spectra(values_fn, kernels, ds.X, args.nugget, vectors=vectors)
+    values = map_spectra(
+        lambda spec: values_fn(spec.shifted(args.nugget)), kernels, ds.X, vectors=vectors
+    )
+    return eps_grid, values
 
 
 def _dof_cells(spec, sigma2, gains):
@@ -243,7 +261,7 @@ def _dof_cells(spec, sigma2, gains):
 
 def cmd_dof_grid(args):
     ds = _load_data(args)
-    gamma_grid = _parse_grid(args.gamma_grid)
+    gamma_grid = _parse_grid(args.gamma_grid, "--gamma-grid")
     errors = []
 
     def values(spec):
@@ -261,7 +279,7 @@ def cmd_dof_grid(args):
 
 def cmd_criteria_grid(args):
     ds = _load_data(args)
-    gamma_grid = _parse_grid(args.gamma_grid)
+    gamma_grid = _parse_grid(args.gamma_grid, "--gamma-grid")
     errors = []
 
     def values(spec):
@@ -287,7 +305,7 @@ def cmd_criteria_grid(args):
 def cmd_isofreedom(args):
     ds = _load_data(args)
     kern = _make_kernel(args)
-    eps_grid = _parse_grid(args.eps_grid, order="descending")
+    eps_grid = _parse_grid(args.eps_grid, "--eps-grid", order="descending")
     curve = isofreedom_curve(kern, ds.X, args.sigma2, args.dof, eps_grid)
     rows = [[p.epsilon, p.gamma, p.dof_achieved, p.residual] for p in curve.points]
     metrics = {"slope": curve.slope, "target_dof": curve.target}
@@ -296,9 +314,9 @@ def cmd_isofreedom(args):
 
 def cmd_matched(args):
     ds = _load_data(args)
+    query = _parse_query(args.query, ds)
     kern = _make_kernel(args)
     approx = matched_approximation(kern, args.sigma2, ds.X)
-    query = _parse_query(args.query, ds)
     mean_src, var_src = approx.source.fit(ds.y, args.sigma2).posterior(query)
     mean_tgt, var_tgt = approx.fit(ds.y).posterior(query)
     header = [f"x{j + 1}" for j in range(ds.d)] + [
@@ -358,7 +376,7 @@ def cmd_equiv_check(args):
 def cmd_converge(args):
     ds = _load_data(args)
     family = ScaledKernelFamily(_make_kernel(args), p=args.p, gamma0=args.gamma0)
-    eps_grid = _parse_grid(args.eps_grid, order="descending")
+    eps_grid = _parse_grid(args.eps_grid, "--eps-grid", order="descending")
     query = _parse_query(args.query, ds)
     report = convergence_study(
         family, ds.X, query, eps_grid, args.sigma2, seed=args.seed, tol=args.tol
@@ -384,7 +402,7 @@ def cmd_converge(args):
 def cmd_pred_curve(args):
     ds = _load_data(args)
     # the curve runs from small to large gains, whichever end is written first
-    gamma_grid = _parse_grid(args.gamma_grid, order="ascending")
+    gamma_grid = _parse_grid(args.gamma_grid, "--gamma-grid", order="ascending")
     xa, xb = _parse_point(args.xa, "--xa", ds.d), _parse_point(args.xb, "--xb", ds.d)
     curve = prediction_curve(_make_kernel(args), ds.X, ds.y, args.sigma2, gamma_grid, xa, xb)
     rows = []
@@ -403,15 +421,11 @@ def cmd_pred_curve(args):
 
 def cmd_nugget_compare(args):
     ds = _load_data(args)
-    gamma_grid = _parse_grid(args.gamma_grid)
-    if not args.nugget >= 0:
-        raise ValueError(f"nugget must be nonnegative, got nugget={args.nugget}")
+    gamma_grid = _parse_grid(args.gamma_grid, "--gamma-grid")
     plain = GpSpectrum.from_kernel(_make_kernel(args), ds.X, vectors=False)
-    # a nugget shifts every eigenvalue of the unit-gain kernel matrix by itself
-    nugget = replace(plain, evals=plain.evals + args.nugget)
     rows = []
     errors = []
-    for variant, spec in (("nugget", nugget), ("plain", plain)):
+    for variant, spec in (("nugget", plain.shifted(args.nugget)), ("plain", plain)):
         for g, (val, status) in zip(gamma_grid, _dof_cells(spec, args.sigma2, gamma_grid)):
             if status != "ok":
                 errors.append(f"{variant} gamma={g:g}: {status}")

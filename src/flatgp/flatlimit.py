@@ -261,7 +261,8 @@ def absorbed_kernel_model(
     the monomials v taken about the centre of the design X's frame.
 
     Outer products of unpenalized basis functions are absorbed by the improper
-    prior, so the result is prediction-equivalent to the original.
+    prior, so the result is prediction-equivalent to the original.  A zero
+    kernel plus the bump has the bump's values.
     """
     if model.basis_functions is not None:
         raise ValueError("expected a monomial-basis model")
@@ -269,11 +270,9 @@ def absorbed_kernel_model(
     bump = Kernel.monomial_block(
         indices, coefficient * np.eye(len(indices)), centre=as_design(X).frame[0]
     )
-    if model.kernel.family is Family.ZERO:
-        new_kernel = bump
-    else:
-        new_kernel = Kernel.sum_of(model.kernel, bump)
-    return SemiParametricModel(new_kernel, d=model.d, basis_degree=model.basis_degree)
+    return SemiParametricModel(
+        Kernel.sum_of(model.kernel, bump), d=model.d, basis_degree=model.basis_degree
+    )
 
 
 # check_pred_equiv runs its trials on the pool (``pool.map_pooled``) from this

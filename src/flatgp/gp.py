@@ -44,7 +44,8 @@ _LOO_DIAG_TOL = 1e-10
 
 
 # The GP spectrum is the saddle-point factorization of the model with an empty
-# basis: ``GpSpectrum.from_kernel(kernel, X, nugget)``.
+# basis: ``GpSpectrum.from_kernel(kernel, X)``, and with a nugget
+# ``GpSpectrum.from_kernel(kernel, X).shifted(nugget)``.
 GpSpectrum = SaddleFactorization
 
 

@@ -36,8 +36,9 @@ the same CPUs.  Where that count cannot be reached, and neither
 OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS pins BLAS to one thread, the pool
 has one worker.
 
-nugget-compare factors one spectrum and needs no pool: its nugget variant
-reads the same eigenvalues shifted by the nugget.
+A nugget is no argument here: ``fn`` takes ``spectrum.shifted(nugget)``
+itself, so the shift runs in the worker.  nugget-compare factors one
+spectrum and needs no pool: its nugget variant is that spectrum shifted.
 """
 
 import ctypes
@@ -177,10 +178,10 @@ def map_pooled(fn, items) -> list:
             return list(pool.map(fn, items))
 
 
-def map_spectra(fn, kernels, X, nugget: float = 0.0, *, vectors: bool) -> list:
+def map_spectra(fn, kernels, X, *, vectors: bool) -> list:
     """``[fn(spectrum) for kernel in kernels]``, in order, where
     ``spectrum`` is the GP spectrum ``SaddleFactorization.from_kernel(kernel,
-    X, nugget, vectors=vectors)``.
+    X, vectors=vectors)``.
 
     The spectra are factored in stacks and the stacks run through
     ``map_pooled`` (see the module docstring); ``fn`` runs in the worker that
@@ -195,7 +196,7 @@ def map_spectra(fn, kernels, X, nugget: float = 0.0, *, vectors: bool) -> list:
 
     def task(start):
         part = kernels[start:start + size]
-        specs = SaddleFactorization.from_kernels(part, design, nugget, vectors=vectors)
+        specs = SaddleFactorization.from_kernels(part, design, vectors=vectors)
         return [fn(spec) for spec in specs]
 
     starts = range(0, len(kernels), size)

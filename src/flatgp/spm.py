@@ -44,13 +44,7 @@ from .errors import (
     NotUnisolvent,
     UnreachableDof,
 )
-from .kernels import (
-    Family,
-    Kernel,
-    kernel_cross,
-    kernel_diag,
-    kernel_matrix,
-)
+from .kernels import Kernel, kernel_cross, kernel_diag, kernel_matrix
 from .polybasis import as_design, count_poly_dim, enumerate_monomials, framed_monomials, full_rank_blocks
 from .smoothers import SmootherMatrix, SmootherStack
 
@@ -102,8 +96,7 @@ class SemiParametricModel:
         return framed_monomials(pts, enumerate_monomials(self.basis_degree, self.d), design)
 
     def scaled(self, factor: float) -> "SemiParametricModel":
-        k = self.kernel
-        newk = k if k.family is Family.ZERO else k.with_params(gamma=k.gamma * factor)
+        newk = self.kernel.with_params(gamma=self.kernel.gamma * factor)
         return SemiParametricModel(newk, self.d, self.basis_degree, self.basis_functions)
 
 
@@ -164,8 +157,8 @@ class SaddleFactorization:
     ``evals`` are the eigenvalues of L restricted to the complement of the
     span of the basis matrix V, where L is the kernel matrix at unit gain:
     with H = I - Y T Y^T the product of the Householder reflectors of V's QR,
-    they are those of (H^T L H)[m:, m:] (no basis: of L, plus the nugget of
-    ``from_kernels``).  ``eigvecs`` is one orthogonal n x n basis
+    they are those of (H^T L H)[m:, m:] (no basis: of L, or of L + nugget I
+    after ``shifted(nugget)``).  ``eigvecs`` is one orthogonal n x n basis
     W = H diag(I_m, E), E the eigenvectors of that restriction: its first m
     columns are ``Q`` (Q R = V) and its last n - m, ``modes``, the
     eigenvectors lifted back to R^n, orthogonal to V; both are views of W.
@@ -202,16 +195,12 @@ class SaddleFactorization:
     design: object
 
     @classmethod
-    def from_kernels(
-        cls, kernels, X, nugget: float = 0.0, *, vectors: bool = True
-    ) -> list:
+    def from_kernels(cls, kernels, X, *, vectors: bool = True) -> list:
         """The GP spectra of ``kernels`` on one design, from one stacked
         eigensolver call: for each kernel, no basis, its unit-gain kernel
         matrix, and gain ``kernel.gamma``; each records the kernel's
-        empty-basis model at unit gain.  A nugget shifts every eigenvalue by
-        itself, so the spectrum is that of the kernel matrix plus ``nugget``
-        I, with the kernel matrix's eigenvectors.  A negative or NaN nugget
-        raises ValueError.
+        empty-basis model at unit gain.  A nugget is ``shifted`` on a
+        spectrum, after the solve.
 
         Each spectrum is bitwise the one ``from_kernel`` gives that kernel
         alone: numpy solves a stack matrix by matrix.  A stack is one call, so
@@ -223,8 +212,6 @@ class SaddleFactorization:
         ``dofs`` and ``scaled`` and feeds ``solve_trace``, while ``smoother``,
         ``smoothers``, ``solve`` and ``nlml`` raise ValueError.
         """
-        if not nugget >= 0:
-            raise ValueError(f"nugget must be nonnegative, got nugget={nugget}")
         design = as_design(X)
         units = [k.with_params(gamma=1.0) for k in kernels]
         mats = [kernel_matrix(unit, design) for unit in units]
@@ -234,8 +221,6 @@ class SaddleFactorization:
         del mats
         evals, evecs = _eigensystems(K, vectors)
         evals = evals.reshape(len(kernels), design.n)
-        if nugget:
-            evals = evals + nugget
         if evecs is not None:
             evecs = evecs.reshape(len(kernels), design.n, design.n)
         R = np.zeros((0, 0))
@@ -247,11 +232,9 @@ class SaddleFactorization:
         ]
 
     @classmethod
-    def from_kernel(
-        cls, kernel: Kernel, X, nugget: float = 0.0, *, vectors: bool = True
-    ) -> "SaddleFactorization":
+    def from_kernel(cls, kernel: Kernel, X, *, vectors: bool = True) -> "SaddleFactorization":
         """The GP spectrum of one kernel: ``from_kernels([kernel], ...)``."""
-        return cls.from_kernels([kernel], X, nugget, vectors=vectors)[0]
+        return cls.from_kernels([kernel], X, vectors=vectors)[0]
 
     @property
     def m(self) -> int:
@@ -268,6 +251,17 @@ class SaddleFactorization:
     def scaled(self, factor: float) -> "SaddleFactorization":
         """The same factorization at gain ``gain * factor``; no array is copied."""
         return replace(self, gain=self.gain * factor)
+
+    def shifted(self, nugget: float) -> "SaddleFactorization":
+        """The spectrum of the unit-gain kernel matrix plus ``nugget`` I: the
+        eigenvalues plus ``nugget``, the eigenvectors shared (``shifted(0)``
+        is this spectrum itself).  A negative or NaN nugget raises ValueError,
+        and so does a basis (m >= 1), whose ``LQ`` would need the same shift."""
+        if not nugget >= 0:
+            raise ValueError(f"nugget must be nonnegative, got nugget={nugget}")
+        if self.m:
+            raise ValueError("a nugget shifts a GP spectrum; a model with a basis takes none")
+        return replace(self, evals=self.evals + nugget) if nugget else self
 
     def _require_vectors(self):
         if self.eigvecs is None:

@@ -269,7 +269,7 @@ def test_c10_nugget_plateau():
         X, _ = design_and_data()
         sigma2 = 0.01
         kern = Kernel.gaussian(epsilon=0.05)
-        spec_nugget = GpSpectrum.from_kernel(kern, X, nugget=1e-6)
+        spec_nugget = GpSpectrum.from_kernel(kern, X).shifted(1e-6)
         spec_plain = GpSpectrum.from_kernel(kern, X)
         gammas = np.geomspace(1e8, 1e12, 5)  # well past the nugget scale s2/nu = 1e4
         dof_nugget = [spec_nugget.scaled(g).dof(sigma2) for g in gammas]

@@ -769,7 +769,7 @@ class TestCommands:
         assert not (tmp_path / "nug.json").exists()
 
     def test_nugget_compare_checks_its_nugget_before_any_output(self, data_csv, tmp_path, capsys):
-        # the command refuses the nugget before it factors or writes anything
+        # the spectrum's shift refuses the nugget before the command writes anything
         out = tmp_path / "nug"
         code = main([
             "nugget-compare", "--data", str(data_csv), "--eps", "0.05",
@@ -818,6 +818,48 @@ class TestCommands:
         assert code == 1
         assert option in capsys.readouterr().err
         assert not (tmp_path / "curve.json").exists()
+
+    # a command line with a malformed number, the option it is in, and the part
+    NUMBER_ERRORS = [
+        (["predict", "--query", "0.1,x"], "--query", "'x'"),
+        (["matched", "--eps", "1", "--gamma", "1", "--query", "0.1,x"], "--query", "'x'"),
+        (["predict", "--query", "nan,0.5"], "--query", "'nan'"),
+        (["predict", "--dim", "2", "--query", "0.1,0.2,-inf,0.4"], "--query", "'-inf'"),
+        (["predict", "--query", "0:1:x"], "--query", "'x'"),
+        (["predict", "--query", "0:1:2.5"], "--query", "whole"),
+        (["dof-grid", "--eps-grid", "1:2:x", "--gamma-grid", "1:2:3"], "--eps-grid", "'x'"),
+        (["dof-grid", "--eps-grid", "1:2:3", "--gamma-grid", "1:y:3"], "--gamma-grid", "'y'"),
+        (["isofreedom", "--dof", "2", "--eps-grid", "1::3"], "--eps-grid", "''"),
+        (
+            ["pred-curve", "--eps", "1", "--gamma-grid", "1:2:3", "--xa", "nan", "--xb", "0.5"],
+            "--xa", "'nan'",
+        ),
+        (
+            ["pred-curve", "--dim", "2", "--eps", "1", "--gamma-grid", "1:2:3",
+             "--xa", "0.5", "--xb", "0.5,inf"],
+            "--xb", "'inf'",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, option, part", NUMBER_ERRORS, ids=[" ".join(c[0]) for c in NUMBER_ERRORS]
+    )
+    def test_number_errors_name_the_option(self, argv, option, part, tmp_path, capsys):
+        code = main(argv + ["--n", "10", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option}") and part in err, err
+        assert not list(tmp_path.glob("o.*"))
+
+    def test_matched_reads_its_query_before_any_solve(self, tmp_path, count_linalg, capsys):
+        eigh, eigvalsh = count_linalg("eigh"), count_linalg("eigvalsh")
+        code = main([
+            "matched", "--n", "10", "--eps", "1", "--gamma", "1", "--query", "0.1,x",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "--query" in capsys.readouterr().err
+        assert eigh == [] and eigvalsh == []
 
     def test_noiseless_gp_on_a_repeated_point_exits_1(self, tmp_path, capsys):
         # the repeat, with another y, leaves K's smallest eigenvalue at

@@ -458,6 +458,17 @@ class TestPredEquiv:
             check_pred_equiv(one, two, seed=6).equivalent for one, two in ((a, b), (a, c), (b, c))
         )
 
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_an_absorbed_zero_kernel_is_its_bump(self, rng, degree):
+        # a zero kernel plus the bump is a sum like any other, with the bump's values
+        X = np.sort(rng.uniform(0, 1, 9))
+        zero = SemiParametricModel(Kernel.zero(), d=1, basis_degree=degree)
+        absorbed = absorbed_kernel_model(zero, X, 0.7)
+        assert absorbed.kernel.family is Family.SUM
+        bump = absorbed.kernel.components[1]
+        np.testing.assert_array_equal(kernel_matrix(absorbed.kernel, X), kernel_matrix(bump, X))
+        assert check_pred_equiv(*factored(zero, absorbed, X=X), seed=2).equivalent
+
 
 def dense_pred_equiv(model_a, model_b, X, num_trials=8, seed=0):
     """Reference for ``check_pred_equiv``'s deviations: the same trials, with

@@ -92,7 +92,7 @@ class TestSpectrum:
         X, _ = setup
         eigh, qr, svd = count_linalg("eigh"), count_linalg("qr"), count_linalg("svd")
         kern = Kernel.gaussian(epsilon=3.0)
-        spec = GpSpectrum.from_kernel(kern, X, nugget=1e-6)
+        spec = GpSpectrum.from_kernel(kern, X).shifted(1e-6)
         assert len(eigh) == 1 and not qr and not svd
         assert spec.m == 0 and spec.LQ is None and spec.Q.shape == (len(X), 0)
         # without a basis the modes are the eigenvectors of K + nugget I themselves
@@ -107,13 +107,14 @@ class TestSpectrum:
         X, _ = setup
         kern = Kernel.matern(1.5, epsilon=2.0, gamma=3.0)
         plain = GpSpectrum.from_kernel(kern, X, vectors=vectors)
+        assert plain.shifted(0.0) is plain
         for nugget in (1e-6, 0.5):
-            spec = GpSpectrum.from_kernel(kern, X, nugget=nugget, vectors=vectors)
+            spec = plain.shifted(nugget)
             np.testing.assert_array_equal(spec.evals, plain.evals + nugget)
-            if vectors:
-                np.testing.assert_array_equal(spec.eigvecs, plain.eigvecs)
-            else:
-                assert spec.eigvecs is plain.eigvecs is None
+            assert spec.eigvecs is plain.eigvecs
+            assert (spec.gain, spec.model, spec.design) == (plain.gain, plain.model, plain.design)
+            if not vectors:
+                assert spec.eigvecs is None
 
     def test_gain_is_a_scalar(self, setup):
         X, _ = setup
@@ -134,8 +135,17 @@ class TestSpectrum:
     @pytest.mark.parametrize("nugget", [-0.5, -1e-300, float("nan")])
     def test_negative_or_nan_nugget_rejected(self, setup, nugget):
         X, _ = setup
-        with pytest.raises(ValueError, match="nugget"):
-            GpSpectrum.from_kernel(Kernel.gaussian(epsilon=3.0), X, nugget=nugget)
+        spec = GpSpectrum.from_kernel(Kernel.gaussian(epsilon=3.0), X)
+        with pytest.raises(ValueError, match="nugget must be nonnegative, got nugget="):
+            spec.shifted(nugget)
+
+    @pytest.mark.parametrize("nugget", [0.0, 1e-6])
+    def test_a_basis_takes_no_nugget(self, setup, nugget):
+        # a shift of the restricted spectrum alone would leave LQ unshifted
+        X, _ = setup
+        fac = factorize_model(polyharmonic_spm(2, 1), X)
+        with pytest.raises(ValueError, match="a model with a basis takes none"):
+            fac.shifted(nugget)
 
 
 class TestValuesOnlySpectrum:
@@ -159,8 +169,8 @@ class TestValuesOnlySpectrum:
         # one point per cell of a regular partition keeps the design well spread
         X = (np.arange(n)[:, None] + rng.uniform(0.1, 0.9, size=(n, d))) / n
         kern = kernel.with_params(epsilon=10.0**log_eps)
-        full = GpSpectrum.from_kernel(kern, X, nugget=nugget)
-        values = GpSpectrum.from_kernel(kern, X, nugget=nugget, vectors=False)
+        full = GpSpectrum.from_kernel(kern, X).shifted(nugget)
+        values = GpSpectrum.from_kernel(kern, X, vectors=False).shifted(nugget)
         assert values.modes is None
         g, sigma2 = 10.0**log_gain, 10.0**log_sigma2
         got = values.scaled(g).dof(sigma2)
@@ -225,10 +235,13 @@ class TestStackedSpectra:
         ]
         y = np.ones(n)
         for vectors in (True, False):
-            stacked = GpSpectrum.from_kernels(kernels, X, nugget, vectors=vectors)
+            stacked = [
+                spec.shifted(nugget)
+                for spec in GpSpectrum.from_kernels(kernels, X, vectors=vectors)
+            ]
             assert len(stacked) == len(kernels)
             for kernel, spec in zip(kernels, stacked):
-                alone = GpSpectrum.from_kernel(kernel, X, nugget, vectors=vectors)
+                alone = GpSpectrum.from_kernel(kernel, X, vectors=vectors).shifted(nugget)
                 assert spec.gain == alone.gain == kernel.gamma
                 assert spec.evals.shape == (n,)
                 np.testing.assert_array_equal(spec.evals, alone.evals)
@@ -243,9 +256,10 @@ class TestStackedSpectra:
                 ):
                     with pytest.raises(ValueError, match="no eigenvectors"):
                         call()
-        for bad in (-1e-6, float("nan")):
-            with pytest.raises(ValueError, match="nugget"):
-                GpSpectrum.from_kernels(kernels, X, bad, vectors=False)
+        for spec in GpSpectrum.from_kernels(kernels, X, vectors=False):
+            for bad in (-1e-6, float("nan")):
+                with pytest.raises(ValueError, match="nugget"):
+                    spec.shifted(bad)
 
     def test_one_stacked_call(self, setup, count_linalg):
         X, _ = setup

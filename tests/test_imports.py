@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in it, one function
-judges a basis's rank, and one calls an eigensolver.
+judges a basis's rank, one calls an eigensolver, and one module asks a
+kernel's family.
 
 A stdlib stand-in for a linter's unused-import rule (pyflakes F401): a name
 bound by an import counts as used when the module reads it as a name, the
@@ -14,6 +15,11 @@ reference ``vandermonde`` that the tests compare against.
 The eigenpairs of every kernel matrix and restriction come from
 ``spm._eigensystems``: no other function calls ``eigh`` or ``eigvalsh``, so
 a new spectral route enters through it.
+
+A kernel's family is asked in ``kernels`` and in the case table only: no
+module but ``kernels.py`` reads ``Family``, except
+``flatlimit.classify_limit``, whose Gaussian test is a rule of the table.
+Any other function treats a kernel through ``kernels``' own functions.
 
 A private name stays in its module: every attribute read ``obj._name`` in the
 package, ``obj`` other than ``self`` or ``cls``, names something the same
@@ -131,6 +137,30 @@ def test_an_eigensolver_call_is_found():
         "def clean(A):\n    return np.linalg.svd(A)\n"
     )
     assert readers(source, EIGENSOLVER_NAMES) == {"_eigensystems", "values", "<module>"}
+
+
+# One family switch: the kernels module's, and the case table's own rule
+FAMILY_READERS = {("flatlimit.py", "classify_limit")}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "kernels.py"],
+    ids=lambda p: p.name,
+)
+def test_only_kernels_and_the_case_table_ask_a_family(path):
+    found = {(path.name, name) for name in readers(path.read_text(), ("Family",))}
+    assert found <= FAMILY_READERS
+
+
+def test_a_family_reader_is_found():
+    source = (
+        "from .kernels import Family, Kernel\n"
+        "def classify_limit(family):\n    return family.base.family is Family.GAUSSIAN\n"
+        "def scaled(k):\n    return k if k.family is Family.ZERO else k.with_params(gamma=2.0)\n"
+        "def absorbed(k, bump):\n    return Kernel.sum_of(k, bump)\n"
+        "ZERO = Family.ZERO\n"
+    )
+    assert readers(source, ("Family",)) == {"classify_limit", "scaled", "<module>"}
 
 
 def foreign_private_reads(source: str) -> list:

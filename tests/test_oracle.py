@@ -8,7 +8,9 @@ flat-limit model that ``flatgp`` factors in double precision, falls at the
 rate of the flat-limit theorems: eps for the spline and unpenalized limits,
 eps^2 for the penalized ones of p = 0 and of the Gaussian and Matern-5/2 at
 p = 2, and eps for Matern-3/2's at p = 2, which needs eps down to 1e-6 for
-the moved-gain control below to separate.  At eps = 1e-4 the kernel entries
+the moved-gain control below to separate.  Matern-3/2 at p = 4 interpolates:
+its smoother tends to the identity at rate eps too, but slowly (5e-3 off at
+eps = 1e-6), so its row runs from 1e-6 to 1e-12.  At eps = 1e-4 the kernel entries
 agree with psi(0) to within about eps (eps^2 for the Gaussian) while the gain
 eps^(-p) is up to 1e20, so double precision keeps few of the digits the
 smoother depends on: only a high-precision oracle follows it that far.
@@ -16,7 +18,8 @@ smoother depends on: only a high-precision oracle follows it that far.
 A family whose gain is moved by 1e-3 has another limit wherever the limit
 depends on the gain (spline and penalized limits), and must fail the bound;
 an unpenalized polynomial limit does not depend on the gain, and the moved
-family still meets it.
+family still meets it.  Nor does the identity: the interpolation row's
+control is the p = 3 spline limit, which the same oracles must miss.
 """
 
 import mpmath
@@ -30,6 +33,7 @@ DIGITS = 80
 N, SIGMA2 = 10, 0.1
 EPS = (1e-2, 1e-3, 1e-4)
 EPS_SLOW = EPS + (1e-5, 1e-6)
+EPS_INTERPOLATION = (1e-6, 1e-8, 1e-10, 1e-12)
 MOVE = 1e-3  # the negative control's relative move of the gain
 
 SQRT3, SQRT5 = mpmath.sqrt(3), mpmath.sqrt(5)
@@ -62,6 +66,8 @@ ROWS = {
     "matern52-p5-spline": ("matern52", 5, 1, 1.0, 4e-5, False, EPS),
     "matern52-p2-penalized": ("matern52", 2, 1, 2.0, 3e-8, False, EPS),
     "matern32-p2-penalized": ("matern32", 2, 1, 1.0, 4e-6, False, EPS_SLOW),
+    # p > 2r - 1: the identity, 5.4e-9 off at eps = 1e-12
+    "matern32-p4-interpolation": ("matern32", 4, 1, 1.0, 1e-8, True, EPS_INTERPOLATION),
 }
 
 
@@ -119,3 +125,14 @@ def test_limiting_smoother_converges_to_the_oracle(row):
         assert moved[-1] > bound
         with pytest.raises(AssertionError):
             assert_converges(moved, eps_grid, rate, bound)
+
+
+def test_interpolation_is_not_the_spline_limit():
+    # the interpolation row's negative control: its limit ignores the gain,
+    # so the same oracles are held against the p = 3 spline limit instead
+    name, p, d, rate, bound, _, eps_grid = ROWS["matern32-p4-interpolation"]
+    X = design(d)
+    spline = deviations(oracle_smoothers(name, p, X, eps_grid), name, 3, X, 1.0)
+    assert spline.min() > bound
+    with pytest.raises(AssertionError):
+        assert_converges(spline, eps_grid, rate, bound)

@@ -143,6 +143,21 @@ class TestPosteriorMean:
         coef, *_ = np.linalg.lstsq(V, y, rcond=None)
         np.testing.assert_allclose(mean, V @ coef, atol=1e-8)
 
+    @pytest.mark.parametrize("factor", [1e-8, 0.7, 3.0, 1e12])
+    def test_a_zero_kernel_takes_any_gain(self, rng, factor):
+        # its values stay zero at every gain, so a rescaled zero-kernel model
+        # smooths bitwise as the model itself
+        X = rng.uniform(0, 1, size=(12, 2))
+        model = SemiParametricModel(Kernel.zero(), d=2, basis_degree=1)
+        scaled = model.scaled(factor)
+        assert scaled.kernel.gamma == factor
+        assert not kernel_matrix(scaled.kernel, X).any()
+        for sigma2 in (0.0, 0.3):
+            np.testing.assert_array_equal(
+                factorize_model(scaled, X).smoother(sigma2).matrix,
+                factorize_model(model, X).smoother(sigma2).matrix,
+            )
+
     def test_matches_dense_saddle_solve(self, rng):
         X = np.sort(rng.uniform(0, 1, 9))
         y = rng.normal(size=9)
@@ -859,8 +874,8 @@ def rescaled_pairs():
 
     def gp(nugget):
         return lambda X, g: (
-            GpSpectrum.from_kernel(gauss, X, nugget=nugget).scaled(g),
-            GpSpectrum.from_kernel(gauss.with_params(gamma=gauss.gamma * g), X, nugget=nugget),
+            GpSpectrum.from_kernel(gauss, X).shifted(nugget).scaled(g),
+            GpSpectrum.from_kernel(gauss.with_params(gamma=gauss.gamma * g), X).shifted(nugget),
         )
 
     def spm(make):
