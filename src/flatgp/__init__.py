@@ -7,7 +7,6 @@ from .doftools import (
     IsofreedomPoint,
     MatchedApproximation,
     isofreedom_curve,
-    isofreedom_gamma,
     matched_approximation,
 )
 from .flatlimit import (
@@ -49,19 +48,15 @@ from .kernels import (
 )
 from .polybasis import (
     Design,
-    VandermondeBlocks,
     count_monomials,
     count_poly_dim,
     enumerate_monomials,
     monomial_matrix,
-    vandermonde,
 )
 from .pool import map_spectra
 from .smoothers import SmootherMatrix, SmootherStack
 from .spm import (
     SemiParametricModel,
     SpmFit,
-    laurent_b0,
     polyharmonic_spm,
-    project_out_basis,
 )

@@ -49,7 +49,7 @@ from .kernels import Kernel
 from .polybasis import Design
 # threads: the pool size, which perfbench/worker.py records as cli._threads
 from .pool import map_spectra, threads as _threads  # noqa: F401
-from .spm import SemiParametricModel, factorize_model
+from .spm import SemiParametricModel, check_nugget, factorize_model
 
 
 def _numbers(text, option, sep=","):
@@ -547,6 +547,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
+        # a nugget is refused before the command computes any spectrum
+        check_nugget(getattr(args, "nugget", 0.0))
         return args.func(args)
     except (FlatGpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

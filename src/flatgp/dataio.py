@@ -127,15 +127,6 @@ def parse_points(path, d: int) -> np.ndarray:
     return _read_columns(path, select)[1]
 
 
-def write_dataset(path, dataset: Dataset):
-    header = list(dataset.feature_names) + [dataset.target_name]
-    rows = [
-        [format_float(v) for v in np.append(dataset.X.points[i], dataset.y[i])]
-        for i in range(dataset.n)
-    ]
-    write_csv(path, header, rows)
-
-
 def write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -8,7 +8,9 @@ of freedom as the source GP.
 
 Every gain and penalty here solves one equation, smoother trace
 ``m0 + sum g lam / (g lam + sigma2)`` = target dof, and ``spm.solve_trace`` is
-the single solver of it.  That equation reads eigenvalues only, so
+the single solver of it: the gain at one kernel's epsilon is
+``solve_trace(spec.evals, 0.0, m, sigma2)[0]`` on the kernel's unit-gain
+spectrum ``spec``.  That equation reads eigenvalues only, so
 ``isofreedom_curve`` computes its spectra without eigenvectors
 (``vectors=False``) through ``pool.map_spectra``: stacked ``eigvalsh`` calls
 (``pool`` states the stacking rule), factored and solved concurrently, and a
@@ -43,19 +45,6 @@ class IsofreedomCurve:
     points: tuple
     slope: float
     target: float
-
-
-def isofreedom_gamma(kernel: Kernel, X, sigma2: float, m: float) -> float:
-    """The gain putting the smoother's trace at exactly ``m`` at the kernel's
-    epsilon; the solved gain replaces the kernel's own.
-
-    This is the gain on the full ``eigh`` spectrum, where ``isofreedom_curve``
-    solves on ``eigvalsh`` eigenvalues, which differ from it by round-off.
-    No module of the package calls it: it is kept as a public reference that
-    the tests use.
-    """
-    spec = GpSpectrum.from_kernel(kernel.with_params(gamma=1.0), X)
-    return solve_trace(spec.evals, 0.0, m, sigma2)[0]
 
 
 def isofreedom_curve(kernel: Kernel, X, sigma2: float, m: float, eps_grid) -> IsofreedomCurve:

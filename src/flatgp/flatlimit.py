@@ -327,9 +327,9 @@ def check_pred_equiv(
     smoothers on X, from their eigenbases and filters
     (``smoothers.difference``); a basis is eigenvectors with filter 1 there,
     so no basis term is formed on its own.  The smoother on X
-    augmented with the query x* is a bordered update of the smoother on X
-    (``augmented_smoother``): with (w, c) each model's bordered terms, which
-    ``SpmFit.bordered`` takes from the same solve as the posterior at x*,
+    augmented with the query x* is a bordered update of the smoother on X:
+    with (w, c) each model's bordered terms, which ``SpmFit.bordered`` takes
+    from the same solve as the posterior at x*,
 
         M+ = [[M - c w w^T,  c w  ],
               [c w^T,        1 - c]]

@@ -9,9 +9,8 @@ matrices inherit one column block per degree.  A monomial basis lives in
 its design's frame (``framed_monomials``): each coordinate centred on the
 middle of the design's range and divided by half its width, so a design on
 [1990, 2020] is as well conditioned as one on [-1, 1], with the same spans.
-One rule judges a basis's rank, ``full_rank_blocks``; ``graded_basis`` reads
-it.  ``vandermonde`` is a public reference with a rule of its own, which no
-module of the package calls; the tests check the package against it.
+One rule judges a basis's rank, ``full_rank_blocks``, and both
+``graded_basis`` and ``spm.factorize`` read it.
 """
 
 import itertools
@@ -109,70 +108,6 @@ def framed_monomials(X, exponents, design=None) -> np.ndarray:
     pts = as_design(X)
     centre, half = (pts if design is None else as_design(design)).frame
     return monomial_matrix((pts.points - centre) / half, exponents)
-
-
-@dataclass(frozen=True)
-class VandermondeBlocks:
-    """Degree-blocked Vandermonde matrix with blocked orthonormalization.
-
-    ``blocks`` hold raw monomial values; the orthonormal blocks are computed
-    after an internal affine rescale of the points onto [-1, 1]^d, which
-    tames the conditioning without changing any degree-prefix column span.
-    """
-
-    design: Design
-    degree: int
-    blocks: tuple
-    orthonormal_blocks: tuple
-    block_ranks: tuple
-
-    @cached_property
-    def assembled(self) -> np.ndarray:
-        return np.hstack(self.blocks)
-
-    def q_prefix(self, j: int) -> np.ndarray:
-        """Orthonormal columns spanning polynomials of degree <= ``j``."""
-        if j < 0:
-            return np.zeros((self.design.n, 0))
-        return np.hstack(self.orthonormal_blocks[: j + 1])
-
-    def q_block(self, j: int) -> np.ndarray:
-        """Orthonormal columns for the degree-``j`` increment."""
-        return self.orthonormal_blocks[j]
-
-
-def vandermonde(X, k: int) -> VandermondeBlocks:
-    """Build degree blocks V_0..V_k and their blocked Gram-Schmidt basis."""
-    design = as_design(X)
-    blocks, scaled_blocks = [], []
-    for deg in range(k + 1):
-        idx = _exact_degree_exponents(deg, design.d)
-        blocks.append(monomial_matrix(design, idx))
-        scaled_blocks.append(framed_monomials(design, idx))
-
-    q_blocks, ranks = [], []
-    q_all = np.zeros((design.n, 0))
-    for B in scaled_blocks:
-        resid = B - q_all @ (q_all.T @ B)
-        resid = resid - q_all @ (q_all.T @ resid)
-        if resid.size == 0 or min(resid.shape) == 0:
-            q_blocks.append(np.zeros((design.n, 0)))
-            ranks.append(0)
-            continue
-        U, s, _ = np.linalg.svd(resid, full_matrices=False)
-        cut = DEFAULT_RANK_TOL * max(s[0] if s.size else 0.0, 1e-300)
-        r = min(int(np.sum(s > cut)), design.n - q_all.shape[1])
-        q_blocks.append(U[:, :r])
-        ranks.append(r)
-        q_all = np.hstack([q_all, U[:, :r]])
-
-    return VandermondeBlocks(
-        design=design,
-        degree=k,
-        blocks=tuple(blocks),
-        orthonormal_blocks=tuple(q_blocks),
-        block_ranks=tuple(ranks),
-    )
 
 
 def full_rank_blocks(R, sizes) -> int:

@@ -5,15 +5,16 @@ Every solve is block elimination on the bordered (saddle-point) system: the
 basis matrix V is orthonormalized, the kernel is restricted to the orthogonal
 complement of its span, and a symmetric eigendecomposition of that
 restriction, ``SaddleFactorization``, the package's one spectral core, is
-reused for means, variances, smoothers, traces and the Laurent coefficient
-B0.  It is taken at unit gain and carries the gain as a scalar, so it depends
-on the kernel's shape, the basis and the design only: ``factorize_model``
-builds it once per (model, design).  ``filter_terms(sigma2, gains)``
-filters it at a vector of gains at once, one gain-major row per gain: the
-traces (``dofs``), smoothers (``smoothers``) and predictions of a whole gain
-grid read those rows, and ``scaled(g)`` moves it to one other gain.  A GP is
-the model with an empty basis (``from_kernel``, exported as
-``gp.GpSpectrum``).
+reused for means, variances, smoothers and traces; its solve against the
+identity, ``fac.solve(sigma2, np.eye(n))[0]``, is the Laurent coefficient B0
+of (V V^T + eps (L + sigma2 I))^-1.  It is taken at unit gain and carries
+the gain as a scalar, so it depends on the kernel's shape, the basis and the
+design only: ``factorize_model`` builds it once per (model, design).
+``filter_terms(sigma2, gains)`` filters it at a vector of gains at once, one
+gain-major row per gain: the traces (``dofs``), smoothers (``smoothers``)
+and predictions of a whole gain grid read those rows, and ``scaled(g)``
+moves it to one other gain.  A GP is the model with an empty basis
+(``from_kernel``, exported as ``gp.GpSpectrum``).
 
 Q, R and the restriction to the complement come from one QR of V, whose
 rank the package's one rule judges (``polybasis.full_rank_blocks``): its m
@@ -28,9 +29,9 @@ those of the raw ones.  A factorization records the model it factored and the
 design, so ``fac.fit(y, sigma2)`` is an ``SpmFit`` that reads the kernel,
 basis, design and gain from it, and ``SpmFit.posterior`` is the package's one
 posterior path.  The same record serves the equivalence layer:
-``augmented_smoother(fac, x, sigma2)`` reads x's kernel column, prior
-variance and basis row from the factorization, and ``flatlimit``'s checks
-compare two factorizations, not a model beside one.
+``SpmFit.bordered`` reads x*'s kernel column, prior variance and basis row
+from the factorization, and ``flatlimit``'s checks compare two
+factorizations, not a model beside one.
 """
 
 import math
@@ -149,6 +150,14 @@ def _eigensystems(A, vectors):
     return np.where((evals < 0) & (evals >= -cut), 0.0, evals), evecs
 
 
+def check_nugget(nugget: float):
+    """Raise ValueError unless ``nugget`` is nonnegative, NaN included: the
+    one rule for a nugget, which ``SaddleFactorization.shifted`` applies and
+    the CLI checks before it computes any spectrum."""
+    if not nugget >= 0:
+        raise ValueError(f"nugget must be nonnegative, got nugget={nugget}")
+
+
 @dataclass(frozen=True)
 class SaddleFactorization:
     """The spectral core: eigenpairs of a unit-gain kernel matrix restricted to
@@ -257,8 +266,7 @@ class SaddleFactorization:
         eigenvalues plus ``nugget``, the eigenvectors shared (``shifted(0)``
         is this spectrum itself).  A negative or NaN nugget raises ValueError,
         and so does a basis (m >= 1), whose ``LQ`` would need the same shift."""
-        if not nugget >= 0:
-            raise ValueError(f"nugget must be nonnegative, got nugget={nugget}")
+        check_nugget(nugget)
         if self.m:
             raise ValueError("a nugget shifts a GP spectrum; a model with a basis takes none")
         return replace(self, evals=self.evals + nugget) if nugget else self
@@ -410,41 +418,6 @@ class SaddleFactorization:
         )
 
 
-def augmented_smoother(fac: SaddleFactorization, x_new, sigma2: float) -> np.ndarray:
-    """The (n+1) x (n+1) smoother matrix on the factorization's design plus
-    one point x* (an array of d values), by a bordered update of the smoother
-    on the design.
-
-    x*'s kernel column k = k(X, x*), prior variance kappa = k(x*, x*) and
-    basis row v = v(x*) are those of ``fac``'s model at its gain.  Since
-    M = I - sigma2 H, with H the top-left block of the inverse saddle matrix,
-    the Schur complement of x* in the bordered system gives
-
-        (w, b) = fac.solve(sigma2, k, v)
-        s      = kappa - k^T w - v^T b + sigma2   (predictive variance + sigma2)
-        c      = sigma2 / s
-        M+     = [[M - c w w^T,  c w  ],
-                  [c w^T,        1 - c]]
-
-    which equals the smoother of the augmented design's factorization,
-    ``factorize_model(model, vstack(X, x*)).smoother(sigma2)``, but factors
-    nothing.  ``SpmFit.bordered`` gives (w, c) from the solve of x*'s
-    posterior.
-    """
-    if not sigma2 > 0:
-        raise ValueError(f"augmented smoothers need sigma2 > 0, got sigma2={sigma2}")
-    Xq, Lq, Vq = fac._queried(np.reshape(x_new, (1, -1)))
-    k, v, kappa = Lq[0], Vq[0], fac.gain * kernel_diag(fac.model.kernel, Xq)[0]
-    w, b = fac.solve(sigma2, k, v)
-    c = sigma2 / (kappa - k @ w - v @ b + sigma2)
-    n = fac.design.n
-    M = np.empty((n + 1, n + 1))
-    M[:n, :n] = fac.smoother(sigma2).matrix - c * np.outer(w, w)
-    M[:n, n] = M[n, :n] = c * w
-    M[n, n] = 1.0 - c
-    return M
-
-
 def factorize(L: np.ndarray, V: np.ndarray):
     """The restriction of kernel matrix ``L`` (taken as unit gain) to the
     complement of the span of basis matrix ``V`` (m >= 1 columns): the
@@ -489,14 +462,6 @@ def factorize_model(model: SemiParametricModel, X) -> SaddleFactorization:
     return SaddleFactorization(
         evals, W, float(model.kernel.gamma), True, R, LQ, replace(model, kernel=unit), design
     )
-
-
-def project_out_basis(L: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """(I - QQ^T) L (I - QQ^T), symmetrized."""
-    n = L.shape[0]
-    P = np.eye(n) - Q @ Q.T
-    out = P @ L @ P
-    return 0.5 * (out + out.T)
 
 
 # ---------------------------------------------------------------------------
@@ -556,27 +521,24 @@ class SpmFit:
         return mean, np.maximum(var, 0.0)
 
     def bordered(self, x_new):
-        """``posterior`` at one point x*, with the bordered terms (w, c) of
-        ``augmented_smoother``, from the same solve: w is the solve a, and
-        c = sigma2 / s with s = (unclamped variance) + sigma2."""
+        """``posterior`` at one point x*, with the bordered terms (w, c) of the
+        smoother on the design augmented with x*, from the same solve: w is
+        the solve a, and c = sigma2 / s with s = (unclamped variance) + sigma2.
+
+        Since M = I - sigma2 H, with H the top-left block of the inverse
+        saddle matrix, the Schur complement of x* in the bordered system
+        makes the augmented smoother
+
+            M+ = [[M - c w w^T,  c w  ],
+                  [c w^T,        1 - c]]
+
+        which is that of the augmented design's factorization, with nothing
+        factored.  A sigma2 <= 0 raises ValueError."""
         if not self.sigma2 > 0:
             raise ValueError(f"augmented smoothers need sigma2 > 0, got sigma2={self.sigma2}")
         mean, var, a = self._solved(x_new)
         c = self.sigma2 / (float(var[0]) + self.sigma2)
         return mean, np.maximum(var, 0.0), a[:, 0], c
-
-
-def laurent_b0(fac: SaddleFactorization, sigma2: float) -> np.ndarray:
-    """Leading Laurent coefficient of (VV^T + eps (L + sigma2 I))^{-1}, with
-    L the kernel matrix at the gain of ``fac`` and V the basis matrix of its
-    model on its design.
-
-    The pseudo-inverse of L + sigma2 I restricted to the complement of
-    span(V), by the factorization's own solve rule; satisfies V^T B0 = 0 by
-    construction.
-    """
-    B0 = (fac.modes * (1.0 / fac._filter_terms(sigma2)[1])) @ fac.modes.T
-    return 0.5 * (B0 + B0.T)
 
 
 def solve_trace(lam, base: float, target: float, sigma2: float):

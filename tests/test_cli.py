@@ -16,19 +16,20 @@ import flatgp
 import flatgp.cli as cli_module
 import flatgp.flatlimit as flatlimit_module
 import flatgp.pool as pool_module
+import flatgp.spm as spm_module
 from flatgp.cli import build_parser, main
 from flatgp.dataio import (
     Dataset,
     format_float,
     parse_dataset,
     parse_points,
-    write_dataset,
     write_json,
 )
 from flatgp.errors import DatasetError, EmptyDataset
 from flatgp.polybasis import Design
 from flatgp.smoothers import SmootherStack, difference
 from flatgp.spm import SaddleFactorization
+from references import write_dataset
 
 
 def write_lines(path, lines):
@@ -769,7 +770,7 @@ class TestCommands:
         assert not (tmp_path / "nug.json").exists()
 
     def test_nugget_compare_checks_its_nugget_before_any_output(self, data_csv, tmp_path, capsys):
-        # the spectrum's shift refuses the nugget before the command writes anything
+        # the nugget rule refuses it before the command computes or writes anything
         out = tmp_path / "nug"
         code = main([
             "nugget-compare", "--data", str(data_csv), "--eps", "0.05",
@@ -778,6 +779,36 @@ class TestCommands:
         assert code == 1
         assert "nugget must be nonnegative, got nugget=-1.0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [data_csv]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--n", "50"],
+            ["predict", "--n", "50"],
+            ["dof-grid", "--n", "50", "--eps-grid", "0.05:1:10", "--gamma-grid", "1:2:3"],
+            ["criteria-grid", "--n", "50", "--eps-grid", "0.05:1:10", "--gamma-grid", "1:2:3"],
+            ["nugget-compare", "--n", "50", "--eps", "0.5", "--gamma-grid", "1:2:3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_negative_nugget_is_refused_before_any_eigensolver(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        eigensystems = spm_module._eigensystems
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigensystems(*args, **kwargs)
+
+        monkeypatch.setattr(spm_module, "_eigensystems", counted)
+        out = ["--out", str(tmp_path / "run")]
+        assert main(argv + ["--nugget", "-1"] + out) == 1
+        assert "nugget must be nonnegative, got nugget=-1.0" in capsys.readouterr().err
+        assert calls == [] and list(tmp_path.iterdir()) == []
+        # the same command with a zero nugget reaches the wrapped eigensolver
+        assert main(argv + ["--nugget", "0"] + out) == 0
+        assert calls
 
     @pytest.mark.parametrize(
         "query, first", [("-1e-3,0.5", -1e-3), ("-1:1:5", -1.0), ("-.5e-1", -0.05)]
@@ -1298,14 +1329,17 @@ class TestBenchmarkImports:
         assert {"flatgp.accel", "flatgp.kernels"} <= set(found["modules"])
         assert found["missing"] == []
         # the known-stale bindings, which the tracer reports as not found: one
-        # function went with the spectral core, and eight wrappers and distance
-        # powers that restated the core with it; no other may join them
+        # function went with the spectral core, eight wrappers and distance
+        # powers that restated the core with it, and the blocked Vandermonde
+        # reference, which moved to the tests (no workload called it); no
+        # other may join them
         assert sorted(found["unbound"]) == [
             "flatgp.accel.cross_dist_power",
             "flatgp.accel.pairwise_dist_power",
             "flatgp.gp.gp_posterior",
             "flatgp.gp.nlml",
             "flatgp.kernels.distance_power_matrix",
+            "flatgp.polybasis.vandermonde",
             "flatgp.spm.SpmFit.predict_var",
             "flatgp.spm.fit_spm",
             "flatgp.spm.spm_filter_eigenvalues",

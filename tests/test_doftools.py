@@ -9,7 +9,6 @@ from flatgp import (
     SemiParametricModel,
     classify_limit,
     isofreedom_curve,
-    isofreedom_gamma,
     kernel_matrix,
     loo_mse,
     loo_nll,
@@ -19,10 +18,17 @@ from flatgp import (
 from flatgp.errors import InsufficientGrid, UnreachableDof
 from flatgp.flatlimit import _monomial_block_kernel
 from flatgp.spm import factorize_model, solve_trace
+from references import TOL as REF_TOL, isofreedom_gain
+
+
+def core_gain(kernel, X, sigma2, m):
+    """The gain at dof ``m`` at the kernel's epsilon by the package's trace
+    solve, on the eigenvalues of the kernel's unit-gain spectrum."""
+    return solve_trace(GpSpectrum.from_kernel(kernel, X).evals, 0.0, m, sigma2)[0]
 
 
 def gamma_at_first_eps(kernel, X, sigma2, m, eps_grid):
-    return isofreedom_gamma(kernel.with_params(epsilon=eps_grid[0]), X, sigma2, m)
+    return core_gain(kernel.with_params(epsilon=eps_grid[0]), X, sigma2, m)
 
 
 # both isofreedom entry points, called as isofreedom_curve is
@@ -37,26 +43,49 @@ class TestIsofreedomGamma:
         sigma2, m = 0.3, 0.6
         lam = 1.0  # K is the 1x1 matrix [psi(0)] = [1]
         expect = sigma2 * m / (lam * (1 - m))
-        got = isofreedom_gamma(kern, X, sigma2, m)
-        assert got == pytest.approx(expect, rel=1e-10)
+        for solve in (core_gain, isofreedom_gain):
+            assert solve(kern, X, sigma2, m) == pytest.approx(expect, rel=1e-10)
 
     def test_residual_within_tolerance(self, rng):
         X = np.sort(rng.uniform(0, 1, 9))
         kern = Kernel.gaussian(epsilon=0.4)
         for m in (1.3, 4.5, 7.2):
-            g = isofreedom_gamma(kern, X, 0.05, m)
+            g = core_gain(kern, X, 0.05, m)
             spec = GpSpectrum.from_kernel(kern, X)
             assert abs(spec.scaled(g).dof(0.05) - m) <= 1e-10 * 9
 
     def test_target_at_n_unreachable(self, rng):
         X = np.sort(rng.uniform(0, 1, 6))
         with pytest.raises(UnreachableDof):
-            isofreedom_gamma(Kernel.gaussian(epsilon=0.5), X, 0.1, 6.0)
+            core_gain(Kernel.gaussian(epsilon=0.5), X, 0.1, 6.0)
 
     def test_near_n_expands_bracket(self, rng):
         X = np.linspace(0, 1, 6)
-        g = isofreedom_gamma(Kernel.gaussian(), X, 0.1, 5.999)
+        g = core_gain(Kernel.gaussian(), X, 0.1, 5.999)
         assert g > 1e3
+        assert g == pytest.approx(isofreedom_gain(Kernel.gaussian(), X, 0.1, 5.999), rel=REF_TOL)
+
+    # spectra resolved well above round-off: the two gains differ by the
+    # eigensolvers' rounding of the eigenvalues, which at epsilon = 0.4 is
+    # most of the Gaussian's smallest ones
+    @pytest.mark.parametrize(
+        "kernel",
+        [Kernel.gaussian(epsilon=8.0), Kernel.exponential(), Kernel.matern(1.5, epsilon=2.0)],
+    )
+    @pytest.mark.parametrize("m", [1.3, 4.5, 7.2])
+    def test_matches_the_reference(self, kernel, m, rng):
+        X = np.sort(rng.uniform(0, 1, 9))
+        got, want = core_gain(kernel, X, 0.05, m), isofreedom_gain(kernel, X, 0.05, m)
+        assert abs(got - want) <= REF_TOL * want
+
+    def test_reference_rejects_a_moved_target(self, rng):
+        # negative control: a target dof moved by 1e-3 moves the gain by far
+        # more than the bound
+        X = np.sort(rng.uniform(0, 1, 9))
+        kern = Kernel.matern(1.5, epsilon=2.0)
+        for m in (1.3, 4.5, 7.2):
+            got, want = core_gain(kern, X, 0.05, m * (1 + 1e-3)), isofreedom_gain(kern, X, 0.05, m)
+            assert abs(got - want) > REF_TOL * want
 
 
 class TestIsofreedomCurve:
@@ -128,7 +157,7 @@ class TestMatchedApproximation:
         X = np.sort(rng.uniform(0, 1, 9))
         sigma2 = 0.01
         kern = Kernel.gaussian(epsilon=0.5)
-        g5 = isofreedom_gamma(kern, X, sigma2, 5.0)
+        g5 = core_gain(kern, X, sigma2, 5.0)
         approx = matched_approximation(kern.with_params(gamma=g5), sigma2, X)
         assert approx.case is LimitCaseKind.UNPENALIZED_POLYNOMIAL
         assert approx.factorization.model.basis_degree == 4
@@ -150,7 +179,7 @@ class TestMatchedApproximation:
     def test_matern_low_dof_falls_back_to_polynomial(self, rng):
         X = np.sort(rng.uniform(0, 1, 10))
         kern = Kernel.matern(1.5, epsilon=0.8)
-        g = isofreedom_gamma(kern, X, 0.05, 1.5)
+        g = core_gain(kern, X, 0.05, 1.5)
         approx = matched_approximation(kern.with_params(gamma=g), 0.05, X)
         assert approx.case is LimitCaseKind.PENALIZED_POLYNOMIAL
         assert approx.achieved_dof == pytest.approx(1.5, abs=1e-6)
@@ -169,7 +198,7 @@ class TestMatchedApproximation:
         xq = np.linspace(0, 1, 20)
         devs = []
         for eps in (0.4, 0.2, 0.1, 0.05):
-            g = isofreedom_gamma(kern.with_params(epsilon=eps), X, sigma2, m)
+            g = core_gain(kern.with_params(epsilon=eps), X, sigma2, m)
             source = kern.with_params(epsilon=eps, gamma=g)
             approx = matched_approximation(source, sigma2, X)
             mean_src, _ = GpSpectrum.from_kernel(source, X).fit(y, sigma2).posterior(xq)
@@ -192,7 +221,7 @@ def matched_cases():
     gauss, matern = Kernel.gaussian(epsilon=0.5), Kernel.matern(1.5, epsilon=0.8)
 
     def at_dof(kernel, X, sigma2, m):
-        return kernel.with_params(gamma=isofreedom_gamma(kernel, X, sigma2, m))
+        return kernel.with_params(gamma=core_gain(kernel, X, sigma2, m))
 
     return {
         # dof in [P_1, n): the order-2 spline

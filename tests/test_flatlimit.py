@@ -25,10 +25,8 @@ from flatgp import (
     match_scale,
     polyharmonic_spm,
     prediction_curve,
-    project_out_basis,
     recombined_basis_model,
     regularity,
-    vandermonde,
     wronskian,
     wronskian_schur,
 )
@@ -45,7 +43,8 @@ import flatgp.smoothers as smoothers_module
 import flatgp.spm as spm_module
 from flatgp.flatlimit import _limit_model, _monomial_block_kernel
 from flatgp.polybasis import as_design, count_poly_dim
-from flatgp.spm import augmented_smoother, factorize_model
+from flatgp.spm import factorize_model
+from references import augmented_smoother, project_out_basis, vandermonde
 
 
 def _classify(kernel, p, d, n=20, gamma0=1.0):
@@ -472,8 +471,9 @@ class TestPredEquiv:
 
 def dense_pred_equiv(model_a, model_b, X, num_trials=8, seed=0):
     """Reference for ``check_pred_equiv``'s deviations: the same trials, with
-    both smoothers on X and both augmented smoothers formed as dense matrices
-    and compared entrywise."""
+    both smoothers on X formed as dense matrices, both augmented smoothers by
+    dense solves of the bordered systems on X plus the query
+    (``references.augmented_smoother``), and each pair compared entrywise."""
     design = as_design(X)
     fac_a = factorize_model(model_a, design)
     fac_b = factorize_model(model_b, design)
@@ -492,7 +492,7 @@ def dense_pred_equiv(model_a, model_b, X, num_trials=8, seed=0):
         Sa = fac_a.smoother(sigma2)
         Sb = fac_b.smoother(sigma2)
         dev_smoother = max(dev_smoother, float(np.abs(Sa.matrix - Sb.matrix).max()))
-        Ma, Mb = (augmented_smoother(fac, x_new, sigma2) for fac in (fac_a, fac_b))
+        Ma, Mb = (augmented_smoother(m, design.points, x_new, sigma2) for m in (model_a, model_b))
         dev_smoother = max(dev_smoother, float(np.abs(Ma - Mb).max()))
     return dev_mean, dev_var, dev_smoother
 

@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used in it, one function
-judges a basis's rank, one calls an eigensolver, and one module asks a
-kernel's family.
+"""Every name a module of the package imports is used in it, every public
+name it defines is called in it, one function judges a basis's rank, one
+calls an eigensolver, and one module asks a kernel's family.
 
 A stdlib stand-in for a linter's unused-import rule (pyflakes F401): a name
 bound by an import counts as used when the module reads it as a name, the
@@ -8,9 +8,15 @@ root of an attribute chain included.  ``__init__.py`` re-exports by
 importing, so it is exempt, as is any imported name on a line marked
 ``# noqa: F401``.
 
+A public function, class or method of the package that no module of it
+refers to is code for the tests alone, and belongs in ``tests/``: the
+references the tests check the package against live in
+``tests/references.py`` and ``tests/spline_references.py``, which share none
+of the spectral core's code paths.  Only the library's own API and what the
+benchmark reads are exempt, each entry with its reason.
+
 The rank of a basis is decided by ``polybasis.full_rank_blocks`` alone: no other
-function reads ``DEFAULT_RANK_TOL`` or takes an SVD, except the blocked
-reference ``vandermonde`` that the tests compare against.
+function reads ``DEFAULT_RANK_TOL`` or takes an SVD.
 
 The eigenpairs of every kernel matrix and restriction come from
 ``spm._eigensystems``: no other function calls ``eigh`` or ``eigvalsh``, so
@@ -69,8 +75,105 @@ def test_an_unused_import_is_found():
     assert unused_imports(source) == [(3, "pi")]
 
 
-# The rank rule lives in one function, and the blocked reference keeps its own
-RANK_RULE = {("polybasis.py", "full_rank_blocks"), ("polybasis.py", "vandermonde")}
+# Public names that no module of the package calls, and why they stay
+UNCALLED_API = {
+    ("flatlimit.py", "limiting_smoother"): "library API: the exact flat-limit smoother",
+    ("flatlimit.py", "match_scale"): "library API: the constant that makes two models agree",
+    ("kernels.py", "eval_kernel"): "library API: one kernel value k(x, y)",
+    ("kernels.py", "Kernel.custom"): "library API: a kernel of a user's radial profile",
+    ("smoothers.py", "SmootherMatrix.matrix"): "library API: the dense smoother, formed when read",
+    ("accel.py", "using_numba"): "read by the benchmark worker, perfbench/worker.py",
+}
+
+
+def uncalled_public_names(sources: dict) -> set:
+    """(module, name) of each public top-level function or class, and each
+    public method (``Class.method``) of a top-level class, of the modules
+    ``sources`` (file name -> source) whose name no module reads or writes,
+    bare or as an attribute; a method counts by its own name.  A name that
+    starts with an underscore, a dunder included, is not public."""
+    defined, referred = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            defined.add((module, node.name, node.name))
+            for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(sub, ast.FunctionDef) and sub.name[0] != "_":
+                    defined.add((module, f"{node.name}.{sub.name}", sub.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referred.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referred.add(node.attr)
+    return {(module, name) for module, name, key in defined if key not in referred}
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # __init__.py re-exports by importing, which is no call
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert uncalled_public_names(sources) == set(UNCALLED_API)
+
+
+def test_an_uncalled_public_name_is_found():
+    sources = {
+        "a.py": (
+            "class Model:\n"
+            "    def fit(self):\n        return helper()\n"
+            "    def reference(self):\n        return 0\n"
+            "    def _private(self):\n        return 1\n"
+            "    def __post_init__(self):\n        return 5\n"
+            "def helper():\n    return 2\n"
+            "def only_tests():\n    return 3\n"
+            "def _hidden():\n    return 4\n"
+        ),
+        "b.py": "from .a import Model\n\ndef run():\n    return Model().fit()\n",
+    }
+    assert uncalled_public_names(sources) == {
+        ("a.py", "Model.reference"), ("a.py", "only_tests"), ("b.py", "run")
+    }
+
+
+# The references the tests check the package against reach none of the code
+# they check: kernels and bases, but no spectrum, trace solve or rank rule
+REFERENCES = ["references.py", "spline_references.py"]
+SPECTRAL_NAMES = {
+    "SaddleFactorization", "GpSpectrum", "factorize_model", "factorize", "solve_trace",
+    "graded_basis", "full_rank_blocks", "framed_monomials",
+}
+
+
+def names_read(source: str) -> set:
+    """Every name ``source`` imports, or reads bare or as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+@pytest.mark.parametrize("name", REFERENCES)
+def test_references_share_no_spectral_code(name):
+    source = (pathlib.Path(__file__).parent / name).read_text()
+    assert names_read(source) & SPECTRAL_NAMES == set()
+
+
+def test_a_spectral_name_in_a_reference_is_found():
+    source = (
+        "from flatgp.spm import solve_trace\n"
+        "import flatgp.polybasis as pb\n"
+        "def b(X):\n    return pb.graded_basis(X, 2)\n"
+    )
+    assert names_read(source) & SPECTRAL_NAMES == {"solve_trace", "graded_basis"}
+
+
+# The rank rule lives in one function
+RANK_RULE = {("polybasis.py", "full_rank_blocks")}
 RANK_NAMES = ("DEFAULT_RANK_TOL", "svd")
 
 

@@ -10,10 +10,10 @@ from flatgp import (
     count_monomials,
     count_poly_dim,
     enumerate_monomials,
-    vandermonde,
 )
 from flatgp.errors import FlatGpError
 from flatgp.polybasis import framed_monomials, graded_basis
+from references import vandermonde
 
 
 def brute_count(k, d):
@@ -160,6 +160,17 @@ class TestGradedBasis:
         assert Q.shape == (n, m) and R.shape == (m, m)
         V = framed_monomials(X, enumerate_monomials(degree, d))
         np.testing.assert_allclose(Q @ R, V, rtol=0, atol=1e-12)
+
+    def test_reference_ranks_fall_short_on_a_collinear_design(self, rng):
+        # negative control: on a line in d = 2 every block past the constant
+        # has rank 1, and the rank rule admits degree 0 alone
+        t = rng.uniform(0, 1, 12)
+        generic = np.column_stack([t, rng.uniform(0, 1, 12)])
+        assert vandermonde(generic, 2).block_ranks == (1, 2, 3)
+        assert graded_basis(generic, 2)[2] == 2
+        collinear = np.column_stack([t, 2.0 * t + 1.0])
+        assert vandermonde(collinear, 2).block_ranks == (1, 1, 1)
+        assert graded_basis(collinear, 2)[2] == 0
 
     def test_stops_where_the_rank_rule_does(self):
         # monomials of high degree on 400 points of [-1, 1] lose rank near

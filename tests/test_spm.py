@@ -14,9 +14,7 @@ from flatgp import (
     kernel_cross,
     kernel_diag,
     kernel_matrix,
-    laurent_b0,
     polyharmonic_spm,
-    project_out_basis,
 )
 from flatgp.errors import (
     IllConditioned,
@@ -28,11 +26,8 @@ import flatgp.spm as spm_module
 from flatgp.flatlimit import ScaledKernelFamily, absorbed_kernel_model, limiting_smoother
 from flatgp.polybasis import graded_basis
 from flatgp.smoothers import difference
-from flatgp.spm import (
-    augmented_smoother,
-    factorize_model,
-    solve_trace,
-)
+from flatgp.spm import factorize_model, solve_trace
+from references import TOL as REF_TOL, augmented_smoother, laurent_b0, project_out_basis
 from spline_references import TOL as SPLINE_TOL, spline_deviation, spline_smoother
 
 
@@ -263,12 +258,30 @@ class TestSmoother:
         assert trace_dev > SPLINE_TOL and matrix_dev > SPLINE_TOL
 
 
+def core_b0(model, X, sigma2):
+    """B0 by the spectral core: its solve against the identity, whose a-block
+    is modes diag(1 / (lam + sigma2)) modes^T."""
+    return factorize_model(model, X).solve(sigma2, np.eye(len(X)))[0]
+
+
+def b0_models():
+    """Models with a basis for the B0 comparison, each with its dimension."""
+    return {
+        "linear-spline": (polyharmonic_spm(1, 1).scaled(2.5), 1),
+        "cubic-spline-d2": (polyharmonic_spm(2, 2), 2),
+        "gaussian-linear": (
+            SemiParametricModel(Kernel.gaussian(epsilon=3.0), d=2, basis_degree=1), 2
+        ),
+        "zero-kernel": (SemiParametricModel(Kernel.zero(), d=1, basis_degree=2), 1),
+    }
+
+
 class TestLaurentB0:
     def test_annihilates_basis(self, rng):
         n = 9
         X = np.sort(rng.uniform(0, 1, n))
         model = linear_spline_model()
-        B0 = laurent_b0(factorize_model(model, X), 0.4)
+        B0 = core_b0(model, X, 0.4)
         V = model.basis_matrix(X)
         assert np.abs(V.T @ B0).max() <= 1e-10 * np.abs(B0).max()
 
@@ -280,19 +293,20 @@ class TestLaurentB0:
             model = linear_spline_model().scaled(gain)
             # L is the kernel matrix at the model's gain
             L, V = kernel_matrix(model.kernel, X), model.basis_matrix(X)
-            B0 = laurent_b0(factorize_model(model, X), sigma2)
-            errs = []
-            for eps in (1e-2, 1e-3, 1e-4):
-                inv = np.linalg.inv(V @ V.T + eps * (L + sigma2 * np.eye(n)))
-                errs.append(np.abs(eps * inv - B0).max())
-            ratios = [errs[i] / errs[i + 1] for i in range(2)]
-            assert all(5 <= r <= 20 for r in ratios), (gain, ratios)
+            for B0 in (core_b0(model, X, sigma2), laurent_b0(model, X, sigma2)):
+                errs = []
+                for eps in (1e-2, 1e-3, 1e-4):
+                    inv = np.linalg.inv(V @ V.T + eps * (L + sigma2 * np.eye(n)))
+                    errs.append(np.abs(eps * inv - B0).max())
+                ratios = [errs[i] / errs[i + 1] for i in range(2)]
+                assert all(5 <= r <= 20 for r in ratios), (gain, ratios)
 
     def test_zero_kernel_ones_basis_hand_case(self):
         n = 5
         model = SemiParametricModel(Kernel.zero(), d=1, basis_degree=0)
-        B0 = laurent_b0(factorize_model(model, np.linspace(0, 1, n)), 1.0)
-        np.testing.assert_allclose(B0, np.eye(n) - np.ones((n, n)) / n, atol=1e-12)
+        X = np.linspace(0, 1, n)
+        for B0 in (core_b0(model, X, 1.0), laurent_b0(model, X, 1.0)):
+            np.testing.assert_allclose(B0, np.eye(n) - np.ones((n, n)) / n, atol=1e-12)
 
     def test_rank_deficient_basis_raises(self, rng):
         def ones(x):
@@ -301,7 +315,23 @@ class TestLaurentB0:
         # a duplicated column
         model = SemiParametricModel(Kernel.zero(), d=1, basis_functions=(ones, ones))
         with pytest.raises(NotUnisolvent):
-            laurent_b0(factorize_model(model, rng.uniform(0, 1, 6)), 0.1)
+            factorize_model(model, rng.uniform(0, 1, 6))
+
+    @pytest.mark.parametrize("case", sorted(b0_models()))
+    @pytest.mark.parametrize("sigma2", [0.05, 0.4])
+    def test_matches_the_reference(self, case, sigma2, rng):
+        model, d = b0_models()[case]
+        X = rng.uniform(0, 1, size=(12, d))
+        deviation = np.abs(core_b0(model, X, sigma2) - laurent_b0(model, X, sigma2)).max()
+        assert deviation <= REF_TOL
+
+    @pytest.mark.parametrize("case", ["linear-spline", "cubic-spline-d2", "gaussian-linear"])
+    def test_reference_rejects_a_moved_gain(self, case, rng):
+        # negative control: a gain moved by 1e-3 moves B0 by far more than the bound
+        model, d = b0_models()[case]
+        X = rng.uniform(0, 1, size=(12, d))
+        moved = core_b0(model.scaled(1 + 1e-3), X, 0.4)
+        assert np.abs(moved - laurent_b0(model, X, 0.4)).max() > REF_TOL
 
 
 class TestSmoothingSpline:
@@ -724,6 +754,19 @@ def augmented_cases():
     }
 
 
+def bordered_smoother(fac, x_new, sigma2):
+    """The smoother on the design plus x*, by the package's bordered update:
+    the smoother on the design and ``SpmFit.bordered``'s terms (w, c), in
+    [[M - c w w^T, c w], [c w^T, 1 - c]]."""
+    _, _, w, c = fac.fit(np.zeros(fac.design.n), sigma2).bordered(np.reshape(x_new, (1, -1)))
+    n = fac.design.n
+    M = np.empty((n + 1, n + 1))
+    M[:n, :n] = fac.smoother(sigma2).matrix - c * np.outer(w, w)
+    M[:n, n] = M[n, :n] = c * w
+    M[n, n] = 1.0 - c
+    return M
+
+
 class TestAugmentedSmoother:
     @given(
         case=st.sampled_from(sorted(augmented_cases())),
@@ -751,10 +794,14 @@ class TestAugmentedSmoother:
             fac = factorize_model(model, X)
         except NotUnisolvent:
             assume(False)
-        got = augmented_smoother(fac, x_new, sigma2)
+        got = bordered_smoother(fac, x_new, sigma2)
+        # the bordered update against the augmented design's own factorization
+        # and against a dense solve of its bordered system
         want = factorize_model(model, X_aug).smoother(sigma2).matrix
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        dense = augmented_smoother(model, X, x_new, sigma2)
+        np.testing.assert_allclose(got, dense, rtol=0, atol=REF_TOL)
 
     @pytest.mark.parametrize("case", sorted(augmented_cases()))
     def test_fit_gives_posterior_and_bordered_terms_from_one_solve(
@@ -767,7 +814,7 @@ class TestAugmentedSmoother:
         fac = factorize_model(model, X)
         fit = fac.fit(rng.normal(size=len(X)), sigma2)
         # the last column of the augmented smoother is (c w, 1 - c)
-        border = augmented_smoother(fac, x_new, sigma2)[:, -1]
+        border = augmented_smoother(model, X, x_new, sigma2)[:, -1]
         c_want = 1.0 - border[-1]
         want_mean, want_var = fit.posterior(x_new)
         solves = []
@@ -790,11 +837,19 @@ class TestAugmentedSmoother:
         model = polyharmonic_spm(2, 1)
         X = rng.uniform(0, 1, size=(6, 1))
         fac = factorize_model(model, X)
-        x_new = np.array([[0.5]])
         with pytest.raises(ValueError, match="sigma2"):
-            augmented_smoother(fac, x_new, sigma2)
-        with pytest.raises(ValueError, match="sigma2"):
-            fac.fit(np.zeros(6), sigma2).bordered(x_new)
+            fac.fit(np.zeros(6), sigma2).bordered(np.array([[0.5]]))
+
+    @pytest.mark.parametrize("case", sorted(set(augmented_cases()) - {"zero-kernel"}))
+    def test_reference_rejects_a_moved_sigma2(self, case, rng):
+        # negative control: a sigma2 moved by 1e-3 moves the augmented
+        # smoother by far more than the bound (a zero kernel's smoother is a
+        # projector, whatever sigma2)
+        model = augmented_cases()[case](2)
+        X = rng.uniform(0, 1, size=(model.basis_size() + 9, model.d))
+        x_new = rng.uniform(0, 1, size=model.d)
+        moved = bordered_smoother(factorize_model(model, X), x_new, 0.07 * (1 + 1e-3))
+        assert np.abs(moved - augmented_smoother(model, X, x_new, 0.07)).max() > REF_TOL
 
 
 # filter eigenvalues: exact zeros and positive values spanning 1e-16 to 1e4
