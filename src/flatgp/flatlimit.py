@@ -55,6 +55,7 @@ from .smoothers import SmootherMatrix, difference
 from .spm import (
     SaddleFactorization,
     SemiParametricModel,
+    check_sigma2,
     factorize_model,
     polyharmonic_spm,
     solve_trace,
@@ -214,8 +215,7 @@ def limiting_smoother(family: ScaledKernelFamily, X, sigma2: float) -> SmootherM
     design = as_design(X)
     case = classify_limit(family, design)
     if case.kind is LimitCaseKind.INTERPOLATION:
-        if not sigma2 >= 0:
-            raise ValueError(f"sigma2 must be nonnegative, got sigma2={sigma2}")
+        check_sigma2(sigma2)
         return SmootherMatrix(np.eye(design.n), np.ones(design.n))
     return factorize_model(_limit_model(family, case), design).smoother(sigma2)
 

@@ -24,12 +24,13 @@ NegativeVariance as any model's does.
 This module adds the selection criteria, which read the smoother's diagonal,
 fitted values and trace only, each in O(n^2) from its modes and filter, so a
 criterion never forms the n x n matrix.  ``criteria(spec, y, sigma2, gains)``
-evaluates loo_mse, loo_nll and sure at every gain of a grid from one
-``smoothers.SmootherStack``, which squares the modes and projects y on them
-once; the leave-one-out residuals are the classical shortcut
-(y - M y) / (1 - diag M) (Golub, Heath and Wahba, 1979).  ``loo_mse``,
-``loo_nll`` and ``sure``, each a float, are the same row formulas on a stack
-of one, so no criterion is written twice.
+evaluates loo_mse, loo_nll and sure at every gain of a grid from one read
+of a ``smoothers.SmootherStack``, which squares the modes and projects y on
+them once, and one leave-one-out pass, ``_loo_rows``, the one place that
+forms the classical shortcut's residuals (y - M y) / (1 - diag M) (Golub,
+Heath and Wahba, 1979) and their divisors.  ``loo_mse``, ``loo_nll`` and
+``sure``, each a float, read the same pass on a stack of one, so no
+criterion is written twice.
 """
 
 import math
@@ -65,53 +66,38 @@ def _loo_rows(y, diag, fitted):
     return (y - fitted) / off, off, errors
 
 
-# The criteria of a stack of G smoothers, each from y and the stack's
-# diagonals, fitted values and traces: a (G,) array of values (nan where a
-# row raises) and a list of G errors (None where it does not).
-
-
-def _loo_mse_rows(y, diag, fitted, trace, sigma2):
-    resid, _, errors = _loo_rows(y, diag, fitted)
-    return np.mean(resid**2, axis=1), errors
-
-
-def _loo_components_rows(y, diag, fitted, trace, sigma2):
-    resid, off, errors = _loo_rows(y, diag, fitted)
-    return y - resid, sigma2 / off, errors
-
-
-def _loo_nll_rows(y, diag, fitted, trace, sigma2):
-    mean, var, errors = _loo_components_rows(y, diag, fitted, trace, sigma2)
-    degenerate = np.any(var <= 0, axis=1)
-    for i in np.flatnonzero(degenerate):
-        errors[i] = errors[i] or DegenerateVariance("nonpositive leave-one-out predictive variance")
-    var[degenerate] = np.nan
-    return np.mean(0.5 * np.log(2.0 * math.pi * var) + 0.5 * (y - mean) ** 2 / var, axis=1), errors
-
-
-def _sure_rows(y, diag, fitted, trace, sigma2):
-    if sigma2 <= 0:
-        return np.full(len(fitted), np.nan), [ValueError("sure requires sigma2 > 0")] * len(fitted)
-    resid = y - fitted
-    n = y.shape[0]
-    return -sigma2 + np.mean(resid**2, axis=1) + 2.0 * sigma2 * trace / n, [None] * len(fitted)
-
-
-# in the order a grid cell evaluates them
-_CRITERIA = {"loo_mse": _loo_mse_rows, "loo_nll": _loo_nll_rows, "sure": _sure_rows}
-
-
-def _read(stack: SmootherStack, y):
-    """What every criterion reads of a stack: y, the diagonals, the fitted
-    values of y and the traces."""
+def _criteria_rows(stack: SmootherStack, y, sigma2):
+    """One read of a stack of G smoothers and one leave-one-out pass: by name,
+    in the order a grid cell evaluates them, each criterion's (G,) values and
+    G errors (None where a row does not raise, the only rows whose value is
+    read), then the leave-one-out means and variances (G, n), the variances
+    nan on a row with a nonpositive one."""
     y = np.asarray(y, dtype=float)
-    return y, stack.diagonal(), stack.fitted(y), stack.trace
+    fitted = stack.fitted(y)
+    resid, off, errors = _loo_rows(y, stack.diagonal(), fitted)
+    mean, var = y - resid, sigma2 / off
+    degenerate = np.any(var <= 0, axis=1)
+    var[degenerate] = np.nan
+    nll = np.mean(0.5 * np.log(2.0 * math.pi * var) + 0.5 * (y - mean) ** 2 / var, axis=1)
+    nll_errors = [
+        error or (DegenerateVariance("nonpositive leave-one-out predictive variance") if bad else None)
+        for error, bad in zip(errors, degenerate)
+    ]
+    sure = -sigma2 + np.mean((y - fitted) ** 2, axis=1) + 2.0 * sigma2 * stack.trace / y.shape[0]
+    sure_error = ValueError("sure requires sigma2 > 0") if sigma2 <= 0 else None
+    rows = {
+        "loo_mse": (np.mean(resid**2, axis=1), errors),
+        "loo_nll": (nll, nll_errors),
+        "sure": (sure, [sure_error] * len(fitted)),
+    }
+    return rows, mean, var
 
 
 def criteria(spec: GpSpectrum, y, sigma2: float, gains) -> list:
     """loo_mse, loo_nll and sure of ``spec.scaled(g).smoother(sigma2)`` on
     ``y`` for each gain factor g of ``gains``, from one ``SmootherStack``
-    that squares the modes and projects y on them once for all G.
+    that squares the modes and projects y on them once for all G, and one
+    leave-one-out pass.
 
     Returns per g a dict of the three values and None, or {} and the first
     error in the order a serial evaluation meets it: the smoother's
@@ -120,8 +106,7 @@ def criteria(spec: GpSpectrum, y, sigma2: float, gains) -> list:
     NaN sigma2 raises ValueError.
     """
     stack, first = spec.smoothers(sigma2, gains)
-    read = _read(stack, y)
-    results = {name: rows(*read, sigma2) for name, rows in _CRITERIA.items()}
+    results = _criteria_rows(stack, y, sigma2)[0]
     for _, errors in results.values():
         first = [a or b for a, b in zip(first, errors)]
     return [
@@ -130,24 +115,25 @@ def criteria(spec: GpSpectrum, y, sigma2: float, gains) -> list:
     ]
 
 
-def _one(rows, M: SmootherMatrix, y, sigma2=None):
-    """``rows`` of one smoother, its stack of one: the value, or its error raised."""
-    *value, (error,) = rows(*_read(M.stack, y), sigma2)
+def _one(name, M: SmootherMatrix, y, sigma2):
+    """Criterion ``name`` of one smoother, its stack of one: the value, or its error raised."""
+    (value,), (error,) = _criteria_rows(M.stack, y, sigma2)[0][name]
     if error is not None:
         raise error
-    return [v[0] for v in value]
+    return float(value)
 
 
 def loo_mse(M: SmootherMatrix, y) -> float:
     """Fast leave-one-out squared error from the smoother matrix."""
-    return float(_one(_loo_mse_rows, M, y)[0])
+    # no sigma2 is given: the criteria that read it read nan, and are dropped
+    return _one("loo_mse", M, y, math.nan)
 
 
 def loo_nll(M: SmootherMatrix, y, sigma2: float) -> float:
     """Fast leave-one-out negative log-likelihood from the smoother matrix."""
-    return float(_one(_loo_nll_rows, M, y, sigma2)[0])
+    return _one("loo_nll", M, y, sigma2)
 
 
 def sure(M: SmootherMatrix, y, sigma2: float) -> float:
     """Stein's unbiased risk estimate; assumes sigma2 known."""
-    return float(_one(_sure_rows, M, y, sigma2)[0])
+    return _one("sure", M, y, sigma2)

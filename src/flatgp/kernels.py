@@ -318,7 +318,6 @@ class RadialSeries:
     even_coeffs: tuple
     odd_coeff: float
     odd_power: int
-    truncation_order: int
 
 
 def _taylor_exp_poly(poly_coeffs, a, order):
@@ -351,15 +350,15 @@ def radial_series(kernel: Kernel, order: int) -> RadialSeries:
 
     if fam is Family.ZERO:
         evens = tuple(0.0 for _ in range(order // 2 + 1))
-        return RadialSeries(evens, None, -1, order)
+        return RadialSeries(evens, None, -1)
     if fam is Family.GAUSSIAN:
         evens = tuple((-1.0) ** j / math.factorial(j) for j in range(order // 2 + 1))
-        return RadialSeries(evens, None, -1, order)
+        return RadialSeries(evens, None, -1)
     if fam is Family.POLYHARMONIC:
         rr = kernel.order
         evens = tuple(0.0 for _ in range(order // 2 + 1))
         odd = (-1.0) ** rr if order >= 2 * rr - 1 else None
-        return RadialSeries(evens, odd, 2 * rr - 1 if odd is not None else -1, order)
+        return RadialSeries(evens, odd, 2 * rr - 1 if odd is not None else -1)
     if fam is Family.MATERN:
         poly, a = _matern_poly_coeffs(kernel.nu)
         coeffs = _taylor_exp_poly(poly, a, order)
@@ -377,7 +376,7 @@ def radial_series(kernel: Kernel, order: int) -> RadialSeries:
     if math.isfinite(r) and order >= 2 * r - 1:
         odd_power = 2 * int(r) - 1
         odd = coeffs[odd_power]
-    return RadialSeries(evens, odd, odd_power, order)
+    return RadialSeries(evens, odd, odd_power)
 
 
 def leading_odd_coefficient(kernel: Kernel) -> float:

@@ -11,10 +11,12 @@ of (V V^T + eps (L + sigma2 I))^-1.  It is taken at unit gain and carries
 the gain as a scalar, so it depends on the kernel's shape, the basis and the
 design only: ``factorize_model`` builds it once per (model, design).
 ``filter_terms(sigma2, gains)`` filters it at a vector of gains at once, one
-gain-major row per gain: the traces (``dofs``), smoothers (``smoothers``)
-and predictions of a whole gain grid read those rows, and ``scaled(g)``
-moves it to one other gain.  A GP is the model with an empty basis
-(``from_kernel``, exported as ``gp.GpSpectrum``).
+gain-major row per gain, and is the one path from the spectrum to its
+filters: the traces (``dofs``), smoothers (``smoothers``) and predictions of
+a whole gain grid read those rows, a read at this gain alone is the grid of
+the one gain factor 1, and ``scaled(g)`` moves it to one other gain.  A GP
+is the model with an empty basis (``from_kernel``, exported as
+``gp.GpSpectrum``).
 
 Q, R and the restriction to the complement come from one QR of V, whose
 rank the package's one rule judges (``polybasis.full_rank_blocks``): its m
@@ -150,6 +152,15 @@ def _eigensystems(A, vectors):
     return np.where((evals < 0) & (evals >= -cut), 0.0, evals), evecs
 
 
+def check_sigma2(sigma2: float):
+    """Raise ValueError unless ``sigma2`` is nonnegative, NaN included: the
+    one rule for a noise variance, which ``SaddleFactorization.filter_terms``
+    applies and ``flatlimit.limiting_smoother`` checks where no spectrum is
+    filtered."""
+    if not sigma2 >= 0:
+        raise ValueError(f"sigma2 must be nonnegative, got sigma2={sigma2}")
+
+
 def check_nugget(nugget: float):
     """Raise ValueError unless ``nugget`` is nonnegative, NaN included: the
     one rule for a nugget, which ``SaddleFactorization.shifted`` applies and
@@ -278,9 +289,10 @@ class SaddleFactorization:
                 "it gives traces only"
             )
 
-    def filter_terms(self, sigma2, gains=None):
+    def filter_terms(self, sigma2, gains=(1.0,)):
         """The filter terms of ``scaled(g)`` for each gain factor g of ``gains``,
-        gain-major, one row per g (no ``gains``: one row, at this gain): scaled
+        gain-major, one row per g (no ``gains``: the grid of one, g = 1, whose
+        row is bitwise this gain's, since gain * 1.0 is the gain): scaled
         eigenvalues lam (G, r), solve denominators lam + sigma2, and per row
         None or the IllConditioned that ``scaled(g)`` raises.  Row g's filter
         is lam / (lam + sigma2) and its solve divides the modes' coefficients
@@ -290,16 +302,11 @@ class SaddleFactorization:
         and the GP spectrum raises from n u lam_max down.  Dropped modes and
         the rows that raise have infinite denominators, so their filter reads 0
         without a warning."""
-        if not sigma2 >= 0:
-            raise ValueError(f"sigma2 must be nonnegative, got sigma2={sigma2}")
-        if gains is None:
-            factors = [self.gain]
-            lam = (self.gain * self.evals)[None]
-        else:
-            factors = self.gain * np.asarray(gains, dtype=float)
-            # each row is bitwise scaled(g)'s: its gain is the product gain * g
-            lam = np.multiply.outer(factors, self.evals)
-            factors = factors.tolist()
+        check_sigma2(sigma2)
+        factors = self.gain * np.asarray(gains, dtype=float)
+        # each row is bitwise scaled(g)'s: its gain is the product gain * g
+        lam = np.multiply.outer(factors, self.evals)
+        factors = factors.tolist()
         denom = lam + sigma2
         errors = [None] * len(lam)
         if self.pseudo_inverse:
@@ -332,7 +339,7 @@ class SaddleFactorization:
             raise error
         return lam[0], denom[0]
 
-    def dofs(self, sigma2, gains=None):
+    def dofs(self, sigma2, gains=(1.0,)):
         """The traces m + sum lam / (lam + sigma2) of ``scaled(g)`` for each g
         of ``gains`` (nan where a row raises) and ``filter_terms``' errors.
         Each is the row sum of the smoother's filters [1_m, lam / denom], so
@@ -380,6 +387,7 @@ class SaddleFactorization:
         g = np.asarray(g, dtype=float)
         if g.ndim == 2:
             denom = denom[:, None]  # per-mode factors over columns
+        # m = 0 apart: an n x 0 LQ makes g - 0 a C-order copy, which BLAS sums in another order
         if not self.m:
             return self.modes @ ((self.modes.T @ g) / denom), np.zeros((0,) + g.shape[1:])
         # Q^T a = t = R^-T h fixes a in span(V); the modes, orthogonal to V,
@@ -450,18 +458,17 @@ def factorize_model(model: SemiParametricModel, X) -> SaddleFactorization:
     """The saddle-point factorization of ``model`` on the design ``X``: its
     kernel matrix at unit gain, with the gain carried as a scalar, solved by
     the pseudo-inverse.  It records ``model`` at unit gain and the design.
-    A model without a basis is a GP: its eigenpairs are ``from_kernel``'s."""
+    A model without a basis is a GP: its factorization is ``from_kernel``'s
+    spectrum with the pseudo-inverse rule, the model's gain and the model."""
     design = as_design(X)
     unit = model.kernel.with_params(gamma=1.0)
+    gain, model = float(model.kernel.gamma), replace(model, kernel=unit)
     V = model.basis_matrix(design)
-    if V.shape[1]:
-        evals, W, R, LQ = factorize(kernel_matrix(unit, design), V)
-    else:
+    if not V.shape[1]:
         gp = SaddleFactorization.from_kernel(unit, design)
-        evals, W, R, LQ = gp.evals, gp.eigvecs, gp.R, gp.LQ
-    return SaddleFactorization(
-        evals, W, float(model.kernel.gamma), True, R, LQ, replace(model, kernel=unit), design
-    )
+        return replace(gp, gain=gain, pseudo_inverse=True, model=model)
+    evals, W, R, LQ = factorize(kernel_matrix(unit, design), V)
+    return SaddleFactorization(evals, W, gain, True, R, LQ, model, design)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Regenerate the golden outputs of all ten commands on two seeded datasets.
+r"""Regenerate the golden outputs of all ten commands on two seeded datasets.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -13,6 +13,18 @@ config echo are relative.
 
 A change that regenerates these files names each moved field and its size in
 CHANGES.md.
+
+A change meant to keep every output byte-identical checks that by hand: run
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden/regenerate.py --outputs-only --out DIR
+
+on the parent's tree and on the change's, each into its own directory, and
+diff the two, ignoring the JSON lines that echo the ``out``, ``outputs``
+(``csv`` and ``json``), ``data`` and ``query`` paths:
+
+    diff -r -I '"\(out\|csv\|json\|data\|query\)": ' PARENT_DIR CHANGE_DIR
+
+Every CSV, every other JSON line and ``exit_codes.json`` must match.
 """
 
 import argparse

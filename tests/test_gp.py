@@ -23,7 +23,8 @@ from flatgp.errors import (
     NegativeVariance,
 )
 from flatgp.flatlimit import absorbed_kernel_model
-from flatgp.gp import _loo_components_rows, criteria
+import flatgp.gp as gp_module
+from flatgp.gp import _criteria_rows, criteria
 from flatgp.smoothers import SmootherMatrix
 from flatgp.spm import factorize_model
 from spline_references import TOL as SPLINE_TOL, spline_deviation
@@ -415,8 +416,7 @@ class TestLooAgainstRefits:
             mus.append(mean[0])
             variances.append(var[0] + sigma2)
         M = loo_factorization(model, X).smoother(sigma2)
-        rows = M.diagonal()[None], M.fitted(y)[None]
-        (mean,), (var,), _ = _loo_components_rows(y, *rows, None, sigma2)
+        _, (mean,), (var,) = _criteria_rows(M.stack, y, sigma2)
         np.testing.assert_allclose(mean, mus, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(var, variances, rtol=1e-8, atol=0)
         literal = np.mean((y - np.array(mus)) ** 2)
@@ -624,6 +624,19 @@ class TestGainAxis:
                 spec.dofs(sigma2, [1.0, 2.0])
             with pytest.raises(ValueError, match="sigma2"):
                 criteria(spec, np.zeros(6), sigma2, [1.0, 2.0])
+
+    def test_criteria_make_one_leave_one_out_pass(self, rng, monkeypatch):
+        X, y = rng.uniform(0, 1, 9), rng.normal(size=9)
+        spec = GpSpectrum.from_kernel(Kernel.matern(1.5, 2.0), X)
+        calls, loo_rows = [], gp_module._loo_rows
+
+        def counted(*args):
+            calls.append(1)
+            return loo_rows(*args)
+
+        monkeypatch.setattr(gp_module, "_loo_rows", counted)
+        criteria(spec, y, 0.1, [0.5, 1.0, 2.0])
+        assert len(calls) == 1
 
     def test_one_smoother_reads_its_diagonal_and_fitted_values_once(self, rng):
         X, y = rng.uniform(0, 1, 9), rng.normal(size=9)

@@ -545,6 +545,31 @@ class TestFactorization:
             factorize_model(model, np.array([0.1, 0.7])).fit(np.zeros(2), 0.1)
 
 
+class TestFilterTerms:
+    @design_cases
+    @settings(max_examples=60, deadline=None)
+    def test_a_read_at_this_gain_is_the_grid_of_gain_one(self, seed, d, degree, zero_kernel, extra):
+        # saddle spectra (degree -1: factorize_model's GP under the
+        # pseudo-inverse) and GP spectra that raise IllConditioned: a flat
+        # Gaussian at sigma2 = 0, an indefinite kernel at any sigma2
+        _, X, fac = random_factorization(seed, d, degree, zero_kernel, extra)
+        spectra = [fac, fac.scaled(3.7)] + [
+            GpSpectrum.from_kernel(kernel, X)
+            for kernel in (Kernel.gaussian(0.3, gamma=2.0), Kernel.matern(1.5, 3.0), Kernel.polyharmonic(2))
+        ]
+        for spec, sigma2 in itertools.product(spectra, (0.0, 1e-6, 0.5)):
+            lam, denom, errors = spec.filter_terms(sigma2)
+            grid_lam, grid_denom, grid_errors = spec.filter_terms(sigma2, [1.0])
+            assert lam.shape == grid_lam.shape == (1, spec.evals.size)
+            assert lam.tobytes() == grid_lam.tobytes() and denom.tobytes() == grid_denom.tobytes()
+            assert len(errors) == len(grid_errors) == 1
+            for error, grid_error in zip(errors, grid_errors):
+                assert type(error) is type(grid_error) and str(error) == str(grid_error)
+                assert getattr(error, "smallest_eigenvalue", None) == getattr(
+                    grid_error, "smallest_eigenvalue", None
+                )
+
+
 def assert_spectral_smoother_matches_dense(M, seed):
     """Trace, diagonal, fitted values and eigenvalues (the filter, and a zero
     per direction its eigenvectors leave out) of a smoother kept as spectral
