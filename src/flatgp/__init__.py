@@ -29,6 +29,7 @@ from .gp import (
     criteria,
     loo_mse,
     loo_nll,
+    smoother_criteria,
     sure,
 )
 from .kernels import (

@@ -19,7 +19,9 @@ at every gamma of their grid at once (``spec.dofs``, ``gp.criteria``,
 cell is a row of one gain-major filter, not a spectrum moved to its gain.
 
 ``main`` builds its parser once per process and reuses it for every call;
-``build_parser()`` returns a fresh one.
+``build_parser()`` returns a fresh one.  Before its first command it sets the
+process's heap policy (``flatgp.pool.keep_heap``), so the n x n arrays a
+command frees are reused by the next instead of mapped again.
 """
 
 import argparse
@@ -44,11 +46,11 @@ from .flatlimit import (
     prediction_curve,
     recombined_basis_model,
 )
-from .gp import GpSpectrum, criteria, loo_mse, loo_nll, sure
+from .gp import GpSpectrum, criteria, smoother_criteria
 from .kernels import Kernel
 from .polybasis import Design
 # threads: the pool size, which perfbench/worker.py records as cli._threads
-from .pool import map_spectra, threads as _threads  # noqa: F401
+from .pool import keep_heap, map_spectra, threads as _threads  # noqa: F401
 from .spm import SemiParametricModel, check_nugget, factorize_model
 
 
@@ -202,17 +204,13 @@ def cmd_fit(args):
     M = spec.smoother(args.sigma2)
     fitted = M.fitted(ds.y)
     metrics = {"dof": M.trace, "n": ds.n, "d": ds.d}
-    evaluations = {
-        "loo_mse": lambda: loo_mse(M, ds.y),
-        "loo_nll": lambda: loo_nll(M, ds.y, args.sigma2),
-        "sure": lambda: sure(M, ds.y, args.sigma2),
-        "nlml": lambda: spec.nlml(ds.y, args.sigma2),
-    }
-    for name, fn in evaluations.items():
-        try:
-            metrics[name] = fn()
-        except (FlatGpError, ValueError) as exc:
-            metrics[name] = f"error: {exc}"
+    # one leave-one-out pass gives the three criteria, each with its own error
+    for name, value in smoother_criteria(M, ds.y, args.sigma2).items():
+        metrics[name] = f"error: {value}" if isinstance(value, Exception) else value
+    try:
+        metrics["nlml"] = spec.nlml(ds.y, args.sigma2)
+    except (FlatGpError, ValueError) as exc:
+        metrics["nlml"] = f"error: {exc}"
     rows = np.column_stack([np.arange(ds.n), ds.X.points, ds.y, fitted])
     header = ["index"] + [f"x{j + 1}" for j in range(ds.d)] + ["y", "fitted"]
     return _emit(args, "fit", metrics, header, rows)
@@ -542,6 +540,7 @@ def _parser():
 
 
 def main(argv=None):
+    keep_heap()
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

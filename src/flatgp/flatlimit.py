@@ -277,12 +277,14 @@ def absorbed_kernel_model(
 
 # check_pred_equiv runs its trials on the pool (``pool.map_pooled``) from this
 # design size up, and inline below it, where a trial is too short for the
-# pool's start-up to pay.  Measured with one BLAS thread on a 2-vCPU VM, the
-# fastest of 7 calls of 8 trials of a cubic spline limit against its absorbed
-# kernel took 3.9 ms inline against 9.5 ms pooled at n = 50, 14.6 against
-# 16.9 ms at n = 200, 30.2 against 23.1 ms at n = 300 and 44.2 against
-# 29.5 ms at n = 400; between n = 225 and 275 the two were level within the
-# host's noise.
+# pool's start-up to pay.  Measured with one BLAS thread and the kept heap
+# (``pool.keep_heap``) on a 2-vCPU VM, in 10 runs that each took the fastest
+# of 7 alternating calls of 8 trials of a cubic spline limit against its
+# absorbed kernel, the medians were 3.8 ms inline against 5.3 ms pooled at
+# n = 50 and 8.7 against 9.9 ms at n = 200 (pooled faster in 0 and 1 of 10
+# runs), then 15.0 against 14.0 ms at n = 250, 17.9 against 17.9 ms at
+# n = 300 and 34.6 against 27.0 ms at n = 400 (pooled faster in 6 of 10 runs
+# at each); the spread follows how much of the second vCPU the host gives.
 _POOLED_TRIALS_SIZE = 250
 
 

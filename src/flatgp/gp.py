@@ -28,8 +28,9 @@ evaluates loo_mse, loo_nll and sure at every gain of a grid from one read
 of a ``smoothers.SmootherStack``, which squares the modes and projects y on
 them once, and one leave-one-out pass, ``_loo_rows``, the one place that
 forms the classical shortcut's residuals (y - M y) / (1 - diag M) (Golub,
-Heath and Wahba, 1979) and their divisors.  ``loo_mse``, ``loo_nll`` and
-``sure``, each a float, read the same pass on a stack of one, so no
+Heath and Wahba, 1979) and their divisors.  ``smoother_criteria``
+reads all three of one smoother from the same pass on a stack of one, and
+``loo_mse``, ``loo_nll`` and ``sure``, each a float, read one of them, so no
 criterion is written twice.
 """
 
@@ -115,12 +116,21 @@ def criteria(spec: GpSpectrum, y, sigma2: float, gains) -> list:
     ]
 
 
+def smoother_criteria(M: SmootherMatrix, y, sigma2: float) -> dict:
+    """loo_mse, loo_nll and sure of one smoother on ``y``, from one
+    leave-one-out pass: by name, the float or the error that ``loo_mse``,
+    ``loo_nll`` or ``sure`` raises on that smoother (loo_mse reads no
+    sigma2)."""
+    rows = _criteria_rows(M.stack, y, sigma2)[0]
+    return {name: error or float(value) for name, ((value,), (error,)) in rows.items()}
+
+
 def _one(name, M: SmootherMatrix, y, sigma2):
-    """Criterion ``name`` of one smoother, its stack of one: the value, or its error raised."""
-    (value,), (error,) = _criteria_rows(M.stack, y, sigma2)[0][name]
-    if error is not None:
-        raise error
-    return float(value)
+    """Criterion ``name`` of one smoother: the value, or its error raised."""
+    value = smoother_criteria(M, y, sigma2)[name]
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def loo_mse(M: SmootherMatrix, y) -> float:

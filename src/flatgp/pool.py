@@ -1,5 +1,5 @@
 """The pool: one evaluator for every loop over a kernel grid, and for the
-trials of an equivalence check.
+trials of an equivalence check; and the process's heap policy.
 
 ``map_pooled(fn, items)`` returns ``fn(item)`` for each item, in order, run
 on the pool's workers; it is the one place a pool is started.
@@ -39,6 +39,32 @@ has one worker.
 A nugget is no argument here: ``fn`` takes ``spectrum.shifted(nugget)``
 itself, so the shift runs in the worker.  nugget-compare factors one
 spectrum and needs no pool: its nugget variant is that spectrum shifted.
+
+The heap has one policy, ``keep_heap()``: on glibc, three ``mallopt`` calls
+that change this process's allocator alone.  ``M_ARENA_MAX`` 1 gives every
+thread the one heap; ``M_MMAP_THRESHOLD`` 256 MiB takes blocks below that
+size from it rather than mapping each on its own; ``M_TRIM_THRESHOLD``
+512 MiB returns free memory at the heap's top to the system only once more
+than that is free there.  ``cli.main`` calls it before its first command and
+``map_pooled`` before it starts a pool, so library grids get it too; a second
+call does nothing, and without glibc's ``mallopt`` the call does nothing.
+Why: by default glibc maps each block from 128 KiB up on its own, raises that
+threshold to the largest such block freed (at most 32 MiB) and trims the
+heap's top beyond twice it.  So each of the dozen n x n arrays of a command
+(1.28 MB at n = 400) is mapped anew or regrows a trimmed top, and the kernel
+zero-fills its pages on first touch and takes them back on free: warm
+``spline-n400`` benchmark commands made from 1.2k (fit) to 8k (dof-grid,
+criteria-grid) minor page faults per call, and under the policy most calls
+make 0 to a few dozen.  By default glibc also gives each worker thread a
+heap of its own, which keeps the arrays a grid freed after the pool exits
+(1 to 9 MB per worker at n = 400) where no other thread reuses them.  The cost: freed
+memory stays in the heap for the next command, so a process keeps up to its
+peak heap use, and up to 512 MiB free at the heap's top, instead of
+returning it between commands; blocks of 256 MiB or more (an n x n float64
+array from n = 5793) are still mapped and unmapped on their own.
+``mallopt`` returns 0 for a value it refuses: ``keep_heap`` checks each
+return, stops at the first refusal, and returns whether glibc took every
+setting.  Heaps that threads made before the first call stay in use.
 """
 
 import ctypes
@@ -74,28 +100,24 @@ def threads():
     return min(8, cpus)
 
 
-# glibc's mallopt parameter for the number of malloc arenas
+# glibc's mallopt parameters, and the values the heap policy gives them
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 _M_ARENA_MAX = -8
+_HEAP_POLICY = ((_M_ARENA_MAX, 1), (_M_MMAP_THRESHOLD, 256 << 20), (_M_TRIM_THRESHOLD, 512 << 20))
 
 
-def _share_main_heap():
-    """Have the pool's worker threads allocate from the main heap (glibc).
-
-    By default glibc gives each worker thread a heap of its own.  After the
-    pool exits, those heaps keep the n x n arrays the grid freed, between
-    1 and 9 MB per worker at n=400 depending on how the grid was scheduled,
-    and no other thread reuses them.  With one heap, the next command reuses
-    what a grid freed, and a process running many commands has the same
-    footprint from run to run.  The workers allocate a few arrays per grid
-    cell, so they seldom wait on the shared heap's lock.  Heaps made by
-    threads before the first call stay in use; without glibc this does
-    nothing.
-    """
+@functools.cache
+def keep_heap() -> bool:
+    """Keep freed arrays in this process's one heap (glibc): True when glibc
+    took every setting of the policy, False without ``mallopt`` or at its
+    first refusal.  The module docstring states the policy and its cost."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
-        return
-    mallopt(_M_ARENA_MAX, 1)
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return all(mallopt(param, value) == 1 for param, value in _HEAP_POLICY)
 
 
 @functools.cache
@@ -173,7 +195,7 @@ def map_pooled(fn, items) -> list:
         workers = threads() if pinned else 1
         if workers == 1:
             return [fn(item) for item in items]
-        _share_main_heap()
+        keep_heap()
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
 

@@ -15,6 +15,7 @@ import pytest
 import flatgp
 import flatgp.cli as cli_module
 import flatgp.flatlimit as flatlimit_module
+import flatgp.gp as gp_module
 import flatgp.pool as pool_module
 import flatgp.spm as spm_module
 from flatgp.cli import build_parser, main
@@ -450,6 +451,28 @@ class TestCommands:
         assert all(isinstance(metrics[k], float) for k in ("loo_mse", "loo_nll", "sure"))
         # the fitted column and the three criteria share one of each
         assert sorted(reads) == ["diagonal", "fitted"]
+
+    @pytest.mark.parametrize("sigma2", ["0.1", "0"])
+    def test_fit_makes_one_leave_one_out_pass(self, sigma2, tmp_path, monkeypatch):
+        calls, loo_rows = [], gp_module._loo_rows
+
+        def counted(*args):
+            calls.append(1)
+            return loo_rows(*args)
+
+        monkeypatch.setattr(gp_module, "_loo_rows", counted)
+        out = tmp_path / "fit"
+        argv = ["fit", "--n", "20", "--kernel", "exponential", "--eps", "100"]
+        assert main(argv + ["--sigma2", sigma2, "--out", str(out)]) == 0
+        metrics = read_json(f"{out}.json")["metrics"]
+        # all three criteria, values or each one's own error, from one pass
+        assert len(calls) == 1
+        if sigma2 == "0":
+            assert "leave-one-out" in metrics["loo_mse"]
+            assert "leave-one-out" in metrics["loo_nll"]
+            assert "sigma2" in metrics["sure"]
+        else:
+            assert all(isinstance(metrics[k], float) for k in ("loo_mse", "loo_nll", "sure"))
 
     @pytest.mark.parametrize(
         "argv",
@@ -1005,6 +1028,29 @@ class TestCommands:
         argv = [sys.executable, "-c", script, command, str(tmp_path / "grid"), str(tmp_path / "heaps.xml")]
         done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         assert done.stdout.split() == ["0", "1"]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+    def test_a_warm_command_reuses_the_heap(self, tmp_path):
+        # a fresh interpreter, whose heap has not grown yet; by default glibc
+        # maps each 400 x 400 array anew, and the kernel zero-fills its pages
+        # on first touch: about 1200 minor faults per warm fit
+        script = textwrap.dedent("""
+            import resource, sys
+            from flatgp.cli import main
+            argv = ["fit", "--n", "400", "--kernel", "matern", "--nu", "1.5",
+                    "--sigma2", "0.01", "--out", sys.argv[1]]
+            faults = []
+            for _ in range(2):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                assert main(argv) == 0
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            print(faults[1])
+        """)
+        src = os.path.dirname(os.path.dirname(flatgp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [sys.executable, "-c", script, str(tmp_path / "fit")]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert int(done.stdout) < 100
 
 
 # one command line for each float option

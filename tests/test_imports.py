@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in it, every public
 name it defines is called in it, one function judges a basis's rank, one
-calls an eigensolver, and one module asks a kernel's family.
+calls an eigensolver, one sets the heap's policy, and one module asks a
+kernel's family.
 
 A stdlib stand-in for a linter's unused-import rule (pyflakes F401): a name
 bound by an import counts as used when the module reads it as a name, the
@@ -21,6 +22,9 @@ function reads ``DEFAULT_RANK_TOL`` or takes an SVD.
 The eigenpairs of every kernel matrix and restriction come from
 ``spm._eigensystems``: no other function calls ``eigh`` or ``eigvalsh``, so
 a new spectral route enters through it.
+
+The process's allocator is set by ``pool.keep_heap`` alone: no other
+function reads ``mallopt``, so the heap has one policy, stated there.
 
 A kernel's family is asked in ``kernels`` and in the case table only: no
 module but ``kernels.py`` reads ``Family``, except
@@ -79,6 +83,8 @@ def test_an_unused_import_is_found():
 UNCALLED_API = {
     ("flatlimit.py", "limiting_smoother"): "library API: the exact flat-limit smoother",
     ("flatlimit.py", "match_scale"): "library API: the constant that makes two models agree",
+    ("gp.py", "loo_mse"): "library API: one criterion of one smoother, as a float",
+    ("gp.py", "loo_nll"): "library API: one criterion of one smoother, as a float",
     ("kernels.py", "eval_kernel"): "library API: one kernel value k(x, y)",
     ("kernels.py", "Kernel.custom"): "library API: a kernel of a user's radial profile",
     ("smoothers.py", "SmootherMatrix.matrix"): "library API: the dense smoother, formed when read",
@@ -240,6 +246,27 @@ def test_an_eigensolver_call_is_found():
         "def clean(A):\n    return np.linalg.svd(A)\n"
     )
     assert readers(source, EIGENSOLVER_NAMES) == {"_eigensystems", "values", "<module>"}
+
+
+# One heap policy: the pool's
+HEAP_POLICY = {("pool.py", "keep_heap")}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_heap_policy_calls_mallopt(path):
+    found = {(path.name, name) for name in readers(path.read_text(), ("mallopt",))}
+    assert found <= HEAP_POLICY
+
+
+def test_a_mallopt_call_is_found():
+    source = (
+        "import ctypes\n"
+        "def keep_heap():\n    return ctypes.CDLL(None).mallopt(-8, 1)\n"
+        "def trim():\n    libc = ctypes.CDLL(None)\n    libc.mallopt(-1, 0)\n"
+        "MALLOPT = ctypes.CDLL(None).mallopt\n"
+        "def clean():\n    return ctypes.CDLL(None).malloc_trim(0)\n"
+    )
+    assert readers(source, ("mallopt",)) == {"keep_heap", "trim", "<module>"}
 
 
 # One family switch: the kernels module's, and the case table's own rule

@@ -1,10 +1,14 @@
+import ctypes
 import json
 import os
+import platform
 import subprocess
 import sys
 import textwrap
 import threading
 import time
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -166,3 +170,28 @@ def test_a_pooled_command_runs_one_blas_thread_and_restores_the_count(tmp_path):
     # n = 300: three stacks of two eps, solved in the pool's workers
     assert found["code"] == 0 and found["seen"] == [1] * 6
     assert found["before"] > 1 and found["after"] == found["before"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+def test_glibc_takes_every_setting_of_the_heap_policy():
+    assert pool_module.keep_heap() is True
+    assert pool_module.keep_heap() is True  # a second call sets nothing again
+
+
+def test_the_heap_policy_is_a_silent_no_op_without_mallopt(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pool_module.keep_heap.__wrapped__() is False
+
+
+def test_the_heap_policy_stops_at_the_first_refused_setting(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append(param)
+        return 0 if param == pool_module._M_MMAP_THRESHOLD else 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert pool_module.keep_heap.__wrapped__() is False
+    assert calls == [pool_module._M_ARENA_MAX, pool_module._M_MMAP_THRESHOLD]
