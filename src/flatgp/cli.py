@@ -325,8 +325,10 @@ def cmd_matched(args):
         "source_dof": approx.source_dof,
         "achieved_dof": approx.achieved_dof,
         "case": approx.case.value,
+        # the target's smoothing parameter sigma2 / gain
         "penalty": approx.penalty,
         "max_mean_gap": float(np.max(np.abs(mean_src - mean_tgt))),
+        "max_var_gap": float(np.max(np.abs(var_src - var_tgt))),
     }
     return _emit(args, "matched", metrics, header, rows)
 

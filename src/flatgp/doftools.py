@@ -6,7 +6,7 @@ integer slope as eps -> 0; following it all the way down lands on the matched
 flat-limit model: a (penalized) polynomial or a spline with the same degrees
 of freedom as the source GP.
 
-Every gain and penalty here solves one equation, smoother trace
+Every gain here solves one equation, smoother trace
 ``m0 + sum g lam / (g lam + sigma2)`` = target dof, and ``spm.solve_trace`` is
 the single solver of it: the gain at one kernel's epsilon is
 ``solve_trace(spec.evals, 0.0, m, sigma2)[0]`` on the kernel's unit-gain
@@ -17,7 +17,9 @@ spectrum ``spec``.  That equation reads eigenvalues only, so
 grid that fits in one stack inline.  A kernel passed here carries its
 epsilon and gain; a function replaces only those it sweeps or solves for.  A
 matched approximation keeps the target's factorization, which records the
-target model and the design and carries the tuned gain.
+target model and the design and carries the gain tuned at the source sigma2,
+the one noise variance of every fit.  Its ``penalty``, sigma2 / gain, is the
+smoothing parameter of the target (for a spline: Wahba, JRSS B 40, 1978).
 """
 
 import math
@@ -89,23 +91,25 @@ class MatchedApproximation:
     """A flat-limit model tuned to the source GP's degrees of freedom.
 
     ``source`` is the source GP's spectrum, ``factorization`` the target's:
-    the target model at unit gain is ``factorization.model``, its gain
-    ``factorization.gain``, and both record the design.  Fits of the target
-    (``fit``) use ``penalty`` in place of the noise variance (for spline
-    targets this is the tuned eta; for polynomial targets the source sigma2,
-    with the tuned gain in the factorization).
-    """
+    the target model at unit gain is ``factorization.model``, its tuned gain
+    ``factorization.gain``, and both record the design.  Both are fitted at
+    the source noise variance ``sigma2``."""
 
     case: LimitCaseKind
-    penalty: float
+    sigma2: float
     achieved_dof: float
     source_dof: float
     source: SaddleFactorization
     factorization: SaddleFactorization
 
+    @property
+    def penalty(self) -> float:
+        """The target's smoothing parameter sigma2 / gain."""
+        return self.sigma2 / self.factorization.gain
+
     def fit(self, y) -> SpmFit:
         """The target fitted to ``y`` against its stored factorization."""
-        return self.factorization.fit(y, self.penalty)
+        return self.factorization.fit(y, self.sigma2)
 
 
 def matched_approximation(kernel: Kernel, sigma2: float, X) -> MatchedApproximation:
@@ -115,10 +119,10 @@ def matched_approximation(kernel: Kernel, sigma2: float, X) -> MatchedApproximat
     The target is the flat limit (``classify_limit``) at the exponent p the
     source dof m selects.  With P_j the dimension of polynomials of degree
     <= j: for finite regularity r and m >= P_{r-1}, p = 2r - 1, the order-r
-    spline, its penalty tuned through the spline dof formula; otherwise, with
-    P_{k-1} <= m < P_k, p = 2k - 1 (unpenalized, degree k - 1) where
-    m = P_{k-1} and p = 2k (penalized by the degree-k block, its gain tuned
-    to trace m) elsewhere.
+    spline; otherwise, with P_{k-1} <= m < P_k, p = 2k - 1 (unpenalized,
+    degree k - 1) where m = P_{k-1} and p = 2k (penalized by the degree-k
+    block) elsewhere.  A target with a penalty has its gain tuned to trace m
+    at ``sigma2``, by one trace solve.
     """
     design = as_design(X)
     source = GpSpectrum.from_kernel(kernel, design)
@@ -137,19 +141,14 @@ def matched_approximation(kernel: Kernel, sigma2: float, X) -> MatchedApproximat
         p_flat = 2 * k - 1 if abs(m - count_poly_dim(k - 1, d)) <= 1e-9 else 2 * k
     case = classify_limit(ScaledKernelFamily(kernel, p_flat), design)
     fac = factorize_model(case.equivalent_model, design)
-    penalty = sigma2
     if case.kind is LimitCaseKind.UNPENALIZED_POLYNOMIAL:
         achieved = float(fac.m)
-    elif case.kind is LimitCaseKind.SPLINE_REGRESSION:
-        # the penalty eta = 1 / g: lam / (lam + eta) = g lam / (g lam + 1)
-        g, achieved = solve_trace(fac.evals, fac.m, m, 1.0)
-        penalty = 1.0 / g
     else:
         g, achieved = solve_trace(fac.evals, fac.m, m, sigma2)
         fac = fac.scaled(g)
     return MatchedApproximation(
         case=case.kind,
-        penalty=penalty,
+        sigma2=sigma2,
         achieved_dof=achieved,
         source_dof=m,
         source=source,

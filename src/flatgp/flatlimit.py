@@ -31,6 +31,7 @@ from .errors import (
     InsufficientGrid,
     NegativeVariance,
     NotProportional,
+    NotUnisolvent,
     UnreachableDof,
 )
 from .gp import GpSpectrum
@@ -473,7 +474,11 @@ def convergence_study(
     epsilon per task; a grid that fits in one eigenvalue stack runs inline),
     and the dropped ones keep their grid order.  An interpolating limit
     has no predictive variance to compare (at sigma2 = 0 it is zero up to
-    round-off), so only means are compared there.
+    round-off), so only means are compared there.  Where the limit
+    interpolates but its model does not (a saturated basis the design cannot
+    complete, d >= 2: its smoother at sigma2 = 0 has trace below n, while
+    ``limiting_smoother`` is the identity), NotUnisolvent is raised before any
+    epsilon is factored.
     """
     if not num_trials >= 1:
         raise ValueError(f"num_trials must be at least 1, got num_trials={num_trials}")
@@ -487,6 +492,13 @@ def convergence_study(
     limit_fac = factorize_model(_limit_model(family, case), design)
     matched_gain = limit_fac.gain if case.scale_free else 1.0
     interpolation = case.kind is LimitCaseKind.INTERPOLATION
+    if interpolation and limit_fac.dof(0.0) < design.n:
+        raise NotUnisolvent(
+            f"the saturated flat limit of p={family.p} interpolates the {design.n} points, but "
+            f"the largest complete polynomial basis they determine ({limit_fac.m} terms in "
+            f"d={design.d}) fits them by least squares (trace {limit_fac.dof(0.0):.6g} < n): "
+            "no model of that limit to compare with"
+        )
     limit_sigma2 = 0.0 if interpolation else sigma2
 
     rng = np.random.default_rng(seed)

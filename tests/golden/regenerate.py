@@ -14,23 +14,29 @@ config echo are relative.
 A change that regenerates these files names each moved field and its size in
 CHANGES.md.
 
-A change meant to keep every output byte-identical checks that by hand: run
+A change meant to keep every output byte-identical checks that in one
+command: write the parent's outputs with
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden/regenerate.py --outputs-only --out DIR
 
-on the parent's tree and on the change's, each into its own directory, and
-diff the two, ignoring the JSON lines that echo the ``out``, ``outputs``
-(``csv`` and ``json``), ``data`` and ``query`` paths:
+on the parent's tree, then on the change's tree run
 
-    diff -r -I '"\(out\|csv\|json\|data\|query\)": ' PARENT_DIR CHANGE_DIR
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden/regenerate.py --compare DIR
 
-Every CSV, every other JSON line and ``exit_codes.json`` must match.
+which runs the commands on the committed datasets into a temporary
+directory and diffs every CSV, every JSON and ``exit_codes.json`` against
+DIR, ignoring the JSON lines that echo the ``out``, ``outputs`` (``csv`` and
+``json``), ``data`` and ``query`` paths.  It prints each difference and
+exits 1 on any.
 """
 
 import argparse
+import difflib
 import json
 import os
+import re
 import sys
+import tempfile
 
 import numpy as np
 
@@ -131,19 +137,61 @@ def run_all(outdir):
     return codes
 
 
+# the JSON lines that echo a path, which differs between two runs' directories
+PATH_ECHO = re.compile(r'^\s*"(out|csv|json|data|query)": ')
+
+
+def compare(want_dir, got_dir):
+    """Unified diffs of every output of ``got_dir`` against ``want_dir``,
+    path-echo lines left out; a file on one side only is a difference."""
+    names = ["exit_codes.json"] + [
+        f"{out}.{ext}"
+        for name in WORKLOADS
+        for out, _argv in command_lines(name, got_dir)
+        for ext in ("csv", "json")
+    ]
+    diffs = []
+    for fname in names:
+        want_path, got_path = os.path.join(want_dir, fname), os.path.join(got_dir, fname)
+        if os.path.exists(want_path) != os.path.exists(got_path):
+            side = want_path if os.path.exists(want_path) else got_path
+            diffs.append(f"only in {os.path.dirname(side)}: {fname}\n")
+            continue
+        if not os.path.exists(want_path):
+            continue
+        lines = []
+        for path in (want_path, got_path):
+            with open(path) as fh:
+                lines.append([line for line in fh if not PATH_ECHO.match(line)])
+        diffs.extend(difflib.unified_diff(*lines, want_path, got_path))
+    return diffs
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=HERE, help="directory for the outputs")
     ap.add_argument("--outputs-only", action="store_true",
                     help="run the commands on the committed datasets; write no inputs")
+    ap.add_argument("--compare", metavar="DIR",
+                    help="run the commands on the committed datasets into a temporary "
+                    "directory and diff the outputs against DIR, path echoes ignored; "
+                    "exit 1 on any difference")
     args = ap.parse_args(argv)
     if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
         sys.exit("set OPENBLAS_NUM_THREADS=1: the outputs' digits depend on BLAS threads")
+    if args.compare:
+        want_dir = os.path.abspath(args.compare)
+        with tempfile.TemporaryDirectory() as tmp:
+            run_all(tmp)
+            diffs = compare(want_dir, tmp)
+        sys.stdout.writelines(diffs)
+        return 1 if diffs else 0
     outdir = os.path.abspath(args.out)
     if not args.outputs_only:
         write_inputs(HERE)
     run_all(outdir)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -617,6 +617,13 @@ class TestCommands:
         assert code == 0
         summary = read_json(f"{out}.json")
         assert abs(summary["metrics"]["achieved_dof"] - summary["metrics"]["source_dof"]) <= 1e-6
+        # the variance half of the equivalence, beside the mean's
+        header, rows = read_csv(f"{out}.csv")
+        gp_var, matched_var = (
+            np.array([float(r[header.index(c)]) for r in rows])
+            for c in ("gp_variance", "matched_variance")
+        )
+        assert summary["metrics"]["max_var_gap"] == np.max(np.abs(gp_var - matched_var))
 
     def test_equiv_check(self, data_csv, tmp_path):
         out = tmp_path / "eq"

@@ -279,6 +279,36 @@ class TestMatchedTarget:
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
+    def test_spline_target_predicts_as_the_classified_spline(self, rng):
+        # the classified order-2 spline at its tuned gain, fitted at the
+        # source sigma2: mean and variance
+        kern, sigma2, X, _, p = matched_cases()["spline"]
+        approx = matched_approximation(kern, sigma2, X)
+        model = classify_limit(ScaledKernelFamily(kern, p=p), X).equivalent_model
+        fac = factorize_model(model, X)
+        g, _ = solve_trace(fac.evals, fac.m, approx.source_dof, sigma2)
+        y = rng.normal(size=len(X))
+        xq = np.linspace(0, 1, 40)
+        want = fac.scaled(g).fit(y, sigma2).posterior(xq)
+        got = approx.fit(y).posterior(xq)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+        assert approx.penalty == pytest.approx(sigma2 / (fac.gain * g), rel=1e-12)
+
+    def test_spline_variance_is_on_the_gp_scale(self):
+        # matched and GP variances agree where their means do; a target
+        # fitted at another noise variance scales its variance by the ratio
+        rng = np.random.default_rng(101)
+        X = rng.uniform(0, 1, 400)
+        y = np.sin(3 * X) + 0.1 * rng.normal(size=400)
+        xq = np.linspace(0, 1, 200)
+        kern, sigma2 = Kernel.matern(1.5, epsilon=2.0, gamma=5.0), 0.01
+        approx = matched_approximation(kern, sigma2, X)
+        assert approx.case is LimitCaseKind.SPLINE_REGRESSION
+        _, var_src = approx.source.fit(y, sigma2).posterior(xq)
+        _, var_tgt = approx.fit(y).posterior(xq)
+        assert 0.98 <= np.median(var_tgt / var_src) <= 1.02
+
     def test_keeps_the_source_spectrum(self, rng):
         X = np.sort(rng.uniform(0, 1, 10))
         kern = Kernel.matern(1.5, epsilon=2.0, gamma=5.0)

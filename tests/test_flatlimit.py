@@ -775,6 +775,36 @@ class TestConvergenceStudy:
         assert report.eps_values == (0.2, 0.05, 0.025)
         assert len(report.mean_devs) == len(report.var_devs) == 3
 
+    def test_saturated_limit_without_its_model_is_refused(self, monkeypatch):
+        # P_8 = 45 < 50 < P_9 = 55 in d = 2: the limit interpolates (the
+        # identity), but the degree-8 basis fits 50 points by least squares
+        X = np.random.default_rng(7).uniform(0, 1, size=(50, 2))
+        family = ScaledKernelFamily(Kernel.gaussian(), p=19)
+        assert limiting_smoother(family, X, 0.01).trace == 50
+
+        def factored(*args, **kwargs):
+            raise AssertionError("an epsilon was factored")
+
+        monkeypatch.setattr(flatlimit_module, "map_spectra", factored)
+        with pytest.raises(NotUnisolvent, match="saturated flat limit of p=19.*45 terms"):
+            convergence_study(family, X, X[:5], [0.4, 0.2, 0.1], 0.01)
+
+    @pytest.mark.parametrize(
+        "kernel,p,n,d",
+        [
+            (Kernel.gaussian(), 15, 8, 1),  # saturated: degree 7 interpolates 8 points
+            (Kernel.gaussian(), 17, 45, 2),  # saturated: n = P_8, degree 8 interpolates
+            (Kernel.exponential(), 3, 12, 1),  # p > 2r - 1: the polyharmonic limit
+            (Kernel.matern(1.5), 4, 20, 2),
+        ],
+    )
+    def test_interpolating_limits_with_their_model_run(self, kernel, p, n, d, rng):
+        X = rng.uniform(0, 1, size=(n, d))
+        xq = rng.uniform(0, 1, size=(9, d))
+        report = convergence_study(ScaledKernelFamily(kernel, p=p), X, xq, [0.4, 0.2, 0.1], 0.01)
+        assert report.case.kind is LimitCaseKind.INTERPOLATION
+        assert len(report.eps_values) == 3 and report.var_devs == ()
+
     def test_interpolating_limit_computes_no_limit_variance(self, rng, monkeypatch):
         # at sigma2 = 0 the limit's variance is zero up to round-off, which the
         # NegativeVariance guard would report; only the GP variances are formed

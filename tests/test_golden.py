@@ -6,13 +6,17 @@ subprocess runs all twenty commands again with one BLAS thread (their digits
 depend on the thread count), and every field is compared: text fields
 (statuses, cases, criterion names, flags) and exit codes exactly, numbers at
 the relative tolerance stated below for their column, and the path-valued
-fields (``config.data``, ``config.out``, ``outputs``) not at all.
+fields (``config.data``, ``config.out``, ``outputs``) not at all.  Each
+committed ``matched`` CSV has its matched variance on the GP's scale, and
+``regenerate.py --compare`` passes the same outputs and reports moved ones.
 """
 
 import csv
 import json
 import math
 import os
+import shutil
+import statistics
 import subprocess
 import sys
 
@@ -121,21 +125,22 @@ def compare_json(command, want, got, path=()):
     return [] if want == got else [f"{field}: {want!r} vs {got!r}"]
 
 
-def run_commands(outdir):
-    """All twenty commands on the committed datasets, in one subprocess with
-    one BLAS thread."""
+def regenerate(*args, check=True):
+    """``regenerate.py`` with ``args`` in a subprocess with one BLAS thread
+    (``--outputs-only --out DIR``: all twenty commands on the committed
+    datasets)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.abspath(SRC), env.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, os.path.join(GOLDEN, "regenerate.py"), "--outputs-only", "--out", str(outdir)],
-        env=env, check=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, os.path.join(GOLDEN, "regenerate.py"), *args],
+        env=env, check=check, timeout=120, capture_output=True, text=True,
     )
 
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("golden")
-    run_commands(outdir)
+    regenerate("--outputs-only", "--out", str(outdir))
     return outdir
 
 
@@ -166,3 +171,31 @@ def test_outputs_match(outputs, name):
             with open(want_path) as fa, open(got_path) as fb:
                 bad = compare_json(command, json.load(fa), json.load(fb))
         assert not bad, f"{name}.{ext}: " + "; ".join(bad[:5])
+
+
+@pytest.mark.parametrize("name", [n for n in _golden_names() if n.endswith("_matched")])
+def test_matched_variance_is_on_the_gp_scale(name):
+    # the matched target is fitted at the source sigma2: its variance tracks
+    # the GP's, not a multiple of it
+    with open(os.path.join(GOLDEN, f"{name}.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    median = statistics.median(float(r["matched_variance"]) / float(r["gp_variance"]) for r in rows)
+    assert 0.5 <= median <= 2, f"{name}.csv: median variance ratio {median:.3g}"
+
+
+def test_compare_passes_the_same_outputs(outputs):
+    assert regenerate("--compare", str(outputs)).stdout == ""
+
+
+def test_compare_reports_a_moved_output_but_not_a_path_echo(outputs, tmp_path):
+    want = tmp_path / "want"
+    shutil.copytree(outputs, want)
+    fit_json = want / "matern-d1_fit.json"
+    fit_json.write_text(fit_json.read_text().replace('"n": 40,', '"n": 41,'))
+    echo = want / "matern-d1_predict.json"
+    echo.write_text(echo.read_text().replace('"csv": "', '"csv": "elsewhere/'))
+    (want / "gaussian-d2_fit.csv").unlink()
+    done = regenerate("--compare", str(want), check=False)
+    assert done.returncode == 1
+    assert "matern-d1_fit.json" in done.stdout and "gaussian-d2_fit.csv" in done.stdout
+    assert "matern-d1_predict.json" not in done.stdout

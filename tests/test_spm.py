@@ -926,9 +926,10 @@ class TestSolveTrace:
         n=st.integers(4, 20),
         r=st.sampled_from([1, 2]),
         log_eta=st.floats(-6, 2),
+        log_sigma2=st.floats(-4, 0),
     )
     @settings(max_examples=40, deadline=None)
-    def test_spline_penalty_route_reproduces_spline_dof(self, seed, n, r, log_eta):
+    def test_spline_penalty_route_reproduces_spline_dof(self, seed, n, r, log_eta, log_sigma2):
         # one point per cell of a regular partition keeps every gap >= 1e-3,
         # where the banded reference keeps its digits (``spline_references``)
         rng = np.random.default_rng(seed)
@@ -936,9 +937,10 @@ class TestSolveTrace:
         target = np.trace(spline_smoother(X, r, 10.0**log_eta))
         fac = factorize_model(polyharmonic_spm(r, 1), X)
         base, lam = fac.m, fac.evals
-        g, trace = solve_trace(lam, base, target, 1.0)
-        # lam / (lam + eta) = g lam / (g lam + 1) with eta = 1 / g
-        assert np.trace(spline_smoother(X, r, 1.0 / g)) == pytest.approx(target, abs=SPLINE_TOL)
+        sigma2 = 10.0**log_sigma2
+        g, trace = solve_trace(lam, base, target, sigma2)
+        # g lam / (g lam + sigma2) = lam / (lam + eta) with eta = sigma2 / g
+        assert np.trace(spline_smoother(X, r, sigma2 / g)) == pytest.approx(target, abs=SPLINE_TOL)
         assert trace == pytest.approx(target, abs=1e-10 * n)
 
     @pytest.mark.parametrize("sigma2", [0.0, -0.5, float("nan")])
