@@ -41,8 +41,8 @@ from .flatlimit import (
     ScaledKernelFamily,
     absorbed_kernel_model,
     check_pred_equiv,
-    classify_limit,
     convergence_study,
+    factorize_limit,
     prediction_curve,
     recombined_basis_model,
 )
@@ -340,13 +340,12 @@ def cmd_equiv_check(args):
         raise ValueError(f"tol must be positive, got tol={args.tol}")
     ds = _load_data(args)
     family = ScaledKernelFamily(_make_kernel(args), p=args.p, gamma0=args.gamma0)
-    case = classify_limit(family, ds.X)
-    model = case.equivalent_model
-    m = model.basis_size()
+    # a saturated limit without its model is refused here, before any output
+    case, fac = factorize_limit(family, ds.X)
+    model, m = case.equivalent_model, fac.m
     results, errors = {}, []
     if m > 0:
-        # both checks compare against one factorization of the model
-        fac = factorize_model(model, ds.X)
+        # both checks compare against the one factorization of the model
         for name, other in (
             ("basis_change", recombined_basis_model(model, ds.X, seed=args.seed)),
             ("kernel_absorption", absorbed_kernel_model(model, ds.X, coefficient=0.7)),

@@ -144,8 +144,10 @@ def matched_approximation(kernel: Kernel, sigma2: float, X) -> MatchedApproximat
     if case.kind is LimitCaseKind.UNPENALIZED_POLYNOMIAL:
         achieved = float(fac.m)
     else:
+        # the gain solves the trace equation on the unit-gain eigenvalues:
+        # it replaces the classified model's gain
         g, achieved = solve_trace(fac.evals, fac.m, m, sigma2)
-        fac = fac.scaled(g)
+        fac = fac.scaled(g / fac.gain)
     return MatchedApproximation(
         case=case.kind,
         sigma2=sigma2,

@@ -6,11 +6,11 @@ r: penalized polynomial regression (p even, p < 2r-1), unpenalized polynomial
 regression (p odd, p < 2r-1), (polyharmonic) spline regression (p = 2r-1), or
 interpolation (p > 2r-1, or a basis that already saturates the design).
 
-That limit is one semi-parametric model (SPM).  ``classify_limit`` names it
-from the family and the design alone, ``_limit_model`` fixes the constant
-that the classification leaves free, and the limiting smoother, the
-convergence studies and the matched gain all factor that one exact model
-with the spectral core of ``spm``.
+That limit is one semi-parametric model (SPM), constant included.
+``classify_limit`` builds it from the family and the design alone, and the
+limiting smoother, the convergence studies, the equivalence checks and the
+matched approximations all factor that one exact model with the spectral
+core of ``spm`` (``factorize_limit`` where a saturated limit must be refused).
 
 Prediction-equivalence is a relation between factored models:
 ``check_pred_equiv`` and ``match_scale`` take two factorizations
@@ -36,13 +36,11 @@ from .errors import (
 )
 from .gp import GpSpectrum
 from .kernels import (
-    Family,
     Kernel,
+    block_kernel,
     kernel_cross,
     leading_odd_coefficient,
     regularity,
-    wronskian,
-    wronskian_schur,
 )
 from .polybasis import (
     as_design,
@@ -91,44 +89,34 @@ class LimitCaseKind(enum.Enum):
 
 @dataclass(frozen=True)
 class LimitCase:
-    """Classified flat limit: the equivalent model and whether the equivalence
-    only holds up to a global kernel rescaling."""
+    """Classified flat limit: its kind, its degree m and the exact limit
+    model, constant included."""
 
     kind: LimitCaseKind
     m: int
     equivalent_model: SemiParametricModel
-    scale_free: bool
 
     @property
     def basis_degree(self) -> int:
         return self.equivalent_model.basis_degree
 
 
-def _monomial_block_kernel(kernel: Kernel, m: int, d: int, centre=None) -> Kernel:
-    """Finite-rank kernel sum_{|a|=|b|=m} Wbar_m(a, b) (x - c)^a (y - c)^b at
-    unit scale, with c the ``centre`` (default 0).
-
-    Wbar_m is the Schur complement of the degree-m block of the unit-scale
-    Wronskian; the kernel's ``coef`` holds it, rows in monomial order.
-    """
-    unit = kernel.with_params(epsilon=1.0, gamma=1.0)
-    Wbar = wronskian_schur(wronskian(unit, m, d), m, d)
-    block = [e for e in enumerate_monomials(m, d) if sum(e) == m]
-    return Kernel.monomial_block(block, Wbar, centre=centre)
-
-
 def classify_limit(family: ScaledKernelFamily, X) -> LimitCase:
-    """Case table of the flat-limit theorems for ``family`` on the design X.
+    """Case table of the flat-limit theorems for ``family`` on the design X,
+    with the exact limit model of the case.
 
     The case follows from the base kernel's regularity r, the exponent p and
     the design's dimension d; a basis that saturates the design's n points is
-    classified as interpolation.  The penalized case of a Gaussian base is
-    the canonical polynomial kernel at gain gamma0 (``scale_free=True``);
-    any other base gives its exact Wronskian-Schur block kernel at gamma0
-    (no free constant).  Both are taken about the centre of the design's
-    frame: for |a| = |b| = m, (x - c)^a (y - c)^b - x^a y^b has degree below
-    m in x or in y, which the basis of degree m - 1 absorbs, so the model is
-    the same while a design far from the origin keeps its digits.
+    classified as interpolation.  The model carries the limit's constant: the
+    spline limit's kernel is gamma0 f_{2r-1} ||x - y||^(2r-1), the
+    polyharmonic kernel times gamma0 |f_{2r-1}| (``leading_odd_coefficient``),
+    and the penalized limit's is the degree-m Wronskian-Schur block
+    (``kernels.block_kernel``) at gain gamma0.  A base without a declared
+    series raises SeriesTruncation in both.  The block is taken about the
+    centre of the design's frame: for |a| = |b| = m, (x - c)^a (y - c)^b -
+    x^a y^b has degree below m in x or in y, which the basis of degree m - 1
+    absorbs, so the model is the same while a design far from the origin
+    keeps its digits.  An unpenalized or interpolating limit has no constant.
     """
     design = as_design(X)
     r, p, d, gamma0 = regularity(family.base), family.p, design.d, family.gamma0
@@ -145,69 +133,47 @@ def classify_limit(family: ScaledKernelFamily, X) -> LimitCase:
             while count_poly_dim(degree + 1, d) <= design.n:
                 degree += 1
             model = SemiParametricModel(Kernel.zero(), d=d, basis_degree=degree)
-        return LimitCase(
-            kind=LimitCaseKind.INTERPOLATION,
-            m=l,
-            equivalent_model=model,
-            scale_free=False,
-        )
+        return LimitCase(kind=LimitCaseKind.INTERPOLATION, m=l, equivalent_model=model)
     if finite_r and p == 2 * r - 1:
-        model = polyharmonic_spm(int(r), d)
-        model = model.scaled(gamma0) if gamma0 != 1.0 else model
-        return LimitCase(
-            kind=LimitCaseKind.SPLINE_REGRESSION,
-            m=int(r),
-            equivalent_model=model,
-            scale_free=True,
-        )
+        gain = gamma0 * abs(leading_odd_coefficient(family.base))
+        model = polyharmonic_spm(int(r), d).scaled(gain)
+        return LimitCase(kind=LimitCaseKind.SPLINE_REGRESSION, m=int(r), equivalent_model=model)
     if p % 2:  # odd, p < 2r-1: unpenalized polynomial fit of degree l-1
         model = SemiParametricModel(Kernel.zero(), d=d, basis_degree=l - 1)
-        return LimitCase(
-            kind=LimitCaseKind.UNPENALIZED_POLYNOMIAL,
-            m=l,
-            equivalent_model=model,
-            scale_free=False,
-        )
+        return LimitCase(kind=LimitCaseKind.UNPENALIZED_POLYNOMIAL, m=l, equivalent_model=model)
     # even, p = 2m < 2r-1: penalized polynomial with degree-m kernel block
-    m, centre = l, design.frame[0]
-    if family.base.family is not Family.GAUSSIAN:
-        block_kernel = _monomial_block_kernel(family.base, m, d, centre)
-        block_kernel = block_kernel.with_params(gamma=gamma0)
-        model = SemiParametricModel(block_kernel, d=d, basis_degree=m - 1)
-        scale_free = False
-    else:
-        kernel = Kernel.polynomial(m, gamma=gamma0, centre=centre)
-        model = SemiParametricModel(kernel, d=d, basis_degree=m - 1)
-        scale_free = True
-    return LimitCase(
-        kind=LimitCaseKind.PENALIZED_POLYNOMIAL,
-        m=m,
-        equivalent_model=model,
-        scale_free=scale_free,
-    )
+    m = l
+    kernel = block_kernel(family.base, m, d, centre=design.frame[0])
+    model = SemiParametricModel(kernel, d=d, basis_degree=m - 1).scaled(gamma0)
+    return LimitCase(kind=LimitCaseKind.PENALIZED_POLYNOMIAL, m=m, equivalent_model=model)
 
 
-def _limit_model(family: ScaledKernelFamily, case: LimitCase) -> SemiParametricModel:
-    """The exact limit SPM of ``family``: its classified model, with the
-    constant fixed where the classification leaves it free (``scale_free``).
+def factorize_limit(family: ScaledKernelFamily, X) -> tuple:
+    """The case of ``family`` on the design X (``classify_limit``) and the
+    factorization of its exact limit model (``spm.factorize_model``).
 
-    The spline limit's kernel is f_{2r-1} ||x - y||^(2r-1), the polyharmonic
-    kernel times |f_{2r-1}| (``leading_odd_coefficient``); the Gaussian's
-    degree-m Wronskian-Schur block is (2^m / m!) (x^T y)^m, that constant
-    times the canonical polynomial kernel.
+    Where the limit interpolates but its model does not (a saturated basis
+    the design cannot complete, d >= 2: its smoother at sigma2 = 0 has trace
+    below n, while ``limiting_smoother`` is the identity), NotUnisolvent is
+    raised: there is no model of that limit to compare with.
     """
-    model = case.equivalent_model
-    if not case.scale_free:
-        return model
-    if case.kind is LimitCaseKind.SPLINE_REGRESSION:
-        return model.scaled(abs(leading_odd_coefficient(family.base)))
-    return model.scaled(2.0**case.m / math.factorial(case.m))
+    design = as_design(X)
+    case = classify_limit(family, design)
+    fac = factorize_model(case.equivalent_model, design)
+    if case.kind is LimitCaseKind.INTERPOLATION and fac.dof(0.0) < design.n:
+        raise NotUnisolvent(
+            f"the saturated flat limit of p={family.p} interpolates the {design.n} points, but "
+            f"the largest complete polynomial basis they determine ({fac.m} terms in "
+            f"d={design.d}) fits them by least squares (trace {fac.dof(0.0):.6g} < n): "
+            "no model of that limit to compare with"
+        )
+    return case, fac
 
 
 def limiting_smoother(family: ScaledKernelFamily, X, sigma2: float) -> SmootherMatrix:
     """The eps -> 0 limit of the family's smoother matrix on the design.
 
-    It is the smoother of the exact limit SPM (``_limit_model``) at
+    It is the smoother of the exact limit SPM (``classify_limit``) at
     ``sigma2``, or the identity where the limit interpolates.  Designs that
     are not unisolvent for the limit's basis raise NotUnisolvent.  The
     identity is the smoother of the unit vectors, each with filter 1: trace
@@ -218,7 +184,7 @@ def limiting_smoother(family: ScaledKernelFamily, X, sigma2: float) -> SmootherM
     if case.kind is LimitCaseKind.INTERPOLATION:
         check_sigma2(sigma2)
         return SmootherMatrix(np.eye(design.n), np.ones(design.n))
-    return factorize_model(_limit_model(family, case), design).smoother(sigma2)
+    return factorize_model(case.equivalent_model, design).smoother(sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +389,8 @@ def match_scale(
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Per-epsilon deviations between a scaled family and its exact limit SPM."""
+    """Per-epsilon deviations between a scaled family and its exact limit SPM;
+    ``matched_gain`` is that model's gain."""
 
     case: LimitCase
     eps_values: tuple
@@ -465,20 +432,17 @@ def convergence_study(
     round-off (NegativeVariance) are dropped (recorded); fewer than three
     usable ones raise InsufficientGrid.
 
-    The limit is the exact limit SPM (``_limit_model``); ``matched_gain`` is
-    its gain where the classified model leaves the constant free, and 1.0
-    otherwise.  It is factored once, and each epsilon's kernel matrix is
+    The limit is the exact limit SPM (``classify_limit``) and
+    ``matched_gain`` its gain.  It is factored once (``factorize_limit``,
+    which refuses a saturated limit without its model with NotUnisolvent
+    before any epsilon is factored), and each epsilon's kernel matrix is
     eigendecomposed once; the trial vectors are fitted at once, as the
     columns of one right-hand side, against those.  The epsilons are
     factored, fitted and compared concurrently (``pool.map_spectra``, one
     epsilon per task; a grid that fits in one eigenvalue stack runs inline),
     and the dropped ones keep their grid order.  An interpolating limit
     has no predictive variance to compare (at sigma2 = 0 it is zero up to
-    round-off), so only means are compared there.  Where the limit
-    interpolates but its model does not (a saturated basis the design cannot
-    complete, d >= 2: its smoother at sigma2 = 0 has trace below n, while
-    ``limiting_smoother`` is the identity), NotUnisolvent is raised before any
-    epsilon is factored.
+    round-off), so only means are compared there.
     """
     if not num_trials >= 1:
         raise ValueError(f"num_trials must be at least 1, got num_trials={num_trials}")
@@ -488,17 +452,8 @@ def convergence_study(
     if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps_grid must be strictly decreasing")
     design = as_design(X)
-    case = classify_limit(family, design)
-    limit_fac = factorize_model(_limit_model(family, case), design)
-    matched_gain = limit_fac.gain if case.scale_free else 1.0
+    case, limit_fac = factorize_limit(family, design)
     interpolation = case.kind is LimitCaseKind.INTERPOLATION
-    if interpolation and limit_fac.dof(0.0) < design.n:
-        raise NotUnisolvent(
-            f"the saturated flat limit of p={family.p} interpolates the {design.n} points, but "
-            f"the largest complete polynomial basis they determine ({limit_fac.m} terms in "
-            f"d={design.d}) fits them by least squares (trace {limit_fac.dof(0.0):.6g} < n): "
-            "no model of that limit to compare with"
-        )
     limit_sigma2 = 0.0 if interpolation else sigma2
 
     rng = np.random.default_rng(seed)
@@ -543,7 +498,7 @@ def convergence_study(
         var_devs=tuple(var_devs),
         slope_mean=slope_mean,
         slope_var=slope_var,
-        matched_gain=matched_gain,
+        matched_gain=limit_fac.gain,
         final_dev=final_dev,
         passed=passed,
         dropped_eps=tuple(dropped),

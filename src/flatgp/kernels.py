@@ -5,7 +5,7 @@ The profile's behaviour at 0 drives everything downstream: its regularity
 parameter ``r`` (the kernel is (r-1)-times differentiable at coincident
 points, but not r-times) fixes the eigenvalue valuations of kernel matrices,
 and its Taylor coefficients assemble the Wronskian matrices whose Schur
-complements define the penalized part of flat limits.
+complements define the penalized part of flat limits (``block_kernel``).
 
 One private dispatch, ``_pairs``, evaluates every family: ``kernel_matrix``,
 ``kernel_cross``, ``kernel_diag`` and ``eval_kernel`` only choose its rows,
@@ -459,3 +459,24 @@ def wronskian_schur(W: np.ndarray, l: int, d: int) -> np.ndarray:
             f"leading Wronskian block of size {nl} is numerically singular"
         )
     return D - C @ np.linalg.solve(A, B)
+
+
+def block_kernel(kernel: Kernel, m: int, d: int, centre=None) -> Kernel:
+    """Finite-rank kernel sum_{|a|=|b|=m} Wbar_m(a, b) (x - c)^a (y - c)^b of
+    the radial ``kernel`` at unit scale, with c the ``centre`` (default 0):
+    the kernel of its penalized flat limit of degree m in dimension d.
+
+    Wbar_m is the Schur complement of the degree-m block of the unit-scale
+    Wronskian; the kernel's ``coef`` holds it, rows in monomial order.  The
+    Gaussian's is 2^m / a! on the diagonal, which is (2^m / m!) ((x - c) .
+    (y - c))^m: it is returned in that closed form, which stays exact at
+    degrees whose Wronskian block is numerically singular.
+    """
+    if kernel.family is Family.GAUSSIAN:
+        # int / int is the correctly rounded quotient: from m = 171, m! as a
+        # float (2.0**m / m!) would overflow
+        return Kernel.polynomial(m, gamma=2**m / math.factorial(m), centre=centre)
+    unit = kernel.with_params(epsilon=1.0, gamma=1.0)
+    Wbar = wronskian_schur(wronskian(unit, m, d), m, d)
+    block = [e for e in enumerate_monomials(m, d) if sum(e) == m]
+    return Kernel.monomial_block(block, Wbar, centre=centre)

@@ -187,6 +187,7 @@ def main(argv=None):
         sys.stdout.writelines(diffs)
         return 1 if diffs else 0
     outdir = os.path.abspath(args.out)
+    os.makedirs(outdir, exist_ok=True)
     if not args.outputs_only:
         write_inputs(HERE)
     run_all(outdir)

@@ -647,6 +647,47 @@ class TestCommands:
         assert metrics["all_equivalent"] is True
         assert metrics["skipped"].startswith("basis_size 0:")
 
+    def test_equiv_check_refuses_a_saturated_limit_without_its_model(self, tmp_path, capsys):
+        # P_8 = 45 < 50 < P_9 = 55 in d = 2: the limit interpolates, but the
+        # degree-8 basis fits the 50 points by least squares
+        out = tmp_path / "eq"
+        code = main([
+            "equiv-check", "--n", "50", "--dim", "2", "--seed", "7", "--kernel", "gaussian",
+            "--p", "19", "--out", str(out),
+        ])
+        assert code == 1
+        assert "saturated flat limit of p=19" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n,dim,p", [(8, 1, 15), (45, 2, 17)])
+    def test_equiv_check_runs_a_saturated_limit_with_its_model(self, n, dim, p, tmp_path):
+        # degree 7 interpolates 8 points in d = 1, degree 8 the n = P_8 = 45
+        # points in d = 2: each basis is the limit's model
+        out = tmp_path / "eq"
+        code = main([
+            "equiv-check", "--n", str(n), "--dim", str(dim), "--kernel", "gaussian",
+            "--p", str(p), "--out", str(out),
+        ])
+        # not refused: both checks run.  The d = 2 basis recombination of
+        # degree 8 deviates by about 1e-6, above the default tol (exit 2)
+        assert code == 0 if dim == 1 else code != 1
+        metrics = read_json(f"{out}.json")["metrics"]
+        assert metrics["case"] == "interpolation" and metrics["basis_size"] == n
+        assert sorted(metrics["checks"]) == ["basis_change", "kernel_absorption"]
+        assert metrics["checks"]["kernel_absorption"]["equivalent"] is True
+
+    def test_converge_refuses_a_gaussian_block_of_degree_171(self, tmp_path, capsys):
+        # 2^171 / 171! is about 2.5e-258, while 171! alone overflows a float;
+        # the degree-170 basis is then not unisolvent on 200 points
+        out = tmp_path / "conv"
+        code = main([
+            "converge", "--n", "200", "--seed", "3", "--kernel", "gaussian", "--p", "342",
+            "--eps-grid", "0.4:0.05:4", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: basis matrix has numerical rank")
+        assert list(tmp_path.iterdir()) == []
+
     def test_equiv_check_failure_names_each_failing_check(self, tmp_path):
         # no round-off passes tol 1e-30, so both checks fail: a numerical failure
         out = tmp_path / "eq"

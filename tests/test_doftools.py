@@ -14,9 +14,11 @@ from flatgp import (
     loo_nll,
     matched_approximation,
     sure,
+    wronskian,
+    wronskian_schur,
 )
 from flatgp.errors import InsufficientGrid, UnreachableDof
-from flatgp.flatlimit import _monomial_block_kernel
+from flatgp.polybasis import enumerate_monomials
 from flatgp.spm import factorize_model, solve_trace
 from references import TOL as REF_TOL, isofreedom_gain
 
@@ -264,12 +266,15 @@ class TestMatchedTarget:
         assert approx.achieved_dof == pytest.approx(approx.source_dof, abs=1e-6)
 
     def test_gaussian_target_predicts_as_the_wronskian_schur_block(self, rng):
-        # the classified Gaussian model is the canonical (x^T y)^2 kernel; the
-        # degree-2 Wronskian-Schur block is a constant multiple of it, which
-        # the tuned gain absorbs
+        # the classified Gaussian model is (2^2 / 2!) (x^T y)^2 in closed
+        # form; the degree-2 Wronskian-Schur block, built from the Wronskian
+        # alone, predicts as it does at the tuned gain
         kern, sigma2, X, _, _ = matched_cases()["penalized-gaussian"]
         approx = matched_approximation(kern, sigma2, X)
-        block = SemiParametricModel(_monomial_block_kernel(kern, 2, 2), d=2, basis_degree=1)
+        unit = kern.with_params(epsilon=1.0, gamma=1.0)
+        Wbar = wronskian_schur(wronskian(unit, 2, 2), 2, 2)
+        exponents = [e for e in enumerate_monomials(2, 2) if sum(e) == 2]
+        block = SemiParametricModel(Kernel.monomial_block(exponents, Wbar), d=2, basis_degree=1)
         fac = factorize_model(block, X)
         g, _ = solve_trace(fac.evals, fac.m, approx.source_dof, sigma2)
         y = rng.normal(size=len(X))
@@ -289,11 +294,12 @@ class TestMatchedTarget:
         g, _ = solve_trace(fac.evals, fac.m, approx.source_dof, sigma2)
         y = rng.normal(size=len(X))
         xq = np.linspace(0, 1, 40)
-        want = fac.scaled(g).fit(y, sigma2).posterior(xq)
+        # g is the gain itself: it replaces the classified model's gain
+        want = fac.scaled(g / fac.gain).fit(y, sigma2).posterior(xq)
         got = approx.fit(y).posterior(xq)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
-        assert approx.penalty == pytest.approx(sigma2 / (fac.gain * g), rel=1e-12)
+        assert approx.penalty == pytest.approx(sigma2 / g, rel=1e-12)
 
     def test_spline_variance_is_on_the_gp_scale(self):
         # matched and GP variances agree where their means do; a target

@@ -37,14 +37,26 @@ from flatgp.errors import (
     NegativeVariance,
     NotProportional,
     NotUnisolvent,
+    SeriesTruncation,
+    SingularWronskianBlock,
 )
 import flatgp.flatlimit as flatlimit_module
 import flatgp.smoothers as smoothers_module
 import flatgp.spm as spm_module
-from flatgp.flatlimit import _limit_model, _monomial_block_kernel
-from flatgp.polybasis import as_design, count_poly_dim
+from flatgp.kernels import block_kernel
+from flatgp.polybasis import as_design, count_poly_dim, enumerate_monomials
 from flatgp.spm import factorize_model
 from references import augmented_smoother, project_out_basis, vandermonde
+
+
+def _wronskian_block(kernel, m, d):
+    """The degree-m Wronskian-Schur block kernel of ``kernel`` at unit scale,
+    from ``wronskian`` and ``wronskian_schur`` alone: the reference that
+    ``block_kernel`` is checked against."""
+    unit = kernel.with_params(epsilon=1.0, gamma=1.0)
+    Wbar = wronskian_schur(wronskian(unit, m, d), m, d)
+    block = [e for e in enumerate_monomials(m, d) if sum(e) == m]
+    return Kernel.monomial_block(block, Wbar)
 
 
 def _classify(kernel, p, d, n=20, gamma0=1.0):
@@ -75,7 +87,8 @@ class TestClassify:
         assert case.equivalent_model.kernel.family is Family.POLYNOMIAL
         assert case.equivalent_model.kernel.order == m
         assert case.equivalent_model.basis_degree == m - 1
-        assert case.scale_free
+        # the exact constant: (2^m / m!) (x.y)^m is the degree-m block
+        assert case.equivalent_model.kernel.gamma == pytest.approx(2.0**m / math.factorial(m))
 
     def test_odd_case_basis_dimension(self):
         # p = 2m+1: dimension (p+1)/2, i.e. degree (p-1)/2
@@ -102,7 +115,6 @@ class TestClassify:
             assert case.kind is LimitCaseKind.PENALIZED_POLYNOMIAL
             assert case.equivalent_model.kernel.family is Family.MONOMIAL
             assert case.equivalent_model.kernel.gamma == 1.7
-            assert not case.scale_free
 
     def test_case_table_exhaustive(self):
         kinds = set()
@@ -292,7 +304,13 @@ class TestExactLimit:
         X = rng.uniform(0, 1, size=(n, d))
         family = ScaledKernelFamily(kernel, p=p, gamma0=gamma0)
         M = limiting_smoother(family, X, sigma2).matrix
-        np.testing.assert_allclose(M, _dense_limit_smoother(family, X, sigma2), rtol=0, atol=1e-10)
+        want = _dense_limit_smoother(family, X, sigma2)
+        np.testing.assert_allclose(M, want, rtol=0, atol=1e-10)
+        case = classify_limit(family, X)
+        if case.kind is not LimitCaseKind.INTERPOLATION:
+            # the classified model is the exact limit, constant included
+            got = factorize_model(case.equivalent_model, X).smoother(sigma2).matrix
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 2])
@@ -303,11 +321,10 @@ class TestExactLimit:
         gamma0, sigma2 = 1.3, 0.05
         family = ScaledKernelFamily(Kernel.gaussian(), p=2 * m, gamma0=gamma0)
         case = classify_limit(family, X)
-        assert case.scale_free
-        block = _monomial_block_kernel(Kernel.gaussian(), m, d).with_params(gamma=gamma0)
+        block = _wronskian_block(Kernel.gaussian(), m, d).with_params(gamma=gamma0)
         wmodel = SemiParametricModel(block, d=d, basis_degree=m - 1)
         np.testing.assert_allclose(
-            factorize_model(_limit_model(family, case), X).smoother(sigma2).matrix,
+            factorize_model(case.equivalent_model, X).smoother(sigma2).matrix,
             factorize_model(wmodel, X).smoother(sigma2).matrix,
             rtol=0,
             atol=1e-10,
@@ -320,6 +337,45 @@ class TestExactLimit:
         family = ScaledKernelFamily(Kernel.gaussian(), p=2, gamma0=gamma0)
         report = convergence_study(family, X, xq, [0.2, 0.1, 0.05], 0.01, num_trials=1)
         assert report.matched_gain == pytest.approx(2.0 * gamma0, rel=1e-12)
+
+    def test_matched_gain_is_gamma0_for_a_non_gaussian_block(self, rng):
+        # the Matern-5/2 block at p = 2 is the exact unit-scale Wronskian-Schur
+        # block: the limit model's gain is gamma0 itself
+        X = rng.uniform(0, 1, size=20)
+        family = ScaledKernelFamily(Kernel.matern(2.5), p=2, gamma0=1.7)
+        report = convergence_study(family, X, X[:5], [0.2, 0.1, 0.05], 0.01, num_trials=1)
+        assert report.case.kind is LimitCaseKind.PENALIZED_POLYNOMIAL
+        assert report.matched_gain == 1.7
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gaussian_block_kernel_is_the_wronskian_schur_block(self, d):
+        # (2^m / m!) (x.y)^m has coefficient (2^m / m!) m!/a! = 2^m / a! on
+        # x^a y^a: the Schur complement of the Gaussian's Wronskian
+        for m in range(1, 11):
+            kernel = block_kernel(Kernel.gaussian(), m, d)
+            assert kernel.family is Family.POLYNOMIAL and kernel.order == m
+            block = [e for e in enumerate_monomials(m, d) if sum(e) == m]
+            C = np.diag([
+                kernel.gamma * math.factorial(m) / math.prod(map(math.factorial, e))
+                for e in block
+            ])
+            Wbar = np.array(_wronskian_block(Kernel.gaussian(), m, d).coef)
+            assert np.abs(Wbar - C).max() <= 1e-13 * np.abs(C).max(), (m, d)
+
+    def test_gaussian_block_kernel_is_exact_where_the_wronskian_is_singular(self):
+        with pytest.raises(SingularWronskianBlock):
+            _wronskian_block(Kernel.gaussian(), 20, 1)
+        kernel = block_kernel(Kernel.gaussian(), 20, 1)
+        assert kernel.gamma == 2.0**20 / math.factorial(20)
+
+    def test_spline_limit_of_a_custom_kernel_needs_its_series(self, rng):
+        # f_{2r-1} fixes the spline limit's constant: a profile without a
+        # declared series has none, as in the penalized case
+        kernel = Kernel.custom(lambda t: np.exp(-t), regularity=1)
+        X = rng.uniform(0, 1, size=10)
+        for p in (1, 0):
+            with pytest.raises(SeriesTruncation):
+                classify_limit(ScaledKernelFamily(kernel, p=p), X)
 
     @pytest.mark.parametrize("kernel", [Kernel.gaussian(), Kernel.matern(1.5)])
     def test_collinear_design_is_not_unisolvent(self, kernel):
@@ -581,7 +637,7 @@ class TestPredEquivAgainstDenseLoop:
 def equivalence_cases(draw):
     """A model with a basis and a random design of the dimension it lives in:
     polyharmonic splines, a classified Matern spline limit, or the Gaussian's
-    canonical polynomial kernel, at a random gain."""
+    classified polynomial kernel (2^m / m!) (x.y)^m, at a random gain."""
     d = draw(st.sampled_from([1, 2]))
     gain = 10.0 ** draw(st.floats(-1, 1))
     kind = draw(st.sampled_from(["polyharmonic", "matern-spline", "gaussian-polynomial"]))
@@ -666,12 +722,12 @@ class TestMatchScale:
     def test_gaussian_wronskian_block_vs_polynomial_kernel(self, m, d, rng):
         # Schur diagonal 2^m/alpha! against (x^T y)^m with coefficients m!/alpha!
         X = rng.uniform(0, 1, size=(12, d))
+        # at gamma0 = 1 the classified model is the block itself: alpha = 1
         case = classify_limit(ScaledKernelFamily(Kernel.gaussian(), p=2 * m), X)
-        wmodel = SemiParametricModel(
-            _monomial_block_kernel(Kernel.gaussian(), m, d), d=d, basis_degree=m - 1
-        )
+        block = _wronskian_block(Kernel.gaussian(), m, d)
+        wmodel = SemiParametricModel(block, d=d, basis_degree=m - 1)
         alpha = match_scale(*factored(wmodel, case.equivalent_model, X=X), 0.05)
-        assert alpha == pytest.approx(2.0**m / math.factorial(m), rel=1e-6)
+        assert alpha == pytest.approx(1.0, rel=1e-6)
 
     def test_unrelated_kernels_not_proportional(self, rng):
         X = np.sort(rng.uniform(0, 1, 10))
@@ -899,8 +955,8 @@ class TestWorkCounts:
             convergence_study(family, X, xq, eps_grid, 0.01, num_trials=num_trials)
             return len(eigh)
 
-        # exponential p=1 is scale-free: one eigh for the exact limit model, then
-        # one per epsilon
+        # exponential p=1: one eigh for the exact limit model, then one per
+        # epsilon
         assert count([0.2, 0.1, 0.05], 1) == 1 + 3
         assert count([0.2, 0.1, 0.05, 0.025, 0.0125], 1) == 1 + 5
         assert count([0.2, 0.1, 0.05], 6) == 1 + 3
@@ -916,7 +972,7 @@ class TestWorkCounts:
             convergence_study(family, X, xq, eps_grid, 0.01, num_trials=num_trials)
             return len(eigh)
 
-        # the Gaussian penalized limit is scale-free too: its constant is exact
+        # the Gaussian penalized limit too: its constant is in the model
         assert count([0.2, 0.1, 0.05], 1) == 1 + 3
         assert count([0.2, 0.1, 0.05, 0.025], 4) == 1 + 4
 

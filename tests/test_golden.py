@@ -139,7 +139,8 @@ def regenerate(*args, check=True):
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    outdir = tmp_path_factory.mktemp("golden")
+    # a directory that does not exist yet: regenerate.py creates it
+    outdir = tmp_path_factory.mktemp("golden") / "outputs"
     regenerate("--outputs-only", "--out", str(outdir))
     return outdir
 

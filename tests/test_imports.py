@@ -26,10 +26,10 @@ a new spectral route enters through it.
 The process's allocator is set by ``pool.keep_heap`` alone: no other
 function reads ``mallopt``, so the heap has one policy, stated there.
 
-A kernel's family is asked in ``kernels`` and in the case table only: no
-module but ``kernels.py`` reads ``Family``, except
-``flatlimit.classify_limit``, whose Gaussian test is a rule of the table.
-Any other function treats a kernel through ``kernels``' own functions.
+A kernel's family is asked in ``kernels`` only: no module but
+``kernels.py`` reads ``Family``.  The case table's one family rule, the
+Gaussian's closed-form penalized block, is ``kernels.block_kernel``'s; any
+other function treats a kernel through ``kernels``' own functions.
 
 A private name stays in its module: every attribute read ``obj._name`` in the
 package, ``obj`` other than ``self`` or ``cls``, names something the same
@@ -269,8 +269,9 @@ def test_a_mallopt_call_is_found():
     assert readers(source, ("mallopt",)) == {"keep_heap", "trim", "<module>"}
 
 
-# One family switch: the kernels module's, and the case table's own rule
-FAMILY_READERS = {("flatlimit.py", "classify_limit")}
+# One family switch: the kernels module's (the case table's Gaussian block
+# included, in ``kernels.block_kernel``)
+FAMILY_READERS = set()
 
 
 @pytest.mark.parametrize(
